@@ -13,7 +13,7 @@ from .policy import (
 from .satisfaction import Verdict, policy_satisfies, theta_satisfies, verify
 from .semantics import check_preservation, dual, explore, transitions
 from .safety import count_links, detect_errors, safety_scan
-from .encoding import check_correspondence, core_step, encode
+from .encoding import check_correspondence, encode
 from .syntax import (
     Gamma, parse_env, parse_policy, parse_process, parse_system,
     render_env, render_policy, render_process, render_system,

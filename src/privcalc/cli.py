@@ -2,7 +2,7 @@
 encode and policy-wf over system/policy/environment files.
 
 Exit codes: 0 success or satisfied, 1 violation or finding, 2 usage, parse
-or typing failure.
+or typing failure, 3 internal error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .typesys import Theta, TypingError, type_system
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _color_enabled() -> bool:
@@ -278,6 +279,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(str(e))
     except (TypingError, KernelError) as e:
         return _fail(str(e))
+    except Exception as e:
+        # a crash is not a finding: keep it out of exit code 1
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,14 +17,14 @@ from .kernel import (
     DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
     PPar, PRepl, PRes, PStore, PVar, PrivateData, Process, TConst, TDual,
     TName, TPriv, TVar, Term, alpha_eq, free_atoms, fresh_name, normalize,
-    par_components,
+    par_components, placeholder_vars,
 )
 from .syntax import render_process, render_term
-from .semantics import _eval_cond, tau_successors
+from .semantics import _eval_cond, reference_names, tau_successors
 
 __all__ = [
     "EncodingError", "BRANCH_LABELS", "select", "branch",
-    "encode", "core_step", "core_canonical", "render_core",
+    "encode", "core_canonical", "render_core",
     "CorrespondenceReport", "check_correspondence",
 ]
 
@@ -61,35 +61,13 @@ class _Fresh:
         return n
 
 
-def _store_refs(p: Process) -> frozenset[str]:
-    out: set[str] = set()
-
-    def go(nd):
-        match nd:
-            case PStore(ref, _):
-                out.add(ref)
-            case POut(_, _, cont) | PInp(_, _, cont) | PRes(_, _, cont) | PRepl(cont):
-                go(cont)
-            case PPar(l, r):
-                go(l)
-                go(r)
-            case PIf(_, _, _, t, e):
-                go(t)
-                go(e)
-            case _:
-                pass
-
-    go(p)
-    return frozenset(out)
-
-
 def encode(p: Process, refs: Optional[frozenset[str]] = None) -> Process:
     """A store becomes a state cell with a replicated server offering
     rd/wr; reference reads open a session and select rd; reference writes
     run a retry loop selecting wr. Everything else is homomorphic."""
     if refs is None:
-        refs = _store_refs(p)
-    fresh = _Fresh(free_atoms(p) | _all_atoms(p))
+        refs = reference_names(p)
+    fresh = _Fresh(_all_atoms(p))
 
     def enc(nd: Process) -> Process:
         match nd:
@@ -164,7 +142,6 @@ def _all_atoms(p: Process) -> set[str]:
             case PInp(s, pats, cont):
                 term(s)
                 for k in pats:
-                    from .kernel import placeholder_vars
                     out.update(placeholder_vars(k))
                 go(cont)
             case PRes(n, _, body):
@@ -243,12 +220,6 @@ def _encode_write(subject: Term, obj: TPriv, cont: Process, fresh: _Fresh) -> Pr
 
 
 # --- core execution and canonical forms ------------------------------------------------
-
-def core_step(p: Process) -> list[Process]:
-    """Immediate internal steps of a core term: channel communication plus
-    label synchronization (which is channel communication of a label)."""
-    return tau_successors(p)
-
 
 def _eval_ifs(p: Process) -> Process:
     match p:
@@ -425,7 +396,7 @@ def _search(start: Process, targets: list[Process], bound: int
     for _ in range(bound):
         nxt: list[Process] = []
         for node in frontier:
-            for succ in core_step(node):
+            for succ in tau_successors(node):
                 c = core_canonical(succ)
                 if c in seen:
                     continue
@@ -447,7 +418,7 @@ def check_correspondence(p: Process, bound: int,
     encoded source or completes to the encoding of some source successor."""
     report = CorrespondenceReport()
     if refs is None:
-        refs = _store_refs(p)
+        refs = reference_names(p)
     enc_root = encode(p, refs)
     src_succs = [normalize(s) for s in tau_successors(p)]
     # deduplicate source successors
@@ -471,7 +442,7 @@ def check_correspondence(p: Process, bound: int,
     enc_canon = core_canonical(enc_root)
     first = []
     seenq: list[Process] = []
-    for q in core_step(enc_root):
+    for q in tau_successors(enc_root):
         c = core_canonical(q)
         if not any(c == u for u in seenq):
             seenq.append(c)

@@ -22,7 +22,7 @@ __all__ = [
     "PNil", "POut", "PInp", "PRes", "PPar", "PRepl", "PIf", "PStore", "Process",
     "SGroupProc", "SGroupSys", "SSysPar", "SSysRes", "SBare", "System",
     "NIL", "substitute", "free_names", "free_vars", "free_atoms",
-    "normalize", "alpha_eq", "par_components", "sys_components", "fresh_name",
+    "normalize", "alpha_eq", "par_components", "fresh_name",
 ]
 
 
@@ -412,9 +412,9 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
                     out_vars.add(tok)
             newly = frozenset(x for k in patterns for x in placeholder_vars(k))
             _walk_free(cont, bound_names, bound_vars | newly, out_names, out_vars)
-        case PRes(name, _, body):
+        case PRes(name, _, body) | SSysRes(name, _, body):
             _walk_free(body, bound_names | {name}, bound_vars, out_names, out_vars)
-        case PPar(l, r):
+        case PPar(l, r) | SSysPar(l, r):
             _walk_free(l, bound_names, bound_vars, out_names, out_vars)
             _walk_free(r, bound_names, bound_vars, out_names, out_vars)
         case PRepl(body):
@@ -435,17 +435,8 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
                 out_vars.add(datum.identity.name)
             if isinstance(datum.data, DVar) and datum.data.name not in bound_vars:
                 out_vars.add(datum.data.name)
-        case SGroupProc(_, proc):
-            _walk_free(proc, bound_names, bound_vars, out_names, out_vars)
-        case SGroupSys(_, body):
+        case SGroupProc(_, body) | SGroupSys(_, body) | SBare(body):
             _walk_free(body, bound_names, bound_vars, out_names, out_vars)
-        case SSysPar(l, r):
-            _walk_free(l, bound_names, bound_vars, out_names, out_vars)
-            _walk_free(r, bound_names, bound_vars, out_names, out_vars)
-        case SSysRes(name, _, body):
-            _walk_free(body, bound_names | {name}, bound_vars, out_names, out_vars)
-        case SBare(proc):
-            _walk_free(proc, bound_names, bound_vars, out_names, out_vars)
         case TName(_) | TDual(_) | TConst(_) | TVar(_) | TPriv(_):
             for tok, kind in _term_tokens(node):
                 if kind == "name" and tok not in bound_names:
@@ -508,7 +499,7 @@ def _rename_name(node, old: str, new: str):
                            cont=_rename_name(cont, old, new))
         case PInp(s, pats, cont):
             return replace(node, subject=rt(s), cont=_rename_name(cont, old, new))
-        case PRes(n, annot, body):
+        case PRes(n, annot, body) | SSysRes(n, annot, body):
             if n == old:
                 return node
             if n == new:
@@ -516,7 +507,7 @@ def _rename_name(node, old: str, new: str):
                 body = _rename_name(body, n, n2)
                 return replace(node, name=n2, body=_rename_name(body, old, new))
             return replace(node, body=_rename_name(body, old, new))
-        case PPar(l, r):
+        case PPar(l, r) | SSysPar(l, r):
             return replace(node, left=_rename_name(l, old, new), right=_rename_name(r, old, new))
         case PRepl(body):
             return replace(node, body=_rename_name(body, old, new))
@@ -525,22 +516,10 @@ def _rename_name(node, old: str, new: str):
                            then=_rename_name(then, old, new), els=_rename_name(els, old, new))
         case PStore(ref, datum):
             return replace(node, ref=new if ref == old else ref)
-        case SGroupProc(_, proc):
+        case SGroupProc(_, proc) | SBare(proc):
             return replace(node, proc=_rename_name(proc, old, new))
         case SGroupSys(_, body):
             return replace(node, body=_rename_name(body, old, new))
-        case SSysPar(l, r):
-            return replace(node, left=_rename_name(l, old, new), right=_rename_name(r, old, new))
-        case SSysRes(n, annot, body):
-            if n == old:
-                return node
-            if n == new:
-                n2 = fresh_name(n, free_atoms(body) | {old, new})
-                body = _rename_name(body, n, n2)
-                return replace(node, name=n2, body=_rename_name(body, old, new))
-            return replace(node, body=_rename_name(body, old, new))
-        case SBare(proc):
-            return replace(node, proc=_rename_name(proc, old, new))
     raise KernelError(f"cannot rename inside {node!r}")
 
 
@@ -636,13 +615,13 @@ def _apply_subst(node, m: dict):
                     "data": {k: v for k, v in mm["data"].items() if k not in bound},
                 }
                 return replace(nd, subject=_apply_subst_term(s, mm), cont=go(cont, inner))
-            case PRes(n, annot, body):
+            case PRes(n, annot, body) | SSysRes(n, annot, body):
                 if n in value_atoms:
                     n2 = fresh_name(n, free_atoms(body) | value_atoms | act)
                     body = _rename_name(body, n, n2)
                     return replace(nd, name=n2, body=go(body, mm))
                 return replace(nd, body=go(body, mm))
-            case PPar(l, r):
+            case PPar(l, r) | SSysPar(l, r):
                 return replace(nd, left=go(l, mm), right=go(r, mm))
             case PRepl(body):
                 return replace(nd, body=go(body, mm))
@@ -666,20 +645,10 @@ def _apply_subst(node, m: dict):
                 if ident is datum.identity and dat is datum.data:
                     return nd
                 return replace(nd, datum=PrivateData(ident, dat))
-            case SGroupProc(_, proc):
+            case SGroupProc(_, proc) | SBare(proc):
                 return replace(nd, proc=go(proc, mm))
             case SGroupSys(_, body):
                 return replace(nd, body=go(body, mm))
-            case SSysPar(l, r):
-                return replace(nd, left=go(l, mm), right=go(r, mm))
-            case SSysRes(n, annot, body):
-                if n in value_atoms:
-                    n2 = fresh_name(n, free_atoms(body) | value_atoms | act)
-                    body = _rename_name(body, n, n2)
-                    return replace(nd, name=n2, body=go(body, mm))
-                return replace(nd, body=go(body, mm))
-            case SBare(proc):
-                return replace(nd, proc=go(proc, mm))
             case TName(_) | TDual(_) | TConst(_) | TVar(_) | TPriv(_):
                 return _apply_subst_term(nd, mm)
         raise KernelError(f"cannot substitute inside {nd!r}")
@@ -711,30 +680,6 @@ def par_components(p: Process) -> list[Process]:
             return []
         case _:
             return [p]
-
-
-def sys_components(s: System) -> list[System]:
-    match s:
-        case SSysPar(l, r):
-            return sys_components(l) + sys_components(r)
-        case _:
-            return [s]
-
-
-def _par_of(comps: list[Process]) -> Process:
-    if not comps:
-        return NIL
-    out = comps[-1]
-    for c in reversed(comps[:-1]):
-        out = PPar(c, out)
-    return out
-
-
-def _syspar_of(comps: list[System]) -> System:
-    out = comps[-1]
-    for c in reversed(comps[:-1]):
-        out = SSysPar(c, out)
-    return out
 
 
 def _erased_key(node, free_colors: Optional[dict[str, str]] = None) -> str:
@@ -818,32 +763,6 @@ def _erased_key(node, free_colors: Optional[dict[str, str]] = None) -> str:
     return go(node, names)
 
 
-def _hoist_proc(p: Process) -> tuple[list[tuple[str, Optional[PrivacyType]]], list[Process]]:
-    """Split a normalized scope body into its restriction block and flat
-    parallel components, extruding component-level restrictions upward."""
-    binders: list[tuple[str, Optional[PrivacyType]]] = []
-    body = p
-    while isinstance(body, PRes):
-        binders.append((body.name, body.annot))
-        body = body.body
-    comps: list[Process] = []
-    for c in par_components(body):
-        # component-level restrictions float up to this block
-        if isinstance(c, PRes):
-            inner_binders, inner_comps = _hoist_proc(c)
-            taken = set(n for n, _ in binders) | free_atoms(p)
-            for n, annot in inner_binders:
-                avoid = taken | {b for b, _ in binders} | set().union(*[free_atoms(x) for x in comps] or [set()])
-                n2 = fresh_name(n, avoid)
-                if n2 != n:
-                    inner_comps = [_rename_name(x, n, n2) for x in inner_comps]
-                binders.append((n2, annot))
-            comps.extend(inner_comps)
-        else:
-            comps.append(c)
-    return binders, comps
-
-
 def _sort_block(comps: list, binder_names: list[str]) -> list:
     """Order parallel components independently of the block binders' current
     names: binders are colored first uniformly, then by the multiset of
@@ -912,9 +831,8 @@ def _normalize1(node):
             return replace(node, then=_normalize1(then), els=_normalize1(els))
         case PStore(_, _):
             return node
-        case PRes(_, _, _) | PPar(_, _):
-            flat = _flatten_proc_block(node)
-            return flat
+        case PRes() | PPar() | SSysRes() | SSysPar():
+            return _flatten_block(node)
         case SGroupProc(g, proc):
             p = _normalize1(proc)
             return replace(node, proc=p)
@@ -923,114 +841,65 @@ def _normalize1(node):
             if isinstance(b, SBare):
                 return SGroupProc(g, b.proc)
             return replace(node, body=b)
-        case SSysRes(_, _, _) | SSysPar(_, _):
-            return _flatten_sys_block(node)
         case SBare(proc):
             p = _normalize1(proc)
             return SBare(p)
     raise KernelError(f"cannot normalize {node!r}")
 
 
-def _flatten_proc_block(p: Process) -> Process:
-    binders, comps = _hoist_proc(p)
-    comps = [_normalize1(c) for c in comps]
-    comps = [c for c in comps if c != NIL]
-    # re-hoist: normalization of components may have exposed restrictions
-    changed = True
-    while changed:
-        changed = False
-        out: list[Process] = []
-        for c in comps:
-            if isinstance(c, (PRes, PPar)):
-                b2, c2 = _hoist_proc(c)
-                if b2 or len(c2) != 1 or c2[0] != c:
-                    avoid = set(n for n, _ in binders)
-                    for x in comps:
-                        avoid |= free_atoms(x)
-                    for n, annot in b2:
-                        n2 = fresh_name(n, avoid)
-                        avoid.add(n2)
-                        if n2 != n:
-                            c2 = [_rename_name(x, n, n2) for x in c2]
-                        binders.append((n2, annot))
-                    out.extend(c2)
-                    changed = True
-                else:
-                    out.append(c)
-            else:
-                out.append(c)
-        comps = [c for c in out if c != NIL]
-    # drop binders with no occurrence (covers (new a) 0 = 0)
-    used = set()
-    for c in comps:
-        used |= free_atoms(c)
+def _flatten_block(node):
+    """Flatten one scope block of either family: nested restrictions and
+    parallel components are hoisted into one binder list and one component
+    list (renaming binders that would clash), each component is normalized,
+    inert components and unused binders are dropped, and the block is
+    rebuilt in sorted order."""
+    if isinstance(node, (PRes, PPar)):
+        res, par, inert = PRes, PPar, NIL
+    else:
+        res, par, inert = SSysRes, SSysPar, SBare(NIL)
+    binders: list[tuple[str, Optional[PrivacyType]]] = []
+    comps: list = []
+    taken: set[str] = set()
+    free_added = False
+
+    def hoist(nd, nested: bool):
+        nonlocal free_added
+        match nd:
+            case PPar(l, r) | SSysPar(l, r):
+                hoist(l, True)
+                hoist(r, True)
+            case PRes(n, annot, body) | SSysRes(n, annot, body):
+                # a binder of the block's own leading chain is never free in
+                # the block: the block's free atoms matter only for a binder
+                # below a parallel, or for renaming a duplicate in the chain
+                if not free_added and (nested or n in taken):
+                    taken.update(free_atoms(node))
+                    free_added = True
+                n2 = fresh_name(n, taken)
+                taken.add(n2)
+                binders.append((n2, annot))
+                hoist(body if n2 == n else _rename_name(body, n, n2), nested)
+            case _:
+                comps.append(nd)
+
+    hoist(node, False)
+    # components are never blocks here, and normalizing one cannot make it
+    # a block, so one pass leaves nothing to hoist
+    comps = [c for c in map(_normalize1, comps) if c != inert]
+    if not comps:
+        return inert
+    used = set().union(*map(free_atoms, comps))
     binders = [(n, a) for (n, a) in binders if n in used]
     comps = _sort_block(comps, [n for n, _ in binders])
-    body = _par_of(comps)
+    body = comps[-1]
+    for c in reversed(comps[:-1]):
+        body = par(c, body)
     # binder order: sorted by (first-use position in the sorted body, name)
     serial = _occurrence_order(body)
     binders.sort(key=lambda na: (serial.get(na[0], 10**9), na[0]))
     for n, annot in reversed(binders):
-        body = PRes(n, annot, body)
+        body = res(n, annot, body)
     return body
-
-
-def _flatten_sys_block(s: System) -> System:
-    binders: list[tuple[str, Optional[PrivacyType]]] = []
-    body = s
-    while isinstance(body, SSysRes):
-        binders.append((body.name, body.annot))
-        body = body.body
-    comps: list[System] = []
-    for c in sys_components(body):
-        comps.append(c)
-    comps = [_normalize1(c) for c in comps]
-    # drop inert components and hoist nested restriction blocks
-    changed = True
-    while changed:
-        changed = False
-        out: list[System] = []
-        for c in comps:
-            if isinstance(c, SBare) and c.proc == NIL:
-                changed = True
-                continue
-            if isinstance(c, SSysRes):
-                inner: list[tuple[str, Optional[PrivacyType]]] = []
-                b = c
-                while isinstance(b, SSysRes):
-                    inner.append((b.name, b.annot))
-                    b = b.body
-                sub = sys_components(b)
-                avoid = set(n for n, _ in binders)
-                for x in comps:
-                    avoid |= free_atoms(x)
-                for n, annot in inner:
-                    n2 = fresh_name(n, avoid)
-                    avoid.add(n2)
-                    if n2 != n:
-                        sub = [_rename_name(x, n, n2) for x in sub]
-                    binders.append((n2, annot))
-                out.extend(sub)
-                changed = True
-            elif isinstance(c, SSysPar):
-                out.extend(sys_components(c))
-                changed = True
-            else:
-                out.append(c)
-        comps = out
-    if not comps:
-        comps = [SBare(NIL)]
-    used = set()
-    for c in comps:
-        used |= free_atoms(c)
-    binders = [(n, a) for (n, a) in binders if n in used]
-    comps = _sort_block(comps, [n for n, _ in binders])
-    body2 = _syspar_of(comps)
-    serial = _occurrence_order(body2)
-    binders.sort(key=lambda na: (serial.get(na[0], 10**9), na[0]))
-    for n, annot in reversed(binders):
-        body2 = SSysRes(n, annot, body2)
-    return body2
 
 
 def _occurrence_order(node) -> dict[str, int]:
@@ -1057,10 +926,10 @@ def _occurrence_order(node) -> dict[str, int]:
             case PInp(s, pats, cont):
                 term(s)
                 go(cont)
-            case PRes(n, _, body):
+            case PRes(n, _, body) | SSysRes(n, _, body):
                 see([n])
                 go(body)
-            case PPar(l, r):
+            case PPar(l, r) | SSysPar(l, r):
                 go(l)
                 go(r)
             case PRepl(body):
@@ -1073,18 +942,8 @@ def _occurrence_order(node) -> dict[str, int]:
             case PStore(ref, datum):
                 see([ref])
                 term(TPriv(datum))
-            case SGroupProc(_, proc):
-                go(proc)
-            case SGroupSys(_, body):
+            case SGroupProc(_, body) | SGroupSys(_, body) | SBare(body):
                 go(body)
-            case SSysPar(l, r):
-                go(l)
-                go(r)
-            case SSysRes(n, _, body):
-                see([n])
-                go(body)
-            case SBare(proc):
-                go(proc)
 
     go(node)
     return order
@@ -1147,11 +1006,11 @@ def _canonical_rename(node):
                             new_pats.append(PAnon(env2[y]))
                 return replace(nd, subject=term(s, env), patterns=tuple(new_pats),
                                cont=go(cont, env2))
-            case PRes(n, annot, body):
+            case PRes(n, annot, body) | SSysRes(n, annot, body):
                 env2 = dict(env)
                 env2[n] = nm("n")
                 return replace(nd, name=env2[n], body=go(body, env2))
-            case PPar(l, r):
+            case PPar(l, r) | SSysPar(l, r):
                 return replace(nd, left=go(l, env), right=go(r, env))
             case PRepl(body):
                 return replace(nd, body=go(body, env))
@@ -1162,18 +1021,10 @@ def _canonical_rename(node):
                 d = term(TPriv(datum), env)
                 assert isinstance(d, TPriv)
                 return replace(nd, ref=env.get(ref, ref), datum=d.pdata)
-            case SGroupProc(_, proc):
+            case SGroupProc(_, proc) | SBare(proc):
                 return replace(nd, proc=go(proc, env))
             case SGroupSys(_, body):
                 return replace(nd, body=go(body, env))
-            case SSysPar(l, r):
-                return replace(nd, left=go(l, env), right=go(r, env))
-            case SSysRes(n, annot, body):
-                env2 = dict(env)
-                env2[n] = nm("n")
-                return replace(nd, name=env2[n], body=go(body, env2))
-            case SBare(proc):
-                return replace(nd, proc=go(proc, env))
         raise KernelError(str(nd))
 
     return go(node, {})
@@ -1226,7 +1077,7 @@ def alpha_eq(p, q) -> bool:
                     for xa, xb in zip(placeholder_vars(ka), placeholder_vars(kb)):
                         venv2[xa] = xb
                 return go(c1, c2, env, venv2)
-            case (PRes(n1, a1, b1), PRes(n2, a2, b2)):
+            case (PRes(n1, a1, b1), PRes(n2, a2, b2)) | (SSysRes(n1, a1, b1), SSysRes(n2, a2, b2)):
                 if a1 != a2:
                     return False
                 env2 = dict(env)
@@ -1241,16 +1092,8 @@ def alpha_eq(p, q) -> bool:
                         and go(t1, t2, env, venv) and go(e1, e2, env, venv))
             case (PStore(r1, d1), PStore(r2, d2)):
                 return env.get(r1, r1) == r2 and term(TPriv(d1), TPriv(d2), env, venv)
-            case (SGroupProc(g1, p1), SGroupProc(g2, p2)):
+            case (SGroupProc(g1, p1), SGroupProc(g2, p2)) | (SGroupSys(g1, p1), SGroupSys(g2, p2)):
                 return g1 == g2 and go(p1, p2, env, venv)
-            case (SGroupSys(g1, s1), SGroupSys(g2, s2)):
-                return g1 == g2 and go(s1, s2, env, venv)
-            case (SSysRes(n1, a1, b1), SSysRes(n2, a2, b2)):
-                if a1 != a2:
-                    return False
-                env2 = dict(env)
-                env2[n1] = n2
-                return go(b1, b2, env2, venv)
             case (SBare(p1), SBare(p2)):
                 return go(p1, p2, env, venv)
         return False

@@ -190,7 +190,7 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
         case PStore(ref, datum):
             if datum.is_constant:
                 out.append((OutLabel(ref, True, (TPriv(datum),)), node))
-        case PRes(name, annot, body):
+        case PRes(name, annot, body) | SSysRes(name, annot, body):
             for label, succ in visible_outs(body):
                 if label.subject == name:
                     continue
@@ -202,14 +202,14 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
                                      label.extruded + ((name, annot),))
                     out.append((label, succ))
                 else:
-                    out.append((label, PRes(name, annot, succ)))
-        case PPar(l, r):
+                    out.append((label, type(node)(name, annot, succ)))
+        case PPar(l, r) | SSysPar(l, r):
             for label, succ in visible_outs(l):
                 label, succ = _rename_clash(label, succ, free_atoms(r))
-                out.append((label, PPar(succ, r)))
+                out.append((label, type(node)(succ, r)))
             for label, succ in visible_outs(r):
                 label, succ = _rename_clash(label, succ, free_atoms(l))
-                out.append((label, PPar(l, succ)))
+                out.append((label, type(node)(l, succ)))
         case PRepl(body):
             for label, succ in visible_outs(body):
                 out.append((label, PPar(succ, node)))
@@ -225,26 +225,6 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
             out.extend((lb, SGroupProc(g, sc)) for lb, sc in visible_outs(proc))
         case SGroupSys(g, body):
             out.extend((lb, SGroupSys(g, sc)) for lb, sc in visible_outs(body))
-        case SSysRes(name, annot, body):
-            for label, succ in visible_outs(body):
-                if label.subject == name:
-                    continue
-                objs_atoms = set()
-                for o in label.objects:
-                    objs_atoms |= free_atoms(o)
-                if name in objs_atoms:
-                    label = OutLabel(label.subject, label.on_dual, label.objects,
-                                     label.extruded + ((name, annot),))
-                    out.append((label, succ))
-                else:
-                    out.append((label, SSysRes(name, annot, succ)))
-        case SSysPar(l, r):
-            for label, succ in visible_outs(l):
-                label, succ = _rename_clash(label, succ, free_atoms(r))
-                out.append((label, SSysPar(succ, r)))
-            for label, succ in visible_outs(r):
-                label, succ = _rename_clash(label, succ, free_atoms(l))
-                out.append((label, SSysPar(l, succ)))
     return out
 
 
@@ -280,7 +260,7 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                     elif isinstance(wid, Hidden) and isinstance(datum.identity, Known):
                         # anonymous write keeps the store's identity
                         out.append(PStore(ref, PrivateData(datum.identity, wdat)))
-        case PRes(name, annot, body):
+        case PRes(name, annot, body) | SSysRes(name, annot, body):
             if name != subject:
                 atoms = set()
                 for v in values:
@@ -290,12 +270,12 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                     body = _rename_name(body, name, n2)
                     name = n2
                 for succ in feed(body, subject, to_dual, values):
-                    out.append(PRes(name, annot, succ))
-        case PPar(l, r):
+                    out.append(type(node)(name, annot, succ))
+        case PPar(l, r) | SSysPar(l, r):
             for succ in feed(l, subject, to_dual, values):
-                out.append(PPar(succ, r))
+                out.append(type(node)(succ, r))
             for succ in feed(r, subject, to_dual, values):
-                out.append(PPar(l, succ))
+                out.append(type(node)(l, succ))
         case PRepl(body):
             for succ in feed(body, subject, to_dual, values):
                 out.append(PPar(succ, node))
@@ -311,22 +291,6 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
             out.extend(SGroupProc(g, s) for s in feed(proc, subject, to_dual, values))
         case SGroupSys(g, body):
             out.extend(SGroupSys(g, s) for s in feed(body, subject, to_dual, values))
-        case SSysRes(name, annot, body):
-            if name != subject:
-                atoms = set()
-                for v in values:
-                    atoms |= free_atoms(v)
-                if name in atoms:
-                    n2 = fresh_name(name, atoms | free_atoms(body))
-                    body = _rename_name(body, name, n2)
-                    name = n2
-                for succ in feed(body, subject, to_dual, values):
-                    out.append(SSysRes(name, annot, succ))
-        case SSysPar(l, r):
-            for succ in feed(l, subject, to_dual, values):
-                out.append(SSysPar(succ, r))
-            for succ in feed(r, subject, to_dual, values):
-                out.append(SSysPar(l, succ))
     return out
 
 
@@ -408,13 +372,14 @@ def tau_successors(node, refs: Optional[frozenset[str]] = None) -> list:
     match node:
         case PNil() | POut(_, _, _) | PInp(_, _, _) | PStore(_, _):
             pass
-        case PRes(name, annot, body):
-            out.extend(PRes(name, annot, s) for s in tau_successors(body, refs))
-        case PPar(l, r):
-            out.extend(PPar(s, r) for s in tau_successors(l, refs))
-            out.extend(PPar(l, s) for s in tau_successors(r, refs))
-            out.extend(_pair(visible_outs(l), r, lambda a, b: PPar(a, b), refs))
-            out.extend(_pair(visible_outs(r), l, lambda a, b: PPar(b, a), refs))
+        case PRes(name, annot, body) | SSysRes(name, annot, body):
+            out.extend(type(node)(name, annot, s) for s in tau_successors(body, refs))
+        case PPar(l, r) | SSysPar(l, r):
+            par = type(node)
+            out.extend(par(s, r) for s in tau_successors(l, refs))
+            out.extend(par(l, s) for s in tau_successors(r, refs))
+            out.extend(_pair(visible_outs(l), r, par, refs))
+            out.extend(_pair(visible_outs(r), l, lambda a, b: par(b, a), refs))
         case PRepl(body):
             out.extend(PPar(s, node) for s in tau_successors(body, refs))
         case PIf(op, lhs, rhs, then, els):
@@ -429,13 +394,6 @@ def tau_successors(node, refs: Optional[frozenset[str]] = None) -> list:
             out.extend(SGroupProc(g, s) for s in tau_successors(proc, refs))
         case SGroupSys(g, body):
             out.extend(SGroupSys(g, s) for s in tau_successors(body, refs))
-        case SSysRes(name, annot, body):
-            out.extend(SSysRes(name, annot, s) for s in tau_successors(body, refs))
-        case SSysPar(l, r):
-            out.extend(SSysPar(s, r) for s in tau_successors(l, refs))
-            out.extend(SSysPar(l, s) for s in tau_successors(r, refs))
-            out.extend(_pair(visible_outs(l), r, lambda a, b: SSysPar(a, b), refs))
-            out.extend(_pair(visible_outs(r), l, lambda a, b: SSysPar(b, a), refs))
     return out
 
 
@@ -509,8 +467,7 @@ def transitions(node, universe: Optional[Iterable[Term]] = None
 
 def state_key(node) -> str:
     norm = normalize(node)
-    txt = render_system(norm) if not isinstance(
-        norm, (PNil, POut, PInp, PRes, PPar, PRepl, PIf, PStore)) else render_process(norm)
+    txt = render_process(norm) if isinstance(norm, _PROC_TYPES) else render_system(norm)
     return hashlib.sha256(txt.encode()).hexdigest()[:12]
 
 

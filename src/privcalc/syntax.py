@@ -810,9 +810,9 @@ def _promote_names(node, names: set[str]):
                                            cont=go(cont))
             case PInp(_, _, cont):
                 return dataclasses.replace(nd, cont=go(cont))
-            case PRes(_, _, body):
+            case PRes(_, _, body) | SSysRes(_, _, body):
                 return dataclasses.replace(nd, body=go(body))
-            case PPar(l, r):
+            case PPar(l, r) | SSysPar(l, r):
                 return dataclasses.replace(nd, left=go(l), right=go(r))
             case PRepl(body):
                 return dataclasses.replace(nd, body=go(body))
@@ -821,16 +821,10 @@ def _promote_names(node, names: set[str]):
                                            then=go(then), els=go(els))
             case PStore(_, _):
                 return nd
-            case SGroupProc(_, proc):
+            case SGroupProc(_, proc) | SBare(proc):
                 return dataclasses.replace(nd, proc=go(proc))
             case SGroupSys(_, body):
                 return dataclasses.replace(nd, body=go(body))
-            case SSysPar(l, r):
-                return dataclasses.replace(nd, left=go(l), right=go(r))
-            case SSysRes(_, _, body):
-                return dataclasses.replace(nd, body=go(body))
-            case SBare(proc):
-                return dataclasses.replace(nd, proc=go(proc))
         raise KernelError(str(nd))
 
     return go(node)

@@ -409,9 +409,9 @@ def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
             case PInp(s, pats, cont):
                 inner = shadowed or any(name in placeholder_vars(k) for k in pats)
                 scan(cont, inner)
-            case PRes(n, _, bd):
+            case PRes(n, _, bd) | SSysRes(n, _, bd):
                 scan(bd, shadowed or n == name)
-            case PPar(l, r):
+            case PPar(l, r) | SSysPar(l, r):
                 scan(l, shadowed)
                 scan(r, shadowed)
             case PRepl(bd):
@@ -419,17 +419,10 @@ def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
             case PIf(_, _, _, th, el):
                 scan(th, shadowed)
                 scan(el, shadowed)
-            case SGroupProc(_, proc):
+            case SGroupProc(_, proc) | SBare(proc):
                 scan(proc, shadowed)
             case SGroupSys(_, bd):
                 scan(bd, shadowed)
-            case SSysPar(l, r):
-                scan(l, shadowed)
-                scan(r, shadowed)
-            case SSysRes(n, _, bd):
-                scan(bd, shadowed or n == name)
-            case SBare(proc):
-                scan(proc, shadowed)
 
     scan(body, False)
     if len(candidates) == 1:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from conftest import CORPUS
+from privcalc import cli
 
 PKG = str(CORPUS.parent / "src")
 
@@ -58,6 +59,14 @@ class TestExitCodes:
         r = run("errors", "corpus/hospital_nurse_read.pc",
                 "--policy", "corpus/hospital.ppo", "--env", "corpus/hospital.env")
         assert r.returncode == 1
+
+    def test_internal_error(self, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_typecheck", crash)
+        assert cli.main(["typecheck", "corpus/lab.pc"]) == cli.EXIT_INTERNAL == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     def test_encode_process(self, tmp_path):
         f = tmp_path / "st.pc"

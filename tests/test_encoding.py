@@ -7,8 +7,9 @@ from privcalc.kernel import (
 )
 from privcalc.encoding import (
     BRANCH_LABELS, EncodingError, check_correspondence, core_canonical,
-    core_step, encode, render_core, select, branch,
+    encode, render_core, select, branch,
 )
+from privcalc.semantics import tau_successors
 from privcalc.syntax import parse_process
 
 import gen
@@ -83,20 +84,20 @@ class TestCoreStep:
         p = PPar(select(TName("a"), "rd", NIL),
                  branch(TName("a"), {"rd": POut(TName("b"), (TConst("k"),), NIL),
                                      "wr": NIL}, "lbl"))
-        succs = [core_canonical(s) for s in core_step(p)]
+        succs = [core_canonical(s) for s in tau_successors(p)]
         assert len(succs) == 1
         assert succs[0] == core_canonical(POut(TName("b"), (TConst("k"),), NIL))
 
     def test_plain_communication(self):
         p = PPar(POut(TName("a"), (TConst("k"),), NIL),
                  PInp(TName("a"), (PVar("x"),), POut(TName("b"), (TVarOr("x"),), NIL)))
-        succs = core_step(p)
+        succs = tau_successors(p)
         assert len(succs) == 1
 
     def test_encoded_read_starts_with_handshake(self):
         p = PPar(STORE, PInp(TName("r"), (PPair("x", "y"),), NIL))
         enc = encode(p)
-        firsts = core_step(enc)
+        firsts = tau_successors(enc)
         assert firsts  # the cell hand-off and the session handshake race
         assert all(isinstance(s, (PPar, PRes)) for s in firsts)
 

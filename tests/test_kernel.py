@@ -107,6 +107,12 @@ class TestNormalize:
     def test_restricted_nil(self):
         assert normalize(PRes("a", None, NIL)) == NIL
 
+    def test_system_nil_unit(self):
+        from privcalc.kernel import SBare, SGroupProc, SSysPar, SSysRes
+        g = SGroupProc("G", POut(TName("a"), (TConst("c"),), NIL))
+        assert normalize(SSysPar(SBare(NIL), g)) == normalize(g)
+        assert normalize(SSysRes("a", None, SBare(NIL))) == SBare(NIL)
+
     def test_commutative(self):
         p = POut(TName("a"), (TConst("c"),), NIL)
         q = PInp(TName("b"), (PVar("x"),), NIL)
@@ -129,6 +135,21 @@ class TestNormalize:
         a = PRes("n", None, PRes("m", None, body))
         b = PRes("m", None, PRes("n", None, body))
         assert normalize(a) == normalize(b)
+
+    def test_hoisting_keeps_nested_restrictions_apart(self):
+        # b is free in one component and restricted twice, nested, in the
+        # other: hoisting must not merge the two restrictions into one
+        def inp(n):
+            return PInp(TName(n), (PVar("x"),), NIL)
+
+        def out(n):
+            return POut(TName(n), (TConst("c"),), NIL)
+
+        shadowed = PPar(inp("b"),
+                        PRes("b", None, PPar(PRes("b", None, inp("b")), out("b"))))
+        renamed = PPar(inp("b"),
+                       PRes("b1", None, PPar(PRes("b2", None, inp("b2")), out("b1"))))
+        assert normalize(shadowed) == normalize(renamed)
 
     def test_idempotent_on_examples(self):
         p = PPar(PRes("n", None, PPar(NIL, POut(TName("n"), (TConst("c"),), NIL))),

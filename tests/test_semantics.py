@@ -3,15 +3,17 @@ import random
 import pytest
 
 from privcalc.kernel import (
-    DConst, HIDDEN, Known, NIL, PAnon, PInp, POut, PPair, PPar, PStore, PVar,
-    PrivateData, SGroupProc, SSysPar, TConst, TName, TPriv, alpha_eq,
-    normalize,
+    DConst, HIDDEN, Known, NIL, PAnon, PInp, POut, PPair, PPar, PRes, PStore,
+    PVar, PrivateData, SBare, SGroupProc, SGroupSys, SSysPar, SSysRes, TConst,
+    TName, TPriv, alpha_eq, normalize,
 )
 from privcalc.semantics import (
     InpLabel, OutLabel, TAU, check_preservation, default_universe, dual,
     explore, feed, input_labels, tau_successors, transitions, visible_outs,
 )
-from privcalc.syntax import parse_env, parse_process, parse_system
+from privcalc.syntax import (
+    _lower_system, parse_env, parse_process, parse_system, render_process,
+)
 from privcalc.typesys import interface_leq, type_system
 
 import gen
@@ -208,6 +210,67 @@ def _flip_proc(p):
             return PPar(r, l)
         case _:
             return p
+
+
+def _lift(p):
+    """The process's top-level | / new spine as system composition and
+    restriction over bare leaves."""
+    match p:
+        case PPar(l, r):
+            return SSysPar(_lift(l), _lift(r))
+        case PRes(name, annot, body):
+            return SSysRes(name, annot, _lift(body))
+        case _:
+            return SBare(p)
+
+
+def _group_contents(s):
+    match s:
+        case SGroupProc(_, p):
+            yield p
+        case SGroupSys(_, body):
+            yield from _group_contents(body)
+        case SSysPar(l, r):
+            yield from _group_contents(l)
+            yield from _group_contents(r)
+
+
+EXTRUSION_CASES = [
+    "(new a) c!<a>. a!<k>. 0 | c?(y). y?(z). 0",
+    "(new a) (c!<a>. 0 | a?(z). 0) | c?(y). y!<k>. 0",
+    "(new a) c!<a>. 0 | a?(x). 0 | c?(y). y!<k>. 0",
+    "(new a) (new b) c!<a, b>. 0 | c?(x, y). x!<y>. 0",
+    "* ((new a) c!<a>. 0) | c?(y). y!<k>. 0 | c?(y). y!<k>. 0",
+    "(new a) (c!<a>. 0 | (new a) d!<a>. 0) | c?(y). d?(z). y!<z>. 0",
+]
+
+
+def _family_programs(source):
+    if source == "store":
+        return gen.store_programs()
+    if source == "random":
+        return [p for seed in range(300)
+                for p in _group_contents(gen.random_system(random.Random(seed)))]
+    return [parse_process(text).value for text in EXTRUSION_CASES]
+
+
+@pytest.mark.parametrize("source", ["store", "random", "extrusion"])
+def test_system_family_steps_like_processes(source):
+    """System composition and restriction obey the same congruence and
+    scope-extrusion rules as their process counterparts: a process lifted
+    to the system family normalizes and steps to the same lowered forms."""
+    def nf(p):
+        return render_process(normalize(p))
+
+    def lowered(s):
+        return nf(_lower_system(s))
+
+    for p in _family_programs(source):
+        lifted = _lift(p)
+        assert lowered(normalize(lifted)) == nf(p)
+        for q, s in ((p, lifted), (normalize(p), normalize(lifted))):
+            assert ({lowered(x) for x in tau_successors(s)}
+                    == {nf(x) for x in tau_successors(q)})
 
 
 def test_tau_edges_come_from_dual_pairs():
