@@ -247,50 +247,56 @@ def _eval_ifs(p: Process) -> Process:
 def _gc_inert(p: Process) -> Process:
     """Remove replicated inputs guarding a restricted name whose only other
     occurrences sit inside those same guarded bodies: nothing can ever send
-    on the name first, so the components are inert."""
+    on the name first, so the components are inert. Every binder of a
+    restriction chain is checked, again after each removal. With nothing to
+    remove, the argument itself is returned."""
     match p:
-        case PRes(name, annot, body):
-            body = _gc_inert(body)
-            comps = par_components(body)
-            holders = [c for c in comps if name in free_atoms(c)]
-            if holders and all(
-                    isinstance(c, PRepl) and isinstance(c.body, PInp)
-                    and isinstance(c.body.subject, TName)
-                    and c.body.subject.name == name
-                    for c in holders):
-                keep = [c for c in comps if name not in free_atoms(c)]
-                if not keep:
-                    return NIL
-                out = keep[-1]
-                for c in reversed(keep[:-1]):
-                    out = PPar(c, out)
-                return out
-            return replace(p, body=body)
-        case POut(_, _, cont):
-            return replace(p, cont=_gc_inert(cont))
-        case PInp(_, _, cont):
-            return replace(p, cont=_gc_inert(cont))
+        case PRes():
+            chain, body = [], p
+            while isinstance(body, PRes):
+                chain.append(body)
+                body = body.body
+            inner = _gc_inert(body)
+            live = [(c, free_atoms(c)) for c in par_components(inner)]
+            total = len(live)
+            while True:
+                dead = {r.name for r in chain
+                        if all(isinstance(c, PRepl) and isinstance(c.body, PInp)
+                               and c.body.subject == TName(r.name)
+                               for c, atoms in live if r.name in atoms)}
+                kept = [(c, atoms) for c, atoms in live if not dead & atoms]
+                if len(kept) == len(live):
+                    break
+                live = kept
+            if inner is body and len(live) == total:
+                return p
+            out = live[-1][0] if live else NIL
+            for c, _ in reversed(live[:-1]):
+                out = PPar(c, out)
+            used = set().union(*(atoms for _, atoms in live))
+            for r in reversed(chain):
+                out = replace(r, body=out) if r.name in used else out
+            return out
+        case POut(_, _, k) | PInp(_, _, k):
+            kids = {"cont": k}
         case PPar(l, r):
-            return replace(p, left=_gc_inert(l), right=_gc_inert(r))
-        case PRepl(body):
-            return replace(p, body=_gc_inert(body))
-        case PIf(_, _, _, then, els):
-            return replace(p, then=_gc_inert(then), els=_gc_inert(els))
+            kids = {"left": l, "right": r}
+        case PRepl(b):
+            kids = {"body": b}
+        case PIf(_, _, _, t, e):
+            kids = {"then": t, "els": e}
         case _:
             return p
+    new = {f: _gc_inert(c) for f, c in kids.items()}
+    return p if all(new[f] is c for f, c in kids.items()) else replace(p, **new)
 
 
 def core_canonical(p: Process) -> Process:
     """Canonical form for state comparison: resolved conditionals evaluated,
-    inert service loops collected, then structural normalization."""
-    prev = None
+    structural normalization, then inert service loops collected."""
     cur = normalize(_eval_ifs(p))
-    for _ in range(5):
-        cur2 = normalize(_gc_inert(_eval_ifs(cur)))
-        if cur2 == cur:
-            break
-        cur = cur2
-    return cur
+    gc = _gc_inert(cur)
+    return cur if gc is cur else normalize(gc)
 
 
 # --- rendering -------------------------------------------------------------------------

@@ -392,7 +392,9 @@ def _term_tokens(t: Term) -> Iterator[tuple[str, str]]:
 
 
 def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
-               out_names: set[str], out_vars: set[str]) -> None:
+               out_names: dict[str, None], out_vars: dict[str, None]) -> None:
+    """Collect free tokens into the two dicts (used as ordered sets), in
+    order of first free occurrence."""
     match node:
         case PNil():
             return
@@ -400,16 +402,16 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
             for t in (subject, *objects):
                 for tok, kind in _term_tokens(t):
                     if kind == "name" and tok not in bound_names:
-                        out_names.add(tok)
+                        out_names[tok] = None
                     elif kind in ("var", "ivar", "dvar") and tok not in bound_vars:
-                        out_vars.add(tok)
+                        out_vars[tok] = None
             _walk_free(cont, bound_names, bound_vars, out_names, out_vars)
         case PInp(subject, patterns, cont):
             for tok, kind in _term_tokens(subject):
                 if kind == "name" and tok not in bound_names:
-                    out_names.add(tok)
+                    out_names[tok] = None
                 elif kind == "var" and tok not in bound_vars:
-                    out_vars.add(tok)
+                    out_vars[tok] = None
             newly = frozenset(x for k in patterns for x in placeholder_vars(k))
             _walk_free(cont, bound_names, bound_vars | newly, out_names, out_vars)
         case PRes(name, _, body) | SSysRes(name, _, body):
@@ -423,49 +425,48 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
             for t in (lhs, rhs):
                 for tok, kind in _term_tokens(t):
                     if kind == "name" and tok not in bound_names:
-                        out_names.add(tok)
+                        out_names[tok] = None
                     elif kind in ("var", "ivar", "dvar") and tok not in bound_vars:
-                        out_vars.add(tok)
+                        out_vars[tok] = None
             _walk_free(then, bound_names, bound_vars, out_names, out_vars)
             _walk_free(els, bound_names, bound_vars, out_names, out_vars)
         case PStore(ref, datum):
             if ref not in bound_names:
-                out_names.add(ref)
+                out_names[ref] = None
             if isinstance(datum.identity, IVar) and datum.identity.name not in bound_vars:
-                out_vars.add(datum.identity.name)
+                out_vars[datum.identity.name] = None
             if isinstance(datum.data, DVar) and datum.data.name not in bound_vars:
-                out_vars.add(datum.data.name)
+                out_vars[datum.data.name] = None
         case SGroupProc(_, body) | SGroupSys(_, body) | SBare(body):
             _walk_free(body, bound_names, bound_vars, out_names, out_vars)
         case TName(_) | TDual(_) | TConst(_) | TVar(_) | TPriv(_):
             for tok, kind in _term_tokens(node):
                 if kind == "name" and tok not in bound_names:
-                    out_names.add(tok)
+                    out_names[tok] = None
                 elif kind in ("var", "ivar", "dvar") and tok not in bound_vars:
-                    out_vars.add(tok)
+                    out_vars[tok] = None
         case _:
             raise KernelError(f"unexpected node {node!r}")
 
 
 def free_names(node) -> frozenset[str]:
-    names: set[str] = set()
-    _walk_free(node, frozenset(), frozenset(), names, set())
+    names: dict[str, None] = {}
+    _walk_free(node, frozenset(), frozenset(), names, {})
     return frozenset(names)
 
 
 def free_vars(node) -> frozenset[str]:
-    vs: set[str] = set()
-    _walk_free(node, frozenset(), frozenset(), set(), vs)
+    vs: dict[str, None] = {}
+    _walk_free(node, frozenset(), frozenset(), {}, vs)
     return frozenset(vs)
 
 
 def free_atoms(node) -> frozenset[str]:
     """All free tokens, names and variables alike; the safe set for
     capture checks and scope extrusion."""
-    names: set[str] = set()
-    vs: set[str] = set()
-    _walk_free(node, frozenset(), frozenset(), names, vs)
-    return frozenset(names | vs)
+    atoms: dict[str, None] = {}
+    _walk_free(node, frozenset(), frozenset(), atoms, atoms)
+    return frozenset(atoms)
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -763,20 +764,19 @@ def _erased_key(node, free_colors: Optional[dict[str, str]] = None) -> str:
     return go(node, names)
 
 
-def _sort_block(comps: list, binder_names: list[str]) -> list:
-    """Order parallel components independently of the block binders' current
-    names: binders are colored first uniformly, then by the multiset of
-    component shapes referencing them."""
-    holes = {n: "ν" for n in binder_names}
-    keys0 = [_erased_key(c, holes) for c in comps]
-    colors: dict[str, str] = {}
+def _sort_block(comps: list, binder_names: Iterable[str], outer: frozenset[str]) -> list:
+    """Order parallel components independently of the current names of the
+    block binders and of the atoms bound around the block (`outer`): outer
+    atoms all print as one hole, and binders are colored first uniformly,
+    then by the multiset of component shapes referencing them. The sort is
+    stable, so sorting a sorted block again keeps its order."""
+    uniform = dict.fromkeys(outer, "_") | dict.fromkeys(binder_names, "ν")
+    keys0 = [(_erased_key(c, uniform), free_atoms(c)) for c in comps]
+    colors = dict.fromkeys(outer, "_")
     for n in binder_names:
-        touching = sorted(keys0[i] for i, c in enumerate(comps)
-                          if n in free_atoms(c))
+        touching = sorted(k for k, atoms in keys0 if n in atoms)
         colors[n] = "ν(" + "|".join(touching) + ")"
-    keyed = sorted(range(len(comps)), key=lambda i: (_erased_key(comps[i], colors),
-                                                     keys0[i]))
-    return [comps[i] for i in keyed]
+    return sorted(comps, key=lambda c: _erased_key(c, colors))
 
 
 _norm_cache: dict = {}
@@ -788,6 +788,8 @@ def normalize(node):
     Flattens and sorts parallel compositions, removes inert terms, hoists
     restrictions to the top of their scope block, sorts restriction blocks,
     and alpha-renames binders canonically. Never crosses group boundaries.
+    One pass suffices: no sort key or binder order reads a bound name, so
+    the renaming cannot change them and a normal form normalizes to itself.
     """
     key = node
     try:
@@ -797,57 +799,50 @@ def normalize(node):
         key = None
     if hit is not None:
         return hit
-    result = _normalize_fix(node)
+    result = _canonical_rename(_normalize1(node, frozenset()))
     if key is not None and len(_norm_cache) < 100_000:
         _norm_cache[key] = result
     return result
 
 
-def _normalize_fix(node):
-    prev = node
-    for _ in range(6):
-        cur = _normalize1(prev)
-        cur = _canonical_rename(cur)
-        if cur == prev:
-            return cur
-        prev = cur
-    return prev
-
-
-def _normalize1(node):
+def _normalize1(node, outer: frozenset[str]):
+    """One normalizing pass; `outer` holds the atoms bound around the node,
+    which sort keys must not read by name, since the canonical renaming
+    changes them."""
     match node:
         case PNil():
             return NIL
         case POut(s, objs, cont):
-            return replace(node, cont=_normalize1(cont))
+            return replace(node, cont=_normalize1(cont, outer))
         case PInp(s, pats, cont):
-            return replace(node, cont=_normalize1(cont))
+            bound = outer.union(*map(placeholder_vars, pats))
+            return replace(node, cont=_normalize1(cont, bound))
         case PRepl(body):
-            b = _normalize1(body)
+            b = _normalize1(body, outer)
             if b == NIL:
                 return NIL
             return replace(node, body=b)
         case PIf(op, lhs, rhs, then, els):
-            return replace(node, then=_normalize1(then), els=_normalize1(els))
+            return replace(node, then=_normalize1(then, outer), els=_normalize1(els, outer))
         case PStore(_, _):
             return node
         case PRes() | PPar() | SSysRes() | SSysPar():
-            return _flatten_block(node)
+            return _flatten_block(node, outer)
         case SGroupProc(g, proc):
-            p = _normalize1(proc)
+            p = _normalize1(proc, outer)
             return replace(node, proc=p)
         case SGroupSys(g, body):
-            b = _normalize1(body)
+            b = _normalize1(body, outer)
             if isinstance(b, SBare):
                 return SGroupProc(g, b.proc)
             return replace(node, body=b)
         case SBare(proc):
-            p = _normalize1(proc)
+            p = _normalize1(proc, outer)
             return SBare(p)
     raise KernelError(f"cannot normalize {node!r}")
 
 
-def _flatten_block(node):
+def _flatten_block(node, outer: frozenset[str]):
     """Flatten one scope block of either family: nested restrictions and
     parallel components are hoisted into one binder list and one component
     list (renaming binders that would clash), each component is normalized,
@@ -857,7 +852,7 @@ def _flatten_block(node):
         res, par, inert = PRes, PPar, NIL
     else:
         res, par, inert = SSysRes, SSysPar, SBare(NIL)
-    binders: list[tuple[str, Optional[PrivacyType]]] = []
+    binders: dict[str, Optional[PrivacyType]] = {}
     comps: list = []
     taken: set[str] = set()
     free_added = False
@@ -877,7 +872,7 @@ def _flatten_block(node):
                     free_added = True
                 n2 = fresh_name(n, taken)
                 taken.add(n2)
-                binders.append((n2, annot))
+                binders[n2] = annot
                 hoist(body if n2 == n else _rename_name(body, n, n2), nested)
             case _:
                 comps.append(nd)
@@ -885,68 +880,21 @@ def _flatten_block(node):
     hoist(node, False)
     # components are never blocks here, and normalizing one cannot make it
     # a block, so one pass leaves nothing to hoist
-    comps = [c for c in map(_normalize1, comps) if c != inert]
+    inner = outer.union(binders)
+    comps = [c for c in (_normalize1(c, inner) for c in comps) if c != inert]
     if not comps:
         return inert
-    used = set().union(*map(free_atoms, comps))
-    binders = [(n, a) for (n, a) in binders if n in used]
-    comps = _sort_block(comps, [n for n, _ in binders])
+    comps = _sort_block(comps, binders, outer)
     body = comps[-1]
     for c in reversed(comps[:-1]):
         body = par(c, body)
-    # binder order: sorted by (first-use position in the sorted body, name)
-    serial = _occurrence_order(body)
-    binders.sort(key=lambda na: (serial.get(na[0], 10**9), na[0]))
-    for n, annot in reversed(binders):
-        body = res(n, annot, body)
+    # binders in order of first free occurrence in the sorted body; one
+    # that does not occur is dropped
+    serial: dict[str, None] = {}
+    _walk_free(body, frozenset(), frozenset(), serial, serial)
+    for n in reversed([n for n in serial if n in binders]):
+        body = res(n, binders[n], body)
     return body
-
-
-def _occurrence_order(node) -> dict[str, int]:
-    order: dict[str, int] = {}
-    i = itertools.count()
-
-    def see(tokens: Iterable[str]):
-        for t in tokens:
-            if t not in order:
-                order[t] = next(i)
-
-    def term(t: Term):
-        see(tk for tk, _ in _term_tokens(t))
-
-    def go(nd):
-        match nd:
-            case PNil():
-                pass
-            case POut(s, objs, cont):
-                term(s)
-                for o in objs:
-                    term(o)
-                go(cont)
-            case PInp(s, pats, cont):
-                term(s)
-                go(cont)
-            case PRes(n, _, body) | SSysRes(n, _, body):
-                see([n])
-                go(body)
-            case PPar(l, r) | SSysPar(l, r):
-                go(l)
-                go(r)
-            case PRepl(body):
-                go(body)
-            case PIf(_, lhs, rhs, then, els):
-                term(lhs)
-                term(rhs)
-                go(then)
-                go(els)
-            case PStore(ref, datum):
-                see([ref])
-                term(TPriv(datum))
-            case SGroupProc(_, body) | SGroupSys(_, body) | SBare(body):
-                go(body)
-
-    go(node)
-    return order
 
 
 def _canonical_rename(node):

@@ -157,7 +157,13 @@ def _closed_term(t: Term) -> bool:
 
 # --- output capabilities ------------------------------------------------------------
 
-def _rename_clash(label: OutLabel, succ, avoid: frozenset[str]) -> tuple[OutLabel, object]:
+def _rename_clash(label: OutLabel, succ, other) -> tuple[OutLabel, object]:
+    """Rename the names the label extrudes away from the free atoms of
+    `other`, the node the output meets; those are computed only when the
+    label extrudes a name."""
+    if not label.extruded:
+        return label, succ
+    avoid = free_atoms(other)
     for n, annot in label.extruded:
         if n in avoid:
             n2 = fresh_name(n, avoid | free_atoms(succ) |
@@ -205,10 +211,10 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
                     out.append((label, type(node)(name, annot, succ)))
         case PPar(l, r) | SSysPar(l, r):
             for label, succ in visible_outs(l):
-                label, succ = _rename_clash(label, succ, free_atoms(r))
+                label, succ = _rename_clash(label, succ, r)
                 out.append((label, type(node)(succ, r)))
             for label, succ in visible_outs(r):
-                label, succ = _rename_clash(label, succ, free_atoms(l))
+                label, succ = _rename_clash(label, succ, l)
                 out.append((label, type(node)(l, succ)))
         case PRepl(body):
             for label, succ in visible_outs(body):
@@ -352,7 +358,7 @@ def _pair(outs_side, other, wrap, refs: frozenset[str]) -> list:
     names the output extrudes get re-restricted around the pair."""
     out = []
     for label, succ in outs_side:
-        label, succ = _rename_clash(label, succ, free_atoms(other))
+        label, succ = _rename_clash(label, succ, other)
         for subject, to_dual, values in _deliveries(label, refs):
             for osucc in feed(other, subject, to_dual, values):
                 combined = wrap(succ, osucc)

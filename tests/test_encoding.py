@@ -128,3 +128,34 @@ class TestCorrespondence:
         for p in gen.store_programs()[:6]:
             report = check_correspondence(p, 12)
             assert report.ok, (render_core(p), report.render())
+
+
+class TestCoreCanonical:
+    @pytest.mark.parametrize("text", [
+        # each server only feeds the next; none can ever be called, but the
+        # binders' sorted order hides the chain from an innermost-first scan
+        "(new a0)(new a1)(new a2)(new a3)(*a0?(x). a1!<u>. 0 | "
+        "*a1?(x). a2!<u>. 0 | *a2?(x). a3!<u>. 0 | *a3?(x). 0 | c!<u>. 0)",
+        # collecting the inner dead server leaves a server on a, whose
+        # replication still sits under the now unused restriction of b
+        "(new a)(*(new b)(a?(x). 0 | *b?(y). 0) | c!<u>. 0)",
+    ])
+    def test_dead_servers_are_collected(self, text):
+        dead = parse_process(text)
+        alone = parse_process("c!<u>. 0")
+        assert dead.ok and alone.ok
+        assert core_canonical(dead.value) == core_canonical(alone.value)
+
+    def test_idempotent_on_encoded_states(self):
+        for p in gen.store_programs():
+            frontier = [encode(p)]
+            seen = set()
+            for _ in range(6):
+                nxt = []
+                for q in frontier:
+                    c = core_canonical(q)
+                    assert core_canonical(c) == c, render_core(q)
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.extend(tau_successors(q))
+                frontier = nxt

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from conftest import CORPUS
+from privcalc import kernel
+from privcalc.syntax import parse_env, parse_system
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError, Known,
     NIL, PAnon, PIf, PInp, PNil, POut, PPair, PPar, PRepl, PRes, PStore,
@@ -151,6 +154,36 @@ class TestNormalize:
                        PRes("b1", None, PPar(PRes("b2", None, inp("b2")), out("b1"))))
         assert normalize(shadowed) == normalize(renamed)
 
+    def test_outer_binder_names_do_not_order_components(self):
+        # two reachable etp_central states that differ only by swapping the
+        # names _n0 and _n1 bound around the PA block; sorting that block by
+        # those names kept both as separate states
+        env = parse_env((CORPUS / "etp_central.env").read_text()).value
+        texts = [
+            "ETP[ (new _n0 : Car[loc<Loc>]) (new _n1 : ETP[Car[loc<Loc>]]) "
+            "(new _n2 : ETP[ETP[Car[loc<Loc>]]]) (PA[ (new _n3 : PA[loc<Loc>]) "
+            "(new _n4 : PA[loc<Loc>]) (_n0?({_x5 # _x6}). if _x6 = lsc then 0 "
+            "else f!<{_ # fine1}>. 0 | _n1?(_x7). _x7?({_x8 # _x9}). "
+            "f!<{_ # fee1}>. 0 | store f {acct # y0} | store _n3 {id # u1} | "
+            "store _n4 {id # u2}) ] || Car[ GPS[ * lc?(_x10). _n0!<{_ # l1}>. 0 ] "
+            "|| OBE[ * _n2?(_x11). _x11!<_n0>. 0 | * _n1!<_n0>. 0 ] || "
+            "store _n0 {id # l0} ]) ]",
+            "ETP[ (new _n0 : ETP[Car[loc<Loc>]]) (new _n1 : Car[loc<Loc>]) "
+            "(new _n2 : ETP[ETP[Car[loc<Loc>]]]) (PA[ (new _n3 : PA[loc<Loc>]) "
+            "(new _n4 : PA[loc<Loc>]) (_n0?(_x5). _x5?({_x6 # _x7}). "
+            "f!<{_ # fee1}>. 0 | _n1?({_x8 # _x9}). if _x9 = lsc then 0 else "
+            "f!<{_ # fine1}>. 0 | store f {acct # y0} | store _n3 {id # u1} | "
+            "store _n4 {id # u2}) ] || Car[ GPS[ * lc?(_x10). _n1!<{_ # l1}>. 0 ] "
+            "|| OBE[ * _n2?(_x11). _x11!<_n1>. 0 | * _n0!<_n1>. 0 ] || "
+            "store _n1 {id # l0} ]) ]",
+        ]
+        forms = set()
+        for text in texts:
+            res = parse_system(text, env)
+            assert res.ok, res.diagnostics
+            forms.add(normalize(res.value))
+        assert len(forms) == 1
+
     def test_idempotent_on_examples(self):
         p = PPar(PRes("n", None, PPar(NIL, POut(TName("n"), (TConst("c"),), NIL))),
                  PStore("r", PrivateData(Known("id"), DConst("c"))))
@@ -239,12 +272,66 @@ def _gen_process(rng: random.Random, depth: int, bound: list[str]):
                _gen_process(rng, depth - 1, bound))
 
 
-def test_normalize_idempotent_fuzz():
+_REUSED = ("a", "b", "c", "d")
+
+
+def _gen_proc_text(rng: random.Random, depth: int) -> str:
+    """Process text over four tokens that serve as subjects, objects,
+    restricted names and input variables alike, so binders shadow each
+    other and blocks use names bound around them."""
+    def tok():
+        return rng.choice(_REUSED)
+
+    def sub():
+        return _gen_proc_text(rng, depth - 1)
+
+    kind = rng.randrange(8) if depth > 0 else 0
+    if kind == 0:
+        return "0"
+    if kind == 1:
+        return f"{tok()}!<{tok()}>. {sub()}"
+    if kind == 2:
+        return f"{tok()}?({tok()}). {sub()}"
+    if kind == 3:
+        return f"(new {tok()}) {sub()}"
+    if kind == 4:
+        return f"({sub()} | {sub()})"
+    if kind == 5:
+        return f"({sub()} | {sub()} | {sub()})"
+    if kind == 6:
+        return f"* {sub()}"
+    return f"if {tok()} = k then {sub()} else {sub()}"
+
+
+def _gen_system_text(rng: random.Random, depth: int) -> str:
+    kind = rng.randrange(4) if depth > 0 else 0
+    if kind == 0:
+        return f"G{rng.randrange(2)}[ {_gen_proc_text(rng, 4)} ]"
+    if kind == 1:
+        return f"H[ {_gen_system_text(rng, depth - 1)} ]"
+    if kind == 2:
+        return f"{_gen_system_text(rng, depth - 1)} || {_gen_system_text(rng, depth - 1)}"
+    return f"(new {rng.choice(_REUSED)}) ({_gen_system_text(rng, depth - 1)})"
+
+
+def _idempotence_inputs():
     rng = random.Random(7)
     for _ in range(300):
-        p = _gen_process(rng, 4, [])
+        yield _gen_process(rng, 4, [])
+    for seed in range(2000):
+        res = parse_system(_gen_system_text(random.Random(seed), 3))
+        assert res.ok, res.diagnostics
+        yield res.value
+
+
+def test_normalize_idempotent_fuzz():
+    # the memo would answer the second call from the first; clearing it
+    # makes both calls run the single normalizing pass
+    for p in _idempotence_inputs():
+        kernel._norm_cache.clear()
         n = normalize(p)
-        assert normalize(n) == n
+        kernel._norm_cache.clear()
+        assert normalize(n) == n, p
 
 
 def test_substitution_free_vars_inclusion():

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -144,6 +145,26 @@ class TestExplore:
         # both receivers lead to alpha-equivalent states, stored once
         keys = set(graph.nodes)
         assert len(keys) == len(graph.nodes)
+
+    @pytest.mark.parametrize("text", [
+        "G[ " + "c!<k>. " * 480 + "0 | c?(v). 0 ]",
+        "G[ " + " | ".join(f"(new x{i}) x{i}!<k>. 0" if i % 2 else
+                           f"(new x{i}) x{i}?(v{i}). 0" for i in range(200))
+        + " | c!<k>. 0 | c?(v). 0 ]",
+    ], ids=["prefix480", "width200"])
+    def test_large_terms(self, text):
+        # only the pair on c can move, once; comparing a normal form with
+        # the previous round's used to overflow the stack on such terms
+        def explore2():
+            res = parse_system(text)
+            assert res.ok, res.diagnostics
+            graph = explore(res.value, 2)
+            return len(graph.nodes), len(graph.edges), graph.truncated
+
+        # a new thread starts with an empty stack, as a command-line run
+        # does; below the test runner's frames the parser rejects the chain
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(explore2).result(timeout=120) == (2, 1, False)
 
 
 class TestPreservation:
