@@ -11,7 +11,7 @@ normalizer and the transition engine apply unchanged to core terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .kernel import (
     DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
@@ -222,6 +222,8 @@ def _encode_write(subject: Term, obj: TPriv, cont: Process, fresh: _Fresh) -> Pr
 # --- core execution and canonical forms ------------------------------------------------
 
 def _eval_ifs(p: Process) -> Process:
+    """Resolve every conditional whose test is decided. With nothing to
+    resolve, the argument itself is returned."""
     match p:
         case PIf(op, lhs, rhs, then, els):
             v = _eval_cond(op, lhs, rhs)
@@ -229,19 +231,23 @@ def _eval_ifs(p: Process) -> Process:
                 return _eval_ifs(then)
             if v is False:
                 return _eval_ifs(els)
-            return replace(p, then=_eval_ifs(then), els=_eval_ifs(els))
-        case POut(_, _, cont):
-            return replace(p, cont=_eval_ifs(cont))
-        case PInp(_, _, cont):
-            return replace(p, cont=_eval_ifs(cont))
-        case PRes(_, _, body):
-            return replace(p, body=_eval_ifs(body))
+            kids = {"then": then, "els": els}
+        case POut(_, _, k) | PInp(_, _, k):
+            kids = {"cont": k}
+        case PRes(_, _, b) | PRepl(b):
+            kids = {"body": b}
         case PPar(l, r):
-            return replace(p, left=_eval_ifs(l), right=_eval_ifs(r))
-        case PRepl(body):
-            return replace(p, body=_eval_ifs(body))
+            kids = {"left": l, "right": r}
         case _:
             return p
+    return _rebuild(p, kids, _eval_ifs)
+
+
+def _rebuild(p: Process, kids: dict[str, Process], f) -> Process:
+    """`p` with `f` applied to the children named in `kids`; `p` itself
+    when `f` returns every child unchanged."""
+    new = {name: f(c) for name, c in kids.items()}
+    return p if all(new[name] is c for name, c in kids.items()) else replace(p, **new)
 
 
 def _gc_inert(p: Process) -> Process:
@@ -287,8 +293,7 @@ def _gc_inert(p: Process) -> Process:
             kids = {"then": t, "els": e}
         case _:
             return p
-    new = {f: _gc_inert(c) for f, c in kids.items()}
-    return p if all(new[f] is c for f, c in kids.items()) else replace(p, **new)
+    return _rebuild(p, kids, _gc_inert)
 
 
 def core_canonical(p: Process) -> Process:
@@ -390,38 +395,43 @@ class CorrespondenceReport:
         return "\n".join(lines)
 
 
-def _search(start: Process, targets: list[Process], bound: int
-            ) -> tuple[Optional[int], bool]:
-    """BFS over internal steps; returns (index of reached target, exhausted)
-    where exhausted means the bound cut the search off."""
-    seen = {core_canonical(start)}
-    frontier = [core_canonical(start)]
+def _search(start: Process, targets: list[Process], bound: int,
+            successors: Callable[[Process], list[Process]], stop: int
+            ) -> tuple[list[int], bool]:
+    """BFS over internal steps from the canonical `start`, each state
+    expanded through `successors`. Returns the indices of the targets
+    reached, in the order reached (tied indices ascending), and whether the
+    bound cut the search off; stops once `stop` indices are reached."""
+    index: dict[Process, list[int]] = {}
     for i, t in enumerate(targets):
-        if frontier[0] == t:
-            return i, False
+        index.setdefault(t, []).append(i)
+    reached = index.pop(start, [])
+    seen = {start}
+    frontier = [start]
     for _ in range(bound):
+        if len(reached) >= stop or not frontier:
+            return reached, False
         nxt: list[Process] = []
         for node in frontier:
-            for succ in tau_successors(node):
-                c = core_canonical(succ)
+            for c in successors(node):
                 if c in seen:
                     continue
                 seen.add(c)
-                for i, t in enumerate(targets):
-                    if c == t:
-                        return i, False
+                reached += index.pop(c, ())
+                if len(reached) >= stop:
+                    return reached, False
                 nxt.append(c)
         frontier = nxt
-        if not frontier:
-            return None, False
-    return None, bool(frontier)
+    return reached, bool(frontier)
 
 
 def check_correspondence(p: Process, bound: int,
                          refs: Optional[frozenset[str]] = None) -> CorrespondenceReport:
     """Soundness: every source step is matched by the encoding within the
     bound. Completeness: every first encoded step either reverts to the
-    encoded source or completes to the encoding of some source successor."""
+    encoded source or completes to the encoding of some source successor.
+    All searches share one successor map, so each canonical encoded state
+    is expanded at most once."""
     report = CorrespondenceReport()
     if refs is None:
         refs = reference_names(p)
@@ -435,30 +445,35 @@ def check_correspondence(p: Process, bound: int,
     report.source_steps = len(uniq)
     enc_targets = [core_canonical(encode(s, refs)) for s in uniq]
 
-    for s, target in zip(uniq, enc_targets):
-        idx, exhausted = _search(enc_root, [target], bound)
+    succs: dict[Process, list[Process]] = {}
+
+    def successors(c: Process) -> list[Process]:
+        out = succs.get(c)
+        if out is None:
+            out = succs[c] = [core_canonical(q) for q in tau_successors(c)]
+        return out
+
+    enc_canon = core_canonical(enc_root)
+    reached, exhausted = _search(enc_canon, enc_targets, bound, successors,
+                                 len(enc_targets))
+    for i, s in enumerate(uniq):
         desc = render_process(s)
-        if idx is not None:
+        if i in reached:
             report.sound.append(desc)
         elif exhausted:
             report.bound_exhausted.append(f"soundness: {desc}")
         else:
             report.failures.append(f"soundness: encoding never reaches [{desc}]")
 
-    enc_canon = core_canonical(enc_root)
-    first = []
-    seenq: list[Process] = []
-    for q in tau_successors(enc_root):
-        c = core_canonical(q)
-        if not any(c == u for u in seenq):
-            seenq.append(c)
-            first.append(c)
+    # the first steps are the raw root's, in its order, which may differ
+    # from the order of its canonical form's steps
+    first = list(dict.fromkeys(core_canonical(q) for q in tau_successors(enc_root)))
     report.encoded_steps = len(first)
     targets = [enc_canon] + enc_targets
     for q in first:
-        idx, exhausted = _search(q, targets, bound)
-        if idx is not None:
-            report.complete.append("revert" if idx == 0 else f"completes: {idx - 1}")
+        reached, exhausted = _search(q, targets, bound, successors, 1)
+        if reached:
+            report.complete.append("revert" if reached[0] == 0 else f"completes: {reached[0] - 1}")
         elif exhausted:
             report.bound_exhausted.append("completeness: encoded step")
         else:

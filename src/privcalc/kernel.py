@@ -683,100 +683,105 @@ def par_components(p: Process) -> list[Process]:
             return [p]
 
 
-def _erased_key(node, free_colors: Optional[dict[str, str]] = None) -> str:
+def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -> str:
     """Serialization with bound tokens replaced positionally: the sort key
-    for parallel components, stable under alpha-renaming. Free tokens can be
-    mapped through colors so block-level binder names do not leak in."""
+    for parallel components, stable under alpha-renaming. Free names and
+    free variables are mapped through their colors so the names of binders
+    around the component do not leak in. Names and variables are looked up
+    apart, as in `free_atoms`."""
     counter = itertools.count()
-    names: dict[str, str] = {}
-    fc = free_colors or {}
 
-    def tok(t: str, bound: dict[str, str]) -> str:
-        if t in bound:
-            return bound[t]
-        return fc.get(t, t)
+    def name(n: str, names: dict[str, str]) -> str:
+        return names[n] if n in names else name_colors.get(n, n)
 
-    def term(t: Term, bound) -> str:
+    def var(x: str, vs: dict[str, str]) -> str:
+        return vs[x] if x in vs else var_colors.get(x, x)
+
+    def term(t: Term, names, vs) -> str:
         match t:
             case TName(n):
-                return f"n:{tok(n, bound)}"
+                return f"n:{name(n, names)}"
             case TDual(n):
-                return f"d:{tok(n, bound)}"
+                return f"d:{name(n, names)}"
             case TConst(c):
                 return f"c:{c}"
             case TVar(x):
-                return f"v:{tok(x, bound)}"
+                return f"v:{var(x, vs)}"
             case TPriv(pd):
                 i = pd.identity
                 istr = (f"i:{i.ident}" if isinstance(i, Known)
-                        else "_" if isinstance(i, Hidden) else f"iv:{tok(i.name, bound)}")
+                        else "_" if isinstance(i, Hidden) else f"iv:{var(i.name, vs)}")
                 d = pd.data
-                dstr = f"dc:{d.token}" if isinstance(d, DConst) else f"dv:{tok(d.name, bound)}"
+                dstr = f"dc:{d.token}" if isinstance(d, DConst) else f"dv:{var(d.name, vs)}"
                 return f"p:{istr}#{dstr}"
         raise KernelError(str(t))
 
-    def go(nd, bound: dict[str, str]) -> str:
+    def go(nd, names: dict[str, str], vs: dict[str, str]) -> str:
         match nd:
             case PNil():
                 return "0"
             case POut(s, objs, cont):
-                return f"out({term(s, bound)};{','.join(term(o, bound) for o in objs)};{go(cont, bound)})"
+                return (f"out({term(s, names, vs)};"
+                        f"{','.join(term(o, names, vs) for o in objs)};{go(cont, names, vs)})")
             case PInp(s, pats, cont):
-                b2 = dict(bound)
+                vs2 = dict(vs)
                 ps = []
                 for k in pats:
                     for x in placeholder_vars(k):
-                        b2[x] = f"β{next(counter)}"
+                        vs2[x] = f"β{next(counter)}"
                     match k:
                         case PVar(x):
-                            ps.append(b2[x])
+                            ps.append(vs2[x])
                         case PPair(x, y):
-                            ps.append(f"{b2[x]}#{b2[y]}")
+                            ps.append(f"{vs2[x]}#{vs2[y]}")
                         case PAnon(y):
-                            ps.append(f"_#{b2[y]}")
-                return f"inp({term(s, bound)};{','.join(ps)};{go(cont, b2)})"
+                            ps.append(f"_#{vs2[y]}")
+                return f"inp({term(s, names, vs)};{','.join(ps)};{go(cont, names, vs2)})"
             case PRes(n, annot, body):
-                b2 = dict(bound)
-                b2[n] = f"ν{next(counter)}"
-                return f"res({annot};{go(body, b2)})"
+                names2 = dict(names)
+                names2[n] = f"ν{next(counter)}"
+                return f"res({annot};{go(body, names2, vs)})"
             case PPar(l, r):
-                return f"par({go(l, bound)}|{go(r, bound)})"
+                return f"par({go(l, names, vs)}|{go(r, names, vs)})"
             case PRepl(body):
-                return f"rep({go(body, bound)})"
+                return f"rep({go(body, names, vs)})"
             case PIf(op, lhs, rhs, then, els):
-                return f"if({op};{term(lhs, bound)};{term(rhs, bound)};{go(then, bound)};{go(els, bound)})"
+                return (f"if({op};{term(lhs, names, vs)};{term(rhs, names, vs)};"
+                        f"{go(then, names, vs)};{go(els, names, vs)})")
             case PStore(ref, datum):
-                return f"st({tok(ref, bound)};{term(TPriv(datum), bound)})"
+                return f"st({name(ref, names)};{term(TPriv(datum), names, vs)})"
             case SGroupProc(g, proc):
-                return f"gp({g};{go(proc, bound)})"
+                return f"gp({g};{go(proc, names, vs)})"
             case SGroupSys(g, body):
-                return f"gs({g};{go(body, bound)})"
+                return f"gs({g};{go(body, names, vs)})"
             case SSysPar(l, r):
-                return f"sp({go(l, bound)}|{go(r, bound)})"
+                return f"sp({go(l, names, vs)}|{go(r, names, vs)})"
             case SSysRes(n, annot, body):
-                b2 = dict(bound)
-                b2[n] = f"ν{next(counter)}"
-                return f"sr({annot};{go(body, b2)})"
+                names2 = dict(names)
+                names2[n] = f"ν{next(counter)}"
+                return f"sr({annot};{go(body, names2, vs)})"
             case SBare(proc):
-                return f"sb({go(proc, bound)})"
+                return f"sb({go(proc, names, vs)})"
         raise KernelError(str(nd))
 
-    return go(node, names)
+    return go(node, {}, {})
 
 
-def _sort_block(comps: list, binder_names: Iterable[str], outer: frozenset[str]) -> list:
+def _sort_block(comps: list, binder_names: Iterable[str], names: frozenset[str],
+                vs: frozenset[str]) -> list:
     """Order parallel components independently of the current names of the
-    block binders and of the atoms bound around the block (`outer`): outer
-    atoms all print as one hole, and binders are colored first uniformly,
+    block binders and of the names and variables bound around the block:
+    those all print as one hole, and binders are colored first uniformly,
     then by the multiset of component shapes referencing them. The sort is
     stable, so sorting a sorted block again keeps its order."""
-    uniform = dict.fromkeys(outer, "_") | dict.fromkeys(binder_names, "ν")
-    keys0 = [(_erased_key(c, uniform), free_atoms(c)) for c in comps]
-    colors = dict.fromkeys(outer, "_")
+    holes = dict.fromkeys(vs, "_")
+    uniform = dict.fromkeys(names, "_") | dict.fromkeys(binder_names, "ν")
+    keys0 = [(_erased_key(c, uniform, holes), free_names(c)) for c in comps]
+    colors = dict.fromkeys(names, "_")
     for n in binder_names:
-        touching = sorted(k for k, atoms in keys0 if n in atoms)
+        touching = sorted(k for k, used in keys0 if n in used)
         colors[n] = "ν(" + "|".join(touching) + ")"
-    return sorted(comps, key=lambda c: _erased_key(c, colors))
+    return sorted(comps, key=lambda c: _erased_key(c, colors, holes))
 
 
 _norm_cache: dict = {}
@@ -799,50 +804,53 @@ def normalize(node):
         key = None
     if hit is not None:
         return hit
-    result = _canonical_rename(_normalize1(node, frozenset()))
+    result = _canonical_rename(_normalize1(node, frozenset(), frozenset()))
     if key is not None and len(_norm_cache) < 100_000:
+        # a normal form is its own normal form, so it answers itself too
+        result = _norm_cache.setdefault(result, result)
         _norm_cache[key] = result
     return result
 
 
-def _normalize1(node, outer: frozenset[str]):
-    """One normalizing pass; `outer` holds the atoms bound around the node,
-    which sort keys must not read by name, since the canonical renaming
-    changes them."""
+def _normalize1(node, names: frozenset[str], vs: frozenset[str]):
+    """One normalizing pass; `names` and `vs` hold the names and variables
+    bound around the node, which sort keys must not read by name, since the
+    canonical renaming changes them."""
     match node:
         case PNil():
             return NIL
         case POut(s, objs, cont):
-            return replace(node, cont=_normalize1(cont, outer))
+            return replace(node, cont=_normalize1(cont, names, vs))
         case PInp(s, pats, cont):
-            bound = outer.union(*map(placeholder_vars, pats))
-            return replace(node, cont=_normalize1(cont, bound))
+            bound = vs.union(*map(placeholder_vars, pats))
+            return replace(node, cont=_normalize1(cont, names, bound))
         case PRepl(body):
-            b = _normalize1(body, outer)
+            b = _normalize1(body, names, vs)
             if b == NIL:
                 return NIL
             return replace(node, body=b)
         case PIf(op, lhs, rhs, then, els):
-            return replace(node, then=_normalize1(then, outer), els=_normalize1(els, outer))
+            return replace(node, then=_normalize1(then, names, vs),
+                           els=_normalize1(els, names, vs))
         case PStore(_, _):
             return node
         case PRes() | PPar() | SSysRes() | SSysPar():
-            return _flatten_block(node, outer)
+            return _flatten_block(node, names, vs)
         case SGroupProc(g, proc):
-            p = _normalize1(proc, outer)
+            p = _normalize1(proc, names, vs)
             return replace(node, proc=p)
         case SGroupSys(g, body):
-            b = _normalize1(body, outer)
+            b = _normalize1(body, names, vs)
             if isinstance(b, SBare):
                 return SGroupProc(g, b.proc)
             return replace(node, body=b)
         case SBare(proc):
-            p = _normalize1(proc, outer)
+            p = _normalize1(proc, names, vs)
             return SBare(p)
     raise KernelError(f"cannot normalize {node!r}")
 
 
-def _flatten_block(node, outer: frozenset[str]):
+def _flatten_block(node, names: frozenset[str], vs: frozenset[str]):
     """Flatten one scope block of either family: nested restrictions and
     parallel components are hoisted into one binder list and one component
     list (renaming binders that would clash), each component is normalized,
@@ -880,25 +888,27 @@ def _flatten_block(node, outer: frozenset[str]):
     hoist(node, False)
     # components are never blocks here, and normalizing one cannot make it
     # a block, so one pass leaves nothing to hoist
-    inner = outer.union(binders)
-    comps = [c for c in (_normalize1(c, inner) for c in comps) if c != inert]
+    inner = names.union(binders)
+    comps = [c for c in (_normalize1(c, inner, vs) for c in comps) if c != inert]
     if not comps:
         return inert
-    comps = _sort_block(comps, binders, outer)
+    comps = _sort_block(comps, binders, names, vs)
     body = comps[-1]
     for c in reversed(comps[:-1]):
         body = par(c, body)
     # binders in order of first free occurrence in the sorted body; one
     # that does not occur is dropped
     serial: dict[str, None] = {}
-    _walk_free(body, frozenset(), frozenset(), serial, serial)
+    _walk_free(body, frozenset(), frozenset(), serial, {})
     for n in reversed([n for n in serial if n in binders]):
         body = res(n, binders[n], body)
     return body
 
 
 def _canonical_rename(node):
-    """Rename every binder to a canonical positional name."""
+    """Rename every binder to a canonical positional name. Restrictions bind
+    names and inputs bind variables, each in its own environment, as in
+    `free_atoms`."""
     counter = itertools.count()
     free = free_atoms(node)
 
@@ -908,74 +918,74 @@ def _canonical_rename(node):
             if cand not in free:
                 return cand
 
-    def term(t: Term, env: dict[str, str]) -> Term:
+    def term(t: Term, names: dict[str, str], vs: dict[str, str]) -> Term:
         match t:
-            case TName(n) if n in env:
-                return TName(env[n])
-            case TDual(n) if n in env:
-                return TDual(env[n])
-            case TVar(x) if x in env:
-                return TVar(env[x])
+            case TName(n) if n in names:
+                return TName(names[n])
+            case TDual(n) if n in names:
+                return TDual(names[n])
+            case TVar(x) if x in vs:
+                return TVar(vs[x])
             case TPriv(pd):
                 ident = pd.identity
                 dat = pd.data
-                if isinstance(ident, IVar) and ident.name in env:
-                    ident = IVar(env[ident.name])
-                if isinstance(dat, DVar) and dat.name in env:
-                    dat = DVar(env[dat.name])
+                if isinstance(ident, IVar) and ident.name in vs:
+                    ident = IVar(vs[ident.name])
+                if isinstance(dat, DVar) and dat.name in vs:
+                    dat = DVar(vs[dat.name])
                 if ident is pd.identity and dat is pd.data:
                     return t
                 return TPriv(PrivateData(ident, dat))
             case _:
                 return t
 
-    def go(nd, env: dict[str, str]):
+    def go(nd, names: dict[str, str], vs: dict[str, str]):
         match nd:
             case PNil():
                 return nd
             case POut(s, objs, cont):
-                return replace(nd, subject=term(s, env),
-                               objects=tuple(term(o, env) for o in objs),
-                               cont=go(cont, env))
+                return replace(nd, subject=term(s, names, vs),
+                               objects=tuple(term(o, names, vs) for o in objs),
+                               cont=go(cont, names, vs))
             case PInp(s, pats, cont):
-                env2 = dict(env)
+                vs2 = dict(vs)
                 new_pats = []
                 for k in pats:
                     match k:
                         case PVar(x):
-                            env2[x] = nm("x")
-                            new_pats.append(PVar(env2[x]))
+                            vs2[x] = nm("x")
+                            new_pats.append(PVar(vs2[x]))
                         case PPair(x, y):
-                            env2[x] = nm("x")
-                            env2[y] = nm("x")
-                            new_pats.append(PPair(env2[x], env2[y]))
+                            vs2[x] = nm("x")
+                            vs2[y] = nm("x")
+                            new_pats.append(PPair(vs2[x], vs2[y]))
                         case PAnon(y):
-                            env2[y] = nm("x")
-                            new_pats.append(PAnon(env2[y]))
-                return replace(nd, subject=term(s, env), patterns=tuple(new_pats),
-                               cont=go(cont, env2))
+                            vs2[y] = nm("x")
+                            new_pats.append(PAnon(vs2[y]))
+                return replace(nd, subject=term(s, names, vs), patterns=tuple(new_pats),
+                               cont=go(cont, names, vs2))
             case PRes(n, annot, body) | SSysRes(n, annot, body):
-                env2 = dict(env)
-                env2[n] = nm("n")
-                return replace(nd, name=env2[n], body=go(body, env2))
+                names2 = dict(names)
+                names2[n] = nm("n")
+                return replace(nd, name=names2[n], body=go(body, names2, vs))
             case PPar(l, r) | SSysPar(l, r):
-                return replace(nd, left=go(l, env), right=go(r, env))
+                return replace(nd, left=go(l, names, vs), right=go(r, names, vs))
             case PRepl(body):
-                return replace(nd, body=go(body, env))
+                return replace(nd, body=go(body, names, vs))
             case PIf(_, lhs, rhs, then, els):
-                return replace(nd, lhs=term(lhs, env), rhs=term(rhs, env),
-                               then=go(then, env), els=go(els, env))
+                return replace(nd, lhs=term(lhs, names, vs), rhs=term(rhs, names, vs),
+                               then=go(then, names, vs), els=go(els, names, vs))
             case PStore(ref, datum):
-                d = term(TPriv(datum), env)
+                d = term(TPriv(datum), names, vs)
                 assert isinstance(d, TPriv)
-                return replace(nd, ref=env.get(ref, ref), datum=d.pdata)
+                return replace(nd, ref=names.get(ref, ref), datum=d.pdata)
             case SGroupProc(_, proc) | SBare(proc):
-                return replace(nd, proc=go(proc, env))
+                return replace(nd, proc=go(proc, names, vs))
             case SGroupSys(_, body):
-                return replace(nd, body=go(body, env))
+                return replace(nd, body=go(body, names, vs))
         raise KernelError(str(nd))
 
-    return go(node, {})
+    return go(node, {}, {})
 
 
 # --- alpha equivalence ---------------------------------------------------------

@@ -206,8 +206,8 @@ def weaken_theta(rng: random.Random, theta: Theta) -> Theta:
 # --- store programs for encoding checks ------------------------------------------
 
 def store_programs() -> list[Process]:
-    """Deterministic store/client combinations: up to two stores and three
-    clients, known-identity readers and writers."""
+    """Deterministic store/client combinations: up to two stores and four
+    clients, known-identity and anonymous readers, and writers."""
     sA = PStore("rA", PrivateData(Known("id0"), DConst("c0")))
     sB = PStore("rB", PrivateData(Known("id1"), DConst("d0")))
     readerA = PInp(TName("rA"), (PPair("x", "y"),), NIL)
@@ -216,6 +216,7 @@ def store_programs() -> list[Process]:
     writer_bad = POut(TName("rA"), (_priv(Known("id9"), "c1"),), NIL)
     seq_read = PInp(TName("rA"), (PPair("x", "y"),),
                     PInp(TName("rA"), (PPair("x2", "y2"),), NIL))
+    anon_readerA = PInp(TName("rA"), (PAnon("y"),), NIL)
 
     def par(*ps):
         out = ps[-1]
@@ -246,5 +247,10 @@ def store_programs() -> list[Process]:
         par(sA, sB, seq_read, readerB),
         par(sA, readerA, writer_bad),
         par(sA, sB, writer_ok, writer_bad, readerB),
+        par(sA, anon_readerA, writer_ok),
+        par(sA, sB, anon_readerA, readerB),
+        par(sA, writer_ok, writer_ok, readerA),
+        par(sA, writer_ok, writer_bad, readerA),
+        par(sA, sB, readerA, writer_ok, readerB, readerB),
     ]
     return programs

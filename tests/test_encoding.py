@@ -5,12 +5,13 @@ from privcalc.kernel import (
     PRepl, PRes, PStore, PVar, PrivateData, TConst, TDual, TName, TPriv,
     alpha_eq, free_names, normalize,
 )
+from privcalc import encoding
 from privcalc.encoding import (
-    BRANCH_LABELS, EncodingError, check_correspondence, core_canonical,
-    encode, render_core, select, branch,
+    BRANCH_LABELS, CorrespondenceReport, EncodingError, _eval_ifs,
+    check_correspondence, core_canonical, encode, render_core, select, branch,
 )
-from privcalc.semantics import tau_successors
-from privcalc.syntax import parse_process
+from privcalc.semantics import reference_names, tau_successors
+from privcalc.syntax import parse_process, render_process
 
 import gen
 
@@ -129,6 +130,80 @@ class TestCorrespondence:
             report = check_correspondence(p, 12)
             assert report.ok, (render_core(p), report.render())
 
+    def test_each_encoded_state_expanded_once(self, monkeypatch):
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return tau_successors(q)
+
+        monkeypatch.setattr(encoding, "tau_successors", counting)
+        for p in gen.store_programs():
+            calls.clear()
+            check_correspondence(p, 12)
+            assert calls and len(set(calls)) == len(calls), render_core(p)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 12])
+    def test_shared_search_matches_independent_searches(self, bound):
+        # bounds 1-3 cut most searches off, 12 lets them reach their targets
+        def fields(r):
+            return r.render(), r.sound, r.complete, r.failures, r.bound_exhausted
+
+        for p in gen.store_programs()[:8]:
+            assert fields(check_correspondence(p, bound)) == fields(_independent_report(p, bound))
+
+
+def _independent_report(p, bound):
+    """The correspondence check with a fresh BFS per search, each expanding
+    its states anew: the reference for the shared successor map."""
+    def search(start, targets):
+        seen, frontier = {start}, [start]
+        if start in targets:
+            return targets.index(start), False
+        for _ in range(bound):
+            nxt = []
+            for node in frontier:
+                for c in map(core_canonical, tau_successors(node)):
+                    if c not in seen:
+                        seen.add(c)
+                        if c in targets:
+                            return targets.index(c), False
+                        nxt.append(c)
+            if not nxt:
+                return None, False
+            frontier = nxt
+        return None, True
+
+    refs = reference_names(p)
+    uniq = []
+    for s in map(normalize, tau_successors(p)):
+        if not any(alpha_eq(s, u) for u in uniq):
+            uniq.append(s)
+    images = [core_canonical(encode(s, refs)) for s in uniq]
+    root = encode(p, refs)
+    report = CorrespondenceReport(source_steps=len(uniq))
+    for s, image in zip(uniq, images):
+        idx, cut = search(core_canonical(root), [image])
+        desc = render_process(s)
+        if idx is not None:
+            report.sound.append(desc)
+        elif cut:
+            report.bound_exhausted.append(f"soundness: {desc}")
+        else:
+            report.failures.append(f"soundness: encoding never reaches [{desc}]")
+    firsts = list(dict.fromkeys(map(core_canonical, tau_successors(root))))
+    report.encoded_steps = len(firsts)
+    for q in firsts:
+        idx, cut = search(q, [core_canonical(root)] + images)
+        if idx is not None:
+            report.complete.append("revert" if idx == 0 else f"completes: {idx - 1}")
+        elif cut:
+            report.bound_exhausted.append("completeness: encoded step")
+        else:
+            report.failures.append("completeness: encoded step reaches neither the "
+                                   "source image nor any successor image")
+    return report
+
 
 class TestCoreCanonical:
     @pytest.mark.parametrize("text", [
@@ -145,6 +220,13 @@ class TestCoreCanonical:
         alone = parse_process("c!<u>. 0")
         assert dead.ok and alone.ok
         assert core_canonical(dead.value) == core_canonical(alone.value)
+
+    def test_open_branches_are_returned_unchanged(self):
+        # the store server's label dispatch tests a received variable, so
+        # no conditional of the canonical encoded store can be resolved
+        q = core_canonical(encode(STORE))
+        assert "|> { rd:" in render_core(q)
+        assert _eval_ifs(q) is q
 
     def test_idempotent_on_encoded_states(self):
         for p in gen.store_programs():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CORPUS
 from privcalc import kernel
-from privcalc.syntax import parse_env, parse_system
+from privcalc.syntax import parse_env, parse_process, parse_system
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError, Known,
     NIL, PAnon, PIf, PInp, PNil, POut, PPair, PPar, PRepl, PRes, PStore,
@@ -106,6 +106,34 @@ class TestNormalize:
     def test_nil_unit(self):
         p = POut(TName("a"), (TConst("c"),), NIL)
         assert normalize(PPar(NIL, p)) == normalize(p)
+
+    def test_input_variable_does_not_capture_a_name(self):
+        # substitution leaves a received name n under an input that binds a
+        # variable n; a name and a variable of one token are two atoms
+        t = PInp(TName("d"), (PVar("n"),), POut(TName("n"), (TConst("c"),), NIL))
+        n = normalize(t)
+        assert free_atoms(n) == free_atoms(t) == {"d", "n"}
+        assert n.cont.subject == TName("n")
+
+    def test_free_name_under_same_token_input_sorts_stably(self):
+        # b is a free name, not the variable b bound around the block: sort
+        # keys must read it as b both before and after the renaming
+        t = PInp(TName("a"), (PVar("b"),),
+                 PPar(POut(TName("b"), (TName("b"),), NIL),
+                      POut(TName("a"), (TName("b"),), NIL)))
+        kernel._norm_cache.clear()
+        n = normalize(t)
+        kernel._norm_cache.clear()
+        assert normalize(n) == n
+
+    def test_normal_form_answers_itself(self):
+        p = PPar(POut(TName("b"), (TConst("c"),), NIL),
+                 PRes("n", None, POut(TName("n"), (TConst("c"),), NIL)))
+        kernel._norm_cache.clear()
+        n = normalize(p)
+        entries = len(kernel._norm_cache)
+        assert normalize(n) is n
+        assert len(kernel._norm_cache) == entries
 
     def test_restricted_nil(self):
         assert normalize(PRes("a", None, NIL)) == NIL
@@ -332,6 +360,42 @@ def test_normalize_idempotent_fuzz():
         n = normalize(p)
         kernel._norm_cache.clear()
         assert normalize(n) == n, p
+
+
+def _inputs(p):
+    match p:
+        case PInp(_, _, cont):
+            yield p
+            yield from _inputs(cont)
+        case POut(_, _, cont):
+            yield from _inputs(cont)
+        case PRes(_, _, body) | PRepl(body):
+            yield from _inputs(body)
+        case PPar(l, r) | PIf(_, _, _, l, r):
+            yield from _inputs(l)
+            yield from _inputs(r)
+
+
+def test_normalize_keeps_free_atoms_under_substitution():
+    # receiving a name substitutes it under the inputs of the continuation,
+    # some of which bind a variable of the same token: the name stays free
+    checked = 0
+    for seed in range(1000):
+        res = parse_process(_gen_proc_text(random.Random(seed), 5))
+        assert res.ok, res.diagnostics
+        for inp in _inputs(res.value):
+            for tok in _REUSED:
+                try:
+                    t = substitute(inp.cont, TName(tok), inp.patterns[0])
+                except IncompatibleSubstitution:
+                    continue
+                kernel._norm_cache.clear()
+                n = normalize(t)
+                assert free_atoms(n) == free_atoms(t), t
+                kernel._norm_cache.clear()
+                assert normalize(n) == n, t
+                checked += 1
+    assert checked > 4000
 
 
 def test_substitution_free_vars_inclusion():
