@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from .kernel import (
     DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
     PPar, PRepl, PRes, PStore, PVar, PrivateData, Process, TConst, TDual,
-    TName, TPriv, TVar, Term, alpha_eq, free_atoms, fresh_name, normalize,
+    TName, TPriv, TVar, Term, free_atoms, fresh_name, normalize,
     par_components, placeholder_vars,
 )
 from .syntax import render_process, render_term
@@ -436,12 +436,9 @@ def check_correspondence(p: Process, bound: int,
     if refs is None:
         refs = reference_names(p)
     enc_root = encode(p, refs)
-    src_succs = [normalize(s) for s in tau_successors(p)]
-    # deduplicate source successors
-    uniq: list[Process] = []
-    for s in src_succs:
-        if not any(alpha_eq(s, u) for u in uniq):
-            uniq.append(s)
+    # normal forms are canonically renamed, so alpha-equivalent source
+    # successors are equal
+    uniq = list(dict.fromkeys(normalize(s) for s in tau_successors(p)))
     report.source_steps = len(uniq)
     enc_targets = [core_canonical(encode(s, refs)) for s in uniq]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
     "Span", "KernelError", "IncompatibleSubstitution",
@@ -375,20 +375,20 @@ System = Union[SGroupProc, SGroupSys, SSysPar, SSysRes, SBare]
 
 # --- free names / variables ---------------------------------------------------
 
-def _term_tokens(t: Term) -> Iterator[tuple[str, str]]:
-    """Yield (token, kind) with kind in {name, var, const, ivar, dvar}."""
+def _walk_term(t: Term, bound_names: frozenset[str], bound_vars: frozenset[str],
+               out_names: dict[str, None], out_vars: dict[str, None]) -> None:
+    """Add the free atoms of one term to the two ordered sets."""
     match t:
         case TName(n) | TDual(n):
-            yield (n, "name")
+            if n not in bound_names:
+                out_names[n] = None
         case TVar(x):
-            yield (x, "var")
-        case TConst(_):
-            return
+            if x not in bound_vars:
+                out_vars[x] = None
         case TPriv(pd):
-            if isinstance(pd.identity, IVar):
-                yield (pd.identity.name, "ivar")
-            if isinstance(pd.data, DVar):
-                yield (pd.data.name, "dvar")
+            for v in (pd.identity, pd.data):
+                if isinstance(v, (IVar, DVar)) and v.name not in bound_vars:
+                    out_vars[v.name] = None
 
 
 def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
@@ -400,18 +400,10 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
             return
         case POut(subject, objects, cont):
             for t in (subject, *objects):
-                for tok, kind in _term_tokens(t):
-                    if kind == "name" and tok not in bound_names:
-                        out_names[tok] = None
-                    elif kind in ("var", "ivar", "dvar") and tok not in bound_vars:
-                        out_vars[tok] = None
+                _walk_term(t, bound_names, bound_vars, out_names, out_vars)
             _walk_free(cont, bound_names, bound_vars, out_names, out_vars)
         case PInp(subject, patterns, cont):
-            for tok, kind in _term_tokens(subject):
-                if kind == "name" and tok not in bound_names:
-                    out_names[tok] = None
-                elif kind == "var" and tok not in bound_vars:
-                    out_vars[tok] = None
+            _walk_term(subject, bound_names, bound_vars, out_names, out_vars)
             newly = frozenset(x for k in patterns for x in placeholder_vars(k))
             _walk_free(cont, bound_names, bound_vars | newly, out_names, out_vars)
         case PRes(name, _, body) | SSysRes(name, _, body):
@@ -422,29 +414,18 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
         case PRepl(body):
             _walk_free(body, bound_names, bound_vars, out_names, out_vars)
         case PIf(_, lhs, rhs, then, els):
-            for t in (lhs, rhs):
-                for tok, kind in _term_tokens(t):
-                    if kind == "name" and tok not in bound_names:
-                        out_names[tok] = None
-                    elif kind in ("var", "ivar", "dvar") and tok not in bound_vars:
-                        out_vars[tok] = None
+            _walk_term(lhs, bound_names, bound_vars, out_names, out_vars)
+            _walk_term(rhs, bound_names, bound_vars, out_names, out_vars)
             _walk_free(then, bound_names, bound_vars, out_names, out_vars)
             _walk_free(els, bound_names, bound_vars, out_names, out_vars)
         case PStore(ref, datum):
             if ref not in bound_names:
                 out_names[ref] = None
-            if isinstance(datum.identity, IVar) and datum.identity.name not in bound_vars:
-                out_vars[datum.identity.name] = None
-            if isinstance(datum.data, DVar) and datum.data.name not in bound_vars:
-                out_vars[datum.data.name] = None
+            _walk_term(TPriv(datum), bound_names, bound_vars, out_names, out_vars)
         case SGroupProc(_, body) | SGroupSys(_, body) | SBare(body):
             _walk_free(body, bound_names, bound_vars, out_names, out_vars)
         case TName(_) | TDual(_) | TConst(_) | TVar(_) | TPriv(_):
-            for tok, kind in _term_tokens(node):
-                if kind == "name" and tok not in bound_names:
-                    out_names[tok] = None
-                elif kind in ("var", "ivar", "dvar") and tok not in bound_vars:
-                    out_vars[tok] = None
+            _walk_term(node, bound_names, bound_vars, out_names, out_vars)
         case _:
             raise KernelError(f"unexpected node {node!r}")
 
@@ -479,182 +460,120 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
             return cand
 
 
-# --- substitution -------------------------------------------------------------
+# --- renaming and substitution ---------------------------------------------------
 
-def _rename_name(node, old: str, new: str):
-    """Capture-free textual renaming of a free name token."""
-    def rt(t: Term) -> Term:
-        match t:
-            case TName(n) if n == old:
-                return TName(new)
-            case TDual(n) if n == old:
-                return TDual(new)
-            case _:
-                return t
-
+def _rewrite(node, names: dict[str, str],
+             vs: dict[str, tuple[Term, Identity, Optional[DataValue]]],
+             fresh: Optional[Callable[[str], str]] = None):
+    """The one binder-aware walker. Renames free names through `names` (at
+    `TName`, `TDual` and `PStore.ref`) and replaces free variables through
+    `vs`, which maps a variable to its replacements at term, identity and
+    data positions; a data replacement of None leaves the result undefined
+    where the variable fills a data slot. A binder shadows its own token,
+    and a restriction that would capture an incoming atom is renamed apart.
+    Given `fresh`, every binder is renamed to `fresh(kind)` instead ("n"
+    for restrictions, "x" for input variables): the canonical renaming.
+    Inputs never rename: the values substituted for variables are closed."""
+    if fresh is None and not names and not vs:
+        return node
     match node:
         case PNil():
             return node
         case POut(s, objs, cont):
-            return replace(node, subject=rt(s), objects=tuple(rt(o) for o in objs),
-                           cont=_rename_name(cont, old, new))
+            return replace(node, subject=_rewrite(s, names, vs, fresh),
+                           objects=tuple(_rewrite(o, names, vs, fresh) for o in objs),
+                           cont=_rewrite(cont, names, vs, fresh))
         case PInp(s, pats, cont):
-            return replace(node, subject=rt(s), cont=_rename_name(cont, old, new))
-        case PRes(n, annot, body) | SSysRes(n, annot, body):
-            if n == old:
-                return node
-            if n == new:
-                n2 = fresh_name(n, free_atoms(body) | {old, new})
-                body = _rename_name(body, n, n2)
-                return replace(node, name=n2, body=_rename_name(body, old, new))
-            return replace(node, body=_rename_name(body, old, new))
+            bound = [x for k in pats for x in placeholder_vars(k)]
+            if fresh is None:
+                inner = {x: v for x, v in vs.items() if x not in bound}
+            else:
+                new = {x: fresh("x") for x in bound}
+                inner = vs | {x: (TVar(y), IVar(y), DVar(y)) for x, y in new.items()}
+                pats = tuple(type(k)(*map(new.get, placeholder_vars(k))) for k in pats)
+            return replace(node, subject=_rewrite(s, names, vs, fresh), patterns=pats,
+                           cont=_rewrite(cont, names, inner, fresh))
+        case PRes(n, _, body) | SSysRes(n, _, body):
+            if fresh is not None:
+                n2 = fresh("n")
+                inner = names | {n: n2}
+            else:
+                inner = {m: v for m, v in names.items() if m != n}
+                incoming = set(inner.values()).union(*(free_atoms(t) for t, _, _ in vs.values()))
+                n2 = n
+                if n in incoming:
+                    n2 = inner[n] = fresh_name(n, free_atoms(body).union(incoming, inner, vs))
+            return replace(node, name=n2, body=_rewrite(body, inner, vs, fresh))
         case PPar(l, r) | SSysPar(l, r):
-            return replace(node, left=_rename_name(l, old, new), right=_rename_name(r, old, new))
-        case PRepl(body):
-            return replace(node, body=_rename_name(body, old, new))
+            return replace(node, left=_rewrite(l, names, vs, fresh),
+                           right=_rewrite(r, names, vs, fresh))
+        case PRepl(body) | SGroupSys(_, body):
+            return replace(node, body=_rewrite(body, names, vs, fresh))
         case PIf(_, lhs, rhs, then, els):
-            return replace(node, lhs=rt(lhs), rhs=rt(rhs),
-                           then=_rename_name(then, old, new), els=_rename_name(els, old, new))
+            return replace(node, lhs=_rewrite(lhs, names, vs, fresh),
+                           rhs=_rewrite(rhs, names, vs, fresh),
+                           then=_rewrite(then, names, vs, fresh),
+                           els=_rewrite(els, names, vs, fresh))
         case PStore(ref, datum):
-            return replace(node, ref=new if ref == old else ref)
+            return replace(node, ref=names.get(ref, ref),
+                           datum=_rewrite(TPriv(datum), names, vs, fresh).pdata)
         case SGroupProc(_, proc) | SBare(proc):
-            return replace(node, proc=_rename_name(proc, old, new))
-        case SGroupSys(_, body):
-            return replace(node, body=_rename_name(body, old, new))
-    raise KernelError(f"cannot rename inside {node!r}")
+            return replace(node, proc=_rewrite(proc, names, vs, fresh))
+        case TName(n) | TDual(n):
+            return type(node)(names[n]) if n in names else node
+        case TVar(x):
+            return vs[x][0] if x in vs else node
+        case TConst(_):
+            return node
+        case TPriv(pd):
+            ident, dat = pd.identity, pd.data
+            if isinstance(ident, IVar) and ident.name in vs:
+                ident = vs[ident.name][1]
+            if isinstance(dat, DVar) and dat.name in vs:
+                value, _, dat = vs[dat.name]
+                if dat is None:
+                    raise IncompatibleSubstitution(value, PVar(pd.data.name))
+            if ident is pd.identity and dat is pd.data:
+                return node
+            return TPriv(PrivateData(ident, dat))
+    raise KernelError(f"cannot rewrite {node!r}")
 
 
-def _subst_mapping(value: Term, placeholder: Placeholder) -> dict:
-    """Validate the (value, placeholder) pair and build slot substitutions.
+def _rename_name(node, old: str, new: str):
+    """Capture-free renaming of the free name `old` to `new`."""
+    return _rewrite(node, {old: new}, {})
 
-    Returns a dict with keys:
-      term: var -> Term          replacements at term positions
-      ident: var -> Identity     replacements at identity slots
-      data: var -> DataValue     replacements at data slots
-    """
+
+def _subst_mapping(value: Term, placeholder: Placeholder
+                   ) -> dict[str, tuple[Term, Identity, Optional[DataValue]]]:
+    """Validate the (value, placeholder) pair and map each placeholder
+    variable to its replacements at term, identity and data positions. A
+    value without an identity leaves a variable's identity slot as it is;
+    one that is not a constant has no data replacement (None)."""
     match placeholder:
         case PVar(x):
-            if isinstance(value, (TName, TConst)):
-                dv = DConst(value.token) if isinstance(value, TConst) else None
-                return {"term": {x: value}, "ident": {}, "data": {x: dv} if dv else {}}
-            if isinstance(value, TPriv) and value.pdata.is_constant:
-                return {"term": {x: value}, "ident": {}, "data": {}}
+            if isinstance(value, TConst):
+                return {x: (value, IVar(x), DConst(value.token))}
+            if isinstance(value, TName) or (isinstance(value, TPriv)
+                                            and value.pdata.is_constant):
+                return {x: (value, IVar(x), None)}
             raise IncompatibleSubstitution(value, placeholder)
         case PPair(x, y):
             if (isinstance(value, TPriv) and isinstance(value.pdata.identity, Known)
                     and isinstance(value.pdata.data, DConst)):
                 ident = value.pdata.identity
-                dat = value.pdata.data
                 # term occurrences of the data variable keep the datum's
                 # identity tag so successor states stay typable; identity
                 # and data slots receive the plain components
-                return {
-                    "term": {x: TConst(ident.ident), y: value},
-                    "ident": {x: ident},
-                    "data": {y: dat},
-                }
+                return {x: (TConst(ident.ident), ident, DConst(ident.ident)),
+                        y: (value, IVar(y), value.pdata.data)}
             raise IncompatibleSubstitution(value, placeholder)
         case PAnon(y):
             if (isinstance(value, TPriv) and isinstance(value.pdata.identity, Hidden)
                     and isinstance(value.pdata.data, DConst)):
-                return {"term": {y: value},
-                        "ident": {}, "data": {y: value.pdata.data}}
+                return {y: (value, IVar(y), value.pdata.data)}
             raise IncompatibleSubstitution(value, placeholder)
     raise IncompatibleSubstitution(value, placeholder)
-
-
-def _apply_subst_term(t: Term, m: dict) -> Term:
-    match t:
-        case TVar(x) if x in m["term"]:
-            return m["term"][x]
-        case TPriv(pd):
-            ident = pd.identity
-            dat = pd.data
-            if isinstance(ident, IVar) and ident.name in m["ident"]:
-                ident = m["ident"][ident.name]
-            if isinstance(dat, DVar) and dat.name in m["data"]:
-                dat = m["data"][dat.name]
-            elif isinstance(dat, DVar) and dat.name in m["term"]:
-                repl = m["term"][dat.name]
-                if isinstance(repl, TConst):
-                    dat = DConst(repl.token)
-                else:
-                    raise IncompatibleSubstitution(repl, PVar(dat.name))
-            if ident is pd.identity and dat is pd.data:
-                return t
-            return TPriv(PrivateData(ident, dat))
-        case _:
-            return t
-
-
-def _apply_subst(node, m: dict):
-    active = set(m["term"]) | set(m["ident"]) | set(m["data"])
-    if not active:
-        return node
-
-    # names free in the incoming values, for capture avoidance
-    value_atoms: set[str] = set()
-    for v in m["term"].values():
-        value_atoms |= free_atoms(v)
-
-    def go(nd, mm):
-        act = set(mm["term"]) | set(mm["ident"]) | set(mm["data"])
-        if not act:
-            return nd
-        match nd:
-            case PNil():
-                return nd
-            case POut(s, objs, cont):
-                return replace(nd, subject=_apply_subst_term(s, mm),
-                               objects=tuple(_apply_subst_term(o, mm) for o in objs),
-                               cont=go(cont, mm))
-            case PInp(s, pats, cont):
-                bound = {x for k in pats for x in placeholder_vars(k)}
-                inner = {
-                    "term": {k: v for k, v in mm["term"].items() if k not in bound},
-                    "ident": {k: v for k, v in mm["ident"].items() if k not in bound},
-                    "data": {k: v for k, v in mm["data"].items() if k not in bound},
-                }
-                return replace(nd, subject=_apply_subst_term(s, mm), cont=go(cont, inner))
-            case PRes(n, annot, body) | SSysRes(n, annot, body):
-                if n in value_atoms:
-                    n2 = fresh_name(n, free_atoms(body) | value_atoms | act)
-                    body = _rename_name(body, n, n2)
-                    return replace(nd, name=n2, body=go(body, mm))
-                return replace(nd, body=go(body, mm))
-            case PPar(l, r) | SSysPar(l, r):
-                return replace(nd, left=go(l, mm), right=go(r, mm))
-            case PRepl(body):
-                return replace(nd, body=go(body, mm))
-            case PIf(_, lhs, rhs, then, els):
-                return replace(nd, lhs=_apply_subst_term(lhs, mm),
-                               rhs=_apply_subst_term(rhs, mm),
-                               then=go(then, mm), els=go(els, mm))
-            case PStore(ref, datum):
-                ident = datum.identity
-                dat = datum.data
-                if isinstance(ident, IVar) and ident.name in mm["ident"]:
-                    ident = mm["ident"][ident.name]
-                if isinstance(dat, DVar) and dat.name in mm["data"]:
-                    dat = mm["data"][dat.name]
-                elif isinstance(dat, DVar) and dat.name in mm["term"]:
-                    repl = mm["term"][dat.name]
-                    if isinstance(repl, TConst):
-                        dat = DConst(repl.token)
-                    else:
-                        raise IncompatibleSubstitution(repl, PVar(dat.name))
-                if ident is datum.identity and dat is datum.data:
-                    return nd
-                return replace(nd, datum=PrivateData(ident, dat))
-            case SGroupProc(_, proc) | SBare(proc):
-                return replace(nd, proc=go(proc, mm))
-            case SGroupSys(_, body):
-                return replace(nd, body=go(body, mm))
-            case TName(_) | TDual(_) | TConst(_) | TVar(_) | TPriv(_):
-                return _apply_subst_term(nd, mm)
-        raise KernelError(f"cannot substitute inside {nd!r}")
-
-    return go(node, m)
 
 
 def substitute(target, value: Term, placeholder: Placeholder):
@@ -662,9 +581,9 @@ def substitute(target, value: Term, placeholder: Placeholder):
     components, renaming bound names where needed to avoid capture. A
     replacement whose result would be ill-formed (say, a constant landing in
     subject position) is undefined, like any other incompatible pair."""
-    mapping = _subst_mapping(value, placeholder)
+    vs = _subst_mapping(value, placeholder)
     try:
-        return _apply_subst(target, mapping)
+        return _rewrite(target, {}, vs)
     except IncompatibleSubstitution:
         raise
     except KernelError:
@@ -906,9 +825,9 @@ def _flatten_block(node, names: frozenset[str], vs: frozenset[str]):
 
 
 def _canonical_rename(node):
-    """Rename every binder to a canonical positional name. Restrictions bind
-    names and inputs bind variables, each in its own environment, as in
-    `free_atoms`."""
+    """Rename every binder to a canonical positional name, skipping the
+    node's free atoms. Restrictions bind names and inputs bind variables,
+    each in its own environment, as in `free_atoms`."""
     counter = itertools.count()
     free = free_atoms(node)
 
@@ -918,142 +837,11 @@ def _canonical_rename(node):
             if cand not in free:
                 return cand
 
-    def term(t: Term, names: dict[str, str], vs: dict[str, str]) -> Term:
-        match t:
-            case TName(n) if n in names:
-                return TName(names[n])
-            case TDual(n) if n in names:
-                return TDual(names[n])
-            case TVar(x) if x in vs:
-                return TVar(vs[x])
-            case TPriv(pd):
-                ident = pd.identity
-                dat = pd.data
-                if isinstance(ident, IVar) and ident.name in vs:
-                    ident = IVar(vs[ident.name])
-                if isinstance(dat, DVar) and dat.name in vs:
-                    dat = DVar(vs[dat.name])
-                if ident is pd.identity and dat is pd.data:
-                    return t
-                return TPriv(PrivateData(ident, dat))
-            case _:
-                return t
-
-    def go(nd, names: dict[str, str], vs: dict[str, str]):
-        match nd:
-            case PNil():
-                return nd
-            case POut(s, objs, cont):
-                return replace(nd, subject=term(s, names, vs),
-                               objects=tuple(term(o, names, vs) for o in objs),
-                               cont=go(cont, names, vs))
-            case PInp(s, pats, cont):
-                vs2 = dict(vs)
-                new_pats = []
-                for k in pats:
-                    match k:
-                        case PVar(x):
-                            vs2[x] = nm("x")
-                            new_pats.append(PVar(vs2[x]))
-                        case PPair(x, y):
-                            vs2[x] = nm("x")
-                            vs2[y] = nm("x")
-                            new_pats.append(PPair(vs2[x], vs2[y]))
-                        case PAnon(y):
-                            vs2[y] = nm("x")
-                            new_pats.append(PAnon(vs2[y]))
-                return replace(nd, subject=term(s, names, vs), patterns=tuple(new_pats),
-                               cont=go(cont, names, vs2))
-            case PRes(n, annot, body) | SSysRes(n, annot, body):
-                names2 = dict(names)
-                names2[n] = nm("n")
-                return replace(nd, name=names2[n], body=go(body, names2, vs))
-            case PPar(l, r) | SSysPar(l, r):
-                return replace(nd, left=go(l, names, vs), right=go(r, names, vs))
-            case PRepl(body):
-                return replace(nd, body=go(body, names, vs))
-            case PIf(_, lhs, rhs, then, els):
-                return replace(nd, lhs=term(lhs, names, vs), rhs=term(rhs, names, vs),
-                               then=go(then, names, vs), els=go(els, names, vs))
-            case PStore(ref, datum):
-                d = term(TPriv(datum), names, vs)
-                assert isinstance(d, TPriv)
-                return replace(nd, ref=names.get(ref, ref), datum=d.pdata)
-            case SGroupProc(_, proc) | SBare(proc):
-                return replace(nd, proc=go(proc, names, vs))
-            case SGroupSys(_, body):
-                return replace(nd, body=go(body, names, vs))
-        raise KernelError(str(nd))
-
-    return go(node, {}, {})
+    return _rewrite(node, {}, {}, nm)
 
 
 # --- alpha equivalence ---------------------------------------------------------
 
 def alpha_eq(p, q) -> bool:
     """Equality up to consistent renaming of bound names and variables."""
-
-    def term(t: Term, u: Term, env: dict[str, str], venv: dict[str, str]) -> bool:
-        match (t, u):
-            case (TName(a), TName(b)) | (TDual(a), TDual(b)):
-                return env.get(a, a) == b
-            case (TConst(a), TConst(b)):
-                return a == b
-            case (TVar(a), TVar(b)):
-                return venv.get(a, a) == b
-            case (TPriv(pa), TPriv(pb)):
-                ia, ib = pa.identity, pb.identity
-                da, db = pa.data, pb.data
-                iok = ((isinstance(ia, Known) and isinstance(ib, Known) and ia.ident == ib.ident)
-                       or (isinstance(ia, Hidden) and isinstance(ib, Hidden))
-                       or (isinstance(ia, IVar) and isinstance(ib, IVar)
-                           and venv.get(ia.name, ia.name) == ib.name))
-                dok = ((isinstance(da, DConst) and isinstance(db, DConst) and da.token == db.token)
-                       or (isinstance(da, DVar) and isinstance(db, DVar)
-                           and venv.get(da.name, da.name) == db.name))
-                return iok and dok
-            case _:
-                return False
-
-    def go(a, b, env: dict[str, str], venv: dict[str, str]) -> bool:
-        if type(a) is not type(b):
-            return False
-        match (a, b):
-            case (PNil(), PNil()):
-                return True
-            case (POut(s1, o1, c1), POut(s2, o2, c2)):
-                return (len(o1) == len(o2) and term(s1, s2, env, venv)
-                        and all(term(x, y, env, venv) for x, y in zip(o1, o2))
-                        and go(c1, c2, env, venv))
-            case (PInp(s1, k1, c1), PInp(s2, k2, c2)):
-                if len(k1) != len(k2) or not term(s1, s2, env, venv):
-                    return False
-                venv2 = dict(venv)
-                for ka, kb in zip(k1, k2):
-                    if type(ka) is not type(kb):
-                        return False
-                    for xa, xb in zip(placeholder_vars(ka), placeholder_vars(kb)):
-                        venv2[xa] = xb
-                return go(c1, c2, env, venv2)
-            case (PRes(n1, a1, b1), PRes(n2, a2, b2)) | (SSysRes(n1, a1, b1), SSysRes(n2, a2, b2)):
-                if a1 != a2:
-                    return False
-                env2 = dict(env)
-                env2[n1] = n2
-                return go(b1, b2, env2, venv)
-            case (PPar(l1, r1), PPar(l2, r2)) | (SSysPar(l1, r1), SSysPar(l2, r2)):
-                return go(l1, l2, env, venv) and go(r1, r2, env, venv)
-            case (PRepl(b1), PRepl(b2)):
-                return go(b1, b2, env, venv)
-            case (PIf(op1, x1, y1, t1, e1), PIf(op2, x2, y2, t2, e2)):
-                return (op1 == op2 and term(x1, x2, env, venv) and term(y1, y2, env, venv)
-                        and go(t1, t2, env, venv) and go(e1, e2, env, venv))
-            case (PStore(r1, d1), PStore(r2, d2)):
-                return env.get(r1, r1) == r2 and term(TPriv(d1), TPriv(d2), env, venv)
-            case (SGroupProc(g1, p1), SGroupProc(g2, p2)) | (SGroupSys(g1, p1), SGroupSys(g2, p2)):
-                return g1 == g2 and go(p1, p2, env, venv)
-            case (SBare(p1), SBare(p2)):
-                return go(p1, p2, env, venv)
-        return False
-
-    return go(p, q, {}, {})
+    return _canonical_rename(p) == _canonical_rename(q)

@@ -169,18 +169,10 @@ def _rename_clash(label: OutLabel, succ, other) -> tuple[OutLabel, object]:
             n2 = fresh_name(n, avoid | free_atoms(succ) |
                             {m for m, _ in label.extruded})
             succ = _rename_name(succ, n, n2)
-            objects = tuple(_rename_term(o, n, n2) for o in label.objects)
+            objects = tuple(_rename_name(o, n, n2) for o in label.objects)
             extruded = tuple((n2 if m == n else m, a) for m, a in label.extruded)
             label = OutLabel(label.subject, label.on_dual, objects, extruded)
     return label, succ
-
-
-def _rename_term(t: Term, old: str, new: str) -> Term:
-    if isinstance(t, TName) and t.name == old:
-        return TName(new)
-    if isinstance(t, TDual) and t.name == old:
-        return TDual(new)
-    return t
 
 
 def visible_outs(node) -> list[tuple[OutLabel, object]]:
@@ -524,11 +516,8 @@ def explore(s: System, depth: int) -> StateGraph:
                     seen_edges.add(edge)
                     graph.edges.append(edge)
         frontier = nxt
-        if not frontier:
-            break
-    else:
-        if frontier and any(tau_successors(n) for _, n in frontier):
-            graph.truncated = True
+    # the last frontier is expanded only to tell whether the bound cut it off
+    graph.truncated = any(tau_successors(n) for _, n in frontier)
     return graph
 
 

@@ -8,8 +8,9 @@ from privcalc.syntax import parse_env, parse_process, parse_system
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError, Known,
     NIL, PAnon, PIf, PInp, PNil, POut, PPair, PPar, PRepl, PRes, PStore,
-    PVar, PrivateData, TChan, TConst, TName, TPriv, TPrivate, TVar, alpha_eq,
-    free_atoms, free_names, free_vars, normalize, par_components, substitute,
+    PVar, PrivateData, TChan, TConst, TDual, TName, TPriv, TPrivate, TVar,
+    _canonical_rename, _rename_name, alpha_eq, free_atoms, free_names, free_vars,
+    normalize, par_components, substitute,
 )
 
 
@@ -263,6 +264,40 @@ class TestAlphaEq:
         b = POut(TName("b"), (TConst("c"),), NIL)
         assert not alpha_eq(a, b)
 
+    def test_bound_name_differs_from_free_name(self):
+        # (new a) a!<b>  has b free, (new b) b!<b>  does not
+        a = PRes("a", None, POut(TName("a"), (TName("b"),), NIL))
+        b = PRes("b", None, POut(TName("b"), (TName("b"),), NIL))
+        assert not alpha_eq(a, b) and not alpha_eq(b, a)
+
+    def test_input_annotations_matter(self):
+        body = POut(TVar("x"), (TConst("c"),), NIL)
+        a = PInp(TName("a"), (PVar("x"),), body, (TPrivate("t", "g"),))
+        b = PInp(TName("a"), (PVar("x"),), body, (TPrivate("u", "g"),))
+        assert not alpha_eq(a, b)
+        assert alpha_eq(a, PInp(TName("a"), (PVar("y"),), POut(TVar("y"), (TConst("c"),), NIL),
+                                (TPrivate("t", "g"),)))
+
+
+class TestRenameName:
+    def test_restriction_binding_new_name_is_renamed_away(self):
+        # (new b) a!<b>  with a := b  must not capture the incoming b
+        p = PRes("b", None, POut(TName("a"), (TName("b"),), NIL))
+        out = _rename_name(p, "a", "b")
+        assert isinstance(out, PRes) and out.name not in ("a", "b")
+        assert out.body == POut(TName("b"), (TName(out.name),), NIL)
+        assert free_atoms(out) == {"b"}
+
+    def test_restriction_binding_old_name_stops_renaming(self):
+        inner = PRes("a", None, POut(TName("a"), (TConst("c"),), NIL))
+        p = PPar(POut(TName("a"), (TConst("c"),), NIL), inner)
+        assert _rename_name(p, "a", "z") == PPar(POut(TName("z"), (TConst("c"),), NIL), inner)
+
+    def test_bare_terms(self):
+        assert _rename_name(TName("a"), "a", "z") == TName("z")
+        assert _rename_name(TDual("a"), "a", "z") == TDual("z")
+        assert _rename_name(TName("b"), "a", "z") == TName("b")
+
 
 # --- property tests over generated terms -------------------------------------
 
@@ -461,3 +496,5 @@ def test_normalize_canonical_under_alpha():
         n = normalize(p)
         q = _apply_axiom(rng, _apply_axiom(rng, p))
         assert alpha_eq(n, normalize(q)) and n == normalize(q)
+        c = _canonical_rename(p)
+        assert alpha_eq(p, c) and _canonical_rename(c) == c
