@@ -10,14 +10,15 @@ normalizer and the transition engine apply unchanged to core terms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from .kernel import (
-    DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
-    PPar, PRepl, PRes, PStore, PVar, PrivateData, Process, TConst, TDual,
-    TName, TPriv, TVar, Term, free_atoms, fresh_name, normalize,
-    par_components, placeholder_vars,
+    Block, DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut,
+    PPair, PRepl, PStore, PVar, PrivateData, Process, TConst, TDual, TName,
+    TPriv, TVar, Term, children, free_atoms, fresh_name, normalize,
+    placeholder_vars, _block,
 )
 from .syntax import render_process, render_term
 from .semantics import _eval_cond, reference_names, tau_successors
@@ -100,10 +101,8 @@ def encode(p: Process, refs: Optional[frozenset[str]] = None) -> Process:
                             "private data")
                     return _encode_write(subject, objects[0], enc(cont), fresh)
                 return replace(nd, cont=enc(cont))
-            case PRes(name, annot, body):
-                return replace(nd, body=enc(body))
-            case PPar(l, r):
-                return replace(nd, left=enc(l), right=enc(r))
+            case Block(_, comps):
+                return replace(nd, comps=tuple(map(enc, comps)))
             case PRepl(body):
                 return replace(nd, body=enc(body))
             case PIf(_, _, _, then, els):
@@ -130,38 +129,26 @@ def _all_atoms(p: Process) -> set[str]:
                     out.add(pd.identity.name)
                 out.add(pd.data.token if isinstance(pd.data, DConst) else pd.data.name)
 
-    def go(nd):
+    stack = [p]
+    while stack:
+        nd = stack.pop()
         match nd:
-            case PNil():
-                pass
-            case POut(s, objs, cont):
-                term(s)
-                for o in objs:
-                    term(o)
-                go(cont)
-            case PInp(s, pats, cont):
+            case POut(s, objs, _):
+                for t in (s, *objs):
+                    term(t)
+            case PInp(s, pats, _):
                 term(s)
                 for k in pats:
                     out.update(placeholder_vars(k))
-                go(cont)
-            case PRes(n, _, body):
-                out.add(n)
-                go(body)
-            case PPar(l, r):
-                go(l)
-                go(r)
-            case PRepl(body):
-                go(body)
-            case PIf(_, a, b, t, e):
+            case Block(binders, _):
+                out.update(n for n, _ in binders)
+            case PIf(_, a, b, _, _):
                 term(a)
                 term(b)
-                go(t)
-                go(e)
             case PStore(ref, datum):
                 out.add(ref)
                 term(TPriv(datum))
-
-    go(p)
+        stack.extend(children(nd))
     return out
 
 
@@ -188,7 +175,7 @@ def _encode_store(ref: str, datum: PrivateData, fresh: _Fresh) -> Process:
         },
         fresh("lbl")))))
     init = POut(TName(cell), (TPriv(datum),), NIL)
-    return PRes(cell, None, PPar(init, serving))
+    return Block(((cell, None),), (init, serving))
 
 
 def _encode_read(subject: Term, pattern, cont: Process, fresh: _Fresh) -> Process:
@@ -196,16 +183,16 @@ def _encode_read(subject: Term, pattern, cont: Process, fresh: _Fresh) -> Proces
     if isinstance(pattern, PAnon):
         # anonymised read: bind a fresh identity and erase it by never using it
         pattern = PPair(fresh("hid"), pattern.data_var)
-    return PRes(a, None, POut(subject, (TName(a),),
-                              select(TName(a), "rd",
-                                     PInp(TName(a), (pattern,), cont))))
+    return Block(((a, None),), (POut(subject, (TName(a),),
+                                     select(TName(a), "rd",
+                                            PInp(TName(a), (pattern,), cont))),))
 
 
 def _encode_write(subject: Term, obj: TPriv, cont: Process, fresh: _Fresh) -> Process:
     a, b, e = fresh("a"), fresh("b"), fresh("e")
     x, y = fresh("wx"), fresh("wy")
     z = fresh("wz")
-    loop = PRepl(PInp(TName(b), (PPair(x, y),), PRes(e, None, POut(
+    loop = PRepl(PInp(TName(b), (PPair(x, y),), Block(((e, None),), (POut(
         subject, (TName(e),),
         select(TName(e), "wr",
                POut(TName(e), (TPriv(PrivateData(IVar(x), DVar(y))),),
@@ -213,10 +200,10 @@ def _encode_write(subject: Term, obj: TPriv, cont: Process, fresh: _Fresh) -> Pr
                            {"ok": POut(TName(a), (TConst("unit"),), NIL),
                             "fail": POut(TName(b),
                                          (TPriv(PrivateData(IVar(x), DVar(y))),), NIL)},
-                           fresh("lbl"))))))))
+                           fresh("lbl"))))),))))
     seed = POut(TName(b), (obj,), NIL)
     waiter = PInp(TName(a), (PVar(z),), cont)
-    return PRes(a, None, PRes(b, None, PPar(seed, PPar(loop, waiter))))
+    return Block(((a, None), (b, None)), (seed, loop, waiter))
 
 
 # --- core execution and canonical forms ------------------------------------------------
@@ -234,19 +221,26 @@ def _eval_ifs(p: Process) -> Process:
             kids = {"then": then, "els": els}
         case POut(_, _, k) | PInp(_, _, k):
             kids = {"cont": k}
-        case PRes(_, _, b) | PRepl(b):
+        case PRepl(b):
             kids = {"body": b}
-        case PPar(l, r):
-            kids = {"left": l, "right": r}
+        case Block(_, cs):
+            kids = {"comps": cs}
         case _:
             return p
     return _rebuild(p, kids, _eval_ifs)
 
 
-def _rebuild(p: Process, kids: dict[str, Process], f) -> Process:
-    """`p` with `f` applied to the children named in `kids`; `p` itself
-    when `f` returns every child unchanged."""
-    new = {name: f(c) for name, c in kids.items()}
+def _rebuild(p: Process, kids: dict, f) -> Process:
+    """`p` with `f` applied to the children named in `kids`, or to each
+    element of a tuple of children; `p` itself when `f` returns every child
+    unchanged."""
+    def apply(c):
+        if not isinstance(c, tuple):
+            return f(c)
+        new = tuple(map(f, c))
+        return c if all(map(operator.is_, new, c)) else new
+
+    new = {name: apply(c) for name, c in kids.items()}
     return p if all(new[name] is c for name, c in kids.items()) else replace(p, **new)
 
 
@@ -254,43 +248,35 @@ def _gc_inert(p: Process) -> Process:
     """Remove replicated inputs guarding a restricted name whose only other
     occurrences sit inside those same guarded bodies: nothing can ever send
     on the name first, so the components are inert. Every binder of a
-    restriction chain is checked, again after each removal. With nothing to
-    remove, the argument itself is returned."""
+    block is checked, again after each removal. With nothing to remove, the
+    argument itself is returned."""
     match p:
-        case PRes():
-            chain, body = [], p
-            while isinstance(body, PRes):
-                chain.append(body)
-                body = body.body
-            inner = _gc_inert(body)
-            live = [(c, free_atoms(c)) for c in par_components(inner)]
-            total = len(live)
+        case Block(bs, cs) if bs:
+            comps = tuple(map(_gc_inert, cs))
+            live = [(c, free_atoms(c)) for c in comps]
             while True:
-                dead = {r.name for r in chain
+                dead = {n for n, _ in bs
                         if all(isinstance(c, PRepl) and isinstance(c.body, PInp)
-                               and c.body.subject == TName(r.name)
-                               for c, atoms in live if r.name in atoms)}
+                               and c.body.subject == TName(n)
+                               for c, atoms in live if n in atoms)}
                 kept = [(c, atoms) for c, atoms in live if not dead & atoms]
                 if len(kept) == len(live):
                     break
                 live = kept
-            if inner is body and len(live) == total:
+            if len(live) == len(cs) and all(map(operator.is_, comps, cs)):
                 return p
-            out = live[-1][0] if live else NIL
-            for c, _ in reversed(live[:-1]):
-                out = PPar(c, out)
+            if not live:
+                return NIL
             used = set().union(*(atoms for _, atoms in live))
-            for r in reversed(chain):
-                out = replace(r, body=out) if r.name in used else out
-            return out
+            return _block(tuple(b for b in bs if b[0] in used), tuple(c for c, _ in live))
         case POut(_, _, k) | PInp(_, _, k):
             kids = {"cont": k}
-        case PPar(l, r):
-            kids = {"left": l, "right": r}
         case PRepl(b):
             kids = {"body": b}
         case PIf(_, _, _, t, e):
             kids = {"then": t, "els": e}
+        case Block(_, cs):
+            kids = {"comps": cs}
         case _:
             return p
     return _rebuild(p, kids, _gc_inert)
@@ -350,10 +336,10 @@ def render_core(p: Process) -> str:
             from .syntax import _render_placeholder
             ps = ", ".join(_render_placeholder(k, None) for k in pats)
             return f"{render_term(s)}?({ps}). " + _wrap(cont)
-        case PRes(n, _, body):
-            return f"(new {n}) " + _wrap(body)
-        case PPar(l, r):
-            return render_core(l) + " | " + render_core(r)
+        case Block(bs, cs) if bs:
+            return "".join(f"(new {n}) " for n, _ in bs) + _wrap(_block((), cs))
+        case Block(_, cs):
+            return " | ".join(map(render_core, cs))
         case PRepl(body):
             return "* " + _wrap(body)
         case PIf(op, lhs, rhs, t, e):
@@ -366,7 +352,7 @@ def render_core(p: Process) -> str:
 
 def _wrap(p: Process) -> str:
     txt = render_core(p)
-    if isinstance(p, PPar):
+    if isinstance(p, Block) and not p.binders:
         return f"({txt})"
     return txt
 

@@ -1,6 +1,11 @@
 """Core abstract syntax: processes, systems, private data, binding and
 structural-congruence normalization.
 
+Restriction and parallel composition, of processes and of systems alike,
+are one n-ary node, `Block`: a list of restricted names over a tuple of
+components, the standard form of the pi-calculus. A normal form has one
+block per scope, its components sorted and none of them a block.
+
 Values are immutable after construction; every operation here is pure.
 Source spans ride along on nodes but never participate in equality, so
 normalized forms compare structurally.
@@ -19,10 +24,10 @@ __all__ = [
     "TName", "TDual", "TConst", "TVar", "TPriv", "Term",
     "PVar", "PPair", "PAnon", "Placeholder",
     "TPrivate", "TPurpose", "TChan", "PrivacyType",
-    "PNil", "POut", "PInp", "PRes", "PPar", "PRepl", "PIf", "PStore", "Process",
-    "SGroupProc", "SGroupSys", "SSysPar", "SSysRes", "SBare", "System",
-    "NIL", "substitute", "free_names", "free_vars", "free_atoms",
-    "normalize", "alpha_eq", "par_components", "fresh_name",
+    "PNil", "POut", "PInp", "PRepl", "PIf", "PStore", "Process",
+    "SGroupProc", "SGroupSys", "SBare", "System", "Block",
+    "NIL", "children", "is_system", "substitute", "free_names", "free_vars",
+    "free_atoms", "normalize", "alpha_eq", "fresh_name",
 ]
 
 
@@ -280,21 +285,6 @@ class PInp:
 
 
 @dataclass(frozen=True)
-class PRes:
-    name: str
-    annot: Optional[PrivacyType]
-    body: "Process"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class PPar:
-    left: "Process"
-    right: "Process"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class PRepl:
     body: "Process"
     span: Optional[Span] = field(default=None, compare=False, repr=False)
@@ -330,7 +320,24 @@ class PStore:
             raise KernelError("a store cannot hold a hidden, uninitialized datum")
 
 
-Process = Union[PNil, POut, PInp, PRes, PPar, PRepl, PIf, PStore]
+@dataclass(frozen=True)
+class Block:
+    """Restrictions over a parallel composition, in either family:
+    `(new a) (new b) (P | Q)` or `(new a) (S || T)`. `binders` are
+    (name, annotation) pairs, outermost first, scoping over every
+    component; `comps` holds processes or systems and is never empty. The
+    family is that of the first component, which in a normal form is never
+    itself a block."""
+    binders: tuple[tuple[str, Optional[PrivacyType]], ...]
+    comps: tuple
+    span: Optional[Span] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.comps:
+            raise KernelError("a block has at least one component")
+
+
+Process = Union[PNil, POut, PInp, Block, PRepl, PIf, PStore]
 
 
 # --- systems -----------------------------------------------------------------
@@ -350,27 +357,42 @@ class SGroupSys:
 
 
 @dataclass(frozen=True)
-class SSysPar:
-    left: "System"
-    right: "System"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SSysRes:
-    name: str
-    annot: Optional[PrivacyType]
-    body: "System"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class SBare:
     proc: Process
     span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-System = Union[SGroupProc, SGroupSys, SSysPar, SSysRes, SBare]
+System = Union[SGroupProc, SGroupSys, Block, SBare]
+
+
+def _block(binders: tuple, comps: tuple):
+    """The block of these binders and components, or its lone component
+    when it has no binders."""
+    return comps[0] if not binders and len(comps) == 1 else Block(binders, comps)
+
+
+def is_system(node) -> bool:
+    """Whether the node is of the system family; a block is of the family
+    of its first component."""
+    while isinstance(node, Block):
+        node = node.comps[0]
+    return isinstance(node, (SGroupProc, SGroupSys, SBare))
+
+
+def children(node) -> tuple:
+    """The node's immediate process and system children, in order."""
+    match node:
+        case POut(_, _, cont) | PInp(_, _, cont):
+            return (cont,)
+        case PRepl(body) | SGroupSys(_, body):
+            return (body,)
+        case SGroupProc(_, proc) | SBare(proc):
+            return (proc,)
+        case PIf(_, _, _, then, els):
+            return (then, els)
+        case Block(_, comps):
+            return comps
+    return ()
 
 
 # --- free names / variables ---------------------------------------------------
@@ -406,11 +428,10 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
             _walk_term(subject, bound_names, bound_vars, out_names, out_vars)
             newly = frozenset(x for k in patterns for x in placeholder_vars(k))
             _walk_free(cont, bound_names, bound_vars | newly, out_names, out_vars)
-        case PRes(name, _, body) | SSysRes(name, _, body):
-            _walk_free(body, bound_names | {name}, bound_vars, out_names, out_vars)
-        case PPar(l, r) | SSysPar(l, r):
-            _walk_free(l, bound_names, bound_vars, out_names, out_vars)
-            _walk_free(r, bound_names, bound_vars, out_names, out_vars)
+        case Block(binders, comps):
+            inner = bound_names.union(n for n, _ in binders)
+            for c in comps:
+                _walk_free(c, inner, bound_vars, out_names, out_vars)
         case PRepl(body):
             _walk_free(body, bound_names, bound_vars, out_names, out_vars)
         case PIf(_, lhs, rhs, then, els):
@@ -493,20 +514,23 @@ def _rewrite(node, names: dict[str, str],
                 pats = tuple(type(k)(*map(new.get, placeholder_vars(k))) for k in pats)
             return replace(node, subject=_rewrite(s, names, vs, fresh), patterns=pats,
                            cont=_rewrite(cont, names, inner, fresh))
-        case PRes(n, _, body) | SSysRes(n, _, body):
-            if fresh is not None:
-                n2 = fresh("n")
-                inner = names | {n: n2}
-            else:
-                inner = {m: v for m, v in names.items() if m != n}
-                incoming = set(inner.values()).union(*(free_atoms(t) for t, _, _ in vs.values()))
-                n2 = n
-                if n in incoming:
-                    n2 = inner[n] = fresh_name(n, free_atoms(body).union(incoming, inner, vs))
-            return replace(node, name=n2, body=_rewrite(body, inner, vs, fresh))
-        case PPar(l, r) | SSysPar(l, r):
-            return replace(node, left=_rewrite(l, names, vs, fresh),
-                           right=_rewrite(r, names, vs, fresh))
+        case Block(binders, comps):
+            renamed = []
+            for k, (n, annot) in enumerate(binders):
+                if fresh is not None:
+                    n2 = fresh("n")
+                    names = names | {n: n2}
+                else:
+                    names = {m: v for m, v in names.items() if m != n}
+                    incoming = set(names.values()).union(
+                        *(free_atoms(t) for t, _, _ in vs.values()))
+                    n2 = n
+                    if n in incoming:
+                        scope = free_atoms(Block(binders[k + 1:], comps))
+                        n2 = names[n] = fresh_name(n, scope.union(incoming, names, vs))
+                renamed.append((n2, annot))
+            return replace(node, binders=tuple(renamed),
+                           comps=tuple(_rewrite(c, names, vs, fresh) for c in comps))
         case PRepl(body) | SGroupSys(_, body):
             return replace(node, body=_rewrite(body, names, vs, fresh))
         case PIf(_, lhs, rhs, then, els):
@@ -520,7 +544,7 @@ def _rewrite(node, names: dict[str, str],
         case SGroupProc(_, proc) | SBare(proc):
             return replace(node, proc=_rewrite(proc, names, vs, fresh))
         case TName(n) | TDual(n):
-            return type(node)(names[n]) if n in names else node
+            return replace(node, name=names[n]) if n in names else node
         case TVar(x):
             return vs[x][0] if x in vs else node
         case TConst(_):
@@ -592,16 +616,6 @@ def substitute(target, value: Term, placeholder: Placeholder):
 
 # --- structural-congruence normalization --------------------------------------
 
-def par_components(p: Process) -> list[Process]:
-    match p:
-        case PPar(l, r):
-            return par_components(l) + par_components(r)
-        case PNil():
-            return []
-        case _:
-            return [p]
-
-
 def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -> str:
     """Serialization with bound tokens replaced positionally: the sort key
     for parallel components, stable under alpha-renaming. Free names and
@@ -656,12 +670,19 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
                         case PAnon(y):
                             ps.append(f"_#{vs2[y]}")
                 return f"inp({term(s, names, vs)};{','.join(ps)};{go(cont, names, vs2)})"
-            case PRes(n, annot, body):
-                names2 = dict(names)
-                names2[n] = f"ν{next(counter)}"
-                return f"res({annot};{go(body, names2, vs)})"
-            case PPar(l, r):
-                return f"par({go(l, names, vs)}|{go(r, names, vs)})"
+            case Block(binders, comps):
+                res, par = ("sr", "sp") if is_system(comps[0]) else ("res", "par")
+                names = dict(names)
+                out = []
+                for n, annot in binders:
+                    names[n] = f"ν{next(counter)}"
+                    out.append(f"{res}({annot};")
+                # right-nested, par(k1|par(k2|k3)): the key format the
+                # component order, and so every normal form, rests on
+                keys = [go(c, names, vs) for c in comps]
+                out += [f"{par}({k}|" for k in keys[:-1]]
+                out.append(keys[-1] + ")" * (len(keys) - 1 + len(binders)))
+                return "".join(out)
             case PRepl(body):
                 return f"rep({go(body, names, vs)})"
             case PIf(op, lhs, rhs, then, els):
@@ -673,12 +694,6 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
                 return f"gp({g};{go(proc, names, vs)})"
             case SGroupSys(g, body):
                 return f"gs({g};{go(body, names, vs)})"
-            case SSysPar(l, r):
-                return f"sp({go(l, names, vs)}|{go(r, names, vs)})"
-            case SSysRes(n, annot, body):
-                names2 = dict(names)
-                names2[n] = f"ν{next(counter)}"
-                return f"sr({annot};{go(body, names2, vs)})"
             case SBare(proc):
                 return f"sb({go(proc, names, vs)})"
         raise KernelError(str(nd))
@@ -753,7 +768,7 @@ def _normalize1(node, names: frozenset[str], vs: frozenset[str]):
                            els=_normalize1(els, names, vs))
         case PStore(_, _):
             return node
-        case PRes() | PPar() | SSysRes() | SSysPar():
+        case Block():
             return _flatten_block(node, names, vs)
         case SGroupProc(g, proc):
             p = _normalize1(proc, names, vs)
@@ -769,16 +784,12 @@ def _normalize1(node, names: frozenset[str], vs: frozenset[str]):
     raise KernelError(f"cannot normalize {node!r}")
 
 
-def _flatten_block(node, names: frozenset[str], vs: frozenset[str]):
-    """Flatten one scope block of either family: nested restrictions and
-    parallel components are hoisted into one binder list and one component
-    list (renaming binders that would clash), each component is normalized,
-    inert components and unused binders are dropped, and the block is
-    rebuilt in sorted order."""
-    if isinstance(node, (PRes, PPar)):
-        res, par, inert = PRes, PPar, NIL
-    else:
-        res, par, inert = SSysRes, SSysPar, SBare(NIL)
+def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
+    """Flatten one scope block of either family: nested blocks are hoisted
+    into one binder list and one component list (renaming binders that
+    would clash), each component is normalized, inert components and unused
+    binders are dropped, and the block is rebuilt in sorted order. With no
+    component left, the result is the first inert one."""
     binders: dict[str, Optional[PrivacyType]] = {}
     comps: list = []
     taken: set[str] = set()
@@ -786,42 +797,42 @@ def _flatten_block(node, names: frozenset[str], vs: frozenset[str]):
 
     def hoist(nd, nested: bool):
         nonlocal free_added
-        match nd:
-            case PPar(l, r) | SSysPar(l, r):
-                hoist(l, True)
-                hoist(r, True)
-            case PRes(n, annot, body) | SSysRes(n, annot, body):
-                # a binder of the block's own leading chain is never free in
-                # the block: the block's free atoms matter only for a binder
-                # below a parallel, or for renaming a duplicate in the chain
-                if not free_added and (nested or n in taken):
-                    taken.update(free_atoms(node))
-                    free_added = True
-                n2 = fresh_name(n, taken)
-                taken.add(n2)
-                binders[n2] = annot
-                hoist(body if n2 == n else _rename_name(body, n, n2), nested)
-            case _:
-                comps.append(nd)
+        if not isinstance(nd, Block):
+            comps.append(nd)
+            return
+        bs, cs = nd.binders, nd.comps
+        for k, (n, annot) in enumerate(bs):
+            # a binder of the block's own leading binders is never free in
+            # the block: the block's free atoms matter only for a binder
+            # below a parallel, or for renaming a duplicate binder
+            if not free_added and (nested or n in taken):
+                taken.update(free_atoms(node))
+                free_added = True
+            n2 = fresh_name(n, taken)
+            taken.add(n2)
+            binders[n2] = annot
+            if n2 != n:
+                hoist(_rename_name(Block(bs[k + 1:], cs), n, n2), nested)
+                return
+        for c in cs:
+            hoist(c, nested or len(cs) > 1)
 
     hoist(node, False)
     # components are never blocks here, and normalizing one cannot make it
     # a block, so one pass leaves nothing to hoist
     inner = names.union(binders)
-    comps = [c for c in (_normalize1(c, inner, vs) for c in comps) if c != inert]
+    normal = [_normalize1(c, inner, vs) for c in comps]
+    inert = (NIL, SBare(NIL))
+    comps = [c for c in normal if c not in inert]
     if not comps:
-        return inert
+        return normal[0]
     comps = _sort_block(comps, binders, names, vs)
-    body = comps[-1]
-    for c in reversed(comps[:-1]):
-        body = par(c, body)
-    # binders in order of first free occurrence in the sorted body; one
-    # that does not occur is dropped
+    # binders in order of first free occurrence in the sorted components;
+    # one that does not occur is dropped
     serial: dict[str, None] = {}
-    _walk_free(body, frozenset(), frozenset(), serial, {})
-    for n in reversed([n for n in serial if n in binders]):
-        body = res(n, binders[n], body)
-    return body
+    for c in comps:
+        _walk_free(c, frozenset(), frozenset(), serial, {})
+    return _block(tuple((n, binders[n]) for n in serial if n in binders), tuple(comps))
 
 
 def _canonical_rename(node):

@@ -7,15 +7,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (
-    IVar, Known, PIf, PInp, PNil, POut, PPair, PPar, PRepl, PRes, PStore,
-    PrivacyType, Process, SBare, SGroupProc, SGroupSys, SSysPar, SSysRes,
-    Span, System, TChan, TName, TPrivate, TVar, Term, normalize,
-    par_components,
+    Block, IVar, Known, PIf, PInp, PNil, POut, PPair, PRepl, PStore,
+    PrivacyType, Process, SBare, SGroupProc, SGroupSys, Span, System, TChan,
+    TName, TPrivate, TVar, Term, normalize,
 )
 from .policy import Hierarchy, PermSet, Policy, flatten, NotFound
 from .syntax import Gamma, render_process
-from .typesys import (TypingError, _bind_pattern, _infer_binder_type,
-                      _resolve_operand, type_value)
+from .typesys import (TypingError, _bind_block, _bind_pattern, _resolve_operand,
+                      type_value)
 from .semantics import explore
 
 __all__ = ["ErrorFinding", "count_links", "detect_errors", "safety_scan", "ScanReport"]
@@ -113,12 +112,9 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
                         except TypingError:
                             pass
                 return go(cont, g3)
-            case PRes(name, annot, body):
-                ty = annot or _infer_binder_type(gamma2, name, body)
-                g3 = gamma2.bind_atom(name, ty) if ty is not None else gamma2
-                return go(body, g3)
-            case PPar(l, r):
-                return go(l, gamma2) + go(r, gamma2)
+            case Block(_, comps):
+                g3, _ = _bind_block(gamma2, nd)
+                return sum(go(c, g3) for c in comps)
             case PRepl(body):
                 return go(body, gamma2)
             case PIf(_, _, _, then, els):
@@ -208,7 +204,10 @@ def _unifiable(i1, i2) -> bool:
 
 
 def _scan_process(ctx: _ClauseCtx, gamma: Gamma, p: Process):
-    comps = par_components(p) or [p]
+    comps = [p]
+    if isinstance(p, Block):
+        gamma, _ = _bind_block(gamma, p)
+        comps = p.comps
     # clause 7: parallel stores with unifiable identities
     stores = [c for c in comps if isinstance(c, PStore)]
     for i in range(len(stores)):
@@ -282,11 +281,6 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                         pass
             _scan_process(ctx, g2, cont)
             return
-        case PRes(name, annot, body):
-            ty = annot or _infer_binder_type(gamma, name, body)
-            g2 = gamma.bind_atom(name, ty) if ty is not None else gamma
-            _scan_process(ctx, g2, body)
-            return
         case PRepl(body):
             _scan_process(ctx, gamma, body)
             return
@@ -295,7 +289,7 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             _scan_process(ctx, gamma, then)
             _scan_process(ctx, gamma, els)
             return
-        case PPar(_, _):
+        case Block():
             _scan_process(ctx, gamma, nd)
             return
 
@@ -358,12 +352,10 @@ def detect_errors(policy: Policy, gamma: Gamma, s: System,
                 at(path + (group,), g, proc)
             case SGroupSys(group, body):
                 walk(body, path + (group,), g)
-            case SSysPar(l, r):
-                walk(l, path, g)
-                walk(r, path, g)
-            case SSysRes(name, annot, body):
-                ty = annot or _infer_binder_type(g, name, body)
-                walk(body, path, g.bind_atom(name, ty) if ty is not None else g)
+            case Block(_, comps):
+                g2, _ = _bind_block(g, node)
+                for c in comps:
+                    walk(c, path, g2)
             case SBare(proc):
                 at(path, g, proc)
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .kernel import (
-    DConst, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut, PPar, PRepl,
-    PRes, PStore, PrivacyType, PrivateData, SBare, SGroupProc, SGroupSys,
-    SSysPar, SSysRes, System, TChan, TConst, TDual, TName, TPriv, TPurpose,
-    TVar, Term, IncompatibleSubstitution, free_atoms, fresh_name, normalize,
-    substitute, _rename_name,
+    Block, DConst, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl,
+    PStore, PrivacyType, PrivateData, SBare, SGroupProc, SGroupSys, System,
+    TChan, TConst, TDual, TName, TPriv, TPurpose, TVar, Term,
+    IncompatibleSubstitution, children, free_atoms, fresh_name, is_system,
+    normalize, substitute, _block, _rename_name,
 )
 from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_system
@@ -157,13 +157,13 @@ def _closed_term(t: Term) -> bool:
 
 # --- output capabilities ------------------------------------------------------------
 
-def _rename_clash(label: OutLabel, succ, other) -> tuple[OutLabel, object]:
+def _rename_clash(label: OutLabel, succ, others: Iterable) -> tuple[OutLabel, object]:
     """Rename the names the label extrudes away from the free atoms of
-    `other`, the node the output meets; those are computed only when the
-    label extrudes a name."""
+    `others`, the components beside the one that made the output; those
+    are computed only when the label extrudes a name."""
     if not label.extruded:
         return label, succ
-    avoid = free_atoms(other)
+    avoid = set().union(*map(free_atoms, others))
     for n, annot in label.extruded:
         if n in avoid:
             n2 = fresh_name(n, avoid | free_atoms(succ) |
@@ -173,6 +173,11 @@ def _rename_clash(label: OutLabel, succ, other) -> tuple[OutLabel, object]:
             extruded = tuple((n2 if m == n else m, a) for m, a in label.extruded)
             label = OutLabel(label.subject, label.on_dual, objects, extruded)
     return label, succ
+
+
+def _others(comps: tuple, k: int):
+    """Every component but the k-th."""
+    return (c for m, c in enumerate(comps) if m != k)
 
 
 def visible_outs(node) -> list[tuple[OutLabel, object]]:
@@ -188,29 +193,25 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
         case PStore(ref, datum):
             if datum.is_constant:
                 out.append((OutLabel(ref, True, (TPriv(datum),)), node))
-        case PRes(name, annot, body) | SSysRes(name, annot, body):
-            for label, succ in visible_outs(body):
-                if label.subject == name:
-                    continue
-                objs_atoms = set()
-                for o in label.objects:
-                    objs_atoms |= free_atoms(o)
-                if name in objs_atoms:
-                    label = OutLabel(label.subject, label.on_dual, label.objects,
-                                     label.extruded + ((name, annot),))
-                    out.append((label, succ))
-                else:
-                    out.append((label, type(node)(name, annot, succ)))
-        case PPar(l, r) | SSysPar(l, r):
-            for label, succ in visible_outs(l):
-                label, succ = _rename_clash(label, succ, r)
-                out.append((label, type(node)(succ, r)))
-            for label, succ in visible_outs(r):
-                label, succ = _rename_clash(label, succ, l)
-                out.append((label, type(node)(l, succ)))
+        case Block(bs, cs):
+            names = {n for n, _ in bs}
+            for k, c in enumerate(cs):
+                for label, succ in visible_outs(c):
+                    if label.subject in names:
+                        continue
+                    label, succ = _rename_clash(label, succ, _others(cs, k))
+                    # binders the objects mention leave with the label,
+                    # innermost first; the others stay around the successor
+                    objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
+                    leaving = tuple(b for b in reversed(bs) if b[0] in objs_atoms)
+                    if leaving:
+                        label = OutLabel(label.subject, label.on_dual, label.objects,
+                                         label.extruded + leaving)
+                    out.append((label, _block(tuple(b for b in bs if b[0] not in objs_atoms),
+                                              cs[:k] + (succ,) + cs[k + 1:])))
         case PRepl(body):
             for label, succ in visible_outs(body):
-                out.append((label, PPar(succ, node)))
+                out.append((label, Block((), (succ, node))))
         case PIf(op, lhs, rhs, then, els):
             v = _eval_cond(op, lhs, rhs)
             if v is True:
@@ -258,25 +259,17 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                     elif isinstance(wid, Hidden) and isinstance(datum.identity, Known):
                         # anonymous write keeps the store's identity
                         out.append(PStore(ref, PrivateData(datum.identity, wdat)))
-        case PRes(name, annot, body) | SSysRes(name, annot, body):
-            if name != subject:
-                atoms = set()
-                for v in values:
-                    atoms |= free_atoms(v)
-                if name in atoms:
-                    n2 = fresh_name(name, atoms | free_atoms(body))
-                    body = _rename_name(body, name, n2)
-                    name = n2
-                for succ in feed(body, subject, to_dual, values):
-                    out.append(type(node)(name, annot, succ))
-        case PPar(l, r) | SSysPar(l, r):
-            for succ in feed(l, subject, to_dual, values):
-                out.append(type(node)(succ, r))
-            for succ in feed(r, subject, to_dual, values):
-                out.append(type(node)(l, succ))
+        case Block(bs, cs):
+            if all(n != subject for n, _ in bs):
+                atoms = set().union(*map(free_atoms, values))
+                if any(n in atoms for n, _ in bs):
+                    bs, cs = _rename_apart(node, atoms)
+                for k, c in enumerate(cs):
+                    for succ in feed(c, subject, to_dual, values):
+                        out.append(Block(bs, cs[:k] + (succ,) + cs[k + 1:]))
         case PRepl(body):
             for succ in feed(body, subject, to_dual, values):
-                out.append(PPar(succ, node))
+                out.append(Block((), (succ, node)))
         case PIf(op, lhs, rhs, then, els):
             v = _eval_cond(op, lhs, rhs)
             if v is True:
@@ -290,6 +283,20 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
         case SGroupSys(g, body):
             out.extend(SGroupSys(g, s) for s in feed(body, subject, to_dual, values))
     return out
+
+
+def _rename_apart(node: Block, atoms: set[str]) -> tuple[tuple, tuple]:
+    """The block's binders and components with each binder among `atoms`,
+    which a delivery brings in, renamed away from them, outermost first."""
+    binders = []
+    rest = node
+    while rest.binders:
+        (n, annot), rest = rest.binders[0], Block(rest.binders[1:], rest.comps)
+        if n in atoms:
+            n2 = fresh_name(n, atoms | free_atoms(rest))
+            rest, n = _rename_name(rest, n, n2), n2
+        binders.append((n, annot))
+    return tuple(binders), rest.comps
 
 
 def _deliveries(label: OutLabel, refs: frozenset[str]
@@ -315,71 +322,59 @@ def _deliveries(label: OutLabel, refs: frozenset[str]
     return attempts
 
 
-_PROC_TYPES = (PNil, POut, PInp, PRes, PPar, PRepl, PIf, PStore)
-
-
 def reference_names(node) -> frozenset[str]:
     """Names used as store references anywhere in the term."""
     out: set[str] = set()
-
-    def go(nd):
-        match nd:
-            case PStore(ref, _):
-                out.add(ref)
-            case POut(_, _, cont) | PInp(_, _, cont) | PRes(_, _, cont) | PRepl(cont):
-                go(cont)
-            case PPar(l, r) | SSysPar(l, r):
-                go(l)
-                go(r)
-            case PIf(_, _, _, t, e):
-                go(t)
-                go(e)
-            case SBare(p) | SGroupProc(_, p):
-                go(p)
-            case SGroupSys(_, b) | SSysRes(_, _, b):
-                go(b)
-            case _:
-                pass
-
-    go(node)
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        if isinstance(nd, PStore):
+            out.add(nd.ref)
+        stack.extend(children(nd))
     return frozenset(out)
 
 
-def _pair(outs_side, other, wrap, refs: frozenset[str]) -> list:
-    """Internal steps from one side's outputs against the other's inputs;
-    names the output extrudes get re-restricted around the pair."""
+def _pair(node: Block, i: int, outs, receivers: Iterable[int], refs: frozenset[str]) -> list:
+    """Internal steps of the block from the outputs of its i-th component
+    against the inputs of the receiving ones, in order. Each successor
+    replaces the two components, and the names the output extrudes join the
+    block's binders, renamed away from the other components first."""
     out = []
-    for label, succ in outs_side:
-        label, succ = _rename_clash(label, succ, other)
+    cs = node.comps
+    for label, succ in outs:
+        label, succ = _rename_clash(label, succ, _others(cs, i))
         for subject, to_dual, values in _deliveries(label, refs):
-            for osucc in feed(other, subject, to_dual, values):
-                combined = wrap(succ, osucc)
-                for name, annot in reversed(label.extruded):
-                    if isinstance(combined, _PROC_TYPES):
-                        combined = PRes(name, annot, combined)
-                    else:
-                        combined = SSysRes(name, annot, combined)
-                out.append(combined)
+            for j in receivers:
+                for osucc in feed(cs[j], subject, to_dual, values):
+                    comps = list(cs)
+                    comps[i], comps[j] = succ, osucc
+                    out.append(Block(node.binders + label.extruded, tuple(comps)))
     return out
 
 
 def tau_successors(node, refs: Optional[frozenset[str]] = None) -> list:
+    """Internal steps, in a fixed order that `explore`'s edge order rests
+    on. For a block: the steps inside each component, first to last; then,
+    for each component from the second-to-last back to the first, its
+    outputs to the components after it and theirs back to it."""
     if refs is None:
         refs = reference_names(node)
     out: list = []
     match node:
         case PNil() | POut(_, _, _) | PInp(_, _, _) | PStore(_, _):
             pass
-        case PRes(name, annot, body) | SSysRes(name, annot, body):
-            out.extend(type(node)(name, annot, s) for s in tau_successors(body, refs))
-        case PPar(l, r) | SSysPar(l, r):
-            par = type(node)
-            out.extend(par(s, r) for s in tau_successors(l, refs))
-            out.extend(par(l, s) for s in tau_successors(r, refs))
-            out.extend(_pair(visible_outs(l), r, par, refs))
-            out.extend(_pair(visible_outs(r), l, lambda a, b: par(b, a), refs))
+        case Block(bs, cs):
+            for k, c in enumerate(cs):
+                out.extend(Block(bs, cs[:k] + (s,) + cs[k + 1:])
+                           for s in tau_successors(c, refs))
+            outs = [visible_outs(c) for c in cs]
+            for i in reversed(range(len(cs) - 1)):
+                later = range(i + 1, len(cs))
+                out.extend(_pair(node, i, outs[i], later, refs))
+                for j in later:
+                    out.extend(_pair(node, j, outs[j], (i,), refs))
         case PRepl(body):
-            out.extend(PPar(s, node) for s in tau_successors(body, refs))
+            out.extend(Block((), (s, node)) for s in tau_successors(body, refs))
         case PIf(op, lhs, rhs, then, els):
             v = _eval_cond(op, lhs, rhs)
             if v is True:
@@ -421,26 +416,15 @@ def input_labels(node, universe: Iterable[Term], cap: int = 256
     out: list[tuple[InpLabel, object]] = []
 
     def collect_inps(nd):
-        found: list[tuple[str, int]] = []
+        """The (subject, arity) of every input not under a prefix."""
         match nd:
             case PInp(subj, patterns, _):
-                if isinstance(subj, TName):
-                    found.append((subj.name, len(patterns)))
+                return [(subj.name, len(patterns))] if isinstance(subj, TName) else []
             case PStore(ref, _):
-                found.append((ref, 1))
-            case POut(_, _, _) | PNil():
-                pass
-            case PRes(_, _, body) | PRepl(body) | SGroupSys(_, body) | SSysRes(_, _, body):
-                found.extend(collect_inps(body))
-            case PPar(l, r) | SSysPar(l, r):
-                found.extend(collect_inps(l))
-                found.extend(collect_inps(r))
-            case PIf(_, _, _, then, els):
-                found.extend(collect_inps(then))
-                found.extend(collect_inps(els))
-            case SBare(p) | SGroupProc(_, p):
-                found.extend(collect_inps(p))
-        return found
+                return [(ref, 1)]
+            case POut():
+                return []
+        return [f for c in children(nd) for f in collect_inps(c)]
 
     for subject, arity in sorted(set(collect_inps(node))):
         for values in itertools.islice(itertools.product(universe, repeat=arity), cap):
@@ -465,7 +449,7 @@ def transitions(node, universe: Optional[Iterable[Term]] = None
 
 def state_key(node) -> str:
     norm = normalize(node)
-    txt = render_process(norm) if isinstance(norm, _PROC_TYPES) else render_system(norm)
+    txt = render_system(norm) if is_system(norm) else render_process(norm)
     return hashlib.sha256(txt.encode()).hexdigest()[:12]
 
 

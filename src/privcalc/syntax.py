@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import (
-    DConst, DVar, HIDDEN, Hidden, IVar, Known, NIL, PAnon, PIf, PInp, PNil,
-    POut, PPair, PPar, PRepl, PRes, PStore, PVar, Placeholder, PrivacyType,
-    PrivateData, Process, SBare, SGroupProc, SGroupSys, SSysPar, SSysRes,
-    Span, System, TChan, TConst, TDual, TName, TPriv, TPrivate, TPurpose,
-    TVar, Term, KernelError, placeholder_vars,
+    Block, DConst, DVar, HIDDEN, Hidden, IVar, Known, NIL, PAnon, PIf, PInp,
+    PNil, POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType,
+    PrivateData, Process, SBare, SGroupProc, SGroupSys, Span, System, TChan,
+    TConst, TDual, TName, TPriv, TPrivate, TPurpose, TVar, Term, KernelError,
+    placeholder_vars,
 )
 from .policy import (
     Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, disseminate, identify,
@@ -528,10 +528,7 @@ def _parse_process(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     while p.at("|"):
         p.take()
         comps.append(_parse_seq(p, ctx, registry))
-    out = comps[-1]
-    for c in reversed(comps[:-1]):
-        out = PPar(c, out)
-    return out
+    return Block((), tuple(comps)) if len(comps) > 1 else comps[0]
 
 
 def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
@@ -543,7 +540,7 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         p.take()
         return PRepl(_parse_seq(p, ctx, registry), span=t.span)
     if t.kind == "IDENT" and t.text == "new":
-        return _parse_new(p, ctx, registry, _parse_seq, PRes)
+        return _parse_new(p, ctx, registry, _parse_seq)
     if t.kind == "IDENT" and t.text == "if":
         p.take()
         lhs = _parse_term(p, ctx, object_position=False)
@@ -585,7 +582,7 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         m = p.mark()
         p.take()
         if p.at_ident("new"):
-            return _parse_new(p, ctx, registry, _parse_seq, PRes, closing=True)
+            return _parse_new(p, ctx, registry, _parse_seq, closing=True)
         power = _try_input_power(p, ctx, registry, m)
         if power is not None:
             return power
@@ -643,7 +640,7 @@ def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry, m: int) -> Optio
     return cont
 
 
-def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, node_cls, closing: bool = False):
+def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: bool = False):
     kw = p.peek()
     p.take()  # 'new'
     name = p.expect_ident("restricted name")
@@ -659,7 +656,7 @@ def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, node_cls,
     ctx2.bound_vars.discard(name.text)
     ctx.subject_evidence.add(name.text)  # restricted tokens are name-sorted
     body = body_parser(p, ctx2, registry)
-    return node_cls(name.text, annot, body, span=kw.span)
+    return Block(((name.text, annot),), (body,), span=kw.span)
 
 
 def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
@@ -712,15 +709,9 @@ def _lower_system(s: System) -> Optional[Process]:
     match s:
         case SBare(proc):
             return proc
-        case SSysRes(name, annot, body):
-            inner = _lower_system(body)
-            return None if inner is None else PRes(name, annot, inner)
-        case SSysPar(l, r):
-            a = _lower_system(l)
-            b = _lower_system(r)
-            if a is None or b is None:
-                return None
-            return PPar(a, b)
+        case Block(binders, comps):
+            procs = tuple(map(_lower_system, comps))
+            return None if None in procs else Block(binders, procs)
         case _:
             return None
 
@@ -730,10 +721,7 @@ def _parse_system(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
     while p.at("||"):
         p.take()
         comps.append(_parse_sys_atom(p, ctx, registry))
-    out = comps[-1]
-    for c in reversed(comps[:-1]):
-        out = SSysPar(c, out)
-    return out
+    return Block((), tuple(comps)) if len(comps) > 1 else comps[0]
 
 
 def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
@@ -741,7 +729,7 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
     if t.kind == "IDENT" and t.text == "new":
         m = p.mark()
         try:
-            node = _parse_new(p, ctx, registry, _parse_system, SSysRes)
+            node = _parse_new(p, ctx, registry, _parse_system)
             if p.at("|"):
                 raise ParseError(p.peek().span, "process composition after restriction")
             return node
@@ -769,7 +757,7 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
         p.take()
         if p.at_ident("new"):
             try:
-                node = _parse_new(p, ctx, registry, _parse_system, SSysRes, closing=True)
+                node = _parse_new(p, ctx, registry, _parse_system, closing=True)
                 if p.at("|"):
                     raise ParseError(p.peek().span,
                                      "process composition after restriction")
@@ -810,10 +798,8 @@ def _promote_names(node, names: set[str]):
                                            cont=go(cont))
             case PInp(_, _, cont):
                 return dataclasses.replace(nd, cont=go(cont))
-            case PRes(_, _, body) | SSysRes(_, _, body):
-                return dataclasses.replace(nd, body=go(body))
-            case PPar(l, r) | SSysPar(l, r):
-                return dataclasses.replace(nd, left=go(l), right=go(r))
+            case Block(_, comps):
+                return dataclasses.replace(nd, comps=tuple(map(go, comps)))
             case PRepl(body):
                 return dataclasses.replace(nd, body=go(body))
             case PIf(_, lhs, rhs, then, els):
@@ -1151,39 +1137,49 @@ def _render_placeholder(k: Placeholder, annot: Optional[PrivacyType]) -> str:
     return body
 
 
+def _is_par(node) -> bool:
+    return isinstance(node, Block) and not node.binders
+
+
+def _render_block(b: Block, render, sep: str) -> str:
+    """Restrictions as prefixes, then the components joined by `sep`; a
+    component that is a block is parenthesized, except the last one: as the
+    right operand of a composition it is parenthesized only when it has
+    binders, and as the lone body of restrictions only when it has none."""
+    *init, last = b.comps
+    texts = [f"({render(c)})" if isinstance(c, Block) else render(c) for c in init]
+    text = render(last)
+    if isinstance(last, Block) and bool(last.binders) == bool(init):
+        text = f"({text})"
+    body = sep.join(texts + [text])
+    if b.binders and init:
+        body = f"({body})"
+    news = "".join(f"(new {n}{f' : {render_type(a)}' if a is not None else ''}) "
+                   for n, a in b.binders)
+    return news + body
+
+
 def render_process(p: Process) -> str:
     match p:
         case PNil():
             return "0"
         case POut(s, objs, cont):
             c = render_process(cont)
-            if isinstance(cont, PPar):
+            if _is_par(cont):
                 c = f"({c})"
             return f"{render_term(s)}!<{', '.join(render_term(o) for o in objs)}>. {c}"
         case PInp(s, pats, cont):
             annots = p.annots or tuple(None for _ in pats)
             ps = ", ".join(_render_placeholder(k, a) for k, a in zip(pats, annots))
             c = render_process(cont)
-            if isinstance(cont, PPar):
+            if _is_par(cont):
                 c = f"({c})"
             return f"{render_term(s)}?({ps}). {c}"
-        case PRes(n, annot, body):
-            a = f" : {render_type(annot)}" if annot is not None else ""
-            b = render_process(body)
-            if isinstance(body, PPar):
-                b = f"({b})"
-            return f"(new {n}{a}) {b}"
-        case PPar(l, r):
-            ls = render_process(l)
-            if isinstance(l, (PPar, PRes)):
-                ls = f"({ls})"
-            rs = render_process(r)
-            if isinstance(r, PRes):
-                rs = f"({rs})"
-            return f"{ls} | {rs}"
+        case Block():
+            return _render_block(p, render_process, " | ")
         case PRepl(body):
             b = render_process(body)
-            if isinstance(body, (PPar, PRes)):
+            if isinstance(body, Block):
                 b = f"({b})"
             return f"* {b}"
         case PIf(op, lhs, rhs, then, els):
@@ -1205,20 +1201,8 @@ def render_system(s: System) -> str:
             return f"{g}[ {render_process(proc)} ]"
         case SGroupSys(g, body):
             return f"{g}[ {render_system(body)} ]"
-        case SSysPar(l, r):
-            ls = render_system(l)
-            if isinstance(l, (SSysPar, SSysRes)):
-                ls = f"({ls})"
-            rs = render_system(r)
-            if isinstance(r, SSysRes):
-                rs = f"({rs})"
-            return f"{ls} || {rs}"
-        case SSysRes(n, annot, body):
-            a = f" : {render_type(annot)}" if annot is not None else ""
-            b = render_system(body)
-            if isinstance(body, (SSysPar,)):
-                b = f"({b})"
-            return f"(new {n}{a}) {b}"
+        case Block():
+            return _render_block(s, render_system, " || ")
         case SBare(proc):
             return render_process(proc)
     raise KernelError(str(s))

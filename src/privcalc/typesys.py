@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .kernel import (
-    DConst, DVar, Hidden, IVar, Known, PAnon, PIf, PInp, PNil, POut, PPair,
-    PPar, PRepl, PRes, PStore, PVar, Placeholder, PrivacyType, PrivateData,
-    Process, SBare, SGroupProc, SGroupSys, SSysPar, SSysRes, Span, System,
-    TChan, TConst, TDual, TName, TPriv, TPrivate, TPurpose, TVar, Term,
-    placeholder_vars,
+    Block, DConst, DVar, Hidden, IVar, Known, PAnon, PIf, PInp, PNil, POut,
+    PPair, PRepl, PStore, PVar, Placeholder, PrivacyType, PrivateData,
+    Process, SBare, SGroupProc, SGroupSys, Span, System, TChan, TConst,
+    TDual, TName, TPriv, TPrivate, TPurpose, TVar, Term, placeholder_vars,
 )
 from .policy import (
     AGGREGATE, FlatHierarchy, Lambda, OMEGA, Perm, PermSet, READ, READID,
@@ -409,11 +408,10 @@ def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
             case PInp(s, pats, cont):
                 inner = shadowed or any(name in placeholder_vars(k) for k in pats)
                 scan(cont, inner)
-            case PRes(n, _, bd) | SSysRes(n, _, bd):
-                scan(bd, shadowed or n == name)
-            case PPar(l, r) | SSysPar(l, r):
-                scan(l, shadowed)
-                scan(r, shadowed)
+            case Block(bs, cs):
+                inner = shadowed or any(n == name for n, _ in bs)
+                for c in cs:
+                    scan(c, inner)
             case PRepl(bd):
                 scan(bd, shadowed)
             case PIf(_, _, _, th, el):
@@ -428,6 +426,26 @@ def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
     if len(candidates) == 1:
         return next(iter(candidates))
     return None
+
+
+def _bind_block(gamma: Gamma, node: Block) -> tuple[Gamma, Optional[str]]:
+    """The environment extended with the block's restrictions, outermost
+    first, each typed by its annotation or else inferred from its scope;
+    and the first binder whose type cannot be determined, which stays
+    unbound."""
+    missing = None
+    for k, (n, annot) in enumerate(node.binders):
+        ty = annot or _infer_binder_type(gamma, n, Block(node.binders[k + 1:], node.comps))
+        if ty is not None:
+            gamma = gamma.bind_atom(n, ty)
+        elif missing is None:
+            missing = n
+    return gamma, missing
+
+
+def _unannotated(name: str, span) -> TypingError:
+    return TypingError("UnannotatedRestriction",
+                       f"cannot determine the type of (new {name})", span)
 
 
 def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTyping:
@@ -489,26 +507,24 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
             body = type_process(g2, cont, id_direction)
             return ProcTyping(body.lam, body.zrecs, body.delta.uplus(delta))
 
-        case PRes(name, annot, body):
-            ty = annot or _infer_binder_type(gamma, name, body)
-            if ty is None:
-                raise TypingError("UnannotatedRestriction",
-                                  f"cannot determine the type of (new {name})", p.span)
-            inner = type_process(gamma.bind_atom(name, ty), body, id_direction)
-            return ProcTyping(inner.lam - {name}, inner.zrecs, inner.delta)
-
-        case PPar(left, right):
-            lt = type_process(gamma, left, id_direction)
-            rt = type_process(gamma, right, id_direction)
-            lam = _merge_lam(lt.lam, rt.lam, p.span)
-            agg = EMPTY_DELTA
-            for (ik1, t1) in lt.zrecs:
-                for (ik2, t2) in rt.zrecs:
-                    if ik1 == ik2 or ik1[0] == "var" or ik2[0] == "var":
-                        agg = agg.uplus(_delta1(t1, [AGGREGATE]))
-                        agg = agg.uplus(_delta1(t2, [AGGREGATE]))
-            return ProcTyping(lam, lt.zrecs + rt.zrecs,
-                              lt.delta.uplus(rt.delta).uplus(agg))
+        case Block(bs, cs):
+            g, missing = _bind_block(gamma, p)
+            if missing is not None:
+                raise _unannotated(missing, p.span)
+            typings = [type_process(g, c, id_direction) for c in cs]
+            # folded from the right, as nested binary compositions
+            rt = typings[-1]
+            for lt in reversed(typings[:-1]):
+                lam = _merge_lam(lt.lam, rt.lam, p.span)
+                agg = EMPTY_DELTA
+                for (ik1, t1) in lt.zrecs:
+                    for (ik2, t2) in rt.zrecs:
+                        if ik1 == ik2 or ik1[0] == "var" or ik2[0] == "var":
+                            agg = agg.uplus(_delta1(t1, [AGGREGATE]))
+                            agg = agg.uplus(_delta1(t2, [AGGREGATE]))
+                rt = ProcTyping(lam, lt.zrecs + rt.zrecs,
+                                lt.delta.uplus(rt.delta).uplus(agg))
+            return ProcTyping(rt.lam.difference(n for n, _ in bs), rt.zrecs, rt.delta)
 
         case PRepl(body):
             inner = type_process(gamma, body, id_direction)
@@ -547,23 +563,16 @@ def type_system(gamma: Gamma, s: System, id_direction: str = "anon",
             inner = type_system(gamma, body, id_direction, _at_root=False)
             return SysTyping(inner.lam, inner.theta.prefixed(group))
 
-        case SSysPar(left, right):
-            lt = type_system(gamma, left, id_direction, _at_root=False)
-            rt = type_system(gamma, right, id_direction, _at_root=False)
-            lam = _merge_lam(lt.lam, rt.lam, s.span)
-            out = SysTyping(lam, lt.theta.concat(rt.theta))
-            if _at_root:
-                _check_closed(out, s)
-            return out
-
-        case SSysRes(name, annot, body):
-            ty = annot or _infer_binder_type(gamma, name, body)
-            if ty is None:
-                raise TypingError("UnannotatedRestriction",
-                                  f"cannot determine the type of (new {name})", s.span)
-            inner = type_system(gamma.bind_atom(name, ty), body, id_direction,
-                                _at_root=False)
-            out = SysTyping(inner.lam - {name}, inner.theta)
+        case Block(bs, cs):
+            g, missing = _bind_block(gamma, s)
+            if missing is not None:
+                raise _unannotated(missing, s.span)
+            typings = [type_system(g, c, id_direction, _at_root=False) for c in cs]
+            lam, theta = typings[-1].lam, typings[-1].theta
+            for lt in reversed(typings[:-1]):
+                lam = _merge_lam(lt.lam, lam, s.span)
+                theta = lt.theta.concat(theta)
+            out = SysTyping(lam.difference(n for n, _ in bs), theta)
             if _at_root:
                 _check_closed(out, s)
             return out

@@ -7,10 +7,9 @@ from __future__ import annotations
 import random
 
 from privcalc.kernel import (
-    DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair, PPar,
-    PRepl, PRes, PStore, PVar, PrivateData, Process, SBare, SGroupProc,
-    SGroupSys, SSysPar, SSysRes, System, TChan, TConst, TName, TPriv,
-    TPrivate, TPurpose, TVar,
+    Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
+    PRepl, PStore, PVar, PrivateData, Process, SGroupProc, SGroupSys, System,
+    TChan, TConst, TName, TPriv, TPrivate, TPurpose, TVar,
 )
 from privcalc.policy import (
     AGGREGATE, FIN, Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, READ,
@@ -19,6 +18,24 @@ from privcalc.policy import (
 )
 from privcalc.syntax import Gamma
 from privcalc.typesys import Theta, ThetaEntry
+
+
+# --- node builders ----------------------------------------------------------------
+
+def par(*comps):
+    """The parallel composition of the components, in either family, shaped
+    as the parser reads its rendering: a trailing composition joins the
+    block, and a lone component stands for itself."""
+    last = comps[-1]
+    if len(comps) > 1 and isinstance(last, Block) and not last.binders:
+        comps = comps[:-1] + last.comps
+    return Block((), comps) if len(comps) > 1 else comps[0]
+
+
+def new(name, annot, body):
+    """One restriction over a body, in either family, as the parser builds
+    it."""
+    return Block(((name, annot),), (body,))
 
 
 # --- a fixed vocabulary for random well-typed systems ---------------------------
@@ -97,15 +114,9 @@ def random_system(rng: random.Random) -> System:
     if rng.random() < 0.3:
         pieces_left.append(PNil())
 
-    def par(ps):
-        out = ps[-1]
-        for q in reversed(ps[:-1]):
-            out = PPar(q, out)
-        return out
-
-    left: System = SGroupProc("G2", par(pieces_left))
-    right: System = SGroupProc("G3", par(pieces_right))
-    body: System = SSysPar(left, right)
+    left: System = SGroupProc("G2", par(*pieces_left))
+    right: System = SGroupProc("G3", par(*pieces_right))
+    body: System = par(left, right)
     if rng.random() < 0.5:
         body = SGroupSys("G1", body)
     return body
@@ -217,12 +228,6 @@ def store_programs() -> list[Process]:
     seq_read = PInp(TName("rA"), (PPair("x", "y"),),
                     PInp(TName("rA"), (PPair("x2", "y2"),), NIL))
     anon_readerA = PInp(TName("rA"), (PAnon("y"),), NIL)
-
-    def par(*ps):
-        out = ps[-1]
-        for q in reversed(ps[:-1]):
-            out = PPar(q, out)
-        return out
 
     programs = [
         par(sA, readerA),

@@ -1,8 +1,8 @@
 import pytest
 
 from privcalc.kernel import (
-    DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair, PPar,
-    PRepl, PRes, PStore, PVar, PrivateData, TConst, TDual, TName, TPriv,
+    Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
+    PRepl, PStore, PVar, PrivateData, TConst, TDual, TName, TPriv,
     alpha_eq, free_names, normalize,
 )
 from privcalc import encoding
@@ -14,6 +14,7 @@ from privcalc.semantics import reference_names, tau_successors
 from privcalc.syntax import parse_process, render_process
 
 import gen
+from gen import par
 
 
 def priv(ident, tok):
@@ -35,17 +36,17 @@ class TestEncode:
         assert encode(NIL) == NIL
 
     def test_reference_read_opens_session(self):
-        p = PPar(STORE, PInp(TName("r"), (PPair("x", "y"),), NIL))
+        p = par(STORE, PInp(TName("r"), (PPair("x", "y"),), NIL))
         txt = render_core(encode(p))
         assert "r!<a>. a <| rd. a?({x # y}). 0" in txt
 
     def test_anonymous_read_erases_identity(self):
-        p = PPar(STORE, PInp(TName("r"), (PAnon("y"),), NIL))
+        p = par(STORE, PInp(TName("r"), (PAnon("y"),), NIL))
         txt = render_core(encode(p))
         assert "<| rd" in txt and "# y}). 0" in txt
 
     def test_write_retry_loop(self):
-        p = PPar(STORE, POut(TName("r"), (priv(Known("id"), "c2"),), NIL))
+        p = par(STORE, POut(TName("r"), (priv(Known("id"), "c2"),), NIL))
         txt = render_core(encode(p))
         assert "<| wr" in txt and "ok:" in txt and "fail:" in txt
 
@@ -66,11 +67,11 @@ class TestEncode:
 
     def test_homomorphic_over_par_res_repl_if(self):
         reader = PInp(TName("r"), (PPair("x", "y"),), NIL)
-        p = PPar(STORE, reader)
+        p = par(STORE, reader)
         enc = encode(p)
-        assert isinstance(enc, PPar)
-        assert alpha_eq(enc.left, encode(STORE))
-        assert alpha_eq(enc.right, encode(reader, refs=frozenset({"r"})))
+        assert isinstance(enc, Block) and not enc.binders
+        assert alpha_eq(enc.comps[0], encode(STORE))
+        assert alpha_eq(enc.comps[1], encode(reader, refs=frozenset({"r"})))
         q = PRepl(PIf("=", TConst("a"), TConst("a"), reader, NIL))
         enc_q = encode(q, refs=frozenset({"r"}))
         assert isinstance(enc_q, PRepl) and isinstance(enc_q.body, PIf)
@@ -82,7 +83,7 @@ class TestEncode:
 
 class TestCoreStep:
     def test_label_synchronization(self):
-        p = PPar(select(TName("a"), "rd", NIL),
+        p = par(select(TName("a"), "rd", NIL),
                  branch(TName("a"), {"rd": POut(TName("b"), (TConst("k"),), NIL),
                                      "wr": NIL}, "lbl"))
         succs = [core_canonical(s) for s in tau_successors(p)]
@@ -90,17 +91,17 @@ class TestCoreStep:
         assert succs[0] == core_canonical(POut(TName("b"), (TConst("k"),), NIL))
 
     def test_plain_communication(self):
-        p = PPar(POut(TName("a"), (TConst("k"),), NIL),
+        p = par(POut(TName("a"), (TConst("k"),), NIL),
                  PInp(TName("a"), (PVar("x"),), POut(TName("b"), (TVarOr("x"),), NIL)))
         succs = tau_successors(p)
         assert len(succs) == 1
 
     def test_encoded_read_starts_with_handshake(self):
-        p = PPar(STORE, PInp(TName("r"), (PPair("x", "y"),), NIL))
+        p = par(STORE, PInp(TName("r"), (PPair("x", "y"),), NIL))
         enc = encode(p)
         firsts = tau_successors(enc)
         assert firsts  # the cell hand-off and the session handshake race
-        assert all(isinstance(s, (PPar, PRes)) for s in firsts)
+        assert all(isinstance(s, Block) for s in firsts)
 
 
 def TVarOr(x):
@@ -110,12 +111,12 @@ def TVarOr(x):
 
 class TestCorrespondence:
     def test_store_read_pair(self):
-        p = PPar(STORE, PInp(TName("r"), (PPair("x", "y"),), NIL))
+        p = par(STORE, PInp(TName("r"), (PPair("x", "y"),), NIL))
         report = check_correspondence(p, 12)
         assert report.ok and report.source_steps == 1
 
     def test_mismatched_write_reverts(self):
-        p = PPar(STORE, POut(TName("r"), (priv(Known("other"), "c2"),), NIL))
+        p = par(STORE, POut(TName("r"), (priv(Known("other"), "c2"),), NIL))
         report = check_correspondence(p, 12)
         assert report.ok
         assert report.source_steps == 0

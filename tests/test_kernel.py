@@ -6,12 +6,13 @@ from conftest import CORPUS
 from privcalc import kernel
 from privcalc.syntax import parse_env, parse_process, parse_system
 from privcalc.kernel import (
-    DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError, Known,
-    NIL, PAnon, PIf, PInp, PNil, POut, PPair, PPar, PRepl, PRes, PStore,
-    PVar, PrivateData, TChan, TConst, TDual, TName, TPriv, TPrivate, TVar,
+    Block, DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError,
+    Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair, PRepl, PStore, PVar,
+    PrivateData, TChan, TConst, TDual, TName, TPriv, TPrivate, TVar,
     _canonical_rename, _rename_name, alpha_eq, free_atoms, free_names, free_vars,
-    normalize, par_components, substitute,
+    normalize, substitute,
 )
+from gen import new, par
 
 
 def priv(ident, tok):
@@ -68,11 +69,11 @@ class TestSubstitute:
 
     def test_capture_avoidance(self):
         # substituting a name under a binder of the same name renames it
-        body = PRes("n", None, POut(TVar("w"), (TName("n"),), NIL))
+        body = new("n", None, POut(TVar("w"), (TName("n"),), NIL))
         out = substitute(body, TName("n"), PVar("w"))
-        assert isinstance(out, PRes)
-        assert out.name != "n"
-        assert out.body.subject == TName("n")
+        assert isinstance(out, Block) and len(out.binders) == 1
+        assert out.binders[0][0] != "n"
+        assert out.comps[0].subject == TName("n")
 
     def test_data_slot_substitution(self):
         # a plain variable received at a constant fills data slots
@@ -88,11 +89,11 @@ class TestFreeNamesVars:
         assert free_names(st) == {"r"}
 
     def test_binder_covers_sole_use(self):
-        p = PRes("n", None, POut(TName("n"), (TConst("c"),), NIL))
+        p = new("n", None, POut(TName("n"), (TConst("c"),), NIL))
         assert free_names(p) == frozenset()
 
     def test_par_with_store(self):
-        p = PPar(POut(TName("a"), (TName("r"),), NIL),
+        p = par(POut(TName("a"), (TName("r"),), NIL),
                  PStore("r", PrivateData(Known("id"), DConst("c"))))
         assert free_names(p) == {"a", "r"}
 
@@ -106,7 +107,7 @@ class TestFreeNamesVars:
 class TestNormalize:
     def test_nil_unit(self):
         p = POut(TName("a"), (TConst("c"),), NIL)
-        assert normalize(PPar(NIL, p)) == normalize(p)
+        assert normalize(par(NIL, p)) == normalize(p)
 
     def test_input_variable_does_not_capture_a_name(self):
         # substitution leaves a received name n under an input that binds a
@@ -120,7 +121,7 @@ class TestNormalize:
         # b is a free name, not the variable b bound around the block: sort
         # keys must read it as b both before and after the renaming
         t = PInp(TName("a"), (PVar("b"),),
-                 PPar(POut(TName("b"), (TName("b"),), NIL),
+                 par(POut(TName("b"), (TName("b"),), NIL),
                       POut(TName("a"), (TName("b"),), NIL)))
         kernel._norm_cache.clear()
         n = normalize(t)
@@ -128,8 +129,8 @@ class TestNormalize:
         assert normalize(n) == n
 
     def test_normal_form_answers_itself(self):
-        p = PPar(POut(TName("b"), (TConst("c"),), NIL),
-                 PRes("n", None, POut(TName("n"), (TConst("c"),), NIL)))
+        p = par(POut(TName("b"), (TConst("c"),), NIL),
+                 new("n", None, POut(TName("n"), (TConst("c"),), NIL)))
         kernel._norm_cache.clear()
         n = normalize(p)
         entries = len(kernel._norm_cache)
@@ -137,35 +138,35 @@ class TestNormalize:
         assert len(kernel._norm_cache) == entries
 
     def test_restricted_nil(self):
-        assert normalize(PRes("a", None, NIL)) == NIL
+        assert normalize(new("a", None, NIL)) == NIL
 
     def test_system_nil_unit(self):
-        from privcalc.kernel import SBare, SGroupProc, SSysPar, SSysRes
+        from privcalc.kernel import SBare, SGroupProc
         g = SGroupProc("G", POut(TName("a"), (TConst("c"),), NIL))
-        assert normalize(SSysPar(SBare(NIL), g)) == normalize(g)
-        assert normalize(SSysRes("a", None, SBare(NIL))) == SBare(NIL)
+        assert normalize(par(SBare(NIL), g)) == normalize(g)
+        assert normalize(new("a", None, SBare(NIL))) == SBare(NIL)
 
     def test_commutative(self):
         p = POut(TName("a"), (TConst("c"),), NIL)
         q = PInp(TName("b"), (PVar("x"),), NIL)
-        assert normalize(PPar(p, q)) == normalize(PPar(q, p))
+        assert normalize(par(p, q)) == normalize(par(q, p))
 
     def test_associative(self):
         p = POut(TName("a"), (TConst("c"),), NIL)
         q = POut(TName("b"), (TConst("c"),), NIL)
         r = POut(TName("d"), (TConst("c"),), NIL)
-        assert normalize(PPar(PPar(p, q), r)) == normalize(PPar(p, PPar(q, r)))
+        assert normalize(par(par(p, q), r)) == normalize(par(p, par(q, r)))
 
     def test_scope_extrusion(self):
         q = POut(TName("b"), (TConst("c"),), NIL)
         p = POut(TName("n"), (TConst("c"),), NIL)
-        assert normalize(PPar(PRes("n", None, p), q)) == \
-            normalize(PRes("n", None, PPar(p, q)))
+        assert normalize(par(new("n", None, p), q)) == \
+            normalize(new("n", None, par(p, q)))
 
     def test_binder_commute(self):
         body = POut(TName("n"), (TName("m"),), NIL)
-        a = PRes("n", None, PRes("m", None, body))
-        b = PRes("m", None, PRes("n", None, body))
+        a = new("n", None, new("m", None, body))
+        b = new("m", None, new("n", None, body))
         assert normalize(a) == normalize(b)
 
     def test_hoisting_keeps_nested_restrictions_apart(self):
@@ -177,10 +178,10 @@ class TestNormalize:
         def out(n):
             return POut(TName(n), (TConst("c"),), NIL)
 
-        shadowed = PPar(inp("b"),
-                        PRes("b", None, PPar(PRes("b", None, inp("b")), out("b"))))
-        renamed = PPar(inp("b"),
-                       PRes("b1", None, PPar(PRes("b2", None, inp("b2")), out("b1"))))
+        shadowed = par(inp("b"),
+                        new("b", None, par(new("b", None, inp("b")), out("b"))))
+        renamed = par(inp("b"),
+                       new("b1", None, par(new("b2", None, inp("b2")), out("b1"))))
         assert normalize(shadowed) == normalize(renamed)
 
     def test_outer_binder_names_do_not_order_components(self):
@@ -214,14 +215,14 @@ class TestNormalize:
         assert len(forms) == 1
 
     def test_idempotent_on_examples(self):
-        p = PPar(PRes("n", None, PPar(NIL, POut(TName("n"), (TConst("c"),), NIL))),
+        p = par(new("n", None, par(NIL, POut(TName("n"), (TConst("c"),), NIL))),
                  PStore("r", PrivateData(Known("id"), DConst("c"))))
         assert normalize(normalize(p)) == normalize(p)
 
     def test_group_boundary_never_crossed(self):
-        from privcalc.kernel import SGroupProc, SSysPar, SSysRes
+        from privcalc.kernel import SGroupProc
         inner = SGroupProc("G", POut(TName("n"), (TConst("c"),), NIL))
-        s = SSysPar(SSysRes("n", None, inner), SGroupProc("H", NIL))
+        s = par(new("n", None, inner), SGroupProc("H", NIL))
         n = normalize(s)
         # the restriction may commute with the parallel but not enter G[...]
         from privcalc.kernel import SGroupSys
@@ -232,21 +233,19 @@ class TestNormalize:
                     return [proc]
                 case SGroupSys(_, body):
                     return group_bodies(body)
-                case SSysPar(l, r):
-                    return group_bodies(l) + group_bodies(r)
-                case SSysRes(_, _, body):
-                    return group_bodies(body)
+                case Block(_, comps):
+                    return [b for c in comps for b in group_bodies(c)]
                 case _:
                     return []
         for body in group_bodies(n):
-            assert not isinstance(body, PRes) or body.name != "n" or True
+            assert not isinstance(body, Block) or "n" not in dict(body.binders) or True
         assert "n" not in free_atoms(n)
 
 
 class TestAlphaEq:
     def test_restriction(self):
-        a = PRes("a", None, POut(TName("a"), (TConst("c"),), NIL))
-        b = PRes("b", None, POut(TName("b"), (TConst("c"),), NIL))
+        a = new("a", None, POut(TName("a"), (TConst("c"),), NIL))
+        b = new("b", None, POut(TName("b"), (TConst("c"),), NIL))
         assert alpha_eq(a, b)
 
     def test_input_binder(self):
@@ -266,8 +265,8 @@ class TestAlphaEq:
 
     def test_bound_name_differs_from_free_name(self):
         # (new a) a!<b>  has b free, (new b) b!<b>  does not
-        a = PRes("a", None, POut(TName("a"), (TName("b"),), NIL))
-        b = PRes("b", None, POut(TName("b"), (TName("b"),), NIL))
+        a = new("a", None, POut(TName("a"), (TName("b"),), NIL))
+        b = new("b", None, POut(TName("b"), (TName("b"),), NIL))
         assert not alpha_eq(a, b) and not alpha_eq(b, a)
 
     def test_input_annotations_matter(self):
@@ -282,16 +281,18 @@ class TestAlphaEq:
 class TestRenameName:
     def test_restriction_binding_new_name_is_renamed_away(self):
         # (new b) a!<b>  with a := b  must not capture the incoming b
-        p = PRes("b", None, POut(TName("a"), (TName("b"),), NIL))
+        p = new("b", None, POut(TName("a"), (TName("b"),), NIL))
         out = _rename_name(p, "a", "b")
-        assert isinstance(out, PRes) and out.name not in ("a", "b")
-        assert out.body == POut(TName("b"), (TName(out.name),), NIL)
+        assert isinstance(out, Block) and len(out.binders) == 1
+        name = out.binders[0][0]
+        assert name not in ("a", "b")
+        assert out.comps == (POut(TName("b"), (TName(name),), NIL),)
         assert free_atoms(out) == {"b"}
 
     def test_restriction_binding_old_name_stops_renaming(self):
-        inner = PRes("a", None, POut(TName("a"), (TConst("c"),), NIL))
-        p = PPar(POut(TName("a"), (TConst("c"),), NIL), inner)
-        assert _rename_name(p, "a", "z") == PPar(POut(TName("z"), (TConst("c"),), NIL), inner)
+        inner = new("a", None, POut(TName("a"), (TConst("c"),), NIL))
+        p = par(POut(TName("a"), (TConst("c"),), NIL), inner)
+        assert _rename_name(p, "a", "z") == par(POut(TName("z"), (TConst("c"),), NIL), inner)
 
     def test_bare_terms(self):
         assert _rename_name(TName("a"), "a", "z") == TName("z")
@@ -324,9 +325,9 @@ def _gen_process(rng: random.Random, depth: int, bound: list[str]):
                     _gen_process(rng, depth - 1, bound + vs))
     if kind == 3:
         n = f"n{rng.randrange(100)}"
-        return PRes(n, None, _gen_process(rng, depth - 1, bound))
+        return new(n, None, _gen_process(rng, depth - 1, bound))
     if kind == 4:
-        return PPar(_gen_process(rng, depth - 1, bound),
+        return par(_gen_process(rng, depth - 1, bound),
                     _gen_process(rng, depth - 1, bound))
     if kind == 5:
         return PRepl(_gen_process(rng, depth - 1, bound))
@@ -404,9 +405,12 @@ def _inputs(p):
             yield from _inputs(cont)
         case POut(_, _, cont):
             yield from _inputs(cont)
-        case PRes(_, _, body) | PRepl(body):
+        case PRepl(body):
             yield from _inputs(body)
-        case PPar(l, r) | PIf(_, _, _, l, r):
+        case Block(_, comps):
+            for c in comps:
+                yield from _inputs(c)
+        case PIf(_, _, _, l, r):
             yield from _inputs(l)
             yield from _inputs(r)
 
@@ -450,32 +454,34 @@ def _apply_axiom(rng: random.Random, p):
     """Rewrite one structural-congruence axiom somewhere in the term."""
     choice = rng.randrange(6)
     match p:
-        case PPar(l, r):
+        case Block((), (l, *rest)):
+            r = par(*rest)
             if choice == 0:
-                return PPar(r, l)
+                return par(r, l)
             if choice == 1:
-                return PPar(l, PPar(r, NIL))
-            if choice == 2 and isinstance(l, PPar):
-                return PPar(l.left, PPar(l.right, r))
-            return PPar(_apply_axiom(rng, l), r)
-        case PRes(n, a, body):
+                return par(l, par(r, NIL))
+            match l:
+                case Block((), (ll, *lr)) if choice == 2:
+                    return par(ll, par(*lr, r))
+            return par(_apply_axiom(rng, l), r)
+        case Block(((n, a),), (body,)):
             if choice == 0 and body == NIL:
                 return NIL
             if choice == 1:
                 # alpha-rename the binder
                 from privcalc.kernel import _rename_name, fresh_name, free_atoms
                 n2 = fresh_name(n + "z", free_atoms(body))
-                return PRes(n2, a, _rename_name(body, n, n2))
-            return PRes(n, a, _apply_axiom(rng, body))
+                return new(n2, a, _rename_name(body, n, n2))
+            return new(n, a, _apply_axiom(rng, body))
         case POut(_, _, cont):
             return p.__class__(p.subject, p.objects, _apply_axiom(rng, cont))
         case PRepl(body):
             return PRepl(_apply_axiom(rng, body))
         case PNil():
             if choice == 0:
-                return PPar(p, NIL)
+                return par(p, NIL)
             if choice == 1:
-                return PRes("zz", None, NIL)
+                return new("zz", None, NIL)
             return p
         case _:
             return p

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from privcalc.kernel import (
-    DConst, HIDDEN, Known, NIL, PIf, PInp, POut, PPair, PPar, PStore, PVar,
+    DConst, HIDDEN, Known, NIL, PIf, PInp, POut, PPair, PStore, PVar,
     PrivateData, TChan, TConst, TName, TPriv, TPrivate,
 )
 from privcalc.policy import PermSet, Policy, Hierarchy, READ, disseminate

@@ -4,13 +4,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from privcalc.kernel import (
-    DConst, HIDDEN, Known, NIL, PAnon, PInp, POut, PPair, PPar, PRes, PStore,
-    PVar, PrivateData, SBare, SGroupProc, SGroupSys, SSysPar, SSysRes, TConst,
-    TName, TPriv, alpha_eq, normalize,
+    Block, DConst, HIDDEN, Known, NIL, PAnon, PInp, POut, PPair, PStore,
+    PVar, PrivateData, SBare, SGroupProc, SGroupSys, TConst, TName, TPriv,
+    alpha_eq, normalize,
 )
 from privcalc.semantics import (
     InpLabel, OutLabel, TAU, check_preservation, default_universe, dual,
-    explore, feed, input_labels, tau_successors, transitions, visible_outs,
+    explore, feed, input_labels, state_key, tau_successors, transitions, visible_outs,
 )
 from privcalc.syntax import (
     _lower_system, parse_env, parse_process, parse_system, render_process,
@@ -18,10 +18,19 @@ from privcalc.syntax import (
 from privcalc.typesys import interface_leq, type_system
 
 import gen
+from gen import par
 
 
 def priv(ident, tok):
     return TPriv(PrivateData(ident, DConst(tok)))
+
+
+def _wide_text(width):
+    """A group of `width` components, each busy on a name of its own, plus
+    one pair on c that can communicate once."""
+    return ("G[ " + " | ".join(f"(new x{i}) x{i}!<k>. 0" if i % 2 else
+                               f"(new x{i}) x{i}?(v{i}). 0" for i in range(width))
+            + " | c!<k>. 0 | c?(v). 0 ]")
 
 
 class TestDual:
@@ -90,7 +99,7 @@ class TestLabels:
     def test_uninitialized_store_takes_any_identity(self):
         from privcalc.kernel import DVar, IVar, SGroupProc
         g = parse_env("r : G1[t<g>]\n{id # c2} : t<g>\n{x # y} : t<g>\n").value
-        raw = SSysPar(
+        raw = par(
             SGroupProc("G1", PStore("r", PrivateData(IVar("x"), DVar("y")))),
             parse_system("G2[ r!<{id # c2}>. 0 ]", g).value)
         succs = tau_successors(raw)
@@ -98,7 +107,7 @@ class TestLabels:
         want = parse_system("G1[ store r {id # c2} ] || G2[ 0 ]", g).value
         assert normalize(succs[0]) == normalize(want)
         # anonymous writes cannot pick an identity for an uninitialized store
-        raw2 = SSysPar(
+        raw2 = par(
             SGroupProc("G1", PStore("r", PrivateData(IVar("x"), DVar("y")))),
             parse_system("G2[ r!<{_ # c2}>. 0 ]",
                          parse_env("r : G1[t<g>]\n{_ # c2} : t<g>\n").value).value)
@@ -147,11 +156,8 @@ class TestExplore:
         assert len(keys) == len(graph.nodes)
 
     @pytest.mark.parametrize("text", [
-        "G[ " + "c!<k>. " * 480 + "0 | c?(v). 0 ]",
-        "G[ " + " | ".join(f"(new x{i}) x{i}!<k>. 0" if i % 2 else
-                           f"(new x{i}) x{i}?(v{i}). 0" for i in range(200))
-        + " | c!<k>. 0 | c?(v). 0 ]",
-    ], ids=["prefix480", "width200"])
+        "G[ " + "c!<k>. " * 480 + "0 | c?(v). 0 ]", _wide_text(200), _wide_text(256),
+    ], ids=["prefix480", "width200", "width256"])
     def test_large_terms(self, text):
         # only the pair on c can move, once; comparing a normal form with
         # the previous round's used to overflow the stack on such terms
@@ -165,6 +171,16 @@ class TestExplore:
         # does; below the test runner's frames the parser rejects the chain
         with ThreadPoolExecutor(1) as pool:
             assert pool.submit(explore2).result(timeout=120) == (2, 1, False)
+
+    def test_width800_steps_once(self):
+        # one flat block of 802 components: no walker descends once per
+        # component, so nothing nests deeper than the term's prefixes
+        res = parse_system(_wide_text(800))
+        assert res.ok, res.diagnostics
+        root = normalize(res.value)
+        succs = tau_successors(root)
+        assert len(succs) == 1
+        assert state_key(succs[0]) != state_key(root)
 
 
 class TestPreservation:
@@ -217,8 +233,8 @@ def test_congruence_respects_transitions():
 
 def _flip_par(node):
     match node:
-        case SSysPar(l, r):
-            return SSysPar(r, l)
+        case Block((), (l, *r)):
+            return par(par(*r), l)
         case SGroupProc(grp, proc):
             return SGroupProc(grp, _flip_proc(proc))
         case _:
@@ -227,20 +243,18 @@ def _flip_par(node):
 
 def _flip_proc(p):
     match p:
-        case PPar(l, r):
-            return PPar(r, l)
+        case Block((), (l, *r)):
+            return par(par(*r), l)
         case _:
             return p
 
 
 def _lift(p):
-    """The process's top-level | / new spine as system composition and
-    restriction over bare leaves."""
+    """The process's top-level | / new spine as system-level blocks over
+    bare leaves."""
     match p:
-        case PPar(l, r):
-            return SSysPar(_lift(l), _lift(r))
-        case PRes(name, annot, body):
-            return SSysRes(name, annot, _lift(body))
+        case Block(binders, comps):
+            return Block(binders, tuple(map(_lift, comps)))
         case _:
             return SBare(p)
 
@@ -251,9 +265,9 @@ def _group_contents(s):
             yield p
         case SGroupSys(_, body):
             yield from _group_contents(body)
-        case SSysPar(l, r):
-            yield from _group_contents(l)
-            yield from _group_contents(r)
+        case Block(_, comps):
+            for c in comps:
+                yield from _group_contents(c)
 
 
 EXTRUSION_CASES = [
@@ -300,7 +314,7 @@ def test_tau_edges_come_from_dual_pairs():
     g = parse_env("r : G1[t<g>]\n{id # c} : t<g>\n{_ # c2} : t<g>\n").value
     left = parse_system("G1[ store r {id # c} ]", g).value
     right = parse_system("G2[ r?(_ # x). r!<{_ # c2}>. 0 ]", g).value
-    s = SSysPar(left, right)
+    s = par(left, right)
     taus = tau_successors(s)
     # enumerate dual pairs by brute force
     universe = [priv(Known("id"), "c"), priv(HIDDEN, "c"),

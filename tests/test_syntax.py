@@ -3,14 +3,16 @@ import random
 import pytest
 
 from privcalc.kernel import (
-    DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair, PPar,
-    PRepl, PRes, PStore, PVar, PrivateData, SBare, SGroupProc, SGroupSys,
-    SSysPar, SSysRes, TChan, TConst, TName, TPriv, TPrivate, TPurpose, TVar,
+    Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
+    PRepl, PStore, PVar, PrivateData, SBare, SGroupProc, SGroupSys, TChan,
+    TConst, TName, TPriv, TPrivate, TPurpose, TVar,
 )
 from privcalc.syntax import (
     Gamma, parse_env, parse_policy, parse_process, parse_system,
     render_env, render_policy, render_process, render_system,
 )
+
+from gen import new, par
 
 
 class TestParseSystem:
@@ -61,12 +63,12 @@ class TestParseSystem:
     def test_annotations(self):
         res = parse_process("(new r : Car[vehicle_data<speed>]) store r {id # c}")
         assert res.ok
-        assert res.value.annot == TChan("Car", (TPrivate("vehicle_data", "speed"),))
+        assert res.value.binders[0][1] == TChan("Car", (TPrivate("vehicle_data", "speed"),))
 
     def test_group_versus_prefix(self):
         res = parse_system("G[ a!<c>. 0 ] || H[ 0 ]")
         assert res.ok
-        assert isinstance(res.value, SSysPar)
+        assert isinstance(res.value, Block) and not res.value.binders
 
     def test_diagnostic_has_span(self):
         res = parse_system("G[ a!<c> ]")
@@ -179,10 +181,10 @@ class _AstGen:
                                      names, nu_names))
         if k == 3:
             n = self.fresh("nu")
-            return PRes(n, None, self.process(depth - 1, bound_vars,
+            return new(n, None, self.process(depth - 1, bound_vars,
                                               names + [n], nu_names + [n]))
         if k == 4:
-            return PPar(self.process(depth - 1, bound_vars, names, nu_names),
+            return par(self.process(depth - 1, bound_vars, names, nu_names),
                         self.process(depth - 1, bound_vars, names, nu_names))
         if k == 5:
             return PRepl(self.process(depth - 1, bound_vars, names, nu_names))
@@ -201,11 +203,11 @@ class _AstGen:
             return SGroupProc(self.rng.choice(["G", "H"]),
                               self.process(3, [], ["a", "b"], []))
         if k == 1:
-            return SSysPar(self.system(depth - 1), self.system(depth - 1))
+            return par(self.system(depth - 1), self.system(depth - 1))
         if k == 2:
             n = self.fresh("m")
             # restricted names gain name evidence at the binder
-            return SSysRes(n, None,
+            return new(n, None,
                            SGroupProc("G", self.process(3, [], ["a", n], [n])))
         return SGroupSys("Outer", self.system(depth - 1))
 

@@ -4,9 +4,8 @@ import pytest
 
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, Known, NIL, PAnon, PInp, PIf, POut, PPair,
-    PPar, PRepl, PRes, PStore, PVar, PrivateData, SGroupProc, SGroupSys,
-    SSysPar, SSysRes, SBare, TChan, TConst, TName, TPriv, TPrivate, TPurpose,
-    TVar, substitute,
+    PRepl, PStore, PVar, PrivateData, SGroupProc, SGroupSys, SBare, TChan,
+    TConst, TName, TPriv, TPrivate, TPurpose, TVar, substitute,
 )
 from privcalc.policy import (
     FIN, OMEGA, PermSet, READ, READID, REFERENCE, STORE, UPDATE, AGGREGATE,
@@ -19,6 +18,7 @@ from privcalc.typesys import (
 )
 
 import gen
+from gen import new, par
 
 
 def priv(ident, tok):
@@ -120,7 +120,7 @@ class TestTypeProcess:
 
     def test_linearity_violation(self):
         g = parse_env("r : G[t<g>]\n{id # c} : t<g>\n").value
-        p = PPar(PStore("r", PrivateData(Known("id"), DConst("c"))),
+        p = par(PStore("r", PrivateData(Known("id"), DConst("c"))),
                  PStore("r", PrivateData(Known("id"), DConst("c"))))
         with pytest.raises(TypingError) as e:
             type_process(g, p)
@@ -149,7 +149,7 @@ class TestTypeProcess:
         g = parse_env("u : G[G[t<g>]]\nr : G[t<g>]\n{id # c} : t<g>\n").value
         t = type_process(g, PRepl(POut(TName("u"), (TName("r"),), NIL)))
         assert t.delta == Delta({"t": PermSet([disseminate("G", OMEGA)])})
-        p2 = PRepl(PRes("r2", TChan("G", (TPrivate("t", "g"),)),
+        p2 = PRepl(new("r2", TChan("G", (TPrivate("t", "g"),)),
                         PStore("r2", PrivateData(Known("id"), DConst("c")))))
         t2 = type_process(g, p2)
         assert t2.delta == Delta({"t": PermSet([STORE, AGGREGATE])})
@@ -157,7 +157,7 @@ class TestTypeProcess:
     def test_parallel_store_aggregation(self):
         g = parse_env("r : G[t<g>]\ns : G[t2<g>]\n"
                       "{id # c} : t<g>\n{id # d} : t2<g>\n").value
-        p = PPar(PStore("r", PrivateData(Known("id"), DConst("c"))),
+        p = par(PStore("r", PrivateData(Known("id"), DConst("c"))),
                  PStore("s", PrivateData(Known("id"), DConst("d"))))
         t = type_process(g, p)
         assert t.delta == Delta({"t": PermSet([STORE, AGGREGATE]),
@@ -166,7 +166,7 @@ class TestTypeProcess:
     def test_distinct_identities_do_not_aggregate(self):
         g = parse_env("r : G[t<g>]\ns : G[t2<g>]\n"
                       "{id # c} : t<g>\n{jd # d} : t2<g>\n").value
-        p = PPar(PStore("r", PrivateData(Known("id"), DConst("c"))),
+        p = par(PStore("r", PrivateData(Known("id"), DConst("c"))),
                  PStore("s", PrivateData(Known("jd"), DConst("d"))))
         t = type_process(g, p)
         assert t.delta == Delta({"t": PermSet([STORE]), "t2": PermSet([STORE])})
@@ -188,12 +188,12 @@ class TestTypeProcess:
     def test_unannotated_restriction(self):
         g = Gamma()
         with pytest.raises(TypingError) as e:
-            type_process(g, PRes("n", None, NIL))
+            type_process(g, new("n", None, NIL))
         assert e.value.code == "UnannotatedRestriction"
 
     def test_restriction_inference_from_object_position(self):
         g = parse_env("spot : E[E[Car[loc<L>]]]\n").value
-        p = PRes("s", None, POut(TName("spot"), (TName("s"),), NIL))
+        p = new("s", None, POut(TName("spot"), (TName("s"),), NIL))
         t = type_process(g, p)
         assert t.delta == Delta()
 
