@@ -20,7 +20,7 @@ from .kernel import (
     TPriv, TVar, Term, children, free_atoms, fresh_name, normalize,
     placeholder_vars, _block,
 )
-from .syntax import render_process, render_term
+from .syntax import _is_par, render_process, render_term
 from .semantics import _eval_cond, reference_names, tau_successors
 
 __all__ = [
@@ -352,7 +352,7 @@ def render_core(p: Process) -> str:
 
 def _wrap(p: Process) -> str:
     txt = render_core(p)
-    if isinstance(p, Block) and not p.binders:
+    if _is_par(p):
         return f"({txt})"
     return txt
 

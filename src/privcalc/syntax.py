@@ -31,7 +31,7 @@ from .kernel import (
     PNil, POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType,
     PrivateData, Process, SBare, SGroupProc, SGroupSys, Span, System, TChan,
     TConst, TDual, TName, TPriv, TPrivate, TPurpose, TVar, Term, KernelError,
-    placeholder_vars,
+    _block, placeholder_vars,
 )
 from .policy import (
     Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, disseminate, identify,
@@ -528,7 +528,7 @@ def _parse_process(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     while p.at("|"):
         p.take()
         comps.append(_parse_seq(p, ctx, registry))
-    return Block((), tuple(comps)) if len(comps) > 1 else comps[0]
+    return _block((), tuple(comps))
 
 
 def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
@@ -721,7 +721,7 @@ def _parse_system(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
     while p.at("||"):
         p.take()
         comps.append(_parse_sys_atom(p, ctx, registry))
-    return Block((), tuple(comps)) if len(comps) > 1 else comps[0]
+    return _block((), tuple(comps))
 
 
 def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:

@@ -512,7 +512,8 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
             if missing is not None:
                 raise _unannotated(missing, p.span)
             typings = [type_process(g, c, id_direction) for c in cs]
-            # folded from the right, as nested binary compositions
+            # merged from the right, so the first store clash reported is
+            # the one between the last components
             rt = typings[-1]
             for lt in reversed(typings[:-1]):
                 lam = _merge_lam(lt.lam, rt.lam, p.span)
