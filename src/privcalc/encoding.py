@@ -234,13 +234,13 @@ def _rebuild(p: Process, kids: dict, f) -> Process:
     """`p` with `f` applied to the children named in `kids`, or to each
     element of a tuple of children; `p` itself when `f` returns every child
     unchanged."""
-    def apply(c):
-        if not isinstance(c, tuple):
-            return f(c)
-        new = tuple(map(f, c))
-        return c if all(map(operator.is_, new, c)) else new
-
-    new = {name: apply(c) for name, c in kids.items()}
+    new = {}
+    for name, c in kids.items():
+        if isinstance(c, tuple):
+            mapped = tuple(map(f, c))
+            new[name] = c if all(map(operator.is_, mapped, c)) else mapped
+        else:
+            new[name] = f(c)
     return p if all(new[name] is c for name, c in kids.items()) else replace(p, **new)
 
 

@@ -429,7 +429,7 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
             newly = frozenset(x for k in patterns for x in placeholder_vars(k))
             _walk_free(cont, bound_names, bound_vars | newly, out_names, out_vars)
         case Block(binders, comps):
-            inner = bound_names.union(n for n, _ in binders)
+            inner = bound_names.union(n for n, _ in binders) if binders else bound_names
             for c in comps:
                 _walk_free(c, inner, bound_vars, out_names, out_vars)
         case PRepl(body):
@@ -543,8 +543,10 @@ def _rewrite(node, names: dict[str, str],
                            datum=_rewrite(TPriv(datum), names, vs, fresh).pdata)
         case SGroupProc(_, proc) | SBare(proc):
             return replace(node, proc=_rewrite(proc, names, vs, fresh))
-        case TName(n) | TDual(n):
-            return replace(node, name=names[n]) if n in names else node
+        case TName(n):
+            return TName(names[n]) if n in names else node
+        case TDual(n):
+            return TDual(names[n]) if n in names else node
         case TVar(x):
             return vs[x][0] if x in vs else node
         case TConst(_):

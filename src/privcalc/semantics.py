@@ -157,13 +157,13 @@ def _closed_term(t: Term) -> bool:
 
 # --- output capabilities ------------------------------------------------------------
 
-def _rename_clash(label: OutLabel, succ, others: Iterable) -> tuple[OutLabel, object]:
-    """Rename the names the label extrudes away from the free atoms of
-    `others`, the components beside the one that made the output; those
-    are computed only when the label extrudes a name."""
+def _rename_clash(label: OutLabel, succ, comps: tuple, k: int) -> tuple[OutLabel, object]:
+    """Rename the names the label extrudes away from the free atoms of the
+    components beside the k-th, which made the output; those are computed
+    only when the label extrudes a name."""
     if not label.extruded:
         return label, succ
-    avoid = set().union(*map(free_atoms, others))
+    avoid = set().union(*(free_atoms(c) for m, c in enumerate(comps) if m != k))
     for n, annot in label.extruded:
         if n in avoid:
             n2 = fresh_name(n, avoid | free_atoms(succ) |
@@ -173,11 +173,6 @@ def _rename_clash(label: OutLabel, succ, others: Iterable) -> tuple[OutLabel, ob
             extruded = tuple((n2 if m == n else m, a) for m, a in label.extruded)
             label = OutLabel(label.subject, label.on_dual, objects, extruded)
     return label, succ
-
-
-def _others(comps: tuple, k: int):
-    """Every component but the k-th."""
-    return (c for m, c in enumerate(comps) if m != k)
 
 
 def visible_outs(node) -> list[tuple[OutLabel, object]]:
@@ -199,7 +194,7 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
                 for label, succ in visible_outs(c):
                     if label.subject in names:
                         continue
-                    label, succ = _rename_clash(label, succ, _others(cs, k))
+                    label, succ = _rename_clash(label, succ, cs, k)
                     # binders the objects mention leave with the label,
                     # innermost first; the others stay around the successor
                     objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
@@ -260,13 +255,15 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                         # anonymous write keeps the store's identity
                         out.append(PStore(ref, PrivateData(datum.identity, wdat)))
         case Block(bs, cs):
-            if all(n != subject for n, _ in bs):
+            if bs:
+                if any(n == subject for n, _ in bs):
+                    return out
                 atoms = set().union(*map(free_atoms, values))
                 if any(n in atoms for n, _ in bs):
                     bs, cs = _rename_apart(node, atoms)
-                for k, c in enumerate(cs):
-                    for succ in feed(c, subject, to_dual, values):
-                        out.append(Block(bs, cs[:k] + (succ,) + cs[k + 1:]))
+            for k, c in enumerate(cs):
+                for succ in feed(c, subject, to_dual, values):
+                    out.append(Block(bs, cs[:k] + (succ,) + cs[k + 1:]))
         case PRepl(body):
             for succ in feed(body, subject, to_dual, values):
                 out.append(Block((), (succ, node)))
@@ -342,7 +339,7 @@ def _pair(node: Block, i: int, outs, receivers: Iterable[int], refs: frozenset[s
     out = []
     cs = node.comps
     for label, succ in outs:
-        label, succ = _rename_clash(label, succ, _others(cs, i))
+        label, succ = _rename_clash(label, succ, cs, i)
         for subject, to_dual, values in _deliveries(label, refs):
             for j in receivers:
                 for osucc in feed(cs[j], subject, to_dual, values):
