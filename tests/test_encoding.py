@@ -84,15 +84,15 @@ class TestEncode:
 class TestCoreStep:
     def test_label_synchronization(self):
         p = par(select(TName("a"), "rd", NIL),
-                 branch(TName("a"), {"rd": POut(TName("b"), (TConst("k"),), NIL),
-                                     "wr": NIL}, "lbl"))
+                branch(TName("a"), {"rd": POut(TName("b"), (TConst("k"),), NIL),
+                                    "wr": NIL}, "lbl"))
         succs = [core_canonical(s) for s in tau_successors(p)]
         assert len(succs) == 1
         assert succs[0] == core_canonical(POut(TName("b"), (TConst("k"),), NIL))
 
     def test_plain_communication(self):
         p = par(POut(TName("a"), (TConst("k"),), NIL),
-                 PInp(TName("a"), (PVar("x"),), POut(TName("b"), (TVarOr("x"),), NIL)))
+                PInp(TName("a"), (PVar("x"),), POut(TName("b"), (TVarOr("x"),), NIL)))
         succs = tau_successors(p)
         assert len(succs) == 1
 

@@ -94,7 +94,7 @@ class TestFreeNamesVars:
 
     def test_par_with_store(self):
         p = par(POut(TName("a"), (TName("r"),), NIL),
-                 PStore("r", PrivateData(Known("id"), DConst("c"))))
+                PStore("r", PrivateData(Known("id"), DConst("c"))))
         assert free_names(p) == {"a", "r"}
 
     def test_input_binds_vars(self):
@@ -122,7 +122,7 @@ class TestNormalize:
         # keys must read it as b both before and after the renaming
         t = PInp(TName("a"), (PVar("b"),),
                  par(POut(TName("b"), (TName("b"),), NIL),
-                      POut(TName("a"), (TName("b"),), NIL)))
+                     POut(TName("a"), (TName("b"),), NIL)))
         kernel._norm_cache.clear()
         n = normalize(t)
         kernel._norm_cache.clear()
@@ -130,7 +130,7 @@ class TestNormalize:
 
     def test_normal_form_answers_itself(self):
         p = par(POut(TName("b"), (TConst("c"),), NIL),
-                 new("n", None, POut(TName("n"), (TConst("c"),), NIL)))
+                new("n", None, POut(TName("n"), (TConst("c"),), NIL)))
         kernel._norm_cache.clear()
         n = normalize(p)
         entries = len(kernel._norm_cache)
@@ -179,9 +179,9 @@ class TestNormalize:
             return POut(TName(n), (TConst("c"),), NIL)
 
         shadowed = par(inp("b"),
-                        new("b", None, par(new("b", None, inp("b")), out("b"))))
+                       new("b", None, par(new("b", None, inp("b")), out("b"))))
         renamed = par(inp("b"),
-                       new("b1", None, par(new("b2", None, inp("b2")), out("b1"))))
+                      new("b1", None, par(new("b2", None, inp("b2")), out("b1"))))
         assert normalize(shadowed) == normalize(renamed)
 
     def test_outer_binder_names_do_not_order_components(self):
@@ -216,7 +216,7 @@ class TestNormalize:
 
     def test_idempotent_on_examples(self):
         p = par(new("n", None, par(NIL, POut(TName("n"), (TConst("c"),), NIL))),
-                 PStore("r", PrivateData(Known("id"), DConst("c"))))
+                PStore("r", PrivateData(Known("id"), DConst("c"))))
         assert normalize(normalize(p)) == normalize(p)
 
     def test_group_boundary_never_crossed(self):
@@ -328,7 +328,7 @@ def _gen_process(rng: random.Random, depth: int, bound: list[str]):
         return new(n, None, _gen_process(rng, depth - 1, bound))
     if kind == 4:
         return par(_gen_process(rng, depth - 1, bound),
-                    _gen_process(rng, depth - 1, bound))
+                   _gen_process(rng, depth - 1, bound))
     if kind == 5:
         return PRepl(_gen_process(rng, depth - 1, bound))
     return PIf("=", TConst(rng.choice(consts)), TConst(rng.choice(consts)),

@@ -185,7 +185,7 @@ class _AstGen:
                                               names + [n], nu_names + [n]))
         if k == 4:
             return par(self.process(depth - 1, bound_vars, names, nu_names),
-                        self.process(depth - 1, bound_vars, names, nu_names))
+                       self.process(depth - 1, bound_vars, names, nu_names))
         if k == 5:
             return PRepl(self.process(depth - 1, bound_vars, names, nu_names))
         if k == 6:
@@ -208,7 +208,7 @@ class _AstGen:
             n = self.fresh("m")
             # restricted names gain name evidence at the binder
             return new(n, None,
-                           SGroupProc("G", self.process(3, [], ["a", n], [n])))
+                       SGroupProc("G", self.process(3, [], ["a", n], [n])))
         return SGroupSys("Outer", self.system(depth - 1))
 
 

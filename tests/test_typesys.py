@@ -121,7 +121,7 @@ class TestTypeProcess:
     def test_linearity_violation(self):
         g = parse_env("r : G[t<g>]\n{id # c} : t<g>\n").value
         p = par(PStore("r", PrivateData(Known("id"), DConst("c"))),
-                 PStore("r", PrivateData(Known("id"), DConst("c"))))
+                PStore("r", PrivateData(Known("id"), DConst("c"))))
         with pytest.raises(TypingError) as e:
             type_process(g, p)
         assert e.value.code == "LinearityViolation"
@@ -150,7 +150,7 @@ class TestTypeProcess:
         t = type_process(g, PRepl(POut(TName("u"), (TName("r"),), NIL)))
         assert t.delta == Delta({"t": PermSet([disseminate("G", OMEGA)])})
         p2 = PRepl(new("r2", TChan("G", (TPrivate("t", "g"),)),
-                        PStore("r2", PrivateData(Known("id"), DConst("c")))))
+                       PStore("r2", PrivateData(Known("id"), DConst("c")))))
         t2 = type_process(g, p2)
         assert t2.delta == Delta({"t": PermSet([STORE, AGGREGATE])})
 
@@ -158,7 +158,7 @@ class TestTypeProcess:
         g = parse_env("r : G[t<g>]\ns : G[t2<g>]\n"
                       "{id # c} : t<g>\n{id # d} : t2<g>\n").value
         p = par(PStore("r", PrivateData(Known("id"), DConst("c"))),
-                 PStore("s", PrivateData(Known("id"), DConst("d"))))
+                PStore("s", PrivateData(Known("id"), DConst("d"))))
         t = type_process(g, p)
         assert t.delta == Delta({"t": PermSet([STORE, AGGREGATE]),
                                  "t2": PermSet([STORE, AGGREGATE])})
@@ -167,7 +167,7 @@ class TestTypeProcess:
         g = parse_env("r : G[t<g>]\ns : G[t2<g>]\n"
                       "{id # c} : t<g>\n{jd # d} : t2<g>\n").value
         p = par(PStore("r", PrivateData(Known("id"), DConst("c"))),
-                 PStore("s", PrivateData(Known("jd"), DConst("d"))))
+                PStore("s", PrivateData(Known("jd"), DConst("d"))))
         t = type_process(g, p)
         assert t.delta == Delta({"t": PermSet([STORE]), "t2": PermSet([STORE])})
 
