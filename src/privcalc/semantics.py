@@ -1,17 +1,22 @@
 """Labelled transition semantics: label duality, transition enumeration,
 bounded state-graph exploration, and the type-preservation harness.
 
-Internal steps are found by pairing one side's output capabilities with the
-other side's input capabilities under the duality relation; store endpoints
-additionally admit the anonymised exchange of private data.
+Internal steps are found by pairing one component's output capabilities
+with another's input capabilities under the duality relation; store
+endpoints additionally admit the anonymised exchange of private data. Only
+an output and an input on the same subject can react, so a block indexes
+its components by the subjects they output and input on and pairs only
+those; the successors still come in the order that trying every pair gives,
+which `explore`'s edge order and every transcript rest on.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .kernel import (
     Block, DConst, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl,
@@ -25,7 +30,8 @@ from .typesys import Theta, TypingError, interface_leq, type_system
 
 __all__ = [
     "OutLabel", "InpLabel", "TAU", "Label", "dual",
-    "transitions", "tau_successors", "StateGraph", "explore",
+    "transitions", "tau_successors", "has_step", "input_capabilities",
+    "StateGraph", "explore",
     "PreservationReport", "check_preservation", "state_key", "default_universe",
 ]
 
@@ -331,60 +337,110 @@ def reference_names(node) -> frozenset[str]:
     return frozenset(out)
 
 
-def _pair(node: Block, i: int, outs, receivers: Iterable[int], refs: frozenset[str]) -> list:
-    """Internal steps of the block from the outputs of its i-th component
+def input_capabilities(node) -> list[tuple[str, int]]:
+    """The (subject, arity) of every input and store not under a prefix,
+    in both branches of a conditional. `feed` consumes only on these
+    subjects, so a component without one can be skipped."""
+    match node:
+        case PInp(subj, patterns, _):
+            return [(subj.name, len(patterns))] if isinstance(subj, TName) else []
+        case PStore(ref, _):
+            return [(ref, 1)]
+        case POut():
+            return []
+    return [f for c in children(node) for f in input_capabilities(c)]
+
+
+def _by_subject(subjects: Iterable[Iterable[str]]) -> dict[str, list[int]]:
+    """The positions of the components that have each subject, ascending."""
+    index: dict[str, list[int]] = {}
+    for k, subs in enumerate(subjects):
+        for s in subs:
+            index.setdefault(s, []).append(k)
+    return index
+
+
+def _after(positions: list[int], i: int) -> list[int]:
+    return positions[bisect.bisect_right(positions, i):]
+
+
+def _pair(node: Block, i: int, label: OutLabel, succ, receivers: Iterable[int],
+          refs: frozenset[str]) -> Iterator:
+    """Internal steps of the block from one output of its i-th component
     against the inputs of the receiving ones, in order. Each successor
     replaces the two components, and the names the output extrudes join the
     block's binders, renamed away from the other components first."""
-    out = []
     cs = node.comps
-    for label, succ in outs:
-        label, succ = _rename_clash(label, succ, cs, i)
-        for subject, to_dual, values in _deliveries(label, refs):
-            for j in receivers:
-                for osucc in feed(cs[j], subject, to_dual, values):
-                    comps = list(cs)
-                    comps[i], comps[j] = succ, osucc
-                    out.append(Block(node.binders + label.extruded, tuple(comps)))
-    return out
+    label, succ = _rename_clash(label, succ, cs, i)
+    for subject, to_dual, values in _deliveries(label, refs):
+        for j in receivers:
+            for osucc in feed(cs[j], subject, to_dual, values):
+                comps = list(cs)
+                comps[i], comps[j] = succ, osucc
+                yield Block(node.binders + label.extruded, tuple(comps))
 
 
-def tau_successors(node, refs: Optional[frozenset[str]] = None) -> list:
-    """Internal steps, in a fixed order that `explore`'s edge order rests
-    on. For a block: the steps inside each component, first to last; then,
-    for each component from the second-to-last back to the first, its
-    outputs to the components after it and theirs back to it."""
-    if refs is None:
-        refs = reference_names(node)
-    out: list = []
+def _reactions(node: Block, refs: frozenset[str]) -> Iterator:
+    """The communications between two components of the block. Only an
+    output and an input on the same subject can react (`_deliveries` keeps
+    the subject), so the components are indexed by the subjects they output
+    and input on, and `feed` runs only on a component that inputs on the
+    output's subject. The order is that of trying every pair: for each
+    component i from the second-to-last back to the first, its outputs to
+    the later components in ascending order, then each later component's
+    outputs back to i."""
+    cs = node.comps
+    outs = [visible_outs(c) for c in cs]
+    inputs = [{s for s, _ in input_capabilities(c)} for c in cs]
+    readers = _by_subject(inputs)
+    writers = _by_subject({lb.subject for lb, _ in o} for o in outs)
+    for i in reversed(range(len(cs) - 1)):
+        for label, succ in outs[i]:
+            later = _after(readers.get(label.subject, []), i)
+            if later:
+                yield from _pair(node, i, label, succ, later, refs)
+        for j in sorted({j for s in inputs[i] for j in _after(writers.get(s, []), i)}):
+            for label, succ in outs[j]:
+                if label.subject in inputs[i]:
+                    yield from _pair(node, j, label, succ, (i,), refs)
+
+
+def _steps(node, refs: frozenset[str]) -> Iterator:
     match node:
         case PNil() | POut(_, _, _) | PInp(_, _, _) | PStore(_, _):
             pass
         case Block(bs, cs):
             for k, c in enumerate(cs):
-                out.extend(Block(bs, cs[:k] + (s,) + cs[k + 1:])
-                           for s in tau_successors(c, refs))
-            outs = [visible_outs(c) for c in cs]
-            for i in reversed(range(len(cs) - 1)):
-                later = range(i + 1, len(cs))
-                out.extend(_pair(node, i, outs[i], later, refs))
-                for j in later:
-                    out.extend(_pair(node, j, outs[j], (i,), refs))
+                yield from (Block(bs, cs[:k] + (s,) + cs[k + 1:]) for s in _steps(c, refs))
+            yield from _reactions(node, refs)
         case PRepl(body):
-            out.extend(Block((), (s, node)) for s in tau_successors(body, refs))
+            yield from (Block((), (s, node)) for s in _steps(body, refs))
         case PIf(op, lhs, rhs, then, els):
             v = _eval_cond(op, lhs, rhs)
             if v is True:
-                out.extend(tau_successors(then, refs))
+                yield from _steps(then, refs)
             elif v is False:
-                out.extend(tau_successors(els, refs))
+                yield from _steps(els, refs)
         case SBare(proc):
-            out.extend(SBare(s) for s in tau_successors(proc, refs))
+            yield from (SBare(s) for s in _steps(proc, refs))
         case SGroupProc(g, proc):
-            out.extend(SGroupProc(g, s) for s in tau_successors(proc, refs))
+            yield from (SGroupProc(g, s) for s in _steps(proc, refs))
         case SGroupSys(g, body):
-            out.extend(SGroupSys(g, s) for s in tau_successors(body, refs))
-    return out
+            yield from (SGroupSys(g, s) for s in _steps(body, refs))
+
+
+def tau_successors(node, refs: Optional[frozenset[str]] = None) -> list:
+    """Internal steps, in a fixed order that `explore`'s edge order rests
+    on. For a block: the steps inside each component, first to last; then
+    the communications between two components, found through an index of
+    the components by subject but listed in the order of trying every
+    pair (see `_reactions`)."""
+    return list(_steps(node, reference_names(node) if refs is None else refs))
+
+
+def has_step(node) -> bool:
+    """Whether the node has an internal step; stops at the first one."""
+    return next(_steps(node, reference_names(node)), None) is not None
 
 
 # --- visible input labels over a value universe --------------------------------------
@@ -411,19 +467,7 @@ def input_labels(node, universe: Iterable[Term], cap: int = 256
     """Input transitions the node offers for values drawn from a universe."""
     universe = list(universe)
     out: list[tuple[InpLabel, object]] = []
-
-    def collect_inps(nd):
-        """The (subject, arity) of every input not under a prefix."""
-        match nd:
-            case PInp(subj, patterns, _):
-                return [(subj.name, len(patterns))] if isinstance(subj, TName) else []
-            case PStore(ref, _):
-                return [(ref, 1)]
-            case POut():
-                return []
-        return [f for c in children(nd) for f in collect_inps(c)]
-
-    for subject, arity in sorted(set(collect_inps(node))):
+    for subject, arity in sorted(set(input_capabilities(node))):
         for values in itertools.islice(itertools.product(universe, repeat=arity), cap):
             for to_dual in (False, True):
                 for succ in feed(node, subject, to_dual, tuple(values)):
@@ -497,8 +541,8 @@ def explore(s: System, depth: int) -> StateGraph:
                     seen_edges.add(edge)
                     graph.edges.append(edge)
         frontier = nxt
-    # the last frontier is expanded only to tell whether the bound cut it off
-    graph.truncated = any(tau_successors(n) for _, n in frontier)
+    # the last frontier is probed only to tell whether the bound cut it off
+    graph.truncated = any(has_step(n) for _, n in frontier)
     return graph
 
 

@@ -1,0 +1,177 @@
+"""Reference engine for internal steps: `visible_outs`, `feed` and the
+all-pairs `tau_successors` as `semantics` had them before it indexed
+components by subject. It tries every output of every component against
+every other component, so it is slow on wide blocks but plainly complete;
+tests compare the indexed engine's successor lists with its own, order
+included. `collect_inps` is the input scan `input_labels` had. The leaf
+helpers (`_rename_clash`, `_deliveries`, ...) are shared with `semantics`,
+which did not change them."""
+
+from privcalc.kernel import (
+    Block, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl, PStore,
+    PrivateData, SBare, SGroupProc, SGroupSys, TDual, TName, TPriv,
+    IncompatibleSubstitution, children, free_atoms, substitute, _block,
+)
+from privcalc.semantics import (
+    OutLabel, _closed_term, _deliveries, _eval_cond, _rename_apart, _rename_clash,
+    reference_names,
+)
+
+
+def visible_outs(node):
+    out = []
+    match node:
+        case PNil():
+            pass
+        case POut(subject, objects, cont):
+            if isinstance(subject, (TName, TDual)) and all(_closed_term(o) for o in objects):
+                out.append((OutLabel(subject.name, isinstance(subject, TDual), objects), cont))
+        case PInp(_, _, _):
+            pass
+        case PStore(ref, datum):
+            if datum.is_constant:
+                out.append((OutLabel(ref, True, (TPriv(datum),)), node))
+        case Block(bs, cs):
+            names = {n for n, _ in bs}
+            for k, c in enumerate(cs):
+                for label, succ in visible_outs(c):
+                    if label.subject in names:
+                        continue
+                    label, succ = _rename_clash(label, succ, cs, k)
+                    objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
+                    leaving = tuple(b for b in reversed(bs) if b[0] in objs_atoms)
+                    if leaving:
+                        label = OutLabel(label.subject, label.on_dual, label.objects,
+                                         label.extruded + leaving)
+                    out.append((label, _block(tuple(b for b in bs if b[0] not in objs_atoms),
+                                              cs[:k] + (succ,) + cs[k + 1:])))
+        case PRepl(body):
+            for label, succ in visible_outs(body):
+                out.append((label, Block((), (succ, node))))
+        case PIf(op, lhs, rhs, then, els):
+            v = _eval_cond(op, lhs, rhs)
+            if v is True:
+                out.extend(visible_outs(then))
+            elif v is False:
+                out.extend(visible_outs(els))
+        case SBare(proc):
+            out.extend((lb, SBare(sc)) for lb, sc in visible_outs(proc))
+        case SGroupProc(g, proc):
+            out.extend((lb, SGroupProc(g, sc)) for lb, sc in visible_outs(proc))
+        case SGroupSys(g, body):
+            out.extend((lb, SGroupSys(g, sc)) for lb, sc in visible_outs(body))
+    return out
+
+
+def feed(node, subject, to_dual, values):
+    out = []
+    match node:
+        case PNil() | POut(_, _, _):
+            pass
+        case PInp(subj, patterns, cont):
+            if (not to_dual and isinstance(subj, TName) and subj.name == subject
+                    and len(patterns) == len(values)):
+                try:
+                    body = cont
+                    for k, v in zip(patterns, values):
+                        body = substitute(body, v, k)
+                    out.append(body)
+                except IncompatibleSubstitution:
+                    pass
+        case PStore(ref, datum):
+            if to_dual and ref == subject and len(values) == 1:
+                v = values[0]
+                if isinstance(v, TPriv) and v.pdata.is_constant:
+                    wid, wdat = v.pdata.identity, v.pdata.data
+                    if isinstance(wid, Known):
+                        if isinstance(datum.identity, IVar) or datum.identity == wid:
+                            out.append(PStore(ref, PrivateData(wid, wdat)))
+                    elif isinstance(wid, Hidden) and isinstance(datum.identity, Known):
+                        out.append(PStore(ref, PrivateData(datum.identity, wdat)))
+        case Block(bs, cs):
+            if bs:
+                if any(n == subject for n, _ in bs):
+                    return out
+                atoms = set().union(*map(free_atoms, values))
+                if any(n in atoms for n, _ in bs):
+                    bs, cs = _rename_apart(node, atoms)
+            for k, c in enumerate(cs):
+                for succ in feed(c, subject, to_dual, values):
+                    out.append(Block(bs, cs[:k] + (succ,) + cs[k + 1:]))
+        case PRepl(body):
+            for succ in feed(body, subject, to_dual, values):
+                out.append(Block((), (succ, node)))
+        case PIf(op, lhs, rhs, then, els):
+            v = _eval_cond(op, lhs, rhs)
+            if v is True:
+                out.extend(feed(then, subject, to_dual, values))
+            elif v is False:
+                out.extend(feed(els, subject, to_dual, values))
+        case SBare(proc):
+            out.extend(SBare(s) for s in feed(proc, subject, to_dual, values))
+        case SGroupProc(g, proc):
+            out.extend(SGroupProc(g, s) for s in feed(proc, subject, to_dual, values))
+        case SGroupSys(g, body):
+            out.extend(SGroupSys(g, s) for s in feed(body, subject, to_dual, values))
+    return out
+
+
+def _pair(node, i, outs, receivers, refs):
+    out = []
+    cs = node.comps
+    for label, succ in outs:
+        label, succ = _rename_clash(label, succ, cs, i)
+        for subject, to_dual, values in _deliveries(label, refs):
+            for j in receivers:
+                for osucc in feed(cs[j], subject, to_dual, values):
+                    comps = list(cs)
+                    comps[i], comps[j] = succ, osucc
+                    out.append(Block(node.binders + label.extruded, tuple(comps)))
+    return out
+
+
+def tau_successors(node, refs=None):
+    if refs is None:
+        refs = reference_names(node)
+    out = []
+    match node:
+        case PNil() | POut(_, _, _) | PInp(_, _, _) | PStore(_, _):
+            pass
+        case Block(bs, cs):
+            for k, c in enumerate(cs):
+                out.extend(Block(bs, cs[:k] + (s,) + cs[k + 1:])
+                           for s in tau_successors(c, refs))
+            outs = [visible_outs(c) for c in cs]
+            for i in reversed(range(len(cs) - 1)):
+                later = range(i + 1, len(cs))
+                out.extend(_pair(node, i, outs[i], later, refs))
+                for j in later:
+                    out.extend(_pair(node, j, outs[j], (i,), refs))
+        case PRepl(body):
+            out.extend(Block((), (s, node)) for s in tau_successors(body, refs))
+        case PIf(op, lhs, rhs, then, els):
+            v = _eval_cond(op, lhs, rhs)
+            if v is True:
+                out.extend(tau_successors(then, refs))
+            elif v is False:
+                out.extend(tau_successors(els, refs))
+        case SBare(proc):
+            out.extend(SBare(s) for s in tau_successors(proc, refs))
+        case SGroupProc(g, proc):
+            out.extend(SGroupProc(g, s) for s in tau_successors(proc, refs))
+        case SGroupSys(g, body):
+            out.extend(SGroupSys(g, s) for s in tau_successors(body, refs))
+    return out
+
+
+def collect_inps(node):
+    """The (subject, arity) of every input not under a prefix, as
+    `input_labels` gathered them."""
+    match node:
+        case PInp(subj, patterns, _):
+            return [(subj.name, len(patterns))] if isinstance(subj, TName) else []
+        case PStore(ref, _):
+            return [(ref, 1)]
+        case POut():
+            return []
+    return [f for c in children(node) for f in collect_inps(c)]

@@ -10,15 +10,20 @@ from privcalc.kernel import (
 )
 from privcalc.semantics import (
     InpLabel, OutLabel, TAU, check_preservation, default_universe, dual,
-    explore, feed, input_labels, state_key, tau_successors, transitions, visible_outs,
+    explore, feed, has_step, input_capabilities, input_labels, state_key,
+    tau_successors, transitions, visible_outs,
 )
+from privcalc import semantics
 from privcalc.syntax import (
     _lower_system, parse_env, parse_process, parse_system, render_process,
 )
 from privcalc.typesys import interface_leq, type_system
 
+import allpairs
 import gen
+from conftest import CORPUS
 from gen import par
+from privcalc.encoding import core_canonical, encode
 
 
 def priv(ident, tok):
@@ -157,7 +162,8 @@ class TestExplore:
 
     @pytest.mark.parametrize("text", [
         "G[ " + "c!<k>. " * 480 + "0 | c?(v). 0 ]", _wide_text(200), _wide_text(256),
-    ], ids=["prefix480", "width200", "width256"])
+        _wide_text(1024),
+    ], ids=["prefix480", "width200", "width256", "width1024"])
     def test_large_terms(self, text):
         # only the pair on c can move, once; comparing a normal form with
         # the previous round's used to overflow the stack on such terms
@@ -172,15 +178,27 @@ class TestExplore:
         with ThreadPoolExecutor(1) as pool:
             assert pool.submit(explore2).result(timeout=120) == (2, 1, False)
 
-    def test_width800_steps_once(self):
+    def test_width800_steps_once(self, monkeypatch):
         # one flat block of 802 components: no walker descends once per
         # component, so nothing nests deeper than the term's prefixes
         res = parse_system(_wide_text(800))
         assert res.ok, res.diagnostics
         root = normalize(res.value)
+        calls = 0
+        real_feed = semantics.feed
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real_feed(*args)
+
+        monkeypatch.setattr(semantics, "feed", counting)
         succs = tau_successors(root)
         assert len(succs) == 1
         assert state_key(succs[0]) != state_key(root)
+        # only c's reader is fed c's output, as a message and as a store
+        # write; trying every pair fed every component, 642,402 calls
+        assert calls == 2
 
 
 class TestPreservation:
@@ -329,6 +347,50 @@ def test_tau_edges_come_from_dual_pairs():
             if dual(ol, il):
                 pairs += 1
     assert len(taus) == pairs == 1
+
+
+def _oracle_states(source):
+    """States to compare the engines on, and the explorations (with their
+    depth bound) they come from."""
+    if source == "store_programs":
+        states = []
+        for p in gen.store_programs():
+            level = [encode(p)]
+            for _ in range(3):
+                states.extend(level)
+                level = list(dict.fromkeys(core_canonical(q) for st in level
+                                           for q in tau_successors(st)))
+        return states, []
+    if source == "corpus":
+        depth, systems = 8, []
+        for name, env in (("hospital", "hospital"), ("etp_central", "etp_central"),
+                          ("etp_decentral", "etp_decentral"),
+                          ("speedlimit", "speedlimit"), ("lab", "hospital"),
+                          ("hospital_nurse_read", "hospital")):
+            gamma = parse_env((CORPUS / f"{env}.env").read_text()).value
+            systems.append(parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value)
+    else:
+        depth = 4
+        systems = [gen.random_system(random.Random(seed)) for seed in range(300)]
+    graphs = [explore(s, depth) for s in systems]
+    return [st for g in graphs for st in g.nodes.values()], [(g, depth) for g in graphs]
+
+
+@pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
+def test_indexed_steps_match_all_pairs(source):
+    """Indexing components by subject changes which pairs are tried, not
+    the steps: successor lists are ==-identical to the all-pairs engine's,
+    in the same order; `has_step` and truncation agree with them; and the
+    input scan is the one `input_labels` had."""
+    states, graphs = _oracle_states(source)
+    for st in states:
+        succs = allpairs.tau_successors(st)
+        assert tau_successors(st) == succs
+        assert has_step(st) == bool(succs)
+        assert sorted(set(input_capabilities(st))) == sorted(set(allpairs.collect_inps(st)))
+    for graph, depth in graphs:
+        last = [st for key, st in graph.nodes.items() if graph.depths[key] == depth]
+        assert graph.truncated == any(map(allpairs.tau_successors, last))
 
 
 def test_store_identity_stable_along_traces(corpus):
