@@ -1,7 +1,8 @@
 """Byte-level transcripts checked against golden files: `simulate --depth 6`
-text (root, edges in order, state keys, counts) on the six corpus inputs,
-and the core rendering of every encoded store program. They pin the normal
-forms and the successor order, which the other tests only compare between
+text (root, edges in order, state keys, counts), `scan --depth 8` and
+`errors` (text and `--format records`) on the six corpus inputs, and the core
+rendering of every encoded store program. They pin the normal forms, the
+successor order and the findings, which the other tests only compare between
 two runs of the same tree."""
 
 import contextlib
@@ -22,16 +23,55 @@ SIMULATE = {
     "lab": "hospital",
     "hospital_nurse_read": "hospital",
 }
+# the inputs on which `scan --depth 8` and `errors` report findings (exit 1)
+FINDINGS = {"lab", "hospital_nurse_read"}
+
+
+def _run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE))
 def test_simulate_depth6(name):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(["simulate", str(CORPUS / f"{name}.pc"),
-                       "--env", str(CORPUS / f"{SIMULATE[name]}.env"), "--depth", "6"])
+    rc, out = _run("simulate", str(CORPUS / f"{name}.pc"),
+                   "--env", str(CORPUS / f"{SIMULATE[name]}.env"), "--depth", "6")
     assert rc == 0
-    assert out.getvalue() == (GOLDEN / f"{name}.simulate6").read_text()
+    assert out == (GOLDEN / f"{name}.simulate6").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("command,golden", [("scan", "scan8"), ("errors", "errors")])
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_findings(name, command, golden, fmt, monkeypatch):
+    monkeypatch.setenv("PRIVCALC_COLOR", "never")
+    case = SIMULATE[name]
+    depth = ["--depth", "8"] if command == "scan" else []
+    rc, out = _run(command, str(CORPUS / f"{name}.pc"), "--env", str(CORPUS / f"{case}.env"),
+                   "--policy", str(CORPUS / f"{case}.ppo"), "--format", fmt, *depth)
+    suffix = ".records" if fmt == "records" else ""
+    assert out == (GOLDEN / f"{name}.{golden}{suffix}").read_text()
+    assert rc == (1 if name in FINDINGS else 0)
+
+
+def test_simulate_preserve_bare_process(tmp_path):
+    """A bare process outside every group fails to type in each state; the
+    normalized states carry no source span, so no location is printed."""
+    src = tmp_path / "bare.pc"
+    src.write_text("(new q) (b!<r1>. 0 | b?(w). w?(x # y). 0)\n")
+    rc, out = _run("simulate", str(src), "--env", str(CORPUS / "hospital.env"),
+                   "--depth", "3", "--preserve")
+    assert rc == 1
+    unclosed = ("fails to type: UnclosedBareProcess: component exercising "
+                "patient_data permissions is not enclosed by any group")
+    assert out == ("root 4733de88e7a1\n"
+                   "4733de88e7a1 --tau--> 9c65a83dfccd\n"
+                   "states 2 edges 1\n"
+                   "preservation: VIOLATIONS (1 edges)\n"
+                   f"  state 4733de88e7a1 {unclosed}\n"
+                   f"  state 9c65a83dfccd {unclosed}\n")
 
 
 def test_encoded_store_programs():
