@@ -25,7 +25,7 @@ __all__ = [
     "PVar", "PPair", "PAnon", "Placeholder",
     "TPrivate", "TPurpose", "TChan", "PrivacyType",
     "PNil", "POut", "PInp", "PRepl", "PIf", "PStore", "Process",
-    "SGroupProc", "SGroupSys", "SBare", "System", "Block",
+    "Group", "SBare", "System", "Block",
     "NIL", "children", "is_system", "substitute", "free_names", "free_vars",
     "free_atoms", "normalize", "alpha_eq", "fresh_name",
 ]
@@ -343,14 +343,9 @@ Process = Union[PNil, POut, PInp, Block, PRepl, PIf, PStore]
 # --- systems -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SGroupProc:
-    group: str
-    proc: Process
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SGroupSys:
+class Group:
+    """`G[S]`: the system `S` running in group `G`; `G[P]` is
+    `Group(G, SBare(P))`."""
     group: str
     body: "System"
     span: Optional[Span] = field(default=None, compare=False, repr=False)
@@ -358,11 +353,12 @@ class SGroupSys:
 
 @dataclass(frozen=True)
 class SBare:
-    proc: Process
+    """A process at system level, enclosed by no group of its own."""
+    body: Process
     span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-System = Union[SGroupProc, SGroupSys, Block, SBare]
+System = Union[SBare, Group, Block]
 
 
 def _block(binders: tuple, comps: tuple):
@@ -376,7 +372,7 @@ def is_system(node) -> bool:
     of its first component."""
     while isinstance(node, Block):
         node = node.comps[0]
-    return isinstance(node, (SGroupProc, SGroupSys, SBare))
+    return isinstance(node, (Group, SBare))
 
 
 def children(node) -> tuple:
@@ -384,10 +380,8 @@ def children(node) -> tuple:
     match node:
         case POut(_, _, cont) | PInp(_, _, cont):
             return (cont,)
-        case PRepl(body) | SGroupSys(_, body):
+        case PRepl(body) | Group(_, body) | SBare(body):
             return (body,)
-        case SGroupProc(_, proc) | SBare(proc):
-            return (proc,)
         case PIf(_, _, _, then, els):
             return (then, els)
         case Block(_, comps):
@@ -432,7 +426,7 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
             inner = bound_names.union(n for n, _ in binders) if binders else bound_names
             for c in comps:
                 _walk_free(c, inner, bound_vars, out_names, out_vars)
-        case PRepl(body):
+        case PRepl(body) | Group(_, body) | SBare(body):
             _walk_free(body, bound_names, bound_vars, out_names, out_vars)
         case PIf(_, lhs, rhs, then, els):
             _walk_term(lhs, bound_names, bound_vars, out_names, out_vars)
@@ -443,8 +437,6 @@ def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
             if ref not in bound_names:
                 out_names[ref] = None
             _walk_term(TPriv(datum), bound_names, bound_vars, out_names, out_vars)
-        case SGroupProc(_, body) | SGroupSys(_, body) | SBare(body):
-            _walk_free(body, bound_names, bound_vars, out_names, out_vars)
         case TName(_) | TDual(_) | TConst(_) | TVar(_) | TPriv(_):
             _walk_term(node, bound_names, bound_vars, out_names, out_vars)
         case _:
@@ -531,7 +523,7 @@ def _rewrite(node, names: dict[str, str],
                 renamed.append((n2, annot))
             return replace(node, binders=tuple(renamed),
                            comps=tuple(_rewrite(c, names, vs, fresh) for c in comps))
-        case PRepl(body) | SGroupSys(_, body):
+        case PRepl(body) | Group(_, body) | SBare(body):
             return replace(node, body=_rewrite(body, names, vs, fresh))
         case PIf(_, lhs, rhs, then, els):
             return replace(node, lhs=_rewrite(lhs, names, vs, fresh),
@@ -541,8 +533,6 @@ def _rewrite(node, names: dict[str, str],
         case PStore(ref, datum):
             return replace(node, ref=names.get(ref, ref),
                            datum=_rewrite(TPriv(datum), names, vs, fresh).pdata)
-        case SGroupProc(_, proc) | SBare(proc):
-            return replace(node, proc=_rewrite(proc, names, vs, fresh))
         case TName(n):
             return TName(names[n]) if n in names else node
         case TDual(n):
@@ -692,9 +682,10 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
                         f"{go(then, names, vs)};{go(els, names, vs)})")
             case PStore(ref, datum):
                 return f"st({name(ref, names)};{term(TPriv(datum), names, vs)})"
-            case SGroupProc(g, proc):
+            case Group(g, SBare(proc)):
+                # a group around a process keys apart from one around a system
                 return f"gp({g};{go(proc, names, vs)})"
-            case SGroupSys(g, body):
+            case Group(g, body):
                 return f"gs({g};{go(body, names, vs)})"
             case SBare(proc):
                 return f"sb({go(proc, names, vs)})"
@@ -712,11 +703,15 @@ def _sort_block(comps: list, binder_names: Iterable[str], names: frozenset[str],
     stable, so sorting a sorted block again keeps its order."""
     holes = dict.fromkeys(vs, "_")
     uniform = dict.fromkeys(names, "_") | dict.fromkeys(binder_names, "ν")
-    keys0 = [(_erased_key(c, uniform, holes), free_names(c)) for c in comps]
+    touching: dict[str, list[str]] = {n: [] for n in binder_names}
+    for c in comps:
+        key = _erased_key(c, uniform, holes)
+        for n in free_names(c):
+            if n in touching:
+                touching[n].append(key)
     colors = dict.fromkeys(names, "_")
-    for n in binder_names:
-        touching = sorted(k for k, used in keys0 if n in used)
-        colors[n] = "ν(" + "|".join(touching) + ")"
+    for n, keys in touching.items():
+        colors[n] = "ν(" + "|".join(sorted(keys)) + ")"
     return sorted(comps, key=lambda c: _erased_key(c, colors, holes))
 
 
@@ -772,17 +767,11 @@ def _normalize1(node, names: frozenset[str], vs: frozenset[str]):
             return node
         case Block():
             return _flatten_block(node, names, vs)
-        case SGroupProc(g, proc):
-            p = _normalize1(proc, names, vs)
-            return replace(node, proc=p)
-        case SGroupSys(g, body):
-            b = _normalize1(body, names, vs)
-            if isinstance(b, SBare):
-                return SGroupProc(g, b.proc)
-            return replace(node, body=b)
-        case SBare(proc):
-            p = _normalize1(proc, names, vs)
-            return SBare(p)
+        case Group(_, body):
+            return replace(node, body=_normalize1(body, names, vs))
+        case SBare(body):
+            # built afresh: a normal form carries no source span here
+            return SBare(_normalize1(body, names, vs))
     raise KernelError(f"cannot normalize {node!r}")
 
 

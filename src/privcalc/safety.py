@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (
-    Block, IVar, Known, PIf, PInp, PNil, POut, PPair, PRepl, PStore,
-    PrivacyType, Process, SBare, SGroupProc, SGroupSys, Span, System, TChan,
-    TName, TPrivate, TVar, Term, normalize,
+    Block, Group, IVar, Known, PIf, PInp, PNil, POut, PPair, PRepl, PStore,
+    PrivacyType, Process, SBare, Span, System, TChan, TName, TPrivate, TVar,
+    Term, normalize,
 )
 from .policy import Hierarchy, PermSet, Policy, flatten, NotFound
 from .syntax import Gamma, render_process
@@ -348,9 +348,7 @@ def detect_errors(policy: Policy, gamma: Gamma, s: System,
 
     def walk(node: System, path: tuple[str, ...], g: Gamma):
         match node:
-            case SGroupProc(group, proc):
-                at(path + (group,), g, proc)
-            case SGroupSys(group, body):
+            case Group(group, body):
                 walk(body, path + (group,), g)
             case Block(_, comps):
                 g2, _ = _bind_block(g, node)

@@ -15,13 +15,13 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Union
 
 from .kernel import (
-    Block, DConst, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl,
-    PStore, PrivacyType, PrivateData, SBare, SGroupProc, SGroupSys, System,
-    TChan, TConst, TDual, TName, TPriv, TPurpose, TVar, Term,
+    Block, DConst, Group, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut,
+    PRepl, PStore, PrivacyType, PrivateData, SBare, System, TChan, TConst,
+    TDual, TName, TPriv, TPurpose, TVar, Term,
     IncompatibleSubstitution, children, free_atoms, fresh_name, is_system,
     normalize, substitute, _block, _rename_name,
 )
@@ -219,12 +219,8 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
                 out.extend(visible_outs(then))
             elif v is False:
                 out.extend(visible_outs(els))
-        case SBare(proc):
-            out.extend((lb, SBare(sc)) for lb, sc in visible_outs(proc))
-        case SGroupProc(g, proc):
-            out.extend((lb, SGroupProc(g, sc)) for lb, sc in visible_outs(proc))
-        case SGroupSys(g, body):
-            out.extend((lb, SGroupSys(g, sc)) for lb, sc in visible_outs(body))
+        case Group(_, body) | SBare(body):
+            out.extend((lb, replace(node, body=sc)) for lb, sc in visible_outs(body))
     return out
 
 
@@ -279,12 +275,8 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                 out.extend(feed(then, subject, to_dual, values))
             elif v is False:
                 out.extend(feed(els, subject, to_dual, values))
-        case SBare(proc):
-            out.extend(SBare(s) for s in feed(proc, subject, to_dual, values))
-        case SGroupProc(g, proc):
-            out.extend(SGroupProc(g, s) for s in feed(proc, subject, to_dual, values))
-        case SGroupSys(g, body):
-            out.extend(SGroupSys(g, s) for s in feed(body, subject, to_dual, values))
+        case Group(_, body) | SBare(body):
+            out.extend(replace(node, body=s) for s in feed(body, subject, to_dual, values))
     return out
 
 
@@ -421,12 +413,8 @@ def _steps(node, refs: frozenset[str]) -> Iterator:
                 yield from _steps(then, refs)
             elif v is False:
                 yield from _steps(els, refs)
-        case SBare(proc):
-            yield from (SBare(s) for s in _steps(proc, refs))
-        case SGroupProc(g, proc):
-            yield from (SGroupProc(g, s) for s in _steps(proc, refs))
-        case SGroupSys(g, body):
-            yield from (SGroupSys(g, s) for s in _steps(body, refs))
+        case Group(_, body) | SBare(body):
+            yield from (replace(node, body=s) for s in _steps(body, refs))
 
 
 def tau_successors(node, refs: Optional[frozenset[str]] = None) -> list:

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import (
-    Block, DConst, DVar, HIDDEN, Hidden, IVar, Known, NIL, PAnon, PIf, PInp,
-    PNil, POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType,
-    PrivateData, Process, SBare, SGroupProc, SGroupSys, Span, System, TChan,
-    TConst, TDual, TName, TPriv, TPrivate, TPurpose, TVar, Term, KernelError,
-    _block, placeholder_vars,
+    Block, DConst, DVar, Group, HIDDEN, Hidden, IVar, Known, NIL, PAnon, PIf,
+    PInp, PNil, POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType,
+    PrivateData, Process, SBare, Span, System, TChan, TConst, TDual, TName,
+    TPriv, TPrivate, TPurpose, TVar, Term, KernelError, _block, placeholder_vars,
 )
 from .policy import (
     Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, disseminate, identify,
@@ -750,8 +749,8 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
         p.expect("]")
         lowered = _lower_system(inner)
         if lowered is not None:
-            return SGroupProc(group.text, lowered, span=group.span)
-        return SGroupSys(group.text, inner, span=group.span)
+            inner = SBare(lowered)
+        return Group(group.text, inner, span=group.span)
     if t.text == "(":
         m = p.mark()
         p.take()
@@ -800,17 +799,13 @@ def _promote_names(node, names: set[str]):
                 return dataclasses.replace(nd, cont=go(cont))
             case Block(_, comps):
                 return dataclasses.replace(nd, comps=tuple(map(go, comps)))
-            case PRepl(body):
+            case PRepl(body) | Group(_, body) | SBare(body):
                 return dataclasses.replace(nd, body=go(body))
             case PIf(_, lhs, rhs, then, els):
                 return dataclasses.replace(nd, lhs=term(lhs), rhs=term(rhs),
                                            then=go(then), els=go(els))
             case PStore(_, _):
                 return nd
-            case SGroupProc(_, proc) | SBare(proc):
-                return dataclasses.replace(nd, proc=go(proc))
-            case SGroupSys(_, body):
-                return dataclasses.replace(nd, body=go(body))
         raise KernelError(str(nd))
 
     return go(node)
@@ -823,20 +818,21 @@ def _registry_from_gamma(gamma: Optional[Gamma]) -> _SortRegistry:
                          purpose=gamma.purpose_type_names())
 
 
-def parse_system(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
+def _parse(text: str, gamma: Optional[Gamma], entry) -> ParseResult:
+    """Parse the whole text from the grammar entry `entry`, then promote the
+    provisional constants that have name evidence."""
     try:
         toks = _lex(text)
         p = _P(toks)
         ctx = _Ctx(set(), set())
         registry = _registry_from_gamma(gamma)
-        sys = _parse_system(p, ctx, registry)
+        node = entry(p, ctx, registry)
         p.expect_eof()
         names = set(ctx.subject_evidence)
         if gamma is not None:
             names |= gamma.name_tokens()
             names -= gamma.const_tokens()
-        sys = _promote_names(sys, names)
-        return ParseResult(sys, [])
+        return ParseResult(_promote_names(node, names), [])
     except (LexError, ParseError) as e:
         return ParseResult(None, [Diagnostic("error", e.span, e.message,
                                              getattr(e, "hint", None))])
@@ -845,30 +841,14 @@ def parse_system(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
     except RecursionError:
         return ParseResult(None, [Diagnostic("error", Span(1, 1, 1, 1),
                                              "input nests too deeply")])
+
+
+def parse_system(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
+    return _parse(text, gamma, _parse_system)
 
 
 def parse_process(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
-    try:
-        toks = _lex(text)
-        p = _P(toks)
-        ctx = _Ctx(set(), set())
-        registry = _registry_from_gamma(gamma)
-        proc = _parse_process(p, ctx, registry)
-        p.expect_eof()
-        names = set(ctx.subject_evidence)
-        if gamma is not None:
-            names |= gamma.name_tokens()
-            names -= gamma.const_tokens()
-        proc = _promote_names(proc, names)
-        return ParseResult(proc, [])
-    except (LexError, ParseError) as e:
-        return ParseResult(None, [Diagnostic("error", e.span, e.message,
-                                             getattr(e, "hint", None))])
-    except KernelError as e:
-        return ParseResult(None, [Diagnostic("error", Span(1, 1, 1, 1), str(e))])
-    except RecursionError:
-        return ParseResult(None, [Diagnostic("error", Span(1, 1, 1, 1),
-                                             "input nests too deeply")])
+    return _parse(text, gamma, _parse_process)
 
 
 # --- policy parsing -------------------------------------------------------------------
@@ -1197,9 +1177,7 @@ def render_process(p: Process) -> str:
 
 def render_system(s: System) -> str:
     match s:
-        case SGroupProc(g, proc):
-            return f"{g}[ {render_process(proc)} ]"
-        case SGroupSys(g, body):
+        case Group(g, body):
             return f"{g}[ {render_system(body)} ]"
         case Block():
             return _render_block(s, render_system, " || ")

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .kernel import (
-    Block, DConst, DVar, Hidden, IVar, Known, PAnon, PIf, PInp, PNil, POut,
-    PPair, PRepl, PStore, PVar, Placeholder, PrivacyType, PrivateData,
-    Process, SBare, SGroupProc, SGroupSys, Span, System, TChan, TConst,
-    TDual, TName, TPriv, TPrivate, TPurpose, TVar, Term, placeholder_vars,
+    Block, DConst, DVar, Group, Hidden, IVar, Known, PAnon, PIf, PInp, PNil,
+    POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType, PrivateData,
+    Process, SBare, Span, System, TChan, TConst, TDual, TName, TPriv,
+    TPrivate, TPurpose, TVar, Term, children, placeholder_vars,
 )
 from .policy import (
     AGGREGATE, FlatHierarchy, Lambda, OMEGA, Perm, PermSet, READ, READID,
@@ -392,37 +392,22 @@ def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
     prefix whose subject is already typed; unique candidates win."""
     candidates: set[PrivacyType] = set()
 
-    def scan(nd, shadowed: bool):
-        if shadowed:
-            return
+    def scan(nd):
         match nd:
-            case PNil() | PStore(_, _):
-                return
-            case POut(s, objs, cont):
+            case POut(s, objs, _):
                 sty = gamma.atom_type(s.name) if isinstance(s, (TName, TVar)) else None
                 if isinstance(sty, TChan) and len(sty.payload) == len(objs):
                     for o, ty in zip(objs, sty.payload):
                         if isinstance(o, (TName, TVar)) and o.name == name:
                             candidates.add(ty)
-                scan(cont, shadowed)
-            case PInp(s, pats, cont):
-                inner = shadowed or any(name in placeholder_vars(k) for k in pats)
-                scan(cont, inner)
-            case Block(bs, cs):
-                inner = shadowed or any(n == name for n, _ in bs)
-                for c in cs:
-                    scan(c, inner)
-            case PRepl(bd):
-                scan(bd, shadowed)
-            case PIf(_, _, _, th, el):
-                scan(th, shadowed)
-                scan(el, shadowed)
-            case SGroupProc(_, proc) | SBare(proc):
-                scan(proc, shadowed)
-            case SGroupSys(_, bd):
-                scan(bd, shadowed)
+            case PInp(_, pats, _) if any(name in placeholder_vars(k) for k in pats):
+                return  # shadowed below
+            case Block(bs, _) if any(n == name for n, _ in bs):
+                return
+        for c in children(nd):
+            scan(c)
 
-    scan(body, False)
+    scan(body)
     if len(candidates) == 1:
         return next(iter(candidates))
     return None
@@ -554,13 +539,7 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
 def type_system(gamma: Gamma, s: System, id_direction: str = "anon",
                 _at_root: bool = True) -> SysTyping:
     match s:
-        case SGroupProc(group, proc):
-            pt = type_process(gamma, proc, id_direction)
-            theta = Theta(ThetaEntry(t, (group,), pt.delta.entries[t])
-                          for t in sorted(pt.delta.entries))
-            return SysTyping(pt.lam, theta)
-
-        case SGroupSys(group, body):
+        case Group(group, body):
             inner = type_system(gamma, body, id_direction, _at_root=False)
             return SysTyping(inner.lam, inner.theta.prefixed(group))
 

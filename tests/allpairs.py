@@ -8,8 +8,8 @@ helpers (`_rename_clash`, `_deliveries`, ...) are shared with `semantics`,
 which did not change them."""
 
 from privcalc.kernel import (
-    Block, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl, PStore,
-    PrivateData, SBare, SGroupProc, SGroupSys, TDual, TName, TPriv,
+    Block, Group, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl, PStore,
+    PrivateData, SBare, TDual, TName, TPriv,
     IncompatibleSubstitution, children, free_atoms, substitute, _block,
 )
 from privcalc.semantics import (
@@ -56,10 +56,8 @@ def visible_outs(node):
                 out.extend(visible_outs(els))
         case SBare(proc):
             out.extend((lb, SBare(sc)) for lb, sc in visible_outs(proc))
-        case SGroupProc(g, proc):
-            out.extend((lb, SGroupProc(g, sc)) for lb, sc in visible_outs(proc))
-        case SGroupSys(g, body):
-            out.extend((lb, SGroupSys(g, sc)) for lb, sc in visible_outs(body))
+        case Group(g, body):
+            out.extend((lb, Group(g, sc)) for lb, sc in visible_outs(body))
     return out
 
 
@@ -109,10 +107,8 @@ def feed(node, subject, to_dual, values):
                 out.extend(feed(els, subject, to_dual, values))
         case SBare(proc):
             out.extend(SBare(s) for s in feed(proc, subject, to_dual, values))
-        case SGroupProc(g, proc):
-            out.extend(SGroupProc(g, s) for s in feed(proc, subject, to_dual, values))
-        case SGroupSys(g, body):
-            out.extend(SGroupSys(g, s) for s in feed(body, subject, to_dual, values))
+        case Group(g, body):
+            out.extend(Group(g, s) for s in feed(body, subject, to_dual, values))
     return out
 
 
@@ -157,10 +153,8 @@ def tau_successors(node, refs=None):
                 out.extend(tau_successors(els, refs))
         case SBare(proc):
             out.extend(SBare(s) for s in tau_successors(proc, refs))
-        case SGroupProc(g, proc):
-            out.extend(SGroupProc(g, s) for s in tau_successors(proc, refs))
-        case SGroupSys(g, body):
-            out.extend(SGroupSys(g, s) for s in tau_successors(body, refs))
+        case Group(g, body):
+            out.extend(Group(g, s) for s in tau_successors(body, refs))
     return out
 
 

@@ -7,9 +7,9 @@ from __future__ import annotations
 import random
 
 from privcalc.kernel import (
-    Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
-    PRepl, PStore, PVar, PrivateData, Process, SGroupProc, SGroupSys, System,
-    TChan, TConst, TName, TPriv, TPrivate, TPurpose, TVar,
+    Block, DConst, Group, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut,
+    PPair, PRepl, PStore, PVar, PrivateData, Process, SBare, System, TChan,
+    TConst, TName, TPriv, TPrivate, TPurpose, TVar,
 )
 from privcalc.policy import (
     AGGREGATE, FIN, Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, READ,
@@ -114,11 +114,11 @@ def random_system(rng: random.Random) -> System:
     if rng.random() < 0.3:
         pieces_left.append(PNil())
 
-    left: System = SGroupProc("G2", par(*pieces_left))
-    right: System = SGroupProc("G3", par(*pieces_right))
+    left: System = Group("G2", SBare(par(*pieces_left)))
+    right: System = Group("G3", SBare(par(*pieces_right)))
     body: System = par(left, right)
     if rng.random() < 0.5:
-        body = SGroupSys("G1", body)
+        body = Group("G1", body)
     return body
 
 

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import CORPUS
 from privcalc import kernel
-from privcalc.syntax import parse_env, parse_process, parse_system
+from privcalc.syntax import parse_env, parse_process, parse_system, render_system
 from privcalc.kernel import (
     Block, DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError,
     Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair, PRepl, PStore, PVar,
@@ -141,8 +142,8 @@ class TestNormalize:
         assert normalize(new("a", None, NIL)) == NIL
 
     def test_system_nil_unit(self):
-        from privcalc.kernel import SBare, SGroupProc
-        g = SGroupProc("G", POut(TName("a"), (TConst("c"),), NIL))
+        from privcalc.kernel import Group, SBare
+        g = Group("G", SBare(POut(TName("a"), (TConst("c"),), NIL)))
         assert normalize(par(SBare(NIL), g)) == normalize(g)
         assert normalize(new("a", None, SBare(NIL))) == SBare(NIL)
 
@@ -219,19 +220,26 @@ class TestNormalize:
                 PStore("r", PrivateData(Known("id"), DConst("c"))))
         assert normalize(normalize(p)) == normalize(p)
 
+    def test_group_siblings_sort_by_body_family(self):
+        """A group around a process sorts before a group around a system,
+        whatever their names, in every order of the siblings."""
+        comps = ["A[ B[ 0 ] ]", "Z[ a!<c>.0 ]", "0"]
+        for order in itertools.permutations(comps):
+            s = parse_system(" || ".join(order)).value
+            assert render_system(normalize(s)) == "Z[ a!<c>. 0 ] || A[ B[ 0 ] ]"
+
     def test_group_boundary_never_crossed(self):
-        from privcalc.kernel import SGroupProc
-        inner = SGroupProc("G", POut(TName("n"), (TConst("c"),), NIL))
-        s = par(new("n", None, inner), SGroupProc("H", NIL))
+        from privcalc.kernel import Group, SBare
+        inner = Group("G", SBare(POut(TName("n"), (TConst("c"),), NIL)))
+        s = par(new("n", None, inner), Group("H", SBare(NIL)))
         n = normalize(s)
         # the restriction may commute with the parallel but not enter G[...]
-        from privcalc.kernel import SGroupSys
 
         def group_bodies(node):
             match node:
-                case SGroupProc(_, proc):
+                case Group(_, SBare(proc)):
                     return [proc]
-                case SGroupSys(_, body):
+                case Group(_, body):
                     return group_bodies(body)
                 case Block(_, comps):
                     return [b for c in comps for b in group_bodies(c)]

@@ -5,7 +5,7 @@ import pytest
 
 from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PInp, POut, PPair, PStore,
-    PVar, PrivateData, SBare, SGroupProc, SGroupSys, TConst, TName, TPriv,
+    PVar, PrivateData, Group, SBare, TConst, TName, TPriv,
     alpha_eq, normalize,
 )
 from privcalc.semantics import (
@@ -102,10 +102,10 @@ class TestLabels:
         assert normalize(succs[0]) == normalize(want)
 
     def test_uninitialized_store_takes_any_identity(self):
-        from privcalc.kernel import DVar, IVar, SGroupProc
+        from privcalc.kernel import DVar, IVar
         g = parse_env("r : G1[t<g>]\n{id # c2} : t<g>\n{x # y} : t<g>\n").value
         raw = par(
-            SGroupProc("G1", PStore("r", PrivateData(IVar("x"), DVar("y")))),
+            Group("G1", SBare(PStore("r", PrivateData(IVar("x"), DVar("y"))))),
             parse_system("G2[ r!<{id # c2}>. 0 ]", g).value)
         succs = tau_successors(raw)
         assert len(succs) == 1
@@ -113,7 +113,7 @@ class TestLabels:
         assert normalize(succs[0]) == normalize(want)
         # anonymous writes cannot pick an identity for an uninitialized store
         raw2 = par(
-            SGroupProc("G1", PStore("r", PrivateData(IVar("x"), DVar("y")))),
+            Group("G1", SBare(PStore("r", PrivateData(IVar("x"), DVar("y"))))),
             parse_system("G2[ r!<{_ # c2}>. 0 ]",
                          parse_env("r : G1[t<g>]\n{_ # c2} : t<g>\n").value).value)
         assert tau_successors(raw2) == []
@@ -253,8 +253,8 @@ def _flip_par(node):
     match node:
         case Block((), (l, *r)):
             return par(par(*r), l)
-        case SGroupProc(grp, proc):
-            return SGroupProc(grp, _flip_proc(proc))
+        case Group(grp, SBare(proc)):
+            return Group(grp, SBare(_flip_proc(proc)))
         case _:
             return node
 
@@ -279,9 +279,9 @@ def _lift(p):
 
 def _group_contents(s):
     match s:
-        case SGroupProc(_, p):
+        case Group(_, SBare(p)):
             yield p
-        case SGroupSys(_, body):
+        case Group(_, body):
             yield from _group_contents(body)
         case Block(_, comps):
             for c in comps:

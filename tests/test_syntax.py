@@ -4,7 +4,7 @@ import pytest
 
 from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
-    PRepl, PStore, PVar, PrivateData, SBare, SGroupProc, SGroupSys, TChan,
+    PRepl, PStore, PVar, PrivateData, Group, SBare, TChan,
     TConst, TName, TPriv, TPrivate, TPurpose, TVar,
 )
 from privcalc.syntax import (
@@ -22,10 +22,11 @@ class TestParseSystem:
             "if y = z then c!<w>.0 else 0 ] ]")
         assert res.ok
         sys = res.value
-        assert isinstance(sys, SGroupSys) and sys.group == "Hospital"
+        assert isinstance(sys, Group) and sys.group == "Hospital"
         lab = sys.body
-        assert isinstance(lab, SGroupProc) and lab.group == "Lab"
-        inp = lab.proc
+        assert isinstance(lab, Group) and lab.group == "Lab"
+        assert isinstance(lab.body, SBare)
+        inp = lab.body.body
         assert isinstance(inp, PInp) and inp.patterns == (PVar("w"),)
         second = inp.cont
         assert isinstance(second, PInp) and second.patterns == (PPair("x", "y"),)
@@ -200,16 +201,16 @@ class _AstGen:
     def system(self, depth):
         k = self.rng.randrange(4)
         if k == 0 or depth <= 0:
-            return SGroupProc(self.rng.choice(["G", "H"]),
-                              self.process(3, [], ["a", "b"], []))
+            return Group(self.rng.choice(["G", "H"]),
+                         SBare(self.process(3, [], ["a", "b"], [])))
         if k == 1:
             return par(self.system(depth - 1), self.system(depth - 1))
         if k == 2:
             n = self.fresh("m")
             # restricted names gain name evidence at the binder
             return new(n, None,
-                       SGroupProc("G", self.process(3, [], ["a", n], [n])))
-        return SGroupSys("Outer", self.system(depth - 1))
+                       Group("G", SBare(self.process(3, [], ["a", n], [n]))))
+        return Group("Outer", self.system(depth - 1))
 
 
 def test_round_trip_generated_systems():

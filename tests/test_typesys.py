@@ -4,7 +4,7 @@ import pytest
 
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, Known, NIL, PAnon, PInp, PIf, POut, PPair,
-    PRepl, PStore, PVar, PrivateData, SGroupProc, SGroupSys, SBare, TChan,
+    PRepl, PStore, PVar, PrivateData, SBare, TChan,
     TConst, TName, TPriv, TPrivate, TPurpose, TVar, substitute,
 )
 from privcalc.policy import (
