@@ -683,7 +683,8 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
             case PStore(ref, datum):
                 return f"st({name(ref, names)};{term(TPriv(datum), names, vs)})"
             case Group(g, SBare(proc)):
-                # a group around a process keys apart from one around a system
+                # `gp` sorts a group around a process before one around a
+                # system: the order of mixed group siblings rests on it
                 return f"gp({g};{go(proc, names, vs)})"
             case Group(g, body):
                 return f"gs({g};{go(body, names, vs)})"
@@ -770,7 +771,8 @@ def _normalize1(node, names: frozenset[str], vs: frozenset[str]):
         case Group(_, body):
             return replace(node, body=_normalize1(body, names, vs))
         case SBare(body):
-            # built afresh: a normal form carries no source span here
+            # built afresh, not replaced: a span here would give the typing
+            # errors of explored states a source location
             return SBare(_normalize1(body, names, vs))
     raise KernelError(f"cannot normalize {node!r}")
 
