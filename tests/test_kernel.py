@@ -512,3 +512,119 @@ def test_normalize_canonical_under_alpha():
         assert alpha_eq(n, normalize(q)) and n == normalize(q)
         c = _canonical_rename(p)
         assert alpha_eq(p, c) and _canonical_rename(c) == c
+
+
+class TestRecords:
+    """What the code relies on from its record classes: construction,
+    validation, structural equality blind to spans, a hash over the
+    compared fields, immutability, `replace`, `repr` and `match`."""
+
+    SPAN = kernel.Span(1, 2, 3, 4)
+
+    def test_repr_pinned(self):
+        from privcalc.policy import disseminate
+        from privcalc.safety import ErrorFinding, ScanReport
+        from privcalc.semantics import StateGraph
+        from privcalc.syntax import Tok
+        sp = self.SPAN
+        assert repr(sp) == "Span(line=1, col=2, end_line=3, end_col=4)"
+        out = POut(TName("a"), (priv(Known("id"), "c"),), NIL, span=sp)
+        assert repr(out) == (
+            "POut(subject=TName(name='a'), objects=(TPriv(pdata=PrivateData("
+            "identity=Known(ident='id'), data=DConst(token='c'))),), cont=PNil())")
+        inp = PInp(TVar("x"), (PPair("i", "d"), PAnon("v")), PNil(sp),
+                   (None, TChan("G", (TPrivate("t", "g"),))))
+        assert repr(inp) == (
+            "PInp(subject=TVar(name='x'), patterns=(PPair(id_var='i', data_var='d'), "
+            "PAnon(data_var='v')), cont=PNil(), annots=(None, TChan(group='G', "
+            "payload=(TPrivate(ptype='t', ground='g'),))))")
+        assert repr(kernel.Group("G", kernel.SBare(NIL))) == \
+            "Group(group='G', body=SBare(body=PNil()))"
+        assert repr(HIDDEN) == "Hidden()"
+        assert repr(disseminate("G", 2)) == (
+            "Perm(kind='disseminate', group='G', lam=Lambda(count=2), nd_kind=None, "
+            "purpose=None, ptype=None)")
+        assert repr(ErrorFinding(1, "t", ("G",), "read", "a!<b>", sp)) == (
+            "ErrorFinding(clause=1, ptype='t', group_path=('G',), permission='read', "
+            "subterm='a!<b>', span=Span(line=1, col=2, end_line=3, end_col=4))")
+        assert repr(Tok("IDENT", "x", sp)) == (
+            "Tok(kind='IDENT', text='x', span=Span(line=1, col=2, end_line=3, end_col=4))")
+        assert repr(ScanReport()) == "ScanReport(states=0, findings=[], truncated=False)"
+        assert repr(StateGraph("k")) == \
+            "StateGraph(root='k', nodes={}, edges=[], truncated=False, depths={})"
+
+    def test_construction(self):
+        from privcalc.policy import Perm
+        from privcalc.safety import ScanReport
+        assert PInp(TVar("x"), (PVar("y"),), NIL) == \
+            PInp(subject=TVar("x"), cont=NIL, patterns=(PVar("y"),), annots=())
+        assert Perm("usage", purpose="p").group is None
+        a, b = ScanReport(), ScanReport()
+        a.findings.append(("k", None))
+        assert b.findings == [] and a.states == 0
+        with pytest.raises(TypeError):
+            TName()
+        with pytest.raises(TypeError):
+            TName("a", "b")
+        with pytest.raises(TypeError):
+            TName("a", name="b")
+        with pytest.raises(TypeError):
+            TName(nom="a")
+
+    def test_equality_and_hash_ignore_span(self):
+        from privcalc.safety import ErrorFinding
+        a = POut(TName("a"), (TConst("c"),), PNil(self.SPAN), span=self.SPAN)
+        b = POut(TName("a"), (TConst("c"),), NIL)
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        f = ErrorFinding(1, "t", ("G",), "read", "x", self.SPAN)
+        g = ErrorFinding(1, "t", ("G",), "read", "x")
+        assert f == g and hash(f) == hash(g)
+        assert a != POut(TName("b"), (TConst("c"),), NIL)
+        assert TName("a") != TVar("a") and TName("a") != "a"
+
+    def test_hash_is_tuple_of_compared_fields(self):
+        out = POut(TName("a"), (TConst("c"),), NIL, span=self.SPAN)
+        block = kernel.Block((("n", None),), (out, NIL))
+        for node, fields in [
+            (TName("a"), ("a",)),
+            (NIL, ()),
+            (HIDDEN, ()),
+            (self.SPAN, (1, 2, 3, 4)),
+            (out, (TName("a"), (TConst("c"),), NIL)),
+            (block, ((("n", None),), (out, NIL))),
+        ]:
+            assert hash(node) == hash(fields)
+            assert hash(node) == hash(fields)  # a second call, served from the node
+
+    def test_replace_validates_and_rehashes(self):
+        out = POut(TName("a"), (TConst("c"),), NIL, span=self.SPAN)
+        hash(out)
+        with pytest.raises(KernelError):
+            kernel.replace(out, objects=())
+        moved = kernel.replace(out, subject=TName("b"))
+        fresh = POut(TName("b"), (TConst("c"),), NIL)
+        assert moved == fresh and hash(moved) == hash(fresh) != hash(out)
+        assert moved.span == self.SPAN and out.subject == TName("a")
+        with pytest.raises(TypeError):
+            kernel.replace(out, nothing=1)
+
+    def test_frozen(self):
+        out = POut(TName("a"), (TConst("c"),), NIL)
+        with pytest.raises(AttributeError):
+            out.cont = NIL
+        with pytest.raises(AttributeError):
+            del out.cont
+        with pytest.raises(AttributeError):
+            self.SPAN.line = 5
+        assert out.cont == NIL and self.SPAN.line == 1
+
+    def test_match_args(self):
+        assert POut.__match_args__ == ("subject", "objects", "cont", "span")
+        assert PNil.__match_args__ == ("span",)
+        node = kernel.Group("G", kernel.SBare(POut(TName("a"), (TConst("c"),), NIL)))
+        match node:
+            case kernel.Group(g, kernel.SBare(POut(TName(s), (TConst(c),), PNil()))):
+                assert (g, s, c) == ("G", "a", "c")
+            case _:
+                pytest.fail("no arm matched")
