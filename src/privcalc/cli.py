@@ -138,8 +138,7 @@ def _cmd_simulate(args) -> int:
         print(f"states {len(graph.nodes)} edges {len(graph.edges)}"
               f"{' truncated' if graph.truncated else ''}")
     if args.preserve:
-        report = check_preservation(gamma, system, args.depth,
-                                    id_direction=args.id_direction)
+        report = check_preservation(gamma, graph, id_direction=args.id_direction)
         print(report.render())
         if not report.ok:
             return EXIT_VIOLATION

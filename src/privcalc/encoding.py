@@ -11,14 +11,13 @@ normalizer and the transition engine apply unchanged to core terms.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from .kernel import (
     Block, DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut,
-    PPair, PRepl, PStore, PVar, PrivateData, Process, TConst, TDual, TName,
-    TPriv, TVar, Term, children, free_atoms, fresh_name, normalize,
-    placeholder_vars, _block,
+    PPair, PRepl, PStore, PVar, PrivateData, Process, Record, TConst, TDual,
+    TName, TPriv, TVar, Term, children, field, free_atoms, fresh_name,
+    normalize, placeholder_vars, replace, _block,
 )
 from .syntax import _is_par, render_process, render_term
 from .semantics import _eval_cond, reference_names, tau_successors
@@ -359,8 +358,7 @@ def _wrap(p: Process) -> str:
 
 # --- operational correspondence ---------------------------------------------------------
 
-@dataclass
-class CorrespondenceReport:
+class CorrespondenceReport(Record, frozen=False):
     source_steps: int = 0
     encoded_steps: int = 0
     sound: list[str] = field(default_factory=list)        # matched source steps

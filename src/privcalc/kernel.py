@@ -14,10 +14,11 @@ normalized forms compare structurally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
+    "Record", "field", "replace",
     "Span", "KernelError", "IncompatibleSubstitution",
     "Known", "HIDDEN", "Hidden", "IVar", "Identity",
     "DConst", "DVar", "DataValue", "PrivateData",
@@ -31,8 +32,196 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Span:
+# --- records -------------------------------------------------------------------
+
+_MISSING = object()
+_setattr = object.__setattr__
+
+
+class _Field:
+    """One declared field of a record."""
+
+    __slots__ = ("name", "default", "factory", "compare", "repr")
+
+    def __init__(self, default=_MISSING, factory=None, compare=True, repr=True):
+        self.name = ""
+        self.default = default
+        self.factory = factory
+        self.compare = compare
+        self.repr = repr
+
+
+def field(*, default=_MISSING, default_factory=None, compare=True, repr=True):
+    """Options for a record field, given as its class attribute: a default,
+    or a factory called for each new record; and whether the field takes
+    part in equality, hashing and repr."""
+    return _Field(default, default_factory, compare, repr)
+
+
+def _no_fields(record) -> tuple:
+    return ()
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """Base of the package's records. The fields are the class's annotated
+    attributes, in order; a plain value is the field's default and
+    `field(...)` gives more options. A record class gets
+
+    - construction by position and keyword, then `__post_init__` if the
+      class defines one;
+    - `==` over the compared fields, between records of one class only;
+    - `__match_args__`, naming every field, and `_fields`, the same names;
+    - a repr `Name(field=value, ...)` over the fields shown.
+
+    A frozen record (the default; `class R(Record, frozen=False)` makes a
+    mutable one) rejects assignment and hashes as the tuple of its compared
+    fields. It computes that hash on first use and keeps it, since its
+    fields never change; `replace` builds a new record, which computes its
+    own. A mutable record is unhashable.
+
+    Every class shares the same few functions, closed over its field list:
+    no source is generated per class, which keeps importing the package
+    cheap.
+    """
+
+    _hash = None  # a frozen record's hash, once computed
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = []
+        for name in cls.__dict__.get("__annotations__", {}):
+            spec = cls.__dict__.get(name, _MISSING)
+            if isinstance(spec, _Field):
+                if spec.default is _MISSING:
+                    delattr(cls, name)
+                else:
+                    setattr(cls, name, spec.default)
+            else:
+                spec = _Field(spec)
+            spec.name = name
+            if (fields and spec.default is _MISSING and spec.factory is None
+                    and (fields[-1].default is not _MISSING or fields[-1].factory)):
+                raise TypeError(f"{cls.__name__}: field {name} without a default "
+                                "follows one with a default")
+            fields.append(spec)
+        cls._fields = cls.__match_args__ = tuple(f.name for f in fields)
+        cls._repr_fields = tuple(f.name for f in fields if f.repr)
+        compared = tuple(f.name for f in fields if f.compare)
+        key = attrgetter(*compared) if compared else _no_fields
+        cls.__init__ = _record_init(cls, fields)
+        cls.__eq__ = _record_eq(key)
+        if frozen:
+            cls.__hash__ = _record_hash(key, len(compared) == 1)
+            cls.__setattr__ = _frozen_setattr
+            cls.__delattr__ = _frozen_delattr
+        else:
+            cls.__hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+def _record_init(cls, fields: list):
+    names = tuple(f.name for f in fields)
+    n = len(names)
+    if n > 8:
+        raise TypeError(f"{cls.__name__}: a record has at most 8 fields")
+    f0, f1, f2, f3, f4, f5, f6, f7 = names + (None,) * (8 - n)
+    # A positional call may leave out trailing plain defaults, which the
+    # record then reads from its class. A factory runs for each new record,
+    # so a class with one binds every call that leaves a field out.
+    least = n if any(f.factory for f in fields) else sum(f.default is _MISSING for f in fields)
+    post = getattr(cls, "__post_init__", None)
+
+    def bind(self, args: tuple, kwargs: dict) -> None:
+        """Set the fields as a function whose parameters they are would
+        bind the arguments. A plain default is left to the class."""
+        if len(args) > n:
+            raise TypeError(f"{cls.__name__}() takes {n} positional arguments "
+                            f"but {len(args)} were given")
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        for f in fields[len(args):]:
+            if f.name in kwargs:
+                _setattr(self, f.name, kwargs.pop(f.name))
+            elif f.factory is not None:
+                _setattr(self, f.name, f.factory())
+            elif f.default is _MISSING:
+                raise TypeError(f"{cls.__name__}() missing argument {f.name!r}")
+        for name in kwargs:
+            how = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {how} argument {name!r}")
+
+    def __init__(self, *args, **kwargs):
+        m = len(args)
+        if kwargs or m < least or m > n:
+            bind(self, args, kwargs)
+        # Unrolled on purpose: parsing builds two records per token, and a
+        # loop over the names costs a constructor about a tenth more.
+        elif m:
+            _setattr(self, f0, args[0])
+            if m > 1:
+                _setattr(self, f1, args[1])
+                if m > 2:
+                    _setattr(self, f2, args[2])
+                    if m > 3:
+                        _setattr(self, f3, args[3])
+                        if m > 4:
+                            _setattr(self, f4, args[4])
+                            if m > 5:
+                                _setattr(self, f5, args[5])
+                                if m > 6:
+                                    _setattr(self, f6, args[6])
+                                    if m > 7:
+                                        _setattr(self, f7, args[7])
+        if post is not None:
+            post(self)
+
+    return __init__
+
+
+def _record_eq(key):
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return key(self) == key(other)
+
+    return __eq__
+
+
+def _record_hash(key, single: bool):
+    # `key` gives a lone field's value bare; the hash is of the 1-tuple
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((key(self),) if single else key(self))
+            _setattr(self, "_hash", h)
+        return h
+
+    return __hash__
+
+
+def replace(record, /, **changes):
+    """A copy of the record with some fields changed. It is built as a new
+    record is, so `__post_init__` checks it and it computes its own hash."""
+    cls = type(record)
+    values = [changes.pop(name) if name in changes else getattr(record, name)
+              for name in cls._fields]
+    if changes:
+        raise TypeError(f"{cls.__name__} has no field {next(iter(changes))!r}")
+    return cls(*values)
+
+
+class Span(Record):
     line: int
     col: int
     end_line: int
@@ -55,13 +244,11 @@ class IncompatibleSubstitution(KernelError):
 
 # --- identities and data values -------------------------------------------
 
-@dataclass(frozen=True)
-class Known:
+class Known(Record):
     ident: str
 
 
-@dataclass(frozen=True)
-class Hidden:
+class Hidden(Record):
     def __repr__(self) -> str:
         return "Hidden()"
 
@@ -69,29 +256,25 @@ class Hidden:
 HIDDEN = Hidden()
 
 
-@dataclass(frozen=True)
-class IVar:
+class IVar(Record):
     name: str
 
 
 Identity = Union[Known, Hidden, IVar]
 
 
-@dataclass(frozen=True)
-class DConst:
+class DConst(Record):
     token: str
 
 
-@dataclass(frozen=True)
-class DVar:
+class DVar(Record):
     name: str
 
 
 DataValue = Union[DConst, DVar]
 
 
-@dataclass(frozen=True)
-class PrivateData:
+class PrivateData(Record):
     """An identity paired with a piece of data.
 
     Admissible shapes: Known+Const, Hidden+Const, IVar+DVar, Hidden+DVar,
@@ -124,43 +307,36 @@ class PrivateData:
 
 # --- terms and placeholders -----------------------------------------------
 
-@dataclass(frozen=True)
-class TName:
+class TName(Record):
     """A channel or reference name; the two sorts are lexically identical
     and are told apart by their type."""
     name: str
 
 
-@dataclass(frozen=True)
-class TDual:
+class TDual(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class TConst:
+class TConst(Record):
     token: str
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class TPriv:
+class TPriv(Record):
     pdata: PrivateData
 
 
 Term = Union[TName, TDual, TConst, TVar, TPriv]
 
 
-@dataclass(frozen=True)
-class PVar:
+class PVar(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class PPair:
+class PPair(Record):
     id_var: str
     data_var: str
 
@@ -169,8 +345,7 @@ class PPair:
             raise KernelError(f"pattern variables must be distinct: {self.id_var}")
 
 
-@dataclass(frozen=True)
-class PAnon:
+class PAnon(Record):
     data_var: str
 
 
@@ -190,8 +365,7 @@ def placeholder_vars(k: Placeholder) -> tuple[str, ...]:
 
 # --- types (shared with the typing layer) ----------------------------------
 
-@dataclass(frozen=True)
-class TPrivate:
+class TPrivate(Record):
     ptype: str
     ground: str
 
@@ -199,8 +373,7 @@ class TPrivate:
         return f"{self.ptype}<{self.ground}>"
 
 
-@dataclass(frozen=True)
-class TPurpose:
+class TPurpose(Record):
     purpose: str
     ground: str
 
@@ -208,8 +381,7 @@ class TPurpose:
         return f"{self.purpose}<{self.ground}>"
 
 
-@dataclass(frozen=True)
-class TChan:
+class TChan(Record):
     group: str
     payload: tuple["PrivacyType", ...]
 
@@ -227,8 +399,7 @@ PrivacyType = Union[TPrivate, TPurpose, TChan]
 
 # --- processes --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PNil:
+class PNil(Record):
     span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
@@ -247,8 +418,7 @@ def _check_object(obj: Term):
         raise KernelError(f"private data {obj.pdata} is not a communicable form")
 
 
-@dataclass(frozen=True)
-class POut:
+class POut(Record):
     subject: Term
     objects: tuple[Term, ...]
     cont: "Process"
@@ -262,8 +432,7 @@ class POut:
             _check_object(v)
 
 
-@dataclass(frozen=True)
-class PInp:
+class PInp(Record):
     subject: Term
     patterns: tuple[Placeholder, ...]
     cont: "Process"
@@ -284,14 +453,12 @@ class PInp:
                 seen.add(x)
 
 
-@dataclass(frozen=True)
-class PRepl:
+class PRepl(Record):
     body: "Process"
     span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class PIf:
+class PIf(Record):
     op: str  # "=" or ">"
     lhs: Term
     rhs: Term
@@ -309,8 +476,7 @@ class PIf:
                 raise KernelError("uninitialized private data cannot be compared")
 
 
-@dataclass(frozen=True)
-class PStore:
+class PStore(Record):
     ref: str  # always a literal reference name, never a variable
     datum: PrivateData
     span: Optional[Span] = field(default=None, compare=False, repr=False)
@@ -320,8 +486,7 @@ class PStore:
             raise KernelError("a store cannot hold a hidden, uninitialized datum")
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """Restrictions over a parallel composition, in either family:
     `(new a) (new b) (P | Q)` or `(new a) (S || T)`. `binders` are
     (name, annotation) pairs, outermost first, scoping over every
@@ -342,8 +507,7 @@ Process = Union[PNil, POut, PInp, Block, PRepl, PIf, PStore]
 
 # --- systems -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     """`G[S]`: the system `S` running in group `G`; `G[P]` is
     `Group(G, SBare(P))`."""
     group: str
@@ -351,8 +515,7 @@ class Group:
     span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SBare:
+class SBare(Record):
     """A process at system level, enclosed by no group of its own."""
     body: Process
     span: Optional[Span] = field(default=None, compare=False, repr=False)

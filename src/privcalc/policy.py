@@ -3,8 +3,9 @@ well-formedness checking, and flattening along group paths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
+
+from .kernel import Record
 
 __all__ = [
     "Lambda", "FIN", "OMEGA", "lambda_add", "lambda_leq",
@@ -19,8 +20,7 @@ __all__ = [
 ND_KINDS = ("disclosure", "confidential", "sensitive")
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(Record):
     """A dissemination budget: a positive count or the unlimited marker."""
     count: Optional[int]  # None encodes the unlimited value
 
@@ -57,8 +57,7 @@ def lambda_leq(a: Lambda, b: Lambda) -> bool:
     return a.count <= b.count
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(Record):
     kind: str
     group: Optional[str] = None      # disseminate
     lam: Optional[Lambda] = None     # disseminate
@@ -194,15 +193,13 @@ def perm_union(a: PermSet, b: PermSet) -> PermSet:
 
 # --- hierarchies and policies ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Hierarchy:
+class Hierarchy(Record):
     group: str
     perms: PermSet
     children: tuple["Hierarchy", ...] = ()
 
 
-@dataclass(frozen=True)
-class FlatHierarchy:
+class FlatHierarchy(Record):
     path: tuple[str, ...]
     perms: PermSet
 
@@ -217,8 +214,7 @@ class FlatHierarchy:
         return out
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Record):
     bindings: tuple[tuple[str, Hierarchy], ...]
 
     def __post_init__(self):
@@ -254,8 +250,7 @@ def hierarchy_perms(h: Union[Hierarchy, FlatHierarchy]) -> PermSet:
     return acc
 
 
-@dataclass(frozen=True)
-class WfViolation:
+class WfViolation(Record):
     condition: int  # 1 distinct types, 2 acyclic, 3 nondisclosure consistency
     node_path: tuple[str, ...]
     detail: str
@@ -296,8 +291,7 @@ def check_wellformed(p: Policy) -> list[WfViolation]:
     return out
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(Record):
     prefix: tuple[str, ...]
     missing: str
 

@@ -3,13 +3,12 @@ dissemination budgets, and the bounded safety scan over reachable states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (
     Block, Group, IVar, Known, PIf, PInp, PNil, POut, PPair, PRepl, PStore,
-    PrivacyType, Process, SBare, Span, System, TChan, TName, TPrivate, TVar,
-    Term, normalize,
+    PrivacyType, Process, Record, SBare, Span, System, TChan, TName, TPrivate,
+    TVar, Term, field, normalize,
 )
 from .policy import Hierarchy, PermSet, Policy, flatten, NotFound
 from .syntax import Gamma, render_process
@@ -20,8 +19,7 @@ from .semantics import explore
 __all__ = ["ErrorFinding", "count_links", "detect_errors", "safety_scan", "ScanReport"]
 
 
-@dataclass(frozen=True)
-class ErrorFinding:
+class ErrorFinding(Record):
     clause: int
     ptype: str
     group_path: tuple[str, ...]
@@ -124,8 +122,7 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
     return go(p, gamma)
 
 
-@dataclass
-class _ClauseCtx:
+class _ClauseCtx(Record, frozen=False):
     policy: Policy
     path: tuple[str, ...]
     permis: dict[str, Optional[PermSet]]  # policy type -> accumulated grant
@@ -371,8 +368,7 @@ def detect_errors(policy: Policy, gamma: Gamma, s: System,
     return uniq
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Record, frozen=False):
     states: int = 0
     findings: list[tuple[str, ErrorFinding]] = field(default_factory=list)
     truncated: bool = False

@@ -3,10 +3,9 @@ end-to-end verdict for a system against a policy and environment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .kernel import System
+from .kernel import Record, System, field
 from .policy import (
     FlatHierarchy, Hierarchy, PermSet, Policy, check_wellformed, lambda_leq,
     perm_union,
@@ -17,8 +16,7 @@ from .typesys import Theta, ThetaEntry, TypingError, permset_leq, type_system
 __all__ = ["Witness", "Verdict", "theta_satisfies", "policy_satisfies", "verify"]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     ptype: str
     theta_path: tuple[str, ...]
     policy_path: tuple[str, ...]
@@ -30,8 +28,7 @@ class Witness:
         return f"{self.ptype} at {where}: {'; '.join(self.failing)} (policy node {at})"
 
 
-@dataclass
-class Verdict:
+class Verdict(Record, frozen=False):
     satisfied: bool
     witnesses: list[Witness] = field(default_factory=list)
     theta: Optional[Theta] = None

@@ -15,15 +15,14 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Union
 
 from .kernel import (
     Block, DConst, Group, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut,
-    PRepl, PStore, PrivacyType, PrivateData, SBare, System, TChan, TConst,
-    TDual, TName, TPriv, TPurpose, TVar, Term,
-    IncompatibleSubstitution, children, free_atoms, fresh_name, is_system,
-    normalize, substitute, _block, _rename_name,
+    PRepl, PStore, PrivacyType, PrivateData, Record, SBare, System, TChan,
+    TConst, TDual, TName, TPriv, TPurpose, TVar, Term,
+    IncompatibleSubstitution, children, field, free_atoms, fresh_name,
+    is_system, normalize, replace, substitute, _block, _rename_name,
 )
 from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_system
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OutLabel:
+class OutLabel(Record):
     subject: str
     on_dual: bool
     objects: tuple[Term, ...]
@@ -51,8 +49,7 @@ class OutLabel:
         return f"{nu}{s}!<{', '.join(render_term(o) for o in self.objects)}>"
 
 
-@dataclass(frozen=True)
-class InpLabel:
+class InpLabel(Record):
     subject: str
     on_dual: bool
     objects: tuple[Term, ...]
@@ -482,8 +479,7 @@ def state_key(node) -> str:
     return hashlib.sha256(txt.encode()).hexdigest()[:12]
 
 
-@dataclass
-class StateGraph:
+class StateGraph(Record, frozen=False):
     root: str
     nodes: dict[str, object] = field(default_factory=dict)
     edges: list[tuple[str, str, str]] = field(default_factory=list)
@@ -536,8 +532,7 @@ def explore(s: System, depth: int) -> StateGraph:
 
 # --- type preservation harness ---------------------------------------------------------
 
-@dataclass
-class PreservationReport:
+class PreservationReport(Record, frozen=False):
     edges_checked: int = 0
     violations: list[str] = field(default_factory=list)
     truncated: bool = False
@@ -554,11 +549,10 @@ class PreservationReport:
         return "\n".join(lines)
 
 
-def check_preservation(gamma: Gamma, s: System, depth: int,
+def check_preservation(gamma: Gamma, graph: StateGraph,
                        id_direction: str = "anon") -> PreservationReport:
-    """Re-type every internal-step successor and check the interface never
-    grows along an edge."""
-    graph = explore(s, depth)
+    """Re-type every state of an explored graph and check the interface
+    never grows along an edge."""
     report = PreservationReport(truncated=graph.truncated)
     thetas: dict[str, Theta] = {}
 

@@ -22,15 +22,14 @@ tokens the file itself leaves open.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import (
     Block, DConst, DVar, Group, HIDDEN, Hidden, IVar, Known, NIL, PAnon, PIf,
     PInp, PNil, POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType,
-    PrivateData, Process, SBare, Span, System, TChan, TConst, TDual, TName,
-    TPriv, TPrivate, TPurpose, TVar, Term, KernelError, _block, placeholder_vars,
+    PrivateData, Process, Record, SBare, Span, System, TChan, TConst, TDual,
+    TName, TPriv, TPrivate, TPurpose, TVar, Term, KernelError, _block,
+    placeholder_vars, replace,
 )
 from .policy import (
     Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, disseminate, identify,
@@ -52,8 +51,7 @@ PERM_WORDS = {"read", "update", "reference", "store", "readId", "aggregate",
               "disseminate", "nondisclose", "usage", "identify"}
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(Record):
     path: str
     text: str
     kind: str  # "system" | "policy" | "environment"
@@ -79,8 +77,7 @@ def parse_source(src: SourceFile, gamma: Optional["Gamma"] = None) -> "ParseResu
     return parse_env(src.text)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     severity: str  # "error" | "warning"
     span: Span
     message: str
@@ -93,8 +90,7 @@ class Diagnostic:
         return base
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Record, frozen=False):
     value: object
     diagnostics: list[Diagnostic]
 
@@ -200,8 +196,7 @@ def _collect_sorts(ty: PrivacyType, which: str) -> set[str]:
 
 # --- lexer ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(Record):
     kind: str  # IDENT NAT PUNCT EOF
     text: str
     span: Span
@@ -392,8 +387,7 @@ class _SortRegistry:
 
 # --- terms, patterns, private data ---------------------------------------------------
 
-@dataclass
-class _Ctx:
+class _Ctx(Record, frozen=False):
     bound_vars: set[str]
     subject_evidence: set[str]  # tokens with free name-position occurrences
 
@@ -792,18 +786,17 @@ def _promote_names(node, names: set[str]):
             case PNil():
                 return nd
             case POut(s, objs, cont):
-                return dataclasses.replace(nd, subject=term(s),
-                                           objects=tuple(term(o) for o in objs),
-                                           cont=go(cont))
+                return replace(nd, subject=term(s),
+                               objects=tuple(term(o) for o in objs), cont=go(cont))
             case PInp(_, _, cont):
-                return dataclasses.replace(nd, cont=go(cont))
+                return replace(nd, cont=go(cont))
             case Block(_, comps):
-                return dataclasses.replace(nd, comps=tuple(map(go, comps)))
+                return replace(nd, comps=tuple(map(go, comps)))
             case PRepl(body) | Group(_, body) | SBare(body):
-                return dataclasses.replace(nd, body=go(body))
+                return replace(nd, body=go(body))
             case PIf(_, lhs, rhs, then, els):
-                return dataclasses.replace(nd, lhs=term(lhs), rhs=term(rhs),
-                                           then=go(then), els=go(els))
+                return replace(nd, lhs=term(lhs), rhs=term(rhs),
+                               then=go(then), els=go(els))
             case PStore(_, _):
                 return nd
         raise KernelError(str(nd))

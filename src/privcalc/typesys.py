@@ -10,14 +10,13 @@ annotations (with a narrow object-position inference fallback).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .kernel import (
     Block, DConst, DVar, Group, Hidden, IVar, Known, PAnon, PIf, PInp, PNil,
     POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType, PrivateData,
-    Process, SBare, Span, System, TChan, TConst, TDual, TName, TPriv,
-    TPrivate, TPurpose, TVar, Term, children, placeholder_vars,
+    Process, Record, SBare, Span, System, TChan, TConst, TDual, TName, TPriv,
+    TPrivate, TPurpose, TVar, Term, children, field, placeholder_vars,
 )
 from .policy import (
     AGGREGATE, FlatHierarchy, Lambda, OMEGA, Perm, PermSet, READ, READID,
@@ -98,8 +97,7 @@ def _delta1(t: str, perms: Iterable[Perm]) -> Delta:
     return Delta({t: ps}) if ps else Delta()
 
 
-@dataclass(frozen=True)
-class ThetaEntry:
+class ThetaEntry(Record):
     ptype: str
     path: tuple[str, ...]  # empty while a bare component awaits its group
     perms: PermSet
@@ -144,15 +142,13 @@ class Theta:
         return "Theta(" + "; ".join(e.render() for e in self.canonical().entries) + ")"
 
 
-@dataclass(frozen=True)
-class ProcTyping:
+class ProcTyping(Record):
     lam: frozenset[str]
     zrecs: tuple[tuple[tuple[str, str], str], ...]  # ((kind, token), private type)
     delta: Delta
 
 
-@dataclass(frozen=True)
-class SysTyping:
+class SysTyping(Record):
     lam: frozenset[str]
     theta: Theta
 
@@ -215,8 +211,7 @@ def type_value(gamma: Gamma, v: Term, span=None) -> tuple[PrivacyType, Delta]:
 
 # --- match typing -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Operand:
+class _Operand(Record):
     kind: str  # "private" | "purpose" | "name"
     ptype: Optional[str] = None
     ground: Optional[str] = None

@@ -226,7 +226,7 @@ def test_criterion_6_type_preservation():
     for name, depth in (("hospital", 8), ("etp_central", 6),
                         ("etp_decentral", 8), ("speedlimit", 6)):
         pol, gamma, system = load(name)
-        rep = check_preservation(gamma, system, depth)
+        rep = check_preservation(gamma, explore(system, depth))
         edges += rep.edges_checked
         violations += rep.violations
 
@@ -235,7 +235,7 @@ def test_criterion_6_type_preservation():
     systems = 0
     while systems < 200 or edges < 500:
         s = gen.random_system(rng)
-        rep = check_preservation(base, s, 4)
+        rep = check_preservation(base, explore(s, 4))
         edges += rep.edges_checked
         violations += rep.violations
         systems += 1

@@ -124,3 +124,21 @@ def test_color_env_toggle():
     r2 = run("verify", "corpus/hospital.pc", "--policy", "corpus/hospital.ppo",
              "--env", "corpus/hospital.env", color="never")
     assert "\x1b[" not in r2.stdout
+
+
+def test_import_budget():
+    """Every command pays for `import privcalc` before it checks anything.
+    The import loads every submodule eagerly, and none of the standard
+    modules that generate or inspect source (`dataclasses` loads the other
+    three)."""
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, privcalc, privcalc.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env={"PYTHONPATH": PKG, "PATH": "/usr/bin:/bin"},
+        cwd=str(CORPUS.parent))
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    assert {f"privcalc.{m}" for m in (
+        "cli", "encoding", "kernel", "policy", "safety", "satisfaction",
+        "semantics", "syntax", "typesys")} <= loaded

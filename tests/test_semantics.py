@@ -6,7 +6,7 @@ import pytest
 from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PInp, POut, PPair, PStore,
     PVar, PrivateData, Group, SBare, TConst, TName, TPriv,
-    alpha_eq, normalize,
+    alpha_eq, children, normalize,
 )
 from privcalc.semantics import (
     InpLabel, OutLabel, TAU, check_preservation, default_universe, dual,
@@ -209,20 +209,20 @@ class TestPreservation:
         succ = normalize(tau_successors(s)[0])
         after = type_system(g, succ).theta
         assert interface_leq(after, before)
-        report = check_preservation(g, s, 3)
+        report = check_preservation(g, explore(s, 3))
         assert report.ok and report.edges_checked >= 1
 
     def test_nil_vacuous(self):
         g = parse_env("").value
         s = parse_system("G[ 0 ]", g).value
-        report = check_preservation(g, s, 4)
+        report = check_preservation(g, explore(s, 4))
         assert report.ok and report.edges_checked == 0
 
     def test_corpus_preservation(self, corpus):
         for name, depth in (("hospital", 6), ("etp_central", 5),
                             ("etp_decentral", 6), ("speedlimit", 5)):
             _, gamma, system = corpus[name]
-            report = check_preservation(gamma, system, depth)
+            report = check_preservation(gamma, explore(system, depth))
             assert report.ok, (name, report.violations[:3])
 
 
@@ -400,14 +400,10 @@ def test_store_identity_stable_along_traces(corpus):
     graph = explore(system, 6)
 
     def stores(node, acc):
-        match node:
-            case PStore(ref, datum):
-                acc.append((ref, datum.identity))
-            case _:
-                for f in getattr(node, "__dataclass_fields__", {}):
-                    v = getattr(node, f)
-                    if hasattr(v, "__dataclass_fields__"):
-                        stores(v, acc)
+        if isinstance(node, PStore):
+            acc.append((node.ref, node.datum.identity))
+        for c in children(node):
+            stores(c, acc)
         return acc
 
     identities: dict[str, set] = {}
@@ -415,6 +411,7 @@ def test_store_identity_stable_along_traces(corpus):
         for ref, ident in stores(graph.nodes[key], []):
             if isinstance(ident, Known):
                 identities.setdefault(ref, set()).add(ident)
+    assert identities
     for ref, seen in identities.items():
         assert len(seen) == 1, (ref, seen)
 

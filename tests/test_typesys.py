@@ -5,7 +5,7 @@ import pytest
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, Known, NIL, PAnon, PInp, PIf, POut, PPair,
     PRepl, PStore, PVar, PrivateData, SBare, TChan,
-    TConst, TName, TPriv, TPrivate, TPurpose, TVar, substitute,
+    TConst, TName, TPriv, TPrivate, TPurpose, TVar, children, substitute,
 )
 from privcalc.policy import (
     FIN, OMEGA, PermSet, READ, READID, REFERENCE, STORE, UPDATE, AGGREGATE,
@@ -346,6 +346,7 @@ def test_substitution_stability_fuzz():
     pattern is instantiated with a compatible datum."""
     rng = random.Random(59)
     g = gen.base_gamma()
+    checked = [0]
     for _ in range(120):
         s = gen.random_system(rng)
 
@@ -360,11 +361,9 @@ def test_substitution_stability_fuzz():
                     replaced = substitute(cont, priv(Known("id0"), "c0"),
                                           PPair(x, y))
                     assert type_process(g, replaced).delta == inner.delta
-                case _:
-                    pass
-            for f in getattr(nd, "__dataclass_fields__", {}):
-                v = getattr(nd, f)
-                if hasattr(v, "__dataclass_fields__"):
-                    walk(v)
+                    checked[0] += 1
+            for c in children(nd):
+                walk(c)
 
         walk(s)
+    assert checked[0] > 0
