@@ -142,32 +142,38 @@ def _record_init(cls, fields: list):
     least = n if any(f.factory for f in fields) else sum(f.default is _MISSING for f in fields)
     post = getattr(cls, "__post_init__", None)
 
-    def bind(self, args: tuple, kwargs: dict) -> None:
-        """Set the fields as a function whose parameters they are would
-        bind the arguments. A plain default is left to the class."""
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        """The values of the fields up to the last one the call sets, bound
+        as a function whose parameters are the fields would bind them; a
+        plain default after that is left to the class."""
         if len(args) > n:
             raise TypeError(f"{cls.__name__}() takes {n} positional arguments "
                             f"but {len(args)} were given")
-        for name, value in zip(names, args):
-            _setattr(self, name, value)
+        values = list(args)
         for f in fields[len(args):]:
             if f.name in kwargs:
-                _setattr(self, f.name, kwargs.pop(f.name))
+                values.append(kwargs.pop(f.name))
+            elif len(values) >= least and not kwargs:
+                break
             elif f.factory is not None:
-                _setattr(self, f.name, f.factory())
-            elif f.default is _MISSING:
+                values.append(f.factory())
+            elif f.default is not _MISSING:
+                values.append(f.default)
+            else:
                 raise TypeError(f"{cls.__name__}() missing argument {f.name!r}")
         for name in kwargs:
             how = "multiple values for" if name in names else "an unexpected keyword"
             raise TypeError(f"{cls.__name__}() got {how} argument {name!r}")
+        return values
 
     def __init__(self, *args, **kwargs):
         m = len(args)
         if kwargs or m < least or m > n:
-            bind(self, args, kwargs)
+            args = bind(args, kwargs)
+            m = len(args)
         # Unrolled on purpose: parsing builds two records per token, and a
         # loop over the names costs a constructor about a tenth more.
-        elif m:
+        if m:
             _setattr(self, f0, args[0])
             if m > 1:
                 _setattr(self, f1, args[1])
