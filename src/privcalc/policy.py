@@ -100,7 +100,7 @@ AGGREGATE = Perm("aggregate")
 def disseminate(group: str, lam: Union[Lambda, int]) -> Perm:
     if isinstance(lam, int):
         lam = Lambda(lam)
-    return Perm("disseminate", group=group, lam=lam)
+    return Perm("disseminate", group, lam)
 
 
 def nondisclose(kind: str) -> Perm:

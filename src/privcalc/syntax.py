@@ -528,10 +528,10 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     t = p.peek()
     if t.kind == "NAT" and t.text == "0":
         p.take()
-        return PNil(span=t.span)
+        return PNil(t.span)
     if t.text == "*":
         p.take()
-        return PRepl(_parse_seq(p, ctx, registry), span=t.span)
+        return PRepl(_parse_seq(p, ctx, registry), t.span)
     if t.kind == "IDENT" and t.text == "new":
         return _parse_new(p, ctx, registry, _parse_seq)
     if t.kind == "IDENT" and t.text == "if":
@@ -556,7 +556,7 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         p.take()
         els = _parse_seq(p, ctx, registry)
         try:
-            return PIf(op, lhs, rhs, then, els, span=t.span)
+            return PIf(op, lhs, rhs, then, els, t.span)
         except KernelError as e:
             raise ParseError(t.span, str(e))
     if t.kind == "IDENT" and t.text == "store":
@@ -567,7 +567,7 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         ctx.subject_evidence.add(ref.text)
         datum = _parse_pdata(p, ctx)
         try:
-            return PStore(ref.text, datum, span=t.span)
+            return PStore(ref.text, datum, t.span)
         except KernelError as e:
             raise ParseError(t.span, str(e))
     if t.text == "(":
@@ -649,7 +649,7 @@ def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: 
     ctx2.bound_vars.discard(name.text)
     ctx.subject_evidence.add(name.text)  # restricted tokens are name-sorted
     body = body_parser(p, ctx2, registry)
-    return Block(((name.text, annot),), (body,), span=kw.span)
+    return Block(((name.text, annot),), (body,), kw.span)
 
 
 def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
@@ -666,7 +666,7 @@ def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         p.expect(".")
         cont = _parse_seq(p, ctx, registry)
         try:
-            return POut(subject, tuple(objs), cont, span=start.span)
+            return POut(subject, tuple(objs), cont, start.span)
         except KernelError as e:
             raise ParseError(start.span, str(e))
     if p.at("?"):
@@ -690,8 +690,8 @@ def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         cont = _parse_seq(p, ctx2, registry)
         try:
             return PInp(subject, tuple(pats), cont,
-                        annots=tuple(annots) if any(a is not None for a in annots) else (),
-                        span=start.span)
+                        tuple(annots) if any(a is not None for a in annots) else (),
+                        start.span)
         except KernelError as e:
             raise ParseError(start.span, str(e))
     raise ParseError(p.peek().span, "expected '!' or '?' after prefix subject")
@@ -728,7 +728,7 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
             return node
         except ParseError:
             p.reset(m)
-            return SBare(_parse_process(p, ctx, registry), span=t.span)
+            return SBare(_parse_process(p, ctx, registry), t.span)
     if t.kind == "IDENT" and t.text not in RESERVED and p.peek(1).text == "[":
         group = p.take()
         p.expect("[")
@@ -744,7 +744,7 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
         lowered = _lower_system(inner)
         if lowered is not None:
             inner = SBare(lowered)
-        return Group(group.text, inner, span=group.span)
+        return Group(group.text, inner, group.span)
     if t.text == "(":
         m = p.mark()
         p.take()
@@ -757,7 +757,7 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
                 return node
             except ParseError:
                 p.reset(m)
-                return SBare(_parse_process(p, ctx, registry), span=t.span)
+                return SBare(_parse_process(p, ctx, registry), t.span)
         # could be a parenthesized system or the start of a process form
         try:
             inner = _parse_system(p, ctx.child(), registry)
@@ -768,7 +768,7 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
         except ParseError:
             p.reset(m)
     proc = _parse_process(p, ctx, registry)
-    return SBare(proc, span=t.span)
+    return SBare(proc, t.span)
 
 
 # --- classification pass ------------------------------------------------------------
