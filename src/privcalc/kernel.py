@@ -255,8 +255,7 @@ class Known(Record):
 
 
 class Hidden(Record):
-    def __repr__(self) -> str:
-        return "Hidden()"
+    """The hidden identity `_`, as in `{_ # c}`."""
 
 
 HIDDEN = Hidden()
