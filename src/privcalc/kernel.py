@@ -85,7 +85,8 @@ class Record:
     mutable one) rejects assignment and hashes as the tuple of its compared
     fields. It computes that hash on first use and keeps it, since its
     fields never change; `replace` builds a new record, which computes its
-    own. A mutable record is unhashable.
+    own. A process or system node keeps its free atoms (`_free`) the same
+    way. A mutable record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -93,6 +94,7 @@ class Record:
     """
 
     _hash = None  # a frozen record's hash, once computed
+    _atoms = None  # a process or system node's free atoms, once computed
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -559,76 +561,119 @@ def children(node) -> tuple:
 
 # --- free names / variables ---------------------------------------------------
 
-def _walk_term(t: Term, bound_names: frozenset[str], bound_vars: frozenset[str],
-               out_names: dict[str, None], out_vars: dict[str, None]) -> None:
-    """Add the free atoms of one term to the two ordered sets."""
-    match t:
-        case TName(n) | TDual(n):
-            if n not in bound_names:
-                out_names[n] = None
-        case TVar(x):
-            if x not in bound_vars:
-                out_vars[x] = None
-        case TPriv(pd):
-            for v in (pd.identity, pd.data):
-                if isinstance(v, (IVar, DVar)) and v.name not in bound_vars:
-                    out_vars[v.name] = None
+_NO_ATOMS: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+# one copy of each pair of free-atom tuples, which every node having those
+# atoms keeps: a few hundred pairs serve thousands of nodes
+_atom_pool: dict = {_NO_ATOMS: _NO_ATOMS}
 
 
-def _walk_free(node, bound_names: frozenset[str], bound_vars: frozenset[str],
-               out_names: dict[str, None], out_vars: dict[str, None]) -> None:
-    """Collect free tokens into the two dicts (used as ordered sets), in
-    order of first free occurrence."""
+def _data_vars(pd: PrivateData) -> tuple[str, ...]:
+    ident, dat = pd.identity, pd.data
+    if isinstance(ident, IVar):
+        if isinstance(dat, DVar) and dat.name != ident.name:
+            return (ident.name, dat.name)
+        return (ident.name,)
+    return (dat.name,) if isinstance(dat, DVar) else ()
+
+
+def _join(parts: list, bound_names=()) -> tuple:
+    """The free atoms of a sequence of parts, given as (names, variables)
+    pairs in order, less the bound names."""
+    names: dict[str, None] = {}
+    vs: dict[str, None] = {}
+    for ns, xs in parts:
+        for n in ns:
+            names[n] = None
+        for x in xs:
+            vs[x] = None
+    for n in bound_names:
+        names.pop(n, None)
+    return _pooled((tuple(names), tuple(vs)))
+
+
+def _pooled(atoms: tuple) -> tuple:
+    kept = _atom_pool.get(atoms)
+    if kept is None:
+        kept = atoms
+        if len(_atom_pool) < 100_000:
+            _atom_pool[atoms] = atoms
+    return kept
+
+
+def _after_terms(terms: tuple, rest: tuple) -> tuple:
+    """The free atoms of `terms` followed by the pooled pair `rest`,
+    pooled too. When `rest` already begins with the terms' atoms, as along
+    a prefix chain on one channel, it is the result."""
+    names: list[str] = []
+    vs: list[str] = []
+    for t in terms:
+        if isinstance(t, (TName, TDual)):
+            if t.name not in names:
+                names.append(t.name)
+        elif isinstance(t, TVar):
+            if t.name not in vs:
+                vs.append(t.name)
+        elif isinstance(t, TPriv):
+            vs += [x for x in _data_vars(t.pdata) if x not in vs]
+    rn, rv = rest
+    if rn[:len(names)] == tuple(names) and rv[:len(vs)] == tuple(vs):
+        return rest
+    return _join([(names, vs), rest])
+
+
+def _free(node) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The node's free names and free variables, each in order of first
+    free occurrence. A process or system node computes them from its
+    children's and keeps them on the node; a term computes them directly."""
+    atoms = node._atoms
+    if atoms is not None:
+        return atoms
     match node:
-        case PNil():
-            return
         case POut(subject, objects, cont):
-            for t in (subject, *objects):
-                _walk_term(t, bound_names, bound_vars, out_names, out_vars)
-            _walk_free(cont, bound_names, bound_vars, out_names, out_vars)
+            atoms = _after_terms((subject, *objects), _free(cont))
         case PInp(subject, patterns, cont):
-            _walk_term(subject, bound_names, bound_vars, out_names, out_vars)
-            newly = frozenset(x for k in patterns for x in placeholder_vars(k))
-            _walk_free(cont, bound_names, bound_vars | newly, out_names, out_vars)
+            bound = [x for k in patterns for x in placeholder_vars(k)]
+            names, vs = atoms = _free(cont)
+            if any(x in bound for x in vs):
+                atoms = _pooled((names, tuple(x for x in vs if x not in bound)))
+            atoms = _after_terms((subject,), atoms)
         case Block(binders, comps):
-            inner = bound_names.union(n for n, _ in binders) if binders else bound_names
-            for c in comps:
-                _walk_free(c, inner, bound_vars, out_names, out_vars)
+            atoms = _join([_free(c) for c in comps], [n for n, _ in binders])
         case PRepl(body) | Group(_, body) | SBare(body):
-            _walk_free(body, bound_names, bound_vars, out_names, out_vars)
+            atoms = _free(body)
         case PIf(_, lhs, rhs, then, els):
-            _walk_term(lhs, bound_names, bound_vars, out_names, out_vars)
-            _walk_term(rhs, bound_names, bound_vars, out_names, out_vars)
-            _walk_free(then, bound_names, bound_vars, out_names, out_vars)
-            _walk_free(els, bound_names, bound_vars, out_names, out_vars)
+            atoms = _after_terms((lhs, rhs), _join([_free(then), _free(els)]))
         case PStore(ref, datum):
-            if ref not in bound_names:
-                out_names[ref] = None
-            _walk_term(TPriv(datum), bound_names, bound_vars, out_names, out_vars)
-        case TName(_) | TDual(_) | TConst(_) | TVar(_) | TPriv(_):
-            _walk_term(node, bound_names, bound_vars, out_names, out_vars)
+            atoms = _pooled(((ref,), _data_vars(datum)))
+        case PNil():
+            atoms = _NO_ATOMS
+        case TName(n) | TDual(n):
+            return (n,), ()
+        case TVar(x):
+            return (), (x,)
+        case TConst(_):
+            return _NO_ATOMS
+        case TPriv(pd):
+            return (), _data_vars(pd)
         case _:
             raise KernelError(f"unexpected node {node!r}")
+    _setattr(node, "_atoms", atoms)
+    return atoms
 
 
 def free_names(node) -> frozenset[str]:
-    names: dict[str, None] = {}
-    _walk_free(node, frozenset(), frozenset(), names, {})
-    return frozenset(names)
+    return frozenset(_free(node)[0])
 
 
 def free_vars(node) -> frozenset[str]:
-    vs: dict[str, None] = {}
-    _walk_free(node, frozenset(), frozenset(), {}, vs)
-    return frozenset(vs)
+    return frozenset(_free(node)[1])
 
 
 def free_atoms(node) -> frozenset[str]:
     """All free tokens, names and variables alike; the safe set for
     capture checks and scope extrusion."""
-    atoms: dict[str, None] = {}
-    _walk_free(node, frozenset(), frozenset(), atoms, atoms)
-    return frozenset(atoms)
+    names, vs = _free(node)
+    return frozenset(names).union(vs)
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -873,18 +918,29 @@ def _sort_block(comps: list, binder_names: Iterable[str], names: frozenset[str],
     holes = dict.fromkeys(vs, "_")
     uniform = dict.fromkeys(names, "_") | dict.fromkeys(binder_names, "ν")
     touching: dict[str, list[str]] = {n: [] for n in binder_names}
-    for c in comps:
+    keys: list[str] = []
+    recolor: list[int] = []
+    for k, c in enumerate(comps):
         key = _erased_key(c, uniform, holes)
-        for n in free_names(c):
-            if n in touching:
-                touching[n].append(key)
-    colors = dict.fromkeys(names, "_")
-    for n, keys in touching.items():
-        colors[n] = "ν(" + "|".join(sorted(keys)) + ")"
-    return sorted(comps, key=lambda c: _erased_key(c, colors, holes))
+        keys.append(key)
+        touched = [n for n in _free(c)[0] if n in touching]
+        for n in touched:
+            touching[n].append(key)
+        if touched:
+            recolor.append(k)
+    if recolor:
+        # the colours differ from the uniform ones only at binders, so a
+        # component that mentions none keeps its first key
+        colors = dict.fromkeys(names, "_")
+        for n, shapes in touching.items():
+            colors[n] = "ν(" + "|".join(sorted(shapes)) + ")"
+        for k in recolor:
+            keys[k] = _erased_key(comps[k], colors, holes)
+    return [comps[k] for k in sorted(range(len(comps)), key=keys.__getitem__)]
 
 
 _norm_cache: dict = {}
+_comp_cache: dict = {}
 
 
 def normalize(node):
@@ -982,7 +1038,7 @@ def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
     # components are never blocks here, and normalizing one cannot make it
     # a block, so one pass leaves nothing to hoist
     inner = names.union(binders)
-    normal = [_normalize1(c, inner, vs) for c in comps]
+    normal = [_normalize_comp(c, inner, vs) for c in comps]
     inert = (NIL, SBare(NIL))
     comps = [c for c in normal if c not in inert]
     if not comps:
@@ -990,10 +1046,34 @@ def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
     comps = _sort_block(comps, binders, names, vs)
     # binders in order of first free occurrence in the sorted components;
     # one that does not occur is dropped
-    serial: dict[str, None] = {}
-    for c in comps:
-        _walk_free(c, frozenset(), frozenset(), serial, {})
-    return _block(tuple((n, binders[n]) for n in serial if n in binders), tuple(comps))
+    serial = dict.fromkeys(n for c in comps for n in _free(c)[0] if n in binders)
+    return _block(tuple((n, binders[n]) for n in serial), tuple(comps))
+
+
+def _normalize_comp(c, names: frozenset[str], vs: frozenset[str]):
+    """`_normalize1(c, names, vs)` through a memo. The pass reads `names`
+    and `vs` only as holes in sort keys, so its result depends only on `c`
+    and on which of `c`'s free atoms they hold, which is the memo's key.
+    Equality ignores spans, so a hit counts only when the component it was
+    computed from carries the same spans as `c`: the normal form keeps
+    them, and typing errors print them."""
+    cn, cv = _free(c)
+    key = (c, tuple(n for n in cn if n in names), tuple(x for x in cv if x in vs))
+    hit = _comp_cache.get(key)
+    if hit is not None and _same_spans(hit[0], c):
+        return hit[1]
+    result = _normalize1(c, names, vs)
+    if hit is None and len(_comp_cache) < 100_000:
+        _comp_cache[key] = (c, result)
+    return result
+
+
+def _same_spans(a, b) -> bool:
+    """Whether two equal nodes carry the same spans throughout."""
+    if a is b:
+        return True
+    sa, sb = a.span, b.span
+    return (sa is sb or sa == sb) and all(map(_same_spans, children(a), children(b)))
 
 
 def _canonical_rename(node):

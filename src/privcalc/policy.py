@@ -104,15 +104,15 @@ def disseminate(group: str, lam: Union[Lambda, int]) -> Perm:
 
 
 def nondisclose(kind: str) -> Perm:
-    return Perm("nondisclose", nd_kind=kind)
+    return Perm("nondisclose", None, None, kind)
 
 
 def usage(purpose: str) -> Perm:
-    return Perm("usage", purpose=purpose)
+    return Perm("usage", None, None, None, purpose)
 
 
 def identify(ptype: str) -> Perm:
-    return Perm("identify", ptype=ptype)
+    return Perm("identify", None, None, None, None, ptype)
 
 
 class PermSet:

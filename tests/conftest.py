@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from privcalc import kernel
 from privcalc.syntax import parse_env, parse_policy, parse_system
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -19,6 +20,13 @@ def load(name: str):
     res = parse_system((CORPUS / f"{name}.pc").read_text(), gamma)
     assert res.ok, [str(d) for d in res.diagnostics]
     return pol, gamma, res.value
+
+
+def clear_memos() -> None:
+    """Empty both normalization memos, the whole-term one and the one per
+    component, so that the next `normalize` call runs every pass cold."""
+    kernel._norm_cache.clear()
+    kernel._comp_cache.clear()
 
 
 @pytest.fixture(scope="session")

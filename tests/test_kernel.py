@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, clear_memos
 from privcalc import kernel
 from privcalc.syntax import parse_env, parse_process, parse_system, render_system
 from privcalc.kernel import (
@@ -104,6 +104,19 @@ class TestFreeNamesVars:
         assert free_vars(p) == frozenset()
         assert free_names(p) == {"a", "b"}
 
+    def test_subject_is_outside_the_input_scope(self):
+        p = PInp(TVar("d"), (PVar("d"),), POut(TVar("d"), (TConst("c"),), NIL))
+        assert free_vars(p) == {"d"}
+
+    def test_kept_atoms_in_order_and_never_copied(self):
+        p = new("n", None, par(POut(TName("b"), (TVar("y"),), NIL),
+                               POut(TName("n"), (TName("a"), TName("b")), NIL)))
+        assert kernel._free(p) == (("b", "a"), ("y",))
+        assert p._atoms is kernel._free(p)
+        q = kernel.replace(p, binders=())
+        assert q._atoms is None
+        assert kernel._free(q) == (("b", "n", "a"), ("y",))
+
 
 class TestNormalize:
     def test_nil_unit(self):
@@ -124,19 +137,36 @@ class TestNormalize:
         t = PInp(TName("a"), (PVar("b"),),
                  par(POut(TName("b"), (TName("b"),), NIL),
                      POut(TName("a"), (TName("b"),), NIL)))
-        kernel._norm_cache.clear()
+        clear_memos()
         n = normalize(t)
-        kernel._norm_cache.clear()
+        clear_memos()
         assert normalize(n) == n
 
     def test_normal_form_answers_itself(self):
         p = par(POut(TName("b"), (TConst("c"),), NIL),
                 new("n", None, POut(TName("n"), (TConst("c"),), NIL)))
-        kernel._norm_cache.clear()
+        clear_memos()
         n = normalize(p)
         entries = len(kernel._norm_cache)
         assert normalize(n) is n
         assert len(kernel._norm_cache) == entries
+
+    def test_component_memo_tells_bound_atoms_from_free(self):
+        # sort keys print a name or variable bound around the component as
+        # a hole: "_" sorts after "C" and "Y" but "B" and "X" before them,
+        # so the inner block's order depends on what binds B and X
+        inner = par(*(POut(TName("o"), (t,), NIL)
+                      for t in (TName("B"), TName("C"), TVar("X"), TVar("Y"))))
+        c = PInp(TName("k"), (PVar("z"),), inner)
+        other = POut(TName("k"), (TConst("c"),), NIL)
+        contexts = [par(c, other), new("B", None, par(c, other)),
+                    PInp(TName("m"), (PVar("X"),), par(c, other))]
+        cold = []
+        for t in contexts:
+            clear_memos()
+            cold.append(normalize(t))
+        clear_memos()
+        assert [normalize(t) for t in contexts] == cold
 
     def test_restricted_nil(self):
         assert normalize(new("a", None, NIL)) == NIL
@@ -397,12 +427,12 @@ def _idempotence_inputs():
 
 
 def test_normalize_idempotent_fuzz():
-    # the memo would answer the second call from the first; clearing it
+    # the memos would answer the second call from the first; clearing them
     # makes both calls run the single normalizing pass
     for p in _idempotence_inputs():
-        kernel._norm_cache.clear()
+        clear_memos()
         n = normalize(p)
-        kernel._norm_cache.clear()
+        clear_memos()
         assert normalize(n) == n, p
 
 
@@ -436,10 +466,10 @@ def test_normalize_keeps_free_atoms_under_substitution():
                     t = substitute(inp.cont, TName(tok), inp.patterns[0])
                 except IncompatibleSubstitution:
                     continue
-                kernel._norm_cache.clear()
+                clear_memos()
                 n = normalize(t)
                 assert free_atoms(n) == free_atoms(t), t
-                kernel._norm_cache.clear()
+                clear_memos()
                 assert normalize(n) == n, t
                 checked += 1
     assert checked > 4000

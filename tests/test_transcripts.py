@@ -74,6 +74,27 @@ def test_simulate_preserve_bare_process(tmp_path):
                    f"  state 9c65a83dfccd {unclosed}\n")
 
 
+def test_equal_components_keep_their_own_spans(tmp_path):
+    """Lab's and Doctor's `q!<r1>. 0` are equal, and equality ignores spans,
+    so the component memo may hold Lab's normal form when it meets Doctor's.
+    The typing error of each state must still point at Doctor's, the one
+    the checker reaches first."""
+    src = tmp_path / "spans.pc"
+    src.write_text("Hospital[\n"
+                   "  Lab[ b?(w). 0 | q!<r1>. 0 ]\n"
+                   "  || Nurse[ b!<r1>. 0 ]\n"
+                   "  || Doctor[ a?(w, z). (q!<r1>. 0 | 0) ]\n"
+                   "  || Research[ a!<r1, r2>. 0 ]\n"
+                   "]\n")
+    rc, out = _run("simulate", str(src), "--env", str(CORPUS / "hospital.env"),
+                   "--depth", "8", "--preserve")
+    assert rc == 1
+    failures = [line for line in out.splitlines() if "fails to type" in line]
+    assert len(failures) == 4
+    assert all(line.endswith("UnboundTerm at 4:25-4:26: subject q is not typed")
+               for line in failures), out
+
+
 def test_encoded_store_programs():
     text = "".join(render_core(encode(p)) + "\n" for p in gen.store_programs())
     assert text == (GOLDEN / "store_programs.core").read_text()
