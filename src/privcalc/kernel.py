@@ -568,6 +568,7 @@ _atom_pool: dict = {_NO_ATOMS: _NO_ATOMS}
 
 
 def _data_vars(pd: PrivateData) -> tuple[str, ...]:
+    """The variables of a private datum, its identity's first."""
     ident, dat = pd.identity, pd.data
     if isinstance(ident, IVar):
         if isinstance(dat, DVar) and dat.name != ident.name:

@@ -419,6 +419,20 @@ def _with_successors(states):
     return [q for st in states for q in (st, *tau_successors(st))]
 
 
+def _count_passes(monkeypatch) -> list[int]:
+    """A one-element list counting the normalizing passes from here on,
+    recursive ones included."""
+    count = [0]
+    real = kernel._normalize1
+
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "_normalize1", counted)
+    return count
+
+
 @pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
 def test_kept_free_atoms_match_a_walk(source):
     """Each node's free names and variables, built from its children's and
@@ -459,20 +473,12 @@ def test_component_memo_is_exact(source, monkeypatch):
     empty; the warm pass runs fewer normalizing passes."""
     states, _ = _oracle_states(source)
     inputs = _with_successors(states)
-    passes = 0
-    real = kernel._normalize1
-
-    def counted(*args):
-        nonlocal passes
-        passes += 1
-        return real(*args)
-
-    monkeypatch.setattr(kernel, "_normalize1", counted)
+    passes = _count_passes(monkeypatch)
     cold = []
     for q in inputs:
         clear_memos()
         cold.append(normalize(q))
-    cold_passes, passes = passes, 0
+    cold_passes = passes[0]
     clear_memos()
     for q, want in zip(inputs, cold):
         # the whole-term memo would answer a repeated input before the
@@ -480,26 +486,18 @@ def test_component_memo_is_exact(source, monkeypatch):
         kernel._norm_cache.clear()
         got = normalize(q)
         assert got == want and kernel._same_spans(got, want), q
-    assert passes < cold_passes
+    assert passes[0] - cold_passes < cold_passes
 
 
 def test_component_memo_cuts_normalize_passes(speedlimit, monkeypatch):
     """From cold memos, exploring speedlimit to depth 8 runs at most a fifth
     of the 13,207 normalizing passes it ran when each state was normalized
     from scratch."""
-    passes = 0
-    real = kernel._normalize1
-
-    def counted(*args):
-        nonlocal passes
-        passes += 1
-        return real(*args)
-
-    monkeypatch.setattr(kernel, "_normalize1", counted)
+    passes = _count_passes(monkeypatch)
     clear_memos()
     graph = explore(speedlimit[2], 8)
     assert len(graph.nodes) == 75
-    assert 0 < passes <= 2641
+    assert 0 < passes[0] <= 2641
 
 
 def test_store_identity_stable_along_traces(corpus):
