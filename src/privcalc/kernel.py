@@ -14,7 +14,7 @@ normalized forms compare structurally.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "TPrivate", "TPurpose", "TChan", "PrivacyType",
     "PNil", "POut", "PInp", "PRepl", "PIf", "PStore", "Process",
     "Group", "SBare", "System", "Block",
-    "NIL", "children", "is_system", "substitute", "free_names", "free_vars",
-    "free_atoms", "normalize", "alpha_eq", "fresh_name",
+    "NIL", "children", "with_children", "is_system", "substitute", "free_names",
+    "free_vars", "free_atoms", "normalize", "alpha_eq", "fresh_name",
 ]
 
 
@@ -84,9 +84,10 @@ class Record:
     A frozen record (the default; `class R(Record, frozen=False)` makes a
     mutable one) rejects assignment and hashes as the tuple of its compared
     fields. It computes that hash on first use and keeps it, since its
-    fields never change; `replace` builds a new record, which computes its
-    own. A process or system node keeps its free atoms (`_free`) the same
-    way. A mutable record is unhashable.
+    fields never change; a record that `replace` builds computes its own,
+    and one that `replace` returns unchanged keeps it. A process or system
+    node keeps its free atoms (`_free`) the same way. A mutable record is
+    unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -219,14 +220,32 @@ def _record_hash(key, single: bool):
 
 
 def replace(record, /, **changes):
-    """A copy of the record with some fields changed. It is built as a new
-    record is, so `__post_init__` checks it and it computes its own hash."""
+    """The record with some fields changed. A frozen record whose every
+    changed field gets its current value back (the same object, or a tuple
+    of the same objects) is returned itself, keeping its hash and free
+    atoms. Otherwise a copy is built as a new record is, so `__post_init__`
+    checks it and it computes its own hash; a mutable record always gets a
+    copy."""
     cls = type(record)
-    values = [changes.pop(name) if name in changes else getattr(record, name)
-              for name in cls._fields]
+    kept = cls.__setattr__ is _frozen_setattr
+    values = []
+    for name in cls._fields:
+        value = getattr(record, name)
+        if name in changes:
+            new = changes.pop(name)
+            kept = kept and _same(new, value)
+            value = new
+        values.append(value)
     if changes:
         raise TypeError(f"{cls.__name__} has no field {next(iter(changes))!r}")
-    return cls(*values)
+    return record if kept else cls(*values)
+
+
+def _same(new, old) -> bool:
+    """Whether a field's new value is its current one: the same object, or
+    a tuple of the same objects."""
+    return new is old or (type(new) is tuple and type(old) is tuple
+                          and len(new) == len(old) and all(map(is_, new, old)))
 
 
 class Span(Record):
@@ -559,6 +578,24 @@ def children(node) -> tuple:
     return ()
 
 
+def with_children(node, kids: tuple):
+    """The node with its children, in the order `children` gives them,
+    replaced by `kids`: the inverse of `children`. Through `replace`, the
+    node itself when every kid is its current child."""
+    match node:
+        case POut() | PInp():
+            return replace(node, cont=kids[0])
+        case PRepl() | Group() | SBare():
+            return replace(node, body=kids[0])
+        case PIf():
+            return replace(node, then=kids[0], els=kids[1])
+        case Block():
+            return replace(node, comps=kids)
+        case PNil() | PStore():
+            return node
+    raise KernelError(f"not a process or system node: {node!r}")
+
+
 # --- free names / variables ---------------------------------------------------
 
 _NO_ATOMS: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
@@ -734,7 +771,7 @@ def _rewrite(node, names: dict[str, str],
                     if n in incoming:
                         scope = free_atoms(Block(binders[k + 1:], comps))
                         n2 = names[n] = fresh_name(n, scope.union(incoming, names, vs))
-                renamed.append((n2, annot))
+                renamed.append(binders[k] if n2 == n else (n2, annot))
             return replace(node, binders=tuple(renamed),
                            comps=tuple(_rewrite(c, names, vs, fresh) for c in comps))
         case PRepl(body) | Group(_, body) | SBare(body):

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import CORPUS, clear_memos
 from privcalc import kernel
+from privcalc.encoding import CorrespondenceReport
+from privcalc.semantics import explore
 from privcalc.syntax import parse_env, parse_process, parse_system, render_system
 from privcalc.kernel import (
     Block, DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError,
@@ -13,6 +15,7 @@ from privcalc.kernel import (
     _canonical_rename, _rename_name, alpha_eq, free_atoms, free_names, free_vars,
     normalize, substitute,
 )
+import gen
 from gen import new, par
 
 
@@ -475,6 +478,57 @@ def test_normalize_keeps_free_atoms_under_substitution():
     assert checked > 4000
 
 
+def _subterms(root):
+    """The root and every process and system node below it."""
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(kernel.children(node))
+    return out
+
+
+def test_with_children_inverts_children(corpus):
+    roots = [system for _, _, system in corpus.values()]
+    roots += [s for _, _, system in corpus.values() for s in explore(system, 4).nodes.values()]
+    roots += [gen.random_system(random.Random(seed)) for seed in range(100)]
+    checked = 0
+    for node in {id(n): n for root in roots for n in _subterms(root)}.values():
+        kids = kernel.children(node)
+        assert kernel.with_children(node, kids) is node
+        assert kernel.with_children(node, tuple(list(kids))) is node
+        fresh = tuple(kernel.Group("Z", k) if kernel.is_system(k) else PRepl(k) for k in kids)
+        moved = kernel.with_children(node, fresh)
+        assert type(moved) is type(node) and moved.span == node.span
+        assert kernel.children(moved) == fresh
+        assert all(a is b for a, b in zip(kernel.children(moved), fresh))
+        assert (moved is node) == (not kids)
+        checked += 1
+    assert checked > 1000
+    with pytest.raises(KernelError):
+        kernel.with_children(TName("a"), ())
+
+
+def test_substitution_shares_untouched_nodes(corpus):
+    # substituting for a variable that is not free changes nothing, so the
+    # walk hands back each node itself, binder pairs and all
+    checked = 0
+    for _, _, system in corpus.values():
+        for node in _subterms(system):
+            if kernel.is_system(node):
+                continue
+            v = kernel.fresh_name("v", free_atoms(node))
+            assert substitute(node, TConst("z"), PVar(v)) is node
+            checked += 1
+    assert checked > 100
+    # a component the variable does not reach survives as itself
+    untouched = PInp(TName("b"), (PVar("x"),), POut(TVar("x"), (TConst("k"),), NIL))
+    block = Block((("a", None),), (POut(TName("a"), (TVar("v"),), NIL), untouched))
+    out = substitute(block, TConst("z"), PVar("v"))
+    assert out.comps[0] == POut(TName("a"), (TConst("z"),), NIL)
+    assert out.comps[1] is untouched and out.binders[0] is block.binders[0]
+
+
 def test_substitution_free_vars_inclusion():
     rng = random.Random(11)
     checked = 0
@@ -638,6 +692,18 @@ class TestRecords:
         assert moved.span == self.SPAN and out.subject == TName("a")
         with pytest.raises(TypeError):
             kernel.replace(out, nothing=1)
+        # a frozen record whose changed fields get their current values back
+        # is returned itself: the same objects, or a tuple of the same ones
+        assert kernel.replace(out, cont=out.cont) is out
+        same = tuple(list(out.objects))
+        assert same is not out.objects
+        assert kernel.replace(out, objects=same, subject=out.subject) is out
+        assert kernel.replace(out, cont=PNil()) is not out
+        assert kernel.replace(out, objects=(TConst("c"),)) is not out
+        # a mutable record still gets a copy
+        report = CorrespondenceReport()
+        copy = kernel.replace(report, failures=report.failures)
+        assert copy is not report and copy == report
 
     def test_frozen(self):
         out = POut(TName("a"), (TConst("c"),), NIL)
