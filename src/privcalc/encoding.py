@@ -10,14 +10,13 @@ normalizer and the transition engine apply unchanged to core terms.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Iterable, Optional
 
 from .kernel import (
     Block, DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut,
     PPair, PRepl, PStore, PVar, PrivateData, Process, Record, TConst, TDual,
     TName, TPriv, TVar, Term, children, field, free_atoms, fresh_name,
-    normalize, placeholder_vars, replace, _block,
+    normalize, placeholder_vars, replace, with_children, _block,
 )
 from .syntax import _is_par, render_process, render_term
 from .semantics import _eval_cond, reference_names, tau_successors
@@ -71,41 +70,27 @@ def encode(p: Process, refs: Optional[frozenset[str]] = None) -> Process:
 
     def enc(nd: Process) -> Process:
         match nd:
-            case PNil():
-                return nd
             case PStore(ref, datum):
                 if not datum.is_constant:
                     raise EncodingError(
                         f"store {ref} holds a non-constant datum; not encodable")
                 return _encode_store(ref, datum, fresh)
-            case PInp(subject, patterns, cont):
-                if isinstance(subject, TDual):
-                    raise EncodingError("dual endpoints are not encodable user code")
-                is_ref = isinstance(subject, TName) and subject.name in refs
-                if is_ref:
-                    if len(patterns) != 1 or isinstance(patterns[0], PVar):
-                        raise EncodingError(
-                            f"reference {render_term(subject)} must be read with a "
-                            "private-data pattern")
-                    return _encode_read(subject, patterns[0], enc(cont), fresh)
-                return replace(nd, cont=enc(cont))
-            case POut(subject, objects, cont):
-                if isinstance(subject, TDual):
-                    raise EncodingError("dual endpoints are not encodable user code")
-                is_ref = isinstance(subject, TName) and subject.name in refs
-                if is_ref:
-                    if len(objects) != 1 or not isinstance(objects[0], TPriv):
-                        raise EncodingError(
-                            f"reference {render_term(subject)} must be written with "
-                            "private data")
-                    return _encode_write(subject, objects[0], enc(cont), fresh)
-                return replace(nd, cont=enc(cont))
-            case Block(_, comps):
-                return replace(nd, comps=tuple(map(enc, comps)))
-            case PRepl(body):
-                return replace(nd, body=enc(body))
-            case PIf(_, _, _, then, els):
-                return replace(nd, then=enc(then), els=enc(els))
+            case PInp(TDual()) | POut(TDual()):
+                raise EncodingError("dual endpoints are not encodable user code")
+            case PInp(TName(n) as subject, patterns, cont) if n in refs:
+                if len(patterns) != 1 or isinstance(patterns[0], PVar):
+                    raise EncodingError(
+                        f"reference {render_term(subject)} must be read with a "
+                        "private-data pattern")
+                return _encode_read(subject, patterns[0], enc(cont), fresh)
+            case POut(TName(n) as subject, objects, cont) if n in refs:
+                if len(objects) != 1 or not isinstance(objects[0], TPriv):
+                    raise EncodingError(
+                        f"reference {render_term(subject)} must be written with "
+                        "private data")
+                return _encode_write(subject, objects[0], enc(cont), fresh)
+            case PNil() | PInp() | POut() | Block() | PRepl() | PIf():
+                return with_children(nd, tuple(map(enc, children(nd))))
         raise EncodingError(f"cannot encode {nd!r}")
 
     return enc(p)
@@ -210,37 +195,13 @@ def _encode_write(subject: Term, obj: TPriv, cont: Process, fresh: _Fresh) -> Pr
 def _eval_ifs(p: Process) -> Process:
     """Resolve every conditional whose test is decided. With nothing to
     resolve, the argument itself is returned."""
-    match p:
-        case PIf(op, lhs, rhs, then, els):
-            v = _eval_cond(op, lhs, rhs)
-            if v is True:
-                return _eval_ifs(then)
-            if v is False:
-                return _eval_ifs(els)
-            kids = {"then": then, "els": els}
-        case POut(_, _, k) | PInp(_, _, k):
-            kids = {"cont": k}
-        case PRepl(b):
-            kids = {"body": b}
-        case Block(_, cs):
-            kids = {"comps": cs}
-        case _:
-            return p
-    return _rebuild(p, kids, _eval_ifs)
-
-
-def _rebuild(p: Process, kids: dict, f) -> Process:
-    """`p` with `f` applied to the children named in `kids`, or to each
-    element of a tuple of children; `p` itself when `f` returns every child
-    unchanged."""
-    new = {}
-    for name, c in kids.items():
-        if isinstance(c, tuple):
-            mapped = tuple(map(f, c))
-            new[name] = c if all(map(operator.is_, mapped, c)) else mapped
-        else:
-            new[name] = f(c)
-    return p if all(new[name] is c for name, c in kids.items()) else replace(p, **new)
+    if isinstance(p, PIf):
+        v = _eval_cond(p.op, p.lhs, p.rhs)
+        if v is True:
+            return _eval_ifs(p.then)
+        if v is False:
+            return _eval_ifs(p.els)
+    return with_children(p, tuple(map(_eval_ifs, children(p))))
 
 
 def _gc_inert(p: Process) -> Process:
@@ -262,23 +223,13 @@ def _gc_inert(p: Process) -> Process:
                 if len(kept) == len(live):
                     break
                 live = kept
-            if len(live) == len(cs) and all(map(operator.is_, comps, cs)):
-                return p
             if not live:
                 return NIL
             used = set().union(*(atoms for _, atoms in live))
-            return _block(tuple(b for b in bs if b[0] in used), tuple(c for c, _ in live))
-        case POut(_, _, k) | PInp(_, _, k):
-            kids = {"cont": k}
-        case PRepl(b):
-            kids = {"body": b}
-        case PIf(_, _, _, t, e):
-            kids = {"then": t, "els": e}
-        case Block(_, cs):
-            kids = {"comps": cs}
-        case _:
-            return p
-    return _rebuild(p, kids, _gc_inert)
+            bs = tuple(b for b in bs if b[0] in used)
+            comps = tuple(c for c, _ in live)
+            return replace(p, binders=bs, comps=comps) if bs else _block((), comps)
+    return with_children(p, tuple(map(_gc_inert, children(p))))
 
 
 def core_canonical(p: Process) -> Process:

@@ -29,7 +29,7 @@ from .kernel import (
     PInp, PNil, POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType,
     PrivateData, Process, Record, SBare, Span, System, TChan, TConst, TDual,
     TName, TPriv, TPrivate, TPurpose, TVar, Term, KernelError, _block,
-    placeholder_vars, replace,
+    children, placeholder_vars, replace, with_children,
 )
 from .policy import (
     Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, disseminate, identify,
@@ -783,23 +783,13 @@ def _promote_names(node, names: set[str]):
 
     def go(nd):
         match nd:
-            case PNil():
-                return nd
             case POut(s, objs, cont):
                 return replace(nd, subject=term(s),
                                objects=tuple(term(o) for o in objs), cont=go(cont))
-            case PInp(_, _, cont):
-                return replace(nd, cont=go(cont))
-            case Block(_, comps):
-                return replace(nd, comps=tuple(map(go, comps)))
-            case PRepl(body) | Group(_, body) | SBare(body):
-                return replace(nd, body=go(body))
             case PIf(_, lhs, rhs, then, els):
                 return replace(nd, lhs=term(lhs), rhs=term(rhs),
                                then=go(then), els=go(els))
-            case PStore(_, _):
-                return nd
-        raise KernelError(str(nd))
+        return with_children(nd, tuple(map(go, children(nd))))
 
     return go(node)
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from privcalc.kernel import (
@@ -13,6 +16,7 @@ from privcalc.encoding import (
 from privcalc.semantics import reference_names, tau_successors
 from privcalc.syntax import parse_process, render_process
 
+from conftest import clear_memos
 import gen
 from gen import par
 
@@ -242,3 +246,74 @@ class TestCoreCanonical:
                         seen.add(c)
                         nxt.extend(tau_successors(q))
                 frontier = nxt
+
+
+# A process whose prefix chain is about as deep as the parser accepts (it
+# rejects depth 495 from a fresh thread).
+_CHAIN = "c!<k>. " * 490 + "0 | c?(v). 0"
+
+# The stages, in the order a run over one term takes them.
+_PIPELINE = {
+    "render_process": render_process,
+    "normalize": normalize,
+    "tau_successors": tau_successors,
+    "encode": encode,
+    "render_core": lambda p: render_core(encode(p)),
+    "core_canonical": lambda p: core_canonical(encode(p)),
+    "check_correspondence": lambda p: check_correspondence(p, 2),
+}
+
+
+def _in_fresh_thread(f):
+    # a new thread starts with an empty stack, as a command-line run does
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(f).result(timeout=120)
+
+
+@pytest.mark.parametrize("last", [
+    "render_process", "normalize", "tau_successors", "encode", "render_core",
+    "core_canonical",
+    # the memos compare two distinct equal deep terms, and `Record.__eq__`
+    # spends three units of the recursion limit per level (see the FOUND on
+    # deep equal terms in CHANGES.md)
+    pytest.param("check_correspondence", marks=pytest.mark.xfail(
+        raises=RecursionError, strict=True,
+        reason="Record.__eq__ overflows comparing equal chains deeper than ~330")),
+])
+def test_deep_prefix_chain(last):
+    # Every stage up to `last`, in order, on one parsed chain and sharing the
+    # memos. `encode` and `_eval_ifs` return a chain with nothing to change
+    # as itself, so `core_canonical` finds `normalize`'s entry for it by
+    # identity, where an equal copy would be compared with it level by level.
+    def run():
+        res = parse_process(_CHAIN)
+        assert res.ok, res.diagnostics
+        for name, stage in _PIPELINE.items():
+            stage(res.value)
+            if name == last:
+                return
+
+    clear_memos()
+    _in_fresh_thread(run)
+
+
+@pytest.mark.parametrize("walker", [encode, encoding._eval_ifs, encoding._gc_inert],
+                         ids=["encode", "_eval_ifs", "_gc_inert"])
+def test_walkers_spend_one_frame_per_level(walker):
+    # 490 levels within a budget of 540 frames; a walker that spent a
+    # helper's frame per level as well would need about 980. With nothing
+    # to change, each hands back the chain itself.
+    def run():
+        p = parse_process(_CHAIN).value
+        # the node's kept hash and free atoms, computed first: they are not
+        # the walk being measured
+        hash(p)
+        free_names(p)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(540)
+        try:
+            return walker(p) is p
+        finally:
+            sys.setrecursionlimit(limit)
+
+    assert _in_fresh_thread(run)
