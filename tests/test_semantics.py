@@ -351,6 +351,84 @@ def test_tau_edges_come_from_dual_pairs():
     assert len(taus) == pairs == 1
 
 
+def _succ_forms(p) -> list[str]:
+    return sorted(render_process(normalize(s)) for s in tau_successors(p))
+
+
+# One input per place that renames a binder apart, each making that place
+# rename: the corpus and the store programs never do.
+_RENAMES = {
+    "extrusion_at_pair": (
+        "(new a) c!<a>. a!<k>. 0 | a?(z). 0 | c?(x). x?(w). 0",
+        "(new _n0) (a?(_x1). 0 | c?(_x2). _x2?(_x3). 0 | c!<_n0>. _n0!<k>. 0)",
+        ["(new _n0) (a?(_x1). 0 | _n0?(_x2). 0 | _n0!<k>. 0)"]),
+    "extrusion_in_visible_outs": (
+        "((new a) c!<a>. a!<k>. 0 | a?(z). 0) | c?(x). x?(w). 0",
+        "(new _n0) (a?(_x1). 0 | c?(_x2). _x2?(_x3). 0 | c!<_n0>. _n0!<k>. 0)",
+        ["(new _n0) (a?(_x1). 0 | _n0?(_x2). 0 | _n0!<k>. 0)"]),
+    "delivery_into_block": (
+        "(new a) c!<a>. 0 | (new a) (c?(x). x!<a>. 0 | a?(y). 0)",
+        "(new _n0) (new _n1) (c?(_x2). _x2!<_n0>. 0 | _n0?(_x3). 0 | c!<_n1>. 0)",
+        ["(new _n0) (new _n1) (_n0?(_x2). 0 | _n1!<_n0>. 0)"]),
+    "substitution_under_restriction": (
+        "(new a) c!<a>. 0 | c?(x). (new a) (x!<a>. 0 | a?(y). 0)",
+        "(new _n0) (c?(_x1). (new _n2) (_n2?(_x3). 0 | _x1!<_n2>. 0) | c!<_n0>. 0)",
+        ["(new _n0) (new _n1) (_n0?(_x2). 0 | _n1!<_n0>. 0)"]),
+    "nested_duplicate_hoist": (
+        "a?(q). 0 | (new a) (a!<k>. 0 | (new a) (a?(x). 0 | a!<k>. 0))",
+        "(new _n0) (new _n1) (a?(_x2). 0 | _n0?(_x3). 0 | _n0!<k>. 0 | _n1!<k>. 0)",
+        ["(new _n0) (a?(_x1). 0 | _n0!<k>. 0)"]),
+}
+
+
+@pytest.mark.parametrize("text,normal,succs", _RENAMES.values(), ids=_RENAMES)
+def test_binders_renamed_apart(text, normal, succs):
+    res = parse_process(text)
+    assert res.ok, res.diagnostics
+    assert render_process(normalize(res.value)) == normal
+    assert _succ_forms(res.value) == succs
+
+
+def _binder_text(rng: random.Random, depth: int, bound: tuple = ()) -> str:
+    """Process text over the names a, b and c, whose inputs bind x, y or a,
+    with restriction, parallel composition and replication, so binders
+    shadow free names and each other. No branch ends before `depth` runs
+    out."""
+    def tok():
+        return rng.choice(("a", "b", "c") + bound)
+
+    def sub(inner=bound):
+        return _binder_text(rng, depth - 1, inner)
+
+    kind = rng.randrange(1, 6) if depth else 0
+    if kind == 0:
+        return "0"
+    if kind == 1:
+        return f"{tok()}!<{tok()}>. {sub()}"
+    if kind == 2:
+        x = rng.choice(("x", "y", "a"))
+        return f"{tok()}?({x}). {sub(bound + (x,))}"
+    if kind == 3:
+        return f"(new {rng.choice(('a', 'b', 'c'))}) {sub()}"
+    if kind == 4:
+        return f"({sub()} | {sub()})"
+    return f"* {sub()}"
+
+
+def test_steps_blind_to_binder_names():
+    """Renaming every binder canonically leaves no binder that clashes, so
+    a step that failed to rename one apart would show as a difference."""
+    stepping = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        res = parse_process(" | ".join(_binder_text(rng, 3) for _ in range(3)))
+        assert res.ok, res.diagnostics
+        succs = _succ_forms(res.value)
+        assert succs == _succ_forms(kernel._canonical_rename(res.value)), seed
+        stepping += bool(succs)
+    assert stepping > 1000
+
+
 @functools.cache
 def _oracle_states(source):
     """States to compare the engines on, and the explorations (with their
