@@ -291,8 +291,10 @@ def test_criterion_9_encoding_correspondence():
     programs = gen.store_programs()
     assert len(programs) >= 20
     ok = True
+    rendered = ""
     for p in programs:
         rep = check_correspondence(p, 12)
+        rendered += rep.render() + "\n"
         if not rep.ok:  # bound exhaustion counts as failure here
             ok = False
             break
@@ -300,6 +302,8 @@ def test_criterion_9_encoding_correspondence():
     ok = ok and elapsed < 120
     report(9, ok, f"operational correspondence on {len(programs)} store programs",
            elapsed)
+    # the step counts of every report, byte for byte
+    assert rendered == (GOLDEN / "store_programs.correspond12").read_text()
 
 
 def test_criterion_10_round_trip_and_fuzz():

@@ -1,7 +1,8 @@
 """Byte-level transcripts checked against golden files: `simulate --depth 6`
-text (root, edges in order, state keys, counts), `scan --depth 8` and
-`errors` (text and `--format records`) on the six corpus inputs, and the core
-rendering of every encoded store program. They pin the normal forms, the
+text (root, edges in order, state keys, counts), `simulate --depth 8
+--preserve` text, `scan --depth 8` and `errors` (text and `--format
+records`) on the six corpus inputs, and the core rendering of every encoded
+store program. They pin the normal forms, the
 successor order and the findings, which the other tests only compare between
 two runs of the same tree."""
 
@@ -40,6 +41,14 @@ def test_simulate_depth6(name):
                    "--env", str(CORPUS / f"{SIMULATE[name]}.env"), "--depth", "6")
     assert rc == 0
     assert out == (GOLDEN / f"{name}.simulate6").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_preserve_depth8(name):
+    rc, out = _run("simulate", str(CORPUS / f"{name}.pc"), "--env",
+                   str(CORPUS / f"{SIMULATE[name]}.env"), "--depth", "8", "--preserve")
+    assert rc == 0
+    assert out == (GOLDEN / f"{name}.preserve8").read_text()
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])
