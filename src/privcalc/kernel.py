@@ -734,7 +734,8 @@ def _rewrite(node, names: dict[str, str],
     `vs`, which maps a variable to its replacements at term, identity and
     data positions; a data replacement of None leaves the result undefined
     where the variable fills a data slot. A binder shadows its own token,
-    and a restriction that would capture an incoming atom is renamed apart.
+    and `_apart` renames a block's restrictions apart from the incoming
+    atoms (the values of `names`, the free atoms of the replacements).
     Given `fresh`, every binder is renamed to `fresh(kind)` instead ("n"
     for restrictions, "x" for input variables): the canonical renaming.
     Inputs never rename: the values substituted for variables are closed."""
@@ -758,21 +759,20 @@ def _rewrite(node, names: dict[str, str],
             return replace(node, subject=_rewrite(s, names, vs, fresh), patterns=pats,
                            cont=_rewrite(cont, names, inner, fresh))
         case Block(binders, comps):
-            renamed = []
-            for k, (n, annot) in enumerate(binders):
-                if fresh is not None:
+            if fresh is None:
+                names = {m: v for m, v in names.items() if all(m != n for n, _ in binders)}
+                incoming = set(names.values()).union(
+                    *(free_atoms(t) for t, _, _ in vs.values()))
+                # and the keys, or the walk below renames a renamed name again
+                binders, comps = _apart(binders, comps, incoming.union(names, vs))
+            else:
+                renamed = []
+                for b in binders:
                     n2 = fresh("n")
-                    names = names | {n: n2}
-                else:
-                    names = {m: v for m, v in names.items() if m != n}
-                    incoming = set(names.values()).union(
-                        *(free_atoms(t) for t, _, _ in vs.values()))
-                    n2 = n
-                    if n in incoming:
-                        scope = free_atoms(Block(binders[k + 1:], comps))
-                        n2 = names[n] = fresh_name(n, scope.union(incoming, names, vs))
-                renamed.append(binders[k] if n2 == n else (n2, annot))
-            return replace(node, binders=tuple(renamed),
+                    names = names | {b[0]: n2}
+                    renamed.append(b if n2 == b[0] else (n2, b[1]))
+                binders = tuple(renamed)
+            return replace(node, binders=binders,
                            comps=tuple(_rewrite(c, names, vs, fresh) for c in comps))
         case PRepl(body) | Group(_, body) | SBare(body):
             return replace(node, body=_rewrite(body, names, vs, fresh))
@@ -806,9 +806,28 @@ def _rewrite(node, names: dict[str, str],
     raise KernelError(f"cannot rewrite {node!r}")
 
 
-def _rename_name(node, old: str, new: str):
-    """Capture-free renaming of the free name `old` to `new`."""
-    return _rewrite(node, {old: new}, {})
+def _apart(binders: tuple, scope: tuple, clash) -> tuple[tuple, tuple]:
+    """Rename restrictions apart from the atoms in `clash`. `binders` are
+    (name, annot) pairs, outermost first, that bind over every part of
+    `scope`, each a process or a term. Each binder in `clash`, outermost
+    first, gets the first fresh name outside `clash`, the free atoms of
+    `scope` and the other binders, and is renamed in every part; when no
+    binder is in `clash`, both come back as they were. Substitution,
+    hoisting, scope extrusion and delivery into a block all call it."""
+    if not any(n in clash for n, _ in binders):
+        return binders, scope
+    avoid = set(clash).union(*map(free_atoms, scope), (n for n, _ in binders))
+    renames: dict[str, str] = {}
+    renamed = []
+    for b in binders:
+        if b[0] in clash:
+            # of two binders of one name the inner one binds the scope; it
+            # comes later, so its new name is the one left in `renames`
+            n2 = renames[b[0]] = fresh_name(b[0], avoid)
+            avoid.add(n2)
+            b = (n2, b[1])
+        renamed.append(b)
+    return tuple(renamed), tuple(_rewrite(part, renames, {}) for part in scope)
 
 
 def _subst_mapping(value: Term, placeholder: Placeholder
@@ -1055,20 +1074,16 @@ def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
         if not isinstance(nd, Block):
             comps.append(nd)
             return
-        bs, cs = nd.binders, nd.comps
-        for k, (n, annot) in enumerate(bs):
-            # a binder of the block's own leading binders is never free in
-            # the block: the block's free atoms matter only for a binder
-            # below a parallel, or for renaming a duplicate binder
-            if not free_added and (nested or n in taken):
-                taken.update(free_atoms(node))
-                free_added = True
-            n2 = fresh_name(n, taken)
-            taken.add(n2)
-            binders[n2] = annot
-            if n2 != n:
-                hoist(_rename_name(Block(bs[k + 1:], cs), n, n2), nested)
-                return
+        # a binder of the block's own leading binders is never free in the
+        # block: the block's free atoms matter only for a binder below a
+        # parallel, or for renaming a duplicate binder
+        if not free_added and (nested or any(n in taken for n, _ in nd.binders)):
+            taken.update(free_atoms(node))
+            free_added = True
+        bs, cs = _apart(nd.binders, nd.comps, taken)
+        for n, annot in bs:
+            taken.add(n)
+            binders[n] = annot
         for c in cs:
             hoist(c, nested or len(cs) > 1)
 

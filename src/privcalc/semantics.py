@@ -21,8 +21,8 @@ from .kernel import (
     Block, DConst, Group, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut,
     PRepl, PStore, PrivacyType, PrivateData, Record, SBare, System, TChan,
     TConst, TDual, TName, TPriv, TPurpose, TVar, Term,
-    IncompatibleSubstitution, children, field, free_atoms, fresh_name,
-    is_system, normalize, replace, substitute, _block, _rename_name,
+    IncompatibleSubstitution, children, field, free_atoms, is_system,
+    normalize, replace, substitute, _apart, _block,
 )
 from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_system
@@ -160,24 +160,6 @@ def _closed_term(t: Term) -> bool:
 
 # --- output capabilities ------------------------------------------------------------
 
-def _rename_clash(label: OutLabel, succ, comps: tuple, k: int) -> tuple[OutLabel, object]:
-    """Rename the names the label extrudes away from the free atoms of the
-    components beside the k-th, which made the output; those are computed
-    only when the label extrudes a name."""
-    if not label.extruded:
-        return label, succ
-    avoid = set().union(*(free_atoms(c) for m, c in enumerate(comps) if m != k))
-    for n, annot in label.extruded:
-        if n in avoid:
-            n2 = fresh_name(n, avoid | free_atoms(succ) |
-                            {m for m, _ in label.extruded})
-            succ = _rename_name(succ, n, n2)
-            objects = tuple(_rename_name(o, n, n2) for o in label.objects)
-            extruded = tuple((n2 if m == n else m, a) for m, a in label.extruded)
-            label = OutLabel(label.subject, label.on_dual, objects, extruded)
-    return label, succ
-
-
 def visible_outs(node) -> list[tuple[OutLabel, object]]:
     out: list[tuple[OutLabel, object]] = []
     match node:
@@ -197,7 +179,13 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
                 for label, succ in visible_outs(c):
                     if label.subject in names:
                         continue
-                    label, succ = _rename_clash(label, succ, cs, k)
+                    if label.extruded:
+                        # the names leaving must not capture a free atom of
+                        # the components beside this one
+                        others = set().union(*map(free_atoms, cs[:k] + cs[k + 1:]))
+                        ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects),
+                                                    others)
+                        label = replace(label, objects=tuple(objs), extruded=ext)
                     # binders the objects mention leave with the label,
                     # innermost first; the others stay around the successor
                     objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
@@ -257,9 +245,7 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
             if bs:
                 if any(n == subject for n, _ in bs):
                     return out
-                atoms = set().union(*map(free_atoms, values))
-                if any(n in atoms for n, _ in bs):
-                    bs, cs = _rename_apart(node, atoms)
+                bs, cs = _apart(bs, cs, set().union(*map(free_atoms, values)))
             for k, c in enumerate(cs):
                 for succ in feed(c, subject, to_dual, values):
                     out.append(Block(bs, cs[:k] + (succ,) + cs[k + 1:]))
@@ -275,20 +261,6 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
         case Group(_, body) | SBare(body):
             out.extend(replace(node, body=s) for s in feed(body, subject, to_dual, values))
     return out
-
-
-def _rename_apart(node: Block, atoms: set[str]) -> tuple[tuple, tuple]:
-    """The block's binders and components with each binder among `atoms`,
-    which a delivery brings in, renamed away from them, outermost first."""
-    binders = []
-    rest = node
-    while rest.binders:
-        (n, annot), rest = rest.binders[0], Block(rest.binders[1:], rest.comps)
-        if n in atoms:
-            n2 = fresh_name(n, atoms | free_atoms(rest))
-            rest, n = _rename_name(rest, n, n2), n2
-        binders.append((n, annot))
-    return tuple(binders), rest.comps
 
 
 def _deliveries(label: OutLabel, refs: frozenset[str]
@@ -360,7 +332,10 @@ def _pair(node: Block, i: int, label: OutLabel, succ, receivers: Iterable[int],
     replaces the two components, and the names the output extrudes join the
     block's binders, renamed away from the other components first."""
     cs = node.comps
-    label, succ = _rename_clash(label, succ, cs, i)
+    if label.extruded:
+        others = set().union(*map(free_atoms, cs[:i] + cs[i + 1:]))
+        ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects), others)
+        label = replace(label, objects=tuple(objs), extruded=ext)
     for subject, to_dual, values in _deliveries(label, refs):
         for j in receivers:
             for osucc in feed(cs[j], subject, to_dual, values):

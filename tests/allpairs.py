@@ -4,17 +4,17 @@ components by subject. It tries every output of every component against
 every other component, so it is slow on wide blocks but plainly complete;
 tests compare the indexed engine's successor lists with its own, order
 included. `collect_inps` is the input scan `input_labels` had. The leaf
-helpers (`_rename_clash`, `_deliveries`, ...) are shared with `semantics`,
-which did not change them."""
+helpers (`_deliveries`, `_eval_cond`, ...) are shared with `semantics`,
+which did not change them, and binders are renamed apart through the
+kernel's `_apart`, as `semantics` does."""
 
 from privcalc.kernel import (
     Block, Group, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl, PStore,
     PrivateData, SBare, TDual, TName, TPriv,
-    IncompatibleSubstitution, children, free_atoms, substitute, _block,
+    IncompatibleSubstitution, children, free_atoms, replace, substitute, _apart, _block,
 )
 from privcalc.semantics import (
-    OutLabel, _closed_term, _deliveries, _eval_cond, _rename_apart, _rename_clash,
-    reference_names,
+    OutLabel, _closed_term, _deliveries, _eval_cond, reference_names,
 )
 
 
@@ -37,7 +37,11 @@ def visible_outs(node):
                 for label, succ in visible_outs(c):
                     if label.subject in names:
                         continue
-                    label, succ = _rename_clash(label, succ, cs, k)
+                    if label.extruded:
+                        others = set().union(*map(free_atoms, cs[:k] + cs[k + 1:]))
+                        ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects),
+                                                    others)
+                        label = replace(label, objects=tuple(objs), extruded=ext)
                     objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
                     leaving = tuple(b for b in reversed(bs) if b[0] in objs_atoms)
                     if leaving:
@@ -90,9 +94,7 @@ def feed(node, subject, to_dual, values):
             if bs:
                 if any(n == subject for n, _ in bs):
                     return out
-                atoms = set().union(*map(free_atoms, values))
-                if any(n in atoms for n, _ in bs):
-                    bs, cs = _rename_apart(node, atoms)
+                bs, cs = _apart(bs, cs, set().union(*map(free_atoms, values)))
             for k, c in enumerate(cs):
                 for succ in feed(c, subject, to_dual, values):
                     out.append(Block(bs, cs[:k] + (succ,) + cs[k + 1:]))
@@ -116,7 +118,10 @@ def _pair(node, i, outs, receivers, refs):
     out = []
     cs = node.comps
     for label, succ in outs:
-        label, succ = _rename_clash(label, succ, cs, i)
+        if label.extruded:
+            others = set().union(*map(free_atoms, cs[:i] + cs[i + 1:]))
+            ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects), others)
+            label = replace(label, objects=tuple(objs), extruded=ext)
         for subject, to_dual, values in _deliveries(label, refs):
             for j in receivers:
                 for osucc in feed(cs[j], subject, to_dual, values):

@@ -12,7 +12,7 @@ from privcalc.kernel import (
     Block, DConst, DVar, HIDDEN, IVar, IncompatibleSubstitution, KernelError,
     Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair, PRepl, PStore, PVar,
     PrivateData, TChan, TConst, TDual, TName, TPriv, TPrivate, TVar,
-    _canonical_rename, _rename_name, alpha_eq, free_atoms, free_names, free_vars,
+    _canonical_rename, _rewrite, alpha_eq, free_atoms, free_names, free_vars,
     normalize, substitute,
 )
 import gen
@@ -323,7 +323,7 @@ class TestRenameName:
     def test_restriction_binding_new_name_is_renamed_away(self):
         # (new b) a!<b>  with a := b  must not capture the incoming b
         p = new("b", None, POut(TName("a"), (TName("b"),), NIL))
-        out = _rename_name(p, "a", "b")
+        out = _rewrite(p, {"a": "b"}, {})
         assert isinstance(out, Block) and len(out.binders) == 1
         name = out.binders[0][0]
         assert name not in ("a", "b")
@@ -333,12 +333,12 @@ class TestRenameName:
     def test_restriction_binding_old_name_stops_renaming(self):
         inner = new("a", None, POut(TName("a"), (TConst("c"),), NIL))
         p = par(POut(TName("a"), (TConst("c"),), NIL), inner)
-        assert _rename_name(p, "a", "z") == par(POut(TName("z"), (TConst("c"),), NIL), inner)
+        assert _rewrite(p, {"a": "z"}, {}) == par(POut(TName("z"), (TConst("c"),), NIL), inner)
 
     def test_bare_terms(self):
-        assert _rename_name(TName("a"), "a", "z") == TName("z")
-        assert _rename_name(TDual("a"), "a", "z") == TDual("z")
-        assert _rename_name(TName("b"), "a", "z") == TName("b")
+        assert _rewrite(TName("a"), {"a": "z"}, {}) == TName("z")
+        assert _rewrite(TDual("a"), {"a": "z"}, {}) == TDual("z")
+        assert _rewrite(TName("b"), {"a": "z"}, {}) == TName("b")
 
 
 # --- property tests over generated terms -------------------------------------
@@ -561,9 +561,9 @@ def _apply_axiom(rng: random.Random, p):
                 return NIL
             if choice == 1:
                 # alpha-rename the binder
-                from privcalc.kernel import _rename_name, fresh_name, free_atoms
+                from privcalc.kernel import fresh_name, free_atoms
                 n2 = fresh_name(n + "z", free_atoms(body))
-                return new(n2, a, _rename_name(body, n, n2))
+                return new(n2, a, _rewrite(body, {n: n2}, {}))
             return new(n, a, _apply_axiom(rng, body))
         case POut(_, _, cont):
             return p.__class__(p.subject, p.objects, _apply_axiom(rng, cont))
