@@ -77,6 +77,13 @@ class _CliError(Exception):
     pass
 
 
+def _bound(text: str) -> int:
+    """A `--depth` or `--correspondence` bound: an integer, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
+    return int(text)
+
+
 def theta_records(theta: Theta) -> list[str]:
     lines = []
     for e in theta.canonical():
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         if policy:
             p.add_argument("--policy", required=True, help="policy file (.ppo)")
         if depth is not None:
-            p.add_argument("--depth", type=int, default=depth)
+            p.add_argument("--depth", type=_bound, default=depth)
         p.add_argument("--id-direction", choices=["anon", "known"], default="anon")
         p.add_argument("--format", choices=["text", "records", "dot"], default="text")
 
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="translate to core pi with select/branch")
     p.add_argument("file")
     common(p)
-    p.add_argument("--correspondence", type=int, metavar="BOUND",
+    p.add_argument("--correspondence", type=_bound, metavar="BOUND",
                    help="also check operational correspondence up to BOUND")
     p.set_defaults(fn=_cmd_encode)
 

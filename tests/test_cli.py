@@ -68,6 +68,28 @@ class TestExitCodes:
         assert cli.main(["typecheck", "corpus/lab.pc"]) == cli.EXIT_INTERNAL == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    @pytest.mark.parametrize("args", [
+        ("simulate", "corpus/hospital.pc", "--depth", "-2"),
+        ("scan", "corpus/hospital.pc", "--policy", "corpus/hospital.ppo", "--depth", "-1"),
+        ("encode", "STORE", "--correspondence", "-1"),
+        ("simulate", "corpus/hospital.pc", "--depth", "two"),
+    ])
+    def test_negative_bound_is_a_usage_error(self, tmp_path, args):
+        # without the check, simulate printed a truncated graph and exit 0,
+        # and encode reported the store program as inconclusive (exit 1)
+        store = tmp_path / "st.pc"
+        store.write_text("store r {id # c} | r?(x # y). 0")
+        args = [str(store) if a == "STORE" else a for a in args]
+        r = run(*args, "--env", "corpus/hospital.env")
+        assert r.returncode == 2 and r.stdout == ""
+        assert f"expected an integer of 0 or more, got '{args[-1]}'" in r.stderr
+
+    def test_depth_zero_is_a_bound(self):
+        r = run("simulate", "corpus/hospital.pc", "--env", "corpus/hospital.env",
+                "--depth", "0")
+        assert r.returncode == 0
+        assert r.stdout.endswith("states 1 edges 0 truncated\n")
+
     def test_encode_process(self, tmp_path):
         f = tmp_path / "st.pc"
         f.write_text("store r {id # c} | r?(x # y). 0")
