@@ -477,7 +477,8 @@ class StateGraph(Record, frozen=False):
 
 def explore(s: System, depth: int) -> StateGraph:
     """Breadth-first internal-step exploration up to the depth bound, with
-    states deduplicated by their canonical form."""
+    states deduplicated by `state_key`, a 48-bit sha256 prefix of the
+    rendered normal form."""
     root = normalize(s)
     rkey = state_key(root)
     graph = StateGraph(root=rkey)
