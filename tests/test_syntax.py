@@ -256,3 +256,146 @@ def test_fuzz_byte_noise():
         for parser in (parse_system, parse_policy, parse_env):
             res = parser(text)
             assert res.value is not None or res.diagnostics
+
+
+# --- diagnostics golden -------------------------------------------------------------
+
+# One malformed input per error the four parsers can report, and the entry
+# checks of environments. `corpus/golden/diagnostics` holds `str(d)` of every
+# diagnostic each gives.
+DIAGNOSTIC_CASES = [
+    # lexer
+    (parse_system, "a!<c>. 0 $"),
+    # tokens the grammar expects
+    (parse_system, "G[ a!<c> ]"),
+    (parse_system, "a!<c. 0"),
+    (parse_system, "(a!<c>. 0"),
+    (parse_system, "a!<_ c>. 0"),
+    (parse_system, "(new 0) 0"),
+    (parse_system, "(new if) 0"),
+    (parse_system, "~!<c>. 0"),
+    (parse_system, "a!<~>. 0"),
+    (parse_system, "0 0"),
+    (parse_system, "G[ 0 ] | 0"),
+    (parse_system, ""),
+    (parse_system, "a!<c>. )"),
+    (parse_system, "a. 0"),
+    (parse_process, "G[ 0 ]"),
+    # type expressions
+    (parse_system, "(new a : 0) 0"),
+    (parse_system, "(new a : G<>) 0"),
+    (parse_system, "(new a : G) 0"),
+    (parse_system, "(new a : G[t<g>) 0"),
+    (parse_system, "a?(x : G). 0"),
+    # private data and terms
+    (parse_system, "a!<{x # !}>. 0"),
+    (parse_system, "a!<{1 # c}>. 0"),
+    (parse_system, "a!<1 # c>. 0"),
+    (parse_system, "a!<{x # _}>. 0"),
+    (parse_system, "a!<{x c}>. 0"),
+    (parse_system, "a!<~r>. 0"),
+    (parse_system, "\n  a?(x). b!<{x # c}>. 0"),
+    (parse_system, "\n  a?(x). b!<x # c>. 0"),
+    (parse_system, "\n  a?(x). b!<{c # x}>. 0"),
+    # patterns and inputs
+    (parse_system, "a?(x # x). 0"),
+    (parse_system, "a?(_ x). 0"),
+    (parse_system, "\n  a?(x, x). 0"),
+    (parse_system, "\n  (a?(x, x))^2 0"),
+    (parse_system, "(a?(x))^0 0"),
+    (parse_system, "(a?(x))^b 0"),
+    (parse_system, "(a?(x)) 0"),
+    (parse_system, "(a!<c>)^2 0"),
+    # conditions and stores
+    (parse_system, "if a 0"),
+    (parse_system, "if a = b 0"),
+    (parse_system, "if a = b then 0 0"),
+    (parse_system, "\n  if ~r = a then 0 else 0"),
+    (parse_system, "\n  a?(x). if {c # x} = a then 0 else 0"),
+    (parse_system, "a?(x). store x {c # d}"),
+    (parse_system, "\n  a?(x). store r {_ # x}"),
+    # restrictions and groups at system level
+    (parse_system, "(new a) 0 | 0"),
+    (parse_system, "new a. 0 | 0"),
+    (parse_system, "G[ (new a) (0 || 0) | 0 ]"),
+    (parse_system, "(G[ 0 ])^2"),
+    # nesting
+    (parse_system, "(" * 2000 + "0" + ")" * 2000),
+    (parse_policy, "private t >> " + "G {} [" * 2000),
+    (parse_env, "a : " + "G[" * 2000 + "t<g>" + "]" * 2000),
+    # policies
+    (parse_policy, ""),
+    (parse_policy, "foo"),
+    (parse_policy, "private t G {}"),
+    (parse_policy, "private t >> G {foo}"),
+    (parse_policy, "private t >> G {read"),
+    (parse_policy, "private t >> G {disseminate H 0}"),
+    (parse_policy, "private t >> G {disseminate H x}"),
+    (parse_policy, "private t >> G {nondisclose x}"),
+    (parse_policy, "private t >> G {usage 0}"),
+    (parse_policy, "private t >> G {} [ H {} "),
+    (parse_policy, "private t >> G {} $"),
+    # environments
+    (parse_env, "# : t<g>"),
+    (parse_env, "{a # <} : t<g>"),
+    (parse_env, "{a} : t<g>"),
+    (parse_env, "_ : t<g>"),
+    (parse_env, "a t<g>"),
+    (parse_env, "a : G"),
+    (parse_env, "a : G<>"),
+    (parse_env, "a : G[t<g>"),
+    (parse_env, "a : 0"),
+    (parse_env, "a : G[t<g>] $"),
+    # entry checks
+    (parse_env, "a : G[t<g>]\na : G[t<g>]"),
+    (parse_env, "{x # c} : t<g>\n{x # c} : t<g>"),
+    (parse_env, "{_ # c} : t<g>\n{_ # c} : t<g>"),
+    (parse_env, "{x # c} : G[t<g>]"),
+    (parse_env, "{x # c} : t<g>\na : t<g>"),
+    (parse_env, "a : G[t<g>]\na : G[t<g>]\n{x # c} : G[t<g>]\nb : t<g>\n{y # d} : t<g>"),
+]
+
+# the environment texts of the tests above, besides the corpus files
+ENV_TEXTS = [
+    "r : Police[crime<dna>]",
+    "",
+    "overLim : Limit<Speed>",
+    "{john # dna1} : patient_data<dna>\n{_ # dna2} : crime<dna>",
+    "a : G[t<g>]\na : G[t<g>]",
+    "k : Limit<Speed>\nch : G[Limit<Speed>]",
+]
+
+
+def _shown(text: str) -> str:
+    return repr(text) if len(text) <= 60 else f"{text[:30]!r} + {len(text) - 30} chars"
+
+
+def diagnostics_transcript() -> str:
+    """Each malformed input with its diagnostics, then each environment's
+    atoms and private entries by `repr`, which tells a purpose sort from a
+    private one."""
+    from conftest import CORPUS
+    lines = []
+    for parser, text in DIAGNOSTIC_CASES:
+        lines.append(f"{parser.__name__} {_shown(text)}")
+        lines += [f"  {d}" for d in parser(text).diagnostics]
+    envs = [(f"corpus/{p.name}", p.read_text()) for p in sorted(CORPUS.glob("*.env"))]
+    for label, text in envs + [(_shown(t), t) for t in ENV_TEXTS]:
+        res = parse_env(text)
+        lines.append(f"parse_env {label}")
+        if res.ok:
+            lines.append(f"  atoms {res.value.atoms!r}")
+            lines.append(f"  privs {res.value.privs!r}")
+        lines += [f"  {d}" for d in res.diagnostics]
+    return "\n".join(lines) + "\n"
+
+
+def test_diagnostics_golden():
+    from conftest import GOLDEN
+    assert diagnostics_transcript() == (GOLDEN / "diagnostics").read_text()
+
+
+if __name__ == "__main__":
+    # rewrite the golden file: PYTHONPATH=src:tests python tests/test_syntax.py
+    from conftest import GOLDEN
+    (GOLDEN / "diagnostics").write_text(diagnostics_transcript())
