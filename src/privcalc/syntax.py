@@ -37,8 +37,8 @@ from .policy import (
 )
 
 __all__ = [
-    "SourceFile", "Diagnostic", "ParseResult", "Gamma",
-    "parse_source", "parse_system", "parse_process", "parse_policy", "parse_env",
+    "Diagnostic", "ParseResult", "Gamma",
+    "parse_system", "parse_process", "parse_policy", "parse_env",
     "render_system", "render_process", "render_policy", "render_env",
     "render_type", "render_term",
 ]
@@ -51,43 +51,12 @@ PERM_WORDS = {"read", "update", "reference", "store", "readId", "aggregate",
               "disseminate", "nondisclose", "usage", "identify"}
 
 
-class SourceFile(Record):
-    path: str
-    text: str
-    kind: str  # "system" | "policy" | "environment"
-
-    KINDS = {".pc": "system", ".ppo": "policy", ".env": "environment"}
-
-    @classmethod
-    def load(cls, path, kind: Optional[str] = None) -> "SourceFile":
-        import pathlib
-        p = pathlib.Path(path)
-        if kind is None:
-            kind = cls.KINDS.get(p.suffix)
-        if kind not in ("system", "policy", "environment"):
-            raise ValueError(f"cannot tell what {path} holds; pass an explicit kind")
-        return cls(str(p), p.read_text(encoding="utf-8"), kind)
-
-
-def parse_source(src: SourceFile, gamma: Optional["Gamma"] = None) -> "ParseResult":
-    if src.kind == "system":
-        return parse_system(src.text, gamma)
-    if src.kind == "policy":
-        return parse_policy(src.text)
-    return parse_env(src.text)
-
-
 class Diagnostic(Record):
-    severity: str  # "error" | "warning"
     span: Span
     message: str
-    hint: Optional[str] = None
 
     def __str__(self) -> str:
-        base = f"{self.severity}: {self.span}: {self.message}"
-        if self.hint:
-            base += f" ({self.hint})"
-        return base
+        return f"error: {self.span}: {self.message}"
 
 
 class ParseResult(Record, frozen=False):
@@ -96,8 +65,7 @@ class ParseResult(Record, frozen=False):
 
     @property
     def ok(self) -> bool:
-        return self.value is not None and not any(
-            d.severity == "error" for d in self.diagnostics)
+        return self.value is not None and not self.diagnostics
 
 
 # --- typing environment -------------------------------------------------------
@@ -286,11 +254,10 @@ def _lex(text: str) -> list[Tok]:
 # --- parser infrastructure -------------------------------------------------------
 
 class ParseError(Exception):
-    def __init__(self, span: Span, message: str, hint: Optional[str] = None):
+    def __init__(self, span: Span, message: str):
         super().__init__(message)
         self.span = span
         self.message = message
-        self.hint = hint
 
 
 class _P:
@@ -332,6 +299,11 @@ class _P:
             raise ParseError(t.span, f"{t.text!r} is reserved, expected {what}")
         return self.take()
 
+    def expect_word(self, word: str):
+        if not self.at_ident(word):
+            raise ParseError(self.peek().span, f"expected {word!r}")
+        self.take()
+
     def expect_eof(self):
         t = self.peek()
         if t.kind != "EOF":
@@ -342,6 +314,42 @@ class _P:
 
     def reset(self, m: int):
         self.i = m
+
+
+def _separated(p: _P, sep: str, rule, *args) -> tuple:
+    """One or more of `rule`, separated by `sep`."""
+    items = [rule(p, *args)]
+    while p.at(sep):
+        p.take()
+        items.append(rule(p, *args))
+    return tuple(items)
+
+
+def _node(tok: Tok, ctor, *args):
+    """`ctor(*args)` located at the node's first token: a node that carries
+    a span gets the token's, and a constructor's KernelError is reported at
+    the token."""
+    if "span" in ctor._fields:
+        args += (tok.span,)
+    try:
+        return ctor(*args)
+    except KernelError as e:
+        raise ParseError(tok.span, str(e))
+
+
+def _parse(text: str, entry, *args) -> ParseResult:
+    """Parse the whole text from the grammar entry `entry`. Every error of
+    the front end reaches the user through here, as the one diagnostic of a
+    failed result."""
+    try:
+        return ParseResult(entry(_P(_lex(text)), *args), [])
+    except (LexError, ParseError) as e:
+        span, message = e.span, e.message
+    except KernelError as e:
+        span, message = Span(1, 1, 1, 1), str(e)
+    except RecursionError:
+        span, message = Span(1, 1, 1, 1), "input nests too deeply"
+    return ParseResult(None, [Diagnostic(span, message)])
 
 
 # --- type expressions --------------------------------------------------------------
@@ -358,12 +366,9 @@ def _parse_type(p: _P, registry: "_SortRegistry") -> PrivacyType:
         return registry.angle(head.text, g.text)
     if p.at("["):
         p.take()
-        payload = [_parse_type(p, registry)]
-        while p.at(","):
-            p.take()
-            payload.append(_parse_type(p, registry))
+        payload = _separated(p, ",", _parse_type, registry)
         p.expect("]")
-        return TChan(head.text, tuple(payload))
+        return TChan(head.text, payload)
     raise ParseError(p.peek().span, f"expected '<' or '[' after type name {head.text!r}")
 
 
@@ -377,12 +382,18 @@ class _SortRegistry:
     def __init__(self, private: set[str] = frozenset(), purpose: set[str] = frozenset()):
         self.private = set(private)
         self.purpose = set(purpose)
-        self.pending: list[tuple[str, str, list]] = []  # (name, ground, holder)
 
     def angle(self, name: str, ground: str) -> PrivacyType:
         if name in self.purpose and name not in self.private:
             return TPurpose(name, ground)
         return TPrivate(name, ground)
+
+    def resolve(self, ty: PrivacyType) -> PrivacyType:
+        """The type with each angle type in it, payloads included, resolved
+        afresh."""
+        if isinstance(ty, TChan):
+            return TChan(ty.group, tuple(map(self.resolve, ty.payload)))
+        return self.angle(ty.ptype, ty.ground)
 
 
 # --- terms, patterns, private data ---------------------------------------------------
@@ -420,11 +431,14 @@ def _mk_data(tok: Tok, ctx: _Ctx):
     return DConst(tok.text)
 
 
-def _parse_pdata(p: _P, ctx: _Ctx, braced: Optional[bool] = None) -> PrivateData:
-    if braced is None:
-        braced = p.at("{")
+def _pdata(itok: Tok, dtok: Tok, ctx: _Ctx) -> PrivateData:
+    return _node(itok, PrivateData, _mk_identity(itok, ctx), _mk_data(dtok, ctx))
+
+
+def _parse_pdata(p: _P, ctx: _Ctx) -> PrivateData:
+    braced = p.at("{")
     if braced:
-        p.expect("{")
+        p.take()
     itok = _parse_slot_token(p)
     if not p.at("#"):
         raise ParseError(p.peek().span, "expected '#' inside private data")
@@ -432,23 +446,24 @@ def _parse_pdata(p: _P, ctx: _Ctx, braced: Optional[bool] = None) -> PrivateData
     dtok = _parse_slot_token(p)
     if braced:
         p.expect("}")
-    try:
-        return PrivateData(_mk_identity(itok, ctx), _mk_data(dtok, ctx))
-    except KernelError as e:
-        raise ParseError(itok.span, str(e))
+    return _pdata(itok, dtok, ctx)
 
 
-def _parse_term(p: _P, ctx: _Ctx, *, object_position: bool) -> Term:
+def _parse_dual(p: _P, ctx: _Ctx, object_position: bool) -> Term:
+    p.take()  # '~'
+    name = p.expect_ident("reference name after '~'")
+    if object_position:
+        raise ParseError(name.span, "a dual endpoint cannot be passed as an object")
+    ctx.subject_evidence.add(name.text)
+    return TDual(name.text)
+
+
+def _parse_term(p: _P, ctx: _Ctx, object_position: bool) -> Term:
     t = p.peek()
     if t.text == "{":
         return TPriv(_parse_pdata(p, ctx))
     if t.text == "~":
-        p.take()
-        name = p.expect_ident("reference name after '~'")
-        if object_position:
-            raise ParseError(name.span, "a dual endpoint cannot be passed as an object")
-        ctx.subject_evidence.add(name.text)
-        return TDual(name.text)
+        return _parse_dual(p, ctx, object_position)
     if t.kind == "NAT":
         p.take()
         if p.at("#"):
@@ -457,13 +472,11 @@ def _parse_term(p: _P, ctx: _Ctx, *, object_position: bool) -> Term:
     if t.text == "_":
         p.take()
         p.expect("#", "'#' after hidden identity")
-        dtok = _parse_slot_token(p)
-        return TPriv(PrivateData(HIDDEN, _mk_data(dtok, ctx)))
+        return TPriv(_pdata(t, _parse_slot_token(p), ctx))
     tok = p.expect_ident("term")
     if p.at("#"):
         p.take()
-        dtok = _parse_slot_token(p)
-        return TPriv(PrivateData(_mk_identity(tok, ctx), _mk_data(dtok, ctx)))
+        return TPriv(_pdata(tok, _parse_slot_token(p), ctx))
     if tok.text in ctx.bound_vars:
         return TVar(tok.text)
     # provisional constant; promoted to a name by the classification pass
@@ -471,12 +484,8 @@ def _parse_term(p: _P, ctx: _Ctx, *, object_position: bool) -> Term:
 
 
 def _parse_subject(p: _P, ctx: _Ctx) -> Term:
-    t = p.peek()
-    if t.text == "~":
-        p.take()
-        name = p.expect_ident("reference name after '~'")
-        ctx.subject_evidence.add(name.text)
-        return TDual(name.text)
+    if p.at("~"):
+        return _parse_dual(p, ctx, False)
     tok = p.expect_ident("channel or reference name")
     if tok.text in ctx.bound_vars:
         return TVar(tok.text)
@@ -485,12 +494,10 @@ def _parse_subject(p: _P, ctx: _Ctx) -> Term:
 
 
 def _parse_pattern(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Placeholder, Optional[PrivacyType]]:
-    t = p.peek()
-    braced = t.text == "{"
+    braced = p.at("{")
     if braced:
         p.take()
-    tok = p.peek()
-    if tok.text == "_":
+    if p.at("_"):
         p.take()
         p.expect("#", "'#' after hidden identity")
         dvar = p.expect_ident("pattern variable")
@@ -514,62 +521,56 @@ def _parse_pattern(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Placehold
     return ph, annot
 
 
+def _parse_patterns(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[tuple, tuple, _Ctx]:
+    """An input's `( pattern, ... )`: the placeholders, their annotations
+    (none at all when no pattern has one) and the context of the
+    continuation, where the pattern variables are bound."""
+    p.expect("(")
+    pairs = _separated(p, ",", _parse_pattern, ctx, registry)
+    p.expect(")")
+    pats = tuple(k for k, _ in pairs)
+    annots = tuple(a for _, a in pairs)
+    inner = ctx.child()
+    for k in pats:
+        inner.bound_vars.update(placeholder_vars(k))
+    return pats, annots if any(a is not None for a in annots) else (), inner
+
+
 # --- process and system parsing ---------------------------------------------------
 
 def _parse_process(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
-    comps = [_parse_seq(p, ctx, registry)]
-    while p.at("|"):
-        p.take()
-        comps.append(_parse_seq(p, ctx, registry))
-    return _block((), tuple(comps))
+    return _block((), _separated(p, "|", _parse_seq, ctx, registry))
 
 
 def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     t = p.peek()
     if t.kind == "NAT" and t.text == "0":
         p.take()
-        return PNil(t.span)
+        return _node(t, PNil)
     if t.text == "*":
         p.take()
-        return PRepl(_parse_seq(p, ctx, registry), t.span)
+        return _node(t, PRepl, _parse_seq(p, ctx, registry))
     if t.kind == "IDENT" and t.text == "new":
         return _parse_new(p, ctx, registry, _parse_seq)
     if t.kind == "IDENT" and t.text == "if":
         p.take()
-        lhs = _parse_term(p, ctx, object_position=False)
-        if p.at("="):
-            op = "="
-        elif p.at(">"):
-            op = ">"
-        else:
-            raise ParseError(p.peek().span, "expected '=' or '>' in condition")
+        lhs = _parse_term(p, ctx, False)
+        op = p.peek()
+        if op.text not in ("=", ">"):
+            raise ParseError(op.span, "expected '=' or '>' in condition")
         p.take()
-        rhs = _parse_term(p, ctx, object_position=False)
-        kw = p.peek()
-        if not (kw.kind == "IDENT" and kw.text == "then"):
-            raise ParseError(kw.span, "expected 'then'")
-        p.take()
+        rhs = _parse_term(p, ctx, False)
+        p.expect_word("then")
         then = _parse_seq(p, ctx, registry)
-        kw = p.peek()
-        if not (kw.kind == "IDENT" and kw.text == "else"):
-            raise ParseError(kw.span, "expected 'else'")
-        p.take()
-        els = _parse_seq(p, ctx, registry)
-        try:
-            return PIf(op, lhs, rhs, then, els, t.span)
-        except KernelError as e:
-            raise ParseError(t.span, str(e))
+        p.expect_word("else")
+        return _node(t, PIf, op.text, lhs, rhs, then, _parse_seq(p, ctx, registry))
     if t.kind == "IDENT" and t.text == "store":
         p.take()
         ref = p.expect_ident("store reference name")
         if ref.text in ctx.bound_vars:
             raise ParseError(ref.span, "store references cannot be variables")
         ctx.subject_evidence.add(ref.text)
-        datum = _parse_pdata(p, ctx)
-        try:
-            return PStore(ref.text, datum, t.span)
-        except KernelError as e:
-            raise ParseError(t.span, str(e))
+        return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
     if t.text == "(":
         # '(new ...)', the input power '(prefix)^n P', or a parenthesized process
         m = p.mark()
@@ -591,51 +592,29 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
 def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry, m: int) -> Optional[Process]:
     """Attempt `subject ? ( patterns ) ) ^ NAT cont` with the opening paren
     already consumed; on failure rewind past the paren and return None."""
+    start = p.peek()
     try:
         subject = _parse_subject(p, ctx)
-        if not p.at("?"):
-            raise ParseError(p.peek().span, "not an input power")
-        p.take()
-        p.expect("(")
-        pats: list[Placeholder] = []
-        annots: list[Optional[PrivacyType]] = []
-        ph, an = _parse_pattern(p, ctx, registry)
-        pats.append(ph)
-        annots.append(an)
-        while p.at(","):
-            p.take()
-            ph, an = _parse_pattern(p, ctx, registry)
-            pats.append(ph)
-            annots.append(an)
+        p.expect("?")
+        pats, annots, inner = _parse_patterns(p, ctx, registry)
         p.expect(")")
-        p.expect(")")
-        if not p.at("^"):
-            raise ParseError(p.peek().span, "not an input power")
+        p.expect("^")
+        count = p.peek()
+        if count.kind != "NAT" or int(count.text) < 1:
+            raise ParseError(count.span, "expected a positive repetition count after '^'")
         p.take()
-        nt = p.peek()
-        if nt.kind != "NAT":
-            raise ParseError(nt.span, "expected repetition count after '^'")
-        p.take()
-        count = int(nt.text)
-        if count < 1:
-            raise ParseError(nt.span, "repetition count must be positive")
     except ParseError:
         p.reset(m)
         p.take()  # past '('
         return None
-    ctx2 = ctx.child()
-    for k in pats:
-        ctx2.bound_vars.update(placeholder_vars(k))
-    cont = _parse_seq(p, ctx2, registry)
-    an_tuple = tuple(annots) if any(a is not None for a in annots) else ()
-    for _ in range(count):
-        cont = PInp(subject, tuple(pats), cont, annots=an_tuple)
+    cont = _parse_seq(p, inner, registry)
+    for _ in range(int(count.text)):
+        cont = _node(start, PInp, subject, pats, cont, annots)
     return cont
 
 
 def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: bool = False):
-    kw = p.peek()
-    p.take()  # 'new'
+    kw = p.take()  # 'new'
     name = p.expect_ident("restricted name")
     annot = None
     if p.at(":"):
@@ -648,8 +627,7 @@ def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: 
     ctx2 = ctx.child()
     ctx2.bound_vars.discard(name.text)
     ctx.subject_evidence.add(name.text)  # restricted tokens are name-sorted
-    body = body_parser(p, ctx2, registry)
-    return Block(((name.text, annot),), (body,), kw.span)
+    return _node(kw, Block, ((name.text, annot),), (body_parser(p, ctx2, registry),))
 
 
 def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
@@ -658,42 +636,15 @@ def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     if p.at("!"):
         p.take()
         p.expect("<")
-        objs = [_parse_term(p, ctx, object_position=True)]
-        while p.at(","):
-            p.take()
-            objs.append(_parse_term(p, ctx, object_position=True))
+        objs = _separated(p, ",", _parse_term, ctx, True)
         p.expect(">")
         p.expect(".")
-        cont = _parse_seq(p, ctx, registry)
-        try:
-            return POut(subject, tuple(objs), cont, start.span)
-        except KernelError as e:
-            raise ParseError(start.span, str(e))
+        return _node(start, POut, subject, objs, _parse_seq(p, ctx, registry))
     if p.at("?"):
         p.take()
-        p.expect("(")
-        pats: list[Placeholder] = []
-        annots: list[Optional[PrivacyType]] = []
-        ph, an = _parse_pattern(p, ctx, registry)
-        pats.append(ph)
-        annots.append(an)
-        while p.at(","):
-            p.take()
-            ph, an = _parse_pattern(p, ctx, registry)
-            pats.append(ph)
-            annots.append(an)
-        p.expect(")")
+        pats, annots, inner = _parse_patterns(p, ctx, registry)
         p.expect(".")
-        ctx2 = ctx.child()
-        for k in pats:
-            ctx2.bound_vars.update(placeholder_vars(k))
-        cont = _parse_seq(p, ctx2, registry)
-        try:
-            return PInp(subject, tuple(pats), cont,
-                        tuple(annots) if any(a is not None for a in annots) else (),
-                        start.span)
-        except KernelError as e:
-            raise ParseError(start.span, str(e))
+        return _node(start, PInp, subject, pats, _parse_seq(p, inner, registry), annots)
     raise ParseError(p.peek().span, "expected '!' or '?' after prefix subject")
 
 
@@ -710,25 +661,25 @@ def _lower_system(s: System) -> Optional[Process]:
 
 
 def _parse_system(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
-    comps = [_parse_sys_atom(p, ctx, registry)]
-    while p.at("||"):
-        p.take()
-        comps.append(_parse_sys_atom(p, ctx, registry))
-    return _block((), tuple(comps))
+    return _block((), _separated(p, "||", _parse_sys_atom, ctx, registry))
 
 
 def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
     t = p.peek()
-    if t.kind == "IDENT" and t.text == "new":
+    closing = t.text == "(" and p.peek(1).text == "new"
+    if closing or t.text == "new":
+        # `new n. S` and `(new n) S`, unless a process composition follows
         m = p.mark()
+        if closing:
+            p.take()
         try:
-            node = _parse_new(p, ctx, registry, _parse_system)
+            node = _parse_new(p, ctx, registry, _parse_system, closing)
             if p.at("|"):
                 raise ParseError(p.peek().span, "process composition after restriction")
             return node
         except ParseError:
             p.reset(m)
-            return SBare(_parse_process(p, ctx, registry), t.span)
+            return _node(t, SBare, _parse_process(p, ctx, registry))
     if t.kind == "IDENT" and t.text not in RESERVED and p.peek(1).text == "[":
         group = p.take()
         p.expect("[")
@@ -744,21 +695,11 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
         lowered = _lower_system(inner)
         if lowered is not None:
             inner = SBare(lowered)
-        return Group(group.text, inner, group.span)
+        return _node(group, Group, group.text, inner)
     if t.text == "(":
+        # could be a parenthesized system or the start of a process form
         m = p.mark()
         p.take()
-        if p.at_ident("new"):
-            try:
-                node = _parse_new(p, ctx, registry, _parse_system, closing=True)
-                if p.at("|"):
-                    raise ParseError(p.peek().span,
-                                     "process composition after restriction")
-                return node
-            except ParseError:
-                p.reset(m)
-                return SBare(_parse_process(p, ctx, registry), t.span)
-        # could be a parenthesized system or the start of a process form
         try:
             inner = _parse_system(p, ctx.child(), registry)
             p.expect(")")
@@ -767,8 +708,7 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
             return inner
         except ParseError:
             p.reset(m)
-    proc = _parse_process(p, ctx, registry)
-    return SBare(proc, t.span)
+    return _node(t, SBare, _parse_process(p, ctx, registry))
 
 
 # --- classification pass ------------------------------------------------------------
@@ -794,44 +734,29 @@ def _promote_names(node, names: set[str]):
     return go(node)
 
 
-def _registry_from_gamma(gamma: Optional[Gamma]) -> _SortRegistry:
+def _parse_program(p: _P, gamma: Optional[Gamma], rule):
+    """The whole input as one `rule`, then with the provisional constants
+    that have name evidence promoted to names."""
+    ctx = _Ctx(set(), set())
     if gamma is None:
-        return _SortRegistry()
-    return _SortRegistry(private=gamma.private_type_names(),
-                         purpose=gamma.purpose_type_names())
-
-
-def _parse(text: str, gamma: Optional[Gamma], entry) -> ParseResult:
-    """Parse the whole text from the grammar entry `entry`, then promote the
-    provisional constants that have name evidence."""
-    try:
-        toks = _lex(text)
-        p = _P(toks)
-        ctx = _Ctx(set(), set())
-        registry = _registry_from_gamma(gamma)
-        node = entry(p, ctx, registry)
-        p.expect_eof()
-        names = set(ctx.subject_evidence)
-        if gamma is not None:
-            names |= gamma.name_tokens()
-            names -= gamma.const_tokens()
-        return ParseResult(_promote_names(node, names), [])
-    except (LexError, ParseError) as e:
-        return ParseResult(None, [Diagnostic("error", e.span, e.message,
-                                             getattr(e, "hint", None))])
-    except KernelError as e:
-        return ParseResult(None, [Diagnostic("error", Span(1, 1, 1, 1), str(e))])
-    except RecursionError:
-        return ParseResult(None, [Diagnostic("error", Span(1, 1, 1, 1),
-                                             "input nests too deeply")])
+        registry = _SortRegistry()
+    else:
+        registry = _SortRegistry(gamma.private_type_names(), gamma.purpose_type_names())
+    node = rule(p, ctx, registry)
+    p.expect_eof()
+    names = set(ctx.subject_evidence)
+    if gamma is not None:
+        names |= gamma.name_tokens()
+        names -= gamma.const_tokens()
+    return _promote_names(node, names)
 
 
 def parse_system(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
-    return _parse(text, gamma, _parse_system)
+    return _parse(text, _parse_program, gamma, _parse_system)
 
 
 def parse_process(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
-    return _parse(text, gamma, _parse_process)
+    return _parse(text, _parse_program, gamma, _parse_process)
 
 
 # --- policy parsing -------------------------------------------------------------------
@@ -842,8 +767,6 @@ def _parse_perm(p: _P) -> Perm:
         raise ParseError(t.span, f"expected a permission, found {t.text!r}")
     p.take()
     match t.text:
-        case "read" | "update" | "reference" | "store" | "readId" | "aggregate":
-            return Perm(t.text)
         case "disseminate":
             g = p.expect_ident("group name")
             lt = p.peek()
@@ -864,147 +787,95 @@ def _parse_perm(p: _P) -> Perm:
             p.take()
             return nondisclose(k.text)
         case "usage":
-            pr = p.expect_ident("purpose type")
-            return usage(pr.text)
+            return usage(p.expect_ident("purpose type").text)
         case "identify":
-            tt = p.expect_ident("private type")
-            return identify(tt.text)
-    raise ParseError(t.span, "unreachable")
+            return identify(p.expect_ident("private type").text)
+    return Perm(t.text)
 
 
 def _parse_hier(p: _P) -> Hierarchy:
     g = p.expect_ident("group name")
     p.expect("{")
-    perms: list[Perm] = []
-    if not p.at("}"):
-        perms.append(_parse_perm(p))
-        while p.at(","):
-            p.take()
-            perms.append(_parse_perm(p))
+    perms = () if p.at("}") else _separated(p, ",", _parse_perm)
     p.expect("}")
-    children: list[Hierarchy] = []
+    children = ()
     if p.at("["):
         p.take()
-        children.append(_parse_hier(p))
-        while p.at(","):
-            p.take()
-            children.append(_parse_hier(p))
+        children = _separated(p, ",", _parse_hier)
         p.expect("]")
-    return Hierarchy(g.text, PermSet(perms), tuple(children))
+    return Hierarchy(g.text, PermSet(perms), children)
+
+
+def _parse_policy(p: _P) -> Policy:
+    bindings: list[tuple[str, Hierarchy]] = []
+    while p.at_ident("private"):
+        p.take()
+        t = p.expect_ident("private type")
+        p.expect(">>")
+        bindings.append((t.text, _parse_hier(p)))
+        if p.at(";"):
+            p.take()
+    p.expect_eof()
+    if not bindings:
+        raise ParseError(p.peek().span, "policy must bind at least one private type")
+    return Policy(tuple(bindings))
 
 
 def parse_policy(text: str) -> ParseResult:
-    try:
-        toks = _lex(text)
-        p = _P(toks)
-        bindings: list[tuple[str, Hierarchy]] = []
-        first = p.peek()
-        while p.at_ident("private"):
-            p.take()
-            t = p.expect_ident("private type")
-            p.expect(">>")
-            h = _parse_hier(p)
-            bindings.append((t.text, h))
-            if p.at(";"):
-                p.take()
-        p.expect_eof()
-        if not bindings:
-            return ParseResult(None, [Diagnostic(
-                "error", first.span, "policy must bind at least one private type")])
-        return ParseResult(Policy(tuple(bindings)), [])
-    except (LexError, ParseError) as e:
-        return ParseResult(None, [Diagnostic("error", e.span, e.message,
-                                             getattr(e, "hint", None))])
-    except RecursionError:
-        return ParseResult(None, [Diagnostic("error", Span(1, 1, 1, 1),
-                                             "input nests too deeply")])
+    return _parse(text, _parse_policy)
 
 
 # --- environment parsing -----------------------------------------------------------------
 
+def _parse_entries(p: _P) -> list[tuple[object, PrivacyType, Span]]:
+    """The entries, each `key : type` and optionally followed by ';', with
+    the span of its key. The types are read with every angle type private,
+    and resolved once all keys are read: a top-level angle type names a
+    private sort under a private-data key and a purpose sort under a bare
+    one."""
+    read = _SortRegistry()
+    entries = []
+    while p.peek().kind != "EOF":
+        span = p.peek().span
+        key = _parse_env_key(p)
+        p.expect(":")
+        entries.append((key, _parse_type(p, read), span))
+        if p.at(";"):
+            p.take()
+    angles = [(isinstance(key, tuple), ty.ptype) for key, ty, _ in entries
+              if isinstance(ty, TPrivate)]
+    registry = _SortRegistry(private={t for private, t in angles if private},
+                             purpose={t for private, t in angles if not private})
+    return [(key, registry.resolve(ty), span) for key, ty, span in entries]
+
+
 def parse_env(text: str) -> ParseResult:
     """Entries: `name : G[...]`, `const : p<g>`, `{id # c} : t<g>` and
-    pattern entries `{x # y} : t<g>` / `{_ # x} : t<g>`. Keys must be unique.
-
-    Two passes: key shapes first (they decide which angle-type names are
-    purpose sorts), then types.
-    """
-    try:
-        toks = _lex(text)
-    except LexError as e:
-        return ParseResult(None, [Diagnostic("error", e.span, e.message)])
-
-    # pass 1: collect raw entries
-    raw: list[tuple[object, int, int, Span]] = []  # key, type-start, type-end, span
-    p = _P(toks)
-    try:
-        while p.peek().kind != "EOF":
-            span = p.peek().span
-            key = _parse_env_key(p)
-            p.expect(":")
-            start = p.mark()
-            _skip_type(p)
-            raw.append((key, start, p.mark(), span))
-            if p.at(";"):
-                p.take()
-    except ParseError as e:
-        return ParseResult(None, [Diagnostic("error", e.span, e.message)])
-    except RecursionError:
-        return ParseResult(None, [Diagnostic("error", Span(1, 1, 1, 1),
-                                             "input nests too deeply")])
-
-    # evidence: angle heads of private keys are private; of bare keys, purpose
-    private_sorts: set[str] = set()
-    purpose_sorts: set[str] = set()
-    for key, start, end, _ in raw:
-        head = toks[start]
-        is_angle = head.kind == "IDENT" and toks[start + 1].text == "<"
-        if not is_angle:
-            continue
-        if isinstance(key, tuple):
-            private_sorts.add(head.text)
-        else:
-            purpose_sorts.add(head.text)
-    registry = _SortRegistry(private=private_sorts, purpose=purpose_sorts)
-
+    pattern entries `{x # y} : t<g>` / `{_ # x} : t<g>`. Keys must be
+    unique; every entry that breaks a rule gets a diagnostic."""
+    res = _parse(text, _parse_entries)
+    if not res.ok:
+        return res
     gamma = Gamma()
     diags: list[Diagnostic] = []
-    for key, start, end, span in raw:
-        p2 = _P(toks)
-        p2.reset(start)
-        try:
-            ty = _parse_type(p2, registry)
-        except ParseError as e:
-            return ParseResult(None, [Diagnostic("error", e.span, e.message)])
-        except RecursionError:
-            return ParseResult(None, [Diagnostic("error", span,
-                                                 "type nests too deeply")])
+    for key, ty, span in res.value:
         if isinstance(key, tuple):
             itok, dtok = key
             if not isinstance(ty, TPrivate):
-                diags.append(Diagnostic("error", span,
-                                        f"private data {itok} # {dtok} needs a private type"))
-                continue
-            ident = HIDDEN if itok == "_" else Known(itok)
-            if (itok, dtok) in gamma.privs or (itok == "_" and ("_", dtok) in gamma.privs):
-                diags.append(Diagnostic("error", span, f"duplicate entry {itok} # {dtok}"))
-                continue
-            gamma = gamma.bind_priv(ident, DConst(dtok), ty)
-        else:
-            if key in gamma.atoms:
-                diags.append(Diagnostic("error", span, f"duplicate entry {key}"))
-                continue
-            if isinstance(ty, TChan):
-                gamma = gamma.bind_atom(key, ty)
-            elif isinstance(ty, TPurpose):
-                gamma = gamma.bind_atom(key, ty)
+                diags.append(Diagnostic(span, f"private data {itok} # {dtok} needs a private type"))
+            elif key in gamma.privs:
+                diags.append(Diagnostic(span, f"duplicate entry {itok} # {dtok}"))
             else:
-                # a bare token with a private type: a named private constant
-                diags.append(Diagnostic("error", span,
-                                        f"{key} needs '<id> # <data>' form for a private type"))
-    if any(d.severity == "error" for d in diags):
-        return ParseResult(None, diags)
-    return ParseResult(gamma, diags)
+                ident = HIDDEN if itok == "_" else Known(itok)
+                gamma = gamma.bind_priv(ident, DConst(dtok), ty)
+        elif key in gamma.atoms:
+            diags.append(Diagnostic(span, f"duplicate entry {key}"))
+        elif isinstance(ty, (TChan, TPurpose)):
+            gamma = gamma.bind_atom(key, ty)
+        else:
+            # a bare token with a private type: a named private constant
+            diags.append(Diagnostic(span, f"{key} needs '<id> # <data>' form for a private type"))
+    return ParseResult(None, diags) if diags else ParseResult(gamma, [])
 
 
 def _parse_env_key(p: _P):
@@ -1031,26 +902,6 @@ def _parse_env_key(p: _P):
     if tok.text == "_":
         raise ParseError(tok.span, "'_' alone is not an entry key")
     return tok.text
-
-
-def _skip_type(p: _P):
-    p.expect_ident("type name")
-    if p.at("<"):
-        p.take()
-        if p.peek().kind not in ("IDENT", "NAT"):
-            raise ParseError(p.peek().span, "expected ground type name")
-        p.take()
-        p.expect(">")
-        return
-    if p.at("["):
-        p.take()
-        _skip_type(p)
-        while p.at(","):
-            p.take()
-            _skip_type(p)
-        p.expect("]")
-        return
-    raise ParseError(p.peek().span, "expected '<' or '[' in type")
 
 
 # --- rendering -------------------------------------------------------------------

@@ -77,6 +77,24 @@ class TestParseSystem:
         d = res.diagnostics[0]
         assert d.span.line >= 1 and d.span.col >= 1
 
+    def test_input_power_error_at_its_subject(self):
+        """An input power's inputs are built like a prefix's, so a
+        constructor's error points at the input's first token."""
+        res = parse_system("\n  (a?(x, x))^2 0")
+        assert [str(d) for d in res.diagnostics] == [
+            "error: 2:4-2:5: pattern variable x bound twice in one input"]
+
+    def test_unbraced_private_data_error_at_its_identity(self):
+        res = parse_system("\n  a?(x). b!<x # c>. 0")
+        assert [str(d) for d in res.diagnostics] == [
+            "error: 2:13-2:14: ill-formed private data IVar(name='x')#DConst(token='c')"]
+
+    def test_input_power_typing_error_located(self):
+        from privcalc.typesys import TypingError, type_system
+        with pytest.raises(TypingError) as e:
+            type_system(Gamma(), parse_system("G[(q?(x))^2 0]").value)
+        assert str(e.value) == "UnboundTerm at 1:4-1:5: subject q is not typed"
+
 
 class TestParsePolicy:
     def test_two_level_hierarchy(self):
