@@ -47,27 +47,15 @@ def _fail(msg: str) -> int:
     return EXIT_ERROR
 
 
-def _load_env(path: Optional[str]) -> Gamma:
+def _load(path: Optional[str], parse, *extra):
+    """The value `parse` reads from the file at `path`, given the `extra`
+    arguments; no path (no `--env`) gives an empty environment. A file
+    that does not parse raises its diagnostics. The caller names the
+    parser, so the one that runs is whatever that name holds then."""
     if path is None:
         return Gamma()
     with open(path, encoding="utf-8") as fh:
-        res = parse_env(fh.read())
-    if not res.ok:
-        raise _CliError("\n".join(str(d) for d in res.diagnostics))
-    return res.value
-
-
-def _load_policy(path: str):
-    with open(path, encoding="utf-8") as fh:
-        res = parse_policy(fh.read())
-    if not res.ok:
-        raise _CliError("\n".join(str(d) for d in res.diagnostics))
-    return res.value
-
-
-def _load_system(path: str, gamma: Gamma):
-    with open(path, encoding="utf-8") as fh:
-        res = parse_system(fh.read(), gamma)
+        res = parse(fh.read(), *extra)
     if not res.ok:
         raise _CliError("\n".join(str(d) for d in res.diagnostics))
     return res.value
@@ -94,8 +82,8 @@ def theta_records(theta: Theta) -> list[str]:
 
 
 def _cmd_typecheck(args) -> int:
-    gamma = _load_env(args.env)
-    system = _load_system(args.file, gamma)
+    gamma = _load(args.env, parse_env)
+    system = _load(args.file, parse_system, gamma)
     try:
         st = type_system(gamma, system, id_direction=args.id_direction)
     except TypingError as e:
@@ -108,9 +96,9 @@ def _cmd_typecheck(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    gamma = _load_env(args.env)
-    policy = _load_policy(args.policy)
-    system = _load_system(args.file, gamma)
+    gamma = _load(args.env, parse_env)
+    policy = _load(args.policy, parse_policy)
+    system = _load(args.file, parse_system, gamma)
     verdict = verify(policy, gamma, system, strict_coverage=args.strict_coverage,
                      id_direction=args.id_direction)
     if args.format == "records":
@@ -133,8 +121,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    gamma = _load_env(args.env)
-    system = _load_system(args.file, gamma)
+    gamma = _load(args.env, parse_env)
+    system = _load(args.file, parse_system, gamma)
     graph = explore(system, args.depth)
     if args.format == "dot":
         print(graph.dot())
@@ -153,9 +141,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_errors(args) -> int:
-    gamma = _load_env(args.env)
-    policy = _load_policy(args.policy)
-    system = _load_system(args.file, gamma)
+    gamma = _load(args.env, parse_env)
+    policy = _load(args.policy, parse_policy)
+    system = _load(args.file, parse_system, gamma)
     findings = detect_errors(policy, gamma, system, id_direction=args.id_direction,
                              countlink_literal=args.countlink_literal)
     if args.format == "records":
@@ -172,9 +160,9 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    gamma = _load_env(args.env)
-    policy = _load_policy(args.policy)
-    system = _load_system(args.file, gamma)
+    gamma = _load(args.env, parse_env)
+    policy = _load(args.policy, parse_policy)
+    system = _load(args.file, parse_system, gamma)
     report = safety_scan(policy, gamma, system, args.depth,
                          id_direction=args.id_direction,
                          countlink_literal=args.countlink_literal)
@@ -183,18 +171,15 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    gamma = _load_env(args.env)
-    with open(args.file, encoding="utf-8") as fh:
-        res = parse_process(fh.read(), gamma)
-    if not res.ok:
-        raise _CliError("\n".join(str(d) for d in res.diagnostics))
+    gamma = _load(args.env, parse_env)
+    proc = _load(args.file, parse_process, gamma)
     try:
-        core = encode(res.value)
+        core = encode(proc)
     except EncodingError as e:
         return _fail(str(e))
     print(render_core(core))
     if args.correspondence is not None:
-        report = check_correspondence(res.value, args.correspondence)
+        report = check_correspondence(proc, args.correspondence)
         print(report.render())
         if not report.ok:
             return EXIT_VIOLATION
@@ -202,7 +187,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_policy_wf(args) -> int:
-    policy = _load_policy(args.policy)
+    policy = _load(args.policy, parse_policy)
     violations = check_wellformed(policy)
     if not violations:
         print(_paint("well-formed", "32"))
