@@ -7,8 +7,7 @@ from typing import Optional, Union
 
 from .kernel import Record, System, field
 from .policy import (
-    FlatHierarchy, Hierarchy, PermSet, Policy, check_wellformed, lambda_leq,
-    perm_union,
+    FlatHierarchy, Hierarchy, NotFound, PermSet, Policy, check_wellformed, flatten,
 )
 from .syntax import Gamma
 from .typesys import Theta, ThetaEntry, TypingError, permset_leq, type_system
@@ -45,47 +44,30 @@ class Verdict(Record, frozen=False):
 
 
 def _uncovered_perms(have: PermSet, allowed: PermSet) -> list[str]:
-    out = []
-    for p in have.sorted():
-        if p.kind == "disseminate":
-            budget = allowed.diss_budget(p.group)
-            if budget is None or not lambda_leq(p.lam, budget):
-                out.append(str(p))
-        elif p.kind == "usage":
-            if p.purpose not in allowed.usage_purposes():
-                out.append(str(p))
-        elif p not in allowed:
-            out.append(str(p))
-    return out
+    return [str(p) for p in have.sorted() if not permset_leq(PermSet([p]), allowed)]
 
 
 def theta_satisfies(h: Hierarchy, flat: Union[FlatHierarchy, ThetaEntry]
                     ) -> tuple[bool, Optional[Witness]]:
-    """Walk the policy hierarchy along the interface's group path,
-    accumulating granted permissions, and compare at the end. The terminal
-    comparison ignores any unexplored policy children."""
+    """Flatten the policy hierarchy along the interface's group path and
+    compare the permissions it grants there. The terminal comparison
+    ignores any unexplored policy children."""
     if isinstance(flat, ThetaEntry):
         path, perms, ptype = flat.path, flat.perms, flat.ptype
     else:
         path, perms, ptype = flat.path, flat.perms, "?"
     if not path:
         return False, Witness(ptype, path, (), ("component not enclosed by a group",))
-    if h.group != path[0]:
-        return False, Witness(ptype, path, (h.group,),
-                              (f"interface roots at {path[0]}, policy at {h.group}",))
-    acc = h.perms
-    node = h
-    walked = (h.group,)
-    for g in path[1:]:
-        nxt = next((c for c in node.children if c.group == g), None)
-        if nxt is None:
-            return False, Witness(ptype, path, walked, (f"no policy group {g}",))
-        acc = perm_union(acc, nxt.perms)
-        node = nxt
-        walked = walked + (g,)
-    if permset_leq(perms, acc):
+    granted = flatten(h, path)
+    if isinstance(granted, NotFound):
+        if not granted.prefix:
+            return False, Witness(ptype, path, (h.group,),
+                                  (f"interface roots at {path[0]}, policy at {h.group}",))
+        return False, Witness(ptype, path, granted.prefix,
+                              (f"no policy group {granted.missing}",))
+    if permset_leq(perms, granted.perms):
         return True, None
-    return False, Witness(ptype, path, walked, tuple(_uncovered_perms(perms, acc)))
+    return False, Witness(ptype, path, path, tuple(_uncovered_perms(perms, granted.perms)))
 
 
 def policy_satisfies(p: Policy, theta: Theta, strict_coverage: bool = False) -> Verdict:
