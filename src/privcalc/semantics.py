@@ -186,13 +186,14 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
                         ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects),
                                                     others)
                         label = replace(label, objects=tuple(objs), extruded=ext)
-                    # binders the objects mention leave with the label,
-                    # innermost first; the others stay around the successor
+                    # binders the objects mention leave with the label, outermost
+                    # first and before those of deeper blocks; the others stay
+                    # around the successor
                     objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
-                    leaving = tuple(b for b in reversed(bs) if b[0] in objs_atoms)
+                    leaving = tuple(b for b in bs if b[0] in objs_atoms)
                     if leaving:
                         label = OutLabel(label.subject, label.on_dual, label.objects,
-                                         label.extruded + leaving)
+                                         leaving + label.extruded)
                     out.append((label, _block(tuple(b for b in bs if b[0] not in objs_atoms),
                                               cs[:k] + (succ,) + cs[k + 1:])))
         case PRepl(body):
@@ -389,13 +390,13 @@ def _steps(node, refs: frozenset[str]) -> Iterator:
             yield from (replace(node, body=s) for s in _steps(body, refs))
 
 
-def tau_successors(node, refs: Optional[frozenset[str]] = None) -> list:
+def tau_successors(node) -> list:
     """Internal steps, in a fixed order that `explore`'s edge order rests
     on. For a block: the steps inside each component, first to last; then
     the communications between two components, found through an index of
     the components by subject but listed in the order of trying every
     pair (see `_reactions`)."""
-    return list(_steps(node, reference_names(node) if refs is None else refs))
+    return list(_steps(node, reference_names(node)))
 
 
 def has_step(node) -> bool:

@@ -43,10 +43,10 @@ def visible_outs(node):
                                                     others)
                         label = replace(label, objects=tuple(objs), extruded=ext)
                     objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
-                    leaving = tuple(b for b in reversed(bs) if b[0] in objs_atoms)
+                    leaving = tuple(b for b in bs if b[0] in objs_atoms)
                     if leaving:
                         label = OutLabel(label.subject, label.on_dual, label.objects,
-                                         label.extruded + leaving)
+                                         leaving + label.extruded)
                     out.append((label, _block(tuple(b for b in bs if b[0] not in objs_atoms),
                                               cs[:k] + (succ,) + cs[k + 1:])))
         case PRepl(body):

@@ -389,6 +389,19 @@ def test_binders_renamed_apart(text, normal, succs):
     assert _succ_forms(res.value) == succs
 
 
+def test_extruded_binders_keep_scope_order():
+    """Of two binders of one name the later one binds, so the name sent is
+    the inner c, bound with G[p<g>], in the successor as in the source."""
+    p = parse_process("(new c : G[t<g>]) (new c : G[p<g>]) (b!<c>. 0 | c!<k>. 0)"
+                      " | b?(x). x!<k>. 0").value
+    assert _succ_forms(p) == ["(new _n0 : G[p<g>]) (_n0!<k>. 0 | _n0!<k>. 0)"]
+
+
+def test_extruded_binders_listed_outermost_first():
+    p = parse_process("(new a : G[t<g>]) (new d : G[p<g>]) b!<a, d>. 0").value
+    assert [label.render() for label, _ in visible_outs(p)] == ["(new a, d) b!<a, d>"]
+
+
 def _binder_text(rng: random.Random, depth: int, bound: tuple = ()) -> str:
     """Process text over the names a, b and c, whose inputs bind x, y or a,
     with restriction, parallel composition and replication, so binders
