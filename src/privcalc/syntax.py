@@ -573,11 +573,10 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
     if t.text == "(":
         # '(new ...)', the input power '(prefix)^n P', or a parenthesized process
-        m = p.mark()
         p.take()
         if p.at_ident("new"):
             return _parse_new(p, ctx, registry, _parse_seq, closing=True)
-        power = _try_input_power(p, ctx, registry, m)
+        power = _try_input_power(p, ctx, registry)
         if power is not None:
             return power
         inner = _parse_process(p, ctx, registry)
@@ -589,9 +588,11 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     raise ParseError(t.span, f"expected a process, found {found}")
 
 
-def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry, m: int) -> Optional[Process]:
+def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Optional[Process]:
     """Attempt `subject ? ( patterns ) ) ^ NAT cont` with the opening paren
-    already consumed; on failure rewind past the paren and return None."""
+    already consumed; on failure rewind to just past the paren and return
+    None."""
+    m = p.mark()
     start = p.peek()
     try:
         subject = _parse_subject(p, ctx)
@@ -605,7 +606,6 @@ def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry, m: int) -> Optio
         p.take()
     except ParseError:
         p.reset(m)
-        p.take()  # past '('
         return None
     cont = _parse_seq(p, inner, registry)
     for _ in range(int(count.text)):
