@@ -737,18 +737,13 @@ def _promote_names(node, names: set[str]):
 def _parse_program(p: _P, gamma: Optional[Gamma], rule):
     """The whole input as one `rule`, then with the provisional constants
     that have name evidence promoted to names."""
-    ctx = _Ctx(set(), set())
     if gamma is None:
-        registry = _SortRegistry()
-    else:
-        registry = _SortRegistry(gamma.private_type_names(), gamma.purpose_type_names())
-    node = rule(p, ctx, registry)
+        gamma = Gamma()
+    ctx = _Ctx(set(), set())
+    node = rule(p, ctx, _SortRegistry(gamma.private_type_names(), gamma.purpose_type_names()))
     p.expect_eof()
-    names = set(ctx.subject_evidence)
-    if gamma is not None:
-        names |= gamma.name_tokens()
-        names -= gamma.const_tokens()
-    return _promote_names(node, names)
+    return _promote_names(node, (ctx.subject_evidence | gamma.name_tokens())
+                          - gamma.const_tokens())
 
 
 def parse_system(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
