@@ -22,6 +22,9 @@ tokens the file itself leaves open.
 
 from __future__ import annotations
 
+import re
+import sys
+from operator import itemgetter
 from typing import Optional
 
 from .kernel import (
@@ -164,10 +167,24 @@ def _collect_sorts(ty: PrivacyType, which: str) -> set[str]:
 
 # --- lexer ----------------------------------------------------------------------
 
-class Tok(Record):
-    kind: str  # IDENT NAT PUNCT EOF
-    text: str
-    span: Span
+class Tok(tuple):
+    """A token: `(kind, text, line, col, end_line, end_col)`, where kind is
+    IDENT, NAT, PUNCT or EOF. Its `Span` is built only when a node or a
+    diagnostic asks for it."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+
+    def __new__(cls, kind: str, text: str, span: Span):
+        return tuple.__new__(cls, (kind, text, span.line, span.col, span.end_line, span.end_col))
+
+    @property
+    def span(self) -> Span:
+        return Span(*self[2:])
+
+    def __repr__(self) -> str:
+        return f"Tok(kind={self.kind!r}, text={self.text!r}, span={self.span!r})"
 
 
 class LexError(Exception):
@@ -180,74 +197,53 @@ class LexError(Exception):
 _PUNCT2 = ("||", ">>")
 _PUNCT1 = "!?<>()[]{}#.,:|*=~^;_"
 
+# whitespace and `//` comments between tokens
+_GAP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)+")
+# the rest of an identifier: `\w` is exactly `str.isalnum()` or '_'
+_WORD_TAIL = re.compile(r"[\w']*")
+
 
 def _lex(text: str) -> list[Tok]:
     toks: list[Tok] = []
-    line, col = 1, 1
+    append, new = toks.append, tuple.__new__
+    gap, word_tail = _GAP.match, _WORD_TAIL.match
+    line, bol = 1, 0  # the current line, and the index where it begins
     i, n = 0, len(text)
-
-    def here() -> tuple[int, int]:
-        return line, col
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
+    while True:
+        m = gap(text, i)
+        if m:
+            j = m.end()
+            breaks = text.count("\n", i, j)
+            if breaks:
+                line += breaks
+                bol = text.rindex("\n", i, j) + 1
+            i = j
+        if i == n:
+            break
         c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        sl, sc = here()
+        col = i - bol + 1
         if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
+            j = word_tail(text, i + 1).end()
             word = text[i:j]
-            advance(j - i)
-            el, ec = here()
             kind = "PUNCT" if word == "_" else "IDENT"
-            toks.append(Tok(kind, word, Span(sl, sc, el, ec)))
-            continue
-        if c.isdigit():
-            j = i
+        elif c.isdigit():
+            j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
+            word, kind = text[i:j], "NAT"
+        elif c == TENSOR:
+            j, word, kind = i + 1, "#", "PUNCT"
+        elif text[i:i + 2] in _PUNCT2:
+            j, kind = i + 2, "PUNCT"
             word = text[i:j]
-            advance(j - i)
-            el, ec = here()
-            toks.append(Tok("NAT", word, Span(sl, sc, el, ec)))
-            continue
-        if c == TENSOR:
-            advance(1)
-            el, ec = here()
-            toks.append(Tok("PUNCT", "#", Span(sl, sc, el, ec)))
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT2:
-            advance(2)
-            el, ec = here()
-            toks.append(Tok("PUNCT", two, Span(sl, sc, el, ec)))
-            continue
-        if c in _PUNCT1:
-            advance(1)
-            el, ec = here()
-            toks.append(Tok("PUNCT", c, Span(sl, sc, el, ec)))
-            continue
-        raise LexError(Span(sl, sc, sl, sc + 1), f"unsupported character {c!r}")
-
-    end = Span(line, col, line, col)
-    toks.append(Tok("EOF", "", end))
+        elif c in _PUNCT1:
+            j, word, kind = i + 1, c, "PUNCT"
+        else:
+            raise LexError(Span(line, col, line, col + 1), f"unsupported character {c!r}")
+        append(new(Tok, (kind, word, line, col, line, col + j - i)))
+        i = j
+    col = n - bol + 1
+    append(new(Tok, ("EOF", "", line, col, line, col)))
     return toks
 
 
@@ -262,18 +258,20 @@ class ParseError(Exception):
 
 class _P:
     def __init__(self, toks: list[Tok]):
+        toks.append(toks[-1])  # a second EOF, for `peek(1)` at the end
         self.toks = toks
         self.i = 0
+        self._closers: Optional[dict[int, int]] = None
 
     def peek(self, k: int = 0) -> Tok:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        return self.toks[self.i + k]
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind != "EOF" and t.text == text
+        """Whether the next token is `text`; only EOF has the empty text."""
+        return self.toks[self.i].text == text
 
     def at_ident(self, *words: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == "IDENT" and (not words or t.text in words)
 
     def take(self) -> Tok:
@@ -283,21 +281,23 @@ class _P:
         return t
 
     def expect(self, text: str, what: str = "") -> Tok:
-        t = self.peek()
-        if t.kind == "EOF" or t.text != text:
+        t = self.toks[self.i]
+        if t.text != text:
             want = what or f"{text!r}"
             found = repr(t.text) if t.text else "end of input"
             raise ParseError(t.span, f"expected {want}, found {found}")
-        return self.take()
+        self.i += 1
+        return t
 
     def expect_ident(self, what: str = "identifier") -> Tok:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "IDENT":
             found = repr(t.text) if t.text else "end of input"
             raise ParseError(t.span, f"expected {what}, found {found}")
         if t.text in RESERVED:
             raise ParseError(t.span, f"{t.text!r} is reserved, expected {what}")
-        return self.take()
+        self.i += 1
+        return t
 
     def expect_word(self, word: str):
         if not self.at_ident(word):
@@ -314,6 +314,20 @@ class _P:
 
     def reset(self, m: int):
         self.i = m
+
+    def after_parens(self) -> Optional[Tok]:
+        """The token after the ')' that closes the '(' at the cursor, or
+        None when no ')' closes it. The parentheses are paired in one pass
+        over the tokens, on first use."""
+        if self._closers is None:
+            self._closers, opened = {}, []
+            for j, t in enumerate(self.toks):
+                if t.text == "(":
+                    opened.append(j)
+                elif t.text == ")" and opened:
+                    self._closers[opened.pop()] = j
+        j = self._closers.get(self.i)
+        return None if j is None else self.toks[j + 1]
 
 
 def _separated(p: _P, sep: str, rule, *args) -> tuple:
@@ -607,6 +621,9 @@ def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Optional[Proc
     except ParseError:
         p.reset(m)
         return None
+    if int(count.text) >= sys.getrecursionlimit():
+        # no walker could descend through that many nested inputs
+        raise ParseError(count.span, "input nests too deeply")
     cont = _parse_seq(p, inner, registry)
     for _ in range(int(count.text)):
         cont = _node(start, PInp, subject, pats, cont, annots)
@@ -697,17 +714,19 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
             inner = SBare(lowered)
         return _node(group, Group, group.text, inner)
     if t.text == "(":
-        # could be a parenthesized system or the start of a process form
-        m = p.mark()
-        p.take()
-        try:
-            inner = _parse_system(p, ctx.child(), registry)
-            p.expect(")")
-            if p.at("^") or p.at(".") or p.at("|"):
-                raise ParseError(p.peek().span, "process syntax at system level")
-            return inner
-        except ParseError:
-            p.reset(m)
+        # A parenthesized system, unless its ')' is missing or followed by
+        # process syntax: every rule closes the parentheses it opens, so
+        # then only the process can parse, and it is parsed only once.
+        after = p.after_parens()
+        if after is not None and after.text not in ("^", ".", "|"):
+            m = p.mark()
+            p.take()
+            try:
+                inner = _parse_system(p, ctx.child(), registry)
+                p.expect(")")
+                return inner
+            except ParseError:
+                p.reset(m)
     return _node(t, SBare, _parse_process(p, ctx, registry))
 
 

@@ -164,3 +164,24 @@ def test_import_budget():
     assert {f"privcalc.{m}" for m in (
         "cli", "encoding", "kernel", "policy", "safety", "satisfaction",
         "semantics", "syntax", "typesys")} <= loaded
+
+
+def test_import_loads_only_the_package():
+    """Once the standard modules the package names are loaded, `import
+    privcalc` in a fresh interpreter without `site` adds only the package's
+    own modules: a module it pulled in besides would be paid for by every
+    command-line call."""
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {PKG!r})",
+        "import __future__, bisect, hashlib, itertools, operator, re, typing",
+        "before = set(sys.modules)",
+        "import privcalc",
+        "print(' '.join(sorted(set(sys.modules) - before)))",
+    ])
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env={"PATH": "/usr/bin:/bin"}, cwd=str(CORPUS.parent))
+    assert r.returncode == 0, r.stderr
+    added = r.stdout.split()
+    assert "privcalc.syntax" in added
+    assert [m for m in added if m != "privcalc" and not m.startswith("privcalc.")] == []

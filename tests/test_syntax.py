@@ -8,8 +8,9 @@ from privcalc.kernel import (
     TConst, TName, TPriv, TPrivate, TPurpose, TVar,
 )
 from privcalc.syntax import (
-    Gamma, parse_env, parse_policy, parse_process, parse_system,
-    render_env, render_policy, render_process, render_system,
+    PERM_WORDS, RESERVED, Gamma, LexError, _lex, parse_env, parse_policy,
+    parse_process, parse_system, render_env, render_policy, render_process,
+    render_system,
 )
 
 from gen import new, par
@@ -412,6 +413,88 @@ def test_diagnostics_golden():
     from conftest import GOLDEN
     assert diagnostics_transcript() == (GOLDEN / "diagnostics").read_text()
 
+
+
+# --- the lexer against its oracle ---------------------------------------------------
+
+# Pieces of seeded lexer inputs: the grammar's punctuation and words, comment
+# and line breaks, and characters on which `str` predicates and regex classes
+# disagree (a superscript digit, a fraction, an Arabic-Indic digit, a Roman
+# numeral, accented and CJK letters, the replacement character).
+_LEX_PIECES = (
+    list("!?<>()[]{}#.,:|*=~^;_") + ["||", ">>", "//", "/", "$"]
+    + [" ", "  ", "\t", "\r", "\n", "\r\n", "'", "⊗", "0", "7", "42", "x", "ab_1", "r'"]
+    + ["²", "½", "٣", "Ⅻ", "é", "一", "\ufffd"]
+    + sorted(RESERVED | PERM_WORDS | {"inf"}))
+
+
+def _lexed(lex, text: str):
+    try:
+        return [(t.kind, t.text, t.span) for t in lex(text)]
+    except LexError as e:
+        return e.span, e.message
+
+
+def test_lexer_matches_oracle():
+    """Tokens with their spans, or the lexer error with its span, as the
+    character-stepping lexer gives them."""
+    from conftest import CORPUS
+    import gen
+    from syntax_oracles import _lex as oracle
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*.*"))]
+    texts += [text for _, text in DIAGNOSTIC_CASES] + ENV_TEXTS
+    texts += [render_system(gen.random_system(random.Random(seed))) for seed in range(200)]
+    rng = random.Random(41)
+    texts += ["".join(rng.choices(_LEX_PIECES, k=rng.randrange(0, 16)))
+              for _ in range(20000)]
+    for text in texts:
+        assert _lexed(_lex, text) == _lexed(oracle, text), text
+
+
+# --- parser cost and limits -----------------------------------------------------------
+
+def test_parenthesized_systems_parse_once(monkeypatch):
+    """A parenthesized system followed by `|` is a process. Deciding that
+    from the token after its `)` parses each level once, where parsing it as
+    a system first and then again as a process cost the square of the
+    depth."""
+    from concurrent.futures import ThreadPoolExecutor
+    from privcalc import syntax
+    calls = 0
+    real = syntax._parse_seq
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(syntax, "_parse_seq", counting)
+
+    def cost(n: int) -> int:
+        nonlocal calls
+        calls = 0
+        res = parse_system("(" * n + "a!<c>. 0" + ") | 0" * n)
+        assert res.ok, res.diagnostics
+        return calls
+
+    # a new thread starts with an empty stack, as a command-line run does
+    with ThreadPoolExecutor(1) as pool:
+        small, large = pool.submit(cost, 50).result(), pool.submit(cost, 200).result()
+    assert large <= 5 * small, (small, large)
+
+
+def test_input_power_count_checked_before_expansion():
+    """A count no walker could descend through is rejected at the count,
+    before any of its inputs is built."""
+    res = parse_system("G[(a?(x))^100000 0]")
+    assert [str(d) for d in res.diagnostics] == [
+        "error: 1:11-1:17: input nests too deeply"]
+    res = parse_system("G[(a?(x))^400 0]")
+    assert res.ok, res.diagnostics
+    depth, p = 0, res.value.body.body
+    while isinstance(p, PInp):
+        depth, p = depth + 1, p.cont
+    assert depth == 400 and p == NIL
 
 if __name__ == "__main__":
     # rewrite the golden file: PYTHONPATH=src:tests python tests/test_syntax.py
