@@ -1,7 +1,9 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from privcalc import syntax
 from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
     PRepl, PStore, PVar, PrivateData, Group, SBare, TChan,
@@ -458,8 +460,6 @@ def test_parenthesized_systems_parse_once(monkeypatch):
     from the token after its `)` parses each level once, where parsing it as
     a system first and then again as a process cost the square of the
     depth."""
-    from concurrent.futures import ThreadPoolExecutor
-    from privcalc import syntax
     calls = 0
     real = syntax._parse_seq
 
@@ -495,6 +495,7 @@ def test_input_power_count_checked_before_expansion():
     while isinstance(p, PInp):
         depth, p = depth + 1, p.cont
     assert depth == 400 and p == NIL
+
 
 if __name__ == "__main__":
     # rewrite the golden file: PYTHONPATH=src:tests python tests/test_syntax.py
