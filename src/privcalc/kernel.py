@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter, is_
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 __all__ = [
     "Record", "field", "replace",
@@ -728,7 +728,7 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 
 def _rewrite(node, names: dict[str, str],
              vs: dict[str, tuple[Term, Identity, Optional[DataValue]]],
-             fresh: Optional[Callable[[str], str]] = None):
+             fresh: Optional[_Numbering] = None):
     """The one binder-aware walker. Renames free names through `names` (at
     `TName`, `TDual` and `PStore.ref`) and replaces free variables through
     `vs`, which maps a variable to its replacements at term, identity and
@@ -737,8 +737,11 @@ def _rewrite(node, names: dict[str, str],
     and `_apart` renames a block's restrictions apart from the incoming
     atoms (the values of `names`, the free atoms of the replacements).
     Given `fresh`, every binder is renamed to `fresh(kind)` instead ("n"
-    for restrictions, "x" for input variables): the canonical renaming.
-    Inputs never rename: the values substituted for variables are closed."""
+    for restrictions, "x" for input variables): the canonical renaming,
+    which maps only the binders it renames to another token and takes a
+    component that `fresh` already knows canonical at this point as it is.
+    Inputs never rename: the values substituted for variables are closed.
+    A node in which nothing changes comes back itself."""
     if fresh is None and not names and not vs:
         return node
     match node:
@@ -750,12 +753,14 @@ def _rewrite(node, names: dict[str, str],
                            cont=_rewrite(cont, names, vs, fresh))
         case PInp(s, pats, cont):
             bound = [x for k in pats for x in placeholder_vars(k)]
-            if fresh is None:
-                inner = {x: v for x, v in vs.items() if x not in bound}
-            else:
-                new = {x: fresh("x") for x in bound}
-                inner = vs | {x: (TVar(y), IVar(y), DVar(y)) for x, y in new.items()}
-                pats = tuple(type(k)(*map(new.get, placeholder_vars(k))) for k in pats)
+            inner = {x: v for x, v in vs.items() if x not in bound}
+            if fresh is not None:
+                new = {x: y for x in bound if (y := fresh("x")) != x}
+                if new:
+                    inner |= {x: (TVar(y), IVar(y), DVar(y)) for x, y in new.items()}
+                    pats = tuple(type(k)(*(new.get(x, x) for x in placeholder_vars(k)))
+                                 if any(x in new for x in placeholder_vars(k)) else k
+                                 for k in pats)
             return replace(node, subject=_rewrite(s, names, vs, fresh), patterns=pats,
                            cont=_rewrite(cont, names, inner, fresh))
         case Block(binders, comps):
@@ -765,15 +770,20 @@ def _rewrite(node, names: dict[str, str],
                     *(free_atoms(t) for t, _, _ in vs.values()))
                 # and the keys, or the walk below renames a renamed name again
                 binders, comps = _apart(binders, comps, incoming.union(names, vs))
-            else:
-                renamed = []
-                for b in binders:
-                    n2 = fresh("n")
-                    names = names | {b[0]: n2}
-                    renamed.append(b if n2 == b[0] else (n2, b[1]))
-                binders = tuple(renamed)
-            return replace(node, binders=binders,
-                           comps=tuple(_rewrite(c, names, vs, fresh) for c in comps))
+                return replace(node, binders=binders,
+                               comps=tuple(_rewrite(c, names, vs, fresh) for c in comps))
+            names = dict(names)
+            renamed = []
+            for b in binders:
+                n2 = fresh("n")
+                if n2 == b[0]:
+                    names.pop(n2, None)
+                else:
+                    names[b[0]] = n2
+                    b = (n2, b[1])
+                renamed.append(b)
+            return replace(node, binders=tuple(renamed),
+                           comps=tuple(fresh.component(c, names, vs) for c in comps))
         case PRepl(body) | Group(_, body) | SBare(body):
             return replace(node, body=_rewrite(body, names, vs, fresh))
         case PIf(_, lhs, rhs, then, els):
@@ -785,11 +795,11 @@ def _rewrite(node, names: dict[str, str],
             return replace(node, ref=names.get(ref, ref),
                            datum=_rewrite(TPriv(datum), names, vs, fresh).pdata)
         case TName(n):
-            return TName(names[n]) if n in names else node
+            return TName(names[n]) if n in names and names[n] != n else node
         case TDual(n):
-            return TDual(names[n]) if n in names else node
+            return TDual(names[n]) if n in names and names[n] != n else node
         case TVar(x):
-            return vs[x][0] if x in vs else node
+            return vs[x][0] if x in vs and vs[x][0] != node else node
         case TConst(_):
             return node
         case TPriv(pd):
@@ -800,7 +810,7 @@ def _rewrite(node, names: dict[str, str],
                 value, _, dat = vs[dat.name]
                 if dat is None:
                     raise IncompatibleSubstitution(value, PVar(pd.data.name))
-            if ident is pd.identity and dat is pd.data:
+            if ident == pd.identity and dat == pd.data:
                 return node
             return TPriv(PrivateData(ident, dat))
     raise KernelError(f"cannot rewrite {node!r}")
@@ -883,7 +893,10 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
     for parallel components, stable under alpha-renaming. Free names and
     free variables are mapped through their colors so the names of binders
     around the component do not leak in. Names and variables are looked up
-    apart, as in `free_atoms`."""
+    apart, as in `free_atoms`. One walk writes every piece to one list,
+    which is joined once."""
+    out: list[str] = []
+    put = out.append
     counter = itertools.count()
 
     def name(n: str, names: dict[str, str]) -> str:
@@ -892,107 +905,143 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
     def var(x: str, vs: dict[str, str]) -> str:
         return vs[x] if x in vs else var_colors.get(x, x)
 
-    def term(t: Term, names, vs) -> str:
-        match t:
-            case TName(n):
-                return f"n:{name(n, names)}"
-            case TDual(n):
-                return f"d:{name(n, names)}"
-            case TConst(c):
-                return f"c:{c}"
-            case TVar(x):
-                return f"v:{var(x, vs)}"
-            case TPriv(pd):
-                i = pd.identity
-                istr = (f"i:{i.ident}" if isinstance(i, Known)
-                        else "_" if isinstance(i, Hidden) else f"iv:{var(i.name, vs)}")
-                d = pd.data
-                dstr = f"dc:{d.token}" if isinstance(d, DConst) else f"dv:{var(d.name, vs)}"
-                return f"p:{istr}#{dstr}"
+    def priv(pd: PrivateData, vs: dict[str, str]) -> str:
+        i, d = pd.identity, pd.data
+        istr = (f"i:{i.ident}" if type(i) is Known
+                else "_" if type(i) is Hidden else f"iv:{var(i.name, vs)}")
+        dstr = f"dc:{d.token}" if type(d) is DConst else f"dv:{var(d.name, vs)}"
+        return f"p:{istr}#{dstr}"
+
+    def term(t: Term, names: dict[str, str], vs: dict[str, str]) -> str:
+        tt = type(t)
+        if tt is TName:
+            return f"n:{name(t.name, names)}"
+        if tt is TDual:
+            return f"d:{name(t.name, names)}"
+        if tt is TVar:
+            return f"v:{var(t.name, vs)}"
+        if tt is TConst:
+            return f"c:{t.token}"
+        if tt is TPriv:
+            return priv(t.pdata, vs)
         raise KernelError(str(t))
 
-    def go(nd, names: dict[str, str], vs: dict[str, str]) -> str:
-        match nd:
-            case PNil():
-                return "0"
-            case POut(s, objs, cont):
-                return (f"out({term(s, names, vs)};"
-                        f"{','.join(term(o, names, vs) for o in objs)};{go(cont, names, vs)})")
-            case PInp(s, pats, cont):
-                vs2 = dict(vs)
-                ps = []
-                for k in pats:
-                    for x in placeholder_vars(k):
-                        vs2[x] = f"β{next(counter)}"
-                    match k:
-                        case PVar(x):
-                            ps.append(vs2[x])
-                        case PPair(x, y):
-                            ps.append(f"{vs2[x]}#{vs2[y]}")
-                        case PAnon(y):
-                            ps.append(f"_#{vs2[y]}")
-                return f"inp({term(s, names, vs)};{','.join(ps)};{go(cont, names, vs2)})"
-            case Block(binders, comps):
-                res, par = ("sr", "sp") if is_system(comps[0]) else ("res", "par")
-                names = dict(names)
-                out = []
-                for n, annot in binders:
-                    names[n] = f"ν{next(counter)}"
-                    out.append(f"{res}({annot};")
-                # right-nested, par(k1|par(k2|k3)): the key format the
-                # component order, and so every normal form, rests on
-                keys = [go(c, names, vs) for c in comps]
-                out += [f"{par}({k}|" for k in keys[:-1]]
-                out.append(keys[-1] + ")" * (len(keys) - 1 + len(binders)))
-                return "".join(out)
-            case PRepl(body):
-                return f"rep({go(body, names, vs)})"
-            case PIf(op, lhs, rhs, then, els):
-                return (f"if({op};{term(lhs, names, vs)};{term(rhs, names, vs)};"
-                        f"{go(then, names, vs)};{go(els, names, vs)})")
-            case PStore(ref, datum):
-                return f"st({name(ref, names)};{term(TPriv(datum), names, vs)})"
-            case Group(g, SBare(proc)):
-                # `gp` sorts a group around a process before one around a
-                # system: the order of mixed group siblings rests on it
-                return f"gp({g};{go(proc, names, vs)})"
-            case Group(g, body):
-                return f"gs({g};{go(body, names, vs)})"
-            case SBare(proc):
-                return f"sb({go(proc, names, vs)})"
-        raise KernelError(str(nd))
+    def go(nd, names: dict[str, str], vs: dict[str, str]) -> None:
+        tp = type(nd)
+        if tp is POut:
+            objs = ",".join([term(o, names, vs) for o in nd.objects])
+            put(f"out({term(nd.subject, names, vs)};{objs};")
+            go(nd.cont, names, vs)
+            put(")")
+        elif tp is PInp:
+            vs2 = dict(vs)
+            ps = []
+            for k in nd.patterns:
+                if type(k) is PVar:
+                    vs2[k.name] = b = f"β{next(counter)}"
+                    ps.append(b)
+                elif type(k) is PPair:
+                    vs2[k.id_var] = b = f"β{next(counter)}"
+                    vs2[k.data_var] = b2 = f"β{next(counter)}"
+                    ps.append(f"{b}#{b2}")
+                else:
+                    vs2[k.data_var] = b = f"β{next(counter)}"
+                    ps.append(f"_#{b}")
+            put(f"inp({term(nd.subject, names, vs)};{','.join(ps)};")
+            go(nd.cont, names, vs2)
+            put(")")
+        elif tp is PRepl:
+            put("rep(")
+            go(nd.body, names, vs)
+            put(")")
+        elif tp is Group:
+            # `gp` sorts a group around a process before one around a
+            # system: the order of mixed group siblings rests on it
+            body = nd.body
+            if type(body) is SBare:
+                put(f"gp({nd.group};")
+                body = body.body
+            else:
+                put(f"gs({nd.group};")
+            go(body, names, vs)
+            put(")")
+        elif tp is SBare:
+            put("sb(")
+            go(nd.body, names, vs)
+            put(")")
+        elif tp is Block:
+            binders, comps = nd.binders, nd.comps
+            res, par = ("sr(", "sp(") if is_system(comps[0]) else ("res(", "par(")
+            names = dict(names)
+            for n, annot in binders:
+                names[n] = f"ν{next(counter)}"
+                put(f"{res}{annot};")
+            # right-nested, par(k1|par(k2|k3)): the key format the
+            # component order, and so every normal form, rests on
+            last = len(comps) - 1
+            for c in comps[:last]:
+                put(par)
+                go(c, names, vs)
+                put("|")
+            go(comps[last], names, vs)
+            put(")" * (last + len(binders)))
+        elif tp is PIf:
+            put(f"if({nd.op};{term(nd.lhs, names, vs)};{term(nd.rhs, names, vs)};")
+            go(nd.then, names, vs)
+            put(";")
+            go(nd.els, names, vs)
+            put(")")
+        elif tp is PStore:
+            put(f"st({name(nd.ref, names)};{priv(nd.datum, vs)})")
+        elif tp is PNil:
+            put("0")
+        else:
+            raise KernelError(str(nd))
 
-    return go(node, {}, {})
+    go(node, {}, {})
+    return "".join(out)
+
+
+def _sort_keys(comps: list, binder_names: Iterable[str], names: frozenset[str],
+               vs: frozenset[str]) -> list[str]:
+    """The sort key of each component of a block. The names and variables
+    bound around the block print as one hole `_`. The block's binders are
+    coloured first uniformly, `ν`, then each by the multiset of the uniform
+    keys of the components referencing it, and the key is the component
+    written in the second colouring. One `_erased_key` walk per component
+    writes each binder as a mark, `\\0name\\0`, and both colourings replace
+    the marks in that string."""
+    holes = dict.fromkeys(vs, "_")
+    marked = dict.fromkeys(names, "_") | {n: f"\0{n}\0" for n in binder_names}
+    touching: dict[str, list[str]] = {}
+    keys: list[str] = []
+    marks: list[tuple[int, list[str]]] = []
+    for c in comps:
+        key = _erased_key(c, marked, holes)
+        if "\0" in key:
+            # text, binder, text, binder, ..., text
+            parts = key.split("\0")
+            key = "ν".join(parts[::2])
+            for n in set(parts[1::2]):
+                touching.setdefault(n, []).append(key)
+            marks.append((len(keys), parts))
+        keys.append(key)
+    # the colours differ from the uniform ones only at binders, so a
+    # component that mentions none keeps its first key
+    colors = {n: "ν(" + "|".join(sorted(shapes)) + ")" for n, shapes in touching.items()}
+    for k, parts in marks:
+        parts[1::2] = [colors[n] for n in parts[1::2]]
+        keys[k] = "".join(parts)
+    return keys
 
 
 def _sort_block(comps: list, binder_names: Iterable[str], names: frozenset[str],
                 vs: frozenset[str]) -> list:
-    """Order parallel components independently of the current names of the
-    block binders and of the names and variables bound around the block:
-    those all print as one hole, and binders are colored first uniformly,
-    then by the multiset of component shapes referencing them. The sort is
-    stable, so sorting a sorted block again keeps its order."""
-    holes = dict.fromkeys(vs, "_")
-    uniform = dict.fromkeys(names, "_") | dict.fromkeys(binder_names, "ν")
-    touching: dict[str, list[str]] = {n: [] for n in binder_names}
-    keys: list[str] = []
-    recolor: list[int] = []
-    for k, c in enumerate(comps):
-        key = _erased_key(c, uniform, holes)
-        keys.append(key)
-        touched = [n for n in _free(c)[0] if n in touching]
-        for n in touched:
-            touching[n].append(key)
-        if touched:
-            recolor.append(k)
-    if recolor:
-        # the colours differ from the uniform ones only at binders, so a
-        # component that mentions none keeps its first key
-        colors = dict.fromkeys(names, "_")
-        for n, shapes in touching.items():
-            colors[n] = "ν(" + "|".join(sorted(shapes)) + ")"
-        for k in recolor:
-            keys[k] = _erased_key(comps[k], colors, holes)
+    """Order parallel components by `_sort_keys`, independently of the
+    current names of the block binders and of the names and variables
+    bound around the block. The sort is stable, so sorting a sorted block
+    again keeps its order."""
+    keys = _sort_keys(comps, binder_names, names, vs)
     return [comps[k] for k in sorted(range(len(comps)), key=keys.__getitem__)]
 
 
@@ -1017,11 +1066,16 @@ def normalize(node):
         key = None
     if hit is not None:
         return hit
-    result = _canonical_rename(_normalize1(node, frozenset(), frozenset()))
+    spots: list = []
+    result = _canonical_rename(_normalize1(node, frozenset(), frozenset()), spots)
     if key is not None and len(_norm_cache) < 100_000:
         # a normal form is its own normal form, so it answers itself too
-        result = _norm_cache.setdefault(result, result)
-        _norm_cache[key] = result
+        kept = _norm_cache.setdefault(result, result)
+        if kept is result and len(_canon_memo) < 100_000:
+            # its components are canonical where it holds them
+            for spot in spots:
+                _canon_memo[id(spot[0])] = spot
+        result = _norm_cache[key] = kept
     return result
 
 
@@ -1052,9 +1106,10 @@ def _normalize1(node, names: frozenset[str], vs: frozenset[str]):
         case Group(_, body):
             return replace(node, body=_normalize1(body, names, vs))
         case SBare(body):
-            # built afresh, not replaced: a span here would give the typing
-            # errors of explored states a source location
-            return SBare(_normalize1(body, names, vs))
+            # without its span: one would give the typing errors of explored
+            # states a source location
+            b = _normalize1(body, names, vs)
+            return node if b is body and node.span is None else SBare(b)
     raise KernelError(f"cannot normalize {node!r}")
 
 
@@ -1129,20 +1184,56 @@ def _same_spans(a, b) -> bool:
     return (sa is sb or sa == sb) and all(map(_same_spans, children(a), children(b)))
 
 
-def _canonical_rename(node):
+# id of a block component of a normal form that `normalize` keeps → (the
+# component, its numbering position, the names its numbering skipped, the
+# position after it); the entry holds the component, so the id stays its
+_canon_memo: dict = {}
+
+
+def _canonical_rename(node, spots: Optional[list] = None):
     """Rename every binder to a canonical positional name, skipping the
     node's free atoms. Restrictions bind names and inputs bind variables,
-    each in its own environment, as in `free_atoms`."""
-    counter = itertools.count()
-    free = free_atoms(node)
+    each in its own environment, as in `free_atoms`. Given `spots`, each
+    block component the renaming walks is appended to it as a
+    `_canon_memo` entry."""
+    return _rewrite(node, {}, {}, _Numbering(node, spots))
 
-    def nm(kind: str) -> str:
+
+class _Numbering:
+    """The fresh-name source of one canonical renaming: `_n<i>` or `_x<i>`
+    for the next position `i` whose name is not a free atom of the term.
+    `skip` holds the free atoms that such a name could be."""
+
+    __slots__ = ("at", "skip", "spots")
+
+    def __init__(self, node, spots: Optional[list]):
+        self.at = 0
+        self.skip = frozenset(a for a in free_atoms(node) if a[:2] in ("_n", "_x"))
+        self.spots = spots
+
+    def __call__(self, kind: str) -> str:
         while True:
-            cand = f"_{kind}{next(counter)}"
-            if cand not in free:
+            cand = f"_{kind}{self.at}"
+            self.at += 1
+            if cand not in self.skip:
                 return cand
 
-    return _rewrite(node, {}, {}, nm)
+    def component(self, c, names: dict, vs: dict):
+        """The block component `c` renamed. A component that a kept normal
+        form holds at this position, with the same names to skip, is
+        canonical here already when the renaming leaves its free atoms as
+        they are: renaming it again gives it back, so it is not walked."""
+        hit = _canon_memo.get(id(c))
+        if hit is not None and hit[0] is c and hit[1] == self.at and hit[2] == self.skip:
+            cn, cv = _free(c)
+            if not any(n in names for n in cn) and not any(x in vs for x in cv):
+                self.at = hit[3]
+                return c
+        start = self.at
+        c = _rewrite(c, names, vs, self)
+        if self.spots is not None:
+            self.spots.append((c, start, self.skip, self.at))
+        return c
 
 
 # --- alpha equivalence ---------------------------------------------------------

@@ -115,7 +115,7 @@ def _numeric(t: Term) -> Optional[int]:
         tok = t.token
     elif isinstance(t, TPriv) and isinstance(t.pdata.data, DConst):
         tok = t.pdata.data.token
-    if tok is not None and tok.isdigit():
+    if tok is not None and tok.isdecimal():
         return int(tok)
     return None
 
@@ -479,9 +479,13 @@ class StateGraph(Record, frozen=False):
 def explore(s: System, depth: int) -> StateGraph:
     """Breadth-first internal-step exploration up to the depth bound, with
     states deduplicated by `state_key`, a 48-bit sha256 prefix of the
-    rendered normal form."""
+    rendered normal form. Each normal form is rendered once: `normalize`
+    gives equal normal forms as one object, so the key of one met before is
+    looked up by identity."""
     root = normalize(s)
     rkey = state_key(root)
+    # id of a normal form met → (the normal form, its key)
+    keys = {id(root): (root, rkey)}
     graph = StateGraph(root=rkey)
     graph.nodes[rkey] = root
     graph.depths[rkey] = 0
@@ -492,7 +496,12 @@ def explore(s: System, depth: int) -> StateGraph:
         for key, node in frontier:
             for succ in tau_successors(node):
                 sn = normalize(succ)
-                skey = state_key(sn)
+                met = keys.get(id(sn))
+                if met is not None and met[0] is sn:
+                    skey = met[1]
+                else:
+                    skey = state_key(sn)
+                    keys[id(sn)] = (sn, skey)
                 if skey not in graph.nodes:
                     graph.nodes[skey] = sn
                     graph.depths[skey] = d + 1

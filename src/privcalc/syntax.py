@@ -262,6 +262,9 @@ class _P:
         self.toks = toks
         self.i = 0
         self._closers: Optional[dict[int, int]] = None
+        # token index → (the bound variables, the error) of each failed
+        # `_parse_seq` from there
+        self.failed: dict[int, tuple[frozenset, ParseError]] = {}
 
     def peek(self, k: int = 0) -> Tok:
         return self.toks[self.i + k]
@@ -349,6 +352,14 @@ def _node(tok: Tok, ctor, *args):
         return ctor(*args)
     except KernelError as e:
         raise ParseError(tok.span, str(e))
+
+
+def _count(tok: Tok) -> int:
+    """The value of a NAT token. The lexer reads a run of any digits, and
+    some of them, such as `²`, have no decimal value."""
+    if not tok.text.isdecimal():
+        raise ParseError(tok.span, f"expected a decimal count, found {tok.text!r}")
+    return int(tok.text)
 
 
 def _parse(text: str, entry, *args) -> ParseResult:
@@ -557,49 +568,63 @@ def _parse_process(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
 
 
 def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
-    t = p.peek()
-    if t.kind == "NAT" and t.text == "0":
-        p.take()
-        return _node(t, PNil)
-    if t.text == "*":
-        p.take()
-        return _node(t, PRepl, _parse_seq(p, ctx, registry))
-    if t.kind == "IDENT" and t.text == "new":
-        return _parse_new(p, ctx, registry, _parse_seq)
-    if t.kind == "IDENT" and t.text == "if":
-        p.take()
-        lhs = _parse_term(p, ctx, False)
-        op = p.peek()
-        if op.text not in ("=", ">"):
-            raise ParseError(op.span, "expected '=' or '>' in condition")
-        p.take()
-        rhs = _parse_term(p, ctx, False)
-        p.expect_word("then")
-        then = _parse_seq(p, ctx, registry)
-        p.expect_word("else")
-        return _node(t, PIf, op.text, lhs, rhs, then, _parse_seq(p, ctx, registry))
-    if t.kind == "IDENT" and t.text == "store":
-        p.take()
-        ref = p.expect_ident("store reference name")
-        if ref.text in ctx.bound_vars:
-            raise ParseError(ref.span, "store references cannot be variables")
-        ctx.subject_evidence.add(ref.text)
-        return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
-    if t.text == "(":
-        # '(new ...)', the input power '(prefix)^n P', or a parenthesized process
-        p.take()
-        if p.at_ident("new"):
-            return _parse_new(p, ctx, registry, _parse_seq, closing=True)
-        power = _try_input_power(p, ctx, registry)
-        if power is not None:
-            return power
-        inner = _parse_process(p, ctx, registry)
-        p.expect(")")
-        return inner
-    if t.kind == "IDENT" or t.text == "~":
-        return _parse_prefix(p, ctx, registry)
-    found = repr(t.text) if t.text else "end of input"
-    raise ParseError(t.span, f"expected a process, found {found}")
+    """One process of a `|` composition. A parse that failed is remembered
+    at its first token, and a parse from there with the same bound
+    variables re-raises its error: the outcome depends on nothing else.
+    Without that, rejecting `new a. ` or `(` nested n deep would cost n²,
+    since every level's process fallback parses what the levels inside it
+    tried."""
+    m = p.i
+    failed = p.failed.get(m)
+    if failed is not None and ctx.bound_vars == failed[0]:
+        raise failed[1]
+    try:
+        t = p.peek()
+        if t.kind == "NAT" and t.text == "0":
+            p.take()
+            return _node(t, PNil)
+        if t.text == "*":
+            p.take()
+            return _node(t, PRepl, _parse_seq(p, ctx, registry))
+        if t.kind == "IDENT" and t.text == "new":
+            return _parse_new(p, ctx, registry, _parse_seq)
+        if t.kind == "IDENT" and t.text == "if":
+            p.take()
+            lhs = _parse_term(p, ctx, False)
+            op = p.peek()
+            if op.text not in ("=", ">"):
+                raise ParseError(op.span, "expected '=' or '>' in condition")
+            p.take()
+            rhs = _parse_term(p, ctx, False)
+            p.expect_word("then")
+            then = _parse_seq(p, ctx, registry)
+            p.expect_word("else")
+            return _node(t, PIf, op.text, lhs, rhs, then, _parse_seq(p, ctx, registry))
+        if t.kind == "IDENT" and t.text == "store":
+            p.take()
+            ref = p.expect_ident("store reference name")
+            if ref.text in ctx.bound_vars:
+                raise ParseError(ref.span, "store references cannot be variables")
+            ctx.subject_evidence.add(ref.text)
+            return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
+        if t.text == "(":
+            # '(new ...)', the input power '(prefix)^n P', or a parenthesized process
+            p.take()
+            if p.at_ident("new"):
+                return _parse_new(p, ctx, registry, _parse_seq, closing=True)
+            power = _try_input_power(p, ctx, registry)
+            if power is not None:
+                return power
+            inner = _parse_process(p, ctx, registry)
+            p.expect(")")
+            return inner
+        if t.kind == "IDENT" or t.text == "~":
+            return _parse_prefix(p, ctx, registry)
+        found = repr(t.text) if t.text else "end of input"
+        raise ParseError(t.span, f"expected a process, found {found}")
+    except ParseError as e:
+        p.failed[m] = (frozenset(ctx.bound_vars), e)
+        raise
 
 
 def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Optional[Process]:
@@ -614,18 +639,22 @@ def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Optional[Proc
         pats, annots, inner = _parse_patterns(p, ctx, registry)
         p.expect(")")
         p.expect("^")
-        count = p.peek()
-        if count.kind != "NAT" or int(count.text) < 1:
-            raise ParseError(count.span, "expected a positive repetition count after '^'")
-        p.take()
+        count = p.take()
+        if count.kind != "NAT":
+            raise ParseError(count.span, "expected a repetition count after '^'")
     except ParseError:
         p.reset(m)
         return None
-    if int(count.text) >= sys.getrecursionlimit():
+    times = _count(count)
+    if times < 1:
+        # not an input power, so the caller parses the '(' as a process
+        p.reset(m)
+        return None
+    if times >= sys.getrecursionlimit():
         # no walker could descend through that many nested inputs
         raise ParseError(count.span, "input nests too deeply")
     cont = _parse_seq(p, inner, registry)
-    for _ in range(int(count.text)):
+    for _ in range(times):
         cont = _node(start, PInp, subject, pats, cont, annots)
     return cont
 
@@ -786,7 +815,7 @@ def _parse_perm(p: _P) -> Perm:
             lt = p.peek()
             if lt.kind == "NAT":
                 p.take()
-                n = int(lt.text)
+                n = _count(lt)
                 if n < 1:
                     raise ParseError(lt.span, "dissemination budgets start at 1")
                 return disseminate(g.text, Lambda(n))

@@ -23,10 +23,12 @@ def load(name: str):
 
 
 def clear_memos() -> None:
-    """Empty both normalization memos, the whole-term one and the one per
-    component, so that the next `normalize` call runs every pass cold."""
+    """Empty the normalization memos, the whole-term one, the one per
+    component and the renaming's, so that the next `normalize` call runs
+    every pass cold."""
     kernel._norm_cache.clear()
     kernel._comp_cache.clear()
+    kernel._canon_memo.clear()
 
 
 @pytest.fixture(scope="session")

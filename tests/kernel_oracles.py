@@ -1,15 +1,20 @@
-"""Plain versions of two kernel computations, kept as test oracles.
+"""Plain versions of three kernel computations, kept as test oracles.
 
 `free` walks the whole term for its free atoms, as the kernel did before it
 kept each node's free atoms on the node and built them from its children's.
+`_erased_key` writes a component's sort key with nested f-strings, one walk
+per colouring, as the kernel did before it wrote each key to one list, in
+one walk, with the block's binders as marks to substitute.
 `sort_block` gives every component a second, coloured sort key, as the
 kernel did before it reused the first key where the colours cannot differ.
 """
 
+import itertools
+
 from privcalc.kernel import (
-    Block, DVar, Group, IVar, PIf, PInp, PNil, POut, PRepl, PStore, SBare,
-    TConst, TDual, TName, TPriv, TVar, _erased_key, free_names,
-    placeholder_vars,
+    Block, DConst, DVar, Group, Hidden, IVar, KernelError, Known, PAnon, PIf,
+    PInp, PNil, POut, PPair, PRepl, PStore, PVar, SBare, TConst, TDual, TName,
+    TPriv, TVar, Term, free_names, is_system, placeholder_vars,
 )
 
 
@@ -59,6 +64,93 @@ def free(node) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
     walk(node, frozenset(), frozenset())
     return tuple(names), tuple(vs)
+
+
+def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -> str:
+    """Serialization with bound tokens replaced positionally: the sort key
+    for parallel components, stable under alpha-renaming. Free names and
+    free variables are mapped through their colors so the names of binders
+    around the component do not leak in. Names and variables are looked up
+    apart, as in `free_atoms`."""
+    counter = itertools.count()
+
+    def name(n: str, names: dict[str, str]) -> str:
+        return names[n] if n in names else name_colors.get(n, n)
+
+    def var(x: str, vs: dict[str, str]) -> str:
+        return vs[x] if x in vs else var_colors.get(x, x)
+
+    def term(t: Term, names, vs) -> str:
+        match t:
+            case TName(n):
+                return f"n:{name(n, names)}"
+            case TDual(n):
+                return f"d:{name(n, names)}"
+            case TConst(c):
+                return f"c:{c}"
+            case TVar(x):
+                return f"v:{var(x, vs)}"
+            case TPriv(pd):
+                i = pd.identity
+                istr = (f"i:{i.ident}" if isinstance(i, Known)
+                        else "_" if isinstance(i, Hidden) else f"iv:{var(i.name, vs)}")
+                d = pd.data
+                dstr = f"dc:{d.token}" if isinstance(d, DConst) else f"dv:{var(d.name, vs)}"
+                return f"p:{istr}#{dstr}"
+        raise KernelError(str(t))
+
+    def go(nd, names: dict[str, str], vs: dict[str, str]) -> str:
+        match nd:
+            case PNil():
+                return "0"
+            case POut(s, objs, cont):
+                return (f"out({term(s, names, vs)};"
+                        f"{','.join(term(o, names, vs) for o in objs)};{go(cont, names, vs)})")
+            case PInp(s, pats, cont):
+                vs2 = dict(vs)
+                ps = []
+                for k in pats:
+                    for x in placeholder_vars(k):
+                        vs2[x] = f"β{next(counter)}"
+                    match k:
+                        case PVar(x):
+                            ps.append(vs2[x])
+                        case PPair(x, y):
+                            ps.append(f"{vs2[x]}#{vs2[y]}")
+                        case PAnon(y):
+                            ps.append(f"_#{vs2[y]}")
+                return f"inp({term(s, names, vs)};{','.join(ps)};{go(cont, names, vs2)})"
+            case Block(binders, comps):
+                res, par = ("sr", "sp") if is_system(comps[0]) else ("res", "par")
+                names = dict(names)
+                out = []
+                for n, annot in binders:
+                    names[n] = f"ν{next(counter)}"
+                    out.append(f"{res}({annot};")
+                # right-nested, par(k1|par(k2|k3)): the key format the
+                # component order, and so every normal form, rests on
+                keys = [go(c, names, vs) for c in comps]
+                out += [f"{par}({k}|" for k in keys[:-1]]
+                out.append(keys[-1] + ")" * (len(keys) - 1 + len(binders)))
+                return "".join(out)
+            case PRepl(body):
+                return f"rep({go(body, names, vs)})"
+            case PIf(op, lhs, rhs, then, els):
+                return (f"if({op};{term(lhs, names, vs)};{term(rhs, names, vs)};"
+                        f"{go(then, names, vs)};{go(els, names, vs)})")
+            case PStore(ref, datum):
+                return f"st({name(ref, names)};{term(TPriv(datum), names, vs)})"
+            case Group(g, SBare(proc)):
+                # `gp` sorts a group around a process before one around a
+                # system: the order of mixed group siblings rests on it
+                return f"gp({g};{go(proc, names, vs)})"
+            case Group(g, body):
+                return f"gs({g};{go(body, names, vs)})"
+            case SBare(proc):
+                return f"sb({go(proc, names, vs)})"
+        raise KernelError(str(nd))
+
+    return go(node, {}, {})
 
 
 def sort_block(comps: list, binder_names, names, vs) -> list:

@@ -10,8 +10,8 @@ from privcalc.kernel import (
     alpha_eq, children, normalize, placeholder_vars,
 )
 from privcalc.semantics import (
-    InpLabel, OutLabel, TAU, check_preservation, default_universe, dual,
-    explore, feed, has_step, input_capabilities, input_labels, state_key,
+    InpLabel, OutLabel, StateGraph, TAU, check_preservation, default_universe,
+    dual, explore, feed, has_step, input_capabilities, input_labels, state_key,
     tau_successors, transitions, visible_outs,
 )
 from privcalc import kernel, semantics
@@ -590,6 +590,142 @@ def test_component_memo_cuts_normalize_passes(speedlimit, monkeypatch):
     assert len(graph.nodes) == 75
     assert 0 < passes[0] <= 2641
 
+
+@pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
+def test_renaming_memo_is_exact(source, monkeypatch):
+    """`normalize` gives the same normal form, with the same spans, when the
+    canonical renaming takes the components of earlier normal forms as they
+    are as when every memo starts empty; the warm pass walks fewer nodes."""
+    states, _ = _oracle_states(source)
+    inputs = _with_successors(states)
+    walks = 0
+    real = kernel._rewrite
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "_rewrite", counted)
+    cold = []
+    for q in inputs:
+        clear_memos()
+        cold.append(normalize(q))
+    cold_walks = walks
+    clear_memos()
+    for q, want in zip(inputs, cold):
+        # only the renaming's memo answers from earlier terms
+        kernel._norm_cache.clear()
+        kernel._comp_cache.clear()
+        got = normalize(q)
+        assert got == want and kernel._same_spans(got, want), q
+    assert walks - cold_walks < cold_walks
+
+
+def test_normal_forms_rename_to_themselves():
+    """The renaming gives back every node it maps to itself, so renaming a
+    normal form that `explore` reaches gives the normal form itself."""
+    states, _ = _oracle_states("corpus")
+    clear_memos()
+    for st in states:
+        assert kernel._canonical_rename(st) is st, st
+    assert len(states) > 100
+
+
+@pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
+def test_sort_keys_match_two_walk_keys(source):
+    """One key walk per component, with the block's binders written as
+    marks, gives the key strings that one walk per colouring gives, under
+    the uniform colouring and the refined one."""
+    states, _ = _oracle_states(source)
+    checked = 0
+    for st in states:
+        for node, names, vs in _scopes(st):
+            if not isinstance(node, Block):
+                continue
+            comps = node.comps
+            binders = [n for n, _ in node.binders]
+            holes = dict.fromkeys(vs, "_")
+            uniform = dict.fromkeys(names, "_") | dict.fromkeys(binders, "ν")
+            shapes: dict[str, list[str]] = {n: [] for n in binders}
+            for c in comps:
+                key = kernel_oracles._erased_key(c, uniform, holes)
+                assert kernel._erased_key(c, uniform, holes) == key, c
+                for n in kernel_oracles.free(c)[0]:
+                    if n in shapes:
+                        shapes[n].append(key)
+            colors = dict.fromkeys(names, "_") | {
+                n: "ν(" + "|".join(sorted(keys)) + ")" for n, keys in shapes.items()}
+            want = [kernel_oracles._erased_key(c, colors, holes) for c in comps]
+            assert [kernel._erased_key(c, colors, holes) for c in comps] == want, node
+            assert kernel._sort_keys(comps, binders, names, vs) == want, node
+            checked += len(comps)
+    assert checked > 500
+
+
+def _explore_keying_every_successor(s, depth: int) -> StateGraph:
+    """`explore` as it was when it rendered the key of every successor."""
+    root = normalize(s)
+    rkey = state_key(root)
+    graph = StateGraph(root=rkey)
+    graph.nodes[rkey] = root
+    graph.depths[rkey] = 0
+    frontier = [(rkey, root)]
+    seen_edges = set()
+    for d in range(depth):
+        nxt = []
+        for key, node in frontier:
+            for succ in tau_successors(node):
+                sn = normalize(succ)
+                skey = state_key(sn)
+                if skey not in graph.nodes:
+                    graph.nodes[skey] = sn
+                    graph.depths[skey] = d + 1
+                    nxt.append((skey, sn))
+                edge = (key, "tau", skey)
+                if edge not in seen_edges:
+                    seen_edges.add(edge)
+                    graph.edges.append(edge)
+        frontier = nxt
+    graph.truncated = any(has_step(n) for _, n in frontier)
+    return graph
+
+
+def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
+    """`explore` renders and hashes a normal form only the first time it
+    meets it, and builds the graph that keying every successor built."""
+    clear_memos()
+    want = _explore_keying_every_successor(speedlimit[2], 8)
+    met = []
+    keyed = 0
+    real_normalize, real_key = semantics.normalize, semantics.state_key
+
+    def normalizing(node):
+        met.append(real_normalize(node))
+        return met[-1]
+
+    def keying(node):
+        nonlocal keyed
+        keyed += 1
+        return real_key(node)
+
+    monkeypatch.setattr(semantics, "normalize", normalizing)
+    monkeypatch.setattr(semantics, "state_key", keying)
+    clear_memos()
+    got = explore(speedlimit[2], 8)
+    assert keyed == len(set(met)) == len(got.nodes) == 75
+    assert (got.root, got.nodes, got.edges, got.depths, got.truncated) == (
+        want.root, want.nodes, want.edges, want.depths, want.truncated)
+
+
+def test_non_decimal_constant_is_not_a_number():
+    """A constant that the lexer read as a digit but that has no decimal
+    value, such as `²`, leaves a `>` condition undecided, where `int`
+    raised."""
+    res = parse_system("G[if ² > 1 then a!<c>. 0 else 0]")
+    assert res.ok, res.diagnostics
+    graph = explore(res.value, 2)
+    assert len(graph.nodes) == 1 and not graph.truncated
 
 def test_store_identity_stable_along_traces(corpus):
     """Once known, a store's identity never changes along any explored

@@ -497,6 +497,52 @@ def test_input_power_count_checked_before_expansion():
     assert depth == 400 and p == NIL
 
 
+
+@pytest.mark.parametrize("shape", [
+    lambda n: "new a. " * n + "G[0] | 0",
+    lambda n: "(" * n + "G[0] | 0" + ")" * n,
+], ids=["new", "parens"])
+def test_rejected_nested_systems_parse_once(monkeypatch, shape):
+    """A nested system that no rule accepts is rejected in time linear in
+    its depth: a process parse that failed at a token is not tried there
+    again, where every level's process fallback re-parsed what the levels
+    inside it had tried."""
+    calls = 0
+    real = syntax._parse_seq
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(syntax, "_parse_seq", counting)
+
+    def cost(n: int) -> int:
+        nonlocal calls
+        calls = 0
+        assert not parse_system(shape(n)).ok
+        return calls
+
+    # a new thread starts with an empty stack, as a command-line run does
+    with ThreadPoolExecutor(1) as pool:
+        small, large = pool.submit(cost, 50).result(), pool.submit(cost, 200).result()
+    assert large <= 5 * small, (small, large)
+
+
+def test_non_decimal_count_in_input_power_is_a_diagnostic():
+    """The lexer reads `²` as a digit, which has no decimal value: the
+    count of an input power reports it at the token, where `int` raised."""
+    res = parse_system("(a?(x))^² 0")
+    assert [str(d) for d in res.diagnostics] == [
+        "error: 1:9-1:10: expected a decimal count, found '²'"]
+
+
+def test_non_decimal_count_in_policy_is_a_diagnostic():
+    """A dissemination budget written `²` is reported at the token."""
+    res = parse_policy("private t >> G {disseminate H ²}")
+    assert [str(d) for d in res.diagnostics] == [
+        "error: 1:31-1:32: expected a decimal count, found '²'"]
+
 if __name__ == "__main__":
     # rewrite the golden file: PYTHONPATH=src:tests python tests/test_syntax.py
     from conftest import GOLDEN
