@@ -795,11 +795,11 @@ def _rewrite(node, names: dict[str, str],
             return replace(node, ref=names.get(ref, ref),
                            datum=_rewrite(TPriv(datum), names, vs, fresh).pdata)
         case TName(n):
-            return TName(names[n]) if n in names and names[n] != n else node
+            return TName(names[n]) if n in names else node
         case TDual(n):
-            return TDual(names[n]) if n in names and names[n] != n else node
+            return TDual(names[n]) if n in names else node
         case TVar(x):
-            return vs[x][0] if x in vs and vs[x][0] != node else node
+            return vs[x][0] if x in vs else node
         case TConst(_):
             return node
         case TPriv(pd):
@@ -810,7 +810,7 @@ def _rewrite(node, names: dict[str, str],
                 value, _, dat = vs[dat.name]
                 if dat is None:
                     raise IncompatibleSubstitution(value, PVar(pd.data.name))
-            if ident == pd.identity and dat == pd.data:
+            if ident is pd.identity and dat is pd.data:
                 return node
             return TPriv(PrivateData(ident, dat))
     raise KernelError(f"cannot rewrite {node!r}")
