@@ -261,10 +261,7 @@ class _P:
         toks.append(toks[-1])  # a second EOF, for `peek(1)` at the end
         self.toks = toks
         self.i = 0
-        self._closers: Optional[dict[int, int]] = None
-        # token index → (the bound variables, the error) of each failed
-        # `_parse_seq` from there
-        self.failed: dict[int, tuple[frozenset, ParseError]] = {}
+        self.groups = 0  # the groups read so far
 
     def peek(self, k: int = 0) -> Tok:
         return self.toks[self.i + k]
@@ -312,30 +309,11 @@ class _P:
         if t.kind != "EOF":
             raise ParseError(t.span, f"unexpected trailing input {t.text!r}")
 
-    def mark(self) -> int:
-        return self.i
 
-    def reset(self, m: int):
-        self.i = m
-
-    def after_parens(self) -> Optional[Tok]:
-        """The token after the ')' that closes the '(' at the cursor, or
-        None when no ')' closes it. The parentheses are paired in one pass
-        over the tokens, on first use."""
-        if self._closers is None:
-            self._closers, opened = {}, []
-            for j, t in enumerate(self.toks):
-                if t.text == "(":
-                    opened.append(j)
-                elif t.text == ")" and opened:
-                    self._closers[opened.pop()] = j
-        j = self._closers.get(self.i)
-        return None if j is None else self.toks[j + 1]
-
-
-def _separated(p: _P, sep: str, rule, *args) -> tuple:
-    """One or more of `rule`, separated by `sep`."""
-    items = [rule(p, *args)]
+def _separated(p: _P, sep: str, rule, *args, first=None) -> tuple:
+    """One or more of `rule`, separated by `sep`; the first is `first` when
+    that is already read."""
+    items = [rule(p, *args) if first is None else first]
     while p.at(sep):
         p.take()
         items.append(rule(p, *args))
@@ -568,98 +546,91 @@ def _parse_process(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
 
 
 def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
-    """One process of a `|` composition. A parse that failed is remembered
-    at its first token, and a parse from there with the same bound
-    variables re-raises its error: the outcome depends on nothing else.
-    Without that, rejecting `new a. ` or `(` nested n deep would cost n²,
-    since every level's process fallback parses what the levels inside it
-    tried."""
-    m = p.i
-    failed = p.failed.get(m)
-    if failed is not None and ctx.bound_vars == failed[0]:
-        raise failed[1]
-    try:
-        t = p.peek()
-        if t.kind == "NAT" and t.text == "0":
-            p.take()
-            return _node(t, PNil)
-        if t.text == "*":
-            p.take()
-            return _node(t, PRepl, _parse_seq(p, ctx, registry))
-        if t.kind == "IDENT" and t.text == "new":
-            return _parse_new(p, ctx, registry, _parse_seq)
-        if t.kind == "IDENT" and t.text == "if":
-            p.take()
-            lhs = _parse_term(p, ctx, False)
-            op = p.peek()
-            if op.text not in ("=", ">"):
-                raise ParseError(op.span, "expected '=' or '>' in condition")
-            p.take()
-            rhs = _parse_term(p, ctx, False)
-            p.expect_word("then")
-            then = _parse_seq(p, ctx, registry)
-            p.expect_word("else")
-            return _node(t, PIf, op.text, lhs, rhs, then, _parse_seq(p, ctx, registry))
-        if t.kind == "IDENT" and t.text == "store":
-            p.take()
-            ref = p.expect_ident("store reference name")
-            if ref.text in ctx.bound_vars:
-                raise ParseError(ref.span, "store references cannot be variables")
-            ctx.subject_evidence.add(ref.text)
-            return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
-        if t.text == "(":
-            # '(new ...)', the input power '(prefix)^n P', or a parenthesized process
-            p.take()
-            if p.at_ident("new"):
-                return _parse_new(p, ctx, registry, _parse_seq, closing=True)
-            power = _try_input_power(p, ctx, registry)
-            if power is not None:
-                return power
-            inner = _parse_process(p, ctx, registry)
-            p.expect(")")
-            return inner
-        if t.kind == "IDENT" or t.text == "~":
-            return _parse_prefix(p, ctx, registry)
-        found = repr(t.text) if t.text else "end of input"
-        raise ParseError(t.span, f"expected a process, found {found}")
-    except ParseError as e:
-        p.failed[m] = (frozenset(ctx.bound_vars), e)
-        raise
-
-
-def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Optional[Process]:
-    """Attempt `subject ? ( patterns ) ) ^ NAT cont` with the opening paren
-    already consumed; on failure rewind to just past the paren and return
-    None."""
-    m = p.mark()
-    start = p.peek()
-    try:
-        subject = _parse_subject(p, ctx)
-        p.expect("?")
-        pats, annots, inner = _parse_patterns(p, ctx, registry)
+    """One process of a `|` composition."""
+    t = p.peek()
+    if t.kind == "NAT" and t.text == "0":
+        p.take()
+        return _node(t, PNil)
+    if t.text == "*":
+        p.take()
+        return _node(t, PRepl, _parse_seq(p, ctx, registry))
+    if t.text == "new" or (t.text == "(" and p.peek(1).text == "new"):
+        kw, binder, body = _parse_new(p, ctx, registry, _parse_seq)
+        return _node(kw, Block, (binder,), (body,))
+    if t.kind == "IDENT" and t.text == "if":
+        p.take()
+        lhs = _parse_term(p, ctx, False)
+        op = p.peek()
+        if op.text not in ("=", ">"):
+            raise ParseError(op.span, "expected '=' or '>' in condition")
+        p.take()
+        rhs = _parse_term(p, ctx, False)
+        p.expect_word("then")
+        then = _parse_seq(p, ctx, registry)
+        p.expect_word("else")
+        return _node(t, PIf, op.text, lhs, rhs, then, _parse_seq(p, ctx, registry))
+    if t.kind == "IDENT" and t.text == "store":
+        p.take()
+        ref = p.expect_ident("store reference name")
+        if ref.text in ctx.bound_vars:
+            raise ParseError(ref.span, "store references cannot be variables")
+        ctx.subject_evidence.add(ref.text)
+        return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
+    if t.text == "(":
+        p.take()
+        first, closed = _parse_opened(p, ctx, registry)
+        if closed:
+            return first
+        inner = _block((), _separated(p, "|", _parse_seq, ctx, registry, first=first))
         p.expect(")")
-        p.expect("^")
-        count = p.take()
-        if count.kind != "NAT":
-            raise ParseError(count.span, "expected a repetition count after '^'")
-    except ParseError:
-        p.reset(m)
-        return None
-    times = _count(count)
+        return inner
+    if t.kind == "IDENT" or t.text == "~":
+        return _parse_prefix(p, ctx, registry)
+    found = repr(t.text) if t.text else "end of input"
+    raise ParseError(t.span, f"expected a process, found {found}")
+
+
+def _at_input(p: _P) -> bool:
+    """Whether an input's subject and its '?' are next."""
+    t = p.peek()
+    if t.text == "~":
+        return p.peek(2).text == "?"
+    return t.kind == "IDENT" and t.text not in RESERVED and p.peek(1).text == "?"
+
+
+def _parse_opened(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Process, bool]:
+    """The process just after a '(', and whether it read the ')': an input
+    whose patterns `) ^ n` follows, with n at least 1, is the input power
+    `(input)^n P`, n nested inputs."""
+    if not _at_input(p):
+        return _parse_seq(p, ctx, registry), False
+    start = p.peek()
+    subject = _parse_subject(p, ctx)
+    p.take()  # '?'
+    pats, annots, inner = _parse_patterns(p, ctx, registry)
+    count = p.peek(2)
+    times = 0
+    if p.at(")") and p.peek(1).text == "^" and count.kind == "NAT":
+        times = _count(count)
+        if times >= sys.getrecursionlimit():
+            # no walker could descend through that many nested inputs
+            raise ParseError(count.span, "input nests too deeply")
     if times < 1:
-        # not an input power, so the caller parses the '(' as a process
-        p.reset(m)
-        return None
-    if times >= sys.getrecursionlimit():
-        # no walker could descend through that many nested inputs
-        raise ParseError(count.span, "input nests too deeply")
+        p.expect(".")
+        return _node(start, PInp, subject, pats, _parse_seq(p, inner, registry), annots), False
+    p.i += 3  # ') ^ n'
     cont = _parse_seq(p, inner, registry)
     for _ in range(times):
         cont = _node(start, PInp, subject, pats, cont, annots)
-    return cont
+    return cont, True
 
 
-def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: bool = False):
+def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_rule) -> tuple:
+    """`new n` or `(new n)`, each with an optional `: T` and '.', then the
+    body that `body_rule` reads: the 'new' token, the binder and the body."""
+    closing = p.at("(")
+    if closing:
+        p.take()
     kw = p.take()  # 'new'
     name = p.expect_ident("restricted name")
     annot = None
@@ -673,7 +644,7 @@ def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: 
     ctx2 = ctx.child()
     ctx2.bound_vars.discard(name.text)
     ctx.subject_evidence.add(name.text)  # restricted tokens are name-sorted
-    return _node(kw, Block, ((name.text, annot),), (body_parser(p, ctx2, registry),))
+    return kw, (name.text, annot), body_rule(p, ctx2, registry)
 
 
 def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
@@ -694,69 +665,98 @@ def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     raise ParseError(p.peek().span, "expected '!' or '?' after prefix subject")
 
 
-def _lower_system(s: System) -> Optional[Process]:
-    """Group contents without inner groups read canonically as processes."""
-    match s:
-        case SBare(proc):
-            return proc
-        case Block(binders, comps):
-            procs = tuple(map(_lower_system, comps))
-            return None if None in procs else Block(binders, procs)
-        case _:
-            return None
+# A term at system level is read once, into a cover: a tuple that keeps what
+# each reading of the term needs until the construct around it fixes one.
+#   ("leaf", tok, seqs)        a `|` composition of processes, from `tok`
+#   ("new", kw, binder, body)  a restriction over the rest of its composition
+#   ("par", items, bar)        a `||` composition; `bar` is its first '||'
+#   ("parens", inner)
+#   ("group", node, bracket)   a group, built; `bracket` is its '['
+
+def _as_system(c, bare: bool = False):
+    """The cover as a system, each process in it an `SBare` at its first
+    token. With `bare`, as the process that a group body with no group in
+    it is, whose restrictions are unlocated."""
+    match c:
+        case ("leaf", tok, seqs):
+            proc = _block((), seqs)
+            return proc if bare else SBare(proc, tok.span)
+        case ("new", kw, binder, body):
+            return Block((binder,), (_as_system(body, bare),), None if bare else kw.span)
+        case ("par", items, _):
+            return Block((), tuple(_as_system(item, bare) for item in items))
+        case ("parens", inner):
+            return _as_system(inner, bare)
+        case ("group", node, _):
+            return node
+
+
+def _as_seqs(c) -> tuple:
+    """The cover as a `|` composition in parentheses, each restriction in it
+    over one process. A group or a '||' in it is an error at the first of
+    them."""
+    match c:
+        case ("leaf", _, seqs):
+            return seqs
+        case ("new", kw, binder, body):
+            first, *rest = _as_seqs(body)
+            return (Block((binder,), (first,), kw.span), *rest)
+        case ("parens", inner):
+            return (_block((), _as_seqs(inner)),)
+        case ("par", items, bar):
+            _as_seqs(items[0])  # an error in the first operand comes first
+            raise ParseError(bar.span, "expected ')', found '||'")
+        case ("group", _, bracket):
+            raise ParseError(bracket.span, "expected '!' or '?' after prefix subject")
 
 
 def _parse_system(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
-    return _block((), _separated(p, "||", _parse_sys_atom, ctx, registry))
+    return _as_system(_system(p, ctx, registry))
 
 
-def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
+def _system(p: _P, ctx: _Ctx, registry: _SortRegistry, first=None):
+    """A `||` composition, as a cover; `first` is its first term when that
+    is already read."""
+    if first is None:
+        first = _sys_term(p, ctx, registry)
+    bar = p.peek()
+    items = _separated(p, "||", _sys_term, ctx, registry, first=first)
+    return first if len(items) == 1 else ("par", items, bar)
+
+
+def _sys_term(p: _P, ctx: _Ctx, registry: _SortRegistry):
+    """One operand of a `||` composition, as a cover."""
     t = p.peek()
-    closing = t.text == "(" and p.peek(1).text == "new"
-    if closing or t.text == "new":
-        # `new n. S` and `(new n) S`, unless a process composition follows
-        m = p.mark()
-        if closing:
-            p.take()
-        try:
-            node = _parse_new(p, ctx, registry, _parse_system, closing)
-            if p.at("|"):
-                raise ParseError(p.peek().span, "process composition after restriction")
-            return node
-        except ParseError:
-            p.reset(m)
-            return _node(t, SBare, _parse_process(p, ctx, registry))
+    if t.text == "new" or (t.text == "(" and p.peek(1).text == "new"):
+        return ("new", *_parse_new(p, ctx, registry, _system))
     if t.kind == "IDENT" and t.text not in RESERVED and p.peek(1).text == "[":
-        group = p.take()
-        p.expect("[")
-        m = p.mark()
-        try:
-            inner = _parse_system(p, ctx.child(), registry)
-            if p.at("|"):
-                raise ParseError(p.peek().span, "process composition at group top")
-        except ParseError:
-            p.reset(m)
-            inner = SBare(_parse_process(p, ctx.child(), registry))
+        p.take()
+        bracket = p.take()
+        groups = p.groups
+        body = _system(p, ctx, registry)
         p.expect("]")
-        lowered = _lower_system(inner)
-        if lowered is not None:
-            inner = SBare(lowered)
-        return _node(group, Group, group.text, inner)
-    if t.text == "(":
-        # A parenthesized system, unless its ')' is missing or followed by
-        # process syntax: every rule closes the parentheses it opens, so
-        # then only the process can parse, and it is parsed only once.
-        after = p.after_parens()
-        if after is not None and after.text not in ("^", ".", "|"):
-            m = p.mark()
-            p.take()
-            try:
-                inner = _parse_system(p, ctx.child(), registry)
-                p.expect(")")
-                return inner
-            except ParseError:
-                p.reset(m)
-    return _node(t, SBare, _parse_process(p, ctx, registry))
+        bare = p.groups == groups  # no group inside
+        p.groups += 1
+        inner = _as_system(body, bare)
+        return ("group", _node(t, Group, t.text, SBare(inner) if bare else inner), bracket)
+    if t.text != "(":
+        return ("leaf", t, _separated(p, "|", _parse_seq, ctx, registry))
+    p.take()
+    first = None
+    if _at_input(p):
+        start = p.peek()
+        seq, closed = _parse_opened(p, ctx, registry)
+        seqs = _separated(p, "|", _parse_seq, ctx, registry, first=seq)
+        if closed:
+            return ("leaf", t, seqs)
+        first = ("leaf", start, seqs)
+    inner = _system(p, ctx, registry, first)
+    p.expect(")")
+    if p.peek().text in ("|", "^", "."):
+        # before process syntax, the parentheses close a process
+        return ("leaf", t, _separated(p, "|", _parse_seq, ctx, registry,
+                                      first=_block((), _as_seqs(inner))))
+    return ("parens", inner)
 
 
 # --- classification pass ------------------------------------------------------------
@@ -1000,16 +1000,12 @@ def _is_par(node) -> bool:
 
 def _render_block(b: Block, render, sep: str) -> str:
     """Restrictions as prefixes, then the components joined by `sep`; a
-    component that is a block is parenthesized, except the last one: as the
-    right operand of a composition it is parenthesized only when it has
-    binders, and as the lone body of restrictions only when it has none."""
-    *init, last = b.comps
-    texts = [f"({render(c)})" if isinstance(c, Block) else render(c) for c in init]
-    text = render(last)
-    if isinstance(last, Block) and bool(last.binders) == bool(init):
-        text = f"({text})"
-    body = sep.join(texts + [text])
-    if b.binders and init:
+    component that is a block is parenthesized, except the lone body of
+    restrictions when it has binders."""
+    lone = len(b.comps) == 1
+    body = sep.join(render(c) if not isinstance(c, Block) or (lone and c.binders)
+                    else f"({render(c)})" for c in b.comps)
+    if b.binders and not lone:
         body = f"({body})"
     news = "".join(f"(new {n}{f' : {render_type(a)}' if a is not None else ''}) "
                    for n, a in b.binders)

@@ -15,9 +15,7 @@ from privcalc.semantics import (
     tau_successors, transitions, visible_outs,
 )
 from privcalc import kernel, semantics
-from privcalc.syntax import (
-    _lower_system, parse_env, parse_process, parse_system, render_process,
-)
+from privcalc.syntax import parse_env, parse_process, parse_system, render_process
 from privcalc.typesys import interface_leq, type_system
 
 import allpairs
@@ -25,6 +23,7 @@ import gen
 import kernel_oracles
 from conftest import CORPUS, clear_memos
 from gen import par
+from syntax_oracles import _lower_system
 from privcalc.encoding import core_canonical, encode
 
 

@@ -1,5 +1,7 @@
+import functools
 import random
 from concurrent.futures import ThreadPoolExecutor
+from typing import Optional
 
 import pytest
 
@@ -7,7 +9,7 @@ from privcalc import syntax
 from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
     PRepl, PStore, PVar, PrivateData, Group, SBare, TChan,
-    TConst, TName, TPriv, TPrivate, TPurpose, TVar,
+    TConst, TName, TPriv, TPrivate, TPurpose, TVar, children,
 )
 from privcalc.syntax import (
     PERM_WORDS, RESERVED, Gamma, LexError, _lex, parse_env, parse_policy,
@@ -453,33 +455,161 @@ def test_lexer_matches_oracle():
         assert _lexed(_lex, text) == _lexed(oracle, text), text
 
 
+# --- the process and system parser against its oracle ---------------------------
+
+# Terms of both families, the ways two of them are put side by side, and
+# contexts that a composition is put in; each context's `{}` is a hole.
+_ATOMS = ["0", "a!<k>. 0", "b?(x). x!<k>. 0", "~r?(x # y). 0", "G[0]",
+          "H[ a!<k>. 0 ]", "(a?(x))^2 0", "new n. n!<k>. 0", "(new m : G[t<g>]) 0",
+          "(0)", "(0 | 0)", "(G[0] || 0)"]
+_JOINS = [" | ", " || ", " "]
+_CONTEXTS = ["{}", "K[ {} ]", "({})", "new q. {}", "(new z) ({})", "({}) | 0",
+             "0 || {}", "({})^2 0"]
+# tokens that a mutant inserts, or puts in place of another
+_MUTANT_TOKENS = ["(", ")", "[", "]", "|", "||", "new", "n", ".", "G", "0",
+                  "^", "2", "?", "!", "<k>", "(x)", ":", "t<g>", "~"]
+
+
+def differential_texts(rng: random.Random, mutants: int) -> list[str]:
+    """The corpus files, the malformed inputs of the diagnostics golden,
+    generated renders, every pair of atoms in every context, deep shapes,
+    and `mutants` of these with one token inserted, deleted or replaced."""
+    from conftest import CORPUS
+    import gen
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*.pc"))]
+    texts += [text for parser, text in DIAGNOSTIC_CASES if parser is not parse_policy]
+    texts += [render_system(gen.random_system(random.Random(seed))) for seed in range(300)]
+    texts += [context.replace("{}", a + join + b) for a in _ATOMS for join in _JOINS
+              for b in _ATOMS for context in _CONTEXTS]
+    texts += [shape(n) for n in (1, 2, 40, 120) for shape in (
+        lambda n: "(" * n + "0" + ")" * n,
+        lambda n: "new a. " * n + "G[0] || 0",
+        lambda n: "(new a) " * n + "0 | 0",
+        lambda n: "G[" * n + "0 | 0" + "]" * n,
+        lambda n: "(" * n + "G[0] || H[0]" + ")" * n,
+        lambda n: "(" * n + "a!<c>. 0" + ") | 0" * n)]
+    bases = [[t.text for t in _lex(text)[:-1]] for text in texts if "$" not in text]
+    for _ in range(mutants):
+        toks = rng.choice(bases)[:]
+        i = rng.randrange(len(toks) + 1)
+        op = rng.randrange(3)
+        if op == 0 or i == len(toks):
+            toks.insert(i, rng.choice(_MUTANT_TOKENS))
+        elif op == 1:
+            del toks[i]
+        else:
+            toks[i] = rng.choice(_MUTANT_TOKENS)
+        texts.append(" ".join(toks))
+    return texts
+
+
+@functools.cache
+def _differential_texts() -> list[str]:
+    return differential_texts(random.Random(43), 2500)
+
+
+def _spans(node) -> list:
+    """The span of every process and system node in a tree, in preorder."""
+    spans, todo = [], [node]
+    while todo:
+        node = todo.pop()
+        spans.append(node.span)
+        todo.extend(reversed(children(node)))
+    return spans
+
+
+def against_oracle(parse, oracle, text: str) -> Optional[tuple[str, str]]:
+    """Check one parse against the oracle's: an accepted text gives an equal
+    value with the same span on every node, and a rejected one is still
+    rejected, at the oracle's token or a later one. Where the oracle runs
+    out of stack, which is a limit and not a rejection, the parser may
+    accept. The two diagnostics when they differ, else None."""
+    new, old = parse(text), oracle(text)
+    if old.ok:
+        assert new.ok, (text, new.diagnostics)
+        assert new.value == old.value and _spans(new.value) == _spans(old.value), text
+        return None
+    (was,) = old.diagnostics
+    if was.message == "input nests too deeply" and new.ok:
+        return None
+    assert not new.ok, text
+    (now,) = new.diagnostics
+    if now == was:
+        return None
+    assert (now.span.line, now.span.col) >= (was.span.line, was.span.col), (text, now, was)
+    return str(was), str(now)
+
+
+def test_parser_matches_oracle():
+    """The one-pass parser against the rewinding parser it replaced, through
+    both entry points."""
+    import syntax_oracles as oracle
+    for text in _differential_texts():
+        against_oracle(parse_system, oracle.parse_system, text)
+        against_oracle(parse_process, oracle.parse_process, text)
+
+
+def test_round_trip_accepted_texts():
+    """Every text either entry point accepts parses back to its value from
+    its rendering, a composition nested on the right included."""
+    for text in _differential_texts():
+        for parse, render in ((parse_system, render_system),
+                              (parse_process, render_process)):
+            res = parse(text)
+            if res.ok:
+                again = parse(render(res.value))
+                assert again.ok and again.value == res.value, text
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("G[ b!<k> ]", "error: 1:10-1:11: expected '.', found ']'"),
+    ("new n. G[ b!<k> ]", "error: 1:17-1:18: expected '.', found ']'"),
+    ("G[ new n. H[ a!<k> ] ]", "error: 1:20-1:21: expected '.', found ']'"),
+    ("new n. (G[0] || H[a!<k>])", "error: 1:24-1:25: expected '.', found ']'"),
+    ("new q. 0 || new n. G[ b!<k> ]", "error: 1:29-1:30: expected '.', found ']'"),
+])
+def test_error_in_system_reported_where_it_is(text, diagnostic):
+    """An error inside a restriction or a group is reported at its token,
+    not at a token that a process reading of the same text stops at."""
+    assert [str(d) for d in parse_system(text).diagnostics] == [diagnostic]
+
+
 # --- parser cost and limits -----------------------------------------------------------
 
-def test_parenthesized_systems_parse_once(monkeypatch):
-    """A parenthesized system followed by `|` is a process. Deciding that
-    from the token after its `)` parses each level once, where parsing it as
-    a system first and then again as a process cost the square of the
-    depth."""
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """A function of a text and whether it is accepted: it checks that, and
+    gives the calls of the rules for processes and system terms that
+    parsing the text makes, in a new thread. That starts with an empty
+    stack, as a command-line run does."""
     calls = 0
-    real = syntax._parse_seq
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting(real):
+        def rule(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        return rule
 
-    monkeypatch.setattr(syntax, "_parse_seq", counting)
+    for name in ("_parse_seq", "_sys_term"):
+        monkeypatch.setattr(syntax, name, counting(getattr(syntax, name)))
 
-    def cost(n: int) -> int:
+    def cost(text: str, ok: bool) -> int:
         nonlocal calls
         calls = 0
-        res = parse_system("(" * n + "a!<c>. 0" + ") | 0" * n)
-        assert res.ok, res.diagnostics
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(parse_system, text).result().ok == ok
         return calls
 
-    # a new thread starts with an empty stack, as a command-line run does
-    with ThreadPoolExecutor(1) as pool:
-        small, large = pool.submit(cost, 50).result(), pool.submit(cost, 200).result()
+    return cost
+
+
+def test_parenthesized_systems_parse_once(parse_calls):
+    """A parenthesized system followed by `|` is a process. Reading it once
+    and fixing its reading at the `)` parses each level once, where parsing
+    it as a system first and then again as a process cost the square of the
+    depth."""
+    small, large = (parse_calls("(" * n + "a!<c>. 0" + ") | 0" * n, True) for n in (50, 200))
     assert large <= 5 * small, (small, large)
 
 
@@ -502,31 +632,40 @@ def test_input_power_count_checked_before_expansion():
     lambda n: "new a. " * n + "G[0] | 0",
     lambda n: "(" * n + "G[0] | 0" + ")" * n,
 ], ids=["new", "parens"])
-def test_rejected_nested_systems_parse_once(monkeypatch, shape):
+def test_rejected_nested_systems_parse_once(parse_calls, shape):
     """A nested system that no rule accepts is rejected in time linear in
-    its depth: a process parse that failed at a token is not tried there
-    again, where every level's process fallback re-parsed what the levels
-    inside it had tried."""
-    calls = 0
-    real = syntax._parse_seq
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(syntax, "_parse_seq", counting)
-
-    def cost(n: int) -> int:
-        nonlocal calls
-        calls = 0
-        assert not parse_system(shape(n)).ok
-        return calls
-
-    # a new thread starts with an empty stack, as a command-line run does
-    with ThreadPoolExecutor(1) as pool:
-        small, large = pool.submit(cost, 50).result(), pool.submit(cost, 200).result()
+    its depth, where a parser that fell back on reading each level as a
+    process re-parsed what the levels inside it had tried."""
+    small, large = (parse_calls(shape(n), False) for n in (50, 200))
     assert large <= 5 * small, (small, large)
+
+
+@pytest.mark.parametrize("shape", [
+    lambda n: "new a. " * n + "G[0] || 0",
+    lambda n: "G[" * n + "0 | 0" + "]" * n,
+], ids=["new", "groups"])
+def test_nested_systems_parse_once(parse_calls, shape):
+    """Restrictions and groups nested around a system or a process are read
+    in time linear in their depth."""
+    small, large = (parse_calls(shape(n), True) for n in (50, 200))
+    assert large <= 5 * small, (small, large)
+
+
+@pytest.mark.parametrize("shape, depth", [
+    (lambda n: "(" * n + "0" + ")" * n, 326),
+    (lambda n: "new a. " * n + "0", 245),
+    (lambda n: "(new a) " * n + "0", 245),
+    (lambda n: "G[" * n + "0" + "]" * n, 326),
+    (lambda n: "a!<k>. " * n + "0", 490),
+    (lambda n: "(" * n + "G[0] || H[0]" + ")" * n, 325),
+], ids=["parens", "new", "closing-new", "groups", "prefixes", "parenthesized-system"])
+def test_nesting_capacity(shape, depth):
+    """Each shape parses at the deepest nesting that the rewinding parser
+    accepted under Python 3.11, in a new thread, as a command-line run
+    parses."""
+    with ThreadPoolExecutor(1) as pool:
+        res = pool.submit(parse_system, shape(depth)).result()
+    assert res.ok, res.diagnostics
 
 
 def test_non_decimal_count_in_input_power_is_a_diagnostic():
