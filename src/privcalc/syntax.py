@@ -608,13 +608,12 @@ def _parse_opened(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Process, b
     subject = _parse_subject(p, ctx)
     p.take()  # '?'
     pats, annots, inner = _parse_patterns(p, ctx, registry)
-    count = p.peek(2)
     times = 0
-    if p.at(")") and p.peek(1).text == "^" and count.kind == "NAT":
-        times = _count(count)
+    if p.at(")") and p.peek(1).text == "^" and p.peek(2).kind == "NAT":
+        times = _count(p.peek(2))
         if times >= sys.getrecursionlimit():
             # no walker could descend through that many nested inputs
-            raise ParseError(count.span, "input nests too deeply")
+            raise ParseError(p.peek(2).span, "input nests too deeply")
     if times < 1:
         p.expect(".")
         return _node(start, PInp, subject, pats, _parse_seq(p, inner, registry), annots), False
@@ -694,7 +693,7 @@ def _as_system(c, bare: bool = False):
 def _as_seqs(c) -> tuple:
     """The cover as a `|` composition in parentheses, each restriction in it
     over one process. A group or a '||' in it is an error at the first of
-    them."""
+    them, reported as a process parse does (the diagnostics golden has it)."""
     match c:
         case ("leaf", _, seqs):
             return seqs
@@ -752,8 +751,9 @@ def _sys_term(p: _P, ctx: _Ctx, registry: _SortRegistry):
         first = ("leaf", start, seqs)
     inner = _system(p, ctx, registry, first)
     p.expect(")")
-    if p.peek().text in ("|", "^", "."):
-        # before process syntax, the parentheses close a process
+    if p.peek().text in ("|", "^"):
+        # the parentheses close a process before '|'; a '^' after them is an
+        # error, reported at a group or '||' in them as for `(G[ 0 ])^2`
         return ("leaf", t, _separated(p, "|", _parse_seq, ctx, registry,
                                       first=_block((), _as_seqs(inner))))
     return ("parens", inner)

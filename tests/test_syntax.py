@@ -473,7 +473,8 @@ _MUTANT_TOKENS = ["(", ")", "[", "]", "|", "||", "new", "n", ".", "G", "0",
 def differential_texts(rng: random.Random, mutants: int) -> list[str]:
     """The corpus files, the malformed inputs of the diagnostics golden,
     generated renders, every pair of atoms in every context, deep shapes,
-    and `mutants` of these with one token inserted, deleted or replaced."""
+    and `mutants` of these with one token inserted, deleted or replaced, or
+    cut off at a token."""
     from conftest import CORPUS
     import gen
     texts = [path.read_text() for path in sorted(CORPUS.glob("*.pc"))]
@@ -488,17 +489,20 @@ def differential_texts(rng: random.Random, mutants: int) -> list[str]:
         lambda n: "G[" * n + "0 | 0" + "]" * n,
         lambda n: "(" * n + "G[0] || H[0]" + ")" * n,
         lambda n: "(" * n + "a!<c>. 0" + ") | 0" * n)]
+    texts += ["(a?(x)", "G[ (~r?(x # y)"]  # an input's patterns end the text
     bases = [[t.text for t in _lex(text)[:-1]] for text in texts if "$" not in text]
     for _ in range(mutants):
         toks = rng.choice(bases)[:]
         i = rng.randrange(len(toks) + 1)
-        op = rng.randrange(3)
+        op = rng.randrange(4)
         if op == 0 or i == len(toks):
             toks.insert(i, rng.choice(_MUTANT_TOKENS))
         elif op == 1:
             del toks[i]
-        else:
+        elif op == 2:
             toks[i] = rng.choice(_MUTANT_TOKENS)
+        else:
+            del toks[i:]
         texts.append(" ".join(toks))
     return texts
 
