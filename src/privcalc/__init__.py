@@ -11,7 +11,7 @@ from .policy import (
     lambda_add, perm_union,
 )
 from .satisfaction import Verdict, policy_satisfies, theta_satisfies, verify
-from .semantics import check_preservation, dual, explore, transitions
+from .semantics import check_preservation, explore
 from .safety import count_links, detect_errors, safety_scan
 from .encoding import check_correspondence, encode
 from .syntax import (

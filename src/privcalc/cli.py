@@ -50,12 +50,19 @@ def _fail(msg: str) -> int:
 def _load(path: Optional[str], parse, *extra):
     """The value `parse` reads from the file at `path`, given the `extra`
     arguments; no path (no `--env`) gives an empty environment. A file
-    that does not parse raises its diagnostics. The caller names the
-    parser, so the one that runs is whatever that name holds then."""
+    that cannot be read as UTF-8 text, or does not parse, is an input
+    error. The caller names the parser, so the one that runs is whatever
+    that name holds then."""
     if path is None:
         return Gamma()
-    with open(path, encoding="utf-8") as fh:
-        res = parse(fh.read(), *extra)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise _CliError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise _CliError(f"{path}: {e}") from e
+    res = parse(text, *extra)
     if not res.ok:
         raise _CliError("\n".join(str(d) for d in res.diagnostics))
     return res.value
@@ -265,8 +272,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except _CliError as e:
-        return _fail(str(e))
-    except FileNotFoundError as e:
         return _fail(str(e))
     except (TypingError, KernelError) as e:
         return _fail(str(e))

@@ -86,8 +86,9 @@ class Record:
     fields. It computes that hash on first use and keeps it, since its
     fields never change; a record that `replace` builds computes its own,
     and one that `replace` returns unchanged keeps it. A process or system
-    node keeps its free atoms (`_free`) the same way. A mutable record is
-    unhashable.
+    node keeps its free atoms (`_free`) the same way, a block component
+    its canonical renaming and a normal form its state key. A mutable
+    record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -96,6 +97,8 @@ class Record:
 
     _hash = None  # a frozen record's hash, once computed
     _atoms = None  # a process or system node's free atoms, once computed
+    _canon = None  # a block component's canonical renaming (`_Numbering`)
+    _key = None  # a normal form's state key (`semantics.state_key`)
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -738,8 +741,8 @@ def _rewrite(node, names: dict[str, str],
     atoms (the values of `names`, the free atoms of the replacements).
     Given `fresh`, every binder is renamed to `fresh(kind)` instead ("n"
     for restrictions, "x" for input variables): the canonical renaming,
-    which maps only the binders it renames to another token and takes a
-    component that `fresh` already knows canonical at this point as it is.
+    which maps only the binders it renames to another token and renames
+    each block component through `fresh.component`.
     Inputs never rename: the values substituted for variables are closed.
     A node in which nothing changes comes back itself."""
     if fresh is None and not names and not vs:
@@ -1066,16 +1069,10 @@ def normalize(node):
         key = None
     if hit is not None:
         return hit
-    spots: list = []
-    result = _canonical_rename(_normalize1(node, frozenset(), frozenset()), spots)
+    result = _canonical_rename(_normalize1(node, frozenset(), frozenset()))
     if key is not None and len(_norm_cache) < 100_000:
         # a normal form is its own normal form, so it answers itself too
-        kept = _norm_cache.setdefault(result, result)
-        if kept is result and len(_canon_memo) < 100_000:
-            # its components are canonical where it holds them
-            for spot in spots:
-                _canon_memo[id(spot[0])] = spot
-        result = _norm_cache[key] = kept
+        result = _norm_cache[key] = _norm_cache.setdefault(result, result)
     return result
 
 
@@ -1184,19 +1181,11 @@ def _same_spans(a, b) -> bool:
     return (sa is sb or sa == sb) and all(map(_same_spans, children(a), children(b)))
 
 
-# id of a block component of a normal form that `normalize` keeps → (the
-# component, its numbering position, the names its numbering skipped, the
-# position after it); the entry holds the component, so the id stays its
-_canon_memo: dict = {}
-
-
-def _canonical_rename(node, spots: Optional[list] = None):
+def _canonical_rename(node):
     """Rename every binder to a canonical positional name, skipping the
     node's free atoms. Restrictions bind names and inputs bind variables,
-    each in its own environment, as in `free_atoms`. Given `spots`, each
-    block component the renaming walks is appended to it as a
-    `_canon_memo` entry."""
-    return _rewrite(node, {}, {}, _Numbering(node, spots))
+    each in its own environment, as in `free_atoms`."""
+    return _rewrite(node, {}, {}, _Numbering(node))
 
 
 class _Numbering:
@@ -1204,12 +1193,11 @@ class _Numbering:
     for the next position `i` whose name is not a free atom of the term.
     `skip` holds the free atoms that such a name could be."""
 
-    __slots__ = ("at", "skip", "spots")
+    __slots__ = ("at", "skip")
 
-    def __init__(self, node, spots: Optional[list]):
+    def __init__(self, node):
         self.at = 0
         self.skip = frozenset(a for a in free_atoms(node) if a[:2] in ("_n", "_x"))
-        self.spots = spots
 
     def __call__(self, kind: str) -> str:
         while True:
@@ -1219,21 +1207,25 @@ class _Numbering:
                 return cand
 
     def component(self, c, names: dict, vs: dict):
-        """The block component `c` renamed. A component that a kept normal
-        form holds at this position, with the same names to skip, is
-        canonical here already when the renaming leaves its free atoms as
-        they are: renaming it again gives it back, so it is not walked."""
-        hit = _canon_memo.get(id(c))
-        if hit is not None and hit[0] is c and hit[1] == self.at and hit[2] == self.skip:
+        """The block component `c` renamed. When the renaming leaves its
+        free atoms as they are, the result depends only on `c`, on the
+        position it starts at and on the names to skip, so it is kept on
+        `c` and on the result, which renames to itself there, as `_canon`:
+        (start, skip, the position after it, the result)."""
+        if names or vs:
             cn, cv = _free(c)
-            if not any(n in names for n in cn) and not any(x in vs for x in cv):
-                self.at = hit[3]
-                return c
+            if any(n in names for n in cn) or any(x in vs for x in cv):
+                return _rewrite(c, names, vs, self)
         start = self.at
-        c = _rewrite(c, names, vs, self)
-        if self.spots is not None:
-            self.spots.append((c, start, self.skip, self.at))
-        return c
+        canon = c._canon
+        if canon is not None and canon[0] == start and canon[1] == self.skip:
+            self.at = canon[2]
+            return canon[3]
+        result = _rewrite(c, names, vs, self)
+        canon = (start, self.skip, self.at, result)
+        _setattr(c, "_canon", canon)
+        _setattr(result, "_canon", canon)
+        return result
 
 
 # --- alpha equivalence ---------------------------------------------------------

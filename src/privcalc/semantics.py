@@ -1,5 +1,6 @@
-"""Labelled transition semantics: label duality, transition enumeration,
-bounded state-graph exploration, and the type-preservation harness.
+"""Internal-step semantics: output labels and the deliveries dual to
+them, internal steps, bounded state-graph exploration, and the
+type-preservation harness.
 
 Internal steps are found by pairing one component's output capabilities
 with another's input capabilities under the duality relation; store
@@ -14,24 +15,22 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import itertools
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .kernel import (
     Block, DConst, Group, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut,
-    PRepl, PStore, PrivacyType, PrivateData, Record, SBare, System, TChan,
-    TConst, TDual, TName, TPriv, TPurpose, TVar, Term,
+    PRepl, PStore, PrivacyType, PrivateData, Record, SBare, System,
+    TConst, TDual, TName, TPriv, TVar, Term,
     IncompatibleSubstitution, children, field, free_atoms, is_system,
-    normalize, replace, substitute, _apart, _block,
+    normalize, replace, substitute, _apart, _block, _setattr,
 )
 from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_system
 
 __all__ = [
-    "OutLabel", "InpLabel", "TAU", "Label", "dual",
-    "transitions", "tau_successors", "has_step", "input_capabilities",
+    "OutLabel", "tau_successors", "has_step", "input_capabilities",
     "StateGraph", "explore",
-    "PreservationReport", "check_preservation", "state_key", "default_universe",
+    "PreservationReport", "check_preservation", "state_key",
 ]
 
 
@@ -49,62 +48,11 @@ class OutLabel(Record):
         return f"{nu}{s}!<{', '.join(render_term(o) for o in self.objects)}>"
 
 
-class InpLabel(Record):
-    subject: str
-    on_dual: bool
-    objects: tuple[Term, ...]
-
-    def render(self) -> str:
-        s = ("~" if self.on_dual else "") + self.subject
-        return f"{s}?({', '.join(render_term(o) for o in self.objects)})"
-
-
-class _Tau:
-    def render(self) -> str:
-        return "tau"
-
-    def __repr__(self) -> str:
-        return "TAU"
-
-
-TAU = _Tau()
-Label = Union[OutLabel, InpLabel, _Tau]
-
-
 def _anonymized(v: Term) -> Optional[Term]:
     if isinstance(v, TPriv) and isinstance(v.pdata.identity, Known) \
             and isinstance(v.pdata.data, DConst):
         return TPriv(PrivateData(HIDDEN, v.pdata.data))
     return None
-
-
-def _component_dual(v_out: Term, v_in: Term, anonymize_out: bool) -> bool:
-    if v_out == v_in:
-        return True
-    if anonymize_out:
-        return _anonymized(v_out) == v_in
-    return False
-
-
-def dual(l1: Label, l2: Label) -> bool:
-    """The symmetric duality relation over labels. Channel endpoints match
-    on identical objects; reference endpoints additionally match a known
-    datum on the store side against its anonymised form on the other."""
-    if isinstance(l1, InpLabel) and isinstance(l2, OutLabel):
-        l1, l2 = l2, l1
-    if not (isinstance(l1, OutLabel) and isinstance(l2, InpLabel)):
-        return False
-    if l1.subject != l2.subject or len(l1.objects) != len(l2.objects):
-        return False
-    if not l1.on_dual and not l2.on_dual:
-        return all(a == b for a, b in zip(l1.objects, l2.objects))
-    if l1.on_dual and not l2.on_dual:
-        # store output against a client input: the client may see it anonymised
-        return all(_component_dual(a, b, True) for a, b in zip(l1.objects, l2.objects))
-    if not l1.on_dual and l2.on_dual:
-        # client output against a store input: the client may write anonymously
-        return all(_component_dual(b, a, True) for a, b in zip(l1.objects, l2.objects))
-    return False
 
 
 # --- conditional evaluation ---------------------------------------------------------
@@ -404,55 +352,20 @@ def has_step(node) -> bool:
     return next(_steps(node, reference_names(node)), None) is not None
 
 
-# --- visible input labels over a value universe --------------------------------------
-
-def default_universe(gamma: Gamma) -> list[Term]:
-    """The constants the environment knows, plus one fresh symbol per
-    channel-typed name, for open simulation."""
-    values: list[Term] = []
-    for tok, ty in sorted(gamma.atoms.items()):
-        if isinstance(ty, TPurpose):
-            values.append(TConst(tok))
-        elif isinstance(ty, TChan):
-            values.append(TName(tok))
-    for (itok, dtok), _ in sorted(gamma.privs.items()):
-        if itok == "_":
-            values.append(TPriv(PrivateData(HIDDEN, DConst(dtok))))
-        else:
-            values.append(TPriv(PrivateData(Known(itok), DConst(dtok))))
-    return values
-
-
-def input_labels(node, universe: Iterable[Term], cap: int = 256
-                 ) -> list[tuple[InpLabel, object]]:
-    """Input transitions the node offers for values drawn from a universe."""
-    universe = list(universe)
-    out: list[tuple[InpLabel, object]] = []
-    for subject, arity in sorted(set(input_capabilities(node))):
-        for values in itertools.islice(itertools.product(universe, repeat=arity), cap):
-            for to_dual in (False, True):
-                for succ in feed(node, subject, to_dual, tuple(values)):
-                    out.append((InpLabel(subject, to_dual, tuple(values)), succ))
-    return out
-
-
-def transitions(node, universe: Optional[Iterable[Term]] = None
-                ) -> list[tuple[Label, object]]:
-    """Immediate transitions: outputs, internal steps, and (when a universe
-    is supplied) input transitions for values drawn from it."""
-    out: list[tuple[Label, object]] = list(visible_outs(node))
-    out.extend((TAU, s) for s in tau_successors(node))
-    if universe is not None:
-        out.extend(input_labels(node, universe))
-    return out
-
-
 # --- bounded exploration --------------------------------------------------------------
 
 def state_key(node) -> str:
-    norm = normalize(node)
-    txt = render_system(norm) if is_system(norm) else render_process(norm)
-    return hashlib.sha256(txt.encode()).hexdigest()[:12]
+    """A 48-bit sha256 prefix of the rendered normal form, kept on the
+    normal form, so a normal form met again costs one attribute read."""
+    key = node._key
+    if key is None:
+        norm = normalize(node)
+        key = norm._key
+        if key is None:
+            txt = render_system(norm) if is_system(norm) else render_process(norm)
+            key = hashlib.sha256(txt.encode()).hexdigest()[:12]
+            _setattr(norm, "_key", key)
+    return key
 
 
 class StateGraph(Record, frozen=False):
@@ -479,13 +392,9 @@ class StateGraph(Record, frozen=False):
 def explore(s: System, depth: int) -> StateGraph:
     """Breadth-first internal-step exploration up to the depth bound, with
     states deduplicated by `state_key`, a 48-bit sha256 prefix of the
-    rendered normal form. Each normal form is rendered once: `normalize`
-    gives equal normal forms as one object, so the key of one met before is
-    looked up by identity."""
+    rendered normal form."""
     root = normalize(s)
     rkey = state_key(root)
-    # id of a normal form met → (the normal form, its key)
-    keys = {id(root): (root, rkey)}
     graph = StateGraph(root=rkey)
     graph.nodes[rkey] = root
     graph.depths[rkey] = 0
@@ -496,12 +405,7 @@ def explore(s: System, depth: int) -> StateGraph:
         for key, node in frontier:
             for succ in tau_successors(node):
                 sn = normalize(succ)
-                met = keys.get(id(sn))
-                if met is not None and met[0] is sn:
-                    skey = met[1]
-                else:
-                    skey = state_key(sn)
-                    keys[id(sn)] = (sn, skey)
+                skey = state_key(sn)
                 if skey not in graph.nodes:
                     graph.nodes[skey] = sn
                     graph.depths[skey] = d + 1

@@ -93,25 +93,27 @@ class Gamma:
     def __init__(self):
         self.atoms: dict[str, PrivacyType] = {}     # names and constants
         self.privs: dict[tuple[str, str], TPrivate] = {}
-        self._order: list[tuple[str, object, PrivacyType]] = []
+        # every entry's type by (kind, key), in order of first binding
+        self._order: dict[tuple[str, object], PrivacyType] = {}
 
     def copy(self) -> "Gamma":
         g = Gamma()
         g.atoms = dict(self.atoms)
         g.privs = dict(self.privs)
-        g._order = list(self._order)
+        g._order = dict(self._order)
         return g
 
     def bind_atom(self, token: str, ty: PrivacyType) -> "Gamma":
         g = self.copy()
         g.atoms[token] = ty
-        g._order.append(("atom", token, ty))
+        g._order["atom", token] = ty
         return g
 
     def bind_priv(self, identity, data, ty: TPrivate) -> "Gamma":
         g = self.copy()
-        g.privs[_pd_key(identity, data)] = ty
-        g._order.append(("priv", _pd_key(identity, data), ty))
+        key = _pd_key(identity, data)
+        g.privs[key] = ty
+        g._order["priv", key] = ty
         return g
 
     def atom_type(self, token: str) -> Optional[PrivacyType]:
@@ -144,8 +146,10 @@ class Gamma:
             out |= _collect_sorts(ty, "purpose")
         return out
 
-    def entries(self):
-        return list(self._order)
+    def entries(self) -> list[tuple[str, object, PrivacyType]]:
+        """(kind, key, type) for every entry, in order of first binding;
+        a rebound entry has its latest type."""
+        return [(kind, key, ty) for (kind, key), ty in self._order.items()]
 
     def __len__(self) -> int:
         return len(self.atoms) + len(self.privs)

@@ -3,19 +3,27 @@ all-pairs `tau_successors` as `semantics` had them before it indexed
 components by subject. It tries every output of every component against
 every other component, so it is slow on wide blocks but plainly complete;
 tests compare the indexed engine's successor lists with its own, order
-included. `collect_inps` is the input scan `input_labels` had. The leaf
+included. `collect_inps` is the input scan of `input_labels`. The leaf
 helpers (`_deliveries`, `_eval_cond`, ...) are shared with `semantics`,
 which did not change them, and binders are renamed apart through the
-kernel's `_apart`, as `semantics` does."""
+kernel's `_apart`, as `semantics` does.
+
+The input transitions with values from a universe (`InpLabel`,
+`input_labels`) and the duality relation `dual` between an output and an
+input label are here too: the engine pairs outputs with deliveries
+directly, and tests check those pairs against `dual`."""
+
+import itertools
 
 from privcalc.kernel import (
     Block, Group, Hidden, IVar, Known, PIf, PInp, PNil, POut, PRepl, PStore,
-    PrivateData, SBare, TDual, TName, TPriv,
+    PrivateData, Record, SBare, TDual, TName, TPriv, Term,
     IncompatibleSubstitution, children, free_atoms, replace, substitute, _apart, _block,
 )
 from privcalc.semantics import (
-    OutLabel, _closed_term, _deliveries, _eval_cond, reference_names,
+    OutLabel, _anonymized, _closed_term, _deliveries, _eval_cond, reference_names,
 )
+from privcalc.syntax import render_term
 
 
 def visible_outs(node):
@@ -165,7 +173,7 @@ def tau_successors(node, refs=None):
 
 def collect_inps(node):
     """The (subject, arity) of every input not under a prefix, as
-    `input_labels` gathered them."""
+    `input_labels` gathers them."""
     match node:
         case PInp(subj, patterns, _):
             return [(subj.name, len(patterns))] if isinstance(subj, TName) else []
@@ -174,3 +182,54 @@ def collect_inps(node):
         case POut():
             return []
     return [f for c in children(node) for f in collect_inps(c)]
+
+
+class InpLabel(Record):
+    subject: str
+    on_dual: bool
+    objects: tuple[Term, ...]
+
+    def render(self) -> str:
+        s = ("~" if self.on_dual else "") + self.subject
+        return f"{s}?({', '.join(render_term(o) for o in self.objects)})"
+
+
+def _component_dual(v_out: Term, v_in: Term, anonymize_out: bool) -> bool:
+    if v_out == v_in:
+        return True
+    if anonymize_out:
+        return _anonymized(v_out) == v_in
+    return False
+
+
+def dual(l1, l2) -> bool:
+    """The symmetric duality relation over labels. Channel endpoints match
+    on identical objects; reference endpoints additionally match a known
+    datum on the store side against its anonymised form on the other."""
+    if isinstance(l1, InpLabel) and isinstance(l2, OutLabel):
+        l1, l2 = l2, l1
+    if not (isinstance(l1, OutLabel) and isinstance(l2, InpLabel)):
+        return False
+    if l1.subject != l2.subject or len(l1.objects) != len(l2.objects):
+        return False
+    if not l1.on_dual and not l2.on_dual:
+        return all(a == b for a, b in zip(l1.objects, l2.objects))
+    if l1.on_dual and not l2.on_dual:
+        # store output against a client input: the client may see it anonymised
+        return all(_component_dual(a, b, True) for a, b in zip(l1.objects, l2.objects))
+    if not l1.on_dual and l2.on_dual:
+        # client output against a store input: the client may write anonymously
+        return all(_component_dual(b, a, True) for a, b in zip(l1.objects, l2.objects))
+    return False
+
+
+def input_labels(node, universe, cap: int = 256) -> list:
+    """Input transitions the node offers for values drawn from a universe."""
+    universe = list(universe)
+    out = []
+    for subject, arity in sorted(set(collect_inps(node))):
+        for values in itertools.islice(itertools.product(universe, repeat=arity), cap):
+            for to_dual in (False, True):
+                for succ in feed(node, subject, to_dual, tuple(values)):
+                    out.append((InpLabel(subject, to_dual, tuple(values)), succ))
+    return out

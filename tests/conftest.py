@@ -23,12 +23,11 @@ def load(name: str):
 
 
 def clear_memos() -> None:
-    """Empty the normalization memos, the whole-term one, the one per
-    component and the renaming's, so that the next `normalize` call runs
-    every pass cold."""
+    """Empty the normalization memos, the whole-term one and the one per
+    component. The canonical renamings and state keys kept on nodes stay,
+    so a cold run starts from a fresh parse."""
     kernel._norm_cache.clear()
     kernel._comp_cache.clear()
-    kernel._canon_memo.clear()
 
 
 @pytest.fixture(scope="session")

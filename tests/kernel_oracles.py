@@ -1,4 +1,4 @@
-"""Plain versions of three kernel computations, kept as test oracles.
+"""Plain versions of four kernel computations, kept as test oracles.
 
 `free` walks the whole term for its free atoms, as the kernel did before it
 kept each node's free atoms on the node and built them from its children's.
@@ -7,15 +7,33 @@ per colouring, as the kernel did before it wrote each key to one list, in
 one walk, with the block's binders as marks to substitute.
 `sort_block` gives every component a second, coloured sort key, as the
 kernel did before it reused the first key where the colours cannot differ.
+`canonical_rename` walks every block component, as the kernel did before
+it kept a component's renaming on the component.
 """
 
 import itertools
 
+from privcalc import kernel
 from privcalc.kernel import (
     Block, DConst, DVar, Group, Hidden, IVar, KernelError, Known, PAnon, PIf,
     PInp, PNil, POut, PPair, PRepl, PStore, PVar, SBare, TConst, TDual, TName,
     TPriv, TVar, Term, free_names, is_system, placeholder_vars,
 )
+
+
+class _Walking(kernel._Numbering):
+    """The kernel's numbering, renaming every component it is handed."""
+
+    __slots__ = ()
+
+    def component(self, c, names: dict, vs: dict):
+        return kernel._rewrite(c, names, vs, self)
+
+
+def canonical_rename(node):
+    """`kernel._canonical_rename` without the renamings kept on nodes: it
+    neither reads nor writes them."""
+    return kernel._rewrite(node, {}, {}, _Walking(node))
 
 
 def free(node) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -68,6 +68,18 @@ class TestExitCodes:
         assert cli.main(["typecheck", "corpus/lab.pc"]) == cli.EXIT_INTERNAL == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_file_is_an_input_error(self, tmp_path, capsys, kind):
+        # a directory and a file that is not UTF-8 were internal errors (exit 3)
+        path = tmp_path / "in.pc"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"G[ a!<\xff>. 0 ]")
+        assert cli.main(["typecheck", str(path)]) == cli.EXIT_ERROR == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     @pytest.mark.parametrize("args", [
         ("simulate", "corpus/hospital.pc", "--depth", "-2"),
         ("scan", "corpus/hospital.pc", "--policy", "corpus/hospital.ppo", "--depth", "-1"),

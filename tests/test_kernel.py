@@ -16,6 +16,7 @@ from privcalc.kernel import (
     normalize, substitute,
 )
 import gen
+import kernel_oracles
 from gen import new, par
 
 
@@ -431,12 +432,15 @@ def _idempotence_inputs():
 
 def test_normalize_idempotent_fuzz():
     # the memos would answer the second call from the first; clearing them
-    # makes both calls run the single normalizing pass
+    # makes both calls run the single normalizing pass. The renamings kept
+    # on n's components still answer, so a renaming that walks every
+    # component checks them.
     for p in _idempotence_inputs():
         clear_memos()
         n = normalize(p)
         clear_memos()
         assert normalize(n) == n, p
+        assert kernel_oracles.canonical_rename(n) is n, p
 
 
 def _inputs(p):
@@ -596,6 +600,24 @@ def test_normalize_canonical_under_alpha():
         assert alpha_eq(n, normalize(q)) and n == normalize(q)
         c = _canonical_rename(p)
         assert alpha_eq(p, c) and _canonical_rename(c) == c
+
+
+def test_kept_renaming_answers_only_its_own_start():
+    """A component's renaming, kept on it, answers only a renaming that
+    starts it at the same position with the same names to skip, and only
+    when the binders around it leave its free atoms alone."""
+    def out(n):
+        return POut(TName(n), (TConst("c"),), NIL)
+
+    c = new("a", None, POut(TName("a"), (TName("b"),), NIL))
+    contexts = [
+        par(c, out("k")),
+        new("d", None, par(out("d"), c)),  # c starts at position 1
+        new("b", None, par(c, out("b"))),  # there too, but b is renamed in c
+        par(c, out("_n0")),  # _n0 is free, so c's binder skips it
+    ]
+    for t in contexts * 2:
+        assert _canonical_rename(t) == kernel_oracles.canonical_rename(t), t
 
 
 class TestRecords:

@@ -1,27 +1,30 @@
 import functools
+import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from privcalc.kernel import (
-    Block, DConst, HIDDEN, Known, NIL, PAnon, PInp, POut, PPair, PStore,
-    PVar, PrivateData, Group, SBare, TConst, TName, TPriv,
-    alpha_eq, children, normalize, placeholder_vars,
+    Block, DConst, HIDDEN, Known, PAnon, PInp, POut, PPair, PStore,
+    PVar, PrivateData, Group, SBare, TName, TPriv,
+    alpha_eq, children, is_system, normalize, placeholder_vars,
 )
 from privcalc.semantics import (
-    InpLabel, OutLabel, StateGraph, TAU, check_preservation, default_universe,
-    dual, explore, feed, has_step, input_capabilities, input_labels, state_key,
-    tau_successors, transitions, visible_outs,
+    OutLabel, StateGraph, check_preservation, explore, feed, has_step,
+    input_capabilities, state_key, tau_successors, visible_outs,
 )
 from privcalc import kernel, semantics
-from privcalc.syntax import parse_env, parse_process, parse_system, render_process
+from privcalc.syntax import (
+    parse_env, parse_process, parse_system, render_process, render_system,
+)
 from privcalc.typesys import interface_leq, type_system
 
 import allpairs
+from allpairs import InpLabel, dual, input_labels
 import gen
 import kernel_oracles
-from conftest import CORPUS, clear_memos
+from conftest import CORPUS, clear_memos, load
 from gen import par
 from syntax_oracles import _lower_system
 from privcalc.encoding import core_canonical, encode
@@ -77,9 +80,6 @@ class TestLabels:
         assert dual_inputs
         _, succ = dual_inputs[0]
         assert succ == PStore("r", PrivateData(Known("id"), DConst("c2")))
-
-    def test_nil_has_no_transitions(self):
-        assert transitions(NIL) == []
 
     def test_store_read_interaction(self):
         g = parse_env("r : G1[t<g>]\n{id # c} : t<g>\n").value
@@ -590,43 +590,64 @@ def test_component_memo_cuts_normalize_passes(speedlimit, monkeypatch):
     assert 0 < passes[0] <= 2641
 
 
+def _count_renaming_walks(monkeypatch) -> list[int]:
+    """A one-element list counting the `_rewrite` calls in renaming mode
+    from here on, recursive ones included."""
+    count = [0]
+    real = kernel._rewrite
+
+    def counted(node, names, vs, fresh=None):
+        count[0] += fresh is not None
+        return real(node, names, vs, fresh)
+
+    monkeypatch.setattr(kernel, "_rewrite", counted)
+    return count
+
+
 @pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
 def test_renaming_memo_is_exact(source, monkeypatch):
     """`normalize` gives the same normal form, with the same spans, when the
-    canonical renaming takes the components of earlier normal forms as they
-    are as when every memo starts empty; the warm pass walks fewer nodes."""
+    canonical renaming answers components from the renamings kept on them
+    as a renaming that walks every component gives; the warm pass walks
+    fewer nodes."""
     states, _ = _oracle_states(source)
     inputs = _with_successors(states)
-    walks = 0
-    real = kernel._rewrite
-
-    def counted(*args):
-        nonlocal walks
-        walks += 1
-        return real(*args)
-
-    monkeypatch.setattr(kernel, "_rewrite", counted)
+    walks = _count_renaming_walks(monkeypatch)
     cold = []
     for q in inputs:
         clear_memos()
-        cold.append(normalize(q))
-    cold_walks = walks
-    clear_memos()
+        cold.append(kernel_oracles.canonical_rename(
+            kernel._normalize1(q, frozenset(), frozenset())))
+    cold_walks = walks[0]
     for q, want in zip(inputs, cold):
-        # only the renaming's memo answers from earlier terms
-        kernel._norm_cache.clear()
-        kernel._comp_cache.clear()
+        # only the renamings kept on nodes answer from earlier terms
+        clear_memos()
         got = normalize(q)
         assert got == want and kernel._same_spans(got, want), q
-    assert walks - cold_walks < cold_walks
+    assert walks[0] - cold_walks < cold_walks
+
+
+def test_renaming_walks_per_exploration(monkeypatch):
+    """From a fresh parse and cold memos, exploring speedlimit to depth 8
+    walks at most 7,000 nodes in renaming mode, where renaming every
+    component walked 13,854: a component renamed before at the same
+    position, whether the earlier renaming was handed the component or
+    gave it back, is not walked again."""
+    system = load("speedlimit")[2]
+    walks = _count_renaming_walks(monkeypatch)
+    clear_memos()
+    assert len(explore(system, 8).nodes) == 75
+    assert 0 < walks[0] <= 7000
 
 
 def test_normal_forms_rename_to_themselves():
     """The renaming gives back every node it maps to itself, so renaming a
-    normal form that `explore` reaches gives the normal form itself."""
+    normal form that `explore` reaches gives the normal form itself, also
+    when every component is walked."""
     states, _ = _oracle_states("corpus")
     clear_memos()
     for st in states:
+        assert kernel_oracles.canonical_rename(st) is st, st
         assert kernel._canonical_rename(st) is st, st
     assert len(states) > 100
 
@@ -662,10 +683,17 @@ def test_sort_keys_match_two_walk_keys(source):
     assert checked > 500
 
 
+def _rendered_key(node) -> str:
+    """`state_key` without the key kept on the normal form."""
+    norm = normalize(node)
+    txt = render_system(norm) if is_system(norm) else render_process(norm)
+    return hashlib.sha256(txt.encode()).hexdigest()[:12]
+
+
 def _explore_keying_every_successor(s, depth: int) -> StateGraph:
     """`explore` as it was when it rendered the key of every successor."""
     root = normalize(s)
-    rkey = state_key(root)
+    rkey = _rendered_key(root)
     graph = StateGraph(root=rkey)
     graph.nodes[rkey] = root
     graph.depths[rkey] = 0
@@ -676,7 +704,7 @@ def _explore_keying_every_successor(s, depth: int) -> StateGraph:
         for key, node in frontier:
             for succ in tau_successors(node):
                 sn = normalize(succ)
-                skey = state_key(sn)
+                skey = _rendered_key(sn)
                 if skey not in graph.nodes:
                     graph.nodes[skey] = sn
                     graph.depths[skey] = d + 1
@@ -696,23 +724,28 @@ def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
     clear_memos()
     want = _explore_keying_every_successor(speedlimit[2], 8)
     met = []
-    keyed = 0
-    real_normalize, real_key = semantics.normalize, semantics.state_key
+    rendered = 0
+    real_normalize = semantics.normalize
 
     def normalizing(node):
         met.append(real_normalize(node))
         return met[-1]
 
-    def keying(node):
-        nonlocal keyed
-        keyed += 1
-        return real_key(node)
+    def counting(render):
+        def rendering(node):
+            nonlocal rendered
+            rendered += 1
+            return render(node)
+        return rendering
 
     monkeypatch.setattr(semantics, "normalize", normalizing)
-    monkeypatch.setattr(semantics, "state_key", keying)
+    monkeypatch.setattr(semantics, "render_system", counting(semantics.render_system))
+    monkeypatch.setattr(semantics, "render_process", counting(semantics.render_process))
+    # a fresh parse: the speedlimit fixture's normal forms keep their keys
+    system = load("speedlimit")[2]
     clear_memos()
-    got = explore(speedlimit[2], 8)
-    assert keyed == len(set(met)) == len(got.nodes) == 75
+    got = explore(system, 8)
+    assert rendered == len(set(met)) == len(got.nodes) == 75
     assert (got.root, got.nodes, got.edges, got.depths, got.truncated) == (
         want.root, want.nodes, want.edges, want.depths, want.truncated)
 
@@ -747,10 +780,3 @@ def test_store_identity_stable_along_traces(corpus):
     assert identities
     for ref, seen in identities.items():
         assert len(seen) == 1, (ref, seen)
-
-
-def test_default_universe_contents():
-    g = parse_env("a : G[t<g>]\nk : p<g>\n{id # c} : t<g>\n").value
-    values = default_universe(g)
-    assert TName("a") in values and TConst("k") in values
-    assert priv(Known("id"), "c") in values

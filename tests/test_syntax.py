@@ -261,6 +261,21 @@ def test_round_trip_corpus_files():
         assert parse_env(render_env(gamma)).value.atoms == gamma.atoms
 
 
+def test_rebound_entries_render_once():
+    # each binding used to append an entry, so a rebound token was rendered
+    # twice and the rendering was rejected as a duplicate entry
+    first, latest = TPurpose("Limit", "Speed"), TChan("G", (TPrivate("t", "g"),))
+    g = (Gamma().bind_atom("x", first).bind_priv(Known("id"), DConst("c"), TPrivate("t", "g"))
+         .bind_atom("k", first).bind_atom("x", latest)
+         .bind_priv(Known("id"), DConst("c"), TPrivate("u", "g")))
+    text = render_env(g)
+    assert text.splitlines() == ["x : G[t<g>]", "{id # c} : u<g>", "k : Limit<Speed>"]
+    again = parse_env(text)
+    assert again.ok, again.diagnostics
+    assert again.value.entries() == g.entries()
+    assert again.value.atom_type("x") == latest
+
+
 def test_fuzz_never_crashes():
     rng = random.Random(31)
     alphabet = "ab{}[]<>()#!?.|*=~^:;_ \n⊗privatenewstoreifthenelse0123"
