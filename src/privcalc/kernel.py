@@ -86,9 +86,9 @@ class Record:
     fields. It computes that hash on first use and keeps it, since its
     fields never change; a record that `replace` builds computes its own,
     and one that `replace` returns unchanged keeps it. A process or system
-    node keeps its free atoms (`_free`) the same way, a block component
-    its canonical renaming and a normal form its state key. A mutable
-    record is unhashable.
+    node keeps its free atoms (`_free`) and its normal form the same way,
+    a block component its canonical renaming and a normal form its state
+    key. A mutable record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -97,6 +97,7 @@ class Record:
 
     _hash = None  # a frozen record's hash, once computed
     _atoms = None  # a process or system node's free atoms, once computed
+    _norm = None  # a process or system node's normal form (`normalize`)
     _canon = None  # a block component's canonical renaming (`_Numbering`)
     _key = None  # a normal form's state key (`semantics.state_key`)
 
@@ -602,9 +603,6 @@ def with_children(node, kids: tuple):
 # --- free names / variables ---------------------------------------------------
 
 _NO_ATOMS: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
-# one copy of each pair of free-atom tuples, which every node having those
-# atoms keeps: a few hundred pairs serve thousands of nodes
-_atom_pool: dict = {_NO_ATOMS: _NO_ATOMS}
 
 
 def _data_vars(pd: PrivateData) -> tuple[str, ...]:
@@ -629,22 +627,13 @@ def _join(parts: list, bound_names=()) -> tuple:
             vs[x] = None
     for n in bound_names:
         names.pop(n, None)
-    return _pooled((tuple(names), tuple(vs)))
-
-
-def _pooled(atoms: tuple) -> tuple:
-    kept = _atom_pool.get(atoms)
-    if kept is None:
-        kept = atoms
-        if len(_atom_pool) < 100_000:
-            _atom_pool[atoms] = atoms
-    return kept
+    return tuple(names), tuple(vs)
 
 
 def _after_terms(terms: tuple, rest: tuple) -> tuple:
-    """The free atoms of `terms` followed by the pooled pair `rest`,
-    pooled too. When `rest` already begins with the terms' atoms, as along
-    a prefix chain on one channel, it is the result."""
+    """The free atoms of `terms` followed by the pair `rest`. When `rest`
+    already begins with the terms' atoms, as along a prefix chain on one
+    channel, it is the result."""
     names: list[str] = []
     vs: list[str] = []
     for t in terms:
@@ -676,7 +665,7 @@ def _free(node) -> tuple[tuple[str, ...], tuple[str, ...]]:
             bound = [x for k in patterns for x in placeholder_vars(k)]
             names, vs = atoms = _free(cont)
             if any(x in bound for x in vs):
-                atoms = _pooled((names, tuple(x for x in vs if x not in bound)))
+                atoms = names, tuple(x for x in vs if x not in bound)
             atoms = _after_terms((subject,), atoms)
         case Block(binders, comps):
             atoms = _join([_free(c) for c in comps], [n for n, _ in binders])
@@ -685,7 +674,7 @@ def _free(node) -> tuple[tuple[str, ...], tuple[str, ...]]:
         case PIf(_, lhs, rhs, then, els):
             atoms = _after_terms((lhs, rhs), _join([_free(then), _free(els)]))
         case PStore(ref, datum):
-            atoms = _pooled(((ref,), _data_vars(datum)))
+            atoms = (ref,), _data_vars(datum)
         case PNil():
             atoms = _NO_ATOMS
         case TName(n) | TDual(n):
@@ -1048,8 +1037,9 @@ def _sort_block(comps: list, binder_names: Iterable[str], names: frozenset[str],
     return [comps[k] for k in sorted(range(len(comps)), key=keys.__getitem__)]
 
 
-_norm_cache: dict = {}
 _comp_cache: dict = {}
+# each normal form kept to itself, so that equal ones can be one object
+_normal_forms: dict = {}
 
 
 def normalize(node):
@@ -1060,20 +1050,25 @@ def normalize(node):
     and alpha-renames binders canonically. Never crosses group boundaries.
     One pass suffices: no sort key or binder order reads a bound name, so
     the renaming cannot change them and a normal form normalizes to itself.
+
+    The normal form is kept on `node` and on itself as `_norm`. Equality
+    ignores spans, so an equal normal form computed before is handed back
+    in its place only when it carries the same spans: typing errors print
+    them.
     """
-    key = node
-    try:
-        hit = _norm_cache.get(key)
-    except TypeError:
-        hit = None
-        key = None
-    if hit is not None:
-        return hit
-    result = _canonical_rename(_normalize1(node, frozenset(), frozenset()))
-    if key is not None and len(_norm_cache) < 100_000:
-        # a normal form is its own normal form, so it answers itself too
-        result = _norm_cache[key] = _norm_cache.setdefault(result, result)
-    return result
+    norm = node._norm
+    if norm is not None:
+        return norm
+    norm = _canonical_rename(_normalize1(node, frozenset(), frozenset()))
+    kept = _normal_forms.get(norm)
+    if kept is None:
+        if len(_normal_forms) < 100_000:
+            _normal_forms[norm] = norm
+    elif _same_spans(kept, norm):
+        norm = kept
+    _setattr(norm, "_norm", norm)
+    _setattr(node, "_norm", norm)
+    return norm
 
 
 def _normalize1(node, names: frozenset[str], vs: frozenset[str]):

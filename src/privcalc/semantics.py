@@ -356,15 +356,13 @@ def has_step(node) -> bool:
 
 def state_key(node) -> str:
     """A 48-bit sha256 prefix of the rendered normal form, kept on the
-    normal form, so a normal form met again costs one attribute read."""
-    key = node._key
+    normal form, so a normal form met again costs two attribute reads."""
+    norm = normalize(node)
+    key = norm._key
     if key is None:
-        norm = normalize(node)
-        key = norm._key
-        if key is None:
-            txt = render_system(norm) if is_system(norm) else render_process(norm)
-            key = hashlib.sha256(txt.encode()).hexdigest()[:12]
-            _setattr(norm, "_key", key)
+        txt = render_system(norm) if is_system(norm) else render_process(norm)
+        key = hashlib.sha256(txt.encode()).hexdigest()[:12]
+        _setattr(norm, "_key", key)
     return key
 
 

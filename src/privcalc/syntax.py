@@ -408,9 +408,10 @@ class _SortRegistry:
 class _Ctx(Record, frozen=False):
     bound_vars: set[str]
     subject_evidence: set[str]  # tokens with free name-position occurrences
+    consts: set[str]  # tokens of the constants built, numerals included
 
     def child(self) -> "_Ctx":
-        return _Ctx(set(self.bound_vars), self.subject_evidence)
+        return _Ctx(set(self.bound_vars), self.subject_evidence, self.consts)
 
 
 def _parse_slot_token(p: _P) -> Tok:
@@ -475,6 +476,7 @@ def _parse_term(p: _P, ctx: _Ctx, object_position: bool) -> Term:
         p.take()
         if p.at("#"):
             raise ParseError(t.span, "identities cannot be numerals")
+        ctx.consts.add(t.text)
         return TConst(t.text)
     if t.text == "_":
         p.take()
@@ -487,6 +489,7 @@ def _parse_term(p: _P, ctx: _Ctx, object_position: bool) -> Term:
     if tok.text in ctx.bound_vars:
         return TVar(tok.text)
     # provisional constant; promoted to a name by the classification pass
+    ctx.consts.add(tok.text)
     return TConst(tok.text)
 
 
@@ -788,14 +791,15 @@ def _promote_names(node, names: set[str]):
 
 def _parse_program(p: _P, gamma: Optional[Gamma], rule):
     """The whole input as one `rule`, then with the provisional constants
-    that have name evidence promoted to names."""
+    that have name evidence promoted to names; the tree is walked for that
+    only when some constant has."""
     if gamma is None:
         gamma = Gamma()
-    ctx = _Ctx(set(), set())
+    ctx = _Ctx(set(), set(), set())
     node = rule(p, ctx, _SortRegistry(gamma.private_type_names(), gamma.purpose_type_names()))
     p.expect_eof()
-    return _promote_names(node, (ctx.subject_evidence | gamma.name_tokens())
-                          - gamma.const_tokens())
+    names = ctx.consts & ((ctx.subject_evidence | gamma.name_tokens()) - gamma.const_tokens())
+    return _promote_names(node, names) if names else node
 
 
 def parse_system(text: str, gamma: Optional[Gamma] = None) -> ParseResult:

@@ -23,10 +23,11 @@ def load(name: str):
 
 
 def clear_memos() -> None:
-    """Empty the normalization memos, the whole-term one and the one per
-    component. The canonical renamings and state keys kept on nodes stay,
-    so a cold run starts from a fresh parse."""
-    kernel._norm_cache.clear()
+    """Empty the kernel's two tables: the normal forms kept to be shared
+    and the memo of normalized components. The normal forms, canonical
+    renamings and state keys kept on nodes stay, so a cold run starts from
+    a fresh parse or from `kernel_oracles.rebuild`."""
+    kernel._normal_forms.clear()
     kernel._comp_cache.clear()
 
 

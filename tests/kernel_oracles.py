@@ -9,6 +9,9 @@ one walk, with the block's binders as marks to substitute.
 kernel did before it reused the first key where the colours cannot differ.
 `canonical_rename` walks every block component, as the kernel did before
 it kept a component's renaming on the component.
+
+`rebuild` copies a term, so that a test can normalize it again without the
+normal form, renamings and state key that the kernel keeps on its nodes.
 """
 
 import itertools
@@ -34,6 +37,17 @@ def canonical_rename(node):
     """`kernel._canonical_rename` without the renamings kept on nodes: it
     neither reads nor writes them."""
     return kernel._rewrite(node, {}, {}, _Walking(node))
+
+
+def rebuild(node):
+    """An equal copy of the term, spans included, built node by node: it
+    shares no record with the original and carries none of the facts the
+    kernel keeps on records."""
+    if type(node) is tuple:
+        return tuple(map(rebuild, node))
+    if not isinstance(node, kernel.Record):
+        return node
+    return type(node)(*(rebuild(getattr(node, f)) for f in node._fields))
 
 
 def free(node) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -273,18 +273,21 @@ def _in_fresh_thread(f):
 @pytest.mark.parametrize("last", [
     "render_process", "normalize", "tau_successors", "encode", "render_core",
     "core_canonical",
-    # the memos compare two distinct equal deep terms, and `Record.__eq__`
-    # spends three units of the recursion limit per level (see the FOUND on
-    # deep equal terms in CHANGES.md)
+    # normalizing a successor looks its chain component up in the component
+    # memo, which compares it with an equal chain from an earlier state, and
+    # `Record.__eq__` spends three units of the recursion limit per level
+    # (see the FOUND on deep equal terms in CHANGES.md)
     pytest.param("check_correspondence", marks=pytest.mark.xfail(
         raises=RecursionError, strict=True,
-        reason="Record.__eq__ overflows comparing equal chains deeper than ~330")),
+        reason="Record.__eq__ overflows comparing equal chains deeper than ~330 "
+               "in _normalize_comp's _comp_cache lookup")),
 ])
 def test_deep_prefix_chain(last):
     # Every stage up to `last`, in order, on one parsed chain and sharing the
     # memos. `encode` and `_eval_ifs` return a chain with nothing to change
-    # as itself, so `core_canonical` finds `normalize`'s entry for it by
-    # identity, where an equal copy would be compared with it level by level.
+    # as itself, so `core_canonical` reads the normal form kept on it, where
+    # an equal copy would be normalized again and compared with the kept
+    # normal form level by level.
     def run():
         res = parse_process(_CHAIN)
         assert res.ok, res.diagnostics

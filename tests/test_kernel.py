@@ -144,16 +144,30 @@ class TestNormalize:
         clear_memos()
         n = normalize(t)
         clear_memos()
-        assert normalize(n) == n
+        assert normalize(kernel_oracles.rebuild(n)) == n
 
-    def test_normal_form_answers_itself(self):
+    def test_normal_form_answers_itself(self, monkeypatch):
         p = par(POut(TName("b"), (TConst("c"),), NIL),
                 new("n", None, POut(TName("n"), (TConst("c"),), NIL)))
         clear_memos()
         n = normalize(p)
-        entries = len(kernel._norm_cache)
-        assert normalize(n) is n
-        assert len(kernel._norm_cache) == entries
+        assert p._norm is n and n._norm is n
+        # an equal term with the same spans gets the same normal form
+        assert normalize(kernel_oracles.rebuild(p)) is n
+        # and a term that keeps its normal form is not normalized again
+        monkeypatch.setattr(kernel, "_normalize1", None)
+        assert normalize(n) is n and normalize(p) is n
+
+    def test_equal_term_elsewhere_keeps_its_spans(self):
+        # equality ignores spans: the normal form of the text at line 3 is
+        # not the one of the same text at line 1
+        text = "a!<k>. 0 | b?(x). 0"
+        clear_memos()
+        first = normalize(parse_process(text).value)
+        second = normalize(parse_process("\n\n" + text).value)
+        assert second == first and second is not first
+        assert [c.span.line for c in first.comps] == [1, 1]
+        assert [c.span.line for c in second.comps] == [3, 3]
 
     def test_component_memo_tells_bound_atoms_from_free(self):
         # sort keys print a name or variable bound around the component as
@@ -170,7 +184,7 @@ class TestNormalize:
             clear_memos()
             cold.append(normalize(t))
         clear_memos()
-        assert [normalize(t) for t in contexts] == cold
+        assert [normalize(kernel_oracles.rebuild(t)) for t in contexts] == cold
 
     def test_restricted_nil(self):
         assert normalize(new("a", None, NIL)) == NIL
@@ -431,15 +445,15 @@ def _idempotence_inputs():
 
 
 def test_normalize_idempotent_fuzz():
-    # the memos would answer the second call from the first; clearing them
-    # makes both calls run the single normalizing pass. The renamings kept
-    # on n's components still answer, so a renaming that walks every
-    # component checks them.
+    # n's kept normal form and the memos would answer the second call from
+    # the first; a copy of n normalized with cleared memos makes both calls
+    # run the single normalizing pass. The renamings kept on n's components
+    # still answer, so a renaming that walks every component checks them.
     for p in _idempotence_inputs():
         clear_memos()
         n = normalize(p)
         clear_memos()
-        assert normalize(n) == n, p
+        assert normalize(kernel_oracles.rebuild(n)) == n, p
         assert kernel_oracles.canonical_rename(n) is n, p
 
 
@@ -477,7 +491,7 @@ def test_normalize_keeps_free_atoms_under_substitution():
                 n = normalize(t)
                 assert free_atoms(n) == free_atoms(t), t
                 clear_memos()
-                assert normalize(n) == n, t
+                assert normalize(kernel_oracles.rebuild(n)) == n, t
                 checked += 1
     assert checked > 4000
 

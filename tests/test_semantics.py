@@ -567,16 +567,25 @@ def test_component_memo_is_exact(source, monkeypatch):
     cold = []
     for q in inputs:
         clear_memos()
-        cold.append(normalize(q))
+        cold.append(normalize(kernel_oracles.rebuild(q)))
     cold_passes = passes[0]
     clear_memos()
     for q, want in zip(inputs, cold):
-        # the whole-term memo would answer a repeated input before the
+        # a copy: the normal form kept on q would answer before the
         # component memo is asked
-        kernel._norm_cache.clear()
-        got = normalize(q)
+        got = normalize(kernel_oracles.rebuild(q))
         assert got == want and kernel._same_spans(got, want), q
     assert passes[0] - cold_passes < cold_passes
+
+
+def test_explored_states_are_their_own_normal_forms(corpus):
+    """Each state `explore` reaches keeps itself as its normal form."""
+    checked = 0
+    for _, _, system in corpus.values():
+        for st in explore(system, 8).nodes.values():
+            assert normalize(st) is st, st
+            checked += 1
+    assert checked > 100
 
 
 def test_component_memo_cuts_normalize_passes(speedlimit, monkeypatch):
@@ -585,7 +594,7 @@ def test_component_memo_cuts_normalize_passes(speedlimit, monkeypatch):
     from scratch."""
     passes = _count_passes(monkeypatch)
     clear_memos()
-    graph = explore(speedlimit[2], 8)
+    graph = explore(kernel_oracles.rebuild(speedlimit[2]), 8)
     assert len(graph.nodes) == 75
     assert 0 < passes[0] <= 2641
 
@@ -606,10 +615,9 @@ def _count_renaming_walks(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
 def test_renaming_memo_is_exact(source, monkeypatch):
-    """`normalize` gives the same normal form, with the same spans, when the
-    canonical renaming answers components from the renamings kept on them
-    as a renaming that walks every component gives; the warm pass walks
-    fewer nodes."""
+    """The canonical renaming gives the same normal form, with the same
+    spans, when it answers components from the renamings kept on them as
+    when it walks every component; the warm pass walks fewer nodes."""
     states, _ = _oracle_states(source)
     inputs = _with_successors(states)
     walks = _count_renaming_walks(monkeypatch)
@@ -620,9 +628,10 @@ def test_renaming_memo_is_exact(source, monkeypatch):
             kernel._normalize1(q, frozenset(), frozenset())))
     cold_walks = walks[0]
     for q, want in zip(inputs, cold):
-        # only the renamings kept on nodes answer from earlier terms
+        # only the renamings kept on nodes answer from earlier terms: not
+        # the normal form kept on q, nor the memos
         clear_memos()
-        got = normalize(q)
+        got = kernel._canonical_rename(kernel._normalize1(q, frozenset(), frozenset()))
         assert got == want and kernel._same_spans(got, want), q
     assert walks[0] - cold_walks < cold_walks
 
@@ -722,7 +731,7 @@ def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
     """`explore` renders and hashes a normal form only the first time it
     meets it, and builds the graph that keying every successor built."""
     clear_memos()
-    want = _explore_keying_every_successor(speedlimit[2], 8)
+    want = _explore_keying_every_successor(kernel_oracles.rebuild(speedlimit[2]), 8)
     met = []
     rendered = 0
     real_normalize = semantics.normalize

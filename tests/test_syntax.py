@@ -701,6 +701,38 @@ def test_non_decimal_count_in_policy_is_a_diagnostic():
     assert [str(d) for d in res.diagnostics] == [
         "error: 1:31-1:32: expected a decimal count, found '²'"]
 
+
+def _promotions(monkeypatch) -> list:
+    """The name sets `_promote_names` is called with from here on."""
+    calls = []
+    real = syntax._promote_names
+
+    def promote(node, names):
+        calls.append(set(names))
+        return real(node, names)
+
+    monkeypatch.setattr(syntax, "_promote_names", promote)
+    return calls
+
+
+def test_nothing_to_promote_is_not_walked(monkeypatch):
+    """The classification pass walks the tree only when a constant that
+    the parser built has name evidence, and then promotes only those."""
+    calls = _promotions(monkeypatch)
+    assert parse_system("G[a!<c, 5>. 0 | a?(x). b!<x>. 0]").ok
+    assert calls == []
+    res = parse_process("a!<c>. 0 | c!<k>. 0")
+    assert calls == [{"c"}]
+    assert res.value.comps[0].objects == (TName("c"),)
+
+
+def test_numeral_promoted_by_an_env_key(monkeypatch):
+    calls = _promotions(monkeypatch)
+    gamma = parse_env("5 : G[t<g>]").value
+    res = parse_process("a!<5>. 0", gamma)
+    assert res.value.objects == (TName("5"),)
+    assert calls == [{"5"}]
+
 if __name__ == "__main__":
     # rewrite the golden file: PYTHONPATH=src:tests python tests/test_syntax.py
     from conftest import GOLDEN
