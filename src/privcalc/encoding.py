@@ -16,7 +16,8 @@ from .kernel import (
     Block, DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut,
     PPair, PRepl, PStore, PVar, PrivateData, Process, Record, TConst, TDual,
     TName, TPriv, TVar, Term, children, field, free_atoms, fresh_name,
-    normalize, placeholder_vars, replace, with_children, _block,
+    normalize, placeholder_vars, replace, with_children, _alpha_key, _block,
+    _normalize1, _setattr,
 )
 from .syntax import _is_par, render_process, render_term
 from .semantics import _eval_cond, reference_names, tau_successors
@@ -194,7 +195,10 @@ def _encode_write(subject: Term, obj: TPriv, cont: Process, fresh: _Fresh) -> Pr
 
 def _eval_ifs(p: Process) -> Process:
     """Resolve every conditional whose test is decided. With nothing to
-    resolve, the argument itself is returned."""
+    resolve, the argument itself is returned, at once for a core form's
+    component."""
+    if p._core:
+        return p
     if isinstance(p, PIf):
         v = _eval_cond(p.op, p.lhs, p.rhs)
         if v is True:
@@ -209,7 +213,9 @@ def _gc_inert(p: Process) -> Process:
     occurrences sit inside those same guarded bodies: nothing can ever send
     on the name first, so the components are inert. Every binder of a
     block is checked, again after each removal. With nothing to remove, the
-    argument itself is returned."""
+    argument itself is returned, at once for a core form's component."""
+    if p._core:
+        return p
     match p:
         case Block(bs, cs) if bs:
             comps = tuple(map(_gc_inert, cs))
@@ -232,12 +238,33 @@ def _gc_inert(p: Process) -> Process:
     return with_children(p, tuple(map(_gc_inert, children(p))))
 
 
-def core_canonical(p: Process) -> Process:
-    """Canonical form for state comparison: resolved conditionals evaluated,
-    structural normalization, then inert service loops collected."""
-    cur = normalize(_eval_ifs(p))
+def _core_form(p: Process) -> Process:
+    """The core form of an encoded state: resolved conditionals evaluated,
+    structural normalization without the canonical renaming (or the normal
+    form kept on the node), then inert service loops collected and, if any
+    were, normalization again.
+
+    `_eval_ifs` and `_gc_inert` read nothing around a node, and they give
+    back each component of a core form as itself, so the component is
+    marked (`_core`) and they return it at once when a step leaves it in
+    place: only the components a step made, and the top block's binders,
+    are walked. A form that a collection changed is not marked: only one
+    that `_gc_inert` gave back as itself is known to be its fixpoint."""
+    cur = _eval_ifs(p)
+    cur = cur._norm or _normalize1(cur, frozenset(), frozenset())
     gc = _gc_inert(cur)
-    return cur if gc is cur else normalize(gc)
+    if gc is not cur:
+        return _normalize1(gc, frozenset(), frozenset())
+    for c in cur.comps if isinstance(cur, Block) else (cur,):
+        _setattr(c, "_core", True)
+    return cur
+
+
+def core_canonical(p: Process) -> Process:
+    """Canonical form for state comparison: the normal form of the core
+    form, so two encoded states have equal canonical forms exactly when
+    their core forms have one `_alpha_key`."""
+    return normalize(_core_form(p))
 
 
 # --- rendering -------------------------------------------------------------------------
@@ -330,29 +357,40 @@ class CorrespondenceReport(Record, frozen=False):
         return "\n".join(lines)
 
 
-def _search(start: Process, targets: list[Process], bound: int,
-            successors: Callable[[Process], list[Process]], stop: int
+# An encoded state in the search: the `_alpha_key` of its core form, and
+# the core form, which is expanded as it is.
+State = tuple[str, Process]
+
+
+def _state(q: Process) -> State:
+    form = _core_form(q)
+    return _alpha_key(form), form
+
+
+def _search(start: State, targets: list[str], bound: int,
+            successors: Callable[[State], list[State]], stop: int
             ) -> tuple[list[int], bool]:
-    """BFS over internal steps from the canonical `start`, each state
-    expanded through `successors`. Returns the indices of the targets
-    reached, in the order reached (tied indices ascending), and whether the
-    bound cut the search off; stops once `stop` indices are reached."""
-    index: dict[Process, list[int]] = {}
+    """BFS over internal steps from `start`, each state expanded through
+    `successors` and told apart from the others by its key alone. Returns
+    the indices of the target keys reached, in the order reached (tied
+    indices ascending), and whether the bound cut the search off; stops
+    once `stop` indices are reached."""
+    index: dict[str, list[int]] = {}
     for i, t in enumerate(targets):
         index.setdefault(t, []).append(i)
-    reached = index.pop(start, [])
-    seen = {start}
+    reached = index.pop(start[0], [])
+    seen = {start[0]}
     frontier = [start]
     for _ in range(bound):
         if len(reached) >= stop or not frontier:
             return reached, False
-        nxt: list[Process] = []
+        nxt: list[State] = []
         for node in frontier:
             for c in successors(node):
-                if c in seen:
+                if c[0] in seen:
                     continue
-                seen.add(c)
-                reached += index.pop(c, ())
+                seen.add(c[0])
+                reached += index.pop(c[0], ())
                 if len(reached) >= stop:
                     return reached, False
                 nxt.append(c)
@@ -365,8 +403,11 @@ def check_correspondence(p: Process, bound: int,
     """Soundness: every source step is matched by the encoding within the
     bound. Completeness: every first encoded step either reverts to the
     encoded source or completes to the encoding of some source successor.
-    All searches share one successor map, so each canonical encoded state
-    is expanded at most once."""
+
+    Encoded states are core forms, never canonically renamed, and are
+    identified by their `_alpha_key`: two keys are equal exactly when the
+    `core_canonical` forms are. All searches share one successor map by
+    key, so each encoded state is expanded at most once."""
     report = CorrespondenceReport()
     if refs is None:
         refs = reference_names(p)
@@ -375,18 +416,18 @@ def check_correspondence(p: Process, bound: int,
     # successors are equal
     uniq = list(dict.fromkeys(normalize(s) for s in tau_successors(p)))
     report.source_steps = len(uniq)
-    enc_targets = [core_canonical(encode(s, refs)) for s in uniq]
+    enc_targets = [_state(encode(s, refs))[0] for s in uniq]
 
-    succs: dict[Process, list[Process]] = {}
+    succs: dict[str, list[State]] = {}
 
-    def successors(c: Process) -> list[Process]:
-        out = succs.get(c)
+    def successors(state: State) -> list[State]:
+        out = succs.get(state[0])
         if out is None:
-            out = succs[c] = [core_canonical(q) for q in tau_successors(c)]
+            out = succs[state[0]] = list(map(_state, tau_successors(state[1])))
         return out
 
-    enc_canon = core_canonical(enc_root)
-    reached, exhausted = _search(enc_canon, enc_targets, bound, successors,
+    root = _state(enc_root)
+    reached, exhausted = _search(root, enc_targets, bound, successors,
                                  len(enc_targets))
     for i, s in enumerate(uniq):
         desc = render_process(s)
@@ -398,11 +439,13 @@ def check_correspondence(p: Process, bound: int,
             report.failures.append(f"soundness: encoding never reaches [{desc}]")
 
     # the first steps are the raw root's, in its order, which may differ
-    # from the order of its canonical form's steps
-    first = list(dict.fromkeys(core_canonical(q) for q in tau_successors(enc_root)))
+    # from the order of its core form's steps
+    first: dict[str, State] = {}
+    for st in map(_state, tau_successors(enc_root)):
+        first.setdefault(st[0], st)
     report.encoded_steps = len(first)
-    targets = [enc_canon] + enc_targets
-    for q in first:
+    targets = [root[0]] + enc_targets
+    for q in first.values():
         reached, exhausted = _search(q, targets, bound, successors, 1)
         if reached:
             report.complete.append("revert" if reached[0] == 0 else f"completes: {reached[0] - 1}")

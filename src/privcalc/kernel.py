@@ -87,8 +87,9 @@ class Record:
     fields never change; a record that `replace` builds computes its own,
     and one that `replace` returns unchanged keeps it. A process or system
     node keeps its free atoms (`_free`) and its normal form the same way,
-    a block component its canonical renaming and a normal form its state
-    key. A mutable record is unhashable.
+    a block component its canonical renaming, a normal form its state key
+    and a component of an encoded core form its mark. A mutable record is
+    unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -100,6 +101,7 @@ class Record:
     _norm = None  # a process or system node's normal form (`normalize`)
     _canon = None  # a block component's canonical renaming (`_Numbering`)
     _key = None  # a normal form's state key (`semantics.state_key`)
+    _core = None  # set on a core form's component (`encoding._core_form`)
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -880,13 +882,16 @@ def substitute(target, value: Term, placeholder: Placeholder):
 
 # --- structural-congruence normalization --------------------------------------
 
-def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -> str:
+def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str],
+                exact: bool = False) -> str:
     """Serialization with bound tokens replaced positionally: the sort key
     for parallel components, stable under alpha-renaming. Free names and
     free variables are mapped through their colors so the names of binders
     around the component do not leak in. Names and variables are looked up
     apart, as in `free_atoms`. One walk writes every piece to one list,
-    which is joined once."""
+    which is joined once. `exact` writes the annotations of inputs, and
+    those of restrictions by `repr`, which sort keys leave out or shorten
+    (see `_alpha_key`)."""
     out: list[str] = []
     put = out.append
     counter = itertools.count()
@@ -939,7 +944,8 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
                 else:
                     vs2[k.data_var] = b = f"β{next(counter)}"
                     ps.append(f"_#{b}")
-            put(f"inp({term(nd.subject, names, vs)};{','.join(ps)};")
+            annots = repr(nd.annots) if exact and nd.annots else ""
+            put(f"inp({term(nd.subject, names, vs)};{','.join(ps)}{annots};")
             go(nd.cont, names, vs2)
             put(")")
         elif tp is PRepl:
@@ -967,7 +973,7 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
             names = dict(names)
             for n, annot in binders:
                 names[n] = f"ν{next(counter)}"
-                put(f"{res}{annot};")
+                put(f"{res}{annot!r};" if exact else f"{res}{annot};")
             # right-nested, par(k1|par(k2|k3)): the key format the
             # component order, and so every normal form, rests on
             last = len(comps) - 1
@@ -1224,6 +1230,18 @@ class _Numbering:
 
 
 # --- alpha equivalence ---------------------------------------------------------
+
+def _alpha_key(node) -> str:
+    """A text that two terms share exactly when they are equal up to
+    renaming their bound names and variables, written in one `_erased_key`
+    walk: every binder by position, every free atom quoted as `repr` writes
+    it, so that none reads as a position (`ν0` is an identifier), and
+    annotations in full (`exact`). No identifier holds the key's
+    punctuation."""
+    names, vs = _free(node)
+    return _erased_key(node, {n: repr(n) for n in names}, {x: repr(x) for x in vs},
+                       exact=True)
+
 
 def alpha_eq(p, q) -> bool:
     """Equality up to consistent renaming of bound names and variables."""

@@ -10,6 +10,11 @@ kernel did before it reused the first key where the colours cannot differ.
 `canonical_rename` walks every block component, as the kernel did before
 it kept a component's renaming on the component.
 
+`core_canonical` walks a whole encoded state to evaluate its conditionals
+and collect its inert servers, and normalizes it with the canonical
+renaming, as the encoding did before it marked the components of core
+forms and keyed states without renaming them.
+
 `rebuild` copies a term, so that a test can normalize it again without the
 normal form, renamings and state key that the kernel keeps on its nodes.
 """
@@ -18,10 +23,12 @@ import itertools
 
 from privcalc import kernel
 from privcalc.kernel import (
-    Block, DConst, DVar, Group, Hidden, IVar, KernelError, Known, PAnon, PIf,
-    PInp, PNil, POut, PPair, PRepl, PStore, PVar, SBare, TConst, TDual, TName,
-    TPriv, TVar, Term, free_names, is_system, placeholder_vars,
+    NIL, Block, DConst, DVar, Group, Hidden, IVar, KernelError, Known, PAnon,
+    PIf, PInp, PNil, POut, PPair, PRepl, PStore, PVar, SBare, TConst, TDual,
+    TName, TPriv, TVar, Term, children, free_atoms, free_names, is_system,
+    normalize, placeholder_vars, replace, with_children,
 )
+from privcalc.semantics import _eval_cond
 
 
 class _Walking(kernel._Numbering):
@@ -37,6 +44,46 @@ def canonical_rename(node):
     """`kernel._canonical_rename` without the renamings kept on nodes: it
     neither reads nor writes them."""
     return kernel._rewrite(node, {}, {}, _Walking(node))
+
+
+def core_canonical(p):
+    """`encoding.core_canonical` without the marks on core forms' components:
+    it neither reads nor writes them."""
+    cur = normalize(_eval_ifs(p))
+    gc = _gc_inert(cur)
+    return cur if gc is cur else normalize(gc)
+
+
+def _eval_ifs(p):
+    if isinstance(p, PIf):
+        v = _eval_cond(p.op, p.lhs, p.rhs)
+        if v is True:
+            return _eval_ifs(p.then)
+        if v is False:
+            return _eval_ifs(p.els)
+    return with_children(p, tuple(map(_eval_ifs, children(p))))
+
+
+def _gc_inert(p):
+    if not (isinstance(p, Block) and p.binders):
+        return with_children(p, tuple(map(_gc_inert, children(p))))
+    bs = p.binders
+    live = [(c, free_atoms(c)) for c in map(_gc_inert, p.comps)]
+    while True:
+        dead = {n for n, _ in bs
+                if all(isinstance(c, PRepl) and isinstance(c.body, PInp)
+                       and c.body.subject == TName(n)
+                       for c, atoms in live if n in atoms)}
+        kept = [(c, atoms) for c, atoms in live if not dead & atoms]
+        if len(kept) == len(live):
+            break
+        live = kept
+    if not live:
+        return NIL
+    used = set().union(*(atoms for _, atoms in live))
+    bs = tuple(b for b in bs if b[0] in used)
+    comps = tuple(c for c, _ in live)
+    return replace(p, binders=bs, comps=comps) if bs else kernel._block((), comps)
 
 
 def rebuild(node):

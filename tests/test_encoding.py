@@ -1,23 +1,28 @@
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from privcalc import kernel
 from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
-    PRepl, PStore, PVar, PrivateData, TConst, TDual, TName, TPriv,
-    alpha_eq, free_names, normalize,
+    PRepl, PStore, PVar, PrivateData, TChan, TConst, TDual, TName, TPriv,
+    TPrivate, TPurpose, _alpha_key, _erased_key, alpha_eq, free_names, normalize,
 )
 from privcalc import encoding
 from privcalc.encoding import (
-    BRANCH_LABELS, CorrespondenceReport, EncodingError, _eval_ifs,
-    check_correspondence, core_canonical, encode, render_core, select, branch,
+    BRANCH_LABELS, CorrespondenceReport, EncodingError, _core_form, _eval_ifs,
+    _state, check_correspondence, core_canonical, encode, render_core, select,
+    branch,
 )
 from privcalc.semantics import reference_names, tau_successors
 from privcalc.syntax import parse_process, render_process
 
 from conftest import clear_memos
 import gen
+import kernel_oracles
 from gen import par
 
 
@@ -136,10 +141,12 @@ class TestCorrespondence:
             assert report.ok, (render_core(p), report.render())
 
     def test_each_encoded_state_expanded_once(self, monkeypatch):
+        # no two expanded terms, the source and the raw encoded root among
+        # them, are equal up to renaming their binders
         calls = []
 
         def counting(q):
-            calls.append(q)
+            calls.append(_alpha_key(q))
             return tau_successors(q)
 
         monkeypatch.setattr(encoding, "tau_successors", counting)
@@ -154,8 +161,37 @@ class TestCorrespondence:
         def fields(r):
             return r.render(), r.sound, r.complete, r.failures, r.bound_exhausted
 
-        for p in gen.store_programs()[:8]:
+        programs = gen.store_programs()
+        for p in programs if bound < 12 else programs[:8]:
             assert fields(check_correspondence(p, bound)) == fields(_independent_report(p, bound))
+
+    def test_search_renames_only_source_states(self, monkeypatch):
+        """From cold memos, checking the store programs at bound 12 renames
+        canonically only the normal forms of the source's successors, where
+        renaming every encoded state made 2,058 renamings. Evaluating
+        conditionals and collecting inert servers visit at most 60,000 and
+        30,000 nodes, where walking every encoded state visited 177,068
+        and 174,066: a step walks only the components it made."""
+        counts = {"rename": 0, "eval": 0, "gc": 0}
+
+        def counted(name, real):
+            def f(node):
+                counts[name] += 1
+                return real(node)
+            return f
+
+        monkeypatch.setattr(kernel, "_canonical_rename",
+                            counted("rename", kernel._canonical_rename))
+        monkeypatch.setattr(encoding, "_eval_ifs", counted("eval", encoding._eval_ifs))
+        monkeypatch.setattr(encoding, "_gc_inert", counted("gc", encoding._gc_inert))
+        clear_memos()
+        source = 0
+        for p in gen.store_programs():
+            source += len(tau_successors(p))
+            assert check_correspondence(p, 12).ok
+        assert 0 < counts["rename"] <= source
+        assert 0 < counts["eval"] <= 60_000
+        assert 0 < counts["gc"] <= 30_000
 
 
 def _independent_report(p, bound):
@@ -210,6 +246,127 @@ def _independent_report(p, bound):
     return report
 
 
+# The two-store shapes of the `correspond` benchmark: a store and a client
+# on each of two references.
+_TWO_STORES = [
+    "store rA {iA # cA} | store rB {iB # cB} | " + client + " | rB?(xb # yb). 0"
+    for client in ("rA?(xa # ya). 0", "rA!<{iA # dA}>. 0", "rA!<{bad # dA}>. 0",
+                   "rA?(xa # ya). rA?(xa2 # ya2). 0")
+]
+
+
+def _correspondence_programs():
+    texts = [parse_process(t) for t in _TWO_STORES]
+    assert all(res.ok for res in texts)
+    return gen.store_programs() + [res.value for res in texts]
+
+
+def _encoded_states(p, bound):
+    """The encoded root of `p` and the successors of every core form
+    within `bound` steps of it, each core form expanded once, as raw terms
+    and with their search states (`encoding._state`)."""
+    root = encode(p)
+    out = [(root, _state(root))]
+    seen: set[str] = set()
+    frontier = [out[0][1]]
+    for _ in range(bound):
+        nxt = []
+        for key, form in frontier:
+            if key not in seen:
+                seen.add(key)
+                for q in tau_successors(form):
+                    st = _state(q)
+                    out.append((q, st))
+                    nxt.append(st)
+        frontier = nxt
+    return out
+
+
+def test_keys_partition_as_canonical_forms():
+    """Two encoded states have one key exactly when their canonical forms,
+    computed by renaming the whole state canonically, are equal; on every
+    state the correspondence check reaches at bound 12."""
+    canon_of: dict = {}
+    key_of: dict = {}
+    count = 0
+    for p in _correspondence_programs():
+        for q, (key, _) in _encoded_states(p, 12):
+            canon = kernel_oracles.core_canonical(q)
+            assert canon_of.setdefault(key, canon) == canon, render_core(q)
+            assert key_of.setdefault(canon, key) == key, render_core(q)
+            count += 1
+    assert count > 3000 and len(key_of) > 1000
+
+
+class TestAlphaKey:
+    def test_free_name_spelt_as_a_position(self):
+        # `ν0` is an identifier; the sort key writes the bound `a` as `ν0`
+        # too, and must keep doing so
+        texts = ["(new a) (a!<k>. 0 | ν0!<k>. 0)", "(new a) (a!<k>. 0 | a!<k>. 0)"]
+        p, q = (parse_process(t).value for t in texts)
+        assert normalize(p) != normalize(q)
+        assert _erased_key(p, {}, {}) == _erased_key(q, {}, {})
+        assert _alpha_key(p) != _alpha_key(q)
+
+    def test_input_annotations(self):
+        t = TPrivate("t", "g")
+        bare = PInp(TName("a"), (PVar("x"),), NIL)
+        typed = PInp(TName("a"), (PVar("x"),), NIL, (t,))
+        assert bare != typed and _erased_key(bare, {}, {}) == _erased_key(typed, {}, {})
+        assert _alpha_key(bare) != _alpha_key(typed)
+        # a private type and a purpose print alike as restriction annotations
+        out = POut(TName("c"), (TConst("k"),), NIL)
+        blocks = [Block((("c", TChan("G", (ty("t", "g"),))),), (out,))
+                  for ty in (TPrivate, TPurpose)]
+        assert blocks[0] != blocks[1]
+        assert len({_erased_key(b, {}, {}) for b in blocks}) == 1
+        assert len({_alpha_key(b) for b in blocks}) == 2
+
+
+class _RandomBinders:
+    """A fresh-name source for `kernel._rewrite` that renames every binder
+    to a random name, apart from every token of the term and from each
+    other, so the renaming captures nothing. The names look like the key's
+    own positions and like canonical names."""
+
+    def __init__(self, rng, taken):
+        self.rng = rng
+        self.taken = set(taken)
+
+    def __call__(self, kind: str) -> str:
+        while True:
+            n = self.rng.choice(["ν", "β", "_n", "_x", "a", "x'"]) + str(self.rng.randrange(30))
+            if n not in self.taken:
+                self.taken.add(n)
+                return n
+
+    def component(self, c, names: dict, vs: dict):
+        return kernel._rewrite(c, names, vs, self)
+
+
+_PROGRAMS = gen.store_programs()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_PROGRAMS), st.lists(st.integers(0, 99), max_size=6),
+       st.integers(0, 2**32))
+def test_key_blind_to_binder_names(program, path, seed):
+    # an encoded state a few random steps from the root, and its core form
+    rng = random.Random(seed)
+    q = encode(program)
+    for i in path:
+        succs = tau_successors(q)
+        if not succs:
+            break
+        q = succs[i % len(succs)]
+    for term in (q, _core_form(q)):
+        renamed = kernel._rewrite(term, {}, {}, _RandomBinders(rng, encoding._all_atoms(term)))
+        assert alpha_eq(renamed, term)
+        assert _alpha_key(renamed) == _alpha_key(term)
+    assert _state(kernel._rewrite(q, {}, {}, _RandomBinders(rng, encoding._all_atoms(q))))[0] \
+        == _state(q)[0]
+
+
 class TestCoreCanonical:
     @pytest.mark.parametrize("text", [
         # each server only feeds the next; none can ever be called, but the
@@ -234,6 +391,8 @@ class TestCoreCanonical:
         assert _eval_ifs(q) is q
 
     def test_idempotent_on_encoded_states(self):
+        # and equal to the canonical form of the whole state, computed
+        # without the marks on core forms
         for p in gen.store_programs():
             frontier = [encode(p)]
             seen = set()
@@ -242,6 +401,7 @@ class TestCoreCanonical:
                 for q in frontier:
                     c = core_canonical(q)
                     assert core_canonical(c) == c, render_core(q)
+                    assert kernel_oracles.core_canonical(q) == c, render_core(q)
                     if c not in seen:
                         seen.add(c)
                         nxt.extend(tau_successors(q))
@@ -273,10 +433,12 @@ def _in_fresh_thread(f):
 @pytest.mark.parametrize("last", [
     "render_process", "normalize", "tau_successors", "encode", "render_core",
     "core_canonical",
-    # normalizing a successor looks its chain component up in the component
-    # memo, which compares it with an equal chain from an earlier state, and
-    # `Record.__eq__` spends three units of the recursion limit per level
-    # (see the FOUND on deep equal terms in CHANGES.md)
+    # the search takes each successor's core form, whose normalizing pass
+    # (`_core_form`, `_normalize1`, `_normalize_comp`) looks its chain
+    # component up in the component memo, which compares it with an equal
+    # chain from an earlier state, and `Record.__eq__` spends three units of
+    # the recursion limit per level (see the FOUND on deep equal terms in
+    # CHANGES.md)
     pytest.param("check_correspondence", marks=pytest.mark.xfail(
         raises=RecursionError, strict=True,
         reason="Record.__eq__ overflows comparing equal chains deeper than ~330 "
