@@ -244,12 +244,13 @@ def _core_form(p: Process) -> Process:
     form kept on the node), then inert service loops collected and, if any
     were, normalization again.
 
-    `_eval_ifs` and `_gc_inert` read nothing around a node, and they give
-    back each component of a core form as itself, so the component is
-    marked (`_core`) and they return it at once when a step leaves it in
-    place: only the components a step made, and the top block's binders,
-    are walked. A form that a collection changed is not marked: only one
-    that `_gc_inert` gave back as itself is known to be its fixpoint."""
+    `_eval_ifs` and `_gc_inert` read nothing around a node. When
+    `_gc_inert` gives the form back as itself, both give back each of its
+    components as itself (normalizing decides no conditional), so the
+    components are marked (`_core`) and both return them at once when a
+    step leaves them in place: only the components a step made, and the
+    top block's binders, are walked. A form that a collection changed is
+    left unmarked."""
     cur = _eval_ifs(p)
     cur = cur._norm or _normalize1(cur, frozenset(), frozenset())
     gc = _gc_inert(cur)

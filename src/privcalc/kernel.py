@@ -944,8 +944,10 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str],
                 else:
                     vs2[k.data_var] = b = f"β{next(counter)}"
                     ps.append(f"_#{b}")
-            annots = repr(nd.annots) if exact and nd.annots else ""
-            put(f"inp({term(nd.subject, names, vs)};{','.join(ps)}{annots};")
+            put(f"inp({term(nd.subject, names, vs)};{','.join(ps)};")
+            if exact and nd.annots:
+                # no continuation's text starts with "("
+                put(repr(nd.annots))
             go(nd.cont, names, vs2)
             put(")")
         elif tp is PRepl:
