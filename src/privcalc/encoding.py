@@ -19,8 +19,8 @@ from .kernel import (
     normalize, placeholder_vars, replace, with_children, _alpha_key, _block,
     _normalize1, _setattr,
 )
-from .syntax import _is_par, render_process, render_term
-from .semantics import _eval_cond, reference_names, tau_successors
+from .syntax import _is_par, _render_placeholder, render_process, render_term
+from .semantics import _eval_cond, has_step, reference_names, tau_successors
 
 __all__ = [
     "EncodingError", "BRANCH_LABELS", "select", "branch",
@@ -311,7 +311,6 @@ def render_core(p: Process) -> str:
             return f"{render_term(s)}!<{', '.join(render_term(o) for o in objs)}>. " \
                    + _wrap(cont)
         case PInp(s, pats, cont):
-            from .syntax import _render_placeholder
             ps = ", ".join(_render_placeholder(k, None) for k in pats)
             return f"{render_term(s)}?({ps}). " + _wrap(cont)
         case Block(bs, cs) if bs:
@@ -374,8 +373,9 @@ def _search(start: State, targets: list[str], bound: int,
     """BFS over internal steps from `start`, each state expanded through
     `successors` and told apart from the others by its key alone. Returns
     the indices of the target keys reached, in the order reached (tied
-    indices ascending), and whether the bound cut the search off; stops
-    once `stop` indices are reached."""
+    indices ascending), and whether the bound cut the search off, that is
+    whether a state on the last frontier has a step; stops once `stop`
+    indices are reached."""
     index: dict[str, list[int]] = {}
     for i, t in enumerate(targets):
         index.setdefault(t, []).append(i)
@@ -396,7 +396,7 @@ def _search(start: State, targets: list[str], bound: int,
                     return reached, False
                 nxt.append(c)
         frontier = nxt
-    return reached, bool(frontier)
+    return reached, any(has_step(q) for _, q in frontier)
 
 
 def check_correspondence(p: Process, bound: int,

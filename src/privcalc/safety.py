@@ -6,11 +6,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import (
-    Block, Group, IVar, Known, PIf, PInp, PNil, POut, PPair, PRepl, PStore,
+    Block, Group, IVar, Known, PIf, PInp, POut, PPair, PRepl, PStore,
     PrivacyType, Process, Record, SBare, Span, System, TChan, TName, TPrivate,
     TVar, Term, field, normalize,
 )
-from .policy import Hierarchy, PermSet, Policy, flatten, NotFound
+from .policy import (Hierarchy, PermSet, Policy, hierarchy_groups, identify,
+                     perm_union)
 from .syntax import Gamma, render_process
 from .typesys import (TypingError, _bind_block, _bind_pattern, _resolve_operand,
                       type_value)
@@ -65,6 +66,24 @@ def _is_ref_to(ty, ptype: Optional[str] = None) -> bool:
             and (ptype is None or ty.payload[0].ptype == ptype))
 
 
+Link = tuple[Optional[str], Optional[PrivacyType]]  # (channel group, object type)
+
+
+def _count(links: list[Link], target: TChan, literal: bool,
+           subject_group: Optional[str]) -> int:
+    want_payload = target.payload[0]
+
+    def hit(ty) -> bool:
+        if literal:
+            return ty == want_payload
+        if subject_group is not None:
+            return _is_ref_to(ty) and ty.payload[0] == want_payload
+        return ty == target
+
+    return sum(1 for group, ty in links
+               if (subject_group is None or group == subject_group) and hit(ty))
+
+
 def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
                 subject_group: Optional[str] = None) -> int:
     """Count output prefixes whose object carries the target's payload.
@@ -75,94 +94,51 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
     object may be a reference of any group to the payload (the
     dissemination shape a budget bounds).
     """
-    if not (len(target.payload) == 1 and isinstance(target.payload[0], TPrivate)):
+    if not _is_ref_to(target):
         raise ValueError("count_links target must be a reference type")
-    want_payload = target.payload[0]
-
-    def obj_hit(gamma2: Gamma, obj: Term) -> bool:
-        ty = _object_type(gamma2, obj)
-        if literal:
-            return ty == want_payload
-        if subject_group is not None:
-            return _is_ref_to(ty) and ty.payload[0] == want_payload
-        return ty == target
-
-    def go(nd: Process, gamma2: Gamma) -> int:
-        match nd:
-            case PNil() | PStore(_, _):
-                return 0
-            case POut(subject, objects, cont):
-                n = 0
-                sty = _subject_type(gamma2, subject)
-                group_ok = subject_group is None or (sty is not None
-                                                     and sty.group == subject_group)
-                if group_ok:
-                    n += sum(1 for o in objects if obj_hit(gamma2, o))
-                return n + go(cont, gamma2)
-            case PInp(subject, patterns, cont):
-                g3 = gamma2
-                sty = _subject_type(gamma2, subject)
-                if sty is not None and len(sty.payload) == len(patterns):
-                    annots = nd.annots or tuple(None for _ in patterns)
-                    for k, ty, an in zip(patterns, sty.payload, annots):
-                        try:
-                            g3, _ = _bind_pattern(g3, k, ty, an)
-                        except TypingError:
-                            pass
-                return go(cont, g3)
-            case Block(_, comps):
-                g3, _ = _bind_block(gamma2, nd)
-                return sum(go(c, g3) for c in comps)
-            case PRepl(body):
-                return go(body, gamma2)
-            case PIf(_, _, _, then, els):
-                return go(then, gamma2) + go(els, gamma2)
-        return 0
-
-    return go(p, gamma)
+    return _count(_links(p, gamma), target, literal, subject_group)
 
 
 class _ClauseCtx(Record, frozen=False):
-    policy: Policy
     path: tuple[str, ...]
     permis: dict[str, Optional[PermSet]]  # policy type -> accumulated grant
     nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]]
     findings: list[ErrorFinding]
-    id_direction: str
-    countlink_literal: bool
+    id_direction: str = "anon"
+    links: Optional[list[Link]] = None  # output objects, when collected
 
 
 def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict]:
     """Accumulated permissions and nondisclosure-carrying ancestors along a
-    group path, per policy-bound type; paths outside the hierarchy grant
-    nothing."""
+    group path, per policy-bound type, in one descent of each hierarchy;
+    paths outside the hierarchy grant nothing."""
     permis: dict[str, Optional[PermSet]] = {}
     nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]] = {}
     for t in policy.types():
-        h = policy.lookup(t)
-        flat = flatten(h, path) if path else NotFound((), "<root>")
-        permis[t] = None if isinstance(flat, NotFound) else flat.perms
-        nodes: list[tuple[tuple[str, ...], Hierarchy]] = []
-        node = h
-        walked: tuple[str, ...] = ()
-        if path and h.group == path[0]:
-            walked = (h.group,)
-            if node.perms.nondisclose_kinds():
-                nodes.append((walked, node))
-            for g in path[1:]:
+        node, acc, nodes = policy.lookup(t), None, []
+        for depth, g in enumerate(path, 1):
+            if depth > 1:
                 node = next((c for c in node.children if c.group == g), None)
-                if node is None:
-                    break
-                walked = walked + (g,)
-                if node.perms.nondisclose_kinds():
-                    nodes.append((walked, node))
-        nd_nodes[t] = nodes
+            if node is None or node.group != g:
+                acc = None
+                break
+            acc = node.perms if acc is None else perm_union(acc, node.perms)
+            if node.perms.nondisclose_kinds():
+                nodes.append((path[:depth], node))
+        permis[t], nd_nodes[t] = acc, nodes
     return permis, nd_nodes
 
 
 def _perm_of(ctx: _ClauseCtx, t: str) -> PermSet:
     ps = ctx.permis.get(t)
     return ps if ps is not None else PermSet()
+
+
+def _bound_ref(ctx: _ClauseCtx, ty) -> Optional[str]:
+    """The policy-bound type a reference type points to."""
+    if _is_ref_to(ty) and ty.payload[0].ptype in ctx.permis:
+        return ty.payload[0].ptype
+    return None
 
 
 def _emit(ctx: _ClauseCtx, clause: int, t: str, perm: str, nd, span=None):
@@ -183,10 +159,8 @@ def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
             holder, other = known.ptype, anon.ptype
         else:
             holder, other = anon.ptype, known.ptype
-        if holder in ctx.permis:
-            from .policy import identify
-            if identify(other) not in _perm_of(ctx, holder):
-                _emit(ctx, 9, holder, f"identify {other}", nd, nd.span)
+        if holder in ctx.permis and identify(other) not in _perm_of(ctx, holder):
+            _emit(ctx, 9, holder, f"identify {other}", nd, nd.span)
     if {"private", "purpose"} == {a.kind, b.kind}:
         datum, purp = (a, b) if a.kind == "private" else (b, a)
         if (not datum.hidden or nd.op == ">") and datum.ptype in ctx.permis:
@@ -200,40 +174,30 @@ def _unifiable(i1, i2) -> bool:
     return isinstance(i1, Known) and isinstance(i2, Known) and i1 == i2
 
 
-def _scan_process(ctx: _ClauseCtx, gamma: Gamma, p: Process):
-    comps = [p]
-    if isinstance(p, Block):
-        gamma, _ = _bind_block(gamma, p)
-        comps = p.comps
-    # clause 7: parallel stores with unifiable identities
-    stores = [c for c in comps if isinstance(c, PStore)]
-    for i in range(len(stores)):
-        for j in range(i + 1, len(stores)):
-            s1, s2 = stores[i], stores[j]
-            if not _unifiable(s1.datum.identity, s2.datum.identity):
-                continue
-            pair = f"{render_process(s1)} | {render_process(s2)}"
-            for st in (s1, s2):
-                ty = _subject_type(gamma, TName(st.ref))
-                if _is_ref_to(ty):
-                    t = ty.payload[0].ptype
-                    if t in ctx.permis and not _perm_of(ctx, t).has_kind("aggregate"):
-                        _emit(ctx, 7, t, "aggregate", pair, st.span)
-    for c in comps:
-        _scan_component(ctx, gamma, c)
-
-
-def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
+def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
+    """Evaluate clauses 1-9 and 11 on a process, descending through
+    prefixes and blocks with the environment extended by their bindings,
+    and list every output object in `ctx.links` when it is a list."""
     match nd:
-        case PNil():
-            return
+        case Block(_, comps):
+            gamma, _ = _bind_block(gamma, nd)
+            # clause 7: parallel stores with unifiable identities
+            stores = [c for c in comps if isinstance(c, PStore)]
+            for i, s1 in enumerate(stores):
+                for s2 in stores[i + 1:]:
+                    if not _unifiable(s1.datum.identity, s2.datum.identity):
+                        continue
+                    for st in (s1, s2):
+                        t = _bound_ref(ctx, _subject_type(gamma, TName(st.ref)))
+                        if t is not None and not _perm_of(ctx, t).has_kind("aggregate"):
+                            _emit(ctx, 7, t, "aggregate",
+                                  f"{render_process(s1)} | {render_process(s2)}", st.span)
+            for c in comps:
+                _scan(ctx, gamma, c)
         case PStore(ref, _):
-            ty = _subject_type(gamma, TName(ref))
-            if _is_ref_to(ty):
-                t = ty.payload[0].ptype
-                if t in ctx.permis and not _perm_of(ctx, t).has_kind("store"):
-                    _emit(ctx, 6, t, "store", nd, nd.span)
-            return
+            t = _bound_ref(ctx, _subject_type(gamma, TName(ref)))
+            if t is not None and not _perm_of(ctx, t).has_kind("store"):
+                _emit(ctx, 6, t, "store", nd, nd.span)
         case POut(subject, objects, cont):
             sty = _subject_type(gamma, subject)
             if sty is not None and len(sty.payload) == len(objects):
@@ -241,24 +205,23 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                     if isinstance(want, TPrivate) and want.ptype in ctx.permis:
                         if not _perm_of(ctx, want.ptype).has_kind("update"):
                             _emit(ctx, 2, want.ptype, "update", nd, nd.span)
-                    if _is_ref_to(want):
-                        t = want.payload[0].ptype
-                        if t in ctx.permis:
-                            allowed = _perm_of(ctx, t)
-                            if allowed.diss_budget(sty.group) is None:
-                                _emit(ctx, 4, t, f"disseminate {sty.group}", nd, nd.span)
-                            for npath, hnode in ctx.nd_nodes.get(t, []):
-                                from .policy import hierarchy_groups
-                                if sty.group not in hierarchy_groups(hnode):
-                                    _emit(ctx, 11, t,
-                                          f"nondisclosure at {'.'.join(npath)} "
-                                          f"but link sent on a {sty.group} channel",
-                                          nd, nd.span)
-            _scan_process(ctx, gamma, cont)
-            return
+                    t = _bound_ref(ctx, want)
+                    if t is None:
+                        continue
+                    if _perm_of(ctx, t).diss_budget(sty.group) is None:
+                        _emit(ctx, 4, t, f"disseminate {sty.group}", nd, nd.span)
+                    for npath, hnode in ctx.nd_nodes.get(t, []):
+                        if sty.group not in hierarchy_groups(hnode):
+                            _emit(ctx, 11, t,
+                                  f"nondisclosure at {'.'.join(npath)} "
+                                  f"but link sent on a {sty.group} channel",
+                                  nd, nd.span)
+            if ctx.links is not None:
+                group = sty.group if sty is not None else None
+                ctx.links += ((group, _object_type(gamma, o)) for o in objects)
+            _scan(ctx, gamma, cont)
         case PInp(subject, patterns, cont):
             sty = _subject_type(gamma, subject)
-            g2 = gamma
             if sty is not None and len(sty.payload) == len(patterns):
                 annots = nd.annots or tuple(None for _ in patterns)
                 for k, want, an in zip(patterns, sty.payload, annots):
@@ -268,27 +231,28 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                             _emit(ctx, 1, want.ptype, "read", nd, nd.span)
                         if isinstance(k, PPair) and not allowed.has_kind("readId"):
                             _emit(ctx, 5, want.ptype, "readId", nd, nd.span)
-                    if _is_ref_to(want):
-                        t = want.payload[0].ptype
-                        if t in ctx.permis and not _perm_of(ctx, t).has_kind("reference"):
-                            _emit(ctx, 3, t, "reference", nd, nd.span)
+                    t = _bound_ref(ctx, want)
+                    if t is not None and not _perm_of(ctx, t).has_kind("reference"):
+                        _emit(ctx, 3, t, "reference", nd, nd.span)
                     try:
-                        g2, _ = _bind_pattern(g2, k, want, an)
+                        gamma, _ = _bind_pattern(gamma, k, want, an)
                     except TypingError:
                         pass
-            _scan_process(ctx, g2, cont)
-            return
+            _scan(ctx, gamma, cont)
         case PRepl(body):
-            _scan_process(ctx, gamma, body)
-            return
+            _scan(ctx, gamma, body)
         case PIf(_, _, _, then, els):
             _scan_if(ctx, gamma, nd)
-            _scan_process(ctx, gamma, then)
-            _scan_process(ctx, gamma, els)
-            return
-        case Block():
-            _scan_process(ctx, gamma, nd)
-            return
+            _scan(ctx, gamma, then)
+            _scan(ctx, gamma, els)
+
+
+def _links(p: Process, gamma: Gamma) -> list[Link]:
+    """The (channel group, object type) of every output object in `p`, in
+    one walk under a context that grants nothing and so reports nothing."""
+    ctx = _ClauseCtx((), {}, {}, [], links=[])
+    _scan(ctx, gamma, p)
+    return ctx.links
 
 
 def _grounds_of(gamma: Gamma, t: str) -> set[str]:
@@ -308,30 +272,20 @@ def _grounds_of(gamma: Gamma, t: str) -> set[str]:
     return out
 
 
-def _scan_budgets(ctx: _ClauseCtx, gamma: Gamma, p: Process):
+def _scan_budgets(ctx: _ClauseCtx, gamma: Gamma, p: Process, literal: bool):
     """Clause 10: a finite dissemination budget exceeded by the number of
-    link outputs in the context process."""
-    for t in ctx.policy.types():
-        allowed = ctx.permis.get(t)
-        if allowed is None:
-            continue
-        grounds = _grounds_of(gamma, t)
-        for group in sorted(allowed.diss_groups()):
-            lam = allowed.diss_budget(group)
-            if lam is None or lam.unlimited:
-                continue
-            total = 0
-            for ground in sorted(grounds):
-                target = TChan(group, (TPrivate(t, ground),))
-                if ctx.countlink_literal:
-                    total += count_links(p, gamma, target, literal=True)
-                else:
-                    total += count_links(p, gamma, target, literal=False,
-                                         subject_group=group)
-            if total > (lam.count or 0):
-                _emit(ctx, 10, t,
-                      f"disseminate {group} {lam} exceeded ({total} outputs)",
-                      render_process(p))
+    link outputs in the context process, counted from one link list."""
+    budgets = [(t, group, lam) for t, allowed in ctx.permis.items() if allowed is not None
+               for group in sorted(allowed.diss_groups())
+               if not (lam := allowed.diss_budget(group)).unlimited]
+    links = _links(p, gamma) if budgets else []
+    for t, group, lam in budgets:
+        total = sum(_count(links, TChan(group, (TPrivate(t, ground),)), literal,
+                           None if literal else group)
+                    for ground in _grounds_of(gamma, t))
+        if total > (lam.count or 0):
+            _emit(ctx, 10, t, f"disseminate {group} {lam} exceeded ({total} outputs)",
+                  render_process(p))
 
 
 def detect_errors(policy: Policy, gamma: Gamma, s: System,
@@ -341,7 +295,6 @@ def detect_errors(policy: Policy, gamma: Gamma, s: System,
     system, descending through prefixes with the environment extended by
     their bindings."""
     findings: list[ErrorFinding] = []
-    norm = normalize(s)
 
     def walk(node: System, path: tuple[str, ...], g: Gamma):
         match node:
@@ -352,16 +305,11 @@ def detect_errors(policy: Policy, gamma: Gamma, s: System,
                 for c in comps:
                     walk(c, path, g2)
             case SBare(proc):
-                at(path, g, proc)
+                ctx = _ClauseCtx(path, *_grants(policy, path), findings, id_direction)
+                _scan(ctx, g, normalize(proc))
+                _scan_budgets(ctx, g, proc, countlink_literal)
 
-    def at(path: tuple[str, ...], g: Gamma, proc: Process):
-        permis, nd_nodes = _grants(policy, path)
-        ctx = _ClauseCtx(policy, path, permis, nd_nodes, findings,
-                         id_direction, countlink_literal)
-        _scan_process(ctx, g, normalize(proc))
-        _scan_budgets(ctx, g, proc)
-
-    walk(norm, (), gamma)
+    walk(normalize(s), (), gamma)
     # deterministic order, duplicates collapsed
     uniq = sorted(set(findings),
                   key=lambda f: (f.clause, f.ptype, f.group_path, f.permission, f.subterm))

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import subprocess
 import sys
 
@@ -197,3 +199,17 @@ def test_import_loads_only_the_package():
     added = r.stdout.split()
     assert "privcalc.syntax" in added
     assert [m for m in added if m != "privcalc" and not m.startswith("privcalc.")] == []
+
+
+def test_no_import_inside_a_function():
+    """Import time drops through less work, not through imports deferred to
+    a function's first call: every module of the package imports at its
+    top level only."""
+    deferred = []
+    for path in sorted(pathlib.Path(PKG, "privcalc").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                deferred += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert deferred == []

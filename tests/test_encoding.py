@@ -14,8 +14,8 @@ from privcalc.kernel import (
 from privcalc import encoding
 from privcalc.encoding import (
     BRANCH_LABELS, CorrespondenceReport, EncodingError, _core_form, _eval_ifs,
-    _state, check_correspondence, core_canonical, encode, render_core, select,
-    branch,
+    _search, _state, check_correspondence, core_canonical, encode, render_core,
+    select, branch,
 )
 from privcalc.semantics import reference_names, tau_successors
 from privcalc.syntax import parse_process, render_process
@@ -165,6 +165,21 @@ class TestCorrespondence:
         for p in programs if bound < 12 else programs[:8]:
             assert fields(check_correspondence(p, bound)) == fields(_independent_report(p, bound))
 
+    def test_search_cut_off_needs_a_step(self):
+        """The bound cuts a search off only when a state on its last
+        frontier has a step: with 0 -> 1 -> 2, where 2 is a dead end and no
+        target is reached, the search has ended at bound 2 as at bound 3."""
+        stepping = par(POut(TName("a"), (TName("b"),), NIL),
+                       PInp(TName("a"), (PVar("x"),), NIL))
+        states = {"0": ("0", stepping), "1": ("1", stepping), "2": ("2", NIL)}
+        succ = {"0": ["1"], "1": ["2"], "2": []}
+
+        def successors(state):
+            return [states[k] for k in succ[state[0]]]
+
+        assert [_search(states["0"], ["9"], bound, successors, 1)
+                for bound in (1, 2, 3)] == [([], True), ([], False), ([], False)]
+
     def test_search_renames_only_source_states(self, monkeypatch):
         """From cold memos, checking the store programs at bound 12 renames
         canonically only the normal forms of the source's successors, where
@@ -213,7 +228,7 @@ def _independent_report(p, bound):
             if not nxt:
                 return None, False
             frontier = nxt
-        return None, True
+        return None, any(tau_successors(n) for n in frontier)
 
     refs = reference_names(p)
     uniq = []

@@ -1,17 +1,25 @@
+import functools
 import random
+import re
 
 import pytest
 
 from privcalc.kernel import (
-    DConst, HIDDEN, Known, NIL, PIf, PInp, POut, PPair, PStore, PVar,
-    PrivateData, TChan, TConst, TName, TPriv, TPrivate,
+    Block, DConst, Group, HIDDEN, Known, NIL, PIf, PInp, POut, PPair, PStore,
+    PVar, PrivateData, SBare, TChan, TConst, TName, TPriv, TPrivate,
 )
-from privcalc.policy import PermSet, Policy, Hierarchy, READ, disseminate
+from privcalc.policy import (
+    AGGREGATE, FIN, OMEGA, PermSet, Policy, Hierarchy, READ, READID, REFERENCE,
+    STORE, UPDATE, disseminate, identify, nondisclose, usage,
+)
 from privcalc.safety import count_links, detect_errors, safety_scan
 from privcalc.satisfaction import policy_satisfies, verify
+from privcalc.semantics import explore
 from privcalc.syntax import parse_env, parse_policy, parse_system
-from privcalc.typesys import type_system
+from privcalc.typesys import _bind_block, type_system
 
+import gen
+import safety_oracles
 from conftest import CORPUS
 
 
@@ -244,3 +252,108 @@ def test_policy_mutants_flip_verdicts(corpus, nurse_mutant):
         pol, gamma, system = corpus[name]
         mutated = drop(pol, t, path, perm)
         assert verify(mutated, gamma, system).satisfied, (name, t, path, perm)
+
+
+# --- the detector against its earlier form (tests/safety_oracles.py) -----------
+
+CORPUS_CASES = (("hospital", "hospital"), ("etp_central", "etp_central"),
+                ("etp_decentral", "etp_decentral"), ("speedlimit", "speedlimit"),
+                ("lab", "hospital"), ("hospital_nurse_read", "hospital"))
+
+
+def _seed_policy(rng: random.Random) -> Policy:
+    """A policy over the groups of `gen.random_system`, with finite budgets
+    and nondisclosure among its grants, so that every clause can fire, and
+    sometimes without a group the system has."""
+    pool = [READ, UPDATE, REFERENCE, STORE, READID, AGGREGATE, usage("p0"),
+            identify("t0"), identify("t1"), nondisclose("sensitive"),
+            *(disseminate(g, lam) for g in ("G1", "G2", "G3")
+              for lam in (FIN(1), FIN(2), OMEGA))]
+
+    def perms() -> PermSet:
+        return PermSet(rng.sample(pool, rng.randrange(0, 8)))
+
+    def hier(root: str) -> Hierarchy:
+        if root != "G1":
+            return Hierarchy(root, perms())
+        # a missing child leaves a group path outside the hierarchy
+        return Hierarchy("G1", perms(), tuple(Hierarchy(g, perms()) for g in ("G2", "G3")
+                                              if rng.random() < 0.75))
+
+    return Policy(tuple((t, hier(rng.choice(("G1", "G2", "G3"))))
+                        for t in ("t0", "t1")))
+
+
+@functools.cache
+def _differential_inputs():
+    """(policy, gamma, state) triples: every corpus state at depth 8 under
+    its policy, under that policy with every finite budget lowered to 1,
+    with every budget set to 1 and with no aggregate grant; and every state
+    at depth 4 of 60 seeded `gen.random_system` systems under two seeded
+    policies each."""
+    inputs = []
+    for name, env in CORPUS_CASES:
+        gamma = parse_env((CORPUS / f"{env}.env").read_text()).value
+        ppo = (CORPUS / f"{env}.ppo").read_text()
+        policies = [parse_policy(text).value for text in (
+            ppo, re.sub(r"disseminate (\w+) \d+", r"disseminate \1 1", ppo),
+            re.sub(r"disseminate (\w+) \w+", r"disseminate \1 1", ppo),
+            ppo.replace(", aggregate", ""))]
+        system = parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value
+        states = explore(system, 8).nodes.values()
+        inputs += [(pol, gamma, st) for pol in policies for st in states]
+    gamma = gen.base_gamma()
+    for seed in range(60):
+        rng = random.Random(seed)
+        states = explore(gen.random_system(rng), 4).nodes.values()
+        policies = [_seed_policy(rng) for _ in range(2)]
+        inputs += [(pol, gamma, st) for pol in policies for st in states]
+    return inputs
+
+
+def test_detect_errors_matches_oracle():
+    """One walk per group context gives the findings of the three walkers
+    it replaced, spans included, under both clause-10 readings and both
+    identify directions; the inputs reach every clause."""
+    clauses = set()
+    for pol, gamma, state in _differential_inputs():
+        for literal in (False, True):
+            for direction in ("anon", "known"):
+                got = detect_errors(pol, gamma, state, direction, literal)
+                want = safety_oracles.detect_errors(pol, gamma, state, direction,
+                                                    literal)
+                assert [(f, f.span) for f in got] == [(f, f.span) for f in want], state
+                clauses.update(f.clause for f in got)
+    assert clauses == set(range(1, 12))
+
+
+def _contexts(node, gamma):
+    """The (body, environment) of every group context of a system."""
+    match node:
+        case Group(_, body):
+            yield from _contexts(body, gamma)
+        case Block(_, comps):
+            g2, _ = _bind_block(gamma, node)
+            for c in comps:
+                yield from _contexts(c, g2)
+        case SBare(proc):
+            yield proc, gamma
+
+
+def test_count_links_matches_oracle():
+    """`count_links` counts from the link list as its own walker counted,
+    in the default, literal and subject-group readings."""
+    hits = 0
+    for _, gamma, state in _differential_inputs()[::2]:
+        for proc, g in _contexts(state, gamma):
+            refs = {ty for ty in g.atoms.values()
+                    if isinstance(ty, TChan) and len(ty.payload) == 1
+                    and isinstance(ty.payload[0], TPrivate)}
+            for target in refs:
+                for literal, group in ((False, None), (True, None),
+                                       (False, target.group), (False, "G2")):
+                    n = count_links(proc, g, target, literal, group)
+                    assert n == safety_oracles.count_links(proc, g, target, literal,
+                                                           group), (proc, target)
+                    hits += n
+    assert hits
