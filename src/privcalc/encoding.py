@@ -10,7 +10,7 @@ normalizer and the transition engine apply unchanged to core terms.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .kernel import (
     Block, DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut,
@@ -20,7 +20,7 @@ from .kernel import (
     _normalize1, _setattr,
 )
 from .syntax import _is_par, _render_placeholder, render_process, render_term
-from .semantics import _eval_cond, has_step, reference_names, tau_successors
+from .semantics import _eval_cond, reference_names, search, tau_successors
 
 __all__ = [
     "EncodingError", "BRANCH_LABELS", "select", "branch",
@@ -367,38 +367,6 @@ def _state(q: Process) -> State:
     return _alpha_key(form), form
 
 
-def _search(start: State, targets: list[str], bound: int,
-            successors: Callable[[State], list[State]], stop: int
-            ) -> tuple[list[int], bool]:
-    """BFS over internal steps from `start`, each state expanded through
-    `successors` and told apart from the others by its key alone. Returns
-    the indices of the target keys reached, in the order reached (tied
-    indices ascending), and whether the bound cut the search off, that is
-    whether a state on the last frontier has a step; stops once `stop`
-    indices are reached."""
-    index: dict[str, list[int]] = {}
-    for i, t in enumerate(targets):
-        index.setdefault(t, []).append(i)
-    reached = index.pop(start[0], [])
-    seen = {start[0]}
-    frontier = [start]
-    for _ in range(bound):
-        if len(reached) >= stop or not frontier:
-            return reached, False
-        nxt: list[State] = []
-        for node in frontier:
-            for c in successors(node):
-                if c[0] in seen:
-                    continue
-                seen.add(c[0])
-                reached += index.pop(c[0], ())
-                if len(reached) >= stop:
-                    return reached, False
-                nxt.append(c)
-        frontier = nxt
-    return reached, any(has_step(q) for _, q in frontier)
-
-
 def check_correspondence(p: Process, bound: int,
                          refs: Optional[frozenset[str]] = None) -> CorrespondenceReport:
     """Soundness: every source step is matched by the encoding within the
@@ -407,8 +375,9 @@ def check_correspondence(p: Process, bound: int,
 
     Encoded states are core forms, never canonically renamed, and are
     identified by their `_alpha_key`: two keys are equal exactly when the
-    `core_canonical` forms are. All searches share one successor map by
-    key, so each encoded state is expanded at most once."""
+    `core_canonical` forms are. Every search is a `semantics.search` that
+    stops at its targets, and all of them share one successor map by key,
+    so each encoded state is expanded at most once."""
     report = CorrespondenceReport()
     if refs is None:
         refs = reference_names(p)
@@ -428,11 +397,16 @@ def check_correspondence(p: Process, bound: int,
         return out
 
     root = _state(enc_root)
-    reached, exhausted = _search(root, enc_targets, bound, successors,
-                                 len(enc_targets))
-    for i, s in enumerate(uniq):
+    pending = set(enc_targets)
+
+    def all_met(key: str) -> bool:
+        pending.discard(key)
+        return not pending
+
+    met, _, exhausted = search(root, successors, bound, all_met)
+    for key, s in zip(enc_targets, uniq):
         desc = render_process(s)
-        if i in reached:
+        if key in met:
             report.sound.append(desc)
         elif exhausted:
             report.bound_exhausted.append(f"soundness: {desc}")
@@ -447,9 +421,13 @@ def check_correspondence(p: Process, bound: int,
     report.encoded_steps = len(first)
     targets = [root[0]] + enc_targets
     for q in first.values():
-        reached, exhausted = _search(q, targets, bound, successors, 1)
-        if reached:
-            report.complete.append("revert" if reached[0] == 0 else f"completes: {reached[0] - 1}")
+        # a search that meets a target stops there, so the target is the
+        # last key met; its first index names it
+        met, _, exhausted = search(q, successors, bound, targets.__contains__)
+        last = next(reversed(met))
+        if last in targets:
+            i = targets.index(last)
+            report.complete.append("revert" if i == 0 else f"completes: {i - 1}")
         elif exhausted:
             report.bound_exhausted.append("completeness: encoded step")
         else:

@@ -1,5 +1,6 @@
 """Internal-step semantics: output labels and the deliveries dual to
-them, internal steps, bounded state-graph exploration, and the
+them, internal steps, the one bounded breadth-first search over them
+(which `explore` and the correspondence check both run), and the
 type-preservation harness.
 
 Internal steps are found by pairing one component's output capabilities
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .kernel import (
     Block, DConst, Group, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut,
@@ -29,7 +30,7 @@ from .typesys import Theta, TypingError, interface_leq, type_system
 
 __all__ = [
     "OutLabel", "tau_successors", "has_step", "input_capabilities",
-    "StateGraph", "explore",
+    "StateGraph", "search", "explore",
     "PreservationReport", "check_preservation", "state_key",
 ]
 
@@ -387,35 +388,52 @@ class StateGraph(Record, frozen=False):
         return "\n".join(lines)
 
 
+def search(start: tuple, successors: Callable[[tuple], Iterable[tuple]], bound: int,
+           stop: Optional[Callable[[object], bool]] = None) -> tuple[dict, dict, bool]:
+    """Breadth-first search over internal steps from the `(key, state)`
+    pair `start`, where `successors` lists the pairs one step from a pair
+    and the caller's key alone tells states apart. Each key is expanded
+    once, at the depth where it is first met, down to `bound` steps.
+    `stop` is asked of every newly met key, the start's included, and a
+    true answer ends the search. Returns each met key's state and depth,
+    in the order met, and whether the bound cut the search off: whether a
+    state on the last frontier has a step."""
+    key, state = start
+    states, depths = {key: state}, {key: 0}
+    if stop is not None and stop(key):
+        return states, depths, False
+    frontier = [start]
+    for d in range(1, bound + 1):
+        nxt = []
+        for pair in frontier:
+            for key, state in successors(pair):
+                if key in states:
+                    continue
+                states[key], depths[key] = state, d
+                if stop is not None and stop(key):
+                    return states, depths, False
+                nxt.append((key, state))
+        frontier = nxt
+    return states, depths, any(has_step(q) for _, q in frontier)
+
+
 def explore(s: System, depth: int) -> StateGraph:
     """Breadth-first internal-step exploration up to the depth bound, with
     states deduplicated by `state_key`, a 48-bit sha256 prefix of the
-    rendered normal form."""
+    rendered normal form. Edges are listed in the order met, once each,
+    so the first edge into a state comes from its parent in the search."""
     root = normalize(s)
+    edges: list[tuple[str, str, str]] = []
+
+    def successors(pair: tuple[str, object]) -> list[tuple[str, object]]:
+        out = [(state_key(sn), sn) for sn in map(normalize, tau_successors(pair[1]))]
+        edges.extend((pair[0], "tau", key) for key, _ in out)
+        return out
+
     rkey = state_key(root)
-    graph = StateGraph(root=rkey)
-    graph.nodes[rkey] = root
-    graph.depths[rkey] = 0
-    frontier = [(rkey, root)]
-    seen_edges: set[tuple[str, str, str]] = set()
-    for d in range(depth):
-        nxt: list[tuple[str, object]] = []
-        for key, node in frontier:
-            for succ in tau_successors(node):
-                sn = normalize(succ)
-                skey = state_key(sn)
-                if skey not in graph.nodes:
-                    graph.nodes[skey] = sn
-                    graph.depths[skey] = d + 1
-                    nxt.append((skey, sn))
-                edge = (key, "tau", skey)
-                if edge not in seen_edges:
-                    seen_edges.add(edge)
-                    graph.edges.append(edge)
-        frontier = nxt
-    # the last frontier is probed only to tell whether the bound cut it off
-    graph.truncated = any(has_step(n) for _, n in frontier)
-    return graph
+    nodes, depths, truncated = search((rkey, root), successors, depth)
+    return StateGraph(root=rkey, nodes=nodes, edges=list(dict.fromkeys(edges)),
+                      truncated=truncated, depths=depths)
 
 
 # --- type preservation harness ---------------------------------------------------------

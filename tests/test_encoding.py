@@ -14,10 +14,10 @@ from privcalc.kernel import (
 from privcalc import encoding
 from privcalc.encoding import (
     BRANCH_LABELS, CorrespondenceReport, EncodingError, _core_form, _eval_ifs,
-    _search, _state, check_correspondence, core_canonical, encode, render_core,
+    _state, check_correspondence, core_canonical, encode, render_core,
     select, branch,
 )
-from privcalc.semantics import reference_names, tau_successors
+from privcalc.semantics import reference_names, search, tau_successors
 from privcalc.syntax import parse_process, render_process
 
 from conftest import clear_memos
@@ -168,7 +168,8 @@ class TestCorrespondence:
     def test_search_cut_off_needs_a_step(self):
         """The bound cuts a search off only when a state on its last
         frontier has a step: with 0 -> 1 -> 2, where 2 is a dead end and no
-        target is reached, the search has ended at bound 2 as at bound 3."""
+        target is met, the search has ended at bound 2 as at bound 3. A
+        search whose start is a target ends uncut at every bound."""
         stepping = par(POut(TName("a"), (TName("b"),), NIL),
                        PInp(TName("a"), (PVar("x"),), NIL))
         states = {"0": ("0", stepping), "1": ("1", stepping), "2": ("2", NIL)}
@@ -177,8 +178,14 @@ class TestCorrespondence:
         def successors(state):
             return [states[k] for k in succ[state[0]]]
 
-        assert [_search(states["0"], ["9"], bound, successors, 1)
-                for bound in (1, 2, 3)] == [([], True), ([], False), ([], False)]
+        def run(bound, target):
+            met, depths, cut = search(states["0"], successors, bound, target.__eq__)
+            return list(met), list(depths.values()), cut
+
+        assert [run(bound, "9") for bound in (1, 2, 3)] == [
+            (["0", "1"], [0, 1], True), (["0", "1", "2"], [0, 1, 2], False),
+            (["0", "1", "2"], [0, 1, 2], False)]
+        assert [run(bound, "0") for bound in (0, 1, 2, 3)] == [(["0"], [0], False)] * 4
 
     def test_search_renames_only_source_states(self, monkeypatch):
         """From cold memos, checking the store programs at bound 12 renames

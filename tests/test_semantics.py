@@ -24,7 +24,7 @@ import allpairs
 from allpairs import InpLabel, dual, input_labels
 import gen
 import kernel_oracles
-from conftest import CORPUS, clear_memos, load
+from conftest import CORPUS, NAMES, clear_memos, load
 from gen import par
 from syntax_oracles import _lower_system
 from privcalc.encoding import core_canonical, encode
@@ -757,6 +757,27 @@ def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
     assert rendered == len(set(met)) == len(got.nodes) == 75
     assert (got.root, got.nodes, got.edges, got.depths, got.truncated) == (
         want.root, want.nodes, want.edges, want.depths, want.truncated)
+
+
+def _graph(graph: StateGraph):
+    """Everything `explore` builds, states and depths in the order met."""
+    return (graph.root, list(graph.nodes.items()), graph.edges,
+            list(graph.depths.items()), graph.truncated)
+
+
+@pytest.mark.parametrize("depth", [8, 12])
+@pytest.mark.parametrize("name", NAMES)
+def test_explore_matches_old_loop_on_corpus(corpus, name, depth):
+    system = corpus[name][2]
+    want = _explore_keying_every_successor(kernel_oracles.rebuild(system), depth)
+    assert _graph(explore(system, depth)) == _graph(want)
+
+
+def test_explore_matches_old_loop_on_random_systems():
+    for seed in range(300):
+        system = gen.random_system(random.Random(seed))
+        want = _explore_keying_every_successor(kernel_oracles.rebuild(system), 4)
+        assert _graph(explore(system, 4)) == _graph(want), seed
 
 
 def test_non_decimal_constant_is_not_a_number():

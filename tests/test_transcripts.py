@@ -1,10 +1,10 @@
 """Byte-level transcripts checked against golden files: `simulate --depth 6`
 text (root, edges in order, state keys, counts), `simulate --depth 8
 --preserve` text, `scan --depth 8` and `errors` (text and `--format
-records`) on the six corpus inputs, and the core rendering of every encoded
-store program. They pin the normal forms, the
-successor order and the findings, which the other tests only compare between
-two runs of the same tree."""
+records`) on the six corpus inputs, and the core rendering and the
+correspondence reports of every encoded store program. They pin the normal
+forms, the successor order and the findings, which the other tests only
+compare between two runs of the same tree."""
 
 import contextlib
 import io
@@ -14,7 +14,7 @@ import pytest
 import gen
 from conftest import CORPUS, GOLDEN
 from privcalc import cli
-from privcalc.encoding import encode, render_core
+from privcalc.encoding import check_correspondence, encode, render_core
 
 SIMULATE = {
     "hospital": "hospital",
@@ -107,3 +107,12 @@ def test_equal_components_keep_their_own_spans(tmp_path):
 def test_encoded_store_programs():
     text = "".join(render_core(encode(p)) + "\n" for p in gen.store_programs())
     assert text == (GOLDEN / "store_programs.core").read_text()
+
+
+def test_store_programs_correspondence():
+    """The correspondence reports at bounds 1, 2 and 3, where most searches
+    are cut off and say so, and at 12, where all of them end."""
+    text = "".join(f"# bound {bound}\n" + "".join(
+        check_correspondence(p, bound).render() + "\n" for p in gen.store_programs())
+        for bound in (1, 2, 3, 12))
+    assert text == (GOLDEN / "store_programs.correspondence").read_text()
