@@ -1,5 +1,6 @@
-"""Policy language semantics: the permission algebra, group hierarchies,
-well-formedness checking, and flattening along group paths."""
+"""Policy language semantics: the permission algebra, what a grant covers,
+group hierarchies, well-formedness checking, and the descent along a group
+path that every reading of a policy at a path goes through."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ from .kernel import Record
 
 __all__ = [
     "Lambda", "FIN", "OMEGA", "lambda_add", "lambda_leq",
-    "Perm", "PermSet", "perm_union",
+    "Perm", "PermSet", "perm_union", "covers",
     "Hierarchy", "Policy", "FlatHierarchy", "NotFound",
-    "hierarchy_groups", "hierarchy_perms", "check_wellformed", "flatten",
+    "hierarchy_groups", "hierarchy_perms", "check_wellformed", "descend", "flatten",
     "WfViolation",
     "READ", "UPDATE", "REFERENCE", "STORE", "READID", "AGGREGATE",
     "disseminate", "nondisclose", "usage", "identify",
@@ -166,19 +167,11 @@ class PermSet:
                                            p.purpose or "", p.ptype or "",
                                            "" if p.lam is None else str(p.lam)))
 
-    def has_kind(self, kind: str) -> bool:
-        if kind == "disseminate":
-            return bool(self._diss)
-        return any(p.kind == kind for p in self._plain)
-
     def diss_budget(self, group: str) -> Optional[Lambda]:
         return self._diss.get(group)
 
     def diss_groups(self) -> frozenset[str]:
         return frozenset(self._diss)
-
-    def usage_purposes(self) -> frozenset[str]:
-        return frozenset(p.purpose for p in self._plain if p.kind == "usage")
 
     def nondisclose_kinds(self) -> frozenset[str]:
         return frozenset(p.nd_kind for p in self._plain if p.kind == "nondisclose")
@@ -187,8 +180,17 @@ class PermSet:
 EMPTY_PERMS = PermSet()
 
 
-def perm_union(a: PermSet, b: PermSet) -> PermSet:
-    return PermSet([*a, *b])
+def perm_union(*sets: PermSet) -> PermSet:
+    return PermSet(p for ps in sets for p in ps)
+
+
+def covers(perms: PermSet, p: Perm) -> bool:
+    """Whether a grant covers one permission: a dissemination within its
+    group's budget, any other permission by membership."""
+    if p.kind == "disseminate":
+        budget = perms.diss_budget(p.group)
+        return budget is not None and lambda_leq(p.lam, budget)
+    return p in perms
 
 
 # --- hierarchies and policies ---------------------------------------------------
@@ -216,11 +218,6 @@ class FlatHierarchy(Record):
 
 class Policy(Record):
     bindings: tuple[tuple[str, Hierarchy], ...]
-
-    def __post_init__(self):
-        # distinctness is well-formedness condition 1, checked separately,
-        # but lookups assume first-match
-        pass
 
     def lookup(self, ptype: str) -> Optional[Hierarchy]:
         for t, h in self.bindings:
@@ -300,22 +297,27 @@ class NotFound(Record):
         return f"no child {self.missing} under {at}"
 
 
+def descend(h: Hierarchy, path: Iterable[str]) -> list[Hierarchy]:
+    """The hierarchy's nodes along a group path, from its root, stopping at
+    the first group the hierarchy lacks there."""
+    nodes: list[Hierarchy] = []
+    level = (h,)
+    for g in path:
+        node = next((c for c in level if c.group == g), None)
+        if node is None:
+            break
+        nodes.append(node)
+        level = node.children
+    return nodes
+
+
 def flatten(h: Hierarchy, path: Iterable[str]) -> Union[FlatHierarchy, NotFound]:
-    """Descend along a group path accumulating the permissions granted at
-    each step; the terminal node's own children are ignored."""
+    """The permissions granted along a group path, accumulated over every
+    node on it; the terminal node's own children are ignored."""
     path = tuple(path)
     if not path:
         raise ValueError("flatten needs a non-empty path")
-    if path[0] != h.group:
-        return NotFound((), path[0])
-    acc = h.perms
-    node = h
-    walked = (h.group,)
-    for g in path[1:]:
-        nxt = next((c for c in node.children if c.group == g), None)
-        if nxt is None:
-            return NotFound(walked, g)
-        acc = perm_union(acc, nxt.perms)
-        node = nxt
-        walked = walked + (g,)
-    return FlatHierarchy(path, acc)
+    nodes = descend(h, path)
+    if len(nodes) < len(path):
+        return NotFound(path[:len(nodes)], path[len(nodes)])
+    return FlatHierarchy(path, perm_union(*(n.perms for n in nodes)))

@@ -10,8 +10,11 @@ from .kernel import (
     PrivacyType, Process, Record, SBare, Span, System, TChan, TName, TPrivate,
     TVar, Term, field, normalize,
 )
-from .policy import (Hierarchy, PermSet, Policy, hierarchy_groups, identify,
-                     perm_union)
+from .policy import (
+    AGGREGATE, EMPTY_PERMS, READ, READID, REFERENCE, STORE, UPDATE, Hierarchy,
+    Perm, PermSet, Policy, covers, descend, disseminate, hierarchy_groups,
+    identify, perm_union, usage,
+)
 from .syntax import Gamma, render_process
 from .typesys import (TypingError, _bind_block, _bind_pattern, _resolve_operand,
                       type_value)
@@ -60,10 +63,14 @@ def _object_type(gamma: Gamma, obj: Term) -> Optional[PrivacyType]:
         return None
 
 
-def _is_ref_to(ty, ptype: Optional[str] = None) -> bool:
+def _is_ref_to(ty) -> bool:
     return (isinstance(ty, TChan) and len(ty.payload) == 1
-            and isinstance(ty.payload[0], TPrivate)
-            and (ptype is None or ty.payload[0].ptype == ptype))
+            and isinstance(ty.payload[0], TPrivate))
+
+
+def _ref_type(ty) -> Optional[str]:
+    """The private type a reference type points to."""
+    return ty.payload[0].ptype if _is_ref_to(ty) else None
 
 
 Link = tuple[Optional[str], Optional[PrivacyType]]  # (channel group, object type)
@@ -101,7 +108,7 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
 
 class _ClauseCtx(Record, frozen=False):
     path: tuple[str, ...]
-    permis: dict[str, Optional[PermSet]]  # policy type -> accumulated grant
+    permis: dict[str, PermSet]  # policy type -> accumulated grant
     nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]]
     findings: list[ErrorFinding]
     id_direction: str = "anon"
@@ -112,39 +119,29 @@ def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict]:
     """Accumulated permissions and nondisclosure-carrying ancestors along a
     group path, per policy-bound type, in one descent of each hierarchy;
     paths outside the hierarchy grant nothing."""
-    permis: dict[str, Optional[PermSet]] = {}
+    permis: dict[str, PermSet] = {}
     nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]] = {}
     for t in policy.types():
-        node, acc, nodes = policy.lookup(t), None, []
-        for depth, g in enumerate(path, 1):
-            if depth > 1:
-                node = next((c for c in node.children if c.group == g), None)
-            if node is None or node.group != g:
-                acc = None
-                break
-            acc = node.perms if acc is None else perm_union(acc, node.perms)
-            if node.perms.nondisclose_kinds():
-                nodes.append((path[:depth], node))
-        permis[t], nd_nodes[t] = acc, nodes
+        nodes = descend(policy.lookup(t), path)
+        permis[t] = (perm_union(*(n.perms for n in nodes)) if len(nodes) == len(path)
+                     else EMPTY_PERMS)
+        nd_nodes[t] = [(path[:depth], n) for depth, n in enumerate(nodes, 1)
+                       if n.perms.nondisclose_kinds()]
     return permis, nd_nodes
-
-
-def _perm_of(ctx: _ClauseCtx, t: str) -> PermSet:
-    ps = ctx.permis.get(t)
-    return ps if ps is not None else PermSet()
-
-
-def _bound_ref(ctx: _ClauseCtx, ty) -> Optional[str]:
-    """The policy-bound type a reference type points to."""
-    if _is_ref_to(ty) and ty.payload[0].ptype in ctx.permis:
-        return ty.payload[0].ptype
-    return None
 
 
 def _emit(ctx: _ClauseCtx, clause: int, t: str, perm: str, nd, span=None):
     ctx.findings.append(ErrorFinding(clause, t, ctx.path, perm,
                                      render_process(nd) if not isinstance(nd, str) else nd,
                                      span))
+
+
+def _require(ctx: _ClauseCtx, clause: int, t: Optional[str], perm: Perm, nd,
+             span: Optional[Span], text: Optional[str] = None):
+    """Clauses 1-9: report `perm` when the policy binds the private type `t`
+    and its grant at this group path does not cover the permission."""
+    if t in ctx.permis and not covers(ctx.permis[t], perm):
+        _emit(ctx, clause, t, text or str(perm), nd, span)
 
 
 def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
@@ -159,13 +156,11 @@ def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
             holder, other = known.ptype, anon.ptype
         else:
             holder, other = anon.ptype, known.ptype
-        if holder in ctx.permis and identify(other) not in _perm_of(ctx, holder):
-            _emit(ctx, 9, holder, f"identify {other}", nd, nd.span)
+        _require(ctx, 9, holder, identify(other), nd, nd.span)
     if {"private", "purpose"} == {a.kind, b.kind}:
         datum, purp = (a, b) if a.kind == "private" else (b, a)
-        if (not datum.hidden or nd.op == ">") and datum.ptype in ctx.permis:
-            if purp.ptype not in _perm_of(ctx, datum.ptype).usage_purposes():
-                _emit(ctx, 8, datum.ptype, f"usage {purp.ptype}", nd, nd.span)
+        if not datum.hidden or nd.op == ">":
+            _require(ctx, 8, datum.ptype, usage(purp.ptype), nd, nd.span)
 
 
 def _unifiable(i1, i2) -> bool:
@@ -187,30 +182,27 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                 for s2 in stores[i + 1:]:
                     if not _unifiable(s1.datum.identity, s2.datum.identity):
                         continue
+                    pair = Block((), (s1, s2))  # rendered `s1 | s2`
                     for st in (s1, s2):
-                        t = _bound_ref(ctx, _subject_type(gamma, TName(st.ref)))
-                        if t is not None and not _perm_of(ctx, t).has_kind("aggregate"):
-                            _emit(ctx, 7, t, "aggregate",
-                                  f"{render_process(s1)} | {render_process(s2)}", st.span)
+                        _require(ctx, 7, _ref_type(_subject_type(gamma, TName(st.ref))),
+                                 AGGREGATE, pair, st.span)
             for c in comps:
                 _scan(ctx, gamma, c)
         case PStore(ref, _):
-            t = _bound_ref(ctx, _subject_type(gamma, TName(ref)))
-            if t is not None and not _perm_of(ctx, t).has_kind("store"):
-                _emit(ctx, 6, t, "store", nd, nd.span)
+            _require(ctx, 6, _ref_type(_subject_type(gamma, TName(ref))), STORE, nd, nd.span)
         case POut(subject, objects, cont):
             sty = _subject_type(gamma, subject)
             if sty is not None and len(sty.payload) == len(objects):
                 for want in sty.payload:
-                    if isinstance(want, TPrivate) and want.ptype in ctx.permis:
-                        if not _perm_of(ctx, want.ptype).has_kind("update"):
-                            _emit(ctx, 2, want.ptype, "update", nd, nd.span)
-                    t = _bound_ref(ctx, want)
-                    if t is None:
+                    if isinstance(want, TPrivate):
+                        _require(ctx, 2, want.ptype, UPDATE, nd, nd.span)
+                    t = _ref_type(want)
+                    if t not in ctx.permis:
                         continue
-                    if _perm_of(ctx, t).diss_budget(sty.group) is None:
-                        _emit(ctx, 4, t, f"disseminate {sty.group}", nd, nd.span)
-                    for npath, hnode in ctx.nd_nodes.get(t, []):
+                    # sending one link spends one unit of the group's budget
+                    _require(ctx, 4, t, disseminate(sty.group, 1), nd, nd.span,
+                             f"disseminate {sty.group}")
+                    for npath, hnode in ctx.nd_nodes[t]:
                         if sty.group not in hierarchy_groups(hnode):
                             _emit(ctx, 11, t,
                                   f"nondisclosure at {'.'.join(npath)} "
@@ -225,15 +217,11 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             if sty is not None and len(sty.payload) == len(patterns):
                 annots = nd.annots or tuple(None for _ in patterns)
                 for k, want, an in zip(patterns, sty.payload, annots):
-                    if isinstance(want, TPrivate) and want.ptype in ctx.permis:
-                        allowed = _perm_of(ctx, want.ptype)
-                        if not allowed.has_kind("read"):
-                            _emit(ctx, 1, want.ptype, "read", nd, nd.span)
-                        if isinstance(k, PPair) and not allowed.has_kind("readId"):
-                            _emit(ctx, 5, want.ptype, "readId", nd, nd.span)
-                    t = _bound_ref(ctx, want)
-                    if t is not None and not _perm_of(ctx, t).has_kind("reference"):
-                        _emit(ctx, 3, t, "reference", nd, nd.span)
+                    if isinstance(want, TPrivate):
+                        _require(ctx, 1, want.ptype, READ, nd, nd.span)
+                        if isinstance(k, PPair):
+                            _require(ctx, 5, want.ptype, READID, nd, nd.span)
+                    _require(ctx, 3, _ref_type(want), REFERENCE, nd, nd.span)
                     try:
                         gamma, _ = _bind_pattern(gamma, k, want, an)
                     except TypingError:
@@ -275,7 +263,7 @@ def _grounds_of(gamma: Gamma, t: str) -> set[str]:
 def _scan_budgets(ctx: _ClauseCtx, gamma: Gamma, p: Process, literal: bool):
     """Clause 10: a finite dissemination budget exceeded by the number of
     link outputs in the context process, counted from one link list."""
-    budgets = [(t, group, lam) for t, allowed in ctx.permis.items() if allowed is not None
+    budgets = [(t, group, lam) for t, allowed in ctx.permis.items()
                for group in sorted(allowed.diss_groups())
                if not (lam := allowed.diss_budget(group)).unlimited]
     links = _links(p, gamma) if budgets else []

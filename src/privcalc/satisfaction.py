@@ -3,14 +3,14 @@ end-to-end verdict for a system against a policy and environment."""
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from .kernel import Record, System, field
 from .policy import (
-    FlatHierarchy, Hierarchy, NotFound, PermSet, Policy, check_wellformed, flatten,
+    Hierarchy, NotFound, Policy, check_wellformed, covers, flatten,
 )
 from .syntax import Gamma
-from .typesys import Theta, ThetaEntry, TypingError, permset_leq, type_system
+from .typesys import Theta, ThetaEntry, TypingError, type_system
 
 __all__ = ["Witness", "Verdict", "theta_satisfies", "policy_satisfies", "verify"]
 
@@ -43,19 +43,11 @@ class Verdict(Record, frozen=False):
         return "\n".join(lines)
 
 
-def _uncovered_perms(have: PermSet, allowed: PermSet) -> list[str]:
-    return [str(p) for p in have.sorted() if not permset_leq(PermSet([p]), allowed)]
-
-
-def theta_satisfies(h: Hierarchy, flat: Union[FlatHierarchy, ThetaEntry]
-                    ) -> tuple[bool, Optional[Witness]]:
+def theta_satisfies(h: Hierarchy, entry: ThetaEntry) -> tuple[bool, Optional[Witness]]:
     """Flatten the policy hierarchy along the interface's group path and
     compare the permissions it grants there. The terminal comparison
     ignores any unexplored policy children."""
-    if isinstance(flat, ThetaEntry):
-        path, perms, ptype = flat.path, flat.perms, flat.ptype
-    else:
-        path, perms, ptype = flat.path, flat.perms, "?"
+    path, perms, ptype = entry.path, entry.perms, entry.ptype
     if not path:
         return False, Witness(ptype, path, (), ("component not enclosed by a group",))
     granted = flatten(h, path)
@@ -65,9 +57,10 @@ def theta_satisfies(h: Hierarchy, flat: Union[FlatHierarchy, ThetaEntry]
                                   (f"interface roots at {path[0]}, policy at {h.group}",))
         return False, Witness(ptype, path, granted.prefix,
                               (f"no policy group {granted.missing}",))
-    if permset_leq(perms, granted.perms):
+    failing = tuple(str(p) for p in perms.sorted() if not covers(granted.perms, p))
+    if not failing:
         return True, None
-    return False, Witness(ptype, path, path, tuple(_uncovered_perms(perms, granted.perms)))
+    return False, Witness(ptype, path, path, failing)
 
 
 def policy_satisfies(p: Policy, theta: Theta, strict_coverage: bool = False) -> Verdict:

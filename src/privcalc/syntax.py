@@ -557,7 +557,7 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     t = p.peek()
     if t.kind == "NAT" and t.text == "0":
         p.take()
-        return _node(t, PNil)
+        return NIL
     if t.text == "*":
         p.take()
         return _node(t, PRepl, _parse_seq(p, ctx, registry))

@@ -20,8 +20,7 @@ from .kernel import (
 )
 from .policy import (
     AGGREGATE, FlatHierarchy, Lambda, OMEGA, Perm, PermSet, READ, READID,
-    REFERENCE, STORE, UPDATE, disseminate, identify, lambda_leq, perm_union,
-    usage,
+    REFERENCE, STORE, UPDATE, covers, disseminate, identify, perm_union, usage,
 )
 from .syntax import Gamma, render_term
 
@@ -531,37 +530,36 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
 
 # --- system typing ------------------------------------------------------------------
 
-def type_system(gamma: Gamma, s: System, id_direction: str = "anon",
-                _at_root: bool = True) -> SysTyping:
-    match s:
-        case Group(group, body):
-            inner = type_system(gamma, body, id_direction, _at_root=False)
-            return SysTyping(inner.lam, inner.theta.prefixed(group))
+def type_system(gamma: Gamma, s: System, id_direction: str = "anon") -> SysTyping:
+    """Type a closed system: every interface entry must sit under a group."""
+    def walk(gamma: Gamma, s: System) -> SysTyping:
+        match s:
+            case Group(group, body):
+                inner = walk(gamma, body)
+                return SysTyping(inner.lam, inner.theta.prefixed(group))
 
-        case Block(bs, cs):
-            g, missing = _bind_block(gamma, s)
-            if missing is not None:
-                raise _unannotated(missing, s.span)
-            typings = [type_system(g, c, id_direction, _at_root=False) for c in cs]
-            lam, theta = typings[-1].lam, typings[-1].theta
-            for lt in reversed(typings[:-1]):
-                lam = _merge_lam(lt.lam, lam, s.span)
-                theta = lt.theta.concat(theta)
-            out = SysTyping(lam.difference(n for n, _ in bs), theta)
-            if _at_root:
-                _check_closed(out, s)
-            return out
+            case Block(bs, cs):
+                g, missing = _bind_block(gamma, s)
+                if missing is not None:
+                    raise _unannotated(missing, s.span)
+                typings = [walk(g, c) for c in cs]
+                lam, theta = typings[-1].lam, typings[-1].theta
+                for lt in reversed(typings[:-1]):
+                    lam = _merge_lam(lt.lam, lam, s.span)
+                    theta = lt.theta.concat(theta)
+                return SysTyping(lam.difference(n for n, _ in bs), theta)
 
-        case SBare(proc):
-            pt = type_process(gamma, proc, id_direction)
-            theta = Theta(ThetaEntry(t, (), pt.delta.entries[t])
-                          for t in sorted(pt.delta.entries))
-            out = SysTyping(pt.lam, theta)
-            if _at_root:
-                _check_closed(out, s)
-            return out
+            case SBare(proc):
+                pt = type_process(gamma, proc, id_direction)
+                theta = Theta(ThetaEntry(t, (), pt.delta.entries[t])
+                              for t in sorted(pt.delta.entries))
+                return SysTyping(pt.lam, theta)
 
-    raise TypingError("TypeMismatch", f"not a system: {s!r}")
+        raise TypingError("TypeMismatch", f"not a system: {s!r}")
+
+    out = walk(gamma, s)
+    _check_closed(out, s)
+    return out
 
 
 def _check_closed(st: SysTyping, s: System):
@@ -575,16 +573,7 @@ def _check_closed(st: SysTyping, s: System):
 # --- the capability order -----------------------------------------------------------
 
 def permset_leq(a: PermSet, b: PermSet) -> bool:
-    for p in a:
-        if p.kind == "disseminate":
-            budget = b.diss_budget(p.group)
-            if budget is None or not lambda_leq(p.lam, budget):
-                return False
-        elif p.kind == "usage":
-            continue  # purposes compared collectively below
-        elif p not in b:
-            return False
-    return a.usage_purposes() <= b.usage_purposes()
+    return all(covers(b, p) for p in a)
 
 
 def _delta_leq(a: Delta, b: Delta) -> bool:

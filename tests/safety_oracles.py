@@ -6,8 +6,10 @@ about, and `_scan_budgets` calls it once per (policy type, budgeted group,
 ground) for clause 10. `_scan_process` and `_scan_component` walk the same
 process again for the other clauses. `_grants` reads the permissions along
 a group path through `policy.flatten` and then walks the same path again by
-hand for the nondisclosure ancestors. `detect_errors` runs them at every
-group context, as the detector did.
+hand for the nondisclosure ancestors. Each clause tests its own kind of
+permission in the grant (`_has_kind`, a dissemination budget, a usage
+purpose or an identify entry), where the detector asks `policy.covers`.
+`detect_errors` runs them at every group context, as the detector did.
 """
 
 from typing import Optional
@@ -17,14 +19,14 @@ from privcalc.kernel import (
     Record, SBare, System, TChan, TName, TPrivate, Term, normalize,
 )
 from privcalc.policy import (
-    Hierarchy, NotFound, PermSet, Policy, flatten, hierarchy_groups,
+    Hierarchy, NotFound, PermSet, Policy, flatten, hierarchy_groups, identify,
 )
 from privcalc.safety import (
-    ErrorFinding, _emit, _grounds_of, _is_ref_to, _object_type, _perm_of,
-    _scan_if, _subject_type, _unifiable,
+    ErrorFinding, _emit, _grounds_of, _is_ref_to, _object_type, _subject_type,
+    _unifiable,
 )
 from privcalc.syntax import Gamma, render_process
-from privcalc.typesys import TypingError, _bind_block, _bind_pattern
+from privcalc.typesys import TypingError, _bind_block, _bind_pattern, _resolve_operand
 
 
 def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
@@ -86,6 +88,15 @@ class _ClauseCtx(Record, frozen=False):
     countlink_literal: bool
 
 
+def _perm_of(ctx: _ClauseCtx, t: str) -> PermSet:
+    ps = ctx.permis.get(t)
+    return ps if ps is not None else PermSet()
+
+
+def _has_kind(ps: PermSet, kind: str) -> bool:
+    return any(p.kind == kind for p in ps)
+
+
 def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict]:
     permis: dict[str, Optional[PermSet]] = {}
     nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]] = {}
@@ -111,6 +122,28 @@ def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict]:
     return permis, nd_nodes
 
 
+def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
+    try:
+        a = _resolve_operand(gamma, nd.lhs, nd.span)
+        b = _resolve_operand(gamma, nd.rhs, nd.span)
+    except TypingError:
+        return
+    if a.kind == "private" and b.kind == "private" and a.hidden != b.hidden:
+        known, anon = (b, a) if a.hidden else (a, b)
+        if ctx.id_direction == "known":
+            holder, other = known.ptype, anon.ptype
+        else:
+            holder, other = anon.ptype, known.ptype
+        if holder in ctx.permis and identify(other) not in _perm_of(ctx, holder):
+            _emit(ctx, 9, holder, f"identify {other}", nd, nd.span)
+    if {"private", "purpose"} == {a.kind, b.kind}:
+        datum, purp = (a, b) if a.kind == "private" else (b, a)
+        if (not datum.hidden or nd.op == ">") and datum.ptype in ctx.permis:
+            purposes = {p.purpose for p in _perm_of(ctx, datum.ptype) if p.kind == "usage"}
+            if purp.ptype not in purposes:
+                _emit(ctx, 8, datum.ptype, f"usage {purp.ptype}", nd, nd.span)
+
+
 def _scan_process(ctx: _ClauseCtx, gamma: Gamma, p: Process):
     comps = [p]
     if isinstance(p, Block):
@@ -127,7 +160,7 @@ def _scan_process(ctx: _ClauseCtx, gamma: Gamma, p: Process):
                 ty = _subject_type(gamma, TName(st.ref))
                 if _is_ref_to(ty):
                     t = ty.payload[0].ptype
-                    if t in ctx.permis and not _perm_of(ctx, t).has_kind("aggregate"):
+                    if t in ctx.permis and not _has_kind(_perm_of(ctx, t), "aggregate"):
                         _emit(ctx, 7, t, "aggregate", pair, st.span)
     for c in comps:
         _scan_component(ctx, gamma, c)
@@ -141,7 +174,7 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             ty = _subject_type(gamma, TName(ref))
             if _is_ref_to(ty):
                 t = ty.payload[0].ptype
-                if t in ctx.permis and not _perm_of(ctx, t).has_kind("store"):
+                if t in ctx.permis and not _has_kind(_perm_of(ctx, t), "store"):
                     _emit(ctx, 6, t, "store", nd, nd.span)
             return
         case POut(subject, objects, cont):
@@ -149,7 +182,7 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             if sty is not None and len(sty.payload) == len(objects):
                 for want in sty.payload:
                     if isinstance(want, TPrivate) and want.ptype in ctx.permis:
-                        if not _perm_of(ctx, want.ptype).has_kind("update"):
+                        if not _has_kind(_perm_of(ctx, want.ptype), "update"):
                             _emit(ctx, 2, want.ptype, "update", nd, nd.span)
                     if _is_ref_to(want):
                         t = want.payload[0].ptype
@@ -173,13 +206,13 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                 for k, want, an in zip(patterns, sty.payload, annots):
                     if isinstance(want, TPrivate) and want.ptype in ctx.permis:
                         allowed = _perm_of(ctx, want.ptype)
-                        if not allowed.has_kind("read"):
+                        if not _has_kind(allowed, "read"):
                             _emit(ctx, 1, want.ptype, "read", nd, nd.span)
-                        if isinstance(k, PPair) and not allowed.has_kind("readId"):
+                        if isinstance(k, PPair) and not _has_kind(allowed, "readId"):
                             _emit(ctx, 5, want.ptype, "readId", nd, nd.span)
                     if _is_ref_to(want):
                         t = want.payload[0].ptype
-                        if t in ctx.permis and not _perm_of(ctx, t).has_kind("reference"):
+                        if t in ctx.permis and not _has_kind(_perm_of(ctx, t), "reference"):
                             _emit(ctx, 3, t, "reference", nd, nd.span)
                     try:
                         g2, _ = _bind_pattern(g2, k, want, an)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from privcalc import syntax
 from privcalc.kernel import (
-    Block, Group, PIf, PInp, PNil, POut, PRepl, PStore, Process, SBare, Span,
+    NIL, Block, Group, PIf, PInp, POut, PRepl, PStore, Process, SBare, Span,
     System, _block,
 )
 from privcalc.syntax import (
@@ -155,7 +155,7 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         t = p.peek()
         if t.kind == "NAT" and t.text == "0":
             p.take()
-            return _node(t, PNil)
+            return NIL
         if t.text == "*":
             p.take()
             return _node(t, PRepl, _parse_seq(p, ctx, registry))

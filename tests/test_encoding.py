@@ -454,17 +454,7 @@ def _in_fresh_thread(f):
 
 @pytest.mark.parametrize("last", [
     "render_process", "normalize", "tau_successors", "encode", "render_core",
-    "core_canonical",
-    # the search takes each successor's core form, whose normalizing pass
-    # (`_core_form`, `_normalize1`, `_normalize_comp`) looks its chain
-    # component up in the component memo, which compares it with an equal
-    # chain from an earlier state, and `Record.__eq__` spends three units of
-    # the recursion limit per level (see the FOUND on deep equal terms in
-    # CHANGES.md)
-    pytest.param("check_correspondence", marks=pytest.mark.xfail(
-        raises=RecursionError, strict=True,
-        reason="Record.__eq__ overflows comparing equal chains deeper than ~330 "
-               "in _normalize_comp's _comp_cache lookup")),
+    "core_canonical", "check_correspondence",
 ])
 def test_deep_prefix_chain(last):
     # Every stage up to `last`, in order, on one parsed chain and sharing the
@@ -479,6 +469,25 @@ def test_deep_prefix_chain(last):
             stage(res.value)
             if name == last:
                 return
+
+    clear_memos()
+    _in_fresh_thread(run)
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="Record.__eq__ overflows comparing equal chains deeper "
+                          "than ~330 in _normalize_comp's _comp_cache lookup")
+def test_deep_prefix_chain_parsed_twice():
+    # A parsed chain ends in the shared `NIL`, so it is its own normal form,
+    # and the states of one run reuse that very chain: the component memo
+    # finds it by identity. Two separate parses are equal but not the same
+    # object, so the memo compares them field by field, and `Record.__eq__`
+    # spends three units of the recursion limit per level (see the FOUND on
+    # deep equal terms in CHANGES.md).
+    def run():
+        a, b = (parse_process("c!<k>. " * 330 + "0").value for _ in range(2))
+        normalize(a)
+        normalize(b)
 
     clear_memos()
     _in_fresh_thread(run)

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from privcalc.policy import (
     AGGREGATE, FIN, Hierarchy, Lambda, NotFound, OMEGA, Perm, PermSet,
-    Policy, READ, READID, REFERENCE, STORE, UPDATE, check_wellformed,
-    disseminate, flatten, hierarchy_groups, hierarchy_perms, identify,
+    Policy, READ, READID, REFERENCE, STORE, UPDATE, check_wellformed, covers,
+    descend, disseminate, flatten, hierarchy_groups, hierarchy_perms, identify,
     lambda_add, nondisclose, perm_union, usage,
 )
 from privcalc.syntax import parse_policy
@@ -146,6 +146,49 @@ class TestWellformed:
         p = Policy((("t", Hierarchy("G", PermSet([nondisclose("confidential")]),
                                     (leak,))),))
         assert [v.condition for v in check_wellformed(p)] == [3]
+
+
+_GRANT = PermSet([READ, usage("Limit"), identify("t"), disseminate("Police", 2),
+                  disseminate("Court", OMEGA)])
+
+
+@pytest.mark.parametrize("perm, covered", [
+    (READ, True),
+    (UPDATE, False),
+    (usage("Limit"), True),
+    (usage("Billing"), False),
+    (identify("t"), True),
+    (identify("u"), False),
+    (disseminate("Police", 1), True),
+    (disseminate("Police", 2), True),
+    (disseminate("Police", 3), False),
+    (disseminate("Police", OMEGA), False),
+    (disseminate("Press", 1), False),
+    (disseminate("Court", 7), True),
+    (disseminate("Court", OMEGA), True),
+])
+def test_covers(perm, covered):
+    """A dissemination is covered within its group's budget, any other
+    permission by membership."""
+    assert covers(_GRANT, perm) is covered
+
+
+@pytest.mark.parametrize("path, groups", [
+    (("Car",), []),
+    (("Network", "Bus"), ["Network"]),
+    (("Network", "Car", "SpeedCheck", "Radar"), ["Network", "Car", "SpeedCheck"]),
+    (("Network", "Car", "SpeedCheck"), ["Network", "Car", "SpeedCheck"]),
+    (("Network", "SpeedAuthority"), ["Network", "SpeedAuthority"]),
+    ((), []),
+])
+def test_descend(network, path, groups):
+    """The nodes along a path, stopping at the first group the hierarchy
+    lacks: a wrong root, a missing child, a full path and an empty path."""
+    h = network.lookup("vehicle_data")
+    nodes = descend(h, path)
+    assert [n.group for n in nodes] == groups
+    assert all(child in parent.children for parent, child in zip(nodes, nodes[1:]))
+    assert nodes[:1] in ([], [h])
 
 
 class TestFlatten:
