@@ -87,9 +87,8 @@ class Record:
     fields never change; a record that `replace` builds computes its own,
     and one that `replace` returns unchanged keeps it. A process or system
     node keeps its free atoms (`_free`) and its normal form the same way,
-    a block component its canonical renaming, a normal form its state key
-    and a component of an encoded core form its mark. A mutable record is
-    unhashable.
+    a block component its canonical renaming and a component of an encoded
+    core form its mark. A mutable record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -100,7 +99,6 @@ class Record:
     _atoms = None  # a process or system node's free atoms, once computed
     _norm = None  # a process or system node's normal form (`normalize`)
     _canon = None  # a block component's canonical renaming (`_Numbering`)
-    _key = None  # a normal form's state key (`semantics.state_key`)
     _core = None  # set on a core form's component (`encoding._core_form`)
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
@@ -1046,8 +1044,6 @@ def _sort_block(comps: list, binder_names: Iterable[str], names: frozenset[str],
 
 
 _comp_cache: dict = {}
-# each normal form kept to itself, so that equal ones can be one object
-_normal_forms: dict = {}
 
 
 def normalize(node):
@@ -1059,21 +1055,12 @@ def normalize(node):
     One pass suffices: no sort key or binder order reads a bound name, so
     the renaming cannot change them and a normal form normalizes to itself.
 
-    The normal form is kept on `node` and on itself as `_norm`. Equality
-    ignores spans, so an equal normal form computed before is handed back
-    in its place only when it carries the same spans: typing errors print
-    them.
+    The normal form is kept on `node` and on itself as `_norm`.
     """
     norm = node._norm
     if norm is not None:
         return norm
     norm = _canonical_rename(_normalize1(node, frozenset(), frozenset()))
-    kept = _normal_forms.get(norm)
-    if kept is None:
-        if len(_normal_forms) < 100_000:
-            _normal_forms[norm] = norm
-    elif _same_spans(kept, norm):
-        norm = kept
     _setattr(norm, "_norm", norm)
     _setattr(node, "_norm", norm)
     return norm
@@ -1247,4 +1234,4 @@ def _alpha_key(node) -> str:
 
 def alpha_eq(p, q) -> bool:
     """Equality up to consistent renaming of bound names and variables."""
-    return _canonical_rename(p) == _canonical_rename(q)
+    return _alpha_key(p) == _alpha_key(q)

@@ -229,18 +229,14 @@ class Policy(Record):
         return tuple(t for t, _ in self.bindings)
 
 
-def hierarchy_groups(h: Union[Hierarchy, FlatHierarchy]) -> frozenset[str]:
-    if isinstance(h, FlatHierarchy):
-        return frozenset(h.path)
+def hierarchy_groups(h: Hierarchy) -> frozenset[str]:
     out = {h.group}
     for c in h.children:
         out |= hierarchy_groups(c)
     return frozenset(out)
 
 
-def hierarchy_perms(h: Union[Hierarchy, FlatHierarchy]) -> PermSet:
-    if isinstance(h, FlatHierarchy):
-        return h.perms
+def hierarchy_perms(h: Hierarchy) -> PermSet:
     acc = h.perms
     for c in h.children:
         acc = perm_union(acc, hierarchy_perms(c))

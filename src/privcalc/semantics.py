@@ -23,7 +23,7 @@ from .kernel import (
     PRepl, PStore, PrivacyType, PrivateData, Record, SBare, System,
     TConst, TDual, TName, TPriv, TVar, Term,
     IncompatibleSubstitution, children, field, free_atoms, is_system,
-    normalize, replace, substitute, _apart, _block, _setattr,
+    normalize, replace, substitute, _alpha_key, _apart, _block, _normalize1,
 )
 from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_system
@@ -356,15 +356,11 @@ def has_step(node) -> bool:
 # --- bounded exploration --------------------------------------------------------------
 
 def state_key(node) -> str:
-    """A 48-bit sha256 prefix of the rendered normal form, kept on the
-    normal form, so a normal form met again costs two attribute reads."""
+    """The name a state gets in output: a 48-bit sha256 prefix of its
+    rendered normal form."""
     norm = normalize(node)
-    key = norm._key
-    if key is None:
-        txt = render_system(norm) if is_system(norm) else render_process(norm)
-        key = hashlib.sha256(txt.encode()).hexdigest()[:12]
-        _setattr(norm, "_key", key)
-    return key
+    txt = render_system(norm) if is_system(norm) else render_process(norm)
+    return hashlib.sha256(txt.encode()).hexdigest()[:12]
 
 
 class StateGraph(Record, frozen=False):
@@ -418,22 +414,34 @@ def search(start: tuple, successors: Callable[[tuple], Iterable[tuple]], bound: 
 
 
 def explore(s: System, depth: int) -> StateGraph:
-    """Breadth-first internal-step exploration up to the depth bound, with
-    states deduplicated by `state_key`, a 48-bit sha256 prefix of the
-    rendered normal form. Edges are listed in the order met, once each,
-    so the first edge into a state comes from its parent in the search."""
-    root = normalize(s)
-    edges: list[tuple[str, str, str]] = []
+    """Breadth-first internal-step exploration up to the depth bound. A
+    successor is searched as its structural normal form, flattened and
+    sorted but not renamed, and told apart by `_alpha_key`, which two forms
+    share exactly when their normal forms are equal; a form's successors
+    normalize to those of its normal form, in the same order. Each state
+    kept is then normalized once and named by `state_key`. The search
+    starts from the root's normal form, so the states below it keep
+    canonical binder names unless a step made the binder, and normalizing
+    them reuses the renamings kept on their components. Edges are listed in
+    the order met, once each, so the first edge into a state comes from its
+    parent in the search."""
+    edges: list[tuple[str, str]] = []
 
     def successors(pair: tuple[str, object]) -> list[tuple[str, object]]:
-        out = [(state_key(sn), sn) for sn in map(normalize, tau_successors(pair[1]))]
-        edges.extend((pair[0], "tau", key) for key, _ in out)
+        forms = [_normalize1(q, frozenset(), frozenset()) for q in tau_successors(pair[1])]
+        out = [(_alpha_key(form), form) for form in forms]
+        edges.extend((pair[0], key) for key, _ in out)
         return out
 
-    rkey = state_key(root)
-    nodes, depths, truncated = search((rkey, root), successors, depth)
-    return StateGraph(root=rkey, nodes=nodes, edges=list(dict.fromkeys(edges)),
-                      truncated=truncated, depths=depths)
+    root = normalize(s)
+    rkey = _alpha_key(root)
+    forms, depths, truncated = search((rkey, root), successors, depth)
+    names = {key: state_key(form) for key, form in forms.items()}
+    return StateGraph(root=names[rkey],
+                      nodes={names[key]: normalize(form) for key, form in forms.items()},
+                      edges=list(dict.fromkeys((names[a], "tau", names[b]) for a, b in edges)),
+                      truncated=truncated,
+                      depths={names[key]: d for key, d in depths.items()})
 
 
 # --- type preservation harness ---------------------------------------------------------

@@ -23,11 +23,9 @@ def load(name: str):
 
 
 def clear_memos() -> None:
-    """Empty the kernel's two tables: the normal forms kept to be shared
-    and the memo of normalized components. The normal forms, canonical
-    renamings and state keys kept on nodes stay, so a cold run starts from
-    a fresh parse or from `kernel_oracles.rebuild`."""
-    kernel._normal_forms.clear()
+    """Empty the kernel's one table, the memo of normalized components.
+    The normal forms and canonical renamings kept on nodes stay, so a cold
+    run starts from a fresh parse or from `kernel_oracles.rebuild`."""
     kernel._comp_cache.clear()
 
 

@@ -474,18 +474,32 @@ def test_deep_prefix_chain(last):
     _in_fresh_thread(run)
 
 
+def test_deep_prefix_chain_parsed_twice():
+    # A parsed chain ends in the shared `NIL`, so it is its own normal form.
+    # Two separate parses are equal but not the same object; a lone chain
+    # is no block component, so the component memo never compares them, and
+    # no table keeps normal forms to compare them with.
+    def run():
+        a, b = (parse_process("c!<k>. " * 330 + "0").value for _ in range(2))
+        normalize(a)
+        normalize(b)
+
+    clear_memos()
+    _in_fresh_thread(run)
+
+
 @pytest.mark.xfail(raises=RecursionError, strict=True,
                    reason="Record.__eq__ overflows comparing equal chains deeper "
                           "than ~330 in _normalize_comp's _comp_cache lookup")
-def test_deep_prefix_chain_parsed_twice():
-    # A parsed chain ends in the shared `NIL`, so it is its own normal form,
-    # and the states of one run reuse that very chain: the component memo
-    # finds it by identity. Two separate parses are equal but not the same
-    # object, so the memo compares them field by field, and `Record.__eq__`
-    # spends three units of the recursion limit per level (see the FOUND on
-    # deep equal terms in CHANGES.md).
+def test_deep_prefix_chain_in_block_parsed_twice():
+    # As a block component, the chain of the second parse is looked up in
+    # the component memo, which holds the first parse's equal chain: the
+    # memo compares them field by field, and `Record.__eq__` spends three
+    # units of the recursion limit per level (see the FOUND on deep equal
+    # terms in CHANGES.md).
     def run():
-        a, b = (parse_process("c!<k>. " * 330 + "0").value for _ in range(2))
+        a, b = (parse_process("d?(x). 0 | " + "c!<k>. " * 330 + "0").value
+                for _ in range(2))
         normalize(a)
         normalize(b)
 

@@ -429,14 +429,17 @@ def _binder_text(rng: random.Random, depth: int, bound: tuple = ()) -> str:
 
 def test_steps_blind_to_binder_names():
     """Renaming every binder canonically leaves no binder that clashes, so
-    a step that failed to rename one apart would show as a difference."""
+    a step that failed to rename one apart would show as a difference. The
+    successors normalize alike in the same order, which `explore` rests on
+    when it expands a state unrenamed."""
     stepping = 0
     for seed in range(3000):
         rng = random.Random(seed)
         res = parse_process(" | ".join(_binder_text(rng, 3) for _ in range(3)))
         assert res.ok, res.diagnostics
-        succs = _succ_forms(res.value)
-        assert succs == _succ_forms(kernel._canonical_rename(res.value)), seed
+        succs = list(map(normalize, tau_successors(res.value)))
+        renamed = kernel._canonical_rename(res.value)
+        assert succs == list(map(normalize, tau_successors(renamed))), seed
         stepping += bool(succs)
     assert stepping > 1000
 
@@ -455,19 +458,24 @@ def _oracle_states(source):
                 level = list(dict.fromkeys(core_canonical(q) for st in level
                                            for q in tau_successors(st)))
         return states, []
-    if source == "corpus":
-        depth, systems = 8, []
-        for name, env in (("hospital", "hospital"), ("etp_central", "etp_central"),
-                          ("etp_decentral", "etp_decentral"),
-                          ("speedlimit", "speedlimit"), ("lab", "hospital"),
-                          ("hospital_nurse_read", "hospital")):
-            gamma = parse_env((CORPUS / f"{env}.env").read_text()).value
-            systems.append(parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value)
-    else:
-        depth = 4
-        systems = [gen.random_system(random.Random(seed)) for seed in range(300)]
+    systems, depth = _explored_systems(source)
     graphs = [explore(s, depth) for s in systems]
     return [st for g in graphs for st in g.nodes.values()], [(g, depth) for g in graphs]
+
+
+def _explored_systems(source):
+    """The systems the oracle tests explore, and the depth bound: the
+    corpus at depth 8, or 300 `gen.random_system` seeds at depth 4."""
+    if source == "seeds":
+        return [gen.random_system(random.Random(seed)) for seed in range(300)], 4
+    systems = []
+    for name, env in (("hospital", "hospital"), ("etp_central", "etp_central"),
+                      ("etp_decentral", "etp_decentral"),
+                      ("speedlimit", "speedlimit"), ("lab", "hospital"),
+                      ("hospital_nurse_read", "hospital")):
+        gamma = parse_env((CORPUS / f"{env}.env").read_text()).value
+        systems.append(parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value)
+    return systems, 8
 
 
 @pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
@@ -578,6 +586,33 @@ def test_component_memo_is_exact(source, monkeypatch):
     assert passes[0] - cold_passes < cold_passes
 
 
+@pytest.mark.parametrize("source", ["corpus", "seeds"])
+def test_search_keys_partition_as_normal_forms(source, monkeypatch):
+    """Two successors that `explore` meets share the `_alpha_key` of their
+    unrenamed structural normal forms exactly when their normal forms are
+    equal, so the search keeps the states that keying normal forms kept."""
+    met = []
+    real = semantics.tau_successors
+
+    def recording(node):
+        succs = real(node)
+        met.extend(succs)
+        return succs
+
+    monkeypatch.setattr(semantics, "tau_successors", recording)
+    systems, depth = _explored_systems(source)
+    for system in systems:
+        explore(system, depth)
+    norm_of: dict = {}
+    key_of: dict = {}
+    for q in met:
+        key = kernel._alpha_key(kernel._normalize1(q, frozenset(), frozenset()))
+        norm = normalize(q)
+        assert norm_of.setdefault(key, norm) == norm, q
+        assert key_of.setdefault(norm, key) == key, q
+    assert len(met) > 300 and len(key_of) > 30
+
+
 def test_explored_states_are_their_own_normal_forms(corpus):
     """Each state `explore` reaches keeps itself as its normal form."""
     checked = 0
@@ -638,15 +673,26 @@ def test_renaming_memo_is_exact(source, monkeypatch):
 
 def test_renaming_walks_per_exploration(monkeypatch):
     """From a fresh parse and cold memos, exploring speedlimit to depth 8
-    walks at most 7,000 nodes in renaming mode, where renaming every
-    component walked 13,854: a component renamed before at the same
-    position, whether the earlier renaming was handed the component or
-    gave it back, is not walked again."""
+    renames each of its 75 states once, where renaming every successor
+    renamed 195 times, and walks at most 3,500 nodes in renaming mode
+    (3,024 when measured), where renaming every successor walked 6,301
+    and renaming every component 13,854: a component renamed before at the
+    same position, whether the earlier renaming was handed the component
+    or gave it back, is not walked again."""
     system = load("speedlimit")[2]
     walks = _count_renaming_walks(monkeypatch)
+    renamings = [0]
+    real = kernel._canonical_rename
+
+    def counted(node):
+        renamings[0] += 1
+        return real(node)
+
+    monkeypatch.setattr(kernel, "_canonical_rename", counted)
     clear_memos()
     assert len(explore(system, 8).nodes) == 75
-    assert 0 < walks[0] <= 7000
+    assert renamings[0] == 75
+    assert 0 < walks[0] <= 3500
 
 
 def test_normal_forms_rename_to_themselves():
@@ -693,7 +739,7 @@ def test_sort_keys_match_two_walk_keys(source):
 
 
 def _rendered_key(node) -> str:
-    """`state_key` without the key kept on the normal form."""
+    """`state_key`, written again for the reference loop below."""
     norm = normalize(node)
     txt = render_system(norm) if is_system(norm) else render_process(norm)
     return hashlib.sha256(txt.encode()).hexdigest()[:12]
@@ -728,8 +774,8 @@ def _explore_keying_every_successor(s, depth: int) -> StateGraph:
 
 
 def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
-    """`explore` renders and hashes a normal form only the first time it
-    meets it, and builds the graph that keying every successor built."""
+    """`explore` renders and hashes each state it keeps once, and builds
+    the graph that keying every successor built."""
     clear_memos()
     want = _explore_keying_every_successor(kernel_oracles.rebuild(speedlimit[2]), 8)
     met = []
@@ -750,7 +796,6 @@ def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
     monkeypatch.setattr(semantics, "normalize", normalizing)
     monkeypatch.setattr(semantics, "render_system", counting(semantics.render_system))
     monkeypatch.setattr(semantics, "render_process", counting(semantics.render_process))
-    # a fresh parse: the speedlimit fixture's normal forms keep their keys
     system = load("speedlimit")[2]
     clear_memos()
     got = explore(system, 8)
