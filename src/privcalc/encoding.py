@@ -367,8 +367,7 @@ def _state(q: Process) -> State:
     return _alpha_key(form), form
 
 
-def check_correspondence(p: Process, bound: int,
-                         refs: Optional[frozenset[str]] = None) -> CorrespondenceReport:
+def check_correspondence(p: Process, bound: int) -> CorrespondenceReport:
     """Soundness: every source step is matched by the encoding within the
     bound. Completeness: every first encoded step either reverts to the
     encoded source or completes to the encoding of some source successor.
@@ -379,8 +378,7 @@ def check_correspondence(p: Process, bound: int,
     stops at its targets, and all of them share one successor map by key,
     so each encoded state is expanded at most once."""
     report = CorrespondenceReport()
-    if refs is None:
-        refs = reference_names(p)
+    refs = reference_names(p)
     enc_root = encode(p, refs)
     # normal forms are canonically renamed, so alpha-equivalent source
     # successors are equal

@@ -1060,9 +1060,20 @@ def normalize(node):
     norm = node._norm
     if norm is not None:
         return norm
-    norm = _canonical_rename(_normalize1(node, frozenset(), frozenset()))
-    _setattr(norm, "_norm", norm)
+    norm = _rename_form(_normalize1(node, frozenset(), frozenset()))
     _setattr(node, "_norm", norm)
+    return norm
+
+
+def _rename_form(form):
+    """The normal form of a structural normal form, which `_normalize1`
+    built: its canonical renaming, kept on `form` and on itself as
+    `_norm`."""
+    norm = form._norm
+    if norm is None:
+        norm = _canonical_rename(form)
+        _setattr(norm, "_norm", norm)
+        _setattr(form, "_norm", norm)
     return norm
 
 

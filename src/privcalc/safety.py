@@ -6,18 +6,18 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import (
-    Block, Group, IVar, Known, PIf, PInp, POut, PPair, PRepl, PStore,
-    PrivacyType, Process, Record, SBare, Span, System, TChan, TName, TPrivate,
-    TVar, Term, field, normalize,
+    Block, Group, IVar, Known, PIf, PInp, POut, PRepl, PStore, PrivacyType,
+    Process, Record, SBare, Span, System, TChan, TName, TPrivate, TVar, Term,
+    field, normalize,
 )
 from .policy import (
-    AGGREGATE, EMPTY_PERMS, READ, READID, REFERENCE, STORE, UPDATE, Hierarchy,
-    Perm, PermSet, Policy, covers, descend, disseminate, hierarchy_groups,
-    identify, perm_union, usage,
+    EMPTY_PERMS, Hierarchy, Perm, PermSet, Policy, covers, descend,
+    hierarchy_groups, perm_union,
 )
 from .syntax import Gamma, render_process
-from .typesys import (TypingError, _bind_block, _bind_pattern, _resolve_operand,
-                      type_value)
+from .typesys import (TypingError, _aggregated_perms, _bind_block, _bind_pattern,
+                      _match_perms, _received_perms, _ref_target, _resolve_operand,
+                      _sent_perms, _stored_perms, type_value)
 from .semantics import explore
 
 __all__ = ["ErrorFinding", "count_links", "detect_errors", "safety_scan", "ScanReport"]
@@ -63,16 +63,6 @@ def _object_type(gamma: Gamma, obj: Term) -> Optional[PrivacyType]:
         return None
 
 
-def _is_ref_to(ty) -> bool:
-    return (isinstance(ty, TChan) and len(ty.payload) == 1
-            and isinstance(ty.payload[0], TPrivate))
-
-
-def _ref_type(ty) -> Optional[str]:
-    """The private type a reference type points to."""
-    return ty.payload[0].ptype if _is_ref_to(ty) else None
-
-
 Link = tuple[Optional[str], Optional[PrivacyType]]  # (channel group, object type)
 
 
@@ -84,7 +74,7 @@ def _count(links: list[Link], target: TChan, literal: bool,
         if literal:
             return ty == want_payload
         if subject_group is not None:
-            return _is_ref_to(ty) and ty.payload[0] == want_payload
+            return _ref_target(ty) == want_payload
         return ty == target
 
     return sum(1 for group, ty in links
@@ -101,7 +91,7 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
     object may be a reference of any group to the payload (the
     dissemination shape a budget bounds).
     """
-    if not _is_ref_to(target):
+    if _ref_target(target) is None:
         raise ValueError("count_links target must be a reference type")
     return _count(_links(p, gamma), target, literal, subject_group)
 
@@ -136,12 +126,17 @@ def _emit(ctx: _ClauseCtx, clause: int, t: str, perm: str, nd, span=None):
                                      span))
 
 
-def _require(ctx: _ClauseCtx, clause: int, t: Optional[str], perm: Perm, nd,
-             span: Optional[Span], text: Optional[str] = None):
-    """Clauses 1-9: report `perm` when the policy binds the private type `t`
-    and its grant at this group path does not cover the permission."""
+_CLAUSES = {"read": 1, "update": 2, "reference": 3, "disseminate": 4, "readId": 5,
+            "store": 6, "aggregate": 7, "usage": 8, "identify": 9}
+
+
+def _require(ctx: _ClauseCtx, t: str, perm: Perm, nd, span: Optional[Span]):
+    """Clauses 1-9, numbered by the permission's kind: report `perm` when the
+    policy binds the private type `t` and its grant at this group path does
+    not cover it. A dissemination is reported by its group alone."""
     if t in ctx.permis and not covers(ctx.permis[t], perm):
-        _emit(ctx, clause, t, text or str(perm), nd, span)
+        text = f"disseminate {perm.group}" if perm.kind == "disseminate" else str(perm)
+        _emit(ctx, _CLAUSES[perm.kind], t, text, nd, span)
 
 
 def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
@@ -150,17 +145,8 @@ def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
         b = _resolve_operand(gamma, nd.rhs, nd.span)
     except TypingError:
         return
-    if a.kind == "private" and b.kind == "private" and a.hidden != b.hidden:
-        known, anon = (b, a) if a.hidden else (a, b)
-        if ctx.id_direction == "known":
-            holder, other = known.ptype, anon.ptype
-        else:
-            holder, other = anon.ptype, known.ptype
-        _require(ctx, 9, holder, identify(other), nd, nd.span)
-    if {"private", "purpose"} == {a.kind, b.kind}:
-        datum, purp = (a, b) if a.kind == "private" else (b, a)
-        if not datum.hidden or nd.op == ">":
-            _require(ctx, 8, datum.ptype, usage(purp.ptype), nd, nd.span)
+    for t, perm in _match_perms(a, b, nd.op, ctx.id_direction):
+        _require(ctx, t, perm, nd, nd.span)
 
 
 def _unifiable(i1, i2) -> bool:
@@ -184,30 +170,26 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                         continue
                     pair = Block((), (s1, s2))  # rendered `s1 | s2`
                     for st in (s1, s2):
-                        _require(ctx, 7, _ref_type(_subject_type(gamma, TName(st.ref))),
-                                 AGGREGATE, pair, st.span)
+                        target = _ref_target(_subject_type(gamma, TName(st.ref)))
+                        if target is not None:
+                            for t, perm in _aggregated_perms(target.ptype):
+                                _require(ctx, t, perm, pair, st.span)
             for c in comps:
                 _scan(ctx, gamma, c)
         case PStore(ref, _):
-            _require(ctx, 6, _ref_type(_subject_type(gamma, TName(ref))), STORE, nd, nd.span)
+            for t, perm in _stored_perms(_subject_type(gamma, TName(ref))):
+                _require(ctx, t, perm, nd, nd.span)
         case POut(subject, objects, cont):
             sty = _subject_type(gamma, subject)
             if sty is not None and len(sty.payload) == len(objects):
                 for want in sty.payload:
-                    if isinstance(want, TPrivate):
-                        _require(ctx, 2, want.ptype, UPDATE, nd, nd.span)
-                    t = _ref_type(want)
-                    if t not in ctx.permis:
-                        continue
-                    # sending one link spends one unit of the group's budget
-                    _require(ctx, 4, t, disseminate(sty.group, 1), nd, nd.span,
-                             f"disseminate {sty.group}")
-                    for npath, hnode in ctx.nd_nodes[t]:
+                    for t, perm in _sent_perms(want, sty.group):
+                        _require(ctx, t, perm, nd, nd.span)
+                    target = _ref_target(want)
+                    for npath, hnode in ctx.nd_nodes.get(target.ptype, ()) if target else ():
                         if sty.group not in hierarchy_groups(hnode):
-                            _emit(ctx, 11, t,
-                                  f"nondisclosure at {'.'.join(npath)} "
-                                  f"but link sent on a {sty.group} channel",
-                                  nd, nd.span)
+                            _emit(ctx, 11, target.ptype, f"nondisclosure at {'.'.join(npath)} "
+                                  f"but link sent on a {sty.group} channel", nd, nd.span)
             if ctx.links is not None:
                 group = sty.group if sty is not None else None
                 ctx.links += ((group, _object_type(gamma, o)) for o in objects)
@@ -217,13 +199,10 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             if sty is not None and len(sty.payload) == len(patterns):
                 annots = nd.annots or tuple(None for _ in patterns)
                 for k, want, an in zip(patterns, sty.payload, annots):
-                    if isinstance(want, TPrivate):
-                        _require(ctx, 1, want.ptype, READ, nd, nd.span)
-                        if isinstance(k, PPair):
-                            _require(ctx, 5, want.ptype, READID, nd, nd.span)
-                    _require(ctx, 3, _ref_type(want), REFERENCE, nd, nd.span)
+                    for t, perm in _received_perms(k, want):
+                        _require(ctx, t, perm, nd, nd.span)
                     try:
-                        gamma, _ = _bind_pattern(gamma, k, want, an)
+                        gamma = _bind_pattern(gamma, k, want, an)
                     except TypingError:
                         pass
             _scan(ctx, gamma, cont)

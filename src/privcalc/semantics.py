@@ -24,6 +24,7 @@ from .kernel import (
     TConst, TDual, TName, TPriv, TVar, Term,
     IncompatibleSubstitution, children, field, free_atoms, is_system,
     normalize, replace, substitute, _alpha_key, _apart, _block, _normalize1,
+    _rename_form,
 )
 from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_system
@@ -419,12 +420,12 @@ def explore(s: System, depth: int) -> StateGraph:
     sorted but not renamed, and told apart by `_alpha_key`, which two forms
     share exactly when their normal forms are equal; a form's successors
     normalize to those of its normal form, in the same order. Each state
-    kept is then normalized once and named by `state_key`. The search
-    starts from the root's normal form, so the states below it keep
-    canonical binder names unless a step made the binder, and normalizing
-    them reuses the renamings kept on their components. Edges are listed in
-    the order met, once each, so the first edge into a state comes from its
-    parent in the search."""
+    kept is then renamed once by `_rename_form`, with no second structural
+    pass, and named by `state_key`. The search starts from the root's
+    normal form, so the states below it keep canonical binder names unless
+    a step made the binder, and renaming them reuses the renamings kept on
+    their components. Edges are listed in the order met, once each, so the
+    first edge into a state comes from its parent in the search."""
     edges: list[tuple[str, str]] = []
 
     def successors(pair: tuple[str, object]) -> list[tuple[str, object]]:
@@ -436,9 +437,10 @@ def explore(s: System, depth: int) -> StateGraph:
     root = normalize(s)
     rkey = _alpha_key(root)
     forms, depths, truncated = search((rkey, root), successors, depth)
-    names = {key: state_key(form) for key, form in forms.items()}
+    norms = {key: _rename_form(form) for key, form in forms.items()}
+    names = {key: state_key(norm) for key, norm in norms.items()}
     return StateGraph(root=names[rkey],
-                      nodes={names[key]: normalize(form) for key, form in forms.items()},
+                      nodes={names[key]: norm for key, norm in norms.items()},
                       edges=list(dict.fromkeys((names[a], "tau", names[b]) for a, b in edges)),
                       truncated=truncated,
                       depths={names[key]: d for key, d in depths.items()})

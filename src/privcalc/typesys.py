@@ -19,7 +19,7 @@ from .kernel import (
     TPrivate, TPurpose, TVar, Term, children, field, placeholder_vars,
 )
 from .policy import (
-    AGGREGATE, FlatHierarchy, Lambda, OMEGA, Perm, PermSet, READ, READID,
+    AGGREGATE, FlatHierarchy, OMEGA, Perm, PermSet, READ, READID,
     REFERENCE, STORE, UPDATE, covers, disseminate, identify, perm_union, usage,
 )
 from .syntax import Gamma, render_term
@@ -91,9 +91,12 @@ class Delta:
 EMPTY_DELTA = Delta()
 
 
-def _delta1(t: str, perms: Iterable[Perm]) -> Delta:
-    ps = PermSet(perms)
-    return Delta({t: ps}) if ps else Delta()
+def _delta_of(pairs: Iterable[tuple[str, Perm]]) -> Delta:
+    """The environment exercising each (private type, permission) pair."""
+    perms: dict[str, list[Perm]] = {}
+    for t, perm in pairs:
+        perms.setdefault(t, []).append(perm)
+    return Delta({t: PermSet(ps) for t, ps in perms.items()}) if perms else EMPTY_DELTA
 
 
 class ThetaEntry(Record):
@@ -233,7 +236,7 @@ def _resolve_operand(gamma: Gamma, t: Term, span=None) -> _Operand:
                 return _Operand("name")
             if isinstance(ty, TPrivate):
                 return _Operand("private", ty.ptype, ty.ground, hidden=False,
-                                delta=_delta1(ty.ptype, [READID]))
+                                delta=_delta_of([(ty.ptype, READID)]))
             # fall back to the private entry whose data component this token is
             privs = gamma.priv_types_for_data(tok)
             if privs:
@@ -253,40 +256,21 @@ def _resolve_operand(gamma: Gamma, t: Term, span=None) -> _Operand:
 
 def type_match(gamma: Gamma, lhs: Term, rhs: Term, op: str = "=",
                id_direction: str = "anon", span=None) -> Delta:
-    """Permissions exercised by comparing two terms.
-
-    Identification pairs a known-identity datum with an anonymous one; the
-    identify permission lands on the anonymous side's type by default
-    (id_direction="known" flips it). Usage pairs a datum with a purpose
-    constant; for `=` the datum's identity must not be hidden, for `>` it
-    may be. Name-name and purpose-purpose comparisons are plumbing.
-    """
+    """Permissions exercised by comparing two terms: each identified
+    operand's readId and those of `_match_perms`. Data compare when their
+    ground types agree, and their private types too unless exactly one is
+    anonymised; a datum compares with a purpose constant of its ground
+    type, except an anonymised one under `=`."""
     a = _resolve_operand(gamma, lhs, span)
     b = _resolve_operand(gamma, rhs, span)
-
-    if a.kind == "name" and b.kind == "name":
-        return EMPTY_DELTA
-    if a.kind == "purpose" and b.kind == "purpose":
-        return EMPTY_DELTA
-
     if a.kind == "private" and b.kind == "private":
         if a.ground != b.ground:
             raise TypingError("IllTypedMatch",
                               f"ground types differ: {a.ground} vs {b.ground}", span)
-        base = a.delta.uplus(b.delta)
-        if a.hidden != b.hidden:
-            known, anon = (b, a) if a.hidden else (a, b)
-            if id_direction == "known":
-                extra = _delta1(known.ptype, [identify(anon.ptype)])
-            else:
-                extra = _delta1(anon.ptype, [identify(known.ptype)])
-            return base.uplus(extra)
-        if a.ptype != b.ptype:
+        if a.hidden == b.hidden and a.ptype != b.ptype:
             raise TypingError("IllTypedMatch",
                               f"cannot compare {a.ptype} with {b.ptype}", span)
-        return base
-
-    if {"private", "purpose"} == {a.kind, b.kind}:
+    elif {"private", "purpose"} == {a.kind, b.kind}:
         datum, purp = (a, b) if a.kind == "private" else (b, a)
         if datum.ground != purp.ground:
             raise TypingError("IllTypedMatch",
@@ -295,33 +279,72 @@ def type_match(gamma: Gamma, lhs: Term, rhs: Term, op: str = "=",
             raise TypingError("IllTypedMatch",
                               "anonymised data cannot be matched against a purpose constant",
                               span)
-        return datum.delta.uplus(_delta1(datum.ptype, [usage(purp.ptype)]))
+    elif a.kind != b.kind:
+        raise TypingError("IllTypedMatch",
+                          f"cannot compare a {a.kind} with a {b.kind}", span)
+    return a.delta.uplus(b.delta).uplus(_delta_of(_match_perms(a, b, op, id_direction)))
 
-    raise TypingError("IllTypedMatch",
-                      f"cannot compare a {a.kind} with a {b.kind}", span)
+
+# --- the permissions each rule uses, as (private type, permission) pairs --------------
+# Typing adds them to Δ; the error detector reports each that the grant lacks.
+
+def _ref_target(ty) -> Optional[TPrivate]:
+    """The private type that a reference type `G[t<g>]` points to, else None."""
+    if isinstance(ty, TChan) and len(ty.payload) == 1 and isinstance(ty.payload[0], TPrivate):
+        return ty.payload[0]
+    return None
+
+
+def _sent_perms(want: PrivacyType, group: str) -> list[tuple[str, Perm]]:
+    """Sending an object of type `want` on a channel of `group`: update for
+    private data, one unit of `disseminate group` for a reference's target."""
+    if isinstance(want, TPrivate):
+        return [(want.ptype, UPDATE)]
+    target = _ref_target(want)
+    return [(target.ptype, disseminate(group, 1))] if target else []
+
+
+def _received_perms(pattern: Placeholder, want: PrivacyType) -> list[tuple[str, Perm]]:
+    """Receiving an object of type `want` into `pattern`: read for private
+    data, and readId too when a pair pattern binds its identity; reference
+    for a reference's target."""
+    if isinstance(want, TPrivate):
+        if isinstance(pattern, PPair):
+            return [(want.ptype, READ), (want.ptype, READID)]
+        return [(want.ptype, READ)]
+    target = _ref_target(want)
+    return [(target.ptype, REFERENCE)] if target else []
+
+
+def _match_perms(a: _Operand, b: _Operand, op: str,
+                 id_direction: str) -> list[tuple[str, Perm]]:
+    """Comparing two operands with `op`. A known-identity datum against an
+    anonymous one uses identify, charged to the anonymous side's type
+    unless `id_direction` is "known"; a datum against a purpose constant
+    uses usage, except an anonymised datum tested with `=`."""
+    if a.kind == b.kind == "private" and a.hidden != b.hidden:
+        known, anon = (b, a) if a.hidden else (a, b)
+        holder, other = (known, anon) if id_direction == "known" else (anon, known)
+        return [(holder.ptype, identify(other.ptype))]
+    if {"private", "purpose"} == {a.kind, b.kind}:
+        datum, purp = (a, b) if a.kind == "private" else (b, a)
+        if not (datum.hidden and op == "="):
+            return [(datum.ptype, usage(purp.ptype))]
+    return []
+
+
+def _stored_perms(ref_ty) -> list[tuple[str, Perm]]:
+    """A store behind a reference of type `ref_ty`: store on its target."""
+    target = _ref_target(ref_ty)
+    return [(target.ptype, STORE)] if target else []
+
+
+def _aggregated_perms(*ptypes: str) -> list[tuple[str, Perm]]:
+    """Stores of these types that may hold one identity: aggregate on each."""
+    return [(t, AGGREGATE) for t in ptypes]
 
 
 # --- process typing -----------------------------------------------------------------
-
-def _u_delta(obj_ty: PrivacyType, subject_group: str) -> Delta:
-    match obj_ty:
-        case TPrivate(t, _):
-            return _delta1(t, [UPDATE])
-        case TChan(_, payload) if len(payload) == 1 and isinstance(payload[0], TPrivate):
-            return _delta1(payload[0].ptype, [disseminate(subject_group, Lambda(1))])
-        case _:
-            return EMPTY_DELTA
-
-
-def _r_delta(obj_ty: PrivacyType) -> Delta:
-    match obj_ty:
-        case TPrivate(t, _):
-            return _delta1(t, [READ])
-        case TChan(_, payload) if len(payload) == 1 and isinstance(payload[0], TPrivate):
-            return _delta1(payload[0].ptype, [REFERENCE])
-        case _:
-            return EMPTY_DELTA
-
 
 def _subject_chan(gamma: Gamma, subject: Term, span=None) -> TChan:
     match subject:
@@ -340,7 +363,7 @@ def _subject_chan(gamma: Gamma, subject: Term, span=None) -> TChan:
 
 
 def _bind_pattern(gamma: Gamma, k: Placeholder, ty: PrivacyType,
-                  annot: Optional[PrivacyType], span=None) -> tuple[Gamma, Delta]:
+                  annot: Optional[PrivacyType], span=None) -> Gamma:
     if annot is not None and annot != ty:
         raise TypingError("TypeMismatch",
                           f"annotation {annot} conflicts with payload type {ty}", span)
@@ -350,7 +373,7 @@ def _bind_pattern(gamma: Gamma, k: Placeholder, ty: PrivacyType,
             if declared is not None and declared != ty:
                 raise TypingError("TypeMismatch",
                                   f"{x} declared {declared} but bound at {ty}", span)
-            return gamma.bind_atom(x, ty), EMPTY_DELTA
+            return gamma.bind_atom(x, ty)
         case PPair(x, y):
             if not isinstance(ty, TPrivate):
                 raise TypingError("TypeMismatch",
@@ -359,7 +382,7 @@ def _bind_pattern(gamma: Gamma, k: Placeholder, ty: PrivacyType,
             if declared is not None and declared != ty:
                 raise TypingError("TypeMismatch",
                                   f"{x} # {y} declared {declared} but bound at {ty}", span)
-            return gamma.bind_priv(IVar(x), DVar(y), ty), _delta1(ty.ptype, [READID])
+            return gamma.bind_priv(IVar(x), DVar(y), ty)
         case PAnon(y):
             if not isinstance(ty, TPrivate):
                 raise TypingError("TypeMismatch",
@@ -368,7 +391,7 @@ def _bind_pattern(gamma: Gamma, k: Placeholder, ty: PrivacyType,
             if declared is not None and declared != ty:
                 raise TypingError("TypeMismatch",
                                   f"_ # {y} declared {declared} but bound at {ty}", span)
-            return gamma.bind_priv(Hidden(), DVar(y), ty), EMPTY_DELTA
+            return gamma.bind_priv(Hidden(), DVar(y), ty)
     raise TypingError("TypeMismatch", f"bad placeholder {k!r}", span)
 
 
@@ -436,12 +459,11 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
             rty = gamma.atom_type(ref)
             if rty is None:
                 raise TypingError("UnboundTerm", f"store reference {ref} is not typed", p.span)
-            if not (isinstance(rty, TChan) and len(rty.payload) == 1
-                    and isinstance(rty.payload[0], TPrivate)):
+            want = _ref_target(rty)
+            if want is None:
                 raise TypingError("TypeMismatch",
                                   f"store reference {ref} needs a G[t<g>] type, has {rty}",
                                   p.span)
-            want = rty.payload[0]
             if isinstance(datum.identity, Hidden):
                 raise TypingError("TypeMismatch",
                                   "a store cannot hold anonymised data", p.span)
@@ -452,7 +474,7 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
             # the datum's readId is not exercised by merely holding it
             ikey = _identity_key(datum.identity)
             return ProcTyping(frozenset([ref]), ((ikey, want.ptype),),
-                              _delta1(want.ptype, [STORE]))
+                              _delta_of(_stored_perms(rty)))
 
         case POut(subject, objects, cont):
             sty = _subject_chan(gamma, subject, p.span)
@@ -467,7 +489,9 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
                     raise TypingError("TypeMismatch",
                                       f"object {render_term(obj)} has type {oty}, "
                                       f"channel carries {want}", p.span)
-                delta = delta.uplus(odelta).uplus(_u_delta(want, sty.group))
+                delta = delta.uplus(odelta)
+            delta = delta.uplus(_delta_of(pair for want in sty.payload
+                                          for pair in _sent_perms(want, sty.group)))
             body = type_process(gamma, cont, id_direction)
             return ProcTyping(body.lam, body.zrecs, body.delta.uplus(delta))
 
@@ -477,12 +501,12 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
                 raise TypingError("ArityMismatch",
                                   f"input binds {len(patterns)} patterns on a "
                                   f"{len(sty.payload)}-ary channel", p.span)
-            delta = EMPTY_DELTA
             g2 = gamma
             annots = p.annots or tuple(None for _ in patterns)
             for k, want, an in zip(patterns, sty.payload, annots):
-                g2, kdelta = _bind_pattern(g2, k, want, an, p.span)
-                delta = delta.uplus(kdelta).uplus(_r_delta(want))
+                g2 = _bind_pattern(g2, k, want, an, p.span)
+            delta = _delta_of(pair for k, want in zip(patterns, sty.payload)
+                              for pair in _received_perms(k, want))
             body = type_process(g2, cont, id_direction)
             return ProcTyping(body.lam, body.zrecs, body.delta.uplus(delta))
 
@@ -496,12 +520,9 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
             rt = typings[-1]
             for lt in reversed(typings[:-1]):
                 lam = _merge_lam(lt.lam, rt.lam, p.span)
-                agg = EMPTY_DELTA
-                for (ik1, t1) in lt.zrecs:
-                    for (ik2, t2) in rt.zrecs:
-                        if ik1 == ik2 or ik1[0] == "var" or ik2[0] == "var":
-                            agg = agg.uplus(_delta1(t1, [AGGREGATE]))
-                            agg = agg.uplus(_delta1(t2, [AGGREGATE]))
+                agg = _delta_of(pair for ik1, t1 in lt.zrecs for ik2, t2 in rt.zrecs
+                                if ik1 == ik2 or ik1[0] == "var" or ik2[0] == "var"
+                                for pair in _aggregated_perms(t1, t2))
                 rt = ProcTyping(lam, lt.zrecs + rt.zrecs,
                                 lt.delta.uplus(rt.delta).uplus(agg))
             return ProcTyping(rt.lam.difference(n for n, _ in bs), rt.zrecs, rt.delta)
@@ -512,9 +533,7 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
                 r = sorted(inner.lam)[0]
                 raise TypingError("ReplicatedFreeStore",
                                   f"store reference {r} is free under replication", p.span)
-            agg = EMPTY_DELTA
-            for (_, t) in inner.zrecs:
-                agg = agg.uplus(_delta1(t, [AGGREGATE]))
+            agg = _delta_of(_aggregated_perms(*(t for _, t in inner.zrecs)))
             return ProcTyping(frozenset(), inner.zrecs, inner.delta.star().uplus(agg))
 
         case PIf(op, lhs, rhs, then, els):

@@ -22,11 +22,15 @@ from privcalc.policy import (
     Hierarchy, NotFound, PermSet, Policy, flatten, hierarchy_groups, identify,
 )
 from privcalc.safety import (
-    ErrorFinding, _emit, _grounds_of, _is_ref_to, _object_type, _subject_type,
-    _unifiable,
+    ErrorFinding, _emit, _grounds_of, _object_type, _subject_type, _unifiable,
 )
 from privcalc.syntax import Gamma, render_process
 from privcalc.typesys import TypingError, _bind_block, _bind_pattern, _resolve_operand
+
+
+def _is_ref_to(ty) -> bool:
+    return (isinstance(ty, TChan) and len(ty.payload) == 1
+            and isinstance(ty.payload[0], TPrivate))
 
 
 def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
@@ -62,7 +66,7 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
                     annots = nd.annots or tuple(None for _ in patterns)
                     for k, ty, an in zip(patterns, sty.payload, annots):
                         try:
-                            g3, _ = _bind_pattern(g3, k, ty, an)
+                            g3 = _bind_pattern(g3, k, ty, an)
                         except TypingError:
                             pass
                 return go(cont, g3)
@@ -215,7 +219,7 @@ def _scan_component(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                         if t in ctx.permis and not _has_kind(_perm_of(ctx, t), "reference"):
                             _emit(ctx, 3, t, "reference", nd, nd.span)
                     try:
-                        g2, _ = _bind_pattern(g2, k, want, an)
+                        g2 = _bind_pattern(g2, k, want, an)
                     except TypingError:
                         pass
             _scan_process(ctx, g2, cont)

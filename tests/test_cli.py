@@ -213,3 +213,23 @@ def test_no_import_inside_a_function():
                 deferred += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert deferred == []
+
+
+def test_no_unused_import():
+    """Every name that a module of the package imports at its top level is
+    read somewhere in that module. The package's `__init__` is exempt: the
+    names it imports are what `import privcalc` offers."""
+    unused = []
+    for path in sorted(pathlib.Path(PKG, "privcalc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{node.lineno}:{name}" for name in
+                           ((a.asname or a.name).split(".")[0] for a in node.names)
+                           if name not in read]
+    assert unused == []

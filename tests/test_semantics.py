@@ -825,6 +825,37 @@ def test_explore_matches_old_loop_on_random_systems():
         assert _graph(explore(system, 4)) == _graph(want), seed
 
 
+@pytest.mark.parametrize("name, depth", [*((n, 8) for n in NAMES), ("speedlimit", 12)])
+def test_kept_states_are_renamed_without_another_pass(name, depth, monkeypatch):
+    """Once the search is over, `explore` only renames the structural
+    normal forms it kept: no normalizing pass runs, and the states are
+    those the old loop kept, spans included."""
+    clear_memos()
+    want = _explore_keying_every_successor(load(name)[2], depth)
+    searching = [True]
+    passes_after = [0]
+    real_search, real_pass = semantics.search, kernel._normalize1
+
+    def search(*args):
+        out = real_search(*args)
+        searching[0] = False
+        return out
+
+    def counted(*args):
+        passes_after[0] += not searching[0]
+        return real_pass(*args)
+
+    monkeypatch.setattr(semantics, "search", search)
+    monkeypatch.setattr(semantics, "_normalize1", counted)
+    monkeypatch.setattr(kernel, "_normalize1", counted)
+    clear_memos()
+    got = explore(load(name)[2], depth)
+    assert not searching[0] and passes_after[0] == 0
+    assert list(got.nodes) == list(want.nodes)
+    for key, state in want.nodes.items():
+        assert got.nodes[key] == state and kernel._same_spans(got.nodes[key], state), key
+
+
 def test_non_decimal_constant_is_not_a_number():
     """A constant that the lexer read as a digit but that has no decimal
     value, such as `²`, leaves a `>` condition undecided, where `int`

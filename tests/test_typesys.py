@@ -4,7 +4,7 @@ import pytest
 
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, Known, NIL, PAnon, PInp, PIf, POut, PPair,
-    PRepl, PStore, PVar, PrivateData, SBare, TChan,
+    PAnon, PRepl, PStore, PVar, PrivateData, SBare, TChan,
     TConst, TName, TPriv, TPrivate, TPurpose, TVar, children, substitute,
 )
 from privcalc.policy import (
@@ -13,8 +13,9 @@ from privcalc.policy import (
 )
 from privcalc.syntax import Gamma, parse_env, parse_process, parse_system
 from privcalc.typesys import (
-    Delta, Theta, ThetaEntry, TypingError, interface_leq, permset_leq,
-    type_match, type_process, type_system, type_value,
+    Delta, Theta, ThetaEntry, TypingError, _Operand, _aggregated_perms,
+    _match_perms, _received_perms, _ref_target, _sent_perms, _stored_perms,
+    interface_leq, permset_leq, type_match, type_process, type_system, type_value,
 )
 
 import gen
@@ -98,6 +99,81 @@ class TestTypeMatch:
         g = parse_env("{a # c1} : t1<g1>\n{b # c2} : t1<g1>\n").value
         d = type_match(g, TConst("c1"), TConst("c2"))
         assert d == Delta({"t1": PermSet([READID])})
+
+
+T = TPrivate("t", "g")
+REF = TChan("R", (T,))
+CHAN = TChan("C", (REF,))  # carries references, is none
+
+
+@pytest.mark.parametrize("ty, want", [
+    (REF, T),
+    (T, None),
+    (CHAN, None),
+    (TChan("R", (T, T)), None),
+    (TPurpose("p", "g"), None),
+    (None, None),
+])
+def test_ref_target(ty, want):
+    assert _ref_target(ty) == want
+
+
+@pytest.mark.parametrize("want, perms", [
+    (T, [("t", UPDATE)]),
+    # the budget spent is the carrying channel's group, not the reference's
+    (REF, [("t", disseminate("G", 1))]),
+    (CHAN, []),
+    (TPurpose("p", "g"), []),
+])
+def test_sent_perms(want, perms):
+    assert _sent_perms(want, "G") == perms
+
+
+@pytest.mark.parametrize("pattern, want, perms", [
+    (PVar("x"), T, [("t", READ)]),
+    (PPair("i", "x"), T, [("t", READ), ("t", READID)]),
+    (PAnon("x"), T, [("t", READ)]),
+    (PVar("x"), REF, [("t", REFERENCE)]),
+    (PVar("x"), CHAN, []),
+    (PVar("x"), TPurpose("p", "g"), []),
+])
+def test_received_perms(pattern, want, perms):
+    assert _received_perms(pattern, want) == perms
+
+
+KNOWN = _Operand("private", "t", "g")
+KNOWN2 = _Operand("private", "t2", "g")
+ANON = _Operand("private", "u", "g", hidden=True)
+ANON2 = _Operand("private", "u2", "g", hidden=True)
+PURPOSE = _Operand("purpose", "p", "g")
+NAME = _Operand("name")
+
+
+@pytest.mark.parametrize("a, b, op, id_direction, perms", [
+    (KNOWN, ANON, "=", "anon", [("u", identify("t"))]),
+    (ANON, KNOWN, "=", "anon", [("u", identify("t"))]),
+    (KNOWN, ANON, "=", "known", [("t", identify("u"))]),
+    (ANON, KNOWN, ">", "known", [("t", identify("u"))]),
+    (KNOWN, KNOWN2, "=", "anon", []),
+    (ANON, ANON2, "=", "known", []),
+    (KNOWN, PURPOSE, "=", "anon", [("t", usage("p"))]),
+    (PURPOSE, KNOWN, ">", "known", [("t", usage("p"))]),
+    (ANON, PURPOSE, "=", "anon", []),
+    (PURPOSE, ANON, "=", "anon", []),
+    (ANON, PURPOSE, ">", "anon", [("u", usage("p"))]),
+    (PURPOSE, ANON, ">", "known", [("u", usage("p"))]),
+    (NAME, NAME, "=", "anon", []),
+    (PURPOSE, PURPOSE, "=", "anon", []),
+])
+def test_match_perms(a, b, op, id_direction, perms):
+    assert _match_perms(a, b, op, id_direction) == perms
+
+
+def test_store_and_aggregate_perms():
+    assert _stored_perms(REF) == [("t", STORE)]
+    assert _stored_perms(T) == _stored_perms(CHAN) == _stored_perms(None) == []
+    assert _aggregated_perms("t", "t2") == [("t", AGGREGATE), ("t2", AGGREGATE)]
+    assert _aggregated_perms() == []
 
 
 LAB_BODY = "b?(w). w?(x # y). r?(_ # z). if y = z then c!<w>.0 else 0"
