@@ -181,7 +181,17 @@ EMPTY_PERMS = PermSet()
 
 
 def perm_union(*sets: PermSet) -> PermSet:
-    return PermSet(p for ps in sets for p in ps)
+    """The union of the sets, the budgets of one group's disseminations
+    added: their plain permissions and budgets merged as they are, with no
+    permission rebuilt. A single set is returned itself."""
+    if len(sets) == 1:
+        return sets[0]
+    out = PermSet()
+    out._plain = frozenset().union(*(ps._plain for ps in sets))
+    for ps in sets:
+        for g, lam in ps._diss.items():
+            out._diss[g] = lambda_add(out._diss[g], lam) if g in out._diss else lam
+    return out
 
 
 def covers(perms: PermSet, p: Perm) -> bool:

@@ -8,10 +8,10 @@ from typing import Optional
 from .kernel import (
     Block, Group, IVar, Known, PIf, PInp, POut, PRepl, PStore, PrivacyType,
     Process, Record, SBare, Span, System, TChan, TName, TPrivate, TVar, Term,
-    field, normalize,
+    field, normalize, placeholder_vars, _normalize1, _rename_form,
 )
 from .policy import (
-    EMPTY_PERMS, Hierarchy, Perm, PermSet, Policy, covers, descend,
+    EMPTY_PERMS, Hierarchy, Lambda, Perm, PermSet, Policy, covers, descend,
     hierarchy_groups, perm_union,
 )
 from .syntax import Gamma, render_process
@@ -96,6 +96,9 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
     return _count(_links(p, gamma), target, literal, subject_group)
 
 
+Budget = tuple[str, str, Lambda]  # (policy type, group, finite budget)
+
+
 class _ClauseCtx(Record, frozen=False):
     path: tuple[str, ...]
     permis: dict[str, PermSet]  # policy type -> accumulated grant
@@ -103,21 +106,35 @@ class _ClauseCtx(Record, frozen=False):
     findings: list[ErrorFinding]
     id_direction: str = "anon"
     links: Optional[list[Link]] = None  # output objects, when collected
+    names: bool = False  # whether to test binders for hidden entries
+    # cleared where the walked body and its own normal form may differ in
+    # what the clauses read: a binder that hides an environment entry
+    # (tested when `names` is set), a restriction left untyped, which its
+    # renamed name could read an entry through, or a block whose binder
+    # order may decide an inferred type
+    exact: bool = True
 
 
-def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict]:
+def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, list[Budget]]:
     """Accumulated permissions and nondisclosure-carrying ancestors along a
     group path, per policy-bound type, in one descent of each hierarchy;
-    paths outside the hierarchy grant nothing."""
+    paths outside the hierarchy grant nothing. Then the finite
+    dissemination budgets of the permissions, which clause 10 counts
+    against."""
     permis: dict[str, PermSet] = {}
     nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]] = {}
-    for t in policy.types():
-        nodes = descend(policy.lookup(t), path)
-        permis[t] = (perm_union(*(n.perms for n in nodes)) if len(nodes) == len(path)
-                     else EMPTY_PERMS)
+    budgets: list[Budget] = []
+    for t, h in policy.bindings:
+        if t in permis:
+            continue  # a type bound twice is read by its first binding
+        nodes = descend(h, path)
+        allowed = permis[t] = (perm_union(*(n.perms for n in nodes))
+                               if len(nodes) == len(path) else EMPTY_PERMS)
         nd_nodes[t] = [(path[:depth], n) for depth, n in enumerate(nodes, 1)
                        if n.perms.nondisclose_kinds()]
-    return permis, nd_nodes
+        budgets += ((t, group, lam) for group in sorted(allowed.diss_groups())
+                    if not (lam := allowed.diss_budget(group)).unlimited)
+    return permis, nd_nodes, budgets
 
 
 def _emit(ctx: _ClauseCtx, clause: int, t: str, perm: str, nd, span=None):
@@ -160,8 +177,13 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
     prefixes and blocks with the environment extended by their bindings,
     and list every output object in `ctx.links` when it is a list."""
     match nd:
-        case Block(_, comps):
-            gamma, _ = _bind_block(gamma, nd)
+        case Block(binders, comps):
+            inner, missing = _bind_block(gamma, nd)
+            if (missing is not None
+                    or (len(binders) > 1 and any(a is None for _, a in binders))
+                    or (ctx.names and any(_entries(gamma, n) for n, _ in binders))):
+                ctx.exact = False
+            gamma = inner
             # clause 7: parallel stores with unifiable identities
             stores = [c for c in comps if isinstance(c, PStore)]
             for i, s1 in enumerate(stores):
@@ -196,22 +218,47 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             _scan(ctx, gamma, cont)
         case PInp(subject, patterns, cont):
             sty = _subject_type(gamma, subject)
+            inner = gamma
+            bound = []
             if sty is not None and len(sty.payload) == len(patterns):
                 annots = nd.annots or tuple(None for _ in patterns)
                 for k, want, an in zip(patterns, sty.payload, annots):
                     for t, perm in _received_perms(k, want):
                         _require(ctx, t, perm, nd, nd.span)
                     try:
-                        gamma = _bind_pattern(gamma, k, want, an)
+                        inner = _bind_pattern(inner, k, want, an)
                     except TypingError:
-                        pass
-            _scan(ctx, gamma, cont)
+                        continue
+                    bound.append(k)
+            if ctx.names and _hides(gamma, inner, patterns, bound):
+                ctx.exact = False
+            _scan(ctx, inner, cont)
         case PRepl(body):
             _scan(ctx, gamma, body)
         case PIf(_, _, _, then, els):
             _scan_if(ctx, gamma, nd)
             _scan(ctx, gamma, then)
             _scan(ctx, gamma, els)
+
+
+def _entries(gamma: Gamma, name: str) -> tuple:
+    """The entries of the environment that a binder of this name hides:
+    the name's type, and each private-data entry with the name in its key."""
+    return (((gamma.atoms[name],) if name in gamma.atoms else ())
+            + tuple(item for item in gamma.privs.items() if name in item[0]))
+
+
+def _hides(before: Gamma, after: Gamma, patterns, bound: list) -> bool:
+    """Whether an input's pattern variables hide entries of the environment
+    `before`: a variable that has some, unless its pattern is one of those
+    `bound` and the binding left its entries in `after` as they were (an
+    input repeated on one channel binds its variables again alike)."""
+    for k in patterns:
+        for x in placeholder_vars(k):
+            old = _entries(before, x)
+            if old and (k not in bound or _entries(after, x) != old):
+                return True
+    return False
 
 
 def _links(p: Process, gamma: Gamma) -> list[Link]:
@@ -239,13 +286,10 @@ def _grounds_of(gamma: Gamma, t: str) -> set[str]:
     return out
 
 
-def _scan_budgets(ctx: _ClauseCtx, gamma: Gamma, p: Process, literal: bool):
+def _scan_budgets(ctx: _ClauseCtx, gamma: Gamma, p: Process, literal: bool,
+                  budgets: list[Budget], links: list[Link]):
     """Clause 10: a finite dissemination budget exceeded by the number of
-    link outputs in the context process, counted from one link list."""
-    budgets = [(t, group, lam) for t, allowed in ctx.permis.items()
-               for group in sorted(allowed.diss_groups())
-               if not (lam := allowed.diss_budget(group)).unlimited]
-    links = _links(p, gamma) if budgets else []
+    link outputs in the context process, counted from its link list."""
     for t, group, lam in budgets:
         total = sum(_count(links, TChan(group, (TPrivate(t, ground),)), literal,
                            None if literal else group)
@@ -255,32 +299,113 @@ def _scan_budgets(ctx: _ClauseCtx, gamma: Gamma, p: Process, literal: bool):
                   render_process(p))
 
 
+class _Detector:
+    """The error clauses at every group context of systems, against one
+    policy and environment.
+
+    A context's findings are those of the clauses on its body's own normal
+    form (clause 10 counts on the body as it sits), with the environment
+    extended by the blocks above it. Finding none is the same verdict on
+    any renaming and reordering of the body that hides no environment
+    entry and leaves every restriction's type as it was, so a context is
+    first checked on the body as it sits in the form walked; only a
+    context with a finding, or one that `_scan` did not find `exact`,
+    normalizes its body and is checked again. A state of `explore` is its
+    own normal form and is walked as it is; another system is walked as
+    its structural normal form, unrenamed, and walked again renamed when
+    a context there is not settled so.
+
+    The findings of a context are kept by its body (the object, never
+    compared field by field), its group path and the bindings of the
+    blocks above it, which fix its environment; the grants of a path by
+    the path. A context that many states share is checked once."""
+
+    __slots__ = ("policy", "gamma", "id_direction", "literal", "fast", "grants", "seen")
+
+    def __init__(self, policy: Policy, gamma: Gamma, id_direction: str, literal: bool):
+        self.policy = policy
+        self.gamma = gamma
+        self.id_direction = id_direction
+        self.literal = literal
+        # an environment token of the canonical renaming's shape could be
+        # captured by a renamed binder: then every context is renamed
+        self.fast = not any(tok.startswith(("_n", "_x"))
+                            for tok in (*gamma.atoms, *(t for key in gamma.privs for t in key)))
+        self.grants: dict[tuple[str, ...], tuple] = {}
+        self.seen: dict[tuple, tuple[Process, list[ErrorFinding]]] = {}
+
+    def findings(self, s: System) -> list[ErrorFinding]:
+        found: list[ErrorFinding] = []
+        norm = s._norm
+        if norm is None:
+            form = _normalize1(s, frozenset(), frozenset())
+            if not (self.fast and self._walk(form, (), (), self.gamma, found, True)):
+                found = []
+                self._walk(_rename_form(form), (), (), self.gamma, found, None)
+        else:
+            self._walk(norm, (), (), self.gamma, found, False if self.fast else None)
+        # deterministic order, duplicates collapsed
+        return sorted(set(found),
+                      key=lambda f: (f.clause, f.ptype, f.group_path, f.permission, f.subterm))
+
+    def _walk(self, node: System, path: tuple[str, ...], scope: tuple, g: Gamma,
+              found: list[ErrorFinding], unrenamed: Optional[bool]) -> bool:
+        """Check every context below `node`, a structural normal form, and
+        add its findings to `found`. `unrenamed` is True on a form that is
+        not renamed: its binders are tested for hidden entries, and a
+        context that is not settled where it sits stops the walk, which
+        gives False. It is False on a normal form, whose contexts are
+        checked where they sit first, and None where every context is
+        checked on its body's normal form."""
+        match node:
+            case Group(group, body):
+                return self._walk(body, path + (group,), scope, g, found, unrenamed)
+            case Block(binders, comps):
+                if unrenamed and any(_entries(g, n) for n, _ in binders):
+                    return False
+                g, _ = _bind_block(g, node)
+                scope += tuple((n, g.atoms.get(n)) for n, _ in binders)
+                return all(self._walk(c, path, scope, g, found, unrenamed) for c in comps)
+            case SBare(proc):
+                key = (id(proc), path, scope)
+                hit = self.seen.get(key)
+                if hit is None:
+                    hit = self._context(proc, path, g, unrenamed)
+                    if hit is None:
+                        return False
+                    self.seen[key] = hit
+                found += hit[1]
+        return True
+
+    def _context(self, proc: Process, path: tuple[str, ...], g: Gamma,
+                 unrenamed: Optional[bool]) -> Optional[tuple[Process, list[ErrorFinding]]]:
+        grants = self.grants.get(path)
+        if grants is None:
+            grants = self.grants[path] = _grants(self.policy, path)
+        permis, nd_nodes, budgets = grants
+        if unrenamed is not None:
+            ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction,
+                             [] if budgets else None, unrenamed)
+            _scan(ctx, g, proc)
+            _scan_budgets(ctx, g, proc, self.literal, budgets, ctx.links)
+            if ctx.exact and not ctx.findings:
+                return proc, []
+            if unrenamed:
+                return None
+        ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction)
+        _scan(ctx, g, normalize(proc))
+        _scan_budgets(ctx, g, proc, self.literal, budgets,
+                      _links(proc, g) if budgets else [])
+        return proc, ctx.findings
+
+
 def detect_errors(policy: Policy, gamma: Gamma, s: System,
                   id_direction: str = "anon",
                   countlink_literal: bool = False) -> list[ErrorFinding]:
     """Evaluate the error clauses at every group context of the normalized
     system, descending through prefixes with the environment extended by
     their bindings."""
-    findings: list[ErrorFinding] = []
-
-    def walk(node: System, path: tuple[str, ...], g: Gamma):
-        match node:
-            case Group(group, body):
-                walk(body, path + (group,), g)
-            case Block(_, comps):
-                g2, _ = _bind_block(g, node)
-                for c in comps:
-                    walk(c, path, g2)
-            case SBare(proc):
-                ctx = _ClauseCtx(path, *_grants(policy, path), findings, id_direction)
-                _scan(ctx, g, normalize(proc))
-                _scan_budgets(ctx, g, proc, countlink_literal)
-
-    walk(normalize(s), (), gamma)
-    # deterministic order, duplicates collapsed
-    uniq = sorted(set(findings),
-                  key=lambda f: (f.clause, f.ptype, f.group_path, f.permission, f.subterm))
-    return uniq
+    return _Detector(policy, gamma, id_direction, countlink_literal).findings(s)
 
 
 class ScanReport(Record, frozen=False):
@@ -306,9 +431,7 @@ def safety_scan(policy: Policy, gamma: Gamma, s: System, depth: int,
     """Run the error detector on every state reachable within the bound."""
     graph = explore(s, depth)
     report = ScanReport(states=len(graph.nodes), truncated=graph.truncated)
+    detector = _Detector(policy, gamma, id_direction, countlink_literal)
     for key in sorted(graph.nodes):
-        node = graph.nodes[key]
-        for f in detect_errors(policy, gamma, node, id_direction=id_direction,
-                               countlink_literal=countlink_literal):
-            report.findings.append((key, f))
+        report.findings += ((key, f) for f in detector.findings(graph.nodes[key]))
     return report

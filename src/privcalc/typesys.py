@@ -166,8 +166,10 @@ def _identity_key(i) -> tuple[str, str]:
 
 
 def _identify_delta(ptype: str, identity) -> Delta:
+    """What holding a datum of this identity exercises: readId on its type
+    when the identity is not hidden, and nothing for an anonymous one."""
     if isinstance(identity, Hidden):
-        return Delta({ptype: PermSet()})
+        return EMPTY_DELTA
     return Delta({ptype: PermSet([READID])})
 
 

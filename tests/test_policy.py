@@ -56,6 +56,32 @@ class TestPermUnion:
         b = PermSet([READ])
         assert perm_union(a, b) == PermSet([disseminate("G", OMEGA), READ])
 
+    @pytest.mark.parametrize("sets, want", [
+        ((), []),
+        (([READ], [UPDATE], [READ]), [READ, UPDATE]),
+        (([disseminate("G", 1)], [disseminate("G", 2)]), [disseminate("G", 3)]),
+        (([disseminate("G", 1)], [disseminate("G", OMEGA)]), [disseminate("G", OMEGA)]),
+        (([disseminate("G", OMEGA)], [disseminate("G", 4)]), [disseminate("G", OMEGA)]),
+        (([disseminate("G", 1), READ], [disseminate("H", 2)], [disseminate("G", 1), STORE]),
+         [READ, STORE, disseminate("G", 2), disseminate("H", 2)]),
+        (([usage("p0")], [], [identify("t0"), nondisclose("sensitive")]),
+         [usage("p0"), identify("t0"), nondisclose("sensitive")]),
+    ])
+    def test_merges_as_rebuilding_the_permissions_did(self, sets, want):
+        # the union merges the sets' plain permissions and budgets; it must
+        # equal the set rebuilt from every permission, budgets in the order
+        # in which their groups first occur
+        sets = [PermSet(ps) for ps in sets]
+        got = perm_union(*sets)
+        rebuilt = PermSet(p for ps in sets for p in ps)
+        assert got == rebuilt == PermSet(want)
+        assert [p for p in got if p.kind == "disseminate"] == \
+            [p for p in rebuilt if p.kind == "disseminate"]
+
+    def test_single_set_is_returned_itself(self):
+        a = PermSet([READ, disseminate("G", 2)])
+        assert perm_union(a) is a
+
 
 perm_pool = [READ, UPDATE, REFERENCE, STORE, READID, AGGREGATE,
              usage("p0"), usage("p1"), identify("t0"),

@@ -1,6 +1,9 @@
+import contextlib
 import functools
+import io
 import random
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,6 +15,7 @@ from privcalc.policy import (
     AGGREGATE, FIN, OMEGA, PermSet, Policy, Hierarchy, READ, READID, REFERENCE,
     STORE, UPDATE, disseminate, identify, nondisclose, usage,
 )
+from privcalc import cli, kernel, safety
 from privcalc.safety import count_links, detect_errors, safety_scan
 from privcalc.satisfaction import policy_satisfies, verify
 from privcalc.semantics import explore
@@ -19,8 +23,9 @@ from privcalc.syntax import parse_env, parse_policy, parse_system
 from privcalc.typesys import _bind_block, type_system
 
 import gen
+import kernel_oracles
 import safety_oracles
-from conftest import CORPUS
+from conftest import CORPUS, load
 
 
 REF_T = TChan("G", (TPrivate("t", "g"),))
@@ -284,14 +289,63 @@ def _seed_policy(rng: random.Random) -> Policy:
                         for t in ("t0", "t1")))
 
 
+# Systems on which a body as it sits and its own normal form read the
+# clauses differently, under finite budgets: a binder that hides an
+# environment entry, a restriction left untyped, or a block whose binder
+# order decides an inferred type; only the renamed path gives the oracle's
+# findings on them. The last puts one context object under two bindings.
+SHADOW_ENV = """
+c : G1[G1[t0<g1>]]
+s : G1[t0<g0>]
+d : G1[G1[t0<g1>]]
+r : G1[t1<g0>]
+e : G1[G1[t2<g0>]]
+_a : G1[G1[t0<g1>]]
+n : G1[G1[t2<g0>]]
+"""
+
+SHADOW_POLICY = """
+private t0 >> G1 {reference, update, store, aggregate, disseminate G1 1};
+private t1 >> G1 {read, readId, reference, update, store, aggregate, disseminate G1 1};
+private t2 >> G1 {read, readId, reference, disseminate G1 inf};
+"""
+
+SHADOW_SYSTEMS = (
+    # the system binder hides `s`, the only entry with ground g0, so that
+    # clause 10 counts the two links of `q` only on the renamed path
+    "(new s : G1[t0<g1>]) G1[ (new q : G1[t0<g0>]) c!<q>. c!<q>. c!<s>. 0 ]",
+    # an input variable named as a channel of another type
+    "G1[ d?(r). r?(x # y). 0 ]",
+    # an input variable bound again at another type
+    "G1[ e?(w). d?(w). w?(x # y). 0 ]",
+    # restrictions named as channels
+    "G1[ (new r) r?(x # y). 0 ]",
+    "G1[ (new r : G1[t0<g1>]) r?(x # y). 0 ]",
+    # a restriction with no type leaves `n` its channel type, which gives
+    # `p` a second candidate type, and so none, until `n` is renamed
+    "G1[ (new n) d?(z). (new p) ( n!<p>. 0 | d!<p>. p?(x # y). 0 ) ]",
+    # renamed on its own, `u` takes the name `_n0` of `m`, not free in the
+    # body, and having no type of its own reads the type of `m`
+    "(new m : G1[t0<g1>]) ( G1[ (new u) u?(x # y). 0 ] || G2[ c!<m>. 0 ] )",
+    # in context the hole for `m` sorts the first component first, which
+    # binds q before p; on its own the body sorts `_a` before `_n0` and
+    # binds p first, and only then is p's type inferred, from `m` alone
+    "(new m : G1[G1[t0<g1>]]) G1[ (new q : G1[G1[t2<g0>]]) (new p) "
+    "( m!<q>. 0 | _a!<p>. m!<p>. q!<p>. p?(x # y). 0 ) ]",
+    # `a` is typed by the output on `c` until it is taken; then the same
+    # context sits under a block that leaves `a` untyped
+    "(new a) ( G1[ a?(x # y). 0 ] || G2[ c!<a>. 0 ] || G2[ c?(z). 0 ] )",
+)
+
+
 @functools.cache
-def _differential_inputs():
-    """(policy, gamma, state) triples: every corpus state at depth 8 under
-    its policy, under that policy with every finite budget lowered to 1,
-    with every budget set to 1 and with no aggregate grant; and every state
-    at depth 4 of 60 seeded `gen.random_system` systems under two seeded
-    policies each."""
-    inputs = []
+def _oracle_systems():
+    """(policy, environment, system, depth): each corpus input at depth 8
+    under its policy, under that policy with every finite budget lowered to
+    1, with every budget set to 1 and with no aggregate grant; 300 seeded
+    `gen.random_system` systems at depth 4, the first 60 under two seeded
+    policies and the rest under one; and the shadowing systems at depth 4."""
+    systems = []
     for name, env in CORPUS_CASES:
         gamma = parse_env((CORPUS / f"{env}.env").read_text()).value
         ppo = (CORPUS / f"{env}.ppo").read_text()
@@ -300,30 +354,59 @@ def _differential_inputs():
             re.sub(r"disseminate (\w+) \w+", r"disseminate \1 1", ppo),
             ppo.replace(", aggregate", ""))]
         system = parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value
-        states = explore(system, 8).nodes.values()
-        inputs += [(pol, gamma, st) for pol in policies for st in states]
+        systems += [(pol, gamma, system, 8) for pol in policies]
     gamma = gen.base_gamma()
-    for seed in range(60):
+    for seed in range(300):
         rng = random.Random(seed)
-        states = explore(gen.random_system(rng), 4).nodes.values()
-        policies = [_seed_policy(rng) for _ in range(2)]
-        inputs += [(pol, gamma, st) for pol in policies for st in states]
-    return inputs
+        system = gen.random_system(rng)
+        systems += [(_seed_policy(rng), gamma, system, 4) for _ in range(2 if seed < 60 else 1)]
+    gamma = parse_env(SHADOW_ENV).value
+    policy = parse_policy(SHADOW_POLICY).value
+    systems += [(policy, gamma, parse_system(text, gamma).value, 4) for text in SHADOW_SYSTEMS]
+    return systems
+
+
+@functools.cache
+def _differential_inputs():
+    """(policy, gamma, state) triples: every state of the corpus inputs and
+    of the first 60 seeded systems of `_oracle_systems`."""
+    return [(pol, gamma, state)
+            for pol, gamma, system, depth in _oracle_systems()[:4 * len(CORPUS_CASES) + 120]
+            for state in explore(system, depth).nodes.values()]
+
+
+def _spanned(findings) -> list:
+    return [(f, f.span) for f in findings]
 
 
 def test_detect_errors_matches_oracle():
-    """One walk per group context gives the findings of the three walkers
-    it replaced, spans included, under both clause-10 readings and both
-    identify directions; the inputs reach every clause."""
+    """The detector gives the findings of the three walkers it replaced,
+    spans included, under both clause-10 readings and both identify
+    directions: on each system as it was parsed or built, on every state
+    of it one by one, and over all of them through `safety_scan`, whose
+    detector keeps contexts from state to state. The inputs reach every
+    clause."""
     clauses = set()
-    for pol, gamma, state in _differential_inputs():
+    for pol, gamma, system, depth in _oracle_systems():
+        states = explore(system, depth).nodes
         for literal in (False, True):
             for direction in ("anon", "known"):
-                got = detect_errors(pol, gamma, state, direction, literal)
-                want = safety_oracles.detect_errors(pol, gamma, state, direction,
-                                                    literal)
-                assert [(f, f.span) for f in got] == [(f, f.span) for f in want], state
+                want = {key: safety_oracles.detect_errors(pol, gamma, state, direction,
+                                                          literal)
+                        for key, state in states.items()}
+                report = safety_scan(pol, gamma, system, depth, direction, literal)
+                assert [(key, f, f.span) for key, f in report.findings] == \
+                    [(key, f, f.span) for key in sorted(want) for f in want[key]], system
+                for key, state in states.items():
+                    got = detect_errors(pol, gamma, state, direction, literal)
+                    assert _spanned(got) == _spanned(want[key]), state
+                # a copy that no normal form has been kept on, as parsed
+                fresh = kernel_oracles.rebuild(system)
+                got = detect_errors(pol, gamma, fresh, direction, literal)
+                assert _spanned(got) == _spanned(safety_oracles.detect_errors(
+                    pol, gamma, fresh, direction, literal)), system
                 clauses.update(f.clause for f in got)
+                clauses.update(f.clause for _, f in report.findings)
     assert clauses == set(range(1, 12))
 
 
@@ -357,3 +440,96 @@ def test_count_links_matches_oracle():
                                                            group), (proc, target)
                     hits += n
     assert hits
+
+
+def _context_paths(node, path=()):
+    """The group path of every group context of a system."""
+    match node:
+        case Group(group, body):
+            yield from _context_paths(body, path + (group,))
+        case Block(_, comps):
+            for c in comps:
+                yield from _context_paths(c, path)
+        case SBare():
+            yield path
+
+
+@pytest.mark.parametrize("name", ["hospital", "etp_central", "etp_decentral", "speedlimit"])
+def test_contexts_are_checked_where_they_sit(name, monkeypatch):
+    """On a clean case study, no context is renamed to be checked: a static
+    check makes one normalizing pass over the parsed system, and once
+    `explore` is done a scan renames nothing, since every state is its own
+    normal form. The scan reads the grants of each group path once."""
+    searching = [True]
+    nesting, passes, renames, paths = [0], [0], [0], []
+    real_explore, real_pass = safety.explore, kernel._normalize1
+    real_rename, real_grants = kernel._canonical_rename, safety._grants
+
+    def explore(*args):
+        out = real_explore(*args)
+        searching[0] = False
+        return out
+
+    def counted(*args):
+        passes[0] += not nesting[0]
+        nesting[0] += 1
+        try:
+            return real_pass(*args)
+        finally:
+            nesting[0] -= 1
+
+    def rename(node):
+        renames[0] += not searching[0]
+        return real_rename(node)
+
+    def grants(policy, path):
+        paths.append(path)
+        return real_grants(policy, path)
+
+    monkeypatch.setattr(safety, "explore", explore)
+    monkeypatch.setattr(kernel, "_normalize1", counted)
+    monkeypatch.setattr(safety, "_normalize1", counted)
+    monkeypatch.setattr(kernel, "_canonical_rename", rename)
+    monkeypatch.setattr(safety, "_grants", grants)
+
+    pol, gamma, system = load(name)
+    searching[0] = False
+    assert detect_errors(pol, gamma, system) == []
+    assert passes[0] == 1 and renames[0] == 0
+
+    searching[0] = True
+    paths.clear()
+    pol, gamma, system = load(name)
+    report = safety_scan(pol, gamma, system, 8)
+    assert report.ok and not searching[0] and renames[0] == 0
+    states = real_explore(system, 8).nodes.values()
+    assert sorted(paths) == sorted({p for s in states for p in _context_paths(s)})
+
+
+def test_deep_chain_in_a_group_is_checked_twice(tmp_path):
+    """`errors` and then `scan` on a 400-deep prefix chain in a group, in
+    one process: the second command parses an equal chain again, which no
+    memo may compare with the first level by level, and the findings of
+    both are rendered from the chain's normal form."""
+    (tmp_path / "c.env").write_text("r : G[t<g>]\n{_ # d} : t<g>\n")
+    (tmp_path / "c.ppo").write_text("private t >> G {store};\n")
+    (tmp_path / "c.pc").write_text("G[ " + "r!<{_ # d}>. " * 400 + "0 ]\n")
+    files = [str(tmp_path / f"c.{ext}") for ext in ("pc", "ppo", "env")]
+
+    def run():
+        out = []
+        for cmd in (["errors"], ["scan", "--depth", "4"]):
+            argv = [cmd[0], files[0], "--policy", files[1], "--env", files[2], *cmd[1:]]
+            text, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+                out.append((cli.main(argv), text.getvalue(), err.getvalue()))
+        return out
+
+    # a new thread starts with an empty stack, as a command-line run does
+    with ThreadPoolExecutor(1) as pool:
+        (rc1, errors, err1), (rc2, scan, err2) = pool.submit(run).result(timeout=120)
+    assert (rc1, rc2, err1, err2) == (1, 1, "", "")
+    # one finding per prefix, each at the subterm it starts
+    assert errors.count("\nclause 2: t at G: update [r!<{_ # d}>. ") == 399
+    assert scan.startswith("safety scan: FINDINGS (1 states)\n")
+    assert scan.count("] clause 2: t at G: update [r!<{_ # d}>. ") == 400

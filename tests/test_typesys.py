@@ -48,7 +48,7 @@ class TestTypeValue:
     def test_anonymous_pattern_is_permission_free(self, lab_gamma):
         ty, d = type_value(lab_gamma, TPriv(PrivateData(HIDDEN, DVar("z"))))
         assert ty == TPrivate("crime", "dna")
-        assert d.entries == {"crime": PermSet()}
+        assert not d and d == Delta()
 
     def test_channel_name(self, lab_gamma):
         ty, d = type_value(lab_gamma, TName("b"))
