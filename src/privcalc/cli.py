@@ -2,7 +2,8 @@
 encode and policy-wf over system/policy/environment files.
 
 Exit codes: 0 success or satisfied, 1 violation or finding, 2 usage, parse
-or typing failure, 3 internal error.
+or typing failure, 3 internal error, 141 (128 + SIGPIPE) standard output
+closed before everything was written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 def _color_enabled() -> bool:
@@ -270,7 +272,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is left, and the flush at exit, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except _CliError as e:
         return _fail(str(e))
     except (TypingError, KernelError) as e:

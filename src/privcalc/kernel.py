@@ -1111,12 +1111,11 @@ def _normalize1(node, names: frozenset[str], vs: frozenset[str]):
     raise KernelError(f"cannot normalize {node!r}")
 
 
-def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
-    """Flatten one scope block of either family: nested blocks are hoisted
-    into one binder list and one component list (renaming binders that
-    would clash), each component is normalized, inert components and unused
-    binders are dropped, and the block is rebuilt in sorted order. With no
-    component left, the result is the first inert one."""
+def _hoist(node: Block) -> tuple[dict[str, Optional[PrivacyType]], list]:
+    """The binders and components of a scope block of either family with
+    its nested blocks hoisted into one binder list and one component list,
+    renaming binders that would clash. The components are the block's own
+    and its nested blocks', in place and as they are."""
     binders: dict[str, Optional[PrivacyType]] = {}
     comps: list = []
     taken: set[str] = set()
@@ -1141,6 +1140,25 @@ def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
             hoist(c, nested or len(cs) > 1)
 
     hoist(node, False)
+    return binders, comps
+
+
+def _hoisted(node: Block) -> Block:
+    """The block that `normalize` merges this one into before it
+    normalizes and sorts the components: its nested blocks hoisted by
+    `_hoist`. A block with no nested block is itself."""
+    if not any(isinstance(c, Block) for c in node.comps):
+        return node
+    binders, comps = _hoist(node)
+    return Block(tuple(binders.items()), tuple(comps))
+
+
+def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
+    """Flatten one scope block of either family: nested blocks are hoisted
+    by `_hoist`, each component is normalized, inert components and unused
+    binders are dropped, and the block is rebuilt in sorted order. With no
+    component left, the result is the first inert one."""
+    binders, comps = _hoist(node)
     # components are never blocks here, and normalizing one cannot make it
     # a block, so one pass leaves nothing to hoist
     inner = names.union(binders)

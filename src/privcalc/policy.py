@@ -173,8 +173,8 @@ class PermSet:
     def diss_groups(self) -> frozenset[str]:
         return frozenset(self._diss)
 
-    def nondisclose_kinds(self) -> frozenset[str]:
-        return frozenset(p.nd_kind for p in self._plain if p.kind == "nondisclose")
+    def nondiscloses(self) -> bool:
+        return any(p.kind == "nondisclose" for p in self._plain)
 
 
 EMPTY_PERMS = PermSet()
@@ -278,7 +278,7 @@ def check_wellformed(p: Policy) -> list[WfViolation]:
         for c in h.children:
             if h.group in hierarchy_groups(c):
                 out.append(WfViolation(2, here, f"group {h.group} recurs under itself"))
-        if h.perms.nondisclose_kinds():
+        if h.perms.nondiscloses():
             allowed = hierarchy_groups(h)
             for c in h.children:
                 for g in hierarchy_perms(c).diss_groups():

@@ -8,7 +8,7 @@ from typing import Optional
 from .kernel import (
     Block, Group, IVar, Known, PIf, PInp, POut, PRepl, PStore, PrivacyType,
     Process, Record, SBare, Span, System, TChan, TName, TPrivate, TVar, Term,
-    field, normalize, placeholder_vars, _normalize1, _rename_form,
+    field, normalize, placeholder_vars, _hoisted,
 )
 from .policy import (
     EMPTY_PERMS, Hierarchy, Lambda, Perm, PermSet, Policy, covers, descend,
@@ -106,13 +106,8 @@ class _ClauseCtx(Record, frozen=False):
     findings: list[ErrorFinding]
     id_direction: str = "anon"
     links: Optional[list[Link]] = None  # output objects, when collected
-    names: bool = False  # whether to test binders for hidden entries
-    # cleared where the walked body and its own normal form may differ in
-    # what the clauses read: a binder that hides an environment entry
-    # (tested when `names` is set), a restriction left untyped, which its
-    # renamed name could read an entry through, or a block whose binder
-    # order may decide an inferred type
-    exact: bool = True
+    parsed: bool = False  # whether the body is as parsed (see `_bind`)
+    exact: bool = True  # False where the body may read otherwise normalized
 
 
 def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, list[Budget]]:
@@ -131,7 +126,7 @@ def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, list[Bud
         allowed = permis[t] = (perm_union(*(n.perms for n in nodes))
                                if len(nodes) == len(path) else EMPTY_PERMS)
         nd_nodes[t] = [(path[:depth], n) for depth, n in enumerate(nodes, 1)
-                       if n.perms.nondisclose_kinds()]
+                       if n.perms.nondiscloses()]
         budgets += ((t, group, lam) for group in sorted(allowed.diss_groups())
                     if not (lam := allowed.diss_budget(group)).unlimited)
     return permis, nd_nodes, budgets
@@ -177,15 +172,11 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
     prefixes and blocks with the environment extended by their bindings,
     and list every output object in `ctx.links` when it is a list."""
     match nd:
-        case Block(binders, comps):
-            inner, missing = _bind_block(gamma, nd)
-            if (missing is not None
-                    or (len(binders) > 1 and any(a is None for _, a in binders))
-                    or (ctx.names and any(_entries(gamma, n) for n, _ in binders))):
-                ctx.exact = False
-            gamma = inner
+        case Block():
+            nd, gamma, settled = _bind(gamma, nd, ctx.parsed)
+            ctx.exact &= settled
             # clause 7: parallel stores with unifiable identities
-            stores = [c for c in comps if isinstance(c, PStore)]
+            stores = [c for c in nd.comps if isinstance(c, PStore)]
             for i, s1 in enumerate(stores):
                 for s2 in stores[i + 1:]:
                     if not _unifiable(s1.datum.identity, s2.datum.identity):
@@ -196,7 +187,7 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                         if target is not None:
                             for t, perm in _aggregated_perms(target.ptype):
                                 _require(ctx, t, perm, pair, st.span)
-            for c in comps:
+            for c in nd.comps:
                 _scan(ctx, gamma, c)
         case PStore(ref, _):
             for t, perm in _stored_perms(_subject_type(gamma, TName(ref))):
@@ -230,7 +221,7 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                     except TypingError:
                         continue
                     bound.append(k)
-            if ctx.names and _hides(gamma, inner, patterns, bound):
+            if ctx.parsed and _hides(gamma, inner, patterns, bound):
                 ctx.exact = False
             _scan(ctx, inner, cont)
         case PRepl(body):
@@ -239,6 +230,23 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             _scan_if(ctx, gamma, nd)
             _scan(ctx, gamma, then)
             _scan(ctx, gamma, els)
+
+
+def _bind(gamma: Gamma, nd: Block, parsed: bool) -> tuple[Block, Gamma, bool]:
+    """The block to walk, the environment extended by its restrictions, and
+    whether the clauses read the block as in its own normal form: not if a
+    binder is unannotated, since its inferred type reads the environment
+    under its name, which renaming changes, and may depend on the binders'
+    order. A parsed block is walked as `normalize` merges it, `_hoisted`,
+    and is not settled either if a binder hides an environment entry. Its
+    binders that `normalize` drops as unused stay: only clause 10 reads the
+    environment beyond the names in use, through `_grounds_of`, and a wider
+    one can only raise its counts."""
+    if parsed:
+        nd = _hoisted(nd)
+    inner, _ = _bind_block(gamma, nd)
+    return nd, inner, not (any(a is None for _, a in nd.binders)
+                           or (parsed and any(_entries(gamma, n) for n, _ in nd.binders)))
 
 
 def _entries(gamma: Gamma, name: str) -> tuple:
@@ -305,15 +313,13 @@ class _Detector:
 
     A context's findings are those of the clauses on its body's own normal
     form (clause 10 counts on the body as it sits), with the environment
-    extended by the blocks above it. Finding none is the same verdict on
-    any renaming and reordering of the body that hides no environment
-    entry and leaves every restriction's type as it was, so a context is
-    first checked on the body as it sits in the form walked; only a
-    context with a finding, or one that `_scan` did not find `exact`,
-    normalizes its body and is checked again. A state of `explore` is its
-    own normal form and is walked as it is; another system is walked as
-    its structural normal form, unrenamed, and walked again renamed when
-    a context there is not settled so.
+    extended by the blocks above it, all as in the system's normal form.
+    Where `_bind` settles every block, finding none on the body as walked
+    is the same verdict, so a context is checked there first; only one
+    with a finding, or not settled, is normalized and checked again. A
+    system with no normal form kept on it is walked as parsed, each block
+    merged with its nested blocks, and its normal form (a state of
+    `explore` is its own) when that walk is not settled.
 
     The findings of a context are kept by its body (the object, never
     compared field by field), its group path and the bindings of the
@@ -328,7 +334,7 @@ class _Detector:
         self.id_direction = id_direction
         self.literal = literal
         # an environment token of the canonical renaming's shape could be
-        # captured by a renamed binder: then every context is renamed
+        # captured by a renamed binder: then every context is normalized
         self.fast = not any(tok.startswith(("_n", "_x"))
                             for tok in (*gamma.atoms, *(t for key in gamma.privs for t in key)))
         self.grants: dict[tuple[str, ...], tuple] = {}
@@ -336,41 +342,34 @@ class _Detector:
 
     def findings(self, s: System) -> list[ErrorFinding]:
         found: list[ErrorFinding] = []
-        norm = s._norm
-        if norm is None:
-            form = _normalize1(s, frozenset(), frozenset())
-            if not (self.fast and self._walk(form, (), (), self.gamma, found, True)):
-                found = []
-                self._walk(_rename_form(form), (), (), self.gamma, found, None)
-        else:
-            self._walk(norm, (), (), self.gamma, found, False if self.fast else None)
+        if not (s._norm is None and self.fast
+                and self._walk(s, (), (), self.gamma, found, True)):
+            found = []
+            self._walk(normalize(s), (), (), self.gamma, found, False)
         # deterministic order, duplicates collapsed
         return sorted(set(found),
                       key=lambda f: (f.clause, f.ptype, f.group_path, f.permission, f.subterm))
 
     def _walk(self, node: System, path: tuple[str, ...], scope: tuple, g: Gamma,
-              found: list[ErrorFinding], unrenamed: Optional[bool]) -> bool:
-        """Check every context below `node`, a structural normal form, and
-        add its findings to `found`. `unrenamed` is True on a form that is
-        not renamed: its binders are tested for hidden entries, and a
-        context that is not settled where it sits stops the walk, which
-        gives False. It is False on a normal form, whose contexts are
-        checked where they sit first, and None where every context is
-        checked on its body's normal form."""
+              found: list[ErrorFinding], parsed: bool) -> bool:
+        """Check every context below `node`, a system as parsed or a normal
+        form, and add its findings to `found`. A parsed block is walked as
+        `normalize` merges it (see `_bind`); one, or a context, that is not
+        settled where it sits stops the walk, which gives False."""
         match node:
             case Group(group, body):
-                return self._walk(body, path + (group,), scope, g, found, unrenamed)
-            case Block(binders, comps):
-                if unrenamed and any(_entries(g, n) for n, _ in binders):
+                return self._walk(body, path + (group,), scope, g, found, parsed)
+            case Block():
+                node, g, settled = _bind(g, node, parsed)
+                if parsed and not settled:
                     return False
-                g, _ = _bind_block(g, node)
-                scope += tuple((n, g.atoms.get(n)) for n, _ in binders)
-                return all(self._walk(c, path, scope, g, found, unrenamed) for c in comps)
+                scope += tuple((n, g.atoms.get(n)) for n, _ in node.binders)
+                return all(self._walk(c, path, scope, g, found, parsed) for c in node.comps)
             case SBare(proc):
                 key = (id(proc), path, scope)
                 hit = self.seen.get(key)
                 if hit is None:
-                    hit = self._context(proc, path, g, unrenamed)
+                    hit = self._context(proc, path, g, parsed)
                     if hit is None:
                         return False
                     self.seen[key] = hit
@@ -378,33 +377,33 @@ class _Detector:
         return True
 
     def _context(self, proc: Process, path: tuple[str, ...], g: Gamma,
-                 unrenamed: Optional[bool]) -> Optional[tuple[Process, list[ErrorFinding]]]:
+                 parsed: bool) -> Optional[tuple[Process, list[ErrorFinding]]]:
         grants = self.grants.get(path)
         if grants is None:
             grants = self.grants[path] = _grants(self.policy, path)
         permis, nd_nodes, budgets = grants
-        if unrenamed is not None:
-            ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction,
-                             [] if budgets else None, unrenamed)
-            _scan(ctx, g, proc)
-            _scan_budgets(ctx, g, proc, self.literal, budgets, ctx.links)
-            if ctx.exact and not ctx.findings:
-                return proc, []
-            if unrenamed:
-                return None
+        ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction,
+                         [] if budgets else None, parsed=parsed, exact=self.fast)
+        _scan(ctx, g, proc)
+        links = ctx.links  # clause 10 counts on the body as it sits
+        _scan_budgets(ctx, g, proc, self.literal, budgets, links)
+        if ctx.exact and not ctx.findings:
+            return proc, []
+        if parsed:
+            return None
         ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction)
         _scan(ctx, g, normalize(proc))
-        _scan_budgets(ctx, g, proc, self.literal, budgets,
-                      _links(proc, g) if budgets else [])
+        _scan_budgets(ctx, g, proc, self.literal, budgets, links)
         return proc, ctx.findings
 
 
 def detect_errors(policy: Policy, gamma: Gamma, s: System,
                   id_direction: str = "anon",
                   countlink_literal: bool = False) -> list[ErrorFinding]:
-    """Evaluate the error clauses at every group context of the normalized
-    system, descending through prefixes with the environment extended by
-    their bindings."""
+    """Evaluate the error clauses at every group context of the system's
+    normal form, descending through prefixes with the environment extended
+    by their bindings: on the system as parsed where that gives the same
+    verdict, else on `normalize(s)`."""
     return _Detector(policy, gamma, id_direction, countlink_literal).findings(s)
 
 

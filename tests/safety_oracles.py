@@ -113,14 +113,14 @@ def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict]:
         walked: tuple[str, ...] = ()
         if path and h.group == path[0]:
             walked = (h.group,)
-            if node.perms.nondisclose_kinds():
+            if node.perms.nondiscloses():
                 nodes.append((walked, node))
             for g in path[1:]:
                 node = next((c for c in node.children if c.group == g), None)
                 if node is None:
                     break
                 walked = walked + (g,)
-                if node.perms.nondisclose_kinds():
+                if node.perms.nondiscloses():
                     nodes.append((walked, node))
         nd_nodes[t] = nodes
     return permis, nd_nodes

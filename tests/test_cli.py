@@ -1,4 +1,5 @@
 import ast
+import os
 import pathlib
 import subprocess
 import sys
@@ -69,6 +70,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_typecheck", crash)
         assert cli.main(["typecheck", "corpus/lab.pc"]) == cli.EXIT_INTERNAL == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_closed_stdout_is_not_an_internal_error(self):
+        # a reader that has gone away, as `privcalc scan ... | head -1`
+        # leaves it: exit 141 (128 + SIGPIPE), not 3
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "privcalc.cli", "scan",
+                 "corpus/hospital_nurse_read.pc", "--policy", "corpus/hospital.ppo",
+                 "--env", "corpus/hospital.env", "--depth", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={"PYTHONPATH": PKG, "PATH": "/usr/bin:/bin"}, cwd=str(CORPUS.parent))
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (cli.EXIT_PIPE, "") and cli.EXIT_PIPE == 141
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_file_is_an_input_error(self, tmp_path, capsys, kind):

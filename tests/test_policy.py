@@ -124,6 +124,16 @@ def test_perm_union_disseminate_budgets_add(a, b):
         assert u.diss_budget(g) == want
 
 
+@given(permsets(), permsets())
+def test_nondiscloses(a, b):
+    """`nondiscloses` says whether a set holds a nondisclosure permission,
+    and a union holds one when either operand does."""
+    assert a.nondiscloses() == any(p.kind == "nondisclose" for p in a)
+    assert perm_union(a, b).nondiscloses() == (a.nondiscloses() or b.nondiscloses())
+    assert not PermSet([READ, disseminate("G1", OMEGA)]).nondiscloses()
+    assert PermSet([READ, nondisclose("confidential")]).nondiscloses()
+
+
 def test_permission_rendering():
     assert str(disseminate("Police", 1)) == "disseminate Police 1"
     assert str(nondisclose("confidential")) == "nondisclose confidential"

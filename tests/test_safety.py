@@ -308,6 +308,7 @@ SHADOW_POLICY = """
 private t0 >> G1 {reference, update, store, aggregate, disseminate G1 1};
 private t1 >> G1 {read, readId, reference, update, store, aggregate, disseminate G1 1};
 private t2 >> G1 {read, readId, reference, disseminate G1 inf};
+private t3 >> G1 {reference, store};
 """
 
 SHADOW_SYSTEMS = (
@@ -327,6 +328,10 @@ SHADOW_SYSTEMS = (
     # renamed on its own, `u` takes the name `_n0` of `m`, not free in the
     # body, and having no type of its own reads the type of `m`
     "(new m : G1[t0<g1>]) ( G1[ (new u) u?(x # y). 0 ] || G2[ c!<m>. 0 ] )",
+    # `k` takes its type from `r!<k>` until, renamed `_n0` on its own, its
+    # output on itself reads the type of `z`, also `_n0`: a second
+    # candidate, so it has none and its outputs read the type of `z`
+    "G1[ (new k) k!<d>. k!<k>. r!<k>. 0 ] || (new z : G1[t3<g0>]) G1[ store z {i # v} ]",
     # in context the hole for `m` sorts the first component first, which
     # binds q before p; on its own the body sorts `_a` before `_n0` and
     # binds p first, and only then is p's type inferred, from `m` alone
@@ -337,6 +342,56 @@ SHADOW_SYSTEMS = (
     "(new a) ( G1[ a?(x # y). 0 ] || G2[ c!<a>. 0 ] || G2[ c?(z). 0 ] )",
 )
 
+# Parsed systems that are not normal forms, where a static check walks the
+# system as parsed: nested blocks, inert parts and restrictions that
+# normalizing merges, reorders or drops. Under the shadowing environment
+# and policy; where the normal form reads a system otherwise than its
+# parsed form, the comment says how.
+NESTED_SYSTEMS = (
+    # nested parallels with inert parts
+    "G1[ d?(z). 0 | ( c?(w). 0 | 0 ) ]",
+    "G1[ (new q : G1[t0<g1>]) c!<q>. 0 | ( c?(z). z?(x # y). 0 | 0 ) ]",
+    "G1[ d?(z). 0 | ( ( c?(w). 0 | 0 ) | ( 0 | * 0 ) ) ] || ( 0 || G2[ 0 ] )",
+    # untyped nested system restrictions: as parsed, `a` is inferred
+    # before `b` has a type; merged, `m` and `b` come first and type it
+    "(new m : G1[G1[G1[t0<g1>]]]) (new a) (new b) "
+    "( G1[ m!<b>. 0 ] || G1[ b!<a>. 0 ] || G2[ a?(x # y). 0 ] )",
+    # as parsed, `p` takes the type `a` sends; merged, `b` is bound before
+    # it and `a` after, so `p` takes the type `b` sends and is read
+    "(new a : G1[G1[t2<g0>]]) (new p) (new b : G1[G1[t0<g1>]]) "
+    "G1[ b!<p>. 0 | a!<p>. p?(x # y). 0 ]",
+    "(new a : G1[G1[t2<g0>]]) (new p) (new b : G1[G1[t0<g1>]]) "
+    "( G1[ b!<p>. 0 ] || G1[ a!<p>. p?(x # y). 0 ] )",
+    "G1[ (new a : G1[G1[t2<g0>]]) (new p) (new b : G1[G1[t0<g1>]]) "
+    "( b!<p>. 0 | a!<p>. p?(x # y). 0 ) ]",
+    # `z` is unused, so normalizing drops it; as parsed, typing `p` reads
+    # it through the input that binds `z` again, and finds two candidates
+    "(new z : G1[t0<g1>]) G1[ (new p) ( G2[ 0 ] || d?(z). z!<p>. 0 || c!<p>. 0 "
+    "|| p?(x # y). 0 ) ]",
+    # restrictions under a parallel inside a group
+    "G1[ c?(z). 0 | (new q : G1[t0<g1>]) ( c!<q>. 0 | q!<{_ # v}>. 0 ) ]",
+    "G1[ c?(z). 0 | (new q) ( c!<q>. 0 | q?(x # y). 0 ) ]",
+    "G1[ c?(z). 0 | (new q : G1[t0<g1>]) c!<q>. 0 | (new q : G1[t0<g1>]) q!<{_ # v}>. 0 ]",
+    # binders that hide an entry inside an unflattened block; the first
+    # is the first shadowing system with its binder nested
+    "G2[ 0 ] || ( G2[ 0 ] || (new s : G1[t0<g1>]) "
+    "G1[ (new q : G1[t0<g0>]) c!<q>. c!<q>. c!<s>. 0 ] )",
+    "G1[ (new q : G1[t0<g0>]) c!<q>. c!<q>. 0 | ( 0 | (new s : G1[t0<g1>]) c!<s>. 0 ) ]",
+    # clause 10 budgets counted over a nested block, exceeded and not
+    "G1[ c!<s>. 0 | ( d!<s>. 0 | (new q : G1[t0<g1>]) c!<q>. 0 ) ]",
+    "G1[ c!<s>. 0 | ( d?(z). 0 | (new q : G1[t0<g1>]) c!<q>. 0 ) ]",
+    # a binder of a nested system block, once merged, is bound over its
+    # siblings too: it gives the first context the ground that clause 10
+    # counts there, exceeded and not
+    "G1[ (new k : G1[G1[t0<g5>]]) (new q : G1[t0<g5>]) k!<q>. k!<q>. 0 ] "
+    "|| (new b : G1[t0<g5>]) G1[ (new k : G1[G1[t0<g5>]]) k!<b>. 0 ]",
+    "G1[ (new k : G1[G1[t0<g5>]]) (new q : G1[t0<g5>]) k!<q>. 0 ] "
+    "|| (new b : G1[t0<g5>]) G1[ (new k : G1[G1[t0<g5>]]) k!<b>. 0 ]",
+    # stores in two nested blocks, which clause 7 pairs once merged
+    "G1[ (new q : G1[t3<g0>]) ( store q {i # v} | ( 0 | store q {i # w} ) ) ]",
+    "G1[ (new q : G1[t3<g0>]) ( store q {i # v} | (new p : G1[t3<g0>]) store p {j # w} ) ]",
+)
+
 
 @functools.cache
 def _oracle_systems():
@@ -344,7 +399,8 @@ def _oracle_systems():
     under its policy, under that policy with every finite budget lowered to
     1, with every budget set to 1 and with no aggregate grant; 300 seeded
     `gen.random_system` systems at depth 4, the first 60 under two seeded
-    policies and the rest under one; and the shadowing systems at depth 4."""
+    policies and the rest under one; and the shadowing and nested systems
+    at depth 4."""
     systems = []
     for name, env in CORPUS_CASES:
         gamma = parse_env((CORPUS / f"{env}.env").read_text()).value
@@ -362,7 +418,8 @@ def _oracle_systems():
         systems += [(_seed_policy(rng), gamma, system, 4) for _ in range(2 if seed < 60 else 1)]
     gamma = parse_env(SHADOW_ENV).value
     policy = parse_policy(SHADOW_POLICY).value
-    systems += [(policy, gamma, parse_system(text, gamma).value, 4) for text in SHADOW_SYSTEMS]
+    systems += [(policy, gamma, parse_system(text, gamma).value, 4)
+                for text in SHADOW_SYSTEMS + NESTED_SYSTEMS]
     return systems
 
 
@@ -456,10 +513,11 @@ def _context_paths(node, path=()):
 
 @pytest.mark.parametrize("name", ["hospital", "etp_central", "etp_decentral", "speedlimit"])
 def test_contexts_are_checked_where_they_sit(name, monkeypatch):
-    """On a clean case study, no context is renamed to be checked: a static
-    check makes one normalizing pass over the parsed system, and once
-    `explore` is done a scan renames nothing, since every state is its own
-    normal form. The scan reads the grants of each group path once."""
+    """On a clean case study, no context is normalized to be checked: a
+    static check walks the parsed system and makes no normalizing pass,
+    and once `explore` is done a scan renames nothing, since every state
+    is its own normal form. The scan reads the grants of each group path
+    once."""
     searching = [True]
     nesting, passes, renames, paths = [0], [0], [0], []
     real_explore, real_pass = safety.explore, kernel._normalize1
@@ -488,14 +546,13 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
 
     monkeypatch.setattr(safety, "explore", explore)
     monkeypatch.setattr(kernel, "_normalize1", counted)
-    monkeypatch.setattr(safety, "_normalize1", counted)
     monkeypatch.setattr(kernel, "_canonical_rename", rename)
     monkeypatch.setattr(safety, "_grants", grants)
 
     pol, gamma, system = load(name)
     searching[0] = False
     assert detect_errors(pol, gamma, system) == []
-    assert passes[0] == 1 and renames[0] == 0
+    assert passes[0] == 0 and renames[0] == 0
 
     searching[0] = True
     paths.clear()
@@ -504,6 +561,43 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
     assert report.ok and not searching[0] and renames[0] == 0
     states = real_explore(system, 8).nodes.values()
     assert sorted(paths) == sorted({p for s in states for p in _context_paths(s)})
+
+
+@pytest.mark.parametrize("direction", ["anon", "known"])
+@pytest.mark.parametrize("literal", [False, True])
+def test_a_finding_normalizes_the_parsed_system_once(direction, literal, monkeypatch):
+    """On `hospital_nurse_read`, whose nurse reads a patient file, the walk
+    of the parsed system stops at that context: the whole system is
+    normalized once and keeps its normal form. `errors` prints the
+    findings of the oracle, as text and as records."""
+    pol, gamma, _ = load("hospital")
+    system = parse_system((CORPUS / "hospital_nurse_read.pc").read_text(), gamma).value
+    calls = []
+    real_normalize = safety.normalize
+
+    def normalize(node):
+        calls.append(node)
+        return real_normalize(node)
+
+    monkeypatch.setattr(safety, "normalize", normalize)
+    got = detect_errors(pol, gamma, system, direction, literal)
+    assert [n for n in calls if kernel.is_system(n)] == [system]
+    assert system._norm is real_normalize(system) is not None
+    want = safety_oracles.detect_errors(pol, gamma, kernel_oracles.rebuild(system),
+                                        direction, literal)
+    assert _spanned(got) == _spanned(want) and len(got) == 2
+
+    argv = ["errors", str(CORPUS / "hospital_nurse_read.pc"),
+            "--policy", str(CORPUS / "hospital.ppo"), "--env", str(CORPUS / "hospital.env"),
+            "--id-direction", direction, *(["--countlink-literal"] if literal else [])]
+    for fmt, lines in (("text", [f.render() for f in want]),
+                       ("records", [" ".join(f"{k}={v}" for k, v in f.record().items()
+                                             if k not in ("span", "subterm"))
+                                    for f in want])):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert cli.main([*argv, "--format", fmt]) == cli.EXIT_VIOLATION
+        assert text.getvalue() == "".join(f"{line}\n" for line in lines)
 
 
 def test_deep_chain_in_a_group_is_checked_twice(tmp_path):
