@@ -35,8 +35,9 @@ from .kernel import (
     children, placeholder_vars, replace, with_children,
 )
 from .policy import (
-    Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, disseminate, identify,
-    nondisclose, usage, ND_KINDS,
+    AGGREGATE, Hierarchy, Lambda, OMEGA, Perm, PermSet, Policy, READ, READID,
+    REFERENCE, STORE, UPDATE, disseminate, identify, nondisclose, usage,
+    ND_KINDS,
 )
 
 __all__ = [
@@ -50,8 +51,9 @@ TENSOR = "⊗"  # alias for '#'
 
 RESERVED = {"new", "if", "then", "else", "store", "private"}
 
-PERM_WORDS = {"read", "update", "reference", "store", "readId", "aggregate",
-              "disseminate", "nondisclose", "usage", "identify"}
+# the one-word permissions, one record each for every policy that grants them
+_PLAIN_PERMS = {p.kind: p for p in (READ, UPDATE, REFERENCE, STORE, READID, AGGREGATE)}
+PERM_WORDS = {*_PLAIN_PERMS, "disseminate", "nondisclose", "usage", "identify"}
 
 
 class Diagnostic(Record):
@@ -140,9 +142,7 @@ class Gamma:
 
     def purpose_type_names(self) -> set[str]:
         out = set()
-        for tok, ty in self.atoms.items():
-            if isinstance(ty, TPurpose):
-                out.add(ty.purpose)
+        for ty in self.atoms.values():
             out |= _collect_sorts(ty, "purpose")
         return out
 
@@ -191,74 +191,67 @@ class Tok(tuple):
         return f"Tok(kind={self.kind!r}, text={self.text!r}, span={self.span!r})"
 
 
-class LexError(Exception):
-    def __init__(self, span: Span, message: str):
-        super().__init__(message)
-        self.span = span
-        self.message = message
-
-
-_PUNCT2 = ("||", ">>")
-_PUNCT1 = "!?<>()[]{}#.,:|*=~^;_"
-
-# whitespace and `//` comments between tokens
-_GAP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)+")
-# the rest of an identifier: `\w` is exactly `str.isalnum()` or '_'
-_WORD_TAIL = re.compile(r"[\w']*")
-
-
-def _lex(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    append, new = toks.append, tuple.__new__
-    gap, word_tail = _GAP.match, _WORD_TAIL.match
-    line, bol = 1, 0  # the current line, and the index where it begins
-    i, n = 0, len(text)
-    while True:
-        m = gap(text, i)
-        if m:
-            j = m.end()
-            breaks = text.count("\n", i, j)
-            if breaks:
-                line += breaks
-                bol = text.rindex("\n", i, j) + 1
-            i = j
-        if i == n:
-            break
-        c = text[i]
-        col = i - bol + 1
-        if c.isalpha() or c == "_":
-            j = word_tail(text, i + 1).end()
-            word = text[i:j]
-            kind = "PUNCT" if word == "_" else "IDENT"
-        elif c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            word, kind = text[i:j], "NAT"
-        elif c == TENSOR:
-            j, word, kind = i + 1, "#", "PUNCT"
-        elif text[i:i + 2] in _PUNCT2:
-            j, kind = i + 2, "PUNCT"
-            word = text[i:j]
-        elif c in _PUNCT1:
-            j, word, kind = i + 1, c, "PUNCT"
-        else:
-            raise LexError(Span(line, col, line, col + 1), f"unsupported character {c!r}")
-        append(new(Tok, (kind, word, line, col, line, col + j - i)))
-        i = j
-    col = n - bol + 1
-    append(new(Tok, ("EOF", "", line, col, line, col)))
-    return toks
-
-
-# --- parser infrastructure -------------------------------------------------------
-
 class ParseError(Exception):
     def __init__(self, span: Span, message: str):
         super().__init__(message)
         self.span = span
         self.message = message
 
+
+class LexError(ParseError):
+    """A character that starts no token."""
+
+
+_PUNCT2 = ("||", ">>")
+_PUNCT1 = "!?<>()[]{}#.,:|*=~^;_"
+
+# One token, its class the name of its group: an ASCII-led identifier (`\w`
+# is exactly `str.isalnum()` or '_'), an ASCII numeral that no other digit
+# follows, punctuation, the `//` that starts a comment, or REST, any other
+# character but a space, a tab or a carriage return, which `str`'s rules
+# read in `_lex`. `search` passes over those three, and `_lex` over the
+# rest of a line from its comment on.
+_TOKEN = re.compile(
+    r"(?P<IDENT>[A-Za-z][\w']*|_[\w']+)"
+    r"|(?P<NAT>[0-9]+(?![0-9]|[^\x00-\x7f]))"
+    rf"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT2))}|[{re.escape(_PUNCT1)}])"
+    r"|(?P<COMMENT>//)|(?P<REST>[^ \t\r])")
+_WORD_TAIL = re.compile(r"[\w']*")
+
+
+def _lex(text: str) -> list[Tok]:
+    """The tokens line by line, one `_TOKEN` match each, then an EOF token.
+    A line ends at "\\n" only: `str.splitlines` also ends one at characters
+    that are errors here. A REST match starts a name if it is a letter, a
+    run of digits if it is one, '#' if it is the tensor sign, and is an
+    error otherwise."""
+    toks: list[Tok] = []
+    append, new, search = toks.append, tuple.__new__, _TOKEN.search
+    for line_no, line in enumerate(text.split("\n"), 1):
+        i = 0
+        while (m := search(line, i)) and m.lastgroup != "COMMENT":
+            kind, word, i, j = m.lastgroup, m[0], m.start(), m.end()
+            if kind == "REST":
+                if word.isalpha():
+                    kind, j = "IDENT", _WORD_TAIL.match(line, j).end()
+                elif word.isdigit():
+                    kind = "NAT"
+                    while j < len(line) and line[j].isdigit():
+                        j += 1
+                elif word == TENSOR:
+                    kind = "PUNCT"
+                else:
+                    raise LexError(Span(line_no, i + 1, line_no, i + 2),
+                                   f"unsupported character {word!r}")
+                word = "#" if kind == "PUNCT" else line[i:j]
+            append(new(Tok, (kind, word, line_no, i + 1, line_no, j + 1)))
+            i = j
+    col = len(line) + 1
+    append(new(Tok, ("EOF", "", line_no, col, line_no, col)))
+    return toks
+
+
+# --- parser infrastructure -------------------------------------------------------
 
 class _P:
     def __init__(self, toks: list[Tok]):
@@ -272,21 +265,21 @@ class _P:
 
     def at(self, text: str) -> bool:
         """Whether the next token is `text`; only EOF has the empty text."""
-        return self.toks[self.i].text == text
+        return self.toks[self.i][1] == text
 
     def at_ident(self, *words: str) -> bool:
         t = self.toks[self.i]
-        return t.kind == "IDENT" and (not words or t.text in words)
+        return t[0] == "IDENT" and (not words or t[1] in words)
 
     def take(self) -> Tok:
         t = self.toks[self.i]
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.i += 1
         return t
 
     def expect(self, text: str, what: str = "") -> Tok:
         t = self.toks[self.i]
-        if t.text != text:
+        if t[1] != text:
             want = what or f"{text!r}"
             found = repr(t.text) if t.text else "end of input"
             raise ParseError(t.span, f"expected {want}, found {found}")
@@ -295,10 +288,10 @@ class _P:
 
     def expect_ident(self, what: str = "identifier") -> Tok:
         t = self.toks[self.i]
-        if t.kind != "IDENT":
+        if t[0] != "IDENT":
             found = repr(t.text) if t.text else "end of input"
             raise ParseError(t.span, f"expected {what}, found {found}")
-        if t.text in RESERVED:
+        if t[1] in RESERVED:
             raise ParseError(t.span, f"{t.text!r} is reserved, expected {what}")
         self.i += 1
         return t
@@ -310,7 +303,7 @@ class _P:
 
     def expect_eof(self):
         t = self.peek()
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             raise ParseError(t.span, f"unexpected trailing input {t.text!r}")
 
 
@@ -350,7 +343,7 @@ def _parse(text: str, entry, *args) -> ParseResult:
     failed result."""
     try:
         return ParseResult(entry(_P(_lex(text)), *args), [])
-    except (LexError, ParseError) as e:
+    except ParseError as e:
         span, message = e.span, e.message
     except KernelError as e:
         span, message = Span(1, 1, 1, 1), str(e)
@@ -841,7 +834,7 @@ def _parse_perm(p: _P) -> Perm:
             return usage(p.expect_ident("purpose type").text)
         case "identify":
             return identify(p.expect_ident("private type").text)
-    return Perm(t.text)
+    return _PLAIN_PERMS[t.text]
 
 
 def _parse_hier(p: _P) -> Hierarchy:

@@ -408,25 +408,32 @@ def _merge_lam(a: frozenset[str], b: frozenset[str], span=None) -> frozenset[str
 
 def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
     """A restricted name's type is forced when it appears as an object of a
-    prefix whose subject is already typed; unique candidates win."""
+    prefix whose subject is already typed; unique candidates win. A subject
+    bound in the scope, by this restriction, an inner one or an input, has
+    no type in `gamma` to read."""
     candidates: set[PrivacyType] = set()
 
-    def scan(nd):
+    def scan(nd, bound: frozenset):
+        binds = ()
         match nd:
-            case POut(s, objs, _):
-                sty = gamma.atom_type(s.name) if isinstance(s, (TName, TVar)) else None
+            case POut(s, objs, _) if isinstance(s, (TName, TVar)) and s.name not in bound:
+                sty = gamma.atom_type(s.name)
                 if isinstance(sty, TChan) and len(sty.payload) == len(objs):
                     for o, ty in zip(objs, sty.payload):
                         if isinstance(o, (TName, TVar)) and o.name == name:
                             candidates.add(ty)
-            case PInp(_, pats, _) if any(name in placeholder_vars(k) for k in pats):
-                return  # shadowed below
-            case Block(bs, _) if any(n == name for n, _ in bs):
-                return
+            case PInp(_, pats, _):
+                binds = [v for k in pats for v in placeholder_vars(k)]
+            case Block(bs, _):
+                binds = [n for n, _ in bs]
+        if name in binds:
+            return  # shadowed below
+        if binds:
+            bound = bound.union(binds)
         for c in children(nd):
-            scan(c)
+            scan(c, bound)
 
-    scan(body)
+    scan(body, frozenset([name]))
     if len(candidates) == 1:
         return next(iter(candidates))
     return None

@@ -1,6 +1,8 @@
 import ast
 import os
 import pathlib
+import re
+import shutil
 import subprocess
 import sys
 
@@ -216,6 +218,45 @@ def test_import_loads_only_the_package():
     added = r.stdout.split()
     assert "privcalc.syntax" in added
     assert [m for m in added if m != "privcalc" and not m.startswith("privcalc.")] == []
+
+
+def _oldest_python() -> str:
+    """A working interpreter of the oldest Python that `pyproject.toml`
+    requires: `pythonX.Y` on PATH, else one under pyenv's versions. The
+    test is skipped, naming what was looked for, when there is none."""
+    toml = (CORPUS.parent / "pyproject.toml").read_text()
+    version = re.search(r'^requires-python = ">=(\d+\.\d+)"', toml, re.M).group(1)
+    exe = f"python{version}"
+    pyenv = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    # a pyenv shim is on PATH but fails unless that version is selected
+    found = [shutil.which(exe)] + sorted(pathlib.Path(pyenv, "versions").glob(f"{version}.*/bin/{exe}"))
+    for path in filter(None, found):
+        r = subprocess.run([str(path), "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                           capture_output=True, text=True)
+        if r.returncode == 0 and r.stdout.strip() == version:
+            return str(path)
+    pytest.skip(f"no working {exe} on PATH or in {pyenv}/versions/{version}.*")
+
+
+def test_oldest_python_imports_and_parses_the_corpus():
+    """Under the oldest Python the project supports, `import privcalc`
+    works (the lexer's pattern compiles) and every corpus file parses to
+    what this interpreter makes of it."""
+    code = "\n".join([
+        "import pathlib",
+        "from privcalc import syntax",
+        "read = {'.pc': 'system', '.ppo': 'policy', '.env': 'env'}",
+        "for path in sorted(pathlib.Path('corpus').glob('*.*')):",
+        "    kind = read[path.suffix]",
+        "    res = getattr(syntax, 'parse_' + kind)(path.read_text())",
+        "    assert res.ok, (path, res.diagnostics)",
+        "    print(path.name, getattr(syntax, 'render_' + kind)(res.value))",
+    ])
+    out = [subprocess.run([exe, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": PKG, "PATH": "/usr/bin:/bin"}, cwd=str(CORPUS.parent))
+           for exe in (_oldest_python(), sys.executable)]
+    assert [r.returncode for r in out] == [0, 0], out[0].stderr + out[1].stderr
+    assert out[0].stdout == out[1].stdout
 
 
 def test_no_import_inside_a_function():

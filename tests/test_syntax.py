@@ -446,6 +446,20 @@ _LEX_PIECES = (
     + ["²", "½", "٣", "Ⅻ", "é", "一", "\ufffd"]
     + sorted(RESERVED | PERM_WORDS | {"inf"}))
 
+# Inputs for the scan line by line: comments that end the text or hold
+# tokens, the tensor sign and other scripts; empty, blank and `\r`-only
+# lines, and characters at which `str.splitlines` breaks a line and the lexer
+# does not; digit runs that go on past ASCII; long lines, a prefix chain as
+# the `wide` benchmark builds them and one of tokens that are not ASCII.
+_LINE_TEXTS = [
+    "a!<k>. 0 // the end", "0\n// the last line, no newline",
+    "// a!<k>. ⊗ {x # y} é一 ² $\n0", "x // ⊗ // é\n  y", "//", "/ //", "a ///",
+    "", "\n", "\n\n\n", " \t \n\t\n", "\r", "\r\n\r\n0\r", "0\n\r\n",
+    "a\x0cb", "0 \x0c", "a\u2028b", "\u2028", "a\n\n\x0c", "\x1c", "\x85",
+    "42²", "42一", "x42²", "(42½)", "7٣ 8", "42 ²", "4²2",
+    "G[ " + "c!<k>. " * 428 + "0 | c?(v). 0 ]", "é x ⊗ 4² y' 一1 " * 200,
+]
+
 
 def _lexed(lex, text: str):
     try:
@@ -466,6 +480,11 @@ def test_lexer_matches_oracle():
     rng = random.Random(41)
     texts += ["".join(rng.choices(_LEX_PIECES, k=rng.randrange(0, 16)))
               for _ in range(20000)]
+    texts += _LINE_TEXTS
+    # random bytes read as UTF-8, as the `frontend` benchmark's fuzz inputs
+    rng = random.Random(43)
+    texts += [bytes(rng.randrange(256) for _ in range(rng.randrange(60)))
+              .decode("utf-8", errors="replace") for _ in range(2000)]
     for text in texts:
         assert _lexed(_lex, text) == _lexed(oracle, text), text
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -272,6 +273,28 @@ class TestTypeProcess:
         p = new("s", None, POut(TName("spot"), (TName("s"),), NIL))
         t = type_process(g, p)
         assert t.delta == Delta()
+
+    # An inferred restriction whose scope has an output on a subject bound
+    # in that scope: the restriction itself, an inner restriction, an input
+    # variable. Each `{x}` is spelled apart from the outer `z`, then as `z`.
+    @pytest.mark.parametrize("text, code", [
+        ("(new z : G1[t3<g0>]) ( G1[ (new {x}) {x}!<d>. {x}!<{x}>. r!<{x}>. 0 ]"
+         " || G1[ store z {i # v} ] )", "UnboundTerm"),
+        ("(new z : G1[t3<g0>]) ( G1[ (new k) (new {x} : G1[t1<g0>]) {x}!<k>. r!<k>. 0 ]"
+         " || G1[ store z {i # v} ] )", "UnboundTerm"),
+        ("(new z : G1[t0<g1>]) ( G1[ (new k) c?({x}). {x}!<k>. r!<k>. 0 ]"
+         " || G1[ store z {i # v} ] )", "TypeMismatch"),
+    ])
+    def test_restriction_inference_reads_no_subject_bound_in_scope(self, text, code):
+        g = parse_env("c : G1[G1[t0<g1>]]\nd : G1[G1[t0<g1>]]\nr : G1[t1<g0>]\n").value
+
+        def outcome(x):
+            with pytest.raises(TypingError) as e:
+                type_system(g, parse_system(text.replace("{x}", x), g).value)
+            return e.value.code, e.value.span, re.sub(rf"\b{x}\b", "{x}", e.value.message)
+
+        assert outcome("m") == outcome("z")
+        assert outcome("z")[0] == code
 
 
 class TestTypeSystem:
