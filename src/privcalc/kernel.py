@@ -88,7 +88,10 @@ class Record:
     and one that `replace` returns unchanged keeps it. A process or system
     node keeps its free atoms (`_free`) and its normal form the same way,
     a block component its canonical renaming and a component of an encoded
-    core form its mark. A mutable record is unhashable.
+    core form its mark. A system node keeps its typing too, with the
+    environment object and identify direction it was typed under, and the
+    root of a policy hierarchy keeps the descent along each group path it
+    was read at. A mutable record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -100,6 +103,8 @@ class Record:
     _norm = None  # a process or system node's normal form (`normalize`)
     _canon = None  # a block component's canonical renaming (`_Numbering`)
     _core = None  # set on a core form's component (`encoding._core_form`)
+    _typing = None  # a system node's last typing (`typesys.type_system`)
+    _paths = None  # a policy hierarchy's descents by path (`policy.descent`)
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .kernel import Record
+from .kernel import Record, _setattr
 
 __all__ = [
     "Lambda", "FIN", "OMEGA", "lambda_add", "lambda_leq",
     "Perm", "PermSet", "perm_union", "covers",
     "Hierarchy", "Policy", "FlatHierarchy", "NotFound",
-    "hierarchy_groups", "hierarchy_perms", "check_wellformed", "descend", "flatten",
+    "hierarchy_groups", "hierarchy_perms", "check_wellformed", "descend", "descent",
+    "flatten",
     "WfViolation",
     "READ", "UPDATE", "REFERENCE", "STORE", "READID", "AGGREGATE",
     "disseminate", "nondisclose", "usage", "identify",
@@ -317,13 +318,41 @@ def descend(h: Hierarchy, path: Iterable[str]) -> list[Hierarchy]:
     return nodes
 
 
+Nondisclosure = tuple[tuple[str, ...], frozenset[str]]  # (path to a node, its groups)
+
+
+def descent(h: Hierarchy, path: tuple[str, ...]
+            ) -> tuple[int, Optional[PermSet], tuple[Nondisclosure, ...]]:
+    """What the hierarchy grants along a group path, from one `descend`:
+    how many of the path's groups it has there, the union of their nodes'
+    permissions (None where the path leaves the hierarchy), and the path to
+    each of those nodes that carries a nondisclosure with the groups of its
+    subtree, which that nondisclosure allows links to. It is kept on the
+    hierarchy per path, so satisfaction and the error detector descend each
+    path of a hierarchy once between them; it holds no node, which would
+    make the hierarchy a reference cycle."""
+    kept = h._paths
+    if kept is None:
+        kept = {}
+        _setattr(h, "_paths", kept)
+    out = kept.get(path)
+    if out is None:
+        nodes = descend(h, path)
+        out = kept[path] = (
+            len(nodes),
+            perm_union(*(n.perms for n in nodes)) if len(nodes) == len(path) else None,
+            tuple((path[:depth], hierarchy_groups(n)) for depth, n in enumerate(nodes, 1)
+                  if n.perms.nondiscloses()))
+    return out
+
+
 def flatten(h: Hierarchy, path: Iterable[str]) -> Union[FlatHierarchy, NotFound]:
     """The permissions granted along a group path, accumulated over every
     node on it; the terminal node's own children are ignored."""
     path = tuple(path)
     if not path:
         raise ValueError("flatten needs a non-empty path")
-    nodes = descend(h, path)
-    if len(nodes) < len(path):
-        return NotFound(path[:len(nodes)], path[len(nodes)])
-    return FlatHierarchy(path, perm_union(*(n.perms for n in nodes)))
+    depth, granted, _ = descent(h, path)
+    if granted is None:
+        return NotFound(path[:depth], path[depth])
+    return FlatHierarchy(path, granted)

@@ -11,8 +11,7 @@ from .kernel import (
     field, normalize, placeholder_vars, _hoisted,
 )
 from .policy import (
-    EMPTY_PERMS, Hierarchy, Lambda, Perm, PermSet, Policy, covers, descend,
-    hierarchy_groups, perm_union,
+    EMPTY_PERMS, Lambda, Nondisclosure, Perm, PermSet, Policy, covers, descent,
 )
 from .syntax import Gamma, render_process
 from .typesys import (TypingError, _aggregated_perms, _bind_block, _bind_pattern,
@@ -102,7 +101,7 @@ Budget = tuple[str, str, Lambda]  # (policy type, group, finite budget)
 class _ClauseCtx(Record, frozen=False):
     path: tuple[str, ...]
     permis: dict[str, PermSet]  # policy type -> accumulated grant
-    nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]]
+    nd_nodes: dict[str, tuple[Nondisclosure, ...]]
     findings: list[ErrorFinding]
     id_direction: str = "anon"
     links: Optional[list[Link]] = None  # output objects, when collected
@@ -112,21 +111,18 @@ class _ClauseCtx(Record, frozen=False):
 
 def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, list[Budget]]:
     """Accumulated permissions and nondisclosure-carrying ancestors along a
-    group path, per policy-bound type, in one descent of each hierarchy;
-    paths outside the hierarchy grant nothing. Then the finite
-    dissemination budgets of the permissions, which clause 10 counts
-    against."""
+    group path, per policy-bound type, read from each hierarchy's kept
+    descent (`policy.descent`); paths outside the hierarchy grant nothing.
+    Then the finite dissemination budgets of the permissions, which clause
+    10 counts against."""
     permis: dict[str, PermSet] = {}
-    nd_nodes: dict[str, list[tuple[tuple[str, ...], Hierarchy]]] = {}
+    nd_nodes: dict[str, tuple[Nondisclosure, ...]] = {}
     budgets: list[Budget] = []
     for t, h in policy.bindings:
         if t in permis:
             continue  # a type bound twice is read by its first binding
-        nodes = descend(h, path)
-        allowed = permis[t] = (perm_union(*(n.perms for n in nodes))
-                               if len(nodes) == len(path) else EMPTY_PERMS)
-        nd_nodes[t] = [(path[:depth], n) for depth, n in enumerate(nodes, 1)
-                       if n.perms.nondiscloses()]
+        _, granted, nd_nodes[t] = descent(h, path)
+        allowed = permis[t] = EMPTY_PERMS if granted is None else granted
         budgets += ((t, group, lam) for group in sorted(allowed.diss_groups())
                     if not (lam := allowed.diss_budget(group)).unlimited)
     return permis, nd_nodes, budgets
@@ -199,8 +195,8 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                     for t, perm in _sent_perms(want, sty.group):
                         _require(ctx, t, perm, nd, nd.span)
                     target = _ref_target(want)
-                    for npath, hnode in ctx.nd_nodes.get(target.ptype, ()) if target else ():
-                        if sty.group not in hierarchy_groups(hnode):
+                    for npath, groups in ctx.nd_nodes.get(target.ptype, ()) if target else ():
+                        if sty.group not in groups:
                             _emit(ctx, 11, target.ptype, f"nondisclosure at {'.'.join(npath)} "
                                   f"but link sent on a {sty.group} channel", nd, nd.span)
             if ctx.links is not None:
@@ -323,10 +319,11 @@ class _Detector:
 
     The findings of a context are kept by its body (the object, never
     compared field by field), its group path and the bindings of the
-    blocks above it, which fix its environment; the grants of a path by
-    the path. A context that many states share is checked once."""
+    blocks above it, which fix its environment. A context that many
+    states share is checked once, and each path of a hierarchy is
+    descended once (`policy.descent`)."""
 
-    __slots__ = ("policy", "gamma", "id_direction", "literal", "fast", "grants", "seen")
+    __slots__ = ("policy", "gamma", "id_direction", "literal", "fast", "seen")
 
     def __init__(self, policy: Policy, gamma: Gamma, id_direction: str, literal: bool):
         self.policy = policy
@@ -337,7 +334,6 @@ class _Detector:
         # captured by a renamed binder: then every context is normalized
         self.fast = not any(tok.startswith(("_n", "_x"))
                             for tok in (*gamma.atoms, *(t for key in gamma.privs for t in key)))
-        self.grants: dict[tuple[str, ...], tuple] = {}
         self.seen: dict[tuple, tuple[Process, list[ErrorFinding]]] = {}
 
     def findings(self, s: System) -> list[ErrorFinding]:
@@ -378,10 +374,7 @@ class _Detector:
 
     def _context(self, proc: Process, path: tuple[str, ...], g: Gamma,
                  parsed: bool) -> Optional[tuple[Process, list[ErrorFinding]]]:
-        grants = self.grants.get(path)
-        if grants is None:
-            grants = self.grants[path] = _grants(self.policy, path)
-        permis, nd_nodes, budgets = grants
+        permis, nd_nodes, budgets = _grants(self.policy, path)
         ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction,
                          [] if budgets else None, parsed=parsed, exact=self.fast)
         _scan(ctx, g, proc)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 import sys
 from operator import itemgetter
-from typing import Optional
+from typing import Iterable, Optional
 
 from .kernel import (
     Block, DConst, DVar, Group, HIDDEN, Hidden, IVar, Known, NIL, PAnon, PIf,
@@ -90,33 +90,40 @@ def _pd_key(identity, data) -> tuple[str, str]:
 
 class Gamma:
     """Typing environment: names and constants to types, plus private-data
-    entries keyed by their identity and data tokens."""
+    entries keyed by their identity and data tokens.
 
-    def __init__(self):
-        self.atoms: dict[str, PrivacyType] = {}     # names and constants
-        self.privs: dict[tuple[str, str], TPrivate] = {}
+    An environment is immutable: no table is written after construction,
+    and `bind_atom`/`bind_priv` return an extended environment, sharing
+    the table they leave alone. So an environment object fixes every
+    judgement made under it, and `typesys.type_system` keeps its typing of
+    a system for the environment object it was made under."""
+
+    __slots__ = ("atoms", "privs", "_order")
+
+    def __init__(self, entries: Iterable[tuple[str, object, PrivacyType]] = ()):
+        """The environment of (kind, key, type) entries, kind "atom" or
+        "priv", as `entries()` lists them; a later entry for a key
+        replaces the type of an earlier one."""
         # every entry's type by (kind, key), in order of first binding
-        self._order: dict[tuple[str, object], PrivacyType] = {}
+        self._order: dict[tuple[str, object], PrivacyType] = {
+            (kind, key): ty for kind, key, ty in entries}
+        self.atoms: dict[str, PrivacyType] = {      # names and constants
+            key: ty for (kind, key), ty in self._order.items() if kind == "atom"}
+        self.privs: dict[tuple[str, str], TPrivate] = {
+            key: ty for (kind, key), ty in self._order.items() if kind == "priv"}
 
-    def copy(self) -> "Gamma":
-        g = Gamma()
-        g.atoms = dict(self.atoms)
-        g.privs = dict(self.privs)
-        g._order = dict(self._order)
+    def _bound(self, kind: str, key, ty: PrivacyType) -> "Gamma":
+        g = Gamma.__new__(Gamma)
+        g._order = {**self._order, (kind, key): ty}
+        g.atoms = {**self.atoms, key: ty} if kind == "atom" else self.atoms
+        g.privs = {**self.privs, key: ty} if kind == "priv" else self.privs
         return g
 
     def bind_atom(self, token: str, ty: PrivacyType) -> "Gamma":
-        g = self.copy()
-        g.atoms[token] = ty
-        g._order["atom", token] = ty
-        return g
+        return self._bound("atom", token, ty)
 
     def bind_priv(self, identity, data, ty: TPrivate) -> "Gamma":
-        g = self.copy()
-        key = _pd_key(identity, data)
-        g.privs[key] = ty
-        g._order["priv", key] = ty
-        return g
+        return self._bound("priv", _pd_key(identity, data), ty)
 
     def atom_type(self, token: str) -> Optional[PrivacyType]:
         return self.atoms.get(token)
@@ -900,26 +907,27 @@ def parse_env(text: str) -> ParseResult:
     res = _parse(text, _parse_entries)
     if not res.ok:
         return res
-    gamma = Gamma()
+    entries: dict[tuple[str, object], PrivacyType] = {}
     diags: list[Diagnostic] = []
     for key, ty, span in res.value:
         if isinstance(key, tuple):
             itok, dtok = key
             if not isinstance(ty, TPrivate):
                 diags.append(Diagnostic(span, f"private data {itok} # {dtok} needs a private type"))
-            elif key in gamma.privs:
+            elif ("priv", key) in entries:
                 diags.append(Diagnostic(span, f"duplicate entry {itok} # {dtok}"))
             else:
-                ident = HIDDEN if itok == "_" else Known(itok)
-                gamma = gamma.bind_priv(ident, DConst(dtok), ty)
-        elif key in gamma.atoms:
+                entries["priv", key] = ty
+        elif ("atom", key) in entries:
             diags.append(Diagnostic(span, f"duplicate entry {key}"))
         elif isinstance(ty, (TChan, TPurpose)):
-            gamma = gamma.bind_atom(key, ty)
+            entries["atom", key] = ty
         else:
             # a bare token with a private type: a named private constant
             diags.append(Diagnostic(span, f"{key} needs '<id> # <data>' form for a private type"))
-    return ParseResult(None, diags) if diags else ParseResult(gamma, [])
+    if diags:
+        return ParseResult(None, diags)
+    return ParseResult(Gamma((kind, key, ty) for (kind, key), ty in entries.items()), [])
 
 
 def _parse_env_key(p: _P):

@@ -16,7 +16,7 @@ from .kernel import (
     Block, DConst, DVar, Group, Hidden, IVar, Known, PAnon, PIf, PInp, PNil,
     POut, PPair, PRepl, PStore, PVar, Placeholder, PrivacyType, PrivateData,
     Process, Record, SBare, Span, System, TChan, TConst, TDual, TName, TPriv,
-    TPrivate, TPurpose, TVar, Term, children, field, placeholder_vars,
+    TPrivate, TPurpose, TVar, Term, _setattr, children, field, placeholder_vars,
 )
 from .policy import (
     AGGREGATE, FlatHierarchy, OMEGA, Perm, PermSet, READ, READID,
@@ -110,19 +110,20 @@ class ThetaEntry(Record):
 
 
 class Theta:
-    """The system interface: an order-preserving multiset of entries."""
+    """The system interface: an order-preserving multiset of entries, a
+    tuple, since a typing kept on a system is shared by every caller."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[ThetaEntry] = ()):
-        self.entries = list(entries)
+        self.entries = tuple(entries)
 
     def prefixed(self, group: str) -> "Theta":
         return Theta(ThetaEntry(e.ptype, (group,) + e.path, e.perms)
                      for e in self.entries)
 
     def concat(self, other: "Theta") -> "Theta":
-        return Theta([*self.entries, *other.entries])
+        return Theta(self.entries + other.entries)
 
     def canonical(self) -> "Theta":
         return Theta(sorted(self.entries,
@@ -559,35 +560,56 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
 # --- system typing ------------------------------------------------------------------
 
 def type_system(gamma: Gamma, s: System, id_direction: str = "anon") -> SysTyping:
-    """Type a closed system: every interface entry must sit under a group."""
-    def walk(gamma: Gamma, s: System) -> SysTyping:
-        match s:
-            case Group(group, body):
-                inner = walk(gamma, body)
-                return SysTyping(inner.lam, inner.theta.prefixed(group))
+    """Type a closed system: every interface entry must sit under a group.
 
-            case Block(bs, cs):
-                g, missing = _bind_block(gamma, s)
-                if missing is not None:
-                    raise _unannotated(missing, s.span)
-                typings = [walk(g, c) for c in cs]
-                lam, theta = typings[-1].lam, typings[-1].theta
-                for lt in reversed(typings[:-1]):
-                    lam = _merge_lam(lt.lam, lam, s.span)
-                    theta = lt.theta.concat(theta)
-                return SysTyping(lam.difference(n for n, _ in bs), theta)
-
-            case SBare(proc):
-                pt = type_process(gamma, proc, id_direction)
-                theta = Theta(ThetaEntry(t, (), pt.delta.entries[t])
-                              for t in sorted(pt.delta.entries))
-                return SysTyping(pt.lam, theta)
-
-        raise TypingError("TypeMismatch", f"not a system: {s!r}")
-
-    out = walk(gamma, s)
-    _check_closed(out, s)
+    The outcome, the typing or its `TypingError`, is kept on the system
+    node with the environment object and direction it was made under. A
+    call with that same environment object (an environment is immutable)
+    and direction returns the typing, or raises an equal error, without a
+    walk; any other call types the system and replaces what is kept. The
+    error kept is a copy that is never raised, since a raised one keeps a
+    traceback whose frames hold the system."""
+    kept = s._typing
+    if kept is not None and kept[0] is gamma and kept[1] == id_direction:
+        out = kept[2]
+        if isinstance(out, TypingError):
+            raise TypingError(out.code, out.message, out.span)
+        return out
+    try:
+        out = _type_system(gamma, s, id_direction)
+        _check_closed(out, s)
+    except TypingError as e:
+        _setattr(s, "_typing", (gamma, id_direction, TypingError(e.code, e.message, e.span)))
+        raise
+    _setattr(s, "_typing", (gamma, id_direction, out))
     return out
+
+
+def _type_system(gamma: Gamma, s: System, id_direction: str) -> SysTyping:
+    """The walk that `type_system` makes, at every node of the system."""
+    match s:
+        case Group(group, body):
+            inner = _type_system(gamma, body, id_direction)
+            return SysTyping(inner.lam, inner.theta.prefixed(group))
+
+        case Block(bs, cs):
+            g, missing = _bind_block(gamma, s)
+            if missing is not None:
+                raise _unannotated(missing, s.span)
+            typings = [_type_system(g, c, id_direction) for c in cs]
+            lam, theta = typings[-1].lam, typings[-1].theta
+            for lt in reversed(typings[:-1]):
+                lam = _merge_lam(lt.lam, lam, s.span)
+                theta = lt.theta.concat(theta)
+            return SysTyping(lam.difference(n for n, _ in bs), theta)
+
+        case SBare(proc):
+            pt = type_process(gamma, proc, id_direction)
+            theta = Theta(ThetaEntry(t, (), pt.delta.entries[t])
+                          for t in sorted(pt.delta.entries))
+            return SysTyping(pt.lam, theta)
+
+    raise TypingError("TypeMismatch", f"not a system: {s!r}")
 
 
 def _check_closed(st: SysTyping, s: System):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from privcalc.policy import (
     AGGREGATE, FIN, Hierarchy, Lambda, NotFound, OMEGA, Perm, PermSet,
     Policy, READ, READID, REFERENCE, STORE, UPDATE, check_wellformed, covers,
-    descend, disseminate, flatten, hierarchy_groups, hierarchy_perms, identify,
+    descend, descent, disseminate, flatten, hierarchy_groups, hierarchy_perms, identify,
     lambda_add, nondisclose, perm_union, usage,
 )
 from privcalc.syntax import parse_policy
@@ -219,12 +219,34 @@ def test_covers(perm, covered):
 ])
 def test_descend(network, path, groups):
     """The nodes along a path, stopping at the first group the hierarchy
-    lacks: a wrong root, a missing child, a full path and an empty path."""
+    lacks: a wrong root, a missing child, a full path and an empty path.
+    `descent` keeps on the hierarchy how many there are, their union,
+    which a path that leaves the hierarchy has none of, and where on the
+    path a nondisclosure holds, with the groups below it."""
     h = network.lookup("vehicle_data")
     nodes = descend(h, path)
     assert [n.group for n in nodes] == groups
     assert all(child in parent.children for parent, child in zip(nodes, nodes[1:]))
     assert nodes[:1] in ([], [h])
+    kept = descent(h, path)
+    assert kept == (len(nodes), perm_union(*(n.perms for n in nodes))
+                    if len(nodes) == len(path) else None,
+                    tuple((tuple(path[:k]), hierarchy_groups(n))
+                          for k, n in enumerate(nodes, 1) if n.perms.nondiscloses()))
+    assert descent(h, path) is kept and h._paths[path] is kept
+
+
+def test_descent_places_nondisclosures():
+    """Each nondisclosing node on a path, with the path to it and the
+    groups of its subtree, also where the path then leaves the hierarchy."""
+    h = parse_policy("private t >> A {nondisclose sensitive} "
+                     "[ B {read} [ C {nondisclose confidential} ], D {} ];").value.lookup("t")
+    everything = frozenset("ABCD")
+    assert descent(h, ("A", "B", "C")) == (
+        3, PermSet([nondisclose("sensitive"), READ, nondisclose("confidential")]),
+        ((("A",), everything), (("A", "B", "C"), frozenset("C"))))
+    assert descent(h, ("A", "X")) == (1, None, ((("A",), everything),))
+    assert descent(h, ("X",)) == (0, None, ())
 
 
 class TestFlatten:

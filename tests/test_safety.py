@@ -15,7 +15,7 @@ from privcalc.policy import (
     AGGREGATE, FIN, OMEGA, PermSet, Policy, Hierarchy, READ, READID, REFERENCE,
     STORE, UPDATE, disseminate, identify, nondisclose, usage,
 )
-from privcalc import cli, kernel, safety
+from privcalc import cli, kernel, policy, safety
 from privcalc.safety import count_links, detect_errors, safety_scan
 from privcalc.satisfaction import policy_satisfies, verify
 from privcalc.semantics import explore
@@ -516,12 +516,12 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
     """On a clean case study, no context is normalized to be checked: a
     static check walks the parsed system and makes no normalizing pass,
     and once `explore` is done a scan renames nothing, since every state
-    is its own normal form. The scan reads the grants of each group path
-    once."""
+    is its own normal form. The scan descends each hierarchy along each
+    group path once."""
     searching = [True]
     nesting, passes, renames, paths = [0], [0], [0], []
     real_explore, real_pass = safety.explore, kernel._normalize1
-    real_rename, real_grants = kernel._canonical_rename, safety._grants
+    real_rename, real_descend = kernel._canonical_rename, policy.descend
 
     def explore(*args):
         out = real_explore(*args)
@@ -540,14 +540,14 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
         renames[0] += not searching[0]
         return real_rename(node)
 
-    def grants(policy, path):
-        paths.append(path)
-        return real_grants(policy, path)
+    def descend(h, path):
+        paths.append((id(h), path))
+        return real_descend(h, path)
 
     monkeypatch.setattr(safety, "explore", explore)
     monkeypatch.setattr(kernel, "_normalize1", counted)
     monkeypatch.setattr(kernel, "_canonical_rename", rename)
-    monkeypatch.setattr(safety, "_grants", grants)
+    monkeypatch.setattr(policy, "descend", descend)
 
     pol, gamma, system = load(name)
     searching[0] = False
@@ -560,7 +560,36 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
     report = safety_scan(pol, gamma, system, 8)
     assert report.ok and not searching[0] and renames[0] == 0
     states = real_explore(system, 8).nodes.values()
-    assert sorted(paths) == sorted({p for s in states for p in _context_paths(s)})
+    assert sorted(paths) == sorted({(id(h), p) for _, h in pol.bindings
+                                    for s in states for p in _context_paths(s)})
+
+
+@pytest.mark.parametrize("name", ["hospital", "etp_central", "etp_decentral", "speedlimit",
+                                  "hospital_nurse_read"])
+def test_verify_then_detect_descends_each_path_once(name, monkeypatch):
+    """Satisfaction and the error detector read what a policy grants at a
+    group path from one descent kept on the hierarchy: `verify` and then
+    `detect_errors` under one policy descend each hierarchy along each
+    path once between them, the interface's paths and every context's."""
+    descents, real_descend = [], policy.descend
+
+    def descend(h, path):
+        descents.append((id(h), path))
+        return real_descend(h, path)
+
+    monkeypatch.setattr(policy, "descend", descend)
+    pol, gamma, system = load(name.split("_nurse")[0])
+    if name == "hospital_nurse_read":
+        system = parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value
+    verdict = verify(pol, gamma, system)
+    theta_paths = set(descents)
+    findings = detect_errors(pol, gamma, system)
+    assert bool(findings) == (name == "hospital_nurse_read")
+    assert len(descents) == len(set(descents))
+    assert theta_paths == {(id(h), e.path) for e in verdict.theta
+                           for t, h in pol.bindings if t == e.ptype}
+    assert set(descents) == theta_paths | {(id(h), p) for _, h in pol.bindings
+                                           for p in _context_paths(system)}
 
 
 @pytest.mark.parametrize("direction", ["anon", "known"])

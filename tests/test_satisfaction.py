@@ -1,13 +1,16 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from privcalc.policy import (
     Hierarchy, PermSet, Policy, READ, REFERENCE, READID, disseminate,
 )
+from privcalc.safety import detect_errors
 from privcalc.satisfaction import policy_satisfies, theta_satisfies, verify
-from privcalc.syntax import parse_env, parse_policy, parse_system
-from privcalc.typesys import Theta, ThetaEntry, type_system
+from privcalc.syntax import parse_env, parse_policy, parse_system, render_env, render_system
+from privcalc.typesys import Theta, ThetaEntry, TypingError, type_system
 
 import gen
 from conftest import CORPUS
@@ -139,3 +142,124 @@ def test_witness_replay():
     h = pol.lookup(w.ptype)
     ok, again = theta_satisfies(h, ThetaEntry(w.ptype, w.theta_path, entry.perms))
     assert not ok and again.failing == w.failing
+
+
+# --- judgements kept on their inputs ---------------------------------------------
+# The typing is kept on the system per environment object and direction, and
+# each path's descent on the policy hierarchy; a judgement made after others
+# on the same objects must read as it does on fresh parses.
+
+def _typing(gamma, s, direction):
+    try:
+        st = type_system(gamma, s, id_direction=direction)
+    except TypingError as e:
+        return ("error", e.code, e.span, str(e))
+    return ("ok", [e.render() for e in st.theta], sorted(st.lam))
+
+
+def _verdict(policy, gamma, s, direction):
+    v = verify(policy, gamma, s, id_direction=direction)
+    return (v.satisfied, v.witnesses, v.error,
+            None if v.theta is None else [e.render() for e in v.theta])
+
+
+def _findings(policy, gamma, s, direction):
+    return [f.record() for f in detect_errors(policy, gamma, s, id_direction=direction)]
+
+
+_JUDGEMENTS = [("typing", None), ("verdict", 0), ("findings", 0), ("verdict", 1),
+               ("findings", 1)]
+
+
+def _warm_equals_cold(env: str, policy_texts: list[str], system: str) -> int:
+    """Every judgement (the typing, and each policy's verdict and findings)
+    in the anonymous, the known and again the anonymous identify direction,
+    all on one parse of the inputs, against each made alone on fresh
+    parses; the number of findings."""
+    def parsed():
+        gamma = parse_env(env).value
+        res = parse_system(system, gamma)
+        assert res.ok, (system, [str(d) for d in res.diagnostics])
+        return [parse_policy(t).value for t in policy_texts], gamma, res.value
+
+    def run(kind, k, objects, direction):
+        policies, gamma, s = objects
+        if kind == "typing":
+            return _typing(gamma, s, direction)
+        return (_verdict if kind == "verdict" else _findings)(policies[k], gamma, s, direction)
+
+    warm = parsed()
+    found = 0
+    for direction in ("anon", "known", "anon"):
+        for kind, k in _JUDGEMENTS:
+            cold = run(kind, k, parsed(), direction)
+            assert run(kind, k, warm, direction) == cold, (system, kind, k, direction)
+            found += len(cold) if kind == "findings" else 0
+    return found
+
+
+def test_warm_judgements_equal_cold_ones_on_the_corpus():
+    """The case studies and the nurse mutant under their policy and the
+    empty one, with findings and their spans among the outputs."""
+    found = 0
+    for name in ("hospital", "etp_central", "etp_decentral", "speedlimit",
+                 "hospital_nurse_read"):
+        case = name.split("_nurse")[0]
+        policy = (CORPUS / f"{case}.ppo").read_text()
+        empty = "".join(f"private {t} >> {h.group} {{}};\n"
+                        for t, h in parse_policy(policy).value.bindings)
+        found += _warm_equals_cold((CORPUS / f"{case}.env").read_text(), [policy, empty],
+                                   (CORPUS / f"{name}.pc").read_text())
+    assert found
+
+
+_POOL = ("read", "update", "reference", "store", "readId", "aggregate", "usage p0",
+         "identify t0", "identify t1", "disseminate G1 inf", "disseminate G2 1",
+         "disseminate G3 2", "nondisclose confidential")
+
+
+def _fitting_policy(rng: random.Random) -> str:
+    """A policy over the groups of `gen.random_system`, rooted at one of
+    them, with random grants."""
+    def grants() -> str:
+        return "{" + ", ".join(rng.sample(_POOL, rng.randrange(len(_POOL) + 1))) + "}"
+
+    roots = (f"G1 {grants()} [ G2 {grants()}, G3 {grants()} ]", f"G2 {grants()}",
+             f"G3 {grants()}")
+    return "".join(f"private {t} >> {rng.choice(roots)};\n" for t in ("t0", "t1"))
+
+
+def test_warm_judgements_equal_cold_ones_on_generated_systems():
+    """300 generated systems, each under two random policies over its
+    groups."""
+    rng = random.Random(97)
+    env = render_env(gen.base_gamma())
+    found = 0
+    for _ in range(300):
+        system = render_system(gen.random_system(rng))
+        found += _warm_equals_cold(env, [_fitting_policy(rng), _fitting_policy(rng)], system)
+    assert found
+
+
+def test_kept_judgements_make_no_reference_cycle():
+    """What a system and a hierarchy keep refers to neither of them, so
+    they are freed as soon as the caller drops them, without the cyclic
+    collector: a typing, a typing error raised twice, and each path's
+    descent."""
+    env = (CORPUS / "hospital.env").read_text()
+    policy_text = (CORPUS / "hospital.ppo").read_text()
+    gc.disable()
+    try:
+        for system in ((CORPUS / "hospital.pc").read_text(), "Hospital[ q?(x). 0 ]"):
+            gamma = parse_env(env).value
+            policy = parse_policy(policy_text).value
+            s = parse_system(system, gamma).value
+            for _ in range(2):
+                verify(policy, gamma, s)
+                detect_errors(policy, gamma, s)
+            assert s._typing is not None and policy.bindings[0][1]._paths
+            refs = [weakref.ref(s), weakref.ref(policy.bindings[0][1])]
+            del s, policy
+            assert [r() for r in refs] == [None, None], system
+    finally:
+        gc.enable()

@@ -1,4 +1,6 @@
+import ast
 import functools
+import pathlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -274,6 +276,114 @@ def test_rebound_entries_render_once():
     assert again.ok, again.diagnostics
     assert again.value.entries() == g.entries()
     assert again.value.atom_type("x") == latest
+
+
+def test_parse_env_builds_each_table_once(monkeypatch):
+    """`parse_env` builds the environment's tables in one pass, as the
+    constructor does, and copies none per entry: the environment equals
+    the one that binding each entry in turn gives."""
+    bound = []
+    real = Gamma._bound
+
+    def counted(self, *args):
+        bound.append(args[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(Gamma, "_bound", counted)
+    n = 4000
+    text = "".join(f"c{i} : G[t<g>]\n{{id{i} # d{i}}} : t<g>\n" for i in range(n // 2))
+    res = parse_env(text)
+    assert res.ok and len(res.value) == n and bound == []
+    reference = Gamma()
+    for kind, key, ty in res.value.entries():
+        reference = (reference.bind_atom(key, ty) if kind == "atom"
+                     else reference.bind_priv(Known(key[0]), DConst(key[1]), ty))
+    assert len(bound) == n
+    assert (reference.entries(), reference.atoms, reference.privs) == (
+        res.value.entries(), res.value.atoms, res.value.privs)
+
+
+def test_constructor_rebinds_as_bind_does():
+    """A later entry for a key replaces the type of the earlier one and
+    keeps its place, as binding it again does."""
+    first, latest = TPurpose("Limit", "Speed"), TChan("G", (TPrivate("t", "g"),))
+    entries = [("atom", "x", first), ("priv", ("id", "c"), TPrivate("t", "g")),
+               ("atom", "x", latest)]
+    g = Gamma(entries)
+    bound = (Gamma().bind_atom("x", first).bind_priv(Known("id"), DConst("c"), TPrivate("t", "g"))
+             .bind_atom("x", latest))
+    assert g.entries() == bound.entries() == [("atom", "x", latest), entries[1]]
+    assert (g.atoms, g.privs) == (bound.atoms, bound.privs) == (
+        {"x": latest}, {("id", "c"): TPrivate("t", "g")})
+
+
+_GAMMA_TABLES = {"atoms", "privs", "_order"}
+_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__",
+             "__delitem__", "__ior__"}
+
+
+def _table_writes(tree: ast.AST) -> list[int]:
+    """Lines that write an environment table outside class `Gamma`: an
+    assignment or deletion of `x.atoms`, `x.privs` or `x._order` or of an
+    item of one, a mutating method called on one, or a `setattr` of one."""
+
+    def table(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in _GAMMA_TABLES
+
+    def written(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(written, target.elts))
+        if isinstance(target, ast.Starred):
+            return written(target.value)
+        return table(target) or (isinstance(target, ast.Subscript) and table(target.value))
+
+    lines = []
+
+    def visit(node, in_gamma: bool):
+        if isinstance(node, ast.ClassDef):
+            in_gamma = node.name == "Gamma"
+        if not in_gamma:
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Attribute) and f.attr in _MUTATORS and table(f.value):
+                    lines.append(node.lineno)
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                if ("setattr" in name and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value in _GAMMA_TABLES):
+                    lines.append(node.lineno)
+            if any(map(written, targets)):
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_gamma)
+
+    visit(tree, False)
+    return lines
+
+
+def test_no_environment_table_is_written_outside_gamma():
+    """An environment is immutable, which makes it a sound key for the
+    typing kept on a system: no code in the package, the tests or the
+    benchmark writes its tables except `Gamma`'s own methods."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for snippet in ("g.atoms['x'] = t", "g.privs = {}", "del g._order[k]",
+                    "g.atoms.update(x)", "a, g.privs[k] = 1, 2", "g.atoms |= x",
+                    "object.__setattr__(g, 'atoms', {})", "g._order.setdefault(k, t)"):
+        assert _table_writes(ast.parse(snippet)) == [1], snippet
+    assert _table_writes(ast.parse("class Gamma:\n def f(self):\n  self.atoms = {}")) == []
+    writes = []
+    for path in sorted([*root.glob("src/privcalc/*.py"), *root.glob("tests/*.py"),
+                        *root.glob("perfbench/*.py")]):
+        writes += [f"{path.name}:{line}"
+                   for line in _table_writes(ast.parse(path.read_text(), str(path)))]
+    assert writes == []
 
 
 def test_fuzz_never_crashes():

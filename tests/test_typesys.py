@@ -12,7 +12,9 @@ from privcalc.policy import (
     FIN, OMEGA, PermSet, READ, READID, REFERENCE, STORE, UPDATE, AGGREGATE,
     FlatHierarchy, disseminate, identify, perm_union, usage,
 )
-from privcalc.syntax import Gamma, parse_env, parse_process, parse_system
+from privcalc import typesys
+from privcalc.satisfaction import verify
+from privcalc.syntax import Gamma, parse_env, parse_policy, parse_process, parse_system
 from privcalc.typesys import (
     Delta, Theta, ThetaEntry, TypingError, _Operand, _aggregated_perms,
     _match_perms, _received_perms, _ref_target, _sent_perms, _stored_perms,
@@ -27,15 +29,17 @@ def priv(ident, tok):
     return TPriv(PrivateData(ident, DConst(tok)))
 
 
+LAB_ENV = ("r : Police[crime<dna>]\n"
+           "w : Hospital[patient_data<dna>]\n"
+           "b : Hospital[Hospital[patient_data<dna>]]\n"
+           "c : Police[Hospital[patient_data<dna>]]\n"
+           "{x # y} : patient_data<dna>\n"
+           "{_ # z} : crime<dna>\n")
+
+
 @pytest.fixture()
 def lab_gamma():
-    res = parse_env(
-        "r : Police[crime<dna>]\n"
-        "w : Hospital[patient_data<dna>]\n"
-        "b : Hospital[Hospital[patient_data<dna>]]\n"
-        "c : Police[Hospital[patient_data<dna>]]\n"
-        "{x # y} : patient_data<dna>\n"
-        "{_ # z} : crime<dna>\n")
+    res = parse_env(LAB_ENV)
     assert res.ok
     return res.value
 
@@ -340,6 +344,85 @@ class TestTypeSystem:
         a = type_system(lab_gamma, s).theta.canonical()
         b = type_system(lab_gamma, s).theta.canonical()
         assert a.entries == b.entries
+
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """The systems `type_system` walks from their root, in call order."""
+    real, roots, depth = typesys._type_system, [], [0]
+
+    def counted(gamma, s, id_direction):
+        if not depth[0]:
+            roots.append(s)
+        depth[0] += 1
+        try:
+            return real(gamma, s, id_direction)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(typesys, "_type_system", counted)
+    return roots
+
+
+class TestTypingKeptOnTheSystem:
+    """A system keeps its typing for the environment object and identify
+    direction it was typed under, so a judgement that repeats them walks
+    nothing."""
+
+    def test_typed_once_for_its_environment(self, walks):
+        gamma = parse_env(LAB_ENV).value
+        s = parse_system(f"Hospital[ Lab[ {LAB_BODY} ] ]", gamma).value
+        policy = parse_policy("private patient_data >> Hospital {} [ Lab {} ];\n").value
+        st = type_system(gamma, s)
+        first, second = verify(policy, gamma, s), verify(policy, gamma, s)
+        assert walks == [s]
+        assert first.theta is second.theta is st.theta
+        assert type_system(gamma, s) is st
+
+    def test_equal_environment_or_other_direction_walks_again(self, walks):
+        gamma, equal = parse_env(LAB_ENV).value, parse_env(LAB_ENV).value
+        s = parse_system(f"Lab[ {LAB_BODY} ]", gamma).value
+        anon = type_system(gamma, s)
+        assert type_system(equal, s).theta == anon.theta
+        known = type_system(equal, s, id_direction="known")
+        assert known.theta != anon.theta
+        assert ThetaEntry("patient_data", ("Lab",),
+                          PermSet([REFERENCE, READ, READID, identify("crime"),
+                                   disseminate("Police", 1)])) in known.theta
+        # one kept typing: the first call's is replaced
+        assert type_system(gamma, s).theta == anon.theta
+        assert walks == [s] * 4
+
+    def test_each_environment_gets_its_own_verdict(self):
+        """The typing kept for one environment is never the answer under
+        another: here the second lacks the channel the lab reads on."""
+        gamma = parse_env(LAB_ENV).value
+        narrower = parse_env(LAB_ENV.replace("b : Hospital[Hospital[patient_data<dna>]]\n",
+                                             "")).value
+        s = parse_system(f"Lab[ {LAB_BODY} ]", gamma).value
+        assert type_system(gamma, s).theta
+        with pytest.raises(TypingError) as e:
+            type_system(narrower, s)
+        assert e.value.code == "UnboundTerm" and "b is not typed" in e.value.message
+        assert type_system(gamma, s).theta
+
+    def test_a_failure_is_raised_again_without_a_walk(self, walks):
+        gamma = parse_env(LAB_ENV).value
+        s = parse_system("Lab[ b?(w). q?(v). 0 ]", gamma).value
+        raised = []
+        for _ in range(2):
+            with pytest.raises(TypingError) as e:
+                type_system(gamma, s)
+            raised.append(e.value)
+        verdict = verify(parse_policy("private crime >> Lab {};\n").value, gamma, s)
+        assert walks == [s]
+        assert len({(e.code, e.message, e.span, str(e)) for e in raised}) == 1
+        assert raised[0].span == s.body.body.cont.span and verdict.error == str(raised[0])
+        fresh = parse_system("Lab[ b?(w). q?(v). 0 ]", parse_env(LAB_ENV).value).value
+        with pytest.raises(TypingError) as cold:
+            type_system(parse_env(LAB_ENV).value, fresh)
+        assert (cold.value.code, cold.value.span, str(cold.value)) == (
+            raised[0].code, raised[0].span, str(raised[0]))
 
 
 class TestInterfaceLeq:
