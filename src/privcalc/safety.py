@@ -8,7 +8,7 @@ from typing import Optional
 from .kernel import (
     Block, Group, IVar, Known, PIf, PInp, POut, PRepl, PStore, PrivacyType,
     Process, Record, SBare, Span, System, TChan, TName, TPrivate, TVar, Term,
-    field, normalize, placeholder_vars, _hoisted,
+    field, normalize, placeholder_vars, _hoisted, _setattr,
 )
 from .policy import (
     EMPTY_PERMS, Lambda, Nondisclosure, Perm, PermSet, Policy, covers, descent,
@@ -109,12 +109,17 @@ class _ClauseCtx(Record, frozen=False):
     exact: bool = True  # False where the body may read otherwise normalized
 
 
-def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, list[Budget]]:
+def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, tuple[Budget, ...]]:
     """Accumulated permissions and nondisclosure-carrying ancestors along a
     group path, per policy-bound type, read from each hierarchy's kept
     descent (`policy.descent`); paths outside the hierarchy grant nothing.
     Then the finite dissemination budgets of the permissions, which clause
-    10 counts against."""
+    10 counts against. All three are kept on the policy per path, shared by
+    every context there and only read."""
+    if (kept := policy._paths) is None:
+        _setattr(policy, "_paths", kept := {})
+    if path in kept:
+        return kept[path]
     permis: dict[str, PermSet] = {}
     nd_nodes: dict[str, tuple[Nondisclosure, ...]] = {}
     budgets: list[Budget] = []
@@ -125,7 +130,7 @@ def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, list[Bud
         allowed = permis[t] = EMPTY_PERMS if granted is None else granted
         budgets += ((t, group, lam) for group in sorted(allowed.diss_groups())
                     if not (lam := allowed.diss_budget(group)).unlimited)
-    return permis, nd_nodes, budgets
+    return kept.setdefault(path, (permis, nd_nodes, tuple(budgets)))
 
 
 def _emit(ctx: _ClauseCtx, clause: int, t: str, perm: str, nd, span=None):
@@ -291,7 +296,7 @@ def _grounds_of(gamma: Gamma, t: str) -> set[str]:
 
 
 def _scan_budgets(ctx: _ClauseCtx, gamma: Gamma, p: Process, literal: bool,
-                  budgets: list[Budget], links: list[Link]):
+                  budgets: tuple[Budget, ...], links: list[Link]):
     """Clause 10: a finite dissemination budget exceeded by the number of
     link outputs in the context process, counted from its link list."""
     for t, group, lam in budgets:

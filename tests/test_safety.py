@@ -517,7 +517,9 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
     static check walks the parsed system and makes no normalizing pass,
     and once `explore` is done a scan renames nothing, since every state
     is its own normal form. The scan descends each hierarchy along each
-    group path once."""
+    group path once, and reads what the policy grants at a path (`_grants`,
+    kept on the policy) from that descent once, however many contexts sit
+    there."""
     searching = [True]
     nesting, passes, renames, paths = [0], [0], [0], []
     real_explore, real_pass = safety.explore, kernel._normalize1
@@ -544,10 +546,17 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
         paths.append((id(h), path))
         return real_descend(h, path)
 
+    reads, real_descent = [], safety.descent
+
+    def descent(h, path):
+        reads.append((id(h), path))
+        return real_descent(h, path)
+
     monkeypatch.setattr(safety, "explore", explore)
     monkeypatch.setattr(kernel, "_normalize1", counted)
     monkeypatch.setattr(kernel, "_canonical_rename", rename)
     monkeypatch.setattr(policy, "descend", descend)
+    monkeypatch.setattr(safety, "descent", descent)
 
     pol, gamma, system = load(name)
     searching[0] = False
@@ -556,12 +565,14 @@ def test_contexts_are_checked_where_they_sit(name, monkeypatch):
 
     searching[0] = True
     paths.clear()
+    reads.clear()
     pol, gamma, system = load(name)
     report = safety_scan(pol, gamma, system, 8)
     assert report.ok and not searching[0] and renames[0] == 0
     states = real_explore(system, 8).nodes.values()
     assert sorted(paths) == sorted({(id(h), p) for _, h in pol.bindings
                                     for s in states for p in _context_paths(s)})
+    assert sorted(reads) == sorted(paths)
 
 
 @pytest.mark.parametrize("name", ["hospital", "etp_central", "etp_decentral", "speedlimit",

@@ -244,8 +244,8 @@ def test_warm_judgements_equal_cold_ones_on_generated_systems():
 def test_kept_judgements_make_no_reference_cycle():
     """What a system and a hierarchy keep refers to neither of them, so
     they are freed as soon as the caller drops them, without the cyclic
-    collector: a typing, a typing error raised twice, and each path's
-    descent."""
+    collector: a typing, a typing error raised twice, each path's descent
+    on a hierarchy and the grants at each path on the policy."""
     env = (CORPUS / "hospital.env").read_text()
     policy_text = (CORPUS / "hospital.ppo").read_text()
     gc.disable()
@@ -258,8 +258,9 @@ def test_kept_judgements_make_no_reference_cycle():
                 verify(policy, gamma, s)
                 detect_errors(policy, gamma, s)
             assert s._typing is not None and policy.bindings[0][1]._paths
-            refs = [weakref.ref(s), weakref.ref(policy.bindings[0][1])]
+            assert policy._paths
+            refs = [weakref.ref(s), weakref.ref(policy), weakref.ref(policy.bindings[0][1])]
             del s, policy
-            assert [r() for r in refs] == [None, None], system
+            assert [r() for r in refs] == [None, None, None], system
     finally:
         gc.enable()
