@@ -44,8 +44,9 @@ def _paint(text: str, code: str) -> str:
     return text
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
+def _fail(*msgs: str) -> int:
+    for msg in msgs:
+        print(f"error: {msg}", file=sys.stderr)
     return EXIT_ERROR
 
 
@@ -66,12 +67,12 @@ def _load(path: Optional[str], parse, *extra):
         raise _CliError(f"{path}: {e}") from e
     res = parse(text, *extra)
     if not res.ok:
-        raise _CliError("\n".join(str(d) for d in res.diagnostics))
+        raise _CliError(*(f"{path}: {d.span}: {d.message}" for d in res.diagnostics))
     return res.value
 
 
 class _CliError(Exception):
-    pass
+    """An input error: each argument is one line to print after `error: `."""
 
 
 def _bound(text: str) -> int:
@@ -282,7 +283,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         return EXIT_PIPE
     except _CliError as e:
-        return _fail(str(e))
+        return _fail(*e.args)
     except (TypingError, KernelError) as e:
         return _fail(str(e))
     except Exception as e:

@@ -8,7 +8,7 @@ from typing import Optional
 from .kernel import (
     Block, Group, IVar, Known, PIf, PInp, POut, PRepl, PStore, PrivacyType,
     Process, Record, SBare, Span, System, TChan, TName, TPrivate, TVar, Term,
-    field, normalize, placeholder_vars, _hoisted, _setattr,
+    field, normalize, placeholder_vars, _canonical_shaped, _hoisted, _setattr,
 )
 from .policy import (
     EMPTY_PERMS, Lambda, Nondisclosure, Perm, PermSet, Policy, covers, descent,
@@ -105,7 +105,6 @@ class _ClauseCtx(Record, frozen=False):
     findings: list[ErrorFinding]
     id_direction: str = "anon"
     links: Optional[list[Link]] = None  # output objects, when collected
-    parsed: bool = False  # whether the body is as parsed (see `_bind`)
     exact: bool = True  # False where the body may read otherwise normalized
 
 
@@ -174,7 +173,7 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
     and list every output object in `ctx.links` when it is a list."""
     match nd:
         case Block():
-            nd, gamma, settled = _bind(gamma, nd, ctx.parsed)
+            nd, gamma, settled = _bind(gamma, nd)
             ctx.exact &= settled
             # clause 7: parallel stores with unifiable identities
             stores = [c for c in nd.comps if isinstance(c, PStore)]
@@ -222,7 +221,7 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                     except TypingError:
                         continue
                     bound.append(k)
-            if ctx.parsed and _hides(gamma, inner, patterns, bound):
+            if ctx.exact and _hides(gamma, inner, patterns, bound):
                 ctx.exact = False
             _scan(ctx, inner, cont)
         case PRepl(body):
@@ -233,21 +232,21 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             _scan(ctx, gamma, els)
 
 
-def _bind(gamma: Gamma, nd: Block, parsed: bool) -> tuple[Block, Gamma, bool]:
-    """The block to walk, the environment extended by its restrictions, and
-    whether the clauses read the block as in its own normal form: not if a
-    binder is unannotated, since its inferred type reads the environment
-    under its name, which renaming changes, and may depend on the binders'
-    order. A parsed block is walked as `normalize` merges it, `_hoisted`,
-    and is not settled either if a binder hides an environment entry. Its
-    binders that `normalize` drops as unused stay: only clause 10 reads the
+def _bind(gamma: Gamma, nd: Block) -> tuple[Block, Gamma, bool]:
+    """The block to walk, as `normalize` merges it (`_hoisted`, the block
+    itself in a normal form), the environment extended by its
+    restrictions, and whether the clauses read the block as in its own
+    normal form: not if a binder is unannotated, since its inferred type
+    reads the environment under its name, which renaming changes, and may
+    depend on the binders' order, nor if a binder hides an environment
+    entry (in a normal form only where the environment has a name of the
+    canonical renaming's shape, and `_Detector.fast` is false). Binders
+    that `normalize` drops as unused stay: only clause 10 reads the
     environment beyond the names in use, through `_grounds_of`, and a wider
     one can only raise its counts."""
-    if parsed:
-        nd = _hoisted(nd)
+    nd = _hoisted(nd)
     inner, _ = _bind_block(gamma, nd)
-    return nd, inner, not (any(a is None for _, a in nd.binders)
-                           or (parsed and any(_entries(gamma, n) for n, _ in nd.binders)))
+    return nd, inner, not any(a is None or _entries(gamma, n) for n, a in nd.binders)
 
 
 def _entries(gamma: Gamma, name: str) -> tuple:
@@ -337,8 +336,8 @@ class _Detector:
         self.literal = literal
         # an environment token of the canonical renaming's shape could be
         # captured by a renamed binder: then every context is normalized
-        self.fast = not any(tok.startswith(("_n", "_x"))
-                            for tok in (*gamma.atoms, *(t for key in gamma.privs for t in key)))
+        self.fast = not any(map(_canonical_shaped,
+                                (*gamma.atoms, *(t for key in gamma.privs for t in key))))
         self.seen: dict[tuple, tuple[Process, list[ErrorFinding]]] = {}
 
     def findings(self, s: System) -> list[ErrorFinding]:
@@ -354,14 +353,14 @@ class _Detector:
     def _walk(self, node: System, path: tuple[str, ...], scope: tuple, g: Gamma,
               found: list[ErrorFinding], parsed: bool) -> bool:
         """Check every context below `node`, a system as parsed or a normal
-        form, and add its findings to `found`. A parsed block is walked as
-        `normalize` merges it (see `_bind`); one, or a context, that is not
-        settled where it sits stops the walk, which gives False."""
+        form, and add its findings to `found`. In a parsed system, a block
+        or a context that is not settled where it sits (see `_bind`) stops
+        the walk, which gives False."""
         match node:
             case Group(group, body):
                 return self._walk(body, path + (group,), scope, g, found, parsed)
             case Block():
-                node, g, settled = _bind(g, node, parsed)
+                node, g, settled = _bind(g, node)
                 if parsed and not settled:
                     return False
                 scope += tuple((n, g.atoms.get(n)) for n, _ in node.binders)
@@ -381,7 +380,7 @@ class _Detector:
                  parsed: bool) -> Optional[tuple[Process, list[ErrorFinding]]]:
         permis, nd_nodes, budgets = _grants(self.policy, path)
         ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction,
-                         [] if budgets else None, parsed=parsed, exact=self.fast)
+                         [] if budgets else None, exact=self.fast)
         _scan(ctx, g, proc)
         links = ctx.links  # clause 10 counts on the body as it sits
         _scan_budgets(ctx, g, proc, self.literal, budgets, links)

@@ -19,7 +19,7 @@ import hashlib
 from typing import Callable, Iterable, Iterator, Optional
 
 from .kernel import (
-    Block, DConst, Group, HIDDEN, Hidden, IVar, Known, PIf, PInp, PNil, POut,
+    Block, DConst, Group, HIDDEN, Hidden, IVar, Known, PIf, PInp, POut,
     PRepl, PStore, PrivacyType, PrivateData, Record, SBare, System,
     TConst, TDual, TName, TPriv, TVar, Term,
     IncompatibleSubstitution, children, field, free_atoms, is_system,
@@ -30,7 +30,7 @@ from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_system
 
 __all__ = [
-    "OutLabel", "tau_successors", "has_step", "input_capabilities",
+    "OutLabel", "tau_successors", "has_step", "input_subjects",
     "StateGraph", "search", "explore",
     "PreservationReport", "check_preservation", "state_key",
 ]
@@ -108,56 +108,66 @@ def _closed_term(t: Term) -> bool:
     return True
 
 
+# --- where a step happens -------------------------------------------------------------
+
+def _context(node) -> tuple[tuple[object, Callable], ...]:
+    """Where a step of a replication (in one unfolded copy), a decided
+    conditional (in its taken branch), a group or a bare system happens:
+    the child, and how the node is rebuilt around the child's successor.
+    No such pair for a block, a prefix, a store or an undecided conditional."""
+    match node:
+        case PRepl(body):
+            return ((body, lambda s: Block((), (s, node))),)
+        case PIf(op, lhs, rhs, then, els):
+            v = _eval_cond(op, lhs, rhs)
+            if v is not None:
+                return (((then if v else els), lambda s: s),)
+        case Group(_, body) | SBare(body):
+            return ((body, lambda s: replace(node, body=s)),)
+    return ()
+
+
+def _extruded_apart(label: OutLabel, succ, cs: tuple, k: int) -> tuple[OutLabel, object]:
+    """An output of the k-th of the components `cs` and its successor, with
+    the names the output extrudes renamed apart from the free atoms of the
+    other components, so that none of them is captured."""
+    if not label.extruded:
+        return label, succ
+    others = set().union(*map(free_atoms, cs[:k] + cs[k + 1:]))
+    ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects), others)
+    return replace(label, objects=tuple(objs), extruded=ext), succ
+
+
 # --- output capabilities ------------------------------------------------------------
 
 def visible_outs(node) -> list[tuple[OutLabel, object]]:
-    out: list[tuple[OutLabel, object]] = []
     match node:
-        case PNil():
-            pass
         case POut(subject, objects, cont):
             if isinstance(subject, (TName, TDual)) and all(_closed_term(o) for o in objects):
-                out.append((OutLabel(subject.name, isinstance(subject, TDual), objects), cont))
-        case PInp(_, _, _):
-            pass
+                return [(OutLabel(subject.name, isinstance(subject, TDual), objects), cont)]
+            return []
         case PStore(ref, datum):
-            if datum.is_constant:
-                out.append((OutLabel(ref, True, (TPriv(datum),)), node))
+            return [(OutLabel(ref, True, (TPriv(datum),)), node)] if datum.is_constant else []
         case Block(bs, cs):
+            out: list[tuple[OutLabel, object]] = []
             names = {n for n, _ in bs}
             for k, c in enumerate(cs):
                 for label, succ in visible_outs(c):
                     if label.subject in names:
                         continue
-                    if label.extruded:
-                        # the names leaving must not capture a free atom of
-                        # the components beside this one
-                        others = set().union(*map(free_atoms, cs[:k] + cs[k + 1:]))
-                        ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects),
-                                                    others)
-                        label = replace(label, objects=tuple(objs), extruded=ext)
+                    label, succ = _extruded_apart(label, succ, cs, k)
                     # binders the objects mention leave with the label, outermost
                     # first and before those of deeper blocks; the others stay
                     # around the successor
                     objs_atoms = set().union(*map(free_atoms, label.objects)) if bs else ()
                     leaving = tuple(b for b in bs if b[0] in objs_atoms)
                     if leaving:
-                        label = OutLabel(label.subject, label.on_dual, label.objects,
-                                         leaving + label.extruded)
+                        label = replace(label, extruded=leaving + label.extruded)
                     out.append((label, _block(tuple(b for b in bs if b[0] not in objs_atoms),
                                               cs[:k] + (succ,) + cs[k + 1:])))
-        case PRepl(body):
-            for label, succ in visible_outs(body):
-                out.append((label, Block((), (succ, node))))
-        case PIf(op, lhs, rhs, then, els):
-            v = _eval_cond(op, lhs, rhs)
-            if v is True:
-                out.extend(visible_outs(then))
-            elif v is False:
-                out.extend(visible_outs(els))
-        case Group(_, body) | SBare(body):
-            out.extend((lb, replace(node, body=sc)) for lb, sc in visible_outs(body))
-    return out
+            return out
+    return [(label, rebuild(succ)) for child, rebuild in _context(node)
+            for label, succ in visible_outs(child)]
 
 
 # --- input capabilities -------------------------------------------------------------
@@ -166,10 +176,7 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
     """All ways the node can consume the given delivery. For a store input
     (to_dual) the delivery is the writer's object and the store applies the
     endpoint duality itself."""
-    out: list = []
     match node:
-        case PNil() | POut(_, _, _):
-            pass
         case PInp(subj, patterns, cont):
             if (not to_dual and isinstance(subj, TName) and subj.name == subject
                     and len(patterns) == len(values)):
@@ -177,9 +184,10 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                     body = cont
                     for k, v in zip(patterns, values):
                         body = substitute(body, v, k)
-                    out.append(body)
+                    return [body]
                 except IncompatibleSubstitution:
                     pass
+            return []
         case PStore(ref, datum):
             if to_dual and ref == subject and len(values) == 1:
                 v = values[0]
@@ -188,30 +196,20 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                     if isinstance(wid, Known):
                         # plain write: the store must be uninitialised or match
                         if isinstance(datum.identity, IVar) or datum.identity == wid:
-                            out.append(PStore(ref, PrivateData(wid, wdat)))
+                            return [PStore(ref, PrivateData(wid, wdat))]
                     elif isinstance(wid, Hidden) and isinstance(datum.identity, Known):
                         # anonymous write keeps the store's identity
-                        out.append(PStore(ref, PrivateData(datum.identity, wdat)))
+                        return [PStore(ref, PrivateData(datum.identity, wdat))]
+            return []
         case Block(bs, cs):
             if bs:
                 if any(n == subject for n, _ in bs):
-                    return out
+                    return []
                 bs, cs = _apart(bs, cs, set().union(*map(free_atoms, values)))
-            for k, c in enumerate(cs):
-                for succ in feed(c, subject, to_dual, values):
-                    out.append(Block(bs, cs[:k] + (succ,) + cs[k + 1:]))
-        case PRepl(body):
-            for succ in feed(body, subject, to_dual, values):
-                out.append(Block((), (succ, node)))
-        case PIf(op, lhs, rhs, then, els):
-            v = _eval_cond(op, lhs, rhs)
-            if v is True:
-                out.extend(feed(then, subject, to_dual, values))
-            elif v is False:
-                out.extend(feed(els, subject, to_dual, values))
-        case Group(_, body) | SBare(body):
-            out.extend(replace(node, body=s) for s in feed(body, subject, to_dual, values))
-    return out
+            return [Block(bs, cs[:k] + (succ,) + cs[k + 1:])
+                    for k, c in enumerate(cs) for succ in feed(c, subject, to_dual, values)]
+    return [rebuild(succ) for child, rebuild in _context(node)
+            for succ in feed(child, subject, to_dual, values)]
 
 
 def _deliveries(label: OutLabel, refs: frozenset[str]
@@ -249,18 +247,22 @@ def reference_names(node) -> frozenset[str]:
     return frozenset(out)
 
 
-def input_capabilities(node) -> list[tuple[str, int]]:
-    """The (subject, arity) of every input and store not under a prefix,
-    in both branches of a conditional. `feed` consumes only on these
-    subjects, so a component without one can be skipped."""
+def input_subjects(node) -> set[str]:
+    """The subjects of the inputs and stores that `feed` can reach: those
+    where a step can happen (`_context`) and whose subject no block
+    around them binds. `feed` consumes only on these subjects, so a
+    component without one can be skipped."""
     match node:
-        case PInp(subj, patterns, _):
-            return [(subj.name, len(patterns))] if isinstance(subj, TName) else []
+        case PInp(subj, _, _):
+            return {subj.name} if isinstance(subj, TName) else set()
         case PStore(ref, _):
-            return [(ref, 1)]
-        case POut():
-            return []
-    return [f for c in children(node) for f in input_capabilities(c)]
+            return {ref}
+        case Block(bs, cs):
+            subjects = set().union(*map(input_subjects, cs))
+            return subjects.difference(n for n, _ in bs) if bs else subjects
+    for child, _ in _context(node):
+        return input_subjects(child)
+    return set()
 
 
 def _by_subject(subjects: Iterable[Iterable[str]]) -> dict[str, list[int]]:
@@ -283,10 +285,7 @@ def _pair(node: Block, i: int, label: OutLabel, succ, receivers: Iterable[int],
     replaces the two components, and the names the output extrudes join the
     block's binders, renamed away from the other components first."""
     cs = node.comps
-    if label.extruded:
-        others = set().union(*map(free_atoms, cs[:i] + cs[i + 1:]))
-        ext, (succ, *objs) = _apart(label.extruded, (succ, *label.objects), others)
-        label = replace(label, objects=tuple(objs), extruded=ext)
+    label, succ = _extruded_apart(label, succ, cs, i)
     for subject, to_dual, values in _deliveries(label, refs):
         for j in receivers:
             for osucc in feed(cs[j], subject, to_dual, values):
@@ -306,7 +305,7 @@ def _reactions(node: Block, refs: frozenset[str]) -> Iterator:
     outputs back to i."""
     cs = node.comps
     outs = [visible_outs(c) for c in cs]
-    inputs = [{s for s, _ in input_capabilities(c)} for c in cs]
+    inputs = [input_subjects(c) for c in cs]
     readers = _by_subject(inputs)
     writers = _by_subject({lb.subject for lb, _ in o} for o in outs)
     for i in reversed(range(len(cs) - 1)):
@@ -322,22 +321,13 @@ def _reactions(node: Block, refs: frozenset[str]) -> Iterator:
 
 def _steps(node, refs: frozenset[str]) -> Iterator:
     match node:
-        case PNil() | POut(_, _, _) | PInp(_, _, _) | PStore(_, _):
-            pass
         case Block(bs, cs):
             for k, c in enumerate(cs):
                 yield from (Block(bs, cs[:k] + (s,) + cs[k + 1:]) for s in _steps(c, refs))
             yield from _reactions(node, refs)
-        case PRepl(body):
-            yield from (Block((), (s, node)) for s in _steps(body, refs))
-        case PIf(op, lhs, rhs, then, els):
-            v = _eval_cond(op, lhs, rhs)
-            if v is True:
-                yield from _steps(then, refs)
-            elif v is False:
-                yield from _steps(els, refs)
-        case Group(_, body) | SBare(body):
-            yield from (replace(node, body=s) for s in _steps(body, refs))
+            return
+    for child, rebuild in _context(node):
+        yield from map(rebuild, _steps(child, refs))
 
 
 def tau_successors(node) -> list:
@@ -392,15 +382,16 @@ def search(start: tuple, successors: Callable[[tuple], Iterable[tuple]], bound: 
     and the caller's key alone tells states apart. Each key is expanded
     once, at the depth where it is first met, down to `bound` steps.
     `stop` is asked of every newly met key, the start's included, and a
-    true answer ends the search. Returns each met key's state and depth,
-    in the order met, and whether the bound cut the search off: whether a
-    state on the last frontier has a step."""
+    true answer ends the search, as an empty frontier does. Returns each
+    met key's state and depth, in the order met, and whether the bound cut
+    the search off: whether a state on the last frontier has a step."""
     key, state = start
     states, depths = {key: state}, {key: 0}
     if stop is not None and stop(key):
         return states, depths, False
-    frontier = [start]
-    for d in range(1, bound + 1):
+    frontier, d = [start], 0
+    while frontier and d < bound:
+        d += 1
         nxt = []
         for pair in frontier:
             for key, state in successors(pair):

@@ -3,7 +3,8 @@ all-pairs `tau_successors` as `semantics` had them before it indexed
 components by subject. It tries every output of every component against
 every other component, so it is slow on wide blocks but plainly complete;
 tests compare the indexed engine's successor lists with its own, order
-included. `collect_inps` is the input scan of `input_labels`. The leaf
+included. `collect_inps` is the input scan of `input_labels`, and
+`fed_subjects` the subjects `feed` can consume on. The leaf
 helpers (`_deliveries`, `_eval_cond`, ...) are shared with `semantics`,
 which did not change them, and binders are renamed apart through the
 kernel's `_apart`, as `semantics` does.
@@ -182,6 +183,26 @@ def collect_inps(node):
         case POut():
             return []
     return [f for c in children(node) for f in collect_inps(c)]
+
+
+def fed_subjects(node):
+    """The subjects of the inputs and stores that `feed` above can consume
+    on: as `collect_inps`, but only in the taken branch of a decided
+    conditional, in neither branch of an undecided one, and not on a name
+    a block around them binds."""
+    match node:
+        case PInp(subj, _, _):
+            return {subj.name} if isinstance(subj, TName) else set()
+        case PStore(ref, _):
+            return {ref}
+        case POut():
+            return set()
+        case PIf(op, lhs, rhs, then, els):
+            v = _eval_cond(op, lhs, rhs)
+            return set() if v is None else fed_subjects(then if v else els)
+        case Block(bs, cs):
+            return set().union(*map(fed_subjects, cs)) - {n for n, _ in bs}
+    return set().union(*map(fed_subjects, children(node)))
 
 
 class InpLabel(Record):

@@ -55,6 +55,24 @@ class TestExitCodes:
         r = run("typecheck", str(bad))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("bad, text, lines", [
+        ("system", "G[ a!< ]", ["1:8-1:9: expected term, found ']'"]),
+        ("policy", "private t >> G { read [ ;", ["1:23-1:24: expected '}', found '['"]),
+        ("env", "a : G[t<g>]\na : G[t<g>]\nb : G[t<g>]\nb : G[t<g>]\n",
+         ["2:1-2:2: duplicate entry a", "4:1-4:2: duplicate entry b"]),
+    ])
+    def test_parse_diagnostics_name_their_file(self, tmp_path, bad, text, lines):
+        # each diagnostic was printed as `error: error: <span>: ...` on the
+        # first line and `error: <span>: ...` after it, with no file name
+        paths = {"system": "corpus/hospital.pc", "policy": "corpus/hospital.ppo",
+                 "env": "corpus/hospital.env"}
+        paths[bad] = str(tmp_path / f"bad.{bad}")
+        pathlib.Path(paths[bad]).write_text(text)
+        r = run("verify", paths["system"], "--policy", paths["policy"],
+                "--env", paths["env"])
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "".join(f"error: {paths[bad]}: {line}\n" for line in lines)
+
     def test_scan_clean(self):
         r = run("scan", "corpus/etp_central.pc", "--policy", "corpus/etp_central.ppo",
                 "--env", "corpus/etp_central.env", "--depth", "4")

@@ -9,7 +9,7 @@ import pytest
 
 from privcalc.kernel import (
     Block, DConst, Group, HIDDEN, Known, NIL, PIf, PInp, POut, PPair, PStore,
-    PVar, PrivateData, SBare, TChan, TConst, TName, TPriv, TPrivate,
+    PVar, PrivateData, SBare, TChan, TConst, TName, TPriv, TPrivate, placeholder_vars,
 )
 from privcalc.policy import (
     AGGREGATE, FIN, OMEGA, PermSet, Policy, Hierarchy, READ, READID, REFERENCE,
@@ -465,6 +465,42 @@ def test_detect_errors_matches_oracle():
                 clauses.update(f.clause for f in got)
                 clauses.update(f.clause for _, f in report.findings)
     assert clauses == set(range(1, 12))
+
+
+def _binders(node):
+    """Every block of a term, every name a block or an input binds, and
+    the body of every group context."""
+    blocks, names, bodies = [], [], []
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        if isinstance(nd, Block):
+            blocks.append(nd)
+            names += (n for n, _ in nd.binders)
+        elif isinstance(nd, PInp):
+            names += (x for k in nd.patterns for x in placeholder_vars(k))
+        elif isinstance(nd, SBare):
+            bodies.append(nd.body)
+        stack.extend(kernel.children(nd))
+    return blocks, names, bodies
+
+
+def test_parsed_walk_steps_are_idle_on_normal_forms():
+    """`_bind` merges every block it walks and reads every binder against
+    the environment, on a parsed system and on a normal form alike. Below
+    a normal form (an explored state, or a context body normalized to be
+    checked again) merging gives each block itself, and where
+    `_Detector.fast` holds no binder there names an environment entry."""
+    blocks = 0
+    for gamma, system, depth in dict.fromkeys((g, s, d) for _, g, s, d in _oracle_systems()):
+        fast = safety._Detector(None, gamma, "anon", False).fast
+        for state in explore(system, depth).nodes.values():
+            for form in (state, *map(kernel.normalize, _binders(state)[2])):
+                found, names, _ = _binders(form)
+                assert all(kernel._hoisted(b) is b for b in found), form
+                assert not fast or not any(safety._entries(gamma, n) for n in names), form
+                blocks += len(found)
+    assert blocks
 
 
 def _contexts(node, gamma):

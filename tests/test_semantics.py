@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import signal
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,7 +13,7 @@ from privcalc.kernel import (
 )
 from privcalc.semantics import (
     OutLabel, StateGraph, check_preservation, explore, feed, has_step,
-    input_capabilities, state_key, tau_successors, visible_outs,
+    input_subjects, state_key, tau_successors, visible_outs,
 )
 from privcalc import kernel, semantics
 from privcalc.syntax import (
@@ -483,16 +484,39 @@ def test_indexed_steps_match_all_pairs(source):
     """Indexing components by subject changes which pairs are tried, not
     the steps: successor lists are ==-identical to the all-pairs engine's,
     in the same order; `has_step` and truncation agree with them; and the
-    input scan is the one `input_labels` had."""
+    reader index holds exactly the subjects `feed` can consume on."""
     states, graphs = _oracle_states(source)
     for st in states:
         succs = allpairs.tau_successors(st)
         assert tau_successors(st) == succs
         assert has_step(st) == bool(succs)
-        assert sorted(set(input_capabilities(st))) == sorted(set(allpairs.collect_inps(st)))
+        assert input_subjects(st) == allpairs.fed_subjects(st)
     for graph, depth in graphs:
         last = [st for key, st in graph.nodes.items() if graph.depths[key] == depth]
         assert graph.truncated == any(map(allpairs.tau_successors, last))
+
+
+_WHERE_THE_INPUT_SITS = {
+    "untaken_branch": ("G[ a!<k>. 0 | if k = k then 0 else a?(x). 0 ]", set(), 0),
+    "taken_branch": ("G[ a!<k>. 0 | if k = j then 0 else a?(x). 0 ]", {"a"}, 1),
+    "undecided_if": ("G[ a!<k>. 0 | if k > j then a?(x). 0 else a?(x). 0 ]", set(), 0),
+    "replicated_body": ("G[ a!<k>. 0 | * a?(x). b!<x>. 0 ]", {"a"}, 1),
+    "group": ("G[ a!<k>. 0 ] || H[ a?(x). 0 ]", {"a"}, 1),
+    "bound_subject": ("G[ a!<k>. 0 | (new a) a?(x). 0 ]", set(), 0),
+}
+
+
+@pytest.mark.parametrize("text,subjects,steps", _WHERE_THE_INPUT_SITS.values(),
+                         ids=_WHERE_THE_INPUT_SITS)
+def test_reader_index_reads_where_a_step_happens(text, subjects, steps):
+    """The only input of each system sits in one kind of context. The
+    reader index holds its subject exactly when `feed` can reach it, and
+    the successors are the all-pairs engine's, in the same order."""
+    res = parse_system(text)
+    assert res.ok, res.diagnostics
+    assert input_subjects(res.value) == allpairs.fed_subjects(res.value) == subjects
+    succs = tau_successors(res.value)
+    assert succs == allpairs.tau_successors(res.value) and len(succs) == steps
 
 
 def _scopes(node, names=frozenset(), vs=frozenset()):
@@ -808,6 +832,30 @@ def _graph(graph: StateGraph):
     """Everything `explore` builds, states and depths in the order met."""
     return (graph.root, list(graph.nodes.items()), graph.edges,
             list(graph.depths.items()), graph.truncated)
+
+
+def test_search_ends_at_an_empty_frontier(corpus):
+    """etp_central has no state beyond depth 9, so its graph at depth 12
+    is whole, and a bound of 10**8 gives the same graph. The search used
+    to count out the bound over an empty frontier; an alarm after 5 s
+    turns that into a failed assertion."""
+    system = corpus["etp_central"][2]
+    want = _graph(explore(system, 12))
+    assert not want[-1]
+
+    def late(*_):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        got = _graph(explore(system, 10**8))
+    except TimeoutError:
+        got = None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert got == want
 
 
 @pytest.mark.parametrize("depth", [8, 12])
