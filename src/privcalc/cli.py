@@ -8,9 +8,9 @@ closed before everything was written.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from .encoding import EncodingError, check_correspondence, encode, render_core
@@ -78,7 +78,7 @@ class _CliError(Exception):
 def _bound(text: str) -> int:
     """A `--depth` or `--correspondence` bound: an integer, 0 or more."""
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
+        raise ValueError(f"expected an integer of 0 or more, got {text!r}")
     return int(text)
 
 
@@ -207,73 +207,246 @@ def _cmd_policy_wf(args) -> int:
     return EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="privcalc",
-        description="workbench for permission policies over the group calculus")
-    sub = ap.add_subparsers(dest="command", required=True)
+# --- the command table ------------------------------------------------------------
+#
+# One row per command: its help line, its positional, its options and its
+# handler. An option is `(string, default, check, help)`. Its value is the
+# text given when `check` is None, one of the strings in `check` when that
+# is a tuple, and what `check` returns for the text when that is a reader
+# such as `_bound` (which raises ValueError on a bad one). A flag has the
+# check `_FLAG`: False unless given, and it takes no value. An option whose
+# default is `_REQUIRED` must be given. Every command also takes `-h` and
+# `--help`.
 
-    def common(p, env=True, policy=False, depth=None):
-        if env:
-            p.add_argument("--env", help="environment file (.env)")
-        if policy:
-            p.add_argument("--policy", required=True, help="policy file (.ppo)")
-        if depth is not None:
-            p.add_argument("--depth", type=_bound, default=depth)
-        p.add_argument("--id-direction", choices=["anon", "known"], default="anon")
-        p.add_argument("--format", choices=["text", "records", "dot"], default="text")
+_FLAG = object()
+_REQUIRED = object()
 
-    p = sub.add_parser("typecheck", help="infer the permission interface")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_typecheck)
 
-    p = sub.add_parser("verify", help="check a system against a policy")
-    p.add_argument("file")
-    common(p, policy=True)
-    p.add_argument("--strict-coverage", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
+class _Command:
+    __slots__ = ("help", "positional", "options", "run")
 
-    p = sub.add_parser("simulate", help="explore internal steps")
-    p.add_argument("file")
-    common(p, depth=6)
-    p.add_argument("--preserve", action="store_true",
-                   help="also check type preservation along every edge")
-    p.set_defaults(fn=_cmd_simulate)
+    def __init__(self, help: str, positional: str, options: tuple, run):
+        self.help, self.positional, self.options, self.run = help, positional, options, run
 
-    p = sub.add_parser("errors", help="static error-system detection")
-    p.add_argument("file")
-    common(p, policy=True)
-    p.add_argument("--countlink-literal", action="store_true")
-    p.set_defaults(fn=_cmd_errors)
 
-    p = sub.add_parser("scan", help="error detection over reachable states")
-    p.add_argument("file")
-    common(p, policy=True, depth=6)
-    p.add_argument("--countlink-literal", action="store_true")
-    p.set_defaults(fn=_cmd_scan)
+_ENV = ("--env", None, None, "environment file (.env)")
+_POLICY = ("--policy", _REQUIRED, None, "policy file (.ppo)")
+_DEPTH = ("--depth", 6, _bound, "exploration bound, 0 or more (default 6)")
+_ID = ("--id-direction", "anon", ("anon", "known"),
+       "the side of an identification that carries identify (default anon)")
+_FORMAT = ("--format", "text", ("text", "records", "dot"), "output form (default text)")
+_COUNTLINK = ("--countlink-literal", False, _FLAG,
+              "count references by the literal payload reading")
 
-    p = sub.add_parser("encode", help="translate to core pi with select/branch")
-    p.add_argument("file")
-    common(p)
-    p.add_argument("--correspondence", type=_bound, metavar="BOUND",
-                   help="also check operational correspondence up to BOUND")
-    p.set_defaults(fn=_cmd_encode)
+COMMANDS = {
+    "typecheck": _Command("infer the permission interface", "file",
+                          (_ENV, _ID, _FORMAT), _cmd_typecheck),
+    "verify": _Command("check a system against a policy", "file",
+                       (_ENV, _POLICY, _ID, _FORMAT,
+                        ("--strict-coverage", False, _FLAG,
+                         "fail on interface entries of types the policy does not bind")),
+                       _cmd_verify),
+    "simulate": _Command("explore internal steps", "file",
+                         (_ENV, _DEPTH, _ID, _FORMAT,
+                          ("--preserve", False, _FLAG,
+                           "also check type preservation along every edge")),
+                         _cmd_simulate),
+    "errors": _Command("static error-system detection", "file",
+                       (_ENV, _POLICY, _ID, _FORMAT, _COUNTLINK), _cmd_errors),
+    "scan": _Command("error detection over reachable states", "file",
+                     (_ENV, _POLICY, _DEPTH, _ID, _FORMAT, _COUNTLINK), _cmd_scan),
+    "encode": _Command("translate to core pi with select/branch", "file",
+                       (_ENV, _ID, _FORMAT,
+                        ("--correspondence", None, _bound,
+                         "also check operational correspondence up to this bound")),
+                       _cmd_encode),
+    "policy-wf": _Command("check policy well-formedness", "policy", (), _cmd_policy_wf),
+}
 
-    p = sub.add_parser("policy-wf", help="check policy well-formedness")
-    p.add_argument("policy")
-    p.set_defaults(fn=_cmd_policy_wf)
-    return ap
+_HELP = ("-h", "--help")
+
+
+class _Help(Exception):
+    """`-h` or `--help` was given: the argument is the text to print."""
+
+
+class _UsageError(Exception):
+    """A command line the table does not accept: the command it was read
+    for (None before one is named) and the message."""
+
+
+def _lookup(name: Optional[str], arg: str, strings) -> Optional[tuple[str, Optional[str]]]:
+    """What `arg` is among the option strings of the command `name` (None:
+    before the command): None for a value, and for an option its string
+    and the text after `=` (None without). A long option may be cut to any
+    prefix that names only one. An option that names none is `("", None)`,
+    but `-`, a negative number and text with a space are values then."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in strings:
+        return arg, None
+    prefix, eq, value = arg.partition("=")
+    if eq and prefix in strings:
+        return prefix, value
+    if arg[:2] == "--":
+        hits = [s for s in strings if s.startswith(prefix)]
+        if len(hits) > 1:
+            raise _UsageError(name, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    if _negative(arg) or " " in arg:
+        return None
+    return "", None
+
+
+def _negative(arg: str) -> bool:
+    """Whether argparse reads `arg` as a negative number: `-5`, `-.5` or
+    `-1.5`, and one followed by a newline, which its pattern's `$` let
+    through. Checked without a pattern, which each call would compile."""
+    whole, dot, frac = arg[1:].removesuffix("\n").partition(".")
+    return (whole.isdecimal() and not dot) or (
+        bool(dot) and (not whole or whole.isdecimal()) and frac.isdecimal())
+
+
+def read_argv(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The command that `argv` names and its arguments by name, read
+    against `COMMANDS`. Options come before or after the positional, as
+    `--opt value` or `--opt=value`; `--` ends them, and a repeated option
+    keeps its last value. Raises `_Help` at the first `-h` or `--help`
+    (before the command, the only options), and `_UsageError` at once for
+    a bad choice or bound, an option without its value or a flag with one,
+    and at the end for what is missing, unknown or extra."""
+    strays = []  # options and values that name nothing
+    for i, arg in enumerate(argv):
+        opt = None if arg == "--" else _lookup(None, arg, _HELP)
+        if opt is None:
+            break
+        if opt[0]:
+            _help(None, opt)
+        strays.append(arg)
+    else:
+        raise _UsageError(None, "a command is required")
+    name, args = argv[i], argv[i + 1:]
+    if name not in COMMANDS:
+        raise _UsageError(None, f"unknown command {name!r} (choose from {', '.join(COMMANDS)})")
+    command = COMMANDS[name]
+    options = {o[0]: o for o in command.options}
+    end = args.index("--") if "--" in args else len(args)
+    kinds = [_lookup(name, a, (*_HELP, *options)) for a in args[:end]]
+    values = {_dest(o[0]): None if o[1] is _REQUIRED else o[1] for o in command.options}
+    found = []  # where the values for the positional stand
+    i = 0
+    while i < end:
+        opt, i = kinds[i], i + 1
+        if opt is None:
+            found.append(i - 1)
+        elif opt[0] in _HELP:
+            _help(name, opt)
+        elif not opt[0]:
+            strays.append(args[i - 1])
+        else:
+            string, value = opt
+            check = options[string][2]
+            if check is _FLAG:
+                if value is not None:
+                    raise _UsageError(name, f"argument {string}: "
+                                            f"ignored explicit argument {value!r}")
+                value = True
+            else:
+                if value is None:
+                    if i == end or kinds[i] is not None:
+                        raise _UsageError(name, f"argument {string}: expected one argument")
+                    value, i = args[i], i + 1
+                value = _value(name, string, check, value)
+            values[_dest(string)] = value
+    found += range(end + 1, len(args))
+    # a `--` next to the positional ends the options; anywhere else it is extra
+    if end < len(args) and not (found and found[0] in (end - 1, end + 1)):
+        strays.append("--")
+    missing = [] if found else [command.positional]
+    missing += [s for s, default, _, _ in command.options
+                if default is _REQUIRED and values[_dest(s)] is None]
+    if missing:
+        raise _UsageError(name, f"the following arguments are required: {', '.join(missing)}")
+    strays += [args[j] for j in found[1:]]
+    if strays:
+        raise _UsageError(name, f"unrecognized arguments: {' '.join(strays)}")
+    values[command.positional] = args[found[0]]
+    return name, SimpleNamespace(**values)
+
+
+def _dest(string: str) -> str:
+    return string[2:].replace("-", "_")
+
+
+def _value(name: str, string: str, check, text: str):
+    if check is None:
+        return text
+    if isinstance(check, tuple):
+        if text not in check:
+            raise _UsageError(name, f"argument {string}: invalid choice: {text!r} "
+                                    f"(choose from {', '.join(check)})")
+        return text
+    try:
+        return check(text)
+    except ValueError as e:
+        raise _UsageError(name, f"argument {string}: {e}") from None
+
+
+def _help(name: Optional[str], opt: tuple[str, Optional[str]]):
+    if opt[1] is not None:
+        raise _UsageError(name, f"argument -h/--help: ignored explicit argument {opt[1]!r}")
+    raise _Help(_help_text(name))
+
+
+def _spec(option: tuple) -> str:
+    string, default, check, _ = option
+    if check is _FLAG:
+        return string
+    if isinstance(check, tuple):
+        return f"{string} {{{','.join(check)}}}"
+    return f"{string} {_dest(string).upper()}"
+
+
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return "usage: privcalc [-h] COMMAND ..."
+    command = COMMANDS[name]
+    parts = [_spec(o) if o[1] is _REQUIRED else f"[{_spec(o)}]" for o in command.options]
+    return " ".join(["usage: privcalc", name, "[-h]", *parts, command.positional])
+
+
+def _help_text(name: Optional[str]) -> str:
+    """The `-h` text: the commands and their help lines at the top, a
+    command's positional and options below it."""
+    if name is None:
+        rows = [(n, c.help) for n, c in COMMANDS.items()]
+        about = "workbench for permission policies over the group calculus"
+        heading, tail = "commands", ["", "`privcalc COMMAND -h` lists a command's options."]
+    else:
+        command = COMMANDS[name]
+        rows = [(command.positional, "input file"), ("-h, --help", "show this help and exit")]
+        rows += [(_spec(o), o[3] + (" (required)" if o[1] is _REQUIRED else ""))
+                 for o in command.options]
+        about, heading, tail = command.help, "arguments", []
+    width = max(len(r[0]) for r in rows) + 2
+    return "\n".join([_usage(name), "", about, "", f"{heading}:",
+                      *(f"  {spec.ljust(width)}{text}" for spec, text in rows), *tail])
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
+        name, args = read_argv(sys.argv[1:] if argv is None else argv)
+    except _Help as e:
+        print(e.args[0])
+        return EXIT_OK
+    except _UsageError as e:
+        name, message = e.args
+        print(_usage(name), file=sys.stderr)
+        print(f"privcalc{' ' + name if name else ''}: error: {message}", file=sys.stderr)
+        return EXIT_ERROR
     try:
-        code = args.fn(args)
+        code = COMMANDS[name].run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

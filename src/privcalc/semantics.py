@@ -15,7 +15,7 @@ which `explore`'s edge order and every transcript rest on.
 from __future__ import annotations
 
 import bisect
-import hashlib
+import sys
 from typing import Callable, Iterable, Iterator, Optional
 
 from .kernel import (
@@ -27,7 +27,17 @@ from .kernel import (
     _rename_form,
 )
 from .syntax import Gamma, render_process, render_system, render_term
-from .typesys import Theta, TypingError, interface_leq, type_system
+from .typesys import Theta, TypingError, interface_leq, type_closed
+
+# State names hash with the interpreter's own SHA-256 module: `hashlib`
+# would load OpenSSL at import, which every command-line call pays for.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # a build without it, as some are made for FIPS
+    from hashlib import sha256
 
 __all__ = [
     "OutLabel", "tau_successors", "has_step", "input_subjects",
@@ -351,7 +361,7 @@ def state_key(node) -> str:
     rendered normal form."""
     norm = normalize(node)
     txt = render_system(norm) if is_system(norm) else render_process(norm)
-    return hashlib.sha256(txt.encode()).hexdigest()[:12]
+    return sha256(txt.encode()).hexdigest()[:12]
 
 
 class StateGraph(Record, frozen=False):
@@ -459,15 +469,15 @@ class PreservationReport(Record, frozen=False):
 def check_preservation(gamma: Gamma, graph: StateGraph,
                        id_direction: str = "anon") -> PreservationReport:
     """Re-type every state of an explored graph and check the interface
-    never grows along an edge."""
+    never grows along an edge. Each state's Θ is read once, from `thetas`,
+    so no typing is kept on the state nodes."""
     report = PreservationReport(truncated=graph.truncated)
     thetas: dict[str, Theta] = {}
 
     def theta_of(key: str) -> Optional[Theta]:
         if key not in thetas:
             try:
-                thetas[key] = type_system(gamma, graph.nodes[key],
-                                          id_direction=id_direction).theta
+                thetas[key] = type_closed(gamma, graph.nodes[key], id_direction).theta
             except TypingError as e:
                 thetas[key] = None
                 report.violations.append(f"state {key} fails to type: {e}")

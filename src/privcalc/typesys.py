@@ -576,12 +576,19 @@ def type_system(gamma: Gamma, s: System, id_direction: str = "anon") -> SysTypin
             raise TypingError(out.code, out.message, out.span)
         return out
     try:
-        out = _type_system(gamma, s, id_direction)
-        _check_closed(out, s)
+        out = type_closed(gamma, s, id_direction)
     except TypingError as e:
         _setattr(s, "_typing", (gamma, id_direction, TypingError(e.code, e.message, e.span)))
         raise
     _setattr(s, "_typing", (gamma, id_direction, out))
+    return out
+
+
+def type_closed(gamma: Gamma, s: System, id_direction: str) -> SysTyping:
+    """The typing of a closed system, as `type_system` gives it, made
+    afresh and kept nowhere."""
+    out = _type_system(gamma, s, id_direction)
+    _check_closed(out, s)
     return out
 
 

@@ -87,7 +87,7 @@ class TestExitCodes:
         def crash(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_cmd_typecheck", crash)
+        monkeypatch.setattr(cli.COMMANDS["typecheck"], "run", crash)
         assert cli.main(["typecheck", "corpus/lab.pc"]) == cli.EXIT_INTERNAL == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
@@ -217,25 +217,58 @@ def test_import_budget():
         "semantics", "syntax", "typesys")} <= loaded
 
 
+# the interpreter's own SHA-256 module, which `state_key` hashes with
+SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+
 def test_import_loads_only_the_package():
     """Once the standard modules the package names are loaded, `import
     privcalc` in a fresh interpreter without `site` adds only the package's
     own modules: a module it pulled in besides would be paid for by every
-    command-line call."""
+    command-line call. `hashlib`, which loads OpenSSL, is not among them."""
     code = "\n".join([
         "import sys",
         f"sys.path.insert(0, {PKG!r})",
-        "import __future__, bisect, hashlib, itertools, operator, re, typing",
+        f"import __future__, bisect, itertools, operator, re, typing, {SHA256}",
         "before = set(sys.modules)",
         "import privcalc",
         "print(' '.join(sorted(set(sys.modules) - before)))",
+        "print(' '.join(sorted({'hashlib', '_hashlib'} & set(sys.modules))))",
     ])
     r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                        env={"PATH": "/usr/bin:/bin"}, cwd=str(CORPUS.parent))
     assert r.returncode == 0, r.stderr
-    added = r.stdout.split()
-    assert "privcalc.syntax" in added
-    assert [m for m in added if m != "privcalc" and not m.startswith("privcalc.")] == []
+    added, hashing = r.stdout.split("\n")[:2]
+    assert "privcalc.syntax" in added.split()
+    assert [m for m in added.split() if m != "privcalc" and not m.startswith("privcalc.")] == []
+    assert hashing == ""
+
+
+def test_cli_calls_load_no_argparse_or_openssl():
+    """Command-line calls in a fresh interpreter without `site` (a verdict,
+    a graph with its preservation check, help and a usage error) load
+    neither `argparse` and the `gettext` and `locale` it brings, nor
+    `hashlib` and OpenSSL's `_hashlib`."""
+    calls = [["verify", "corpus/hospital.pc", "--policy", "corpus/hospital.ppo",
+              "--env", "corpus/hospital.env"],
+             ["simulate", "corpus/speedlimit.pc", "--env", "corpus/speedlimit.env",
+              "--depth", "3", "--preserve"],
+             ["-h"], ["scan", "-h"], ["scan", "corpus/hospital.pc", "--depth", "-1"]]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {PKG!r})",
+        "from privcalc import cli",
+        "out, err = io.StringIO(), io.StringIO()",
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        f"    codes = [cli.main(argv) for argv in {calls!r}]",
+        "print(codes)",
+        "print(' '.join(sorted({'argparse', 'gettext', 'locale', 'hashlib', '_hashlib'}"
+        " & set(sys.modules))))",
+    ])
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env={"PATH": "/usr/bin:/bin"}, cwd=str(CORPUS.parent))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[0, 0, 0, 0, 2]\n\n"
 
 
 def _oldest_python() -> str:
@@ -258,17 +291,21 @@ def _oldest_python() -> str:
 
 def test_oldest_python_imports_and_parses_the_corpus():
     """Under the oldest Python the project supports, `import privcalc`
-    works (the lexer's pattern compiles) and every corpus file parses to
-    what this interpreter makes of it."""
+    works (the lexer's pattern compiles), every corpus file parses to what
+    this interpreter makes of it, and the states of one exploration get the
+    same names (each version has its own SHA-256 module)."""
     code = "\n".join([
         "import pathlib",
-        "from privcalc import syntax",
+        "from privcalc import semantics, syntax",
         "read = {'.pc': 'system', '.ppo': 'policy', '.env': 'env'}",
         "for path in sorted(pathlib.Path('corpus').glob('*.*')):",
         "    kind = read[path.suffix]",
         "    res = getattr(syntax, 'parse_' + kind)(path.read_text())",
         "    assert res.ok, (path, res.diagnostics)",
         "    print(path.name, getattr(syntax, 'render_' + kind)(res.value))",
+        "gamma = syntax.parse_env(pathlib.Path('corpus/hospital.env').read_text()).value",
+        "text = pathlib.Path('corpus/hospital.pc').read_text()",
+        "print(*semantics.explore(syntax.parse_system(text, gamma).value, 6).nodes)",
     ])
     out = [subprocess.run([exe, "-c", code], capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": PKG, "PATH": "/usr/bin:/bin"}, cwd=str(CORPUS.parent))

@@ -227,6 +227,16 @@ class TestPreservation:
             report = check_preservation(gamma, explore(system, depth))
             assert report.ok, (name, report.violations[:3])
 
+    def test_preservation_keeps_no_typing(self):
+        """Preservation reads each state's interface once, from its own
+        table: the typings it makes are not kept on the state nodes, which
+        live as long as the graph (`type_system` kept one on each)."""
+        edges = 0
+        for name, gamma, graph in _corpus_graphs(8):
+            edges += check_preservation(gamma, graph).edges_checked
+            assert [k for k, n in graph.nodes.items() if n._typing is not None] == [], name
+        assert edges > 300
+
 
 def test_congruence_respects_transitions():
     """One structural axiom apart means the same labels and the same
@@ -767,6 +777,34 @@ def _rendered_key(node) -> str:
     norm = normalize(node)
     txt = render_system(norm) if is_system(norm) else render_process(norm)
     return hashlib.sha256(txt.encode()).hexdigest()[:12]
+
+
+# the six corpus inputs and the environment each is read with
+CORPUS_INPUTS = {"hospital": "hospital", "etp_central": "etp_central",
+                 "etp_decentral": "etp_decentral", "speedlimit": "speedlimit",
+                 "lab": "hospital", "hospital_nurse_read": "hospital"}
+
+
+def _corpus_graphs(depth: int):
+    """(name, Γ, graph explored to `depth`) for each corpus input, parsed
+    afresh."""
+    for name, case in CORPUS_INPUTS.items():
+        gamma = parse_env((CORPUS / f"{case}.env").read_text()).value
+        res = parse_system((CORPUS / f"{name}.pc").read_text(), gamma)
+        assert res.ok, name
+        yield name, gamma, explore(res.value, depth)
+
+
+def test_state_names_are_sha256_prefixes():
+    """Every state of the corpus inputs at depth 8 is named by the first 12
+    hex digits of `hashlib`'s SHA-256 of its rendered normal form, whatever
+    module `state_key` hashes with."""
+    checked = 0
+    for name, _, graph in _corpus_graphs(8):
+        for key, node in graph.nodes.items():
+            assert state_key(node) == _rendered_key(node) == key, (name, key)
+            checked += 1
+    assert checked > 150
 
 
 def _explore_keying_every_successor(s, depth: int) -> StateGraph:
