@@ -89,10 +89,8 @@ class Record:
     node keeps its free atoms (`_free`) and its normal form the same way,
     a block component its canonical renaming and a component of an encoded
     core form its mark. A system node keeps its typing too, with the
-    environment object and identify direction it was typed under; the
-    root of a policy hierarchy keeps the descent along each group path it
-    was read at, and a policy what the error clauses read of it at each
-    path. A mutable record is unhashable.
+    environment object and identify direction it was typed under. A
+    mutable record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -105,8 +103,6 @@ class Record:
     _canon = None  # a block component's canonical renaming (`_Numbering`)
     _core = None  # set on a core form's component (`encoding._core_form`)
     _typing = None  # a system node's last typing (`typesys.type_system`)
-    _paths = None  # by group path: a hierarchy's descents (`policy.descent`),
-    # a policy's grants (`safety._grants`)
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -211,6 +211,8 @@ class Hierarchy(Record):
     perms: PermSet
     children: tuple["Hierarchy", ...] = ()
 
+    _descents = None  # on a root, by group path: its descent (`descent`)
+
 
 class FlatHierarchy(Record):
     path: tuple[str, ...]
@@ -229,6 +231,8 @@ class FlatHierarchy(Record):
 
 class Policy(Record):
     bindings: tuple[tuple[str, Hierarchy], ...]
+
+    _path_grants = None  # by group path: what the error clauses read (`safety._grants`)
 
     def lookup(self, ptype: str) -> Optional[Hierarchy]:
         for t, h in self.bindings:
@@ -331,10 +335,10 @@ def descent(h: Hierarchy, path: tuple[str, ...]
     hierarchy per path, so satisfaction and the error detector descend each
     path of a hierarchy once between them; it holds no node, which would
     make the hierarchy a reference cycle."""
-    kept = h._paths
+    kept = h._descents
     if kept is None:
         kept = {}
-        _setattr(h, "_paths", kept)
+        _setattr(h, "_descents", kept)
     out = kept.get(path)
     if out is None:
         nodes = descend(h, path)

@@ -115,8 +115,8 @@ def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, tuple[Bu
     Then the finite dissemination budgets of the permissions, which clause
     10 counts against. All three are kept on the policy per path, shared by
     every context there and only read."""
-    if (kept := policy._paths) is None:
-        _setattr(policy, "_paths", kept := {})
+    if (kept := policy._path_grants) is None:
+        _setattr(policy, "_path_grants", kept := {})
     if path in kept:
         return kept[path]
     permis: dict[str, PermSet] = {}

@@ -1,6 +1,6 @@
-"""Permission inference: value and match typing, process typing producing a
-permission environment, system typing producing a group-path interface, and
-the capability order over all of them.
+"""Permission inference: value and match typing, one typing walk over
+process and system nodes (a process's permission environment, a system's
+group-path interface), and the capability order over all of them.
 
 The checker is syntax-directed: instead of subtracting binders from the
 environment it extends the environment going under them, taking input
@@ -25,7 +25,7 @@ from .policy import (
 from .syntax import Gamma, render_term
 
 __all__ = [
-    "TypingError", "Delta", "Theta", "ThetaEntry", "ProcTyping", "SysTyping",
+    "TypingError", "Delta", "Theta", "ThetaEntry", "Typing",
     "type_value", "type_match", "type_process", "type_system",
     "interface_leq", "permset_leq", "EMPTY_DELTA",
 ]
@@ -46,7 +46,10 @@ class TypingError(Exception):
 # --- permission environments -----------------------------------------------------
 
 class Delta:
-    """Maps private types to the permission sets a process exercises."""
+    """Maps private types to the permission sets a process exercises. Every
+    Δ built here maps each type to a non-empty set, and a union of such
+    sets is not empty, so `uplus` drops no type and returns one operand
+    itself when the other is empty."""
 
     __slots__ = ("entries",)
 
@@ -54,10 +57,14 @@ class Delta:
         self.entries = dict(entries or {})
 
     def uplus(self, other: "Delta") -> "Delta":
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         out = dict(self.entries)
         for t, ps in other.entries.items():
             out[t] = perm_union(out[t], ps) if t in out else ps
-        return Delta({t: ps for t, ps in out.items() if ps})
+        return Delta(out)
 
     def get(self, t: str) -> PermSet:
         return self.entries.get(t, PermSet())
@@ -123,6 +130,10 @@ class Theta:
                      for e in self.entries)
 
     def concat(self, other: "Theta") -> "Theta":
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         return Theta(self.entries + other.entries)
 
     def canonical(self) -> "Theta":
@@ -145,15 +156,17 @@ class Theta:
         return "Theta(" + "; ".join(e.render() for e in self.canonical().entries) + ")"
 
 
-class ProcTyping(Record):
-    lam: frozenset[str]
-    zrecs: tuple[tuple[tuple[str, str], str], ...]  # ((kind, token), private type)
-    delta: Delta
+EMPTY_THETA = Theta()
 
 
-class SysTyping(Record):
+class Typing(Record):
+    """What a node exercises: its free store references Λ, and a process's
+    stores by identity and permission environment Δ, or a system's
+    interface Θ. The other family's parts are empty."""
     lam: frozenset[str]
-    theta: Theta
+    zrecs: tuple[tuple[tuple[str, str], str], ...] = ()  # ((kind, token), private type)
+    delta: Delta = EMPTY_DELTA
+    theta: Theta = EMPTY_THETA
 
 
 # --- value typing ------------------------------------------------------------------
@@ -347,7 +360,7 @@ def _aggregated_perms(*ptypes: str) -> list[tuple[str, Perm]]:
     return [(t, AGGREGATE) for t in ptypes]
 
 
-# --- process typing -----------------------------------------------------------------
+# --- the typing walk ----------------------------------------------------------------
 
 def _subject_chan(gamma: Gamma, subject: Term, span=None) -> TChan:
     match subject:
@@ -407,34 +420,36 @@ def _merge_lam(a: frozenset[str], b: frozenset[str], span=None) -> frozenset[str
     return a | b
 
 
-def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
+def _infer_binder_type(gamma: Gamma, name: str, later: tuple, comps: tuple
+                       ) -> Optional[PrivacyType]:
     """A restricted name's type is forced when it appears as an object of a
-    prefix whose subject is already typed; unique candidates win. A subject
+    prefix whose subject is already typed; unique candidates win. The scope
+    is the block's `later` binders over its components `comps`. A subject
     bound in the scope, by this restriction, an inner one or an input, has
     no type in `gamma` to read."""
     candidates: set[PrivacyType] = set()
 
-    def scan(nd, bound: frozenset):
-        binds = ()
-        match nd:
-            case POut(s, objs, _) if isinstance(s, (TName, TVar)) and s.name not in bound:
-                sty = gamma.atom_type(s.name)
-                if isinstance(sty, TChan) and len(sty.payload) == len(objs):
-                    for o, ty in zip(objs, sty.payload):
-                        if isinstance(o, (TName, TVar)) and o.name == name:
-                            candidates.add(ty)
-            case PInp(_, pats, _):
-                binds = [v for k in pats for v in placeholder_vars(k)]
-            case Block(bs, _):
-                binds = [n for n, _ in bs]
+    def scan(binds, nodes, bound: frozenset):
         if name in binds:
-            return  # shadowed below
+            return  # shadowed here
         if binds:
             bound = bound.union(binds)
-        for c in children(nd):
-            scan(c, bound)
+        for nd in nodes:
+            inner = ()
+            match nd:
+                case POut(s, objs, _) if isinstance(s, (TName, TVar)) and s.name not in bound:
+                    sty = gamma.atom_type(s.name)
+                    if isinstance(sty, TChan) and len(sty.payload) == len(objs):
+                        for o, ty in zip(objs, sty.payload):
+                            if isinstance(o, (TName, TVar)) and o.name == name:
+                                candidates.add(ty)
+                case PInp(_, pats, _):
+                    inner = [v for k in pats for v in placeholder_vars(k)]
+                case Block(bs, _):
+                    inner = [n for n, _ in bs]
+            scan(inner, children(nd), bound)
 
-    scan(body, frozenset([name]))
+    scan([n for n, _ in later], comps, frozenset([name]))
     if len(candidates) == 1:
         return next(iter(candidates))
     return None
@@ -447,7 +462,7 @@ def _bind_block(gamma: Gamma, node: Block) -> tuple[Gamma, Optional[str]]:
     unbound."""
     missing = None
     for k, (n, annot) in enumerate(node.binders):
-        ty = annot or _infer_binder_type(gamma, n, Block(node.binders[k + 1:], node.comps))
+        ty = annot or _infer_binder_type(gamma, n, node.binders[k + 1:], node.comps)
         if ty is not None:
             gamma = gamma.bind_atom(n, ty)
         elif missing is None:
@@ -455,15 +470,11 @@ def _bind_block(gamma: Gamma, node: Block) -> tuple[Gamma, Optional[str]]:
     return gamma, missing
 
 
-def _unannotated(name: str, span) -> TypingError:
-    return TypingError("UnannotatedRestriction",
-                       f"cannot determine the type of (new {name})", span)
-
-
-def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTyping:
+def type_process(gamma: Gamma, p: Process | System, id_direction: str = "anon") -> Typing:
+    """The one typing walk, over process and system nodes alike."""
     match p:
         case PNil():
-            return ProcTyping(frozenset(), (), EMPTY_DELTA)
+            return Typing(frozenset())
 
         case PStore(ref, datum):
             rty = gamma.atom_type(ref)
@@ -483,8 +494,8 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
                                   f"store {ref} holds {got} but carries {want}", p.span)
             # the datum's readId is not exercised by merely holding it
             ikey = _identity_key(datum.identity)
-            return ProcTyping(frozenset([ref]), ((ikey, want.ptype),),
-                              _delta_of(_stored_perms(rty)))
+            return Typing(frozenset([ref]), ((ikey, want.ptype),),
+                          _delta_of(_stored_perms(rty)))
 
         case POut(subject, objects, cont):
             sty = _subject_chan(gamma, subject, p.span)
@@ -503,7 +514,7 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
             delta = delta.uplus(_delta_of(pair for want in sty.payload
                                           for pair in _sent_perms(want, sty.group)))
             body = type_process(gamma, cont, id_direction)
-            return ProcTyping(body.lam, body.zrecs, body.delta.uplus(delta))
+            return Typing(body.lam, body.zrecs, body.delta.uplus(delta))
 
         case PInp(subject, patterns, cont):
             sty = _subject_chan(gamma, subject, p.span)
@@ -518,12 +529,13 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
             delta = _delta_of(pair for k, want in zip(patterns, sty.payload)
                               for pair in _received_perms(k, want))
             body = type_process(g2, cont, id_direction)
-            return ProcTyping(body.lam, body.zrecs, body.delta.uplus(delta))
+            return Typing(body.lam, body.zrecs, body.delta.uplus(delta))
 
         case Block(bs, cs):
             g, missing = _bind_block(gamma, p)
             if missing is not None:
-                raise _unannotated(missing, p.span)
+                raise TypingError("UnannotatedRestriction",
+                                  f"cannot determine the type of (new {missing})", p.span)
             typings = [type_process(g, c, id_direction) for c in cs]
             # merged from the right, so the first store clash reported is
             # the one between the last components
@@ -533,9 +545,9 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
                 agg = _delta_of(pair for ik1, t1 in lt.zrecs for ik2, t2 in rt.zrecs
                                 if ik1 == ik2 or ik1[0] == "var" or ik2[0] == "var"
                                 for pair in _aggregated_perms(t1, t2))
-                rt = ProcTyping(lam, lt.zrecs + rt.zrecs,
-                                lt.delta.uplus(rt.delta).uplus(agg))
-            return ProcTyping(rt.lam.difference(n for n, _ in bs), rt.zrecs, rt.delta)
+                rt = Typing(lam, lt.zrecs + rt.zrecs, lt.delta.uplus(rt.delta).uplus(agg),
+                            lt.theta.concat(rt.theta))
+            return Typing(rt.lam.difference(n for n, _ in bs), rt.zrecs, rt.delta, rt.theta)
 
         case PRepl(body):
             inner = type_process(gamma, body, id_direction)
@@ -544,22 +556,32 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon") -> ProcTy
                 raise TypingError("ReplicatedFreeStore",
                                   f"store reference {r} is free under replication", p.span)
             agg = _delta_of(_aggregated_perms(*(t for _, t in inner.zrecs)))
-            return ProcTyping(frozenset(), inner.zrecs, inner.delta.star().uplus(agg))
+            return Typing(frozenset(), inner.zrecs, inner.delta.star().uplus(agg))
 
         case PIf(op, lhs, rhs, then, els):
             mdelta = type_match(gamma, lhs, rhs, op, id_direction, p.span)
             tt = type_process(gamma, then, id_direction)
             et = type_process(gamma, els, id_direction)
             lam = _merge_lam(tt.lam, et.lam, p.span)
-            return ProcTyping(lam, tt.zrecs + et.zrecs,
-                              mdelta.uplus(tt.delta).uplus(et.delta))
+            return Typing(lam, tt.zrecs + et.zrecs,
+                          mdelta.uplus(tt.delta).uplus(et.delta))
 
-    raise TypingError("TypeMismatch", f"not a process: {p!r}")
+        case Group(group, body):
+            inner = type_process(gamma, body, id_direction)
+            return Typing(inner.lam, (), EMPTY_DELTA, inner.theta.prefixed(group))
+
+        case SBare(proc):
+            pt = type_process(gamma, proc, id_direction)
+            theta = Theta(ThetaEntry(t, (), pt.delta.entries[t])
+                          for t in sorted(pt.delta.entries))
+            return Typing(pt.lam, (), EMPTY_DELTA, theta)
+
+    raise TypingError("TypeMismatch", f"not a process or system: {p!r}")
 
 
 # --- system typing ------------------------------------------------------------------
 
-def type_system(gamma: Gamma, s: System, id_direction: str = "anon") -> SysTyping:
+def type_system(gamma: Gamma, s: System, id_direction: str = "anon") -> Typing:
     """Type a closed system: every interface entry must sit under a group.
 
     The outcome, the typing or its `TypingError`, is kept on the system
@@ -584,47 +606,16 @@ def type_system(gamma: Gamma, s: System, id_direction: str = "anon") -> SysTypin
     return out
 
 
-def type_closed(gamma: Gamma, s: System, id_direction: str) -> SysTyping:
+def type_closed(gamma: Gamma, s: System, id_direction: str) -> Typing:
     """The typing of a closed system, as `type_system` gives it, made
     afresh and kept nowhere."""
-    out = _type_system(gamma, s, id_direction)
-    _check_closed(out, s)
-    return out
-
-
-def _type_system(gamma: Gamma, s: System, id_direction: str) -> SysTyping:
-    """The walk that `type_system` makes, at every node of the system."""
-    match s:
-        case Group(group, body):
-            inner = _type_system(gamma, body, id_direction)
-            return SysTyping(inner.lam, inner.theta.prefixed(group))
-
-        case Block(bs, cs):
-            g, missing = _bind_block(gamma, s)
-            if missing is not None:
-                raise _unannotated(missing, s.span)
-            typings = [_type_system(g, c, id_direction) for c in cs]
-            lam, theta = typings[-1].lam, typings[-1].theta
-            for lt in reversed(typings[:-1]):
-                lam = _merge_lam(lt.lam, lam, s.span)
-                theta = lt.theta.concat(theta)
-            return SysTyping(lam.difference(n for n, _ in bs), theta)
-
-        case SBare(proc):
-            pt = type_process(gamma, proc, id_direction)
-            theta = Theta(ThetaEntry(t, (), pt.delta.entries[t])
-                          for t in sorted(pt.delta.entries))
-            return SysTyping(pt.lam, theta)
-
-    raise TypingError("TypeMismatch", f"not a system: {s!r}")
-
-
-def _check_closed(st: SysTyping, s: System):
-    for e in st.theta.entries:
+    out = type_process(gamma, s, id_direction)
+    for e in out.theta.entries:
         if not e.path:
             raise TypingError("UnclosedBareProcess",
                               f"component exercising {e.ptype} permissions is "
                               "not enclosed by any group", getattr(s, "span", None))
+    return out
 
 
 # --- the capability order -----------------------------------------------------------

@@ -233,7 +233,7 @@ def test_descend(network, path, groups):
                     if len(nodes) == len(path) else None,
                     tuple((tuple(path[:k]), hierarchy_groups(n))
                           for k, n in enumerate(nodes, 1) if n.perms.nondiscloses()))
-    assert descent(h, path) is kept and h._paths[path] is kept
+    assert descent(h, path) is kept and h._descents[path] is kept
 
 
 def test_descent_places_nondisclosures():

@@ -257,8 +257,8 @@ def test_kept_judgements_make_no_reference_cycle():
             for _ in range(2):
                 verify(policy, gamma, s)
                 detect_errors(policy, gamma, s)
-            assert s._typing is not None and policy.bindings[0][1]._paths
-            assert policy._paths
+            assert s._typing is not None and policy.bindings[0][1]._descents
+            assert policy._path_grants
             refs = [weakref.ref(s), weakref.ref(policy), weakref.ref(policy.bindings[0][1])]
             del s, policy
             assert [r() for r in refs] == [None, None, None], system

@@ -6,7 +6,7 @@ import pytest
 from privcalc.kernel import (
     DConst, DVar, HIDDEN, IVar, Known, NIL, PAnon, PInp, PIf, POut, PPair,
     PAnon, PRepl, PStore, PVar, PrivateData, SBare, TChan,
-    TConst, TName, TPriv, TPrivate, TPurpose, TVar, children, substitute,
+    TConst, TName, TPriv, TPrivate, TPurpose, TVar, children, normalize, substitute,
 )
 from privcalc.policy import (
     FIN, OMEGA, PermSet, READ, READID, REFERENCE, STORE, UPDATE, AGGREGATE,
@@ -18,10 +18,14 @@ from privcalc.syntax import Gamma, parse_env, parse_policy, parse_process, parse
 from privcalc.typesys import (
     Delta, Theta, ThetaEntry, TypingError, _Operand, _aggregated_perms,
     _match_perms, _received_perms, _ref_target, _sent_perms, _stored_perms,
-    interface_leq, permset_leq, type_match, type_process, type_system, type_value,
+    interface_leq, permset_leq, type_closed, type_match, type_process, type_system,
+    type_value,
 )
+from privcalc.semantics import explore
 
 import gen
+import test_safety
+import typing_oracles
 from gen import new, par
 
 
@@ -184,6 +188,20 @@ def test_store_and_aggregate_perms():
 LAB_BODY = "b?(w). w?(x # y). r?(_ # z). if y = z then c!<w>.0 else 0"
 
 
+# An inferred restriction whose scope has an output on a subject bound in
+# that scope: the restriction itself, an inner restriction, an input
+# variable. Each `{x}` is spelled apart from the outer `z`, then as `z`.
+INFERENCE_ENV = "c : G1[G1[t0<g1>]]\nd : G1[G1[t0<g1>]]\nr : G1[t1<g0>]\n"
+INFERENCE_TEXTS = (
+    ("(new z : G1[t3<g0>]) ( G1[ (new {x}) {x}!<d>. {x}!<{x}>. r!<{x}>. 0 ]"
+     " || G1[ store z {i # v} ] )", "UnboundTerm"),
+    ("(new z : G1[t3<g0>]) ( G1[ (new k) (new {x} : G1[t1<g0>]) {x}!<k>. r!<k>. 0 ]"
+     " || G1[ store z {i # v} ] )", "UnboundTerm"),
+    ("(new z : G1[t0<g1>]) ( G1[ (new k) c?({x}). {x}!<k>. r!<k>. 0 ]"
+     " || G1[ store z {i # v} ] )", "TypeMismatch"),
+)
+
+
 class TestTypeProcess:
     def test_lab_body_interface(self, lab_gamma):
         p = parse_process(LAB_BODY, lab_gamma).value
@@ -278,19 +296,9 @@ class TestTypeProcess:
         t = type_process(g, p)
         assert t.delta == Delta()
 
-    # An inferred restriction whose scope has an output on a subject bound
-    # in that scope: the restriction itself, an inner restriction, an input
-    # variable. Each `{x}` is spelled apart from the outer `z`, then as `z`.
-    @pytest.mark.parametrize("text, code", [
-        ("(new z : G1[t3<g0>]) ( G1[ (new {x}) {x}!<d>. {x}!<{x}>. r!<{x}>. 0 ]"
-         " || G1[ store z {i # v} ] )", "UnboundTerm"),
-        ("(new z : G1[t3<g0>]) ( G1[ (new k) (new {x} : G1[t1<g0>]) {x}!<k>. r!<k>. 0 ]"
-         " || G1[ store z {i # v} ] )", "UnboundTerm"),
-        ("(new z : G1[t0<g1>]) ( G1[ (new k) c?({x}). {x}!<k>. r!<k>. 0 ]"
-         " || G1[ store z {i # v} ] )", "TypeMismatch"),
-    ])
+    @pytest.mark.parametrize("text, code", INFERENCE_TEXTS)
     def test_restriction_inference_reads_no_subject_bound_in_scope(self, text, code):
-        g = parse_env("c : G1[G1[t0<g1>]]\nd : G1[G1[t0<g1>]]\nr : G1[t1<g0>]\n").value
+        g = parse_env(INFERENCE_ENV).value
 
         def outcome(x):
             with pytest.raises(TypingError) as e:
@@ -349,7 +357,7 @@ class TestTypeSystem:
 @pytest.fixture()
 def walks(monkeypatch):
     """The systems `type_system` walks from their root, in call order."""
-    real, roots, depth = typesys._type_system, [], [0]
+    real, roots, depth = typesys.type_process, [], [0]
 
     def counted(gamma, s, id_direction):
         if not depth[0]:
@@ -360,7 +368,7 @@ def walks(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(typesys, "_type_system", counted)
+    monkeypatch.setattr(typesys, "type_process", counted)
     return roots
 
 
@@ -423,6 +431,68 @@ class TestTypingKeptOnTheSystem:
             type_system(parse_env(LAB_ENV).value, fresh)
         assert (cold.value.code, cold.value.span, str(cold.value)) == (
             raised[0].code, raised[0].span, str(raised[0]))
+
+
+# Two orders of the same restrictions, with one normal form: `d` is typed
+# by its output on `e` only when `e` is bound outside it.
+RESTRICTION_ORDERS = ("G[ (new d) (new e : G[G[t<g>]]) e!<d>. 0 ]",
+                      "G[ (new e : G[G[t<g>]]) (new d) e!<d>. 0 ]")
+
+
+@pytest.mark.xfail(raises=TypingError, strict=True,
+                   reason="a binder's type is inferred only from subjects that "
+                          "binders outside it type")
+def test_restriction_order_does_not_decide_typing():
+    gamma = Gamma()
+    inner, outer = (parse_system(text, gamma).value for text in RESTRICTION_ORDERS)
+    assert normalize(inner) == normalize(outer)
+    want = type_system(gamma, outer)
+    assert want.theta.entries == (ThetaEntry("t", ("G",), PermSet([disseminate("G", 1)])),)
+    assert type_system(gamma, inner).theta.entries == want.theta.entries
+
+
+def _typing_inputs():
+    """(environment, system) pairs: each corpus input and every state of it
+    at depth 8; 300 seeded `gen.random_system` systems and their states at
+    depth 4; the shadowing and nested systems of the detector's tests and
+    their states at depth 4; and the restriction-inference texts."""
+    seen = set()
+    for _, gamma, system, depth in test_safety._oracle_systems():
+        if (id(gamma), id(system)) not in seen:
+            seen.add((id(gamma), id(system)))
+            yield gamma, system
+            yield from ((gamma, state) for state in explore(system, depth).nodes.values())
+    gamma = parse_env(INFERENCE_ENV).value
+    for text, _ in INFERENCE_TEXTS:
+        for x in ("m", "z"):
+            yield gamma, parse_system(text.replace("{x}", x), gamma).value
+
+
+def _outcome(typed):
+    """The Λ and Θ entries, in order, that `typed()` gives, or its error's
+    code, message and span."""
+    try:
+        lam, theta = typed()
+    except TypingError as e:
+        return e.code, e.message, e.span
+    return lam, theta.entries
+
+
+def test_one_walk_matches_the_two_walkers():
+    """`type_closed` gives what the separate process and system walkers
+    gave: the same Λ and Θ entries in the same order, or the same error,
+    under both identify directions."""
+    count = errors = 0
+    for gamma, system in _typing_inputs():
+        for d in ("anon", "known"):
+            def typed():
+                t = type_closed(gamma, system, d)
+                return t.lam, t.theta
+            got = _outcome(typed)
+            assert got == _outcome(lambda: typing_oracles.type_system(gamma, system, d)), system
+            count += 1
+            errors += isinstance(got[0], str)
+    assert count > 2000 and 0 < errors < count
 
 
 class TestInterfaceLeq:
