@@ -468,13 +468,14 @@ def _typing_inputs():
             yield gamma, parse_system(text.replace("{x}", x), gamma).value
 
 
-def _outcome(typed):
-    """The Λ and Θ entries, in order, that `typed()` gives, or its error's
-    code, message and span."""
+def _outcome(type_fn, gamma, system, d):
+    """The Λ and Θ entries, in order, of the system's typing, or its
+    error's code, message and span."""
     try:
-        lam, theta = typed()
+        out = type_fn(gamma, system, d)
     except TypingError as e:
         return e.code, e.message, e.span
+    lam, theta = (out.lam, out.theta) if isinstance(out, typesys.Typing) else out
     return lam, theta.entries
 
 
@@ -485,11 +486,8 @@ def test_one_walk_matches_the_two_walkers():
     count = errors = 0
     for gamma, system in _typing_inputs():
         for d in ("anon", "known"):
-            def typed():
-                t = type_closed(gamma, system, d)
-                return t.lam, t.theta
-            got = _outcome(typed)
-            assert got == _outcome(lambda: typing_oracles.type_system(gamma, system, d)), system
+            got = _outcome(type_closed, gamma, system, d)
+            assert got == _outcome(typing_oracles.type_system, gamma, system, d), system
             count += 1
             errors += isinstance(got[0], str)
     assert count > 2000 and 0 < errors < count
