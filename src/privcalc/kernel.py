@@ -1122,28 +1122,22 @@ def _hoist(node: Block) -> tuple[dict[str, Optional[PrivacyType]], list]:
     and its nested blocks', in place and as they are."""
     binders: dict[str, Optional[PrivacyType]] = {}
     comps: list = []
-    taken: set[str] = set()
-    free_added = False
+    # a binder is renamed apart from the outer binders and the block's free
+    # atoms; a binder of a one-component chain is never one of those atoms
+    taken: set[str] = set(free_atoms(node))
 
-    def hoist(nd, nested: bool):
-        nonlocal free_added
+    def hoist(nd):
         if not isinstance(nd, Block):
             comps.append(nd)
             return
-        # a binder of the block's own leading binders is never free in the
-        # block: the block's free atoms matter only for a binder below a
-        # parallel, or for renaming a duplicate binder
-        if not free_added and (nested or any(n in taken for n, _ in nd.binders)):
-            taken.update(free_atoms(node))
-            free_added = True
         bs, cs = _apart(nd.binders, nd.comps, taken)
         for n, annot in bs:
             taken.add(n)
             binders[n] = annot
         for c in cs:
-            hoist(c, nested or len(cs) > 1)
+            hoist(c)
 
-    hoist(node, False)
+    hoist(node)
     return binders, comps
 
 

@@ -1,6 +1,7 @@
 """Reference reader for command lines: `build_parser` as `cli` had it
 before it read argv against its command table, one `argparse` tree of the
-seven commands. Tests read generated command lines with both: where this
+seven commands, each with only the options and output forms its handler
+has. Tests read generated command lines with both: where this
 parser accepts one, the table's values must equal its namespace, and where
 it exits, both must exit with the same code. `fn` is the table's handler
 for the command, so that comparison checks the binding too."""
@@ -23,15 +24,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for permission policies over the group calculus")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, env=True, policy=False, depth=None):
-        if env:
-            p.add_argument("--env", help="environment file (.env)")
+    def common(p, policy=False, depth=None, form=None):
+        p.add_argument("--env", help="environment file (.env)")
         if policy:
             p.add_argument("--policy", required=True, help="policy file (.ppo)")
         if depth is not None:
             p.add_argument("--depth", type=_bound, default=depth)
         p.add_argument("--id-direction", choices=["anon", "known"], default="anon")
-        p.add_argument("--format", choices=["text", "records", "dot"], default="text")
+        if form is not None:
+            p.add_argument("--format", choices=["text", form], default="text")
 
     def handler(name):
         return cli.COMMANDS[name].run
@@ -43,32 +44,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a system against a policy")
     p.add_argument("file")
-    common(p, policy=True)
+    common(p, policy=True, form="records")
     p.add_argument("--strict-coverage", action="store_true")
     p.set_defaults(fn=handler("verify"))
 
     p = sub.add_parser("simulate", help="explore internal steps")
     p.add_argument("file")
-    common(p, depth=6)
+    common(p, depth=6, form="dot")
     p.add_argument("--preserve", action="store_true",
                    help="also check type preservation along every edge")
     p.set_defaults(fn=handler("simulate"))
 
     p = sub.add_parser("errors", help="static error-system detection")
     p.add_argument("file")
-    common(p, policy=True)
+    common(p, policy=True, form="records")
     p.add_argument("--countlink-literal", action="store_true")
     p.set_defaults(fn=handler("errors"))
 
     p = sub.add_parser("scan", help="error detection over reachable states")
     p.add_argument("file")
-    common(p, policy=True, depth=6)
+    common(p, policy=True, depth=6, form="records")
     p.add_argument("--countlink-literal", action="store_true")
     p.set_defaults(fn=handler("scan"))
 
     p = sub.add_parser("encode", help="translate to core pi with select/branch")
     p.add_argument("file")
-    common(p)
+    p.add_argument("--env", help="environment file (.env)")
     p.add_argument("--correspondence", type=_bound, metavar="BOUND",
                    help="also check operational correspondence up to BOUND")
     p.set_defaults(fn=handler("encode"))

@@ -19,6 +19,8 @@ import io
 import random
 import shlex
 
+import pytest
+
 from conftest import CORPUS
 import argparse_cli
 from privcalc import cli
@@ -27,7 +29,8 @@ ROOT = CORPUS.parent
 ORACLE = argparse_cli.build_parser()
 
 FILE = "corpus/hospital.pc"
-# values per option: first the ones each reader accepts, then bad ones
+# values per option: first the ones each reader accepts (of `--format`, those
+# among the command's choices), then bad ones
 GOOD = {"--env": ["corpus/hospital.env", "-", "-1", "a b", "", "-x y"],
         "--policy": ["corpus/hospital.ppo", "p.ppo"],
         "--depth": ["4", "0", "12"],
@@ -66,7 +69,7 @@ TEST_LINES = [
     "simulate corpus/hospital.pc --depth two --env corpus/hospital.env",
     "simulate corpus/hospital.pc --env corpus/hospital.env --depth 0",
     "encode tmp/st.pc",
-    "typecheck corpus/speedlimit.pc --env corpus/speedlimit.env --format records",
+    "typecheck corpus/speedlimit.pc --env corpus/speedlimit.env",
     "verify corpus/hospital_nurse_read.pc --policy corpus/hospital.ppo --env corpus/hospital.env "
     "--format records",
     "simulate corpus/speedlimit.pc --env corpus/speedlimit.env --depth 3",
@@ -131,6 +134,9 @@ def _generated() -> list[list[str]]:
              ["--", "simulate", FILE]]
     for name, command in cli.COMMANDS.items():
         opts = {o[0]: o for o in command.options}
+        # the good values among the command's choices (`--format` has its own)
+        good = {s: [v for v in GOOD[s] if not isinstance(o[2], tuple) or v in o[2]]
+                for s, o in opts.items() if o[2] is not cli._FLAG}
         need = ["--policy", "p.ppo"] if "--policy" in opts else []
         tokens = [[FILE], ["-"], ["-1"], ["-x y"], [""], ["extra"], ["-h"], ["--help"], ["--h"],
                   *([s] for s in STRAYS)]
@@ -146,14 +152,14 @@ def _generated() -> list[list[str]]:
                     lines += [[name, FILE, *form, *need], [name, *need, *form, FILE]]
             # repeated: the last value counts
             if check is not cli._FLAG:
-                first, second = GOOD[string][:2]
+                first, second = good[string][:2]
                 lines += [[name, FILE, *need, string, first, string, second],
                           [name, FILE, *need, f"{string}={second}", string[:4], first]]
         # every subset of the options, the positional at a place of its own
         strings = list(opts)
         for mask in range(1 << len(strings)):
             chosen = [s for k, s in enumerate(strings) if mask >> k & 1]
-            forms = [rng.choice(_spellings(s, None if opts[s][2] is cli._FLAG else GOOD[s][0]))
+            forms = [rng.choice(_spellings(s, None if opts[s][2] is cli._FLAG else good[s][0]))
                      for s in chosen]
             at = mask % (len(forms) + 1)
             lines.append([name, *(t for f in forms[:at] for t in f), FILE,
@@ -207,6 +213,18 @@ def test_table_reads_as_argparse_did():
     # the known command lines are read as given, but for the usage errors
     # that tests provoke on purpose
     assert sum(_oracle(argv)[0] is None for argv in known) == len(known) - 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["typecheck", FILE, "--format", "records"], ["encode", FILE, "--format", "text"],
+    ["encode", FILE, "--id-direction", "known"], ["simulate", FILE, "--format", "records"],
+    *([name, FILE, "--policy", "p.ppo", "--format", "dot"] for name in ("verify", "errors", "scan"))])
+def test_options_a_handler_lacks_are_usage_errors(argv, capsys):
+    """An option or output form the command's handler does not have is a
+    usage error, not an option that does nothing."""
+    assert cli.main(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"usage: privcalc {argv[0]} [-h]")
 
 
 def test_help_and_usage_errors_through_main(capsys):
