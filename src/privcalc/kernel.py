@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter, is_
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Union
 
 __all__ = [
     "Record", "field", "replace",
@@ -86,11 +86,13 @@ class Record:
     fields. It computes that hash on first use and keeps it, since its
     fields never change; a record that `replace` builds computes its own,
     and one that `replace` returns unchanged keeps it. A process or system
-    node keeps its free atoms (`_free`) and its normal form the same way,
-    a block component its canonical renaming and a component of an encoded
-    core form its mark. A system node keeps its typing too, with the
-    environment object and identify direction it was typed under. A
-    mutable record is unhashable.
+    node keeps its free atoms (`_free`), its normal form, its `_alpha_key`
+    and its step facts (`semantics.visible_outs`, `input_subjects` and
+    `reference_names`) the same way; a block component keeps its canonical
+    renaming and its sort key, and a component of an encoded core form its
+    mark. A system node keeps its typing too, with the environment object
+    and identify direction it was typed under. What is kept is never
+    mutated. A mutable record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -101,6 +103,11 @@ class Record:
     _atoms = None  # a process or system node's free atoms, once computed
     _norm = None  # a process or system node's normal form (`normalize`)
     _canon = None  # a block component's canonical renaming (`_Numbering`)
+    _skey = None  # a block component's sort key, with its atoms' classes (`_sort_keys`)
+    _akey = None  # a node's `_alpha_key`
+    _outs = None  # a node's output capabilities (`semantics.visible_outs`)
+    _ins = None  # a node's reader subjects (`semantics.input_subjects`)
+    _refs = None  # a node's store references (`semantics.reference_names`)
     _core = None  # set on a core form's component (`encoding._core_form`)
     _typing = None  # a system node's last typing (`typesys.type_system`)
 
@@ -1004,7 +1011,7 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str],
     return "".join(out)
 
 
-def _sort_keys(comps: list, binder_names: Iterable[str], names: frozenset[str],
+def _sort_keys(comps: list, binder_names: Collection[str], names: frozenset[str],
                vs: frozenset[str]) -> list[str]:
     """The sort key of each component of a block. The names and variables
     bound around the block print as one hole `_`. The block's binders are
@@ -1012,14 +1019,30 @@ def _sort_keys(comps: list, binder_names: Iterable[str], names: frozenset[str],
     keys of the components referencing it, and the key is the component
     written in the second colouring. One `_erased_key` walk per component
     writes each binder as a mark, `\\0name\\0`, and both colourings replace
-    the marks in that string."""
-    holes = dict.fromkeys(vs, "_")
-    marked = dict.fromkeys(names, "_") | {n: f"\0{n}\0" for n in binder_names}
+    the marks in that string.
+
+    That marked key reads nothing of the block but how each of the
+    component's free atoms is classified: a binder of the block (by name,
+    as the mark), a hole, or free. So the component keeps it with that
+    classification (`_skey`), and a block that classifies its atoms alike,
+    such as the same block after a step elsewhere, reads it back."""
+    marked = holes = None
     touching: dict[str, list[str]] = {}
     keys: list[str] = []
     marks: list[tuple[int, list[str]]] = []
     for c in comps:
-        key = _erased_key(c, marked, holes)
+        cn, cv = _free(c)
+        classes = (tuple([2 if n in binder_names else n in names for n in cn]),
+                   tuple([x in vs for x in cv]) if cv else ())
+        kept = c._skey
+        if kept is not None and kept[0] == classes:
+            key = kept[1]
+        else:
+            if marked is None:
+                holes = dict.fromkeys(vs, "_")
+                marked = dict.fromkeys(names, "_") | {n: f"\0{n}\0" for n in binder_names}
+            key = _erased_key(c, marked, holes)
+            _setattr(c, "_skey", (classes, key))
         if "\0" in key:
             # text, binder, text, binder, ..., text
             parts = key.split("\0")
@@ -1037,7 +1060,7 @@ def _sort_keys(comps: list, binder_names: Iterable[str], names: frozenset[str],
     return keys
 
 
-def _sort_block(comps: list, binder_names: Iterable[str], names: frozenset[str],
+def _sort_block(comps: list, binder_names: Collection[str], names: frozenset[str],
                 vs: frozenset[str]) -> list:
     """Order parallel components by `_sort_keys`, independently of the
     current names of the block binders and of the names and variables
@@ -1153,10 +1176,12 @@ def _hoisted(node: Block) -> Block:
 
 def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
     """Flatten one scope block of either family: nested blocks are hoisted
-    by `_hoist`, each component is normalized, inert components and unused
+    (`_hoisted`), each component is normalized, inert components and unused
     binders are dropped, and the block is rebuilt in sorted order. With no
     component left, the result is the first inert one."""
-    binders, comps = _hoist(node)
+    flat = _hoisted(node)
+    binders = dict(flat.binders)
+    comps = flat.comps
     # components are never blocks here, and normalizing one cannot make it
     # a block, so one pass leaves nothing to hoist
     inner = names.union(binders)
@@ -1258,10 +1283,14 @@ def _alpha_key(node) -> str:
     walk: every binder by position, every free atom quoted as `repr` writes
     it, so that none reads as a position (`ν0` is an identifier), and
     annotations in full (`exact`). No identifier holds the key's
-    punctuation."""
-    names, vs = _free(node)
-    return _erased_key(node, {n: repr(n) for n in names}, {x: repr(x) for x in vs},
-                       exact=True)
+    punctuation. The key is kept on the node."""
+    key = node._akey
+    if key is None:
+        names, vs = _free(node)
+        key = _erased_key(node, {n: repr(n) for n in names}, {x: repr(x) for x in vs},
+                          exact=True)
+        _setattr(node, "_akey", key)
+    return key
 
 
 def alpha_eq(p, q) -> bool:

@@ -24,7 +24,7 @@ from .kernel import (
     TConst, TDual, TName, TPriv, TVar, Term,
     IncompatibleSubstitution, children, field, free_atoms, is_system,
     normalize, replace, substitute, _alpha_key, _apart, _block, _normalize1,
-    _rename_form,
+    _rename_form, _setattr,
 )
 from .syntax import Gamma, render_process, render_system, render_term
 from .typesys import Theta, TypingError, interface_leq, type_closed
@@ -148,9 +148,47 @@ def _extruded_apart(label: OutLabel, succ, cs: tuple, k: int) -> tuple[OutLabel,
     return replace(label, objects=tuple(objs), extruded=ext), succ
 
 
+# --- congruent siblings ---------------------------------------------------------------
+
+def _distinct(cs: tuple, results: Iterable) -> Iterator[tuple[int, object]]:
+    """The positions of the block components `cs` whose results (one per
+    component, in order) are not empty, with those results, skipping a
+    component that is alpha-equal, free atoms included, to an earlier one
+    with results: the block with the two swapped is the same block, so the
+    later one's results repeat the earlier one's up to congruence. The
+    class key, `_alpha_key` (kept on the component), is computed only from
+    the second component with results on, so a block where at most one
+    component moves pays nothing."""
+    first = seen = None
+    for k, r in enumerate(results):
+        if not r:
+            continue
+        if first is None:
+            first = k
+        else:
+            if seen is None:
+                seen = {_alpha_key(cs[first])}
+            key = _alpha_key(cs[k])
+            if key in seen:
+                continue
+            seen.add(key)
+        yield k, r
+
+
 # --- output capabilities ------------------------------------------------------------
 
 def visible_outs(node) -> list[tuple[OutLabel, object]]:
+    """The node's outputs, each with the node's successor after it; of
+    congruent block components only the first (`_distinct`). Kept on the
+    node, so callers never mutate the list."""
+    outs = node._outs
+    if outs is None:
+        outs = _visible_outs(node)
+        _setattr(node, "_outs", outs)
+    return outs
+
+
+def _visible_outs(node) -> list[tuple[OutLabel, object]]:
     match node:
         case POut(subject, objects, cont):
             if isinstance(subject, (TName, TDual)) and all(_closed_term(o) for o in objects):
@@ -161,10 +199,10 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
         case Block(bs, cs):
             out: list[tuple[OutLabel, object]] = []
             names = {n for n, _ in bs}
-            for k, c in enumerate(cs):
-                for label, succ in visible_outs(c):
-                    if label.subject in names:
-                        continue
+            free = map(visible_outs, cs) if not names else (
+                [o for o in visible_outs(c) if o[0].subject not in names] for c in cs)
+            for k, outs in _distinct(cs, free):
+                for label, succ in outs:
                     label, succ = _extruded_apart(label, succ, cs, k)
                     # binders the objects mention leave with the label, outermost
                     # first and before those of deeper blocks; the others stay
@@ -183,7 +221,8 @@ def visible_outs(node) -> list[tuple[OutLabel, object]]:
 # --- input capabilities -------------------------------------------------------------
 
 def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
-    """All ways the node can consume the given delivery. For a store input
+    """All ways the node can consume the given delivery; of congruent block
+    components only the first is fed (`_distinct`). For a store input
     (to_dual) the delivery is the writer's object and the store applies the
     endpoint duality itself."""
     match node:
@@ -216,8 +255,11 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
                 if any(n == subject for n, _ in bs):
                     return []
                 bs, cs = _apart(bs, cs, set().union(*map(free_atoms, values)))
+            # renaming binders apart keeps two components alpha-equal, so
+            # the classes are read on the block's own components
+            fed = (feed(c, subject, to_dual, values) for c in cs)
             return [Block(bs, cs[:k] + (succ,) + cs[k + 1:])
-                    for k, c in enumerate(cs) for succ in feed(c, subject, to_dual, values)]
+                    for k, succs in _distinct(node.comps, fed) for succ in succs]
     return [rebuild(succ) for child, rebuild in _context(node)
             for succ in feed(child, subject, to_dual, values)]
 
@@ -245,34 +287,48 @@ def _deliveries(label: OutLabel, refs: frozenset[str]
     return attempts
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def reference_names(node) -> frozenset[str]:
-    """Names used as store references anywhere in the term."""
-    out: set[str] = set()
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if isinstance(nd, PStore):
-            out.add(nd.ref)
-        stack.extend(children(nd))
-    return frozenset(out)
+    """Names used as store references anywhere in the term, built from the
+    children's and kept on the node."""
+    refs = node._refs
+    if refs is None:
+        if isinstance(node, PStore):
+            refs = frozenset((node.ref,))
+        else:
+            kids = children(node)
+            refs = reference_names(kids[0]) if len(kids) == 1 else \
+                _NO_NAMES.union(*map(reference_names, kids))
+        _setattr(node, "_refs", refs)
+    return refs
 
 
-def input_subjects(node) -> set[str]:
+def input_subjects(node) -> frozenset[str]:
     """The subjects of the inputs and stores that `feed` can reach: those
     where a step can happen (`_context`) and whose subject no block
     around them binds. `feed` consumes only on these subjects, so a
-    component without one can be skipped."""
+    component without one can be skipped. Kept on the node."""
+    subjects = node._ins
+    if subjects is None:
+        subjects = _input_subjects(node)
+        _setattr(node, "_ins", subjects)
+    return subjects
+
+
+def _input_subjects(node) -> frozenset[str]:
     match node:
         case PInp(subj, _, _):
-            return {subj.name} if isinstance(subj, TName) else set()
+            return frozenset((subj.name,)) if isinstance(subj, TName) else _NO_NAMES
         case PStore(ref, _):
-            return {ref}
+            return frozenset((ref,))
         case Block(bs, cs):
-            subjects = set().union(*map(input_subjects, cs))
+            subjects = _NO_NAMES.union(*map(input_subjects, cs))
             return subjects.difference(n for n, _ in bs) if bs else subjects
     for child, _ in _context(node):
         return input_subjects(child)
-    return set()
+    return _NO_NAMES
 
 
 def _by_subject(subjects: Iterable[Iterable[str]]) -> dict[str, list[int]]:
@@ -312,28 +368,49 @@ def _reactions(node: Block, refs: frozenset[str]) -> Iterator:
     output's subject. The order is that of trying every pair: for each
     component i from the second-to-last back to the first, its outputs to
     the later components in ascending order, then each later component's
-    outputs back to i."""
+    outputs back to i.
+
+    A (sender, receiver) pair whose components are alpha-equal, free atoms
+    included, to those of a pair tried before (`_distinct`'s classes) is
+    skipped: its steps repeat that pair's up to congruence, and they would
+    have come after them, so the successors that are left keep the order of
+    their first occurrences. Two pairs of one class pair share every
+    subject, so a pair on a subject with one writer and one reader has no
+    such twin, and only the components of crowded subjects get class
+    keys."""
     cs = node.comps
     outs = [visible_outs(c) for c in cs]
     inputs = [input_subjects(c) for c in cs]
     readers = _by_subject(inputs)
     writers = _by_subject({lb.subject for lb, _ in o} for o in outs)
+    crowded = {s for s, ks in writers.items() if len(ks) > 1 or len(readers.get(s, ())) > 1}
+    tried: dict[tuple[str, str], tuple[int, int]] = {}
+
+    def first(i: int, j: int, subject: str) -> bool:
+        """Whether the pair of sender i and receiver j is the first of its
+        classes to be tried."""
+        if subject not in crowded:
+            return True
+        return tried.setdefault((_alpha_key(cs[i]), _alpha_key(cs[j])), (i, j)) == (i, j)
+
     for i in reversed(range(len(cs) - 1)):
         for label, succ in outs[i]:
-            later = _after(readers.get(label.subject, []), i)
+            later = [j for j in _after(readers.get(label.subject, []), i)
+                     if first(i, j, label.subject)]
             if later:
                 yield from _pair(node, i, label, succ, later, refs)
         for j in sorted({j for s in inputs[i] for j in _after(writers.get(s, []), i)}):
             for label, succ in outs[j]:
-                if label.subject in inputs[i]:
+                if label.subject in inputs[i] and first(j, i, label.subject):
                     yield from _pair(node, j, label, succ, (i,), refs)
 
 
 def _steps(node, refs: frozenset[str]) -> Iterator:
     match node:
         case Block(bs, cs):
-            for k, c in enumerate(cs):
-                yield from (Block(bs, cs[:k] + (s,) + cs[k + 1:]) for s in _steps(c, refs))
+            steps = (list(_steps(c, refs)) for c in cs)
+            for k, succs in _distinct(cs, steps):
+                yield from (Block(bs, cs[:k] + (s,) + cs[k + 1:]) for s in succs)
             yield from _reactions(node, refs)
             return
     for child, rebuild in _context(node):

@@ -5,8 +5,9 @@ kept each node's free atoms on the node and built them from its children's.
 `_erased_key` writes a component's sort key with nested f-strings, one walk
 per colouring, as the kernel did before it wrote each key to one list, in
 one walk, with the block's binders as marks to substitute.
-`sort_block` gives every component a second, coloured sort key, as the
-kernel did before it reused the first key where the colours cannot differ.
+`sort_keys` gives every component a second, coloured sort key, as the
+kernel did before it reused the first key where the colours cannot differ
+and before block components kept their keys; `sort_block` sorts by them.
 `canonical_rename` walks every block component, as the kernel did before
 it kept a component's renaming on the component.
 
@@ -25,7 +26,7 @@ from privcalc import kernel
 from privcalc.kernel import (
     NIL, Block, DConst, DVar, Group, Hidden, IVar, KernelError, Known, PAnon,
     PIf, PInp, PNil, POut, PPair, PRepl, PStore, PVar, SBare, TConst, TDual,
-    TName, TPriv, TVar, Term, children, free_atoms, free_names, is_system,
+    TName, TPriv, TVar, Term, children, free_atoms, is_system,
     normalize, placeholder_vars, replace, with_children,
 )
 from privcalc.semantics import _eval_cond
@@ -232,17 +233,24 @@ def _erased_key(node, name_colors: dict[str, str], var_colors: dict[str, str]) -
     return go(node, {}, {})
 
 
-def sort_block(comps: list, binder_names, names, vs) -> list:
-    """The components in canonical order, each sorted by its coloured key."""
+def sort_keys(comps: list, binder_names, names, vs) -> list[str]:
+    """The coloured key of each component, written with one walk per
+    colouring, from nothing kept on the components."""
     holes = dict.fromkeys(vs, "_")
     uniform = dict.fromkeys(names, "_") | dict.fromkeys(binder_names, "ν")
     touching: dict[str, list[str]] = {n: [] for n in binder_names}
     for c in comps:
         key = _erased_key(c, uniform, holes)
-        for n in free_names(c):
+        for n in free(c)[0]:
             if n in touching:
                 touching[n].append(key)
     colors = dict.fromkeys(names, "_")
     for n, keys in touching.items():
         colors[n] = "ν(" + "|".join(sorted(keys)) + ")"
-    return sorted(comps, key=lambda c: _erased_key(c, colors, holes))
+    return [_erased_key(c, colors, holes) for c in comps]
+
+
+def sort_block(comps: list, binder_names, names, vs) -> list:
+    """The components in canonical order, each sorted by its coloured key."""
+    keys = sort_keys(comps, binder_names, names, vs)
+    return [comps[k] for k in sorted(range(len(comps)), key=keys.__getitem__)]

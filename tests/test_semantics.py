@@ -15,7 +15,7 @@ from privcalc.semantics import (
     OutLabel, StateGraph, check_preservation, explore, feed, has_step,
     input_subjects, state_key, tau_successors, visible_outs,
 )
-from privcalc import kernel, semantics
+from privcalc import encoding, kernel, semantics
 from privcalc.syntax import (
     parse_env, parse_process, parse_system, render_process, render_system,
 )
@@ -28,7 +28,7 @@ import kernel_oracles
 from conftest import CORPUS, NAMES, clear_memos, load
 from gen import par
 from syntax_oracles import _lower_system
-from privcalc.encoding import core_canonical, encode
+from privcalc.encoding import check_correspondence, core_canonical, encode
 
 
 def priv(ident, tok):
@@ -491,16 +491,29 @@ def _explored_systems(source):
 
 @pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
 def test_indexed_steps_match_all_pairs(source):
-    """Indexing components by subject changes which pairs are tried, not
-    the steps: successor lists are ==-identical to the all-pairs engine's,
-    in the same order; `has_step` and truncation agree with them; and the
-    reader index holds exactly the subjects `feed` can consume on."""
+    """Indexing components by subject, and stepping congruent siblings
+    once, changes which pairs are tried, not the steps: the successors have
+    the distinct normal forms of the all-pairs engine's, in the order of
+    their first occurrences, and no two of them share a normal form;
+    `has_step` and truncation agree with the all-pairs engine; and the
+    reader index holds exactly the subjects `feed` can consume on.
+
+    Siblings see no symmetry between restricted names: in 14 encoded
+    states of the store programs, two clients of one store differ only in
+    their session names, and either one's read gives the same normal form.
+    Those repeats stay, and are counted."""
     states, graphs = _oracle_states(source)
+    repeats = 0
     for st in states:
         succs = allpairs.tau_successors(st)
-        assert tau_successors(st) == succs
+        got = [normalize(q) for q in tau_successors(st)]
+        want = list(dict.fromkeys(map(normalize, succs)))
+        assert set(got) == set(want), st
+        assert list(dict.fromkeys(got)) == want, st
+        repeats += len(got) - len(set(got))
         assert has_step(st) == bool(succs)
         assert input_subjects(st) == allpairs.fed_subjects(st)
+    assert repeats == (14 if source == "store_programs" else 0)
     for graph, depth in graphs:
         last = [st for key, st in graph.nodes.items() if graph.depths[key] == depth]
         assert graph.truncated == any(map(allpairs.tau_successors, last))
@@ -909,6 +922,191 @@ def test_explore_matches_old_loop_on_random_systems():
         system = gen.random_system(random.Random(seed))
         want = _explore_keying_every_successor(kernel_oracles.rebuild(system), 4)
         assert _graph(explore(system, 4)) == _graph(want), seed
+
+
+def _parse_input(name: str):
+    """A corpus input, parsed afresh with its environment."""
+    gamma = parse_env((CORPUS / f"{CORPUS_INPUTS[name]}.env").read_text()).value
+    return parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value
+
+
+@pytest.mark.parametrize("name, depth", [*((n, 8) for n in CORPUS_INPUTS), ("speedlimit", 12)])
+def test_explore_matches_all_pairs_exploration(name, depth, monkeypatch):
+    """Stepping congruent siblings once drops only successors whose normal
+    form the state has already given, so `explore` builds the graph that an
+    exploration driven by the all-pairs engine builds: the same states in
+    the same order, the same edges in the same order, the same depths and
+    the same truncation."""
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "tau_successors", allpairs.tau_successors)
+        m.setattr(semantics, "has_step", lambda node: bool(allpairs.tau_successors(node)))
+        want = _graph(explore(_parse_input(name), depth))
+    assert _graph(explore(_parse_input(name), depth)) == want
+
+
+# (system, successors, the all-pairs engine's successors): each block holds
+# siblings that are congruent or differ in one place only
+_SIBLINGS = {
+    "alpha_equal_readers": ("G[ a!<k>. 0 | a?(x). b!<x>. 0 | a?(y). b!<y>. 0 ]", 1, 2),
+    "alpha_equal_writers": ("G[ a!<k>. 0 | a!<k>. 0 | a?(x). 0 ]", 1, 2),
+    "congruent_groups": ("G[ b!<k>. 0 ] || G[ b!<k>. 0 ] || H[ b?(x). 0 ]", 1, 2),
+    "internal_steps": ("G[ c!<k>. 0 | c?(x). 0 ] || G[ c!<k>. 0 | c?(x). 0 ]", 2, 4),
+    "readers_differ_in_a_free_name": (
+        "G[ a!<k>. 0 | a?(x). b!<x>. 0 | a?(x). c!<x>. 0 ]", 2, 2),
+    "readers_differ_in_an_input_annotation": (
+        "G[ a!<k>. 0 | a?(x). b?(y : G1[t<g>]). 0 | a?(x). b?(y : G1[p<g>]). 0 ]", 2, 2),
+    "readers_differ_in_a_restriction_annotation": (
+        "G[ a!<k>. 0 | a?(x). (new n : G1[t<g>]) n!<x>. 0"
+        " | a?(x). (new n : G1[p<g>]) n!<x>. 0 ]", 2, 2),
+}
+
+
+@pytest.mark.parametrize("text,steps,all_pairs", _SIBLINGS.values(), ids=_SIBLINGS)
+def test_congruent_siblings_step_once(text, steps, all_pairs):
+    """Siblings that are alpha-equal, annotations and free atoms included,
+    step once; siblings that differ anywhere, if only in an annotation,
+    step apart. Either way the successors have the all-pairs engine's
+    distinct normal forms, in order."""
+    res = parse_system(text)
+    assert res.ok, res.diagnostics
+    got = [normalize(q) for q in tau_successors(res.value)]
+    want = [normalize(q) for q in allpairs.tau_successors(res.value)]
+    assert (len(got), len(want)) == (steps, all_pairs)
+    assert got == list(dict.fromkeys(want))
+
+
+def test_blocks_that_cannot_move_compute_no_class_key(monkeypatch):
+    """In the width-200 block only one pair can react and one output is
+    not on a restricted name, so no two components need telling apart and
+    no class key is computed."""
+    res = parse_system(_wide_text(200))
+    assert res.ok, res.diagnostics
+    root = normalize(res.value)
+    keys = []
+    monkeypatch.setattr(semantics, "_alpha_key", lambda c: keys.append(c) or kernel._alpha_key(c))
+    assert len(tau_successors(root)) == 1
+    assert len(visible_outs(root)) == 1 and keys == []
+
+
+def _run_checkers(source) -> None:
+    """Explore the corpus inputs at depth 8 or 300 `gen.random_system`
+    seeds at depth 4, or check the correspondence of the 26 store programs
+    at bound 12; all from fresh terms and cold memos."""
+    clear_memos()
+    if source == "store_programs":
+        for p in gen.store_programs():
+            assert check_correspondence(p, 12).ok
+        return
+    systems, depth = _explored_systems(source)
+    for system in systems:
+        explore(system, depth)
+
+
+@pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
+def test_kept_sort_keys_match_cold_keys(source, monkeypatch):
+    """Every block that normalization sorts while the checkers run gets the
+    keys that cold walks write, one per colouring; many of its components
+    bring keys kept from earlier blocks."""
+    real = kernel._sort_keys
+    blocks = kept = 0
+
+    def checking(comps, binder_names, names, vs):
+        nonlocal blocks, kept
+        kept += sum(c._skey is not None for c in comps)
+        keys = real(comps, binder_names, names, vs)
+        assert keys == kernel_oracles.sort_keys(comps, binder_names, names, vs), comps
+        blocks += 1
+        return keys
+
+    monkeypatch.setattr(kernel, "_sort_keys", checking)
+    _run_checkers(source)
+    assert blocks > 500 and kept > 500
+
+
+def test_kept_sort_key_needs_the_same_classification():
+    """One component in three blocks: its free name `a` is a binder of the
+    block, bound further out, or free. Each block writes its own key."""
+    c = parse_process("a!<b>. 0").value
+    assert c._skey is None
+    got = [kernel._sort_keys([c], binders, names, frozenset())
+           for binders, names in (({"a": None}, frozenset()), ({}, frozenset({"a"})),
+                                  ({}, frozenset()))]
+    assert got == [kernel_oracles.sort_keys([c], binders, names, frozenset())
+                   for binders, names in ((["a"], ()), ([], ("a",)), ([], ()))]
+    assert len(set(map(tuple, got))) == 3
+
+
+_STEP_FACTS = {"_outs": visible_outs, "_ins": input_subjects,
+               "_refs": semantics.reference_names, "_akey": kernel._alpha_key}
+
+
+def _check_kept_facts(state) -> dict[str, int]:
+    """Compare each fact kept on a node of the state with the fact computed
+    on a copy that keeps nothing; count the facts compared."""
+    checked = dict.fromkeys(_STEP_FACTS, 0)
+    for (node, _, _), (cold, _, _) in zip(_scopes(state), _scopes(kernel_oracles.rebuild(state))):
+        for fact, compute in _STEP_FACTS.items():
+            kept = getattr(node, fact)
+            if kept is not None:
+                assert kept == compute(cold), (fact, node)
+                checked[fact] += 1
+    return checked
+
+
+@pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
+def test_kept_step_facts_match_cold_ones(source, monkeypatch):
+    """On every node of every state the checkers expand, each fact kept on
+    the node (its outputs, reader subjects, store references and class
+    key) equals the fact computed on a copy of the state that keeps
+    nothing."""
+    met = []
+    real_tau, real_has = semantics.tau_successors, semantics.has_step
+
+    def tau(node):
+        met.append(node)
+        return real_tau(node)
+
+    def has(node):
+        met.append(node)
+        return real_has(node)
+
+    monkeypatch.setattr(semantics, "tau_successors", tau)
+    monkeypatch.setattr(encoding, "tau_successors", tau)
+    monkeypatch.setattr(semantics, "has_step", has)
+    _run_checkers(source)
+    checked = dict.fromkeys(_STEP_FACTS, 0)
+    for st in met:
+        for fact, n in _check_kept_facts(st).items():
+            checked[fact] += n
+    assert min(checked.values()) > 100, checked
+
+
+# a step in each system changes every step fact of the group around it
+_FACTS_CHANGE = {
+    "store_dropped": "G[ if k = k then (a!<k>. 0 | a?(x). 0) else store r {i # c} ]",
+    "input_and_output_taken": "G[ a!<k>. b?(y). 0 | a?(x). c!<x>. 0 ]",
+}
+
+
+@pytest.mark.parametrize("text", _FACTS_CHANGE.values(), ids=_FACTS_CHANGE)
+def test_successors_keep_facts_of_their_own(text):
+    """A successor rebuilt around a step keeps none of the facts of the
+    node it was rebuilt from: once the facts are kept on every node of the
+    state, each successor's facts equal those of a copy that keeps
+    nothing."""
+    res = parse_system(text)
+    assert res.ok, res.diagnostics
+    state = res.value
+    for node, _, _ in _scopes(state):
+        for compute in _STEP_FACTS.values():
+            compute(node)
+    succs = tau_successors(state)
+    assert succs
+    for q in succs:
+        for node, _, _ in _scopes(q):
+            for compute in _STEP_FACTS.values():
+                compute(node)
+        _check_kept_facts(q)
 
 
 @pytest.mark.parametrize("name, depth", [*((n, 8) for n in NAMES), ("speedlimit", 12)])

@@ -1,8 +1,9 @@
 """Byte-level transcripts checked against golden files: `simulate --depth 6`
 text (root, edges in order, state keys, counts), `simulate --depth 8
 --preserve` text, `scan --depth 8` and `errors` (text and `--format
-records`) on the six corpus inputs, and the core rendering and the
-correspondence reports of every encoded store program. They pin the normal
+records`) on the six corpus inputs, the core rendering and the
+correspondence reports of every encoded store program, and the command-line
+byte matrix of `cli_matrix.py` wherever it has goldens. They pin the normal
 forms, the successor order and the findings, which the other tests only
 compare between two runs of the same tree."""
 
@@ -11,6 +12,7 @@ import io
 
 import pytest
 
+import cli_matrix
 import gen
 from conftest import CORPUS, GOLDEN
 from privcalc import cli
@@ -116,3 +118,29 @@ def test_store_programs_correspondence():
         check_correspondence(p, bound).render() + "\n" for p in gen.store_programs())
         for bound in (1, 2, 3, 12))
     assert text == (GOLDEN / "store_programs.correspondence").read_text()
+
+
+def test_cli_matrix_matches_goldens(tmp_path, monkeypatch):
+    """Every call of the command-line byte matrix (`cli_matrix.py`) runs
+    to its exit code, and each call that has a golden file prints it byte
+    for byte: the corpus transcripts, and for each store program its core
+    rendering and its report at bound 12."""
+    monkeypatch.setenv("PRIVCALC_COLOR", "never")
+    matrix = cli_matrix.calls(tmp_path)
+    goldens = {call: (GOLDEN / golden).read_text() for golden, call in cli_matrix.GOLDENS.items()}
+    cores = (GOLDEN / "store_programs.core").read_text().splitlines(keepends=True)
+    section = (GOLDEN / "store_programs.correspondence").read_text().split("# bound 12\n")[1]
+    reports = ["correspondence:" + r for r in section.split("correspondence:")[1:]]
+    assert len(matrix) == 104 and len(cores) == len(reports) == 26
+    for k, (core, report) in enumerate(zip(cores, reports)):
+        goldens[f"store{k:02}.correspondence-12"] = core + report
+    for name, argv in matrix.items():
+        rc, out, err = cli_matrix.run_in_process(argv)
+        if name.startswith("verify-bad"):
+            assert rc == 2 and err and not out, name
+            continue
+        assert rc == (1 if name.split(".")[0] in FINDINGS and "simulate" not in name else 0), name
+        assert not err, name
+        if name in goldens:
+            assert out == goldens.pop(name), name
+    assert not goldens
