@@ -87,12 +87,14 @@ class Record:
     fields never change; a record that `replace` builds computes its own,
     and one that `replace` returns unchanged keeps it. A process or system
     node keeps its free atoms (`_free`), its normal form, its `_alpha_key`
-    and its step facts (`semantics.visible_outs`, `input_subjects` and
-    `reference_names`) the same way; a block component keeps its canonical
-    renaming and its sort key, and a component of an encoded core form its
-    mark. A system node keeps its typing too, with the environment object
-    and identify direction it was typed under. What is kept is never
-    mutated. A mutable record is unhashable.
+    and its step facts (`semantics.visible_outs`, `input_subjects`,
+    `reference_names`, and the successors `feed` gives for each delivery)
+    the same way; a block component keeps its structural normal form with
+    the holes it was computed under, its canonical renaming and its sort
+    key, and a component of an encoded core form its mark. A system node
+    keeps its typing too, with the environment object and identify
+    direction it was typed under. What is kept is never mutated, but a
+    node's deliveries gain entries. A mutable record is unhashable.
 
     Every class shares the same few functions, closed over its field list:
     no source is generated per class, which keeps importing the package
@@ -102,12 +104,14 @@ class Record:
     _hash = None  # a frozen record's hash, once computed
     _atoms = None  # a process or system node's free atoms, once computed
     _norm = None  # a process or system node's normal form (`normalize`)
+    _cnorm = None  # a block component's structural normal form, with its holes
     _canon = None  # a block component's canonical renaming (`_Numbering`)
     _skey = None  # a block component's sort key, with its atoms' classes (`_sort_keys`)
     _akey = None  # a node's `_alpha_key`
     _outs = None  # a node's output capabilities (`semantics.visible_outs`)
     _ins = None  # a node's reader subjects (`semantics.input_subjects`)
     _refs = None  # a node's store references (`semantics.reference_names`)
+    _fed = None  # a node's successors per delivery (`semantics.feed`)
     _core = None  # set on a core form's component (`encoding._core_form`)
     _typing = None  # a system node's last typing (`typesys.type_system`)
 
@@ -1070,9 +1074,6 @@ def _sort_block(comps: list, binder_names: Collection[str], names: frozenset[str
     return [comps[k] for k in sorted(range(len(comps)), key=keys.__getitem__)]
 
 
-_comp_cache: dict = {}
-
-
 def normalize(node):
     """Canonical representative of the structural-congruence class.
 
@@ -1198,29 +1199,21 @@ def _flatten_block(node: Block, names: frozenset[str], vs: frozenset[str]):
 
 
 def _normalize_comp(c, names: frozenset[str], vs: frozenset[str]):
-    """`_normalize1(c, names, vs)` through a memo. The pass reads `names`
-    and `vs` only as holes in sort keys, so its result depends only on `c`
-    and on which of `c`'s free atoms they hold, which is the memo's key.
-    Equality ignores spans, so a hit counts only when the component it was
-    computed from carries the same spans as `c`: the normal form keeps
-    them, and typing errors print them."""
+    """`_normalize1(c, names, vs)`, kept on `c`. The pass reads `names` and
+    `vs` only as holes in sort keys, so its result depends only on `c` and
+    on which of `c`'s free atoms they hold: `c` keeps the result with those
+    atoms (`_cnorm`), and so does the result, which is its own normal form
+    under the same holes and has the same free atoms."""
     cn, cv = _free(c)
-    key = (c, tuple(n for n in cn if n in names), tuple(x for x in cv if x in vs))
-    hit = _comp_cache.get(key)
-    if hit is not None and _same_spans(hit[0], c):
-        return hit[1]
+    holes = (names.intersection(cn), vs.intersection(cv))
+    kept = c._cnorm
+    if kept is not None and kept[0] == holes:
+        return kept[1]
     result = _normalize1(c, names, vs)
-    if hit is None and len(_comp_cache) < 100_000:
-        _comp_cache[key] = (c, result)
+    kept = (holes, result)
+    _setattr(c, "_cnorm", kept)
+    _setattr(result, "_cnorm", kept)
     return result
-
-
-def _same_spans(a, b) -> bool:
-    """Whether two equal nodes carry the same spans throughout."""
-    if a is b:
-        return True
-    sa, sb = a.span, b.span
-    return (sa is sb or sa == sb) and all(map(_same_spans, children(a), children(b)))
 
 
 def _canonical_rename(node):

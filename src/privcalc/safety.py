@@ -237,10 +237,10 @@ def _bind(gamma: Gamma, nd: Block) -> tuple[Block, Gamma, bool]:
     itself in a normal form), the environment extended by its
     restrictions, and whether the clauses read the block as in its own
     normal form: not if a binder is unannotated, since its inferred type
-    reads the environment under its name, which renaming changes, and may
-    depend on the binders' order, nor if a binder hides an environment
-    entry (in a normal form only where the environment has a name of the
-    canonical renaming's shape, and `_Detector.fast` is false). Binders
+    reads the environment under its name, which renaming changes, nor if a
+    binder hides an environment entry (in a normal form only where the
+    environment has a name of the canonical renaming's shape, and
+    `_Detector.fast` is false). Binders
     that `normalize` drops as unused stay: only clause 10 reads the
     environment beyond the names in use, through `_grounds_of`, and a wider
     one can only raise its counts."""

@@ -224,7 +224,22 @@ def feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
     """All ways the node can consume the given delivery; of congruent block
     components only the first is fed (`_distinct`). For a store input
     (to_dual) the delivery is the writer's object and the store applies the
-    endpoint duality itself."""
+    endpoint duality itself. Kept on the node, one entry per delivery, so a
+    component that later states share is fed each delivery once and gives
+    the same successor objects, whose normal forms are kept on them; callers
+    never mutate the list."""
+    fed = node._fed
+    if fed is None:
+        fed = {}
+        _setattr(node, "_fed", fed)
+    delivery = (subject, to_dual, values)
+    succs = fed.get(delivery)
+    if succs is None:
+        succs = fed[delivery] = _feed(node, subject, to_dual, values)
+    return succs
+
+
+def _feed(node, subject: str, to_dual: bool, values: tuple[Term, ...]) -> list:
     match node:
         case PInp(subj, patterns, cont):
             if (not to_dual and isinstance(subj, TName) and subj.name == subject

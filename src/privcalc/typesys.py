@@ -420,49 +420,84 @@ def _merge_lam(a: frozenset[str], b: frozenset[str], span=None) -> frozenset[str
     return a | b
 
 
-def _infer_binder_type(gamma: Gamma, name: str, later: tuple, comps: tuple
-                       ) -> Optional[PrivacyType]:
-    """A restricted name's type is forced when it appears as an object of a
-    prefix whose subject is already typed; unique candidates win. The scope
-    is the block's `later` binders over its components `comps`. A subject
-    bound in the scope, by this restriction, an inner one or an input, has
-    no type in `gamma` to read."""
-    candidates: set[PrivacyType] = set()
+def _scope_types(gamma: Gamma, node: Block) -> dict[tuple[int, int], PrivacyType]:
+    """The types of the restrictions of a scope block: `node` and the
+    blocks nested in it as components, which `normalize` merges into one.
+    Each binder is keyed by its block's id and its position there. An
+    annotated binder has its annotation; the unannotated ones are inferred
+    together, to a fixpoint. A binder's candidates are the payload types at
+    which an output sends it as an object on a subject that Γ or a binder
+    of the scope types, annotated or already inferred; each round types
+    every binder with exactly one candidate, so binder order decides
+    nothing. A subject or object that a later binder of the same name, an
+    input or a restriction inside a component binds reads neither Γ nor
+    the binder."""
+    types: dict = {}
+    # an unannotated binder's sends: (subject, payload position, arity), the
+    # subject as the key of the scope binder that binds it or as its Γ type
+    sends: dict = {}
 
-    def scan(binds, nodes, bound: frozenset):
-        if name in binds:
-            return  # shadowed here
-        if binds:
-            bound = bound.union(binds)
-        for nd in nodes:
-            inner = ()
-            match nd:
-                case POut(s, objs, _) if isinstance(s, (TName, TVar)) and s.name not in bound:
-                    sty = gamma.atom_type(s.name)
-                    if isinstance(sty, TChan) and len(sty.payload) == len(objs):
-                        for o, ty in zip(objs, sty.payload):
-                            if isinstance(o, (TName, TVar)) and o.name == name:
-                                candidates.add(ty)
-                case PInp(_, pats, _):
-                    inner = [v for k in pats for v in placeholder_vars(k)]
-                case Block(bs, _):
-                    inner = [n for n, _ in bs]
-            scan(inner, children(nd), bound)
+    def scope(nd: Block, env: dict) -> None:
+        env = dict(env)
+        for k, (n, annot) in enumerate(nd.binders):
+            env[n] = key = (id(nd), k)
+            if annot is None:
+                sends[key] = []
+            else:
+                types[key] = annot
+        for c in nd.comps:
+            if type(c) is Block:
+                scope(c, env)
+            else:
+                scan(c, env)
 
-    scan([n for n, _ in later], comps, frozenset([name]))
-    if len(candidates) == 1:
-        return next(iter(candidates))
-    return None
+    def scan(nd, env: dict) -> None:
+        bound = ()
+        match nd:
+            case POut(s, objs, _) if isinstance(s, (TName, TVar)):
+                for i, o in enumerate(objs):
+                    if isinstance(o, (TName, TVar)) and env.get(o.name) in sends:
+                        subject = env[s.name] if s.name in env else gamma.atom_type(s.name)
+                        sends[env[o.name]].append((subject, i, len(objs)))
+            case PInp(_, pats, _):
+                bound = [v for k in pats for v in placeholder_vars(k)]
+            case Block(bs, _):
+                bound = [n for n, _ in bs]
+        if bound:
+            env = env | dict.fromkeys(bound)
+        for child in children(nd):
+            scan(child, env)
+
+    scope(node, {})
+    while True:
+        found = {}
+        for key, outs in sends.items():
+            if key not in types:
+                candidates = set()
+                for subject, i, arity in outs:
+                    sty = types.get(subject) if type(subject) is tuple else subject
+                    if isinstance(sty, TChan) and len(sty.payload) == arity:
+                        candidates.add(sty.payload[i])
+                if len(candidates) == 1:
+                    found[key] = candidates.pop()
+        if not found:
+            return types
+        types.update(found)
 
 
-def _bind_block(gamma: Gamma, node: Block) -> tuple[Gamma, Optional[str]]:
-    """The environment extended with the block's restrictions, outermost
-    first, each typed by its annotation or else inferred from its scope;
+def _bind_block(gamma: Gamma, node: Block, types: Optional[dict] = None
+                ) -> tuple[Gamma, Optional[str]]:
+    """The environment extended with the block's restrictions, in order,
+    typed as `_scope_types` types them: from `types`, the types of the
+    scope block it belongs to when a block around it there has an
+    unannotated binder, or else by their annotations if they all have one;
     and the first binder whose type cannot be determined, which stays
     unbound."""
+    if types is None and any(a is None for _, a in node.binders):
+        types = _scope_types(gamma, node)
     missing = None
     for k, (n, annot) in enumerate(node.binders):
-        ty = annot or _infer_binder_type(gamma, n, node.binders[k + 1:], node.comps)
+        ty = annot if types is None else types.get((id(node), k))
         if ty is not None:
             gamma = gamma.bind_atom(n, ty)
         elif missing is None:
@@ -531,23 +566,8 @@ def type_process(gamma: Gamma, p: Process | System, id_direction: str = "anon") 
             body = type_process(g2, cont, id_direction)
             return Typing(body.lam, body.zrecs, body.delta.uplus(delta))
 
-        case Block(bs, cs):
-            g, missing = _bind_block(gamma, p)
-            if missing is not None:
-                raise TypingError("UnannotatedRestriction",
-                                  f"cannot determine the type of (new {missing})", p.span)
-            typings = [type_process(g, c, id_direction) for c in cs]
-            # merged from the right, so the first store clash reported is
-            # the one between the last components
-            rt = typings[-1]
-            for lt in reversed(typings[:-1]):
-                lam = _merge_lam(lt.lam, rt.lam, p.span)
-                agg = _delta_of(pair for ik1, t1 in lt.zrecs for ik2, t2 in rt.zrecs
-                                if ik1 == ik2 or ik1[0] == "var" or ik2[0] == "var"
-                                for pair in _aggregated_perms(t1, t2))
-                rt = Typing(lam, lt.zrecs + rt.zrecs, lt.delta.uplus(rt.delta).uplus(agg),
-                            lt.theta.concat(rt.theta))
-            return Typing(rt.lam.difference(n for n, _ in bs), rt.zrecs, rt.delta, rt.theta)
+        case Block():
+            return _type_block(gamma, p, id_direction)
 
         case PRepl(body):
             inner = type_process(gamma, body, id_direction)
@@ -577,6 +597,34 @@ def type_process(gamma: Gamma, p: Process | System, id_direction: str = "anon") 
             return Typing(pt.lam, (), EMPTY_DELTA, theta)
 
     raise TypingError("TypeMismatch", f"not a process or system: {p!r}")
+
+
+def _type_block(gamma: Gamma, p: Block, id_direction: str,
+                types: Optional[dict] = None) -> Typing:
+    """The block rule. The types of the binders of the scope block that
+    `p` belongs to (`_scope_types`) are inferred at its outermost block
+    with an unannotated binder, and handed to the blocks nested in it; a
+    block whose own binders are all annotated fixes their types, so each
+    block nested in it infers its own scope alike."""
+    if types is None and any(a is None for _, a in p.binders):
+        types = _scope_types(gamma, p)
+    g, missing = _bind_block(gamma, p, types)
+    if missing is not None:
+        raise TypingError("UnannotatedRestriction",
+                          f"cannot determine the type of (new {missing})", p.span)
+    typings = [_type_block(g, c, id_direction, types) if type(c) is Block
+               else type_process(g, c, id_direction) for c in p.comps]
+    # merged from the right, so the first store clash reported is the one
+    # between the last components
+    rt = typings[-1]
+    for lt in reversed(typings[:-1]):
+        lam = _merge_lam(lt.lam, rt.lam, p.span)
+        agg = _delta_of(pair for ik1, t1 in lt.zrecs for ik2, t2 in rt.zrecs
+                        if ik1 == ik2 or ik1[0] == "var" or ik2[0] == "var"
+                        for pair in _aggregated_perms(t1, t2))
+        rt = Typing(lam, lt.zrecs + rt.zrecs, lt.delta.uplus(rt.delta).uplus(agg),
+                    lt.theta.concat(rt.theta))
+    return Typing(rt.lam.difference(n for n, _ in p.binders), rt.zrecs, rt.delta, rt.theta)
 
 
 # --- system typing ------------------------------------------------------------------

@@ -2,7 +2,6 @@ import pathlib
 
 import pytest
 
-from privcalc import kernel
 from privcalc.syntax import parse_env, parse_policy, parse_system
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -20,13 +19,6 @@ def load(name: str):
     res = parse_system((CORPUS / f"{name}.pc").read_text(), gamma)
     assert res.ok, [str(d) for d in res.diagnostics]
     return pol, gamma, res.value
-
-
-def clear_memos() -> None:
-    """Empty the kernel's one table, the memo of normalized components.
-    The normal forms and canonical renamings kept on nodes stay, so a cold
-    run starts from a fresh parse or from `kernel_oracles.rebuild`."""
-    kernel._comp_cache.clear()
 
 
 @pytest.fixture(scope="session")

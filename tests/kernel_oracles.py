@@ -18,6 +18,8 @@ forms and keyed states without renaming them.
 
 `rebuild` copies a term, so that a test can normalize it again without the
 normal form, renamings and state key that the kernel keeps on its nodes.
+`same_spans` tells whether two equal terms carry the same spans, which
+equality ignores.
 """
 
 import itertools
@@ -96,6 +98,14 @@ def rebuild(node):
     if not isinstance(node, kernel.Record):
         return node
     return type(node)(*(rebuild(getattr(node, f)) for f in node._fields))
+
+
+def same_spans(a, b) -> bool:
+    """Whether two equal nodes carry the same spans throughout."""
+    if a is b:
+        return True
+    sa, sb = a.span, b.span
+    return (sa is sb or sa == sb) and all(map(same_spans, children(a), children(b)))
 
 
 def free(node) -> tuple[tuple[str, ...], tuple[str, ...]]:

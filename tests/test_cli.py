@@ -141,6 +141,18 @@ class TestExitCodes:
         assert r.returncode == 0
         assert r.stdout.endswith("states 1 edges 0 truncated\n")
 
+    @pytest.mark.parametrize("depth", [340, 480])
+    def test_equal_deep_chains_in_two_groups(self, tmp_path, depth):
+        # the same output chain in two groups, as deep as the deepest `wide`
+        # input: comparing the second with the first overflowed the stack
+        # (exit 3) while a table of normalized components was kept
+        chain = "c!<k>. " * depth + "0 | c?(v). 0"
+        path = tmp_path / "twins.pc"
+        path.write_text(f"G[ {chain} ] || H[ {chain} ]\n")
+        r = run("simulate", str(path), "--depth", "2")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.endswith("states 8 edges 12\n")
+
     def test_encode_process(self, tmp_path):
         f = tmp_path / "st.pc"
         f.write_text("store r {id # c} | r?(x # y). 0")

@@ -20,7 +20,6 @@ from privcalc.encoding import (
 from privcalc.semantics import reference_names, search, tau_successors
 from privcalc.syntax import parse_process, render_process
 
-from conftest import clear_memos
 import gen
 import kernel_oracles
 from gen import par
@@ -188,7 +187,7 @@ class TestCorrespondence:
         assert [run(bound, "0") for bound in (0, 1, 2, 3)] == [(["0"], [0], False)] * 4
 
     def test_search_renames_only_source_states(self, monkeypatch):
-        """From cold memos, checking the store programs at bound 12 renames
+        """From fresh terms, checking the store programs at bound 12 renames
         canonically only the normal forms of the source's successors, where
         renaming every encoded state made 2,058 renamings. Evaluating
         conditionals and collecting inert servers visit at most 60,000 and
@@ -206,7 +205,6 @@ class TestCorrespondence:
                             counted("rename", kernel._canonical_rename))
         monkeypatch.setattr(encoding, "_eval_ifs", counted("eval", encoding._eval_ifs))
         monkeypatch.setattr(encoding, "_gc_inert", counted("gc", encoding._gc_inert))
-        clear_memos()
         source = 0
         for p in gen.store_programs():
             source += len(tau_successors(p))
@@ -457,11 +455,11 @@ def _in_fresh_thread(f):
     "core_canonical", "check_correspondence",
 ])
 def test_deep_prefix_chain(last):
-    # Every stage up to `last`, in order, on one parsed chain and sharing the
-    # memos. `encode` and `_eval_ifs` return a chain with nothing to change
-    # as itself, so `core_canonical` reads the normal form kept on it, where
-    # an equal copy would be normalized again and compared with the kept
-    # normal form level by level.
+    # Every stage up to `last`, in order, on one parsed chain and sharing
+    # what is kept on it. `encode` and `_eval_ifs` return a chain with
+    # nothing to change as itself, so `core_canonical` reads the normal form
+    # kept on it, where an equal copy would be normalized again and
+    # compared with the kept normal form level by level.
     def run():
         res = parse_process(_CHAIN)
         assert res.ok, res.diagnostics
@@ -470,40 +468,31 @@ def test_deep_prefix_chain(last):
             if name == last:
                 return
 
-    clear_memos()
     _in_fresh_thread(run)
 
 
 def test_deep_prefix_chain_parsed_twice():
     # A parsed chain ends in the shared `NIL`, so it is its own normal form.
-    # Two separate parses are equal but not the same object; a lone chain
-    # is no block component, so the component memo never compares them, and
-    # no table keeps normal forms to compare them with.
+    # Two separate parses are equal but not the same object, and no table
+    # keeps normal forms to compare them with.
     def run():
         a, b = (parse_process("c!<k>. " * 330 + "0").value for _ in range(2))
         normalize(a)
         normalize(b)
 
-    clear_memos()
     _in_fresh_thread(run)
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True,
-                   reason="Record.__eq__ overflows comparing equal chains deeper "
-                          "than ~330 in _normalize_comp's _comp_cache lookup")
 def test_deep_prefix_chain_in_block_parsed_twice():
-    # As a block component, the chain of the second parse is looked up in
-    # the component memo, which holds the first parse's equal chain: the
-    # memo compares them field by field, and `Record.__eq__` spends three
-    # units of the recursion limit per level (see the FOUND on deep equal
-    # terms in CHANGES.md).
+    # As a block component, each parse's chain keeps its normal form on
+    # itself, so the second parse's is never compared with the first's:
+    # `Record.__eq__` spends three units of the recursion limit per level.
     def run():
         a, b = (parse_process("d?(x). 0 | " + "c!<k>. " * 330 + "0").value
                 for _ in range(2))
         normalize(a)
         normalize(b)
 
-    clear_memos()
     _in_fresh_thread(run)
 
 

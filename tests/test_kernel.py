@@ -1,10 +1,12 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 
-from conftest import CORPUS, clear_memos
-from privcalc import kernel
+from conftest import CORPUS
+from privcalc import kernel, semantics
 from privcalc.encoding import CorrespondenceReport
 from privcalc.semantics import explore
 from privcalc.syntax import parse_env, parse_process, parse_system, render_system
@@ -141,15 +143,12 @@ class TestNormalize:
         t = PInp(TName("a"), (PVar("b"),),
                  par(POut(TName("b"), (TName("b"),), NIL),
                      POut(TName("a"), (TName("b"),), NIL)))
-        clear_memos()
         n = normalize(t)
-        clear_memos()
         assert normalize(kernel_oracles.rebuild(n)) == n
 
     def test_normal_form_answers_itself(self, monkeypatch):
         p = par(POut(TName("b"), (TConst("c"),), NIL),
                 new("n", None, POut(TName("n"), (TConst("c"),), NIL)))
-        clear_memos()
         n = normalize(p)
         assert p._norm is n and n._norm is n
         # a term that keeps its normal form is not normalized again
@@ -160,7 +159,6 @@ class TestNormalize:
         # equality ignores spans: the normal form of the text at line 3 is
         # not the one of the same text at line 1
         text = "a!<k>. 0 | b?(x). 0"
-        clear_memos()
         first = normalize(parse_process(text).value)
         second = normalize(parse_process("\n\n" + text).value)
         assert second == first and second is not first
@@ -179,9 +177,7 @@ class TestNormalize:
                     PInp(TName("m"), (PVar("X"),), par(c, other))]
         cold = []
         for t in contexts:
-            clear_memos()
             cold.append(normalize(t))
-        clear_memos()
         assert [normalize(kernel_oracles.rebuild(t)) for t in contexts] == cold
 
     def test_restricted_nil(self):
@@ -443,14 +439,12 @@ def _idempotence_inputs():
 
 
 def test_normalize_idempotent_fuzz():
-    # n's kept normal form and the memos would answer the second call from
-    # the first; a copy of n normalized with cleared memos makes both calls
-    # run the single normalizing pass. The renamings kept on n's components
-    # still answer, so a renaming that walks every component checks them.
+    # n's kept normal form would answer the second call from the first; a
+    # copy of n keeps nothing, so both calls run the single normalizing
+    # pass. The renamings kept on n's components still answer, so a
+    # renaming that walks every component checks them.
     for p in _idempotence_inputs():
-        clear_memos()
         n = normalize(p)
-        clear_memos()
         assert normalize(kernel_oracles.rebuild(n)) == n, p
         assert kernel_oracles.canonical_rename(n) is n, p
 
@@ -485,10 +479,8 @@ def test_normalize_keeps_free_atoms_under_substitution():
                     t = substitute(inp.cont, TName(tok), inp.patterns[0])
                 except IncompatibleSubstitution:
                     continue
-                clear_memos()
                 n = normalize(t)
                 assert free_atoms(n) == free_atoms(t), t
-                clear_memos()
                 assert normalize(kernel_oracles.rebuild(n)) == n, t
                 checked += 1
     assert checked > 4000
@@ -630,6 +622,53 @@ def test_kept_renaming_answers_only_its_own_start():
     ]
     for t in contexts * 2:
         assert _canonical_rename(t) == kernel_oracles.canonical_rename(t), t
+
+
+_CONTAINER_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+_CONTAINER_TYPES = {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict",
+                    "Counter", "deque"}
+
+
+def _module_tables(tree: ast.Module) -> list[str]:
+    """The names a module binds, outside any function or class, to a
+    mutable container: a list, dict or set display or comprehension, or a
+    call of a mutable container type; and every `global` statement, by
+    which a function could rebind a module name."""
+    found = [f"global:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Global)]
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                value = node.value
+                call = getattr(value, "func", None)
+                called = getattr(call, "id", None) or getattr(call, "attr", None)
+                if isinstance(value, _CONTAINER_DISPLAYS) or called in _CONTAINER_TYPES:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found.extend(n.id for t in targets for n in ast.walk(t)
+                                 if isinstance(n, ast.Name) and n.id != "__all__")
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, block, ()))
+
+    visit(tree.body)
+    return found
+
+
+def test_kernel_and_step_engine_keep_no_module_table():
+    """What the kernel and the step engine compute is kept on the nodes it
+    is about, so neither module binds a mutable container at module level
+    (`__all__` excepted): a table there would be shared by every caller in
+    the process and would outlive the terms it is about."""
+    for snippet, names in (("x = {}", ["x"]), ("x: dict = dict()", ["x"]),
+                           ("if c:\n    x = [k for k in y]", ["x"]),
+                           ("try:\n    pass\nexcept E:\n    x = set()", ["x"]),
+                           ("def f():\n    global x\n    x = {}", ["global:2"]),
+                           ("__all__ = []\nx = ()\ndef f():\n    y = {}", [])):
+        assert _module_tables(ast.parse(snippet)) == names, snippet
+    for module in (kernel, semantics):
+        path = pathlib.Path(module.__file__)
+        assert _module_tables(ast.parse(path.read_text(), str(path))) == [], path.name
 
 
 class TestRecords:

@@ -25,7 +25,7 @@ import allpairs
 from allpairs import InpLabel, dual, input_labels
 import gen
 import kernel_oracles
-from conftest import CORPUS, NAMES, clear_memos, load
+from conftest import CORPUS, NAMES, load
 from gen import par
 from syntax_oracles import _lower_system
 from privcalc.encoding import check_correspondence, core_canonical, encode
@@ -613,24 +613,22 @@ def test_sort_block_matches_two_pass_sort(source):
 
 @pytest.mark.parametrize("source", ["corpus", "seeds", "store_programs"])
 def test_component_memo_is_exact(source, monkeypatch):
-    """`normalize` gives the same normal form, with the same spans, when the
-    component memo answers from earlier terms as when every memo starts
-    empty; the warm pass runs fewer normalizing passes."""
+    """`normalize` gives each successor of a state the normal form, with
+    the same spans, that a copy keeping nothing gets. The successors share
+    the components that did not move with their state, which keep their
+    normal forms, so normalizing them runs fewer passes than normalizing
+    the copies."""
     states, _ = _oracle_states(source)
-    inputs = _with_successors(states)
+    for st in states:
+        kernel._normalize1(st, frozenset(), frozenset())
+    succs = [q for st in states for q in tau_successors(st)]
     passes = _count_passes(monkeypatch)
-    cold = []
-    for q in inputs:
-        clear_memos()
-        cold.append(normalize(kernel_oracles.rebuild(q)))
+    cold = [normalize(kernel_oracles.rebuild(q)) for q in succs]
     cold_passes = passes[0]
-    clear_memos()
-    for q, want in zip(inputs, cold):
-        # a copy: the normal form kept on q would answer before the
-        # component memo is asked
-        got = normalize(kernel_oracles.rebuild(q))
-        assert got == want and kernel._same_spans(got, want), q
-    assert passes[0] - cold_passes < cold_passes
+    for q, want in zip(succs, cold):
+        got = normalize(q)
+        assert got == want and kernel_oracles.same_spans(got, want), q
+    assert passes[0] - cold_passes < cold_passes / 2
 
 
 @pytest.mark.parametrize("source", ["corpus", "seeds"])
@@ -671,11 +669,10 @@ def test_explored_states_are_their_own_normal_forms(corpus):
 
 
 def test_component_memo_cuts_normalize_passes(speedlimit, monkeypatch):
-    """From cold memos, exploring speedlimit to depth 8 runs at most a fifth
+    """From a fresh copy, exploring speedlimit to depth 8 runs at most a fifth
     of the 13,207 normalizing passes it ran when each state was normalized
     from scratch."""
     passes = _count_passes(monkeypatch)
-    clear_memos()
     graph = explore(kernel_oracles.rebuild(speedlimit[2]), 8)
     assert len(graph.nodes) == 75
     assert 0 < passes[0] <= 2641
@@ -705,26 +702,24 @@ def test_renaming_memo_is_exact(source, monkeypatch):
     walks = _count_renaming_walks(monkeypatch)
     cold = []
     for q in inputs:
-        clear_memos()
         cold.append(kernel_oracles.canonical_rename(
             kernel._normalize1(q, frozenset(), frozenset())))
     cold_walks = walks[0]
     for q, want in zip(inputs, cold):
-        # only the renamings kept on nodes answer from earlier terms: not
-        # the normal form kept on q, nor the memos
-        clear_memos()
+        # the renamings kept on nodes answer from earlier terms, not the
+        # normal form kept on q
         got = kernel._canonical_rename(kernel._normalize1(q, frozenset(), frozenset()))
-        assert got == want and kernel._same_spans(got, want), q
+        assert got == want and kernel_oracles.same_spans(got, want), q
     assert walks[0] - cold_walks < cold_walks
 
 
 def test_renaming_walks_per_exploration(monkeypatch):
-    """From a fresh parse and cold memos, exploring speedlimit to depth 8
-    renames each of its 75 states once, where renaming every successor
-    renamed 195 times, and walks at most 3,500 nodes in renaming mode
-    (3,024 when measured), where renaming every successor walked 6,301
-    and renaming every component 13,854: a component renamed before at the
-    same position, whether the earlier renaming was handed the component
+    """From a fresh parse, exploring speedlimit to depth 8 renames each of
+    its 75 states once, where renaming every successor renamed 195 times,
+    and walks at most 3,500 nodes in renaming mode (3,024 when measured),
+    where renaming every successor walked 6,301 and renaming every
+    component 13,854: a component renamed before at the same position,
+    whether the earlier renaming was handed the component
     or gave it back, is not walked again."""
     system = load("speedlimit")[2]
     walks = _count_renaming_walks(monkeypatch)
@@ -736,7 +731,6 @@ def test_renaming_walks_per_exploration(monkeypatch):
         return real(node)
 
     monkeypatch.setattr(kernel, "_canonical_rename", counted)
-    clear_memos()
     assert len(explore(system, 8).nodes) == 75
     assert renamings[0] == 75
     assert 0 < walks[0] <= 3500
@@ -747,7 +741,6 @@ def test_normal_forms_rename_to_themselves():
     normal form that `explore` reaches gives the normal form itself, also
     when every component is walked."""
     states, _ = _oracle_states("corpus")
-    clear_memos()
     for st in states:
         assert kernel_oracles.canonical_rename(st) is st, st
         assert kernel._canonical_rename(st) is st, st
@@ -851,7 +844,6 @@ def _explore_keying_every_successor(s, depth: int) -> StateGraph:
 def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
     """`explore` renders and hashes each state it keeps once, and builds
     the graph that keying every successor built."""
-    clear_memos()
     want = _explore_keying_every_successor(kernel_oracles.rebuild(speedlimit[2]), 8)
     met = []
     rendered = 0
@@ -872,7 +864,6 @@ def test_one_state_key_per_normal_form(speedlimit, monkeypatch):
     monkeypatch.setattr(semantics, "render_system", counting(semantics.render_system))
     monkeypatch.setattr(semantics, "render_process", counting(semantics.render_process))
     system = load("speedlimit")[2]
-    clear_memos()
     got = explore(system, 8)
     assert rendered == len(set(met)) == len(got.nodes) == 75
     assert (got.root, got.nodes, got.edges, got.depths, got.truncated) == (
@@ -991,8 +982,7 @@ def test_blocks_that_cannot_move_compute_no_class_key(monkeypatch):
 def _run_checkers(source) -> None:
     """Explore the corpus inputs at depth 8 or 300 `gen.random_system`
     seeds at depth 4, or check the correspondence of the 26 store programs
-    at bound 12; all from fresh terms and cold memos."""
-    clear_memos()
+    at bound 12; all from fresh terms."""
     if source == "store_programs":
         for p in gen.store_programs():
             assert check_correspondence(p, 12).ok
@@ -1058,9 +1048,15 @@ def test_kept_step_facts_match_cold_ones(source, monkeypatch):
     """On every node of every state the checkers expand, each fact kept on
     the node (its outputs, reader subjects, store references and class
     key) equals the fact computed on a copy of the state that keeps
-    nothing."""
+    nothing. So does what every `feed` call gives, against `feed` on a copy
+    of its node; and every structural normal form that `_normalize_comp`
+    gives or keeps, on the component and on the form itself, against a
+    pass over a copy under the same holes, spans included."""
     met = []
+    fed: dict = {}
+    forms: dict = {}
     real_tau, real_has = semantics.tau_successors, semantics.has_step
+    real_feed, real_comp = semantics.feed, kernel._normalize_comp
 
     def tau(node):
         met.append(node)
@@ -1070,14 +1066,39 @@ def test_kept_step_facts_match_cold_ones(source, monkeypatch):
         met.append(node)
         return real_has(node)
 
-    monkeypatch.setattr(semantics, "tau_successors", tau)
-    monkeypatch.setattr(encoding, "tau_successors", tau)
-    monkeypatch.setattr(semantics, "has_step", has)
-    _run_checkers(source)
+    def feed(node, *delivery):
+        succs = real_feed(node, *delivery)
+        fed[id(node), delivery] = node, succs
+        return succs
+
+    def normalize_comp(c, names, vs):
+        form = real_comp(c, names, vs)
+        forms[id(c), names, vs] = c, form
+        return form
+
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "tau_successors", tau)
+        m.setattr(encoding, "tau_successors", tau)
+        m.setattr(semantics, "has_step", has)
+        m.setattr(semantics, "feed", feed)
+        m.setattr(kernel, "_normalize_comp", normalize_comp)
+        _run_checkers(source)
     checked = dict.fromkeys(_STEP_FACTS, 0)
     for st in met:
         for fact, n in _check_kept_facts(st).items():
             checked[fact] += n
+    for (_, delivery), (node, succs) in fed.items():
+        assert succs == real_feed(kernel_oracles.rebuild(node), *delivery), (node, delivery)
+    checked["feed"] = len(fed)
+
+    def cold_form(node, names, vs):
+        return kernel._normalize1(kernel_oracles.rebuild(node), names, vs)
+
+    for (_, names, vs), (c, form) in forms.items():
+        for node, holes, kept in ((c, (names, vs), form), *((n, *n._cnorm) for n in (c, form))):
+            want = cold_form(node, *holes)
+            assert want == kept and kernel_oracles.same_spans(want, kept), node
+    checked["_cnorm"] = len(forms)
     assert min(checked.values()) > 100, checked
 
 
@@ -1114,7 +1135,6 @@ def test_kept_states_are_renamed_without_another_pass(name, depth, monkeypatch):
     """Once the search is over, `explore` only renames the structural
     normal forms it kept: no normalizing pass runs, and the states are
     those the old loop kept, spans included."""
-    clear_memos()
     want = _explore_keying_every_successor(load(name)[2], depth)
     searching = [True]
     passes_after = [0]
@@ -1132,12 +1152,11 @@ def test_kept_states_are_renamed_without_another_pass(name, depth, monkeypatch):
     monkeypatch.setattr(semantics, "search", search)
     monkeypatch.setattr(semantics, "_normalize1", counted)
     monkeypatch.setattr(kernel, "_normalize1", counted)
-    clear_memos()
     got = explore(load(name)[2], depth)
     assert not searching[0] and passes_after[0] == 0
     assert list(got.nodes) == list(want.nodes)
     for key, state in want.nodes.items():
-        assert got.nodes[key] == state and kernel._same_spans(got.nodes[key], state), key
+        assert got.nodes[key] == state and kernel_oracles.same_spans(got.nodes[key], state), key
 
 
 def test_non_decimal_constant_is_not_a_number():

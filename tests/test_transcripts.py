@@ -87,9 +87,9 @@ def test_simulate_preserve_bare_process(tmp_path):
 
 def test_equal_components_keep_their_own_spans(tmp_path):
     """Lab's and Doctor's `q!<r1>. 0` are equal, and equality ignores spans,
-    so the component memo may hold Lab's normal form when it meets Doctor's.
-    The typing error of each state must still point at Doctor's, the one
-    the checker reaches first."""
+    so a table of normal forms keyed by equality would answer Doctor's with
+    Lab's. The typing error of each state must still point at Doctor's, the
+    one the checker reaches first."""
     src = tmp_path / "spans.pc"
     src.write_text("Hospital[\n"
                    "  Lab[ b?(w). 0 | q!<r1>. 0 ]\n"

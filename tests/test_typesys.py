@@ -1,10 +1,11 @@
+import itertools
 import random
 import re
 
 import pytest
 
 from privcalc.kernel import (
-    DConst, DVar, HIDDEN, IVar, Known, NIL, PAnon, PInp, PIf, POut, PPair,
+    Block, DConst, DVar, Group, HIDDEN, IVar, Known, NIL, PAnon, PInp, PIf, POut, PPair,
     PAnon, PRepl, PStore, PVar, PrivateData, SBare, TChan,
     TConst, TName, TPriv, TPrivate, TPurpose, TVar, children, normalize, substitute,
 )
@@ -439,9 +440,6 @@ RESTRICTION_ORDERS = ("G[ (new d) (new e : G[G[t<g>]]) e!<d>. 0 ]",
                       "G[ (new e : G[G[t<g>]]) (new d) e!<d>. 0 ]")
 
 
-@pytest.mark.xfail(raises=TypingError, strict=True,
-                   reason="a binder's type is inferred only from subjects that "
-                          "binders outside it type")
 def test_restriction_order_does_not_decide_typing():
     gamma = Gamma()
     inner, outer = (parse_system(text, gamma).value for text in RESTRICTION_ORDERS)
@@ -449,6 +447,78 @@ def test_restriction_order_does_not_decide_typing():
     want = type_system(gamma, outer)
     assert want.theta.entries == (ThetaEntry("t", ("G",), PermSet([disseminate("G", 1)])),)
     assert type_system(gamma, inner).theta.entries == want.theta.entries
+
+
+# the types a generated restriction may have: a store reference, a channel
+# of references, and channels of such channels; and Γ's names
+_BINDER_TYPES = (gen.REF_A, gen.CH_REF, TChan("G1", (gen.CH_REF,)),
+                 TChan("G1", (TChan("G1", (gen.CH_REF,)),)))
+_GAMMA_NAMES = {"rA": gen.REF_A, "chan": gen.CH_REF}
+
+
+def _restricted_scope(rng: random.Random):
+    """Two to four restrictions, each of a type from `_BINDER_TYPES` that it
+    is annotated with or not, and one to three components of the system's
+    prefixes: a send of most binders, mostly on a subject of the matching
+    channel type, some under an input, and sends of other names. Also
+    whether the components are processes inside one group or groups of
+    their own."""
+    names = [f"n{i}" for i in range(rng.randint(2, 4))]
+    types = {n: rng.choice(_BINDER_TYPES) for n in names} | _GAMMA_NAMES
+    binders = [(n, types[n] if rng.random() < 0.4 else None) for n in names]
+
+    def send(obj: str, cont) -> POut:
+        fits = [s for s, t in types.items() if t == TChan("G1", (types[obj],))]
+        subject = rng.choice(fits if fits and rng.random() < 0.9 else list(types))
+        return POut(TName(subject), (TName(obj),), cont)
+
+    objs = [n for n in names if rng.random() < 0.9]
+    objs += rng.sample(list(types), rng.randint(0, 1))
+    comps = [NIL] * rng.randint(1, 3)
+    for obj in objs:
+        k = rng.randrange(len(comps))
+        comps[k] = send(obj, comps[k])
+        if rng.random() < 0.2:
+            comps[k] = PInp(TName("chan"), (PVar("x"),), comps[k])
+    return binders, comps, rng.random() < 0.5
+
+
+def _scope_orders(binders, comps, grouped: bool):
+    """The system of `_restricted_scope` with its restrictions in every
+    order, each as a chain of one-binder blocks, as the parser builds it,
+    and as one block of all binders."""
+    if grouped:
+        comps = [Group(f"G{k % 2 + 1}", SBare(c)) for k, c in enumerate(comps)]
+    body = par(*comps)
+    for order in itertools.permutations(binders):
+        chain = body
+        for n, annot in reversed(order):
+            chain = new(n, annot, chain)
+        for s in (chain, Block(order, tuple(comps))):
+            yield s if grouped else Group("G1", SBare(s))
+
+
+def test_binder_order_does_not_decide_typing():
+    """On generated scopes with unannotated restrictions, every order of
+    the restrictions, chained or in one block, gives the same typing
+    outcome: the same interface, or the same error code."""
+    gamma = gen.base_gamma()
+
+    def outcome(s):
+        try:
+            return type_closed(gamma, s, "anon").theta.entries
+        except TypingError as e:
+            return e.code
+
+    typed = failed = 0
+    for seed in range(300):
+        binders, comps, grouped = _restricted_scope(random.Random(seed))
+        outcomes = {outcome(s) for s in _scope_orders(binders, comps, grouped)}
+        assert len(outcomes) == 1, (seed, outcomes)
+        got = outcomes.pop()
+        typed += not isinstance(got, str) and any(a is None for _, a in binders)
+        failed += got == "UnannotatedRestriction"
+    assert typed > 20 and failed > 50, (typed, failed)
 
 
 def _typing_inputs():

@@ -5,64 +5,23 @@ test oracle.
 references, its stores by identity and its permission environment.
 `type_system` walks system nodes and gives a system's free store
 references and its interface; for a bare body it calls `type_process`.
-Each has its own block rule. `_bind_block` hands each binder's inference a
-block built of the later binders and the components, and the inference
-scans that block as a node.
+Each has its own block rule. Both type a block's restrictions as the one
+walk does: the binder types of each scope block come from
+`typesys._scope_types` once, and its nested blocks are handed them.
 """
 
 from typing import Optional
 
 from privcalc.kernel import (
-    Block, Group, Hidden, PIf, PInp, PNil, POut, PRepl, PStore, PrivacyType, Process,
-    SBare, System, TChan, TName, TVar, children, placeholder_vars,
+    Block, Group, Hidden, PIf, PInp, PNil, POut, PRepl, PStore, Process, SBare, System,
 )
 from privcalc.syntax import Gamma, render_term
 from privcalc.typesys import (
-    EMPTY_DELTA, Delta, Theta, ThetaEntry, TypingError, _aggregated_perms, _bind_pattern,
-    _delta_of, _identity_key, _merge_lam, _received_perms,
+    EMPTY_DELTA, Delta, Theta, ThetaEntry, TypingError, _aggregated_perms, _bind_block,
+    _bind_pattern, _delta_of, _scope_types, _identity_key, _merge_lam, _received_perms,
     _ref_target, _resolve_priv, _sent_perms, _stored_perms, _subject_chan, type_match,
     type_value,
 )
-
-
-def _infer_binder_type(gamma: Gamma, name: str, body) -> Optional[PrivacyType]:
-    candidates: set[PrivacyType] = set()
-
-    def scan(nd, bound: frozenset):
-        binds = ()
-        match nd:
-            case POut(s, objs, _) if isinstance(s, (TName, TVar)) and s.name not in bound:
-                sty = gamma.atom_type(s.name)
-                if isinstance(sty, TChan) and len(sty.payload) == len(objs):
-                    for o, ty in zip(objs, sty.payload):
-                        if isinstance(o, (TName, TVar)) and o.name == name:
-                            candidates.add(ty)
-            case PInp(_, pats, _):
-                binds = [v for k in pats for v in placeholder_vars(k)]
-            case Block(bs, _):
-                binds = [n for n, _ in bs]
-        if name in binds:
-            return  # shadowed below
-        if binds:
-            bound = bound.union(binds)
-        for c in children(nd):
-            scan(c, bound)
-
-    scan(body, frozenset([name]))
-    if len(candidates) == 1:
-        return next(iter(candidates))
-    return None
-
-
-def _bind_block(gamma: Gamma, node: Block) -> tuple[Gamma, Optional[str]]:
-    missing = None
-    for k, (n, annot) in enumerate(node.binders):
-        ty = annot or _infer_binder_type(gamma, n, Block(node.binders[k + 1:], node.comps))
-        if ty is not None:
-            gamma = gamma.bind_atom(n, ty)
-        elif missing is None:
-            missing = n
-    return gamma, missing
 
 
 def _unannotated(name: str, span) -> TypingError:
@@ -70,8 +29,14 @@ def _unannotated(name: str, span) -> TypingError:
                        f"cannot determine the type of (new {name})", span)
 
 
-def type_process(gamma: Gamma, p: Process, id_direction: str = "anon"
-                 ) -> tuple[frozenset, tuple, Delta]:
+def _nested(c, types: dict) -> Optional[dict]:
+    """The binder types a component is handed: its scope block's, if it is
+    a block nested in one."""
+    return types if type(c) is Block else None
+
+
+def type_process(gamma: Gamma, p: Process, id_direction: str = "anon",
+                 types: Optional[dict] = None) -> tuple[frozenset, tuple, Delta]:
     match p:
         case PNil():
             return frozenset(), (), EMPTY_DELTA
@@ -130,10 +95,12 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon"
             return lam, zrecs, body.uplus(delta)
 
         case Block(bs, cs):
-            g, missing = _bind_block(gamma, p)
+            if types is None:
+                types = _scope_types(gamma, p)
+            g, missing = _bind_block(gamma, p, types)
             if missing is not None:
                 raise _unannotated(missing, p.span)
-            typings = [type_process(g, c, id_direction) for c in cs]
+            typings = [type_process(g, c, id_direction, _nested(c, types)) for c in cs]
             lam, zrecs, delta = typings[-1]
             for llam, lzrecs, ldelta in reversed(typings[:-1]):
                 lam = _merge_lam(llam, lam, p.span)
@@ -162,17 +129,20 @@ def type_process(gamma: Gamma, p: Process, id_direction: str = "anon"
     raise TypingError("TypeMismatch", f"not a process: {p!r}")
 
 
-def _type_system(gamma: Gamma, s: System, id_direction: str) -> tuple[frozenset, Theta]:
+def _type_system(gamma: Gamma, s: System, id_direction: str,
+                 types: Optional[dict] = None) -> tuple[frozenset, Theta]:
     match s:
         case Group(group, body):
             lam, theta = _type_system(gamma, body, id_direction)
             return lam, theta.prefixed(group)
 
         case Block(bs, cs):
-            g, missing = _bind_block(gamma, s)
+            if types is None:
+                types = _scope_types(gamma, s)
+            g, missing = _bind_block(gamma, s, types)
             if missing is not None:
                 raise _unannotated(missing, s.span)
-            typings = [_type_system(g, c, id_direction) for c in cs]
+            typings = [_type_system(g, c, id_direction, _nested(c, types)) for c in cs]
             lam, theta = typings[-1]
             for llam, ltheta in reversed(typings[:-1]):
                 lam = _merge_lam(llam, lam, s.span)
