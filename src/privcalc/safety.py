@@ -245,7 +245,7 @@ def _bind(gamma: Gamma, nd: Block) -> tuple[Block, Gamma, bool]:
     environment beyond the names in use, through `_grounds_of`, and a wider
     one can only raise its counts."""
     nd = _hoisted(nd)
-    inner, _ = _bind_block(gamma, nd)
+    inner, _, _ = _bind_block(gamma, nd)
     return nd, inner, not any(a is None or _entries(gamma, n) for n, a in nd.binders)
 
 

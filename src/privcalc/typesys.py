@@ -486,13 +486,15 @@ def _scope_types(gamma: Gamma, node: Block) -> dict[tuple[int, int], PrivacyType
 
 
 def _bind_block(gamma: Gamma, node: Block, types: Optional[dict] = None
-                ) -> tuple[Gamma, Optional[str]]:
+                ) -> tuple[Gamma, Optional[str], Optional[dict]]:
     """The environment extended with the block's restrictions, in order,
-    typed as `_scope_types` types them: from `types`, the types of the
-    scope block it belongs to when a block around it there has an
-    unannotated binder, or else by their annotations if they all have one;
-    and the first binder whose type cannot be determined, which stays
-    unbound."""
+    typed as `_scope_types` types them; the first binder whose type cannot
+    be determined, which stays unbound; and the binder types used, to hand
+    to the blocks nested in it as components. `types` are those of the
+    scope block that `node` belongs to, inferred at its outermost block
+    with an unannotated binder; with none, a block whose binders are all
+    annotated binds their annotations, and any other block infers its
+    own scope."""
     if types is None and any(a is None for _, a in node.binders):
         types = _scope_types(gamma, node)
     missing = None
@@ -502,7 +504,7 @@ def _bind_block(gamma: Gamma, node: Block, types: Optional[dict] = None
             gamma = gamma.bind_atom(n, ty)
         elif missing is None:
             missing = n
-    return gamma, missing
+    return gamma, missing, types
 
 
 def type_process(gamma: Gamma, p: Process | System, id_direction: str = "anon") -> Typing:
@@ -601,14 +603,9 @@ def type_process(gamma: Gamma, p: Process | System, id_direction: str = "anon") 
 
 def _type_block(gamma: Gamma, p: Block, id_direction: str,
                 types: Optional[dict] = None) -> Typing:
-    """The block rule. The types of the binders of the scope block that
-    `p` belongs to (`_scope_types`) are inferred at its outermost block
-    with an unannotated binder, and handed to the blocks nested in it; a
-    block whose own binders are all annotated fixes their types, so each
-    block nested in it infers its own scope alike."""
-    if types is None and any(a is None for _, a in p.binders):
-        types = _scope_types(gamma, p)
-    g, missing = _bind_block(gamma, p, types)
+    """The block rule. `types` are the binder types of the scope block
+    that `p` belongs to, as `_bind_block` takes and gives them."""
+    g, missing, types = _bind_block(gamma, p, types)
     if missing is not None:
         raise TypingError("UnannotatedRestriction",
                           f"cannot determine the type of (new {missing})", p.span)

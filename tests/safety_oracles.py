@@ -71,7 +71,7 @@ def count_links(p: Process, gamma: Gamma, target: TChan, literal: bool = False,
                             pass
                 return go(cont, g3)
             case Block(_, comps):
-                g3, _ = _bind_block(gamma2, nd)
+                g3, _, _ = _bind_block(gamma2, nd)
                 return sum(go(c, g3) for c in comps)
             case PRepl(body):
                 return go(body, gamma2)
@@ -151,7 +151,7 @@ def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
 def _scan_process(ctx: _ClauseCtx, gamma: Gamma, p: Process):
     comps = [p]
     if isinstance(p, Block):
-        gamma, _ = _bind_block(gamma, p)
+        gamma, _, _ = _bind_block(gamma, p)
         comps = p.comps
     stores = [c for c in comps if isinstance(c, PStore)]
     for i in range(len(stores)):
@@ -271,7 +271,7 @@ def detect_errors(policy: Policy, gamma: Gamma, s: System,
             case Group(group, body):
                 walk(body, path + (group,), g)
             case Block(_, comps):
-                g2, _ = _bind_block(g, node)
+                g2, _, _ = _bind_block(g, node)
                 for c in comps:
                     walk(c, path, g2)
             case SBare(proc):

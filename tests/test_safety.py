@@ -509,7 +509,7 @@ def _contexts(node, gamma):
         case Group(_, body):
             yield from _contexts(body, gamma)
         case Block(_, comps):
-            g2, _ = _bind_block(gamma, node)
+            g2, _, _ = _bind_block(gamma, node)
             for c in comps:
                 yield from _contexts(c, g2)
         case SBare(proc):

@@ -5,23 +5,125 @@ test oracle.
 references, its stores by identity and its permission environment.
 `type_system` walks system nodes and gives a system's free store
 references and its interface; for a bare body it calls `type_process`.
-Each has its own block rule. Both type a block's restrictions as the one
-walk does: the binder types of each scope block come from
-`typesys._scope_types` once, and its nested blocks are handed them.
+Each has its own block rule. The restrictions of a scope block (a block
+and the blocks nested in it as components) are typed here on their own
+terms, by `_scope_types`: in rounds, each round rescanning the scope of
+every binder not yet typed, and reading only the types of the rounds
+before it. Its nested blocks are handed the types.
 """
 
 from typing import Optional
 
 from privcalc.kernel import (
-    Block, Group, Hidden, PIf, PInp, PNil, POut, PRepl, PStore, Process, SBare, System,
+    Block, Group, Hidden, PIf, PInp, PNil, POut, PRepl, PStore, PrivacyType, Process,
+    SBare, System, TChan, TName, TVar, children, placeholder_vars,
 )
 from privcalc.syntax import Gamma, render_term
 from privcalc.typesys import (
-    EMPTY_DELTA, Delta, Theta, ThetaEntry, TypingError, _aggregated_perms, _bind_block,
-    _bind_pattern, _delta_of, _scope_types, _identity_key, _merge_lam, _received_perms,
-    _ref_target, _resolve_priv, _sent_perms, _stored_perms, _subject_chan, type_match,
-    type_value,
+    EMPTY_DELTA, Delta, Theta, ThetaEntry, TypingError, _aggregated_perms, _bind_pattern,
+    _delta_of, _identity_key, _merge_lam, _received_perms, _ref_target, _resolve_priv,
+    _sent_perms, _stored_perms, _subject_chan, type_match, type_value,
 )
+
+
+def _scope_binders(node: Block, seen: tuple = ()) -> list:
+    """The binders of the scope block `node`, its own and those of the
+    blocks nested in it as components: (block, position, name, annotation,
+    the scope binders around it as (key, name), outermost first)."""
+    out = []
+    for k, (n, annot) in enumerate(node.binders):
+        out.append((node, k, n, annot, seen))
+        seen = seen + (((id(node), k), n),)
+    for c in node.comps:
+        if type(c) is Block:
+            out += _scope_binders(c, seen)
+    return out
+
+
+def _candidates(gamma: Gamma, types: dict, node: Block, k: int, seen: tuple
+                ) -> set[PrivacyType]:
+    """The payload types at which an output in the scope of binder `k` of
+    `node` sends it on a subject typed by Γ or by a binder of the scope
+    block that `types` types. A name bound by an input or by a restriction
+    under a prefix has no type to read; a binder of the same name shadows
+    it below."""
+    name = node.binders[k][0]
+    g, bound = gamma, frozenset()
+    for key, n in seen:
+        g, bound = _enter(g, bound, n, types.get(key))
+    candidates: set[PrivacyType] = set()
+
+    def scan(nd, g: Gamma, bound: frozenset):
+        binds = ()
+        match nd:
+            case POut(s, objs, _) if isinstance(s, (TName, TVar)) and s.name not in bound:
+                sty = g.atom_type(s.name)
+                if isinstance(sty, TChan) and len(sty.payload) == len(objs):
+                    for o, ty in zip(objs, sty.payload):
+                        if isinstance(o, (TName, TVar)) and o.name == name:
+                            candidates.add(ty)
+            case PInp(_, pats, _):
+                binds = [v for p in pats for v in placeholder_vars(p)]
+            case Block(bs, _):
+                binds = [n for n, _ in bs]
+        if name in binds:
+            return  # shadowed below
+        for c in children(nd):
+            scan(c, g, bound.union(binds))
+
+    def scope(blk: Block, start: int, g: Gamma, bound: frozenset):
+        for j in range(start, len(blk.binders)):
+            n = blk.binders[j][0]
+            if n == name:
+                return  # shadowed here
+            g, bound = _enter(g, bound, n, types.get((id(blk), j)))
+        for c in blk.comps:
+            if type(c) is Block:
+                scope(c, 0, g, bound)
+            else:
+                scan(c, g, bound)
+
+    scope(node, k + 1, g, bound | {name})
+    return candidates
+
+
+def _enter(g: Gamma, bound: frozenset, name: str, ty: Optional[PrivacyType]
+           ) -> tuple[Gamma, frozenset]:
+    """Γ and the names without a type to read, under a scope binder: typed
+    in Γ if it has a type, else bound."""
+    if ty is None:
+        return g, bound | {name}
+    return g.bind_atom(name, ty), bound - {name}
+
+
+def _scope_types(gamma: Gamma, node: Block) -> dict:
+    """The types of the restrictions of the scope block `node`, keyed by
+    their block's id and position: an annotated binder's annotation, and
+    an unannotated one's only candidate, in the first round that has one.
+    A round reads only the types of the rounds before it."""
+    binders = _scope_binders(node)
+    types = {(id(b), k): a for b, k, _, a, _ in binders if a is not None}
+    while True:
+        found = {}
+        for b, k, _, _, seen in binders:
+            if (id(b), k) not in types:
+                candidates = _candidates(gamma, types, b, k, seen)
+                if len(candidates) == 1:
+                    found[id(b), k] = candidates.pop()
+        if not found:
+            return types
+        types.update(found)
+
+
+def _bind_block(gamma: Gamma, node: Block, types: dict) -> tuple[Gamma, Optional[str]]:
+    missing = None
+    for k, (n, _) in enumerate(node.binders):
+        ty = types.get((id(node), k))
+        if ty is not None:
+            gamma = gamma.bind_atom(n, ty)
+        elif missing is None:
+            missing = n
+    return gamma, missing
 
 
 def _unannotated(name: str, span) -> TypingError:
