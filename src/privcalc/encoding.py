@@ -13,13 +13,12 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .kernel import (
-    Block, DConst, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut,
-    PPair, PRepl, PStore, PVar, PrivateData, Process, Record, TConst, TDual,
-    TName, TPriv, TVar, Term, children, field, free_atoms, fresh_name,
-    normalize, placeholder_vars, replace, with_children, _alpha_key, _block,
-    _normalize1, _setattr,
+    Block, DVar, IVar, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair, PRepl,
+    PStore, PVar, PrivateData, Process, Record, TConst, TDual, TName, TPriv,
+    TVar, Term, children, field, free_atoms, fresh_name, normalize, replace,
+    with_children, _alpha_key, _block, _normalize1, _setattr,
 )
-from .syntax import _is_par, _render_placeholder, render_process, render_term
+from .syntax import _is_par, _lex, _render_placeholder, render_process, render_term
 from .semantics import _eval_cond, reference_names, search, tau_successors
 
 __all__ = [
@@ -98,43 +97,11 @@ def encode(p: Process, refs: Optional[frozenset[str]] = None) -> Process:
 
 
 def _all_atoms(p: Process) -> set[str]:
-    """Every token in the term, bound or free, to keep fresh names clear."""
-    out: set[str] = set()
-
-    def term(t: Term):
-        match t:
-            case TName(n) | TDual(n) | TVar(n):
-                out.add(n)
-            case TConst(c):
-                out.add(c)
-            case TPriv(pd):
-                if isinstance(pd.identity, Known):
-                    out.add(pd.identity.ident)
-                elif isinstance(pd.identity, IVar):
-                    out.add(pd.identity.name)
-                out.add(pd.data.token if isinstance(pd.data, DConst) else pd.data.name)
-
-    stack = [p]
-    while stack:
-        nd = stack.pop()
-        match nd:
-            case POut(s, objs, _):
-                for t in (s, *objs):
-                    term(t)
-            case PInp(s, pats, _):
-                term(s)
-                for k in pats:
-                    out.update(placeholder_vars(k))
-            case Block(binders, _):
-                out.update(n for n, _ in binders)
-            case PIf(_, a, b, _, _):
-                term(a)
-                term(b)
-            case PStore(ref, datum):
-                out.add(ref)
-                term(TPriv(datum))
-        stack.extend(children(nd))
-    return out
+    """Every token in the term, bound or free, to keep fresh names clear:
+    the names, variables, identities and constants that the printer writes
+    for it, read back by the lexer. Keywords and the type names of
+    annotations come along, and only keep a fresh name off them too."""
+    return {tok.text for tok in _lex(render_process(p)) if tok.kind in ("IDENT", "NAT")}
 
 
 def _encode_store(ref: str, datum: PrivateData, fresh: _Fresh) -> Process:
@@ -380,11 +347,13 @@ def check_correspondence(p: Process, bound: int) -> CorrespondenceReport:
     report = CorrespondenceReport()
     refs = reference_names(p)
     enc_root = encode(p, refs)
-    # normal forms are canonically renamed, so alpha-equivalent source
-    # successors are equal
-    uniq = list(dict.fromkeys(normalize(s) for s in tau_successors(p)))
-    report.source_steps = len(uniq)
-    enc_targets = [_state(encode(s, refs))[0] for s in uniq]
+    # one source step per `_alpha_key` of its normal form, the first met,
+    # as the encoded states are told apart
+    steps: dict[str, Process] = {}
+    for s in map(normalize, tau_successors(p)):
+        steps.setdefault(_alpha_key(s), s)
+    report.source_steps = len(steps)
+    enc_targets = [_state(encode(s, refs))[0] for s in steps.values()]
 
     succs: dict[str, list[State]] = {}
 
@@ -402,7 +371,7 @@ def check_correspondence(p: Process, bound: int) -> CorrespondenceReport:
         return not pending
 
     met, _, exhausted = search(root, successors, bound, all_met)
-    for key, s in zip(enc_targets, uniq):
+    for key, s in zip(enc_targets, steps.values()):
         desc = render_process(s)
         if key in met:
             report.sound.append(desc)

@@ -153,6 +153,42 @@ class TestExitCodes:
         assert (r.returncode, r.stderr) == (0, "")
         assert r.stdout.endswith("states 8 edges 12\n")
 
+    @pytest.mark.parametrize("argv, last", [
+        (["typecheck", "twins.pc", "--env", "twins.env"],
+         "theta type=t path=G perms={disseminate G 962,reference}"),
+        (["verify", "twins.pc", "--env", "twins.env", "--policy", "twins.ppo"], "satisfied"),
+        (["errors", "twins.pc", "--env", "twins.env", "--policy", "twins.ppo"], "no findings"),
+        (["scan", "twins.pc", "--env", "twins.env", "--policy", "twins.ppo", "--depth", "3"],
+         "safety scan: ok (3 states)"),
+        (["simulate", "twins.pc", "--env", "twins.env", "--depth", "3", "--preserve"],
+         "preservation: ok (2 edges)"),
+        (["encode", "twins_process.pc", "--correspondence", "2"],
+         "correspondence: ok (1 source steps, 1 encoded steps)"),
+        (["encode", "twins_process_400.pc", "--correspondence", "1"],
+         "correspondence: ok (1 source steps, 1 encoded steps)"),
+    ], ids=["typecheck", "verify", "errors", "scan", "simulate", "encode", "encode_400"])
+    def test_every_command_on_equal_deep_chains(self, tmp_path, argv, last):
+        # two sends on distinct restricted channels, each followed by the
+        # same deep chain (480 levels, and 400): the two steps reach one
+        # normal form through distinct deep terms, which the correspondence
+        # check compared level by level (exit 3)
+        def body(depth):
+            chain = "c!<k>. " * depth + "0"
+            return f"(n!<k>. {chain} | m!<k>. {chain} | n?(x). 0 | m?(x). 0)"
+
+        files = {
+            "twins.pc": f"G[ (new n : G[G[t<g>]]) (new m : G[G[t<g>]]) {body(480)} ]\n",
+            "twins_process.pc": f"(new n) (new m) {body(480)}\n",
+            "twins_process_400.pc": f"(new n) (new m) {body(400)}\n",
+            "twins.env": "c : G[G[t<g>]]\nk : G[t<g>]\n",
+            "twins.ppo": "private t >> G {read, update, reference, disseminate G inf};\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        r = run(*(str(tmp_path / a) if "." in a else a for a in argv))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.endswith(last + "\n")
+
     def test_encode_process(self, tmp_path):
         f = tmp_path / "st.pc"
         f.write_text("store r {id # c} | r?(x # y). 0")

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -10,6 +11,7 @@ from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
     PRepl, PStore, PVar, PrivateData, TChan, TConst, TDual, TName, TPriv,
     TPrivate, TPurpose, _alpha_key, _erased_key, alpha_eq, free_names, normalize,
+    placeholder_vars,
 )
 from privcalc import encoding
 from privcalc.encoding import (
@@ -17,9 +19,10 @@ from privcalc.encoding import (
     _state, check_correspondence, core_canonical, encode, render_core,
     select, branch,
 )
-from privcalc.semantics import reference_names, search, tau_successors
-from privcalc.syntax import parse_process, render_process
+from privcalc.semantics import explore, reference_names, search, tau_successors
+from privcalc.syntax import RESERVED, _lex, parse_process, render_process, render_type
 
+import encoding_oracles
 import gen
 import kernel_oracles
 from gen import par
@@ -87,6 +90,122 @@ class TestEncode:
     def test_fresh_name_hygiene(self):
         for p in gen.store_programs():
             assert free_names(encode(p)) == free_names(p)
+
+    def test_fresh_names_avoid_source_tokens(self):
+        # every free name, constant, identity and binder is one of the
+        # encoder's base names, so each name it introduces must move off one
+        p = parse_process(_BASE_NAMES).value
+        core = encode(p)
+        introduced = Counter(_binders(core)) - Counter(_binders(p))
+        assert introduced and not set(introduced) & encoding_oracles.all_atoms(p)
+        assert render_core(core) == _BASE_NAMES_CORE
+
+
+# A program whose tokens are the encoder's base names, and its encoding.
+_BASE_NAMES = (
+    "(new l) (new cell) (new a) (store l {hid # sx} | store b {e # sy} | "
+    "l?({sw # sz}). a!<sw>. 0 | l?({_ # wx}). cell!<wx>. 0 | "
+    "l!<{hid # wy}>. a?(lbl). 0 | b!<{e # wz}>. 0 | b?({hid # lbl}). 0)")
+_BASE_NAMES_CORE = (
+    "(new l) (new cell) (new a) ((new cell_0) (cell_0!<{hid # sx}>. 0 | "
+    "* l?(l_0). cell_0?({sx_0 # sy_0}). l_0 |> { rd: l_0!<{sx_0 # sy_0}>. "
+    "cell_0!<{sx_0 # sy_0}>. 0, wr: l_0?({sw_0 # sz_0}). if sw_0 = hid then "
+    "(l_0 <| ok. cell_0!<{sw_0 # sz_0}>. 0) else (l_0 <| fail. cell_0!<{sx_0 # sy_0}>. 0) }) | "
+    "(new cell_1) (cell_1!<{e # sy}>. 0 | * b?(l_1). cell_1?({sx_1 # sy_1}). l_1 |> { rd: "
+    "l_1!<{sx_1 # sy_1}>. cell_1!<{sx_1 # sy_1}>. 0, wr: l_1?({sw_1 # sz_1}). if sw_1 = e "
+    "then (l_1 <| ok. cell_1!<{sw_1 # sz_1}>. 0) else (l_1 <| fail. "
+    "cell_1!<{sx_1 # sy_1}>. 0) }) | (new a_0) l!<a_0>. a_0 <| rd. a_0?({sw # sz}). "
+    "a!<sw>. 0 | (new a_1) l!<a_1>. a_1 <| rd. a_1?({hid_0 # wx}). cell!<wx>. 0 | "
+    "(new a_2) (new b_0) (b_0!<{hid # wy}>. 0 | * b_0?({wx_0 # wy_0}). (new e_0) "
+    "l!<e_0>. e_0 <| wr. e_0!<{wx_0 # wy_0}>. e_0 |> { ok: a_2!<unit>. 0, fail: "
+    "b_0!<{wx_0 # wy_0}>. 0 } | a_2?(wz_0). a?(lbl). 0) | (new a_3) (new b_1) "
+    "(b_1!<{e # wz}>. 0 | * b_1?({wx_1 # wy_1}). (new e_1) b!<e_1>. e_1 <| wr. "
+    "e_1!<{wx_1 # wy_1}>. e_1 |> { ok: a_3!<unit>. 0, fail: b_1!<{wx_1 # wy_1}>. 0 } | "
+    "a_3?(wz_1). 0) | (new a_4) b!<a_4>. a_4 <| rd. a_4?({hid # lbl}). 0)")
+
+# One process with every construct the printer writes: a store, dual
+# endpoints, hidden identities, pair and anonymous patterns, annotations on
+# restrictions and inputs, an input power, a conditional and a replication.
+_EVERY_CONSTRUCT = (
+    "(new n : G[t<g>]) (new s) (store r {id # 5} | r?({x # y} : t<g>). n!<{x # y}>. 0 | "
+    "r?({_ # z}). 0 | (r?({u # v}))^2 s!<u>. 0 | "
+    "~s?(w). if w = v then 0 else n!<{_ # 7}>. 0 | ~s!<k>. 0 | "
+    "* a?(q). (new h : G[G[t<g>]]) h!<q>. 0)")
+
+
+def _binders(p) -> list[str]:
+    """The names that the restrictions and the input patterns of `p` bind,
+    one entry per binding."""
+    out, stack = [], [p]
+    while stack:
+        nd = stack.pop()
+        if isinstance(nd, Block):
+            out += [n for n, _ in nd.binders]
+        elif isinstance(nd, PInp):
+            out += [x for k in nd.patterns for x in placeholder_vars(k)]
+        stack.extend(kernel.children(nd))
+    return out
+
+
+def _annotation_tokens(p) -> set[str]:
+    """The tokens of the types that annotate restrictions and inputs in `p`."""
+    out, stack = set(), [p]
+    while stack:
+        nd = stack.pop()
+        annots = ([a for _, a in nd.binders] if isinstance(nd, Block)
+                  else nd.annots or () if isinstance(nd, PInp) else ())
+        for a in annots:
+            if a is not None:
+                out |= {tok.text for tok in _lex(render_type(a))}
+        stack.extend(kernel.children(nd))
+    return out
+
+
+def test_token_set_covers_the_walker():
+    """The tokens the encoder reads off the printed term hold every token
+    the former walker finds; the others are keywords, the `0` of the inert
+    process or tokens of annotations. On the store programs, their
+    encodings, every source state `explore` reaches from them within bound
+    12 and a process with every construct."""
+    programs = gen.store_programs()
+    terms = [*programs, *map(encode, programs),
+             *(q for p in programs for q in explore(p, 12).nodes.values()),
+             parse_process(_EVERY_CONSTRUCT).value, parse_process(_BASE_NAMES).value]
+    assert len(terms) == 26 + 26 + 97 + 2
+    for q in terms:
+        tokens, walked = encoding._all_atoms(q), encoding_oracles.all_atoms(q)
+        assert walked <= tokens, render_process(q)
+        assert tokens - walked <= RESERVED | {"0"} | _annotation_tokens(q), render_process(q)
+    every = terms[-2]
+    assert {"G", "t", "g"} <= encoding._all_atoms(every) - encoding_oracles.all_atoms(every)
+
+
+def test_kept_source_steps_match_the_old_dedup(monkeypatch):
+    """`check_correspondence` keeps the first source step of each
+    `_alpha_key` of a normal form: the normal forms that the former dedup by
+    equality kept, in the same order. The check encodes the source and then
+    each step it keeps, so the encoded terms after the first are the kept
+    steps. On the store programs, every source state `explore` reaches from
+    them within bound 12, and two sends on distinct channels whose steps
+    reach one normal form."""
+    encoded = []
+
+    def recording(q, refs=None):
+        encoded.append(q)
+        return encode(q, refs)
+
+    monkeypatch.setattr(encoding, "encode", recording)
+    twins = parse_process("(new n) (new m) (n!<k>. c!<k>. 0 | m!<k>. c!<k>. 0 | "
+                          "n?(x). 0 | m?(x). 0)").value
+    sources = [q for p in gen.store_programs() for q in [p, *explore(p, 12).nodes.values()]]
+    merged = 0
+    for q in [*sources, twins]:
+        encoded.clear()
+        report = check_correspondence(q, 0)
+        kept = encoding_oracles.source_steps(q)
+        assert encoded[1:] == kept and report.source_steps == len(kept), render_process(q)
+        merged += len(tau_successors(q)) - len(kept)
+    assert len(sources) == 26 + 97 and merged == 1
 
 
 class TestCoreStep:

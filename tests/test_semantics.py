@@ -946,6 +946,10 @@ _SIBLINGS = {
         "G[ a!<k>. 0 | a?(x). b!<x>. 0 | a?(x). c!<x>. 0 ]", 2, 2),
     "readers_differ_in_an_input_annotation": (
         "G[ a!<k>. 0 | a?(x). b?(y : G1[t<g>]). 0 | a?(x). b?(y : G1[p<g>]). 0 ]", 2, 2),
+    # fed as one group, so the readers are told apart by `feed`, not by
+    # the pairs of the top block
+    "grouped_readers_differ_in_an_input_annotation": (
+        "G[ a!<k>. 0 ] || H[ a?(x). b?(y : G1[t<g>]). 0 | a?(x). b?(y : G1[p<g>]). 0 ]", 2, 2),
     "readers_differ_in_a_restriction_annotation": (
         "G[ a!<k>. 0 | a?(x). (new n : G1[t<g>]) n!<x>. 0"
         " | a?(x). (new n : G1[p<g>]) n!<x>. 0 ]", 2, 2),
