@@ -16,7 +16,7 @@ from typing import Optional
 from .encoding import EncodingError, check_correspondence, encode, render_core
 from .kernel import KernelError
 from .policy import check_wellformed
-from .safety import detect_errors, safety_scan
+from .safety import SHOWN_UNCHECKED, error_report, safety_scan, unchecked_summary
 from .satisfaction import verify
 from .semantics import check_preservation, explore
 from .syntax import Gamma, parse_env, parse_policy, parse_process, parse_system
@@ -150,19 +150,31 @@ def _cmd_errors(args) -> int:
     gamma = _load(args.env, parse_env)
     policy = _load(args.policy, parse_policy)
     system = _load(args.file, parse_system, gamma)
-    findings = detect_errors(policy, gamma, system, id_direction=args.id_direction,
-                             countlink_literal=args.countlink_literal)
+    findings, unchecked = error_report(policy, gamma, system, id_direction=args.id_direction,
+                                       countlink_literal=args.countlink_literal)
     if args.format == "records":
         for f in findings:
             rec = f.record()
             print(" ".join(f"{k}={rec[k]}" for k in
                            ("clause", "type", "path", "permission")))
+        for u in unchecked:
+            print("unchecked " + " ".join(f"{k}={v}" for k, v in u.record().items()))
+    elif unchecked and not findings:
+        print(_paint(unchecked_summary(unchecked), "33"))
+        for u in unchecked[:SHOWN_UNCHECKED]:
+            print(f"  {u.render()}")
     else:
         if not findings:
             print(_paint("no findings", "32"))
         for f in findings:
             print(f.render())
-    return EXIT_VIOLATION if findings else EXIT_OK
+    return _verdict(findings, unchecked)
+
+
+def _verdict(findings: list, unchecked: list) -> int:
+    """Findings are a violation; with none, a prefix whose clauses were not
+    read leaves no verdict, as a typing failure does."""
+    return EXIT_VIOLATION if findings else EXIT_ERROR if unchecked else EXIT_OK
 
 
 def _cmd_scan(args) -> int:
@@ -173,7 +185,7 @@ def _cmd_scan(args) -> int:
                          id_direction=args.id_direction,
                          countlink_literal=args.countlink_literal)
     print(report.render())
-    return EXIT_VIOLATION if report.findings else EXIT_OK
+    return _verdict(report.findings, report.unchecked)
 
 
 def _cmd_encode(args) -> int:

@@ -10,6 +10,7 @@ normalizer and the transition engine apply unchanged to core terms.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 from .kernel import (
@@ -18,7 +19,7 @@ from .kernel import (
     TVar, Term, children, field, free_atoms, fresh_name, normalize, replace,
     with_children, _alpha_key, _block, _normalize1, _setattr,
 )
-from .syntax import _is_par, _lex, _render_placeholder, render_process, render_term
+from .syntax import _is_par, _render_placeholder, render_process, render_term
 from .semantics import _eval_cond, reference_names, search, tau_successors
 
 __all__ = [
@@ -96,12 +97,20 @@ def encode(p: Process, refs: Optional[frozenset[str]] = None) -> Process:
     return enc(p)
 
 
+# a run of word characters and primes, but not the '_' of a hidden identity:
+# every printed name, variable, identity and constant that a fresh name could
+# equal is a whole one
+_WORD_RUN = re.compile(r"[^\W_][\w']*|_[\w']+")
+
+
 def _all_atoms(p: Process) -> set[str]:
     """Every token in the term, bound or free, to keep fresh names clear:
-    the names, variables, identities and constants that the printer writes
-    for it, read back by the lexer. Keywords and the type names of
-    annotations come along, and only keep a fresh name off them too."""
-    return {tok.text for tok in _lex(render_process(p)) if tok.kind in ("IDENT", "NAT")}
+    the runs of word characters in what the printer writes for it. A fresh
+    name (`base` or `base_i`) is one such run, and the printer writes each
+    token it could equal between characters that end a run, so avoiding
+    the runs is enough; keywords and the type names of annotations come
+    along, and a token the lexer would not read back only adds runs."""
+    return set(_WORD_RUN.findall(render_process(p)))
 
 
 def _encode_store(ref: str, datum: PrivateData, fresh: _Fresh) -> Process:

@@ -6,20 +6,22 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import (
-    Block, Group, IVar, Known, PIf, PInp, POut, PRepl, PStore, PrivacyType,
+    Block, Group, IVar, Known, NIL, PIf, PInp, POut, PRepl, PStore, PrivacyType,
     Process, Record, SBare, Span, System, TChan, TName, TPrivate, TVar, Term,
-    field, normalize, placeholder_vars, _canonical_shaped, _hoisted, _setattr,
+    field, normalize, placeholder_vars, replace, _canonical_shaped, _hoisted,
+    _setattr,
 )
 from .policy import (
     EMPTY_PERMS, Lambda, Nondisclosure, Perm, PermSet, Policy, covers, descent,
 )
-from .syntax import Gamma, render_process
+from .syntax import Gamma, render_process, render_term
 from .typesys import (TypingError, _aggregated_perms, _bind_block, _bind_pattern,
                       _match_perms, _received_perms, _ref_target, _resolve_operand,
                       _sent_perms, _stored_perms, type_value)
 from .semantics import explore
 
-__all__ = ["ErrorFinding", "count_links", "detect_errors", "safety_scan", "ScanReport"]
+__all__ = ["ErrorFinding", "Unchecked", "count_links", "detect_errors", "error_report",
+           "safety_scan", "ScanReport"]
 
 
 class ErrorFinding(Record):
@@ -44,6 +46,39 @@ class ErrorFinding(Record):
             "span": str(self.span) if self.span else "",
             "subterm": self.subterm,
         }
+
+
+# what each kind of unchecked prefix is
+UNCHECKED_KINDS = {"subject": "untyped subject", "arity": "arity mismatch",
+                   "operand": "untyped operand", "pattern": "unbound pattern"}
+
+
+class Unchecked(Record):
+    """A prefix whose error clauses the detector could not read: its subject
+    has no channel type, its channel carries another number of values, an
+    operand of its condition has no type, or a pattern does not bind at the
+    type the channel carries. Not a finding, but no verdict on the prefix."""
+    kind: str  # a key of UNCHECKED_KINDS
+    group_path: tuple[str, ...]
+    subterm: str  # the prefix or condition, without what follows it
+    span: Optional[Span] = field(default=None, compare=False)
+
+    def render(self) -> str:
+        path = ".".join(self.group_path) or "<bare>"
+        at = f"{self.span}: " if self.span else ""
+        return f"{at}{UNCHECKED_KINDS[self.kind]} at {path} [{self.subterm}]"
+
+    def record(self) -> dict:
+        return {"kind": self.kind, "path": ".".join(self.group_path),
+                "span": str(self.span) if self.span else ""}
+
+
+def _head(nd) -> str:
+    """A prefix or condition, without its continuation or branches."""
+    match nd:
+        case PIf(op, lhs, rhs, _, _):
+            return f"if {render_term(lhs)} {op} {render_term(rhs)}"
+    return render_process(replace(nd, cont=NIL)).removesuffix(". 0")
 
 
 def _subject_type(gamma: Gamma, subject) -> Optional[TChan]:
@@ -106,6 +141,7 @@ class _ClauseCtx(Record, frozen=False):
     id_direction: str = "anon"
     links: Optional[list[Link]] = None  # output objects, when collected
     exact: bool = True  # False where the body may read otherwise normalized
+    unchecked: list[Unchecked] = field(default_factory=list)
 
 
 def _grants(policy: Policy, path: tuple[str, ...]) -> tuple[dict, dict, tuple[Budget, ...]]:
@@ -151,11 +187,17 @@ def _require(ctx: _ClauseCtx, t: str, perm: Perm, nd, span: Optional[Span]):
         _emit(ctx, _CLAUSES[perm.kind], t, text, nd, span)
 
 
+def _skip(ctx: _ClauseCtx, kind: str, nd):
+    """Note that the clauses at the prefix or condition `nd` are unread."""
+    ctx.unchecked.append(Unchecked(kind, ctx.path, _head(nd), nd.span))
+
+
 def _scan_if(ctx: _ClauseCtx, gamma: Gamma, nd: PIf):
     try:
         a = _resolve_operand(gamma, nd.lhs, nd.span)
         b = _resolve_operand(gamma, nd.rhs, nd.span)
     except TypingError:
+        _skip(ctx, "operand", nd)
         return
     for t, perm in _match_perms(a, b, nd.op, ctx.id_direction):
         _require(ctx, t, perm, nd, nd.span)
@@ -170,7 +212,8 @@ def _unifiable(i1, i2) -> bool:
 def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
     """Evaluate clauses 1-9 and 11 on a process, descending through
     prefixes and blocks with the environment extended by their bindings,
-    and list every output object in `ctx.links` when it is a list."""
+    and list every output object in `ctx.links` when it is a list. A
+    prefix whose clauses cannot be read is noted in `ctx.unchecked`."""
     match nd:
         case Block():
             nd, gamma, settled = _bind(gamma, nd)
@@ -194,7 +237,7 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                 _require(ctx, t, perm, nd, nd.span)
         case POut(subject, objects, cont):
             sty = _subject_type(gamma, subject)
-            if sty is not None and len(sty.payload) == len(objects):
+            if _typed(ctx, sty, len(objects), nd):
                 for want in sty.payload:
                     for t, perm in _sent_perms(want, sty.group):
                         _require(ctx, t, perm, nd, nd.span)
@@ -211,7 +254,7 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             sty = _subject_type(gamma, subject)
             inner = gamma
             bound = []
-            if sty is not None and len(sty.payload) == len(patterns):
+            if _typed(ctx, sty, len(patterns), nd):
                 annots = nd.annots or tuple(None for _ in patterns)
                 for k, want, an in zip(patterns, sty.payload, annots):
                     for t, perm in _received_perms(k, want):
@@ -219,6 +262,7 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
                     try:
                         inner = _bind_pattern(inner, k, want, an)
                     except TypingError:
+                        _skip(ctx, "pattern", nd)
                         continue
                     bound.append(k)
             if ctx.exact and _hides(gamma, inner, patterns, bound):
@@ -230,6 +274,18 @@ def _scan(ctx: _ClauseCtx, gamma: Gamma, nd: Process):
             _scan_if(ctx, gamma, nd)
             _scan(ctx, gamma, then)
             _scan(ctx, gamma, els)
+
+
+def _typed(ctx: _ClauseCtx, sty: Optional[TChan], arity: int, nd) -> bool:
+    """Whether the clauses of the prefix `nd` can be read: its subject has a
+    channel type `sty` that carries `arity` values. If not, it is noted."""
+    if sty is None:
+        _skip(ctx, "subject", nd)
+    elif len(sty.payload) != arity:
+        _skip(ctx, "arity", nd)
+    else:
+        return True
+    return False
 
 
 def _bind(gamma: Gamma, nd: Block) -> tuple[Block, Gamma, bool]:
@@ -321,7 +377,8 @@ class _Detector:
     merged with its nested blocks, and its normal form (a state of
     `explore` is its own) when that walk is not settled.
 
-    The findings of a context are kept by its body (the object, never
+    The findings of a context, and the prefixes in it whose clauses could
+    not be read (`Unchecked`), are kept by its body (the object, never
     compared field by field), its group path and the bindings of the
     blocks above it, which fix its environment. A context that many
     states share is checked once, and each path of a hierarchy is
@@ -338,33 +395,38 @@ class _Detector:
         # captured by a renamed binder: then every context is normalized
         self.fast = not any(map(_canonical_shaped,
                                 (*gamma.atoms, *(t for key in gamma.privs for t in key))))
-        self.seen: dict[tuple, tuple[Process, list[ErrorFinding]]] = {}
+        self.seen: dict[tuple, tuple[Process, list[ErrorFinding], list[Unchecked]]] = {}
 
-    def findings(self, s: System) -> list[ErrorFinding]:
+    def check(self, s: System) -> tuple[list[ErrorFinding], list[Unchecked]]:
+        """The findings in `s`, and the prefixes whose clauses were not read."""
         found: list[ErrorFinding] = []
+        unchecked: list[Unchecked] = []
         if not (s._norm is None and self.fast
-                and self._walk(s, (), (), self.gamma, found, True)):
-            found = []
-            self._walk(normalize(s), (), (), self.gamma, found, False)
+                and self._walk(s, (), (), self.gamma, found, unchecked, True)):
+            found, unchecked = [], []
+            self._walk(normalize(s), (), (), self.gamma, found, unchecked, False)
         # deterministic order, duplicates collapsed
-        return sorted(set(found),
-                      key=lambda f: (f.clause, f.ptype, f.group_path, f.permission, f.subterm))
+        return (sorted(set(found), key=lambda f: (f.clause, f.ptype, f.group_path,
+                                                  f.permission, f.subterm)),
+                list(dict.fromkeys(unchecked)))
 
     def _walk(self, node: System, path: tuple[str, ...], scope: tuple, g: Gamma,
-              found: list[ErrorFinding], parsed: bool) -> bool:
+              found: list[ErrorFinding], unchecked: list[Unchecked], parsed: bool) -> bool:
         """Check every context below `node`, a system as parsed or a normal
-        form, and add its findings to `found`. In a parsed system, a block
-        or a context that is not settled where it sits (see `_bind`) stops
-        the walk, which gives False."""
+        form, and add its findings to `found` and its unread prefixes to
+        `unchecked`. In a parsed system, a block or a context that is not
+        settled where it sits (see `_bind`) stops the walk, which gives
+        False."""
         match node:
             case Group(group, body):
-                return self._walk(body, path + (group,), scope, g, found, parsed)
+                return self._walk(body, path + (group,), scope, g, found, unchecked, parsed)
             case Block():
                 node, g, settled = _bind(g, node)
                 if parsed and not settled:
                     return False
                 scope += tuple((n, g.atoms.get(n)) for n, _ in node.binders)
-                return all(self._walk(c, path, scope, g, found, parsed) for c in node.comps)
+                return all(self._walk(c, path, scope, g, found, unchecked, parsed)
+                           for c in node.comps)
             case SBare(proc):
                 key = (id(proc), path, scope)
                 hit = self.seen.get(key)
@@ -374,10 +436,11 @@ class _Detector:
                         return False
                     self.seen[key] = hit
                 found += hit[1]
+                unchecked += hit[2]
         return True
 
-    def _context(self, proc: Process, path: tuple[str, ...], g: Gamma,
-                 parsed: bool) -> Optional[tuple[Process, list[ErrorFinding]]]:
+    def _context(self, proc: Process, path: tuple[str, ...], g: Gamma, parsed: bool
+                 ) -> Optional[tuple[Process, list[ErrorFinding], list[Unchecked]]]:
         permis, nd_nodes, budgets = _grants(self.policy, path)
         ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction,
                          [] if budgets else None, exact=self.fast)
@@ -385,13 +448,13 @@ class _Detector:
         links = ctx.links  # clause 10 counts on the body as it sits
         _scan_budgets(ctx, g, proc, self.literal, budgets, links)
         if ctx.exact and not ctx.findings:
-            return proc, []
+            return proc, [], ctx.unchecked
         if parsed:
             return None
         ctx = _ClauseCtx(path, permis, nd_nodes, [], self.id_direction)
         _scan(ctx, g, normalize(proc))
         _scan_budgets(ctx, g, proc, self.literal, budgets, links)
-        return proc, ctx.findings
+        return proc, ctx.findings, ctx.unchecked
 
 
 def detect_errors(policy: Policy, gamma: Gamma, s: System,
@@ -401,23 +464,44 @@ def detect_errors(policy: Policy, gamma: Gamma, s: System,
     normal form, descending through prefixes with the environment extended
     by their bindings: on the system as parsed where that gives the same
     verdict, else on `normalize(s)`."""
-    return _Detector(policy, gamma, id_direction, countlink_literal).findings(s)
+    return error_report(policy, gamma, s, id_direction, countlink_literal)[0]
+
+
+def error_report(policy: Policy, gamma: Gamma, s: System, id_direction: str = "anon",
+                 countlink_literal: bool = False) -> tuple[list[ErrorFinding], list[Unchecked]]:
+    """`detect_errors`, and the prefixes whose clauses it could not read."""
+    return _Detector(policy, gamma, id_direction, countlink_literal).check(s)
+
+
+def unchecked_summary(unchecked: list) -> str:
+    """The verdict line of a check with no findings and some unread prefixes."""
+    n = len(unchecked)
+    return f"no findings; {n} {'prefix' if n == 1 else 'prefixes'} unchecked"
+
+
+# the unchecked prefixes that a report shows
+SHOWN_UNCHECKED = 5
 
 
 class ScanReport(Record, frozen=False):
     states: int = 0
     findings: list[tuple[str, ErrorFinding]] = field(default_factory=list)
     truncated: bool = False
+    unchecked: list[tuple[str, Unchecked]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
     def render(self) -> str:
-        status = "ok" if self.ok else "FINDINGS"
+        status = ("FINDINGS" if self.findings
+                  else unchecked_summary(self.unchecked) if self.unchecked else "ok")
         lines = [f"safety scan: {status} ({self.states} states"
                  f"{', truncated' if self.truncated else ''})"]
         lines += [f"  [{key}] {f.render()}" for key, f in self.findings]
+        if not self.findings:
+            lines += [f"  [{key}] {u.render()}"
+                      for key, u in self.unchecked[:SHOWN_UNCHECKED]]
         return "\n".join(lines)
 
 
@@ -429,5 +513,7 @@ def safety_scan(policy: Policy, gamma: Gamma, s: System, depth: int,
     report = ScanReport(states=len(graph.nodes), truncated=graph.truncated)
     detector = _Detector(policy, gamma, id_direction, countlink_literal)
     for key in sorted(graph.nodes):
-        report.findings += ((key, f) for f in detector.findings(graph.nodes[key]))
+        found, unchecked = detector.check(graph.nodes[key])
+        report.findings += ((key, f) for f in found)
+        report.unchecked += ((key, u) for u in unchecked)
     return report

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import re
 import sys
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import accumulate
+from operator import is_
 from typing import Iterable, Optional
 
 from .kernel import (
@@ -178,26 +180,6 @@ def _collect_sorts(ty: PrivacyType, which: str) -> set[str]:
 
 # --- lexer ----------------------------------------------------------------------
 
-class Tok(tuple):
-    """A token: `(kind, text, line, col, end_line, end_col)`, where kind is
-    IDENT, NAT, PUNCT or EOF. Its `Span` is built only when a node or a
-    diagnostic asks for it."""
-
-    __slots__ = ()
-    kind = property(itemgetter(0))
-    text = property(itemgetter(1))
-
-    def __new__(cls, kind: str, text: str, span: Span):
-        return tuple.__new__(cls, (kind, text, span.line, span.col, span.end_line, span.end_col))
-
-    @property
-    def span(self) -> Span:
-        return Span(*self[2:])
-
-    def __repr__(self) -> str:
-        return f"Tok(kind={self.kind!r}, text={self.text!r}, span={self.span!r})"
-
-
 class ParseError(Exception):
     def __init__(self, span: Span, message: str):
         super().__init__(message)
@@ -212,106 +194,168 @@ class LexError(ParseError):
 _PUNCT2 = ("||", ">>")
 _PUNCT1 = "!?<>()[]{}#.,:|*=~^;_"
 
-# One token, its class the name of its group: an ASCII-led identifier (`\w`
-# is exactly `str.isalnum()` or '_'), an ASCII numeral that no other digit
-# follows, punctuation, the `//` that starts a comment, or REST, any other
-# character but a space, a tab or a carriage return, which `str`'s rules
-# read in `_lex`. `search` passes over those three, and `_lex` over the
-# rest of a line from its comment on.
+# One token, the pattern's one group: an ASCII-led identifier (`\w` is
+# exactly `str.isalnum()` or '_'), an ASCII numeral that no other digit
+# follows, or punctuation. No quantifier in it is nested, so a match never
+# backtracks past one token.
 _TOKEN = re.compile(
-    r"(?P<IDENT>[A-Za-z][\w']*|_[\w']+)"
-    r"|(?P<NAT>[0-9]+(?![0-9]|[^\x00-\x7f]))"
-    rf"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT2))}|[{re.escape(_PUNCT1)}])"
-    r"|(?P<COMMENT>//)|(?P<REST>[^ \t\r])")
+    r"([A-Za-z][\w']*|_[\w']+|[0-9]+(?![0-9]|[^\x00-\x7f])"
+    rf"|{'|'.join(map(re.escape, _PUNCT2))}|[{re.escape(_PUNCT1)}])")
+_COMMENT = re.compile("//[^\n]*")
+_BLANKS = re.compile("[ \t\r\n]*")
 _WORD_TAIL = re.compile(r"[\w']*")
+_NEWLINE = re.compile("\n")
+_DROP_BLANKS = str.maketrans("", "", " \t\r\n")
 
 
-def _lex(text: str) -> list[Tok]:
-    """The tokens line by line, one `_TOKEN` match each, then an EOF token.
-    A line ends at "\\n" only: `str.splitlines` also ends one at characters
-    that are errors here. A REST match starts a name if it is a letter, a
-    run of digits if it is one, '#' if it is the tensor sign, and is an
-    error otherwise."""
-    toks: list[Tok] = []
-    append, new, search = toks.append, tuple.__new__, _TOKEN.search
-    for line_no, line in enumerate(text.split("\n"), 1):
-        i = 0
-        while (m := search(line, i)) and m.lastgroup != "COMMENT":
-            kind, word, i, j = m.lastgroup, m[0], m.start(), m.end()
-            if kind == "REST":
-                if word.isalpha():
-                    kind, j = "IDENT", _WORD_TAIL.match(line, j).end()
-                elif word.isdigit():
-                    kind = "NAT"
-                    while j < len(line) and line[j].isdigit():
-                        j += 1
-                elif word == TENSOR:
-                    kind = "PUNCT"
-                else:
-                    raise LexError(Span(line_no, i + 1, line_no, i + 2),
-                                   f"unsupported character {word!r}")
-                word = "#" if kind == "PUNCT" else line[i:j]
-            append(new(Tok, (kind, word, line_no, i + 1, line_no, j + 1)))
-            i = j
-    col = len(line) + 1
-    append(new(Tok, ("EOF", "", line_no, col, line_no, col)))
-    return toks
+def _blank(comment: re.Match) -> str:
+    return " " * len(comment[0])
+
+
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of a text, as their texts (the tensor sign read as '#')
+    and their start offsets, ending with the EOF token: the empty text at
+    the end. A comment runs from `//` to the next "\\n" and is blanked
+    first, which keeps every offset. An ASCII text in which nothing but
+    blanks lies between the matches of `_TOKEN` is read by one `re.split`,
+    which puts the tokens at its odd places; every other text, and so every
+    lexer error, is read by `_lex_loop`."""
+    if "//" in text:
+        text = _COMMENT.sub(_blank, text)
+    if text.isascii():
+        pieces = _TOKEN.split(text)
+        if not "".join(pieces[::2]).translate(_DROP_BLANKS):
+            texts = pieces[1::2]
+            texts.append("")
+            # a token starts where the pieces before it end, and EOF at the end
+            return texts, list(accumulate(map(len, pieces)))[::2]
+    return _lex_loop(text)
+
+
+def _lex_loop(text: str) -> tuple[list[str], list[int]]:
+    """`_lex` of a text whose comments are blanked, one token at a time. A
+    token that `_TOKEN` does not match where it starts is a name if its
+    first character is a letter, a run of digits if that is a digit, '#'
+    if it is the tensor sign, and an error otherwise; letters and digits
+    are those of `str.isalpha` and `str.isdigit`."""
+    texts: list[str] = []
+    starts: list[int] = []
+    n = len(text)
+    i = _BLANKS.match(text).end()
+    while i < n:
+        if m := _TOKEN.match(text, i):
+            word, j = m[1], m.end()
+        else:
+            c, j = text[i], i + 1
+            if c.isalpha():
+                j = _WORD_TAIL.match(text, j).end()
+            elif c.isdigit():
+                while j < n and text[j].isdigit():
+                    j += 1
+            elif c != TENSOR:
+                raise LexError(_span(_line_starts(text), i, 1),
+                               f"unsupported character {c!r}")
+            word = "#" if c == TENSOR else text[i:j]
+        texts.append(word)
+        starts.append(i)
+        i = _BLANKS.match(text, j).end()
+    texts.append("")
+    starts.append(n)
+    return texts, starts
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset of each line of a text; a line ends at "\\n" only
+    (`str.splitlines` also ends one at characters that are errors here)."""
+    return [0, *(m.end() for m in _NEWLINE.finditer(text))]
+
+
+def _span(lines: list[int], offset: int, width: int) -> Span:
+    """The span of `width` characters from `offset`, on one line."""
+    line = bisect_right(lines, offset)
+    col = offset - lines[line - 1] + 1
+    return Span(line, col, line, col + width)
+
+
+def _ident(t: str) -> bool:
+    """Whether a token text is an IDENT: it starts with a letter, or with
+    '_' followed by more."""
+    return t[:1].isalpha() or (t[:1] == "_" and t != "_")
+
+
+def _nat(t: str) -> bool:
+    """Whether a token text is a NAT: it starts with a digit."""
+    return t[:1].isdigit()
+
+
+def _found(t: str) -> str:
+    return repr(t) if t else "end of input"
 
 
 # --- parser infrastructure -------------------------------------------------------
 
 class _P:
-    def __init__(self, toks: list[Tok]):
-        toks.append(toks[-1])  # a second EOF, for `peek(1)` at the end
-        self.toks = toks
+    """The cursor over the tokens of one text. A token is its index: the
+    parser reads its text, whose kind the text tells (EOF is the empty
+    text, IDENT `_ident`, NAT `_nat`, the rest PUNCT), and builds its
+    `Span`, from its offset and the text's line starts, only where a node
+    or a diagnostic asks for one."""
+
+    def __init__(self, text: str):
+        self.texts, self.starts = _lex(text)
+        self.texts.append("")  # a second EOF, for `peek(1)` at the end
+        self.starts.append(self.starts[-1])
+        self.source = text
+        self.lines: Optional[list[int]] = None  # the line starts, on first use
         self.i = 0
         self.groups = 0  # the groups read so far
 
-    def peek(self, k: int = 0) -> Tok:
-        return self.toks[self.i + k]
+    def span(self, k: int) -> Span:
+        if self.lines is None:
+            self.lines = _line_starts(self.source)
+        return _span(self.lines, self.starts[k], len(self.texts[k]))
+
+    def error(self, message: str, k: Optional[int] = None) -> ParseError:
+        """The error `message` at token `k`, by default the next one."""
+        return ParseError(self.span(self.i if k is None else k), message)
+
+    def peek(self, k: int = 0) -> str:
+        return self.texts[self.i + k]
 
     def at(self, text: str) -> bool:
         """Whether the next token is `text`; only EOF has the empty text."""
-        return self.toks[self.i][1] == text
+        return self.texts[self.i] == text
 
-    def at_ident(self, *words: str) -> bool:
-        t = self.toks[self.i]
-        return t[0] == "IDENT" and (not words or t[1] in words)
-
-    def take(self) -> Tok:
-        t = self.toks[self.i]
-        if t[0] != "EOF":
+    def take(self) -> str:
+        t = self.texts[self.i]
+        if t:
             self.i += 1
         return t
 
-    def expect(self, text: str, what: str = "") -> Tok:
-        t = self.toks[self.i]
-        if t[1] != text:
-            want = what or f"{text!r}"
-            found = repr(t.text) if t.text else "end of input"
-            raise ParseError(t.span, f"expected {want}, found {found}")
+    def expect(self, text: str, what: str = ""):
+        t = self.texts[self.i]
+        if t != text:
+            raise self.error(f"expected {what or repr(text)}, found {_found(t)}")
         self.i += 1
-        return t
 
-    def expect_ident(self, what: str = "identifier") -> Tok:
-        t = self.toks[self.i]
-        if t[0] != "IDENT":
-            found = repr(t.text) if t.text else "end of input"
-            raise ParseError(t.span, f"expected {what}, found {found}")
-        if t[1] in RESERVED:
-            raise ParseError(t.span, f"{t.text!r} is reserved, expected {what}")
+    def expect_ident(self, what: str = "identifier") -> str:
+        t = self.texts[self.i]
+        if not _ident(t):
+            raise self.error(f"expected {what}, found {_found(t)}")
+        if t in RESERVED:
+            raise self.error(f"{t!r} is reserved, expected {what}")
         self.i += 1
         return t
 
     def expect_word(self, word: str):
-        if not self.at_ident(word):
-            raise ParseError(self.peek().span, f"expected {word!r}")
-        self.take()
+        if not self.at(word):
+            raise self.error(f"expected {word!r}")
+        self.i += 1
 
     def expect_eof(self):
-        t = self.peek()
-        if t[0] != "EOF":
-            raise ParseError(t.span, f"unexpected trailing input {t.text!r}")
+        t = self.texts[self.i]
+        if t:
+            raise self.error(f"unexpected trailing input {t!r}")
 
 
 def _separated(p: _P, sep: str, rule, *args, first=None) -> tuple:
@@ -324,24 +368,25 @@ def _separated(p: _P, sep: str, rule, *args, first=None) -> tuple:
     return tuple(items)
 
 
-def _node(tok: Tok, ctor, *args):
-    """`ctor(*args)` located at the node's first token: a node that carries
-    a span gets the token's, and a constructor's KernelError is reported at
-    the token."""
+def _node(p: _P, k: int, ctor, *args):
+    """`ctor(*args)` located at the node's first token `k`: a node that
+    carries a span gets the token's, and a constructor's KernelError is
+    reported at the token."""
     if "span" in ctor._fields:
-        args += (tok.span,)
+        args += (p.span(k),)
     try:
         return ctor(*args)
     except KernelError as e:
-        raise ParseError(tok.span, str(e))
+        raise p.error(str(e), k)
 
 
-def _count(tok: Tok) -> int:
-    """The value of a NAT token. The lexer reads a run of any digits, and
-    some of them, such as `²`, have no decimal value."""
-    if not tok.text.isdecimal():
-        raise ParseError(tok.span, f"expected a decimal count, found {tok.text!r}")
-    return int(tok.text)
+def _count(p: _P, k: int) -> int:
+    """The value of the NAT token `k`. The lexer reads a run of any digits,
+    and some of them, such as `²`, have no decimal value."""
+    t = p.texts[k]
+    if not t.isdecimal():
+        raise p.error(f"expected a decimal count, found {t!r}", k)
+    return int(t)
 
 
 def _parse(text: str, entry, *args) -> ParseResult:
@@ -349,7 +394,7 @@ def _parse(text: str, entry, *args) -> ParseResult:
     the front end reaches the user through here, as the one diagnostic of a
     failed result."""
     try:
-        return ParseResult(entry(_P(_lex(text)), *args), [])
+        return ParseResult(entry(_P(text), *args), [])
     except ParseError as e:
         span, message = e.span, e.message
     except KernelError as e:
@@ -366,17 +411,17 @@ def _parse_type(p: _P, registry: "_SortRegistry") -> PrivacyType:
     if p.at("<"):
         p.take()
         g = p.peek()
-        if g.kind not in ("IDENT", "NAT"):
-            raise ParseError(g.span, "expected ground type name")
+        if not (_ident(g) or _nat(g)):
+            raise p.error("expected ground type name")
         p.take()
         p.expect(">")
-        return registry.angle(head.text, g.text)
+        return registry.angle(head, g)
     if p.at("["):
         p.take()
         payload = _separated(p, ",", _parse_type, registry)
         p.expect("]")
-        return TChan(head.text, payload)
-    raise ParseError(p.peek().span, f"expected '<' or '[' after type name {head.text!r}")
+        return TChan(head, payload)
+    raise p.error(f"expected '<' or '[' after type name {head!r}")
 
 
 class _SortRegistry:
@@ -390,17 +435,22 @@ class _SortRegistry:
         self.private = set(private)
         self.purpose = set(purpose)
 
+    def _sort(self, name: str):
+        return TPurpose if name in self.purpose and name not in self.private else TPrivate
+
     def angle(self, name: str, ground: str) -> PrivacyType:
-        if name in self.purpose and name not in self.private:
-            return TPurpose(name, ground)
-        return TPrivate(name, ground)
+        return self._sort(name)(name, ground)
 
     def resolve(self, ty: PrivacyType) -> PrivacyType:
         """The type with each angle type in it, payloads included, resolved
-        afresh."""
+        afresh: the type itself where no angle type in it changes sort."""
         if isinstance(ty, TChan):
-            return TChan(ty.group, tuple(map(self.resolve, ty.payload)))
-        return self.angle(ty.ptype, ty.ground)
+            payload = tuple(map(self.resolve, ty.payload))
+            if all(map(is_, payload, ty.payload)):
+                return ty
+            return TChan(ty.group, payload)
+        sort = self._sort(ty.ptype)
+        return ty if type(ty) is sort else sort(ty.ptype, ty.ground)
 
 
 # --- terms, patterns, private data ---------------------------------------------------
@@ -414,93 +464,98 @@ class _Ctx(Record, frozen=False):
         return _Ctx(set(self.bound_vars), self.subject_evidence, self.consts)
 
 
-def _parse_slot_token(p: _P) -> Tok:
-    t = p.peek()
-    if t.kind in ("IDENT", "NAT") or t.text == "_":
-        return p.take()
-    raise ParseError(t.span, f"expected identity or data token, found {t.text!r}")
+def _parse_slot_token(p: _P) -> int:
+    k = p.i
+    t = p.texts[k]
+    if _ident(t) or _nat(t) or t == "_":
+        p.i += 1
+        return k
+    raise p.error(f"expected identity or data token, found {t!r}")
 
 
-def _mk_identity(tok: Tok, ctx: _Ctx):
-    if tok.text == "_":
+def _mk_identity(p: _P, k: int, ctx: _Ctx):
+    t = p.texts[k]
+    if t == "_":
         return HIDDEN
-    if tok.kind == "NAT":
-        raise ParseError(tok.span, "identities cannot be numerals")
-    if tok.text in ctx.bound_vars:
-        return IVar(tok.text)
-    return Known(tok.text)
+    if _nat(t):
+        raise p.error("identities cannot be numerals", k)
+    if t in ctx.bound_vars:
+        return IVar(t)
+    return Known(t)
 
 
-def _mk_data(tok: Tok, ctx: _Ctx):
-    if tok.text == "_":
-        raise ParseError(tok.span, "the data slot cannot be hidden")
-    if tok.kind == "IDENT" and tok.text in ctx.bound_vars:
-        return DVar(tok.text)
-    return DConst(tok.text)
+def _mk_data(p: _P, k: int, ctx: _Ctx):
+    t = p.texts[k]
+    if t == "_":
+        raise p.error("the data slot cannot be hidden", k)
+    if _ident(t) and t in ctx.bound_vars:
+        return DVar(t)
+    return DConst(t)
 
 
-def _pdata(itok: Tok, dtok: Tok, ctx: _Ctx) -> PrivateData:
-    return _node(itok, PrivateData, _mk_identity(itok, ctx), _mk_data(dtok, ctx))
+def _pdata(p: _P, ik: int, dk: int, ctx: _Ctx) -> PrivateData:
+    return _node(p, ik, PrivateData, _mk_identity(p, ik, ctx), _mk_data(p, dk, ctx))
 
 
 def _parse_pdata(p: _P, ctx: _Ctx) -> PrivateData:
     braced = p.at("{")
     if braced:
         p.take()
-    itok = _parse_slot_token(p)
+    ik = _parse_slot_token(p)
     if not p.at("#"):
-        raise ParseError(p.peek().span, "expected '#' inside private data")
+        raise p.error("expected '#' inside private data")
     p.take()
-    dtok = _parse_slot_token(p)
+    dk = _parse_slot_token(p)
     if braced:
         p.expect("}")
-    return _pdata(itok, dtok, ctx)
+    return _pdata(p, ik, dk, ctx)
 
 
 def _parse_dual(p: _P, ctx: _Ctx, object_position: bool) -> Term:
     p.take()  # '~'
+    k = p.i
     name = p.expect_ident("reference name after '~'")
     if object_position:
-        raise ParseError(name.span, "a dual endpoint cannot be passed as an object")
-    ctx.subject_evidence.add(name.text)
-    return TDual(name.text)
+        raise p.error("a dual endpoint cannot be passed as an object", k)
+    ctx.subject_evidence.add(name)
+    return TDual(name)
 
 
 def _parse_term(p: _P, ctx: _Ctx, object_position: bool) -> Term:
-    t = p.peek()
-    if t.text == "{":
+    t, k = p.peek(), p.i
+    if t == "{":
         return TPriv(_parse_pdata(p, ctx))
-    if t.text == "~":
+    if t == "~":
         return _parse_dual(p, ctx, object_position)
-    if t.kind == "NAT":
+    if _nat(t):
         p.take()
         if p.at("#"):
-            raise ParseError(t.span, "identities cannot be numerals")
-        ctx.consts.add(t.text)
-        return TConst(t.text)
-    if t.text == "_":
+            raise p.error("identities cannot be numerals", k)
+        ctx.consts.add(t)
+        return TConst(t)
+    if t == "_":
         p.take()
         p.expect("#", "'#' after hidden identity")
-        return TPriv(_pdata(t, _parse_slot_token(p), ctx))
-    tok = p.expect_ident("term")
+        return TPriv(_pdata(p, k, _parse_slot_token(p), ctx))
+    t = p.expect_ident("term")
     if p.at("#"):
         p.take()
-        return TPriv(_pdata(tok, _parse_slot_token(p), ctx))
-    if tok.text in ctx.bound_vars:
-        return TVar(tok.text)
+        return TPriv(_pdata(p, k, _parse_slot_token(p), ctx))
+    if t in ctx.bound_vars:
+        return TVar(t)
     # provisional constant; promoted to a name by the classification pass
-    ctx.consts.add(tok.text)
-    return TConst(tok.text)
+    ctx.consts.add(t)
+    return TConst(t)
 
 
 def _parse_subject(p: _P, ctx: _Ctx) -> Term:
     if p.at("~"):
         return _parse_dual(p, ctx, False)
-    tok = p.expect_ident("channel or reference name")
-    if tok.text in ctx.bound_vars:
-        return TVar(tok.text)
-    ctx.subject_evidence.add(tok.text)
-    return TName(tok.text)
+    t = p.expect_ident("channel or reference name")
+    if t in ctx.bound_vars:
+        return TVar(t)
+    ctx.subject_evidence.add(t)
+    return TName(t)
 
 
 def _parse_pattern(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Placeholder, Optional[PrivacyType]]:
@@ -510,18 +565,18 @@ def _parse_pattern(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Placehold
     if p.at("_"):
         p.take()
         p.expect("#", "'#' after hidden identity")
-        dvar = p.expect_ident("pattern variable")
-        ph: Placeholder = PAnon(dvar.text)
+        ph: Placeholder = PAnon(p.expect_ident("pattern variable"))
     else:
         first = p.expect_ident("pattern variable")
         if p.at("#"):
             p.take()
+            k = p.i
             second = p.expect_ident("pattern variable")
-            if first.text == second.text:
-                raise ParseError(second.span, "pattern variables must be distinct")
-            ph = PPair(first.text, second.text)
+            if first == second:
+                raise p.error("pattern variables must be distinct", k)
+            ph = PPair(first, second)
         else:
-            ph = PVar(first.text)
+            ph = PVar(first)
     if braced:
         p.expect("}")
     annot = None
@@ -554,36 +609,37 @@ def _parse_process(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
 
 def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
     """One process of a `|` composition."""
-    t = p.peek()
-    if t.kind == "NAT" and t.text == "0":
+    t, k = p.peek(), p.i
+    if t == "0":
         p.take()
         return NIL
-    if t.text == "*":
+    if t == "*":
         p.take()
-        return _node(t, PRepl, _parse_seq(p, ctx, registry))
-    if t.text == "new" or (t.text == "(" and p.peek(1).text == "new"):
+        return _node(p, k, PRepl, _parse_seq(p, ctx, registry))
+    if t == "new" or (t == "(" and p.peek(1) == "new"):
         kw, binder, body = _parse_new(p, ctx, registry, _parse_seq)
-        return _node(kw, Block, (binder,), (body,))
-    if t.kind == "IDENT" and t.text == "if":
+        return _node(p, kw, Block, (binder,), (body,))
+    if t == "if":
         p.take()
         lhs = _parse_term(p, ctx, False)
         op = p.peek()
-        if op.text not in ("=", ">"):
-            raise ParseError(op.span, "expected '=' or '>' in condition")
+        if op not in ("=", ">"):
+            raise p.error("expected '=' or '>' in condition")
         p.take()
         rhs = _parse_term(p, ctx, False)
         p.expect_word("then")
         then = _parse_seq(p, ctx, registry)
         p.expect_word("else")
-        return _node(t, PIf, op.text, lhs, rhs, then, _parse_seq(p, ctx, registry))
-    if t.kind == "IDENT" and t.text == "store":
+        return _node(p, k, PIf, op, lhs, rhs, then, _parse_seq(p, ctx, registry))
+    if t == "store":
         p.take()
+        rk = p.i
         ref = p.expect_ident("store reference name")
-        if ref.text in ctx.bound_vars:
-            raise ParseError(ref.span, "store references cannot be variables")
-        ctx.subject_evidence.add(ref.text)
-        return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
-    if t.text == "(":
+        if ref in ctx.bound_vars:
+            raise p.error("store references cannot be variables", rk)
+        ctx.subject_evidence.add(ref)
+        return _node(p, k, PStore, ref, _parse_pdata(p, ctx))
+    if t == "(":
         p.take()
         first, closed = _parse_opened(p, ctx, registry)
         if closed:
@@ -591,18 +647,17 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         inner = _block((), _separated(p, "|", _parse_seq, ctx, registry, first=first))
         p.expect(")")
         return inner
-    if t.kind == "IDENT" or t.text == "~":
+    if _ident(t) or t == "~":
         return _parse_prefix(p, ctx, registry)
-    found = repr(t.text) if t.text else "end of input"
-    raise ParseError(t.span, f"expected a process, found {found}")
+    raise p.error(f"expected a process, found {_found(t)}")
 
 
 def _at_input(p: _P) -> bool:
     """Whether an input's subject and its '?' are next."""
     t = p.peek()
-    if t.text == "~":
-        return p.peek(2).text == "?"
-    return t.kind == "IDENT" and t.text not in RESERVED and p.peek(1).text == "?"
+    if t == "~":
+        return p.peek(2) == "?"
+    return _ident(t) and t not in RESERVED and p.peek(1) == "?"
 
 
 def _parse_opened(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Process, bool]:
@@ -611,23 +666,23 @@ def _parse_opened(p: _P, ctx: _Ctx, registry: _SortRegistry) -> tuple[Process, b
     `(input)^n P`, n nested inputs."""
     if not _at_input(p):
         return _parse_seq(p, ctx, registry), False
-    start = p.peek()
+    start = p.i
     subject = _parse_subject(p, ctx)
     p.take()  # '?'
     pats, annots, inner = _parse_patterns(p, ctx, registry)
     times = 0
-    if p.at(")") and p.peek(1).text == "^" and p.peek(2).kind == "NAT":
-        times = _count(p.peek(2))
+    if p.at(")") and p.peek(1) == "^" and _nat(p.peek(2)):
+        times = _count(p, p.i + 2)
         if times >= sys.getrecursionlimit():
             # no walker could descend through that many nested inputs
-            raise ParseError(p.peek(2).span, "input nests too deeply")
+            raise p.error("input nests too deeply", p.i + 2)
     if times < 1:
         p.expect(".")
-        return _node(start, PInp, subject, pats, _parse_seq(p, inner, registry), annots), False
+        return _node(p, start, PInp, subject, pats, _parse_seq(p, inner, registry), annots), False
     p.i += 3  # ') ^ n'
     cont = _parse_seq(p, inner, registry)
     for _ in range(times):
-        cont = _node(start, PInp, subject, pats, cont, annots)
+        cont = _node(p, start, PInp, subject, pats, cont, annots)
     return cont, True
 
 
@@ -637,7 +692,8 @@ def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_rule) -> tuple:
     closing = p.at("(")
     if closing:
         p.take()
-    kw = p.take()  # 'new'
+    kw = p.i
+    p.take()  # 'new'
     name = p.expect_ident("restricted name")
     annot = None
     if p.at(":"):
@@ -648,13 +704,13 @@ def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_rule) -> tuple:
     if p.at("."):
         p.take()
     ctx2 = ctx.child()
-    ctx2.bound_vars.discard(name.text)
-    ctx.subject_evidence.add(name.text)  # restricted tokens are name-sorted
-    return kw, (name.text, annot), body_rule(p, ctx2, registry)
+    ctx2.bound_vars.discard(name)
+    ctx.subject_evidence.add(name)  # restricted tokens are name-sorted
+    return kw, (name, annot), body_rule(p, ctx2, registry)
 
 
 def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
-    start = p.peek()
+    start = p.i
     subject = _parse_subject(p, ctx)
     if p.at("!"):
         p.take()
@@ -662,42 +718,43 @@ def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         objs = _separated(p, ",", _parse_term, ctx, True)
         p.expect(">")
         p.expect(".")
-        return _node(start, POut, subject, objs, _parse_seq(p, ctx, registry))
+        return _node(p, start, POut, subject, objs, _parse_seq(p, ctx, registry))
     if p.at("?"):
         p.take()
         pats, annots, inner = _parse_patterns(p, ctx, registry)
         p.expect(".")
-        return _node(start, PInp, subject, pats, _parse_seq(p, inner, registry), annots)
-    raise ParseError(p.peek().span, "expected '!' or '?' after prefix subject")
+        return _node(p, start, PInp, subject, pats, _parse_seq(p, inner, registry), annots)
+    raise p.error("expected '!' or '?' after prefix subject")
 
 
 # A term at system level is read once, into a cover: a tuple that keeps what
 # each reading of the term needs until the construct around it fixes one.
+# Tokens in it are indices.
 #   ("leaf", tok, seqs)        a `|` composition of processes, from `tok`
 #   ("new", kw, binder, body)  a restriction over the rest of its composition
 #   ("par", items, bar)        a `||` composition; `bar` is its first '||'
 #   ("parens", inner)
 #   ("group", node, bracket)   a group, built; `bracket` is its '['
 
-def _as_system(c, bare: bool = False):
+def _as_system(p: _P, c, bare: bool = False):
     """The cover as a system, each process in it an `SBare` at its first
     token. With `bare`, as the process that a group body with no group in
     it is, whose restrictions are unlocated."""
     match c:
         case ("leaf", tok, seqs):
             proc = _block((), seqs)
-            return proc if bare else SBare(proc, tok.span)
+            return proc if bare else SBare(proc, p.span(tok))
         case ("new", kw, binder, body):
-            return Block((binder,), (_as_system(body, bare),), None if bare else kw.span)
+            return Block((binder,), (_as_system(p, body, bare),), None if bare else p.span(kw))
         case ("par", items, _):
-            return Block((), tuple(_as_system(item, bare) for item in items))
+            return Block((), tuple(_as_system(p, item, bare) for item in items))
         case ("parens", inner):
-            return _as_system(inner, bare)
+            return _as_system(p, inner, bare)
         case ("group", node, _):
             return node
 
 
-def _as_seqs(c) -> tuple:
+def _as_seqs(p: _P, c) -> tuple:
     """The cover as a `|` composition in parentheses, each restriction in it
     over one process. A group or a '||' in it is an error at the first of
     them, reported as a process parse does (the diagnostics golden has it)."""
@@ -705,19 +762,19 @@ def _as_seqs(c) -> tuple:
         case ("leaf", _, seqs):
             return seqs
         case ("new", kw, binder, body):
-            first, *rest = _as_seqs(body)
-            return (Block((binder,), (first,), kw.span), *rest)
+            first, *rest = _as_seqs(p, body)
+            return (Block((binder,), (first,), p.span(kw)), *rest)
         case ("parens", inner):
-            return (_block((), _as_seqs(inner)),)
+            return (_block((), _as_seqs(p, inner)),)
         case ("par", items, bar):
-            _as_seqs(items[0])  # an error in the first operand comes first
-            raise ParseError(bar.span, "expected ')', found '||'")
+            _as_seqs(p, items[0])  # an error in the first operand comes first
+            raise p.error("expected ')', found '||'", bar)
         case ("group", _, bracket):
-            raise ParseError(bracket.span, "expected '!' or '?' after prefix subject")
+            raise p.error("expected '!' or '?' after prefix subject", bracket)
 
 
 def _parse_system(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
-    return _as_system(_system(p, ctx, registry))
+    return _as_system(p, _system(p, ctx, registry))
 
 
 def _system(p: _P, ctx: _Ctx, registry: _SortRegistry, first=None):
@@ -725,44 +782,43 @@ def _system(p: _P, ctx: _Ctx, registry: _SortRegistry, first=None):
     is already read."""
     if first is None:
         first = _sys_term(p, ctx, registry)
-    bar = p.peek()
+    bar = p.i
     items = _separated(p, "||", _sys_term, ctx, registry, first=first)
     return first if len(items) == 1 else ("par", items, bar)
 
 
 def _sys_term(p: _P, ctx: _Ctx, registry: _SortRegistry):
     """One operand of a `||` composition, as a cover."""
-    t = p.peek()
-    if t.text == "new" or (t.text == "(" and p.peek(1).text == "new"):
+    t, k = p.peek(), p.i
+    if t == "new" or (t == "(" and p.peek(1) == "new"):
         return ("new", *_parse_new(p, ctx, registry, _system))
-    if t.kind == "IDENT" and t.text not in RESERVED and p.peek(1).text == "[":
-        p.take()
-        bracket = p.take()
+    if _ident(t) and t not in RESERVED and p.peek(1) == "[":
+        p.i += 2
         groups = p.groups
         body = _system(p, ctx, registry)
         p.expect("]")
         bare = p.groups == groups  # no group inside
         p.groups += 1
-        inner = _as_system(body, bare)
-        return ("group", _node(t, Group, t.text, SBare(inner) if bare else inner), bracket)
-    if t.text != "(":
-        return ("leaf", t, _separated(p, "|", _parse_seq, ctx, registry))
+        inner = _as_system(p, body, bare)
+        return ("group", _node(p, k, Group, t, SBare(inner) if bare else inner), k + 1)
+    if t != "(":
+        return ("leaf", k, _separated(p, "|", _parse_seq, ctx, registry))
     p.take()
     first = None
     if _at_input(p):
-        start = p.peek()
+        start = p.i
         seq, closed = _parse_opened(p, ctx, registry)
         seqs = _separated(p, "|", _parse_seq, ctx, registry, first=seq)
         if closed:
-            return ("leaf", t, seqs)
+            return ("leaf", k, seqs)
         first = ("leaf", start, seqs)
     inner = _system(p, ctx, registry, first)
     p.expect(")")
-    if p.peek().text in ("|", "^"):
+    if p.peek() in ("|", "^"):
         # the parentheses close a process before '|'; a '^' after them is an
         # error, reported at a group or '||' in them as for `(G[ 0 ])^2`
-        return ("leaf", t, _separated(p, "|", _parse_seq, ctx, registry,
-                                      first=_block((), _as_seqs(inner))))
+        return ("leaf", k, _separated(p, "|", _parse_seq, ctx, registry,
+                                      first=_block((), _as_seqs(p, inner))))
     return ("parens", inner)
 
 
@@ -814,34 +870,34 @@ def parse_process(text: str, gamma: Optional[Gamma] = None) -> ParseResult:
 
 def _parse_perm(p: _P) -> Perm:
     t = p.peek()
-    if t.kind != "IDENT" or t.text not in PERM_WORDS:
-        raise ParseError(t.span, f"expected a permission, found {t.text!r}")
+    if t not in PERM_WORDS:
+        raise p.error(f"expected a permission, found {t!r}")
     p.take()
-    match t.text:
+    match t:
         case "disseminate":
             g = p.expect_ident("group name")
-            lt = p.peek()
-            if lt.kind == "NAT":
+            lt, lk = p.peek(), p.i
+            if _nat(lt):
                 p.take()
-                n = _count(lt)
+                n = _count(p, lk)
                 if n < 1:
-                    raise ParseError(lt.span, "dissemination budgets start at 1")
-                return disseminate(g.text, Lambda(n))
-            if lt.kind == "IDENT" and lt.text == "inf":
+                    raise p.error("dissemination budgets start at 1", lk)
+                return disseminate(g, Lambda(n))
+            if lt == "inf":
                 p.take()
-                return disseminate(g.text, OMEGA)
-            raise ParseError(lt.span, "expected a count or 'inf'")
+                return disseminate(g, OMEGA)
+            raise p.error("expected a count or 'inf'")
         case "nondisclose":
             k = p.peek()
-            if k.kind != "IDENT" or k.text not in ND_KINDS:
-                raise ParseError(k.span, f"expected one of {', '.join(ND_KINDS)}")
+            if k not in ND_KINDS:
+                raise p.error(f"expected one of {', '.join(ND_KINDS)}")
             p.take()
-            return nondisclose(k.text)
+            return nondisclose(k)
         case "usage":
-            return usage(p.expect_ident("purpose type").text)
+            return usage(p.expect_ident("purpose type"))
         case "identify":
-            return identify(p.expect_ident("private type").text)
-    return _PLAIN_PERMS[t.text]
+            return identify(p.expect_ident("private type"))
+    return _PLAIN_PERMS[t]
 
 
 def _parse_hier(p: _P) -> Hierarchy:
@@ -854,21 +910,21 @@ def _parse_hier(p: _P) -> Hierarchy:
         p.take()
         children = _separated(p, ",", _parse_hier)
         p.expect("]")
-    return Hierarchy(g.text, PermSet(perms), children)
+    return Hierarchy(g, PermSet(perms), children)
 
 
 def _parse_policy(p: _P) -> Policy:
     bindings: list[tuple[str, Hierarchy]] = []
-    while p.at_ident("private"):
+    while p.at("private"):
         p.take()
         t = p.expect_ident("private type")
         p.expect(">>")
-        bindings.append((t.text, _parse_hier(p)))
+        bindings.append((t, _parse_hier(p)))
         if p.at(";"):
             p.take()
     p.expect_eof()
     if not bindings:
-        raise ParseError(p.peek().span, "policy must bind at least one private type")
+        raise p.error("policy must bind at least one private type")
     return Policy(tuple(bindings))
 
 
@@ -878,26 +934,26 @@ def parse_policy(text: str) -> ParseResult:
 
 # --- environment parsing -----------------------------------------------------------------
 
-def _parse_entries(p: _P) -> list[tuple[object, PrivacyType, Span]]:
+def _parse_entries(p: _P) -> tuple[list[tuple[object, PrivacyType, int]], _P]:
     """The entries, each `key : type` and optionally followed by ';', with
-    the span of its key. The types are read with every angle type private,
-    and resolved once all keys are read: a top-level angle type names a
-    private sort under a private-data key and a purpose sort under a bare
-    one."""
+    its key's first token, and the cursor, which gives that token's span.
+    The types are read with every angle type private, and resolved once
+    all keys are read: a top-level angle type names a private sort under a
+    private-data key and a purpose sort under a bare one."""
     read = _SortRegistry()
     entries = []
-    while p.peek().kind != "EOF":
-        span = p.peek().span
+    while p.peek():
+        k = p.i
         key = _parse_env_key(p)
         p.expect(":")
-        entries.append((key, _parse_type(p, read), span))
+        entries.append((key, _parse_type(p, read), k))
         if p.at(";"):
             p.take()
     angles = [(isinstance(key, tuple), ty.ptype) for key, ty, _ in entries
               if isinstance(ty, TPrivate)]
     registry = _SortRegistry(private={t for private, t in angles if private},
                              purpose={t for private, t in angles if not private})
-    return [(key, registry.resolve(ty), span) for key, ty, span in entries]
+    return [(key, registry.resolve(ty), k) for key, ty, k in entries], p
 
 
 def parse_env(text: str) -> ParseResult:
@@ -907,24 +963,28 @@ def parse_env(text: str) -> ParseResult:
     res = _parse(text, _parse_entries)
     if not res.ok:
         return res
+    read, p = res.value
     entries: dict[tuple[str, object], PrivacyType] = {}
     diags: list[Diagnostic] = []
-    for key, ty, span in res.value:
+    for key, ty, k in read:
         if isinstance(key, tuple):
             itok, dtok = key
             if not isinstance(ty, TPrivate):
-                diags.append(Diagnostic(span, f"private data {itok} # {dtok} needs a private type"))
+                message = f"private data {itok} # {dtok} needs a private type"
             elif ("priv", key) in entries:
-                diags.append(Diagnostic(span, f"duplicate entry {itok} # {dtok}"))
+                message = f"duplicate entry {itok} # {dtok}"
             else:
                 entries["priv", key] = ty
+                continue
         elif ("atom", key) in entries:
-            diags.append(Diagnostic(span, f"duplicate entry {key}"))
+            message = f"duplicate entry {key}"
         elif isinstance(ty, (TChan, TPurpose)):
             entries["atom", key] = ty
+            continue
         else:
             # a bare token with a private type: a named private constant
-            diags.append(Diagnostic(span, f"{key} needs '<id> # <data>' form for a private type"))
+            message = f"{key} needs '<id> # <data>' form for a private type"
+        diags.append(Diagnostic(p.span(k), message))
     if diags:
         return ParseResult(None, diags)
     return ParseResult(Gamma((kind, key, ty) for (kind, key), ty in entries.items()), [])
@@ -932,28 +992,28 @@ def parse_env(text: str) -> ParseResult:
 
 def _parse_env_key(p: _P):
     t = p.peek()
-    braced = t.text == "{"
+    braced = t == "{"
     if braced:
         p.take()
         t = p.peek()
-    if t.text == "_" or t.kind in ("IDENT", "NAT"):
-        tok = p.take()
-    else:
-        raise ParseError(t.span, f"expected an entry key, found {t.text!r}")
+    k = p.i
+    if not (t == "_" or _ident(t) or _nat(t)):
+        raise p.error(f"expected an entry key, found {t!r}")
+    p.take()
     if p.at("#"):
         p.take()
         d = p.peek()
-        if d.kind not in ("IDENT", "NAT"):
-            raise ParseError(d.span, "expected a data token")
+        if not (_ident(d) or _nat(d)):
+            raise p.error("expected a data token")
         p.take()
         if braced:
             p.expect("}")
-        return (tok.text, d.text)
+        return (t, d)
     if braced:
-        raise ParseError(p.peek().span, "expected '#' inside a braced key")
-    if tok.text == "_":
-        raise ParseError(tok.span, "'_' alone is not an entry key")
-    return tok.text
+        raise p.error("expected '#' inside a braced key")
+    if t == "_":
+        raise p.error("'_' alone is not an entry key", k)
+    return t
 
 
 # --- rendering -------------------------------------------------------------------

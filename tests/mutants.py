@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 _ENCODING = "tests/test_encoding.py::"
+_SYNTAX = "tests/test_syntax.py::"
 _SEMANTICS = "tests/test_semantics.py::"
 _TYPESYS = "tests/test_typesys.py::"
 _STEP_FACTS = tuple(f"{_SEMANTICS}test_kept_step_facts_match_cold_ones[{source}]"
@@ -48,6 +49,22 @@ _ORDER_FREE = (f"{_TYPESYS}test_binder_order_does_not_decide_typing",
                f"{_TYPESYS}test_one_walk_matches_the_two_walkers")
 
 MUTANTS = [
+    # -- the lexer --------------------------------------------------------------------
+    Mutant("separator_blank_check_dropped", "syntax",
+           '        if not "".join(pieces[::2]).translate(_DROP_BLANKS):\n',
+           "        if True:\n",
+           (f"{_SYNTAX}test_lexer_matches_oracle",
+            f"{_SYNTAX}test_lexer_is_linear_in_a_long_token",
+            f"{_SYNTAX}test_diagnostics_golden")),
+    Mutant("comment_blanked_one_character_short", "syntax",
+           '    return " " * len(comment[0])\n',
+           '    return " " * (len(comment[0]) - 1)\n',
+           (f"{_SYNTAX}test_lexer_matches_oracle",)),
+    Mutant("line_starts_off_by_one", "syntax",
+           "    return [0, *(m.end() for m in _NEWLINE.finditer(text))]\n",
+           "    return [0, *(m.start() for m in _NEWLINE.finditer(text))]\n",
+           (f"{_SYNTAX}test_lexer_matches_oracle",
+            f"{_SYNTAX}TestParseSystem::test_input_power_error_at_its_subject")),
     # -- the encoder ------------------------------------------------------------------
     Mutant("fresh_names_avoid_free_atoms_only", "encoding",
            "    fresh = _Fresh(_all_atoms(p))\n",

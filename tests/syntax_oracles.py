@@ -2,17 +2,18 @@
 
 `_lex` is the lexer as it was before tokens became tuples: it steps through
 the text one character at a time, keeping the line and column as it goes,
-and builds each token with its span.
+and builds each token, a `Tok`, with its kind and span.
 
 `parse_system` and `parse_process` are the process and system parser as it
 was before it read one cover grammar: it tries the system rules first and,
 on an error, rewinds and reads the same tokens again as a process.
 `_P.after_parens` looks ahead to choose a parenthesized term's family, and
-the failure memo `_P.failed` keeps the rewinds from going quadratic.
+the failure memo `_P.failed` keeps the rewinds from going quadratic. It reads
+tokens through the parser's own cursor, by index.
 """
 
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from privcalc import syntax
 from privcalc.kernel import (
@@ -20,10 +21,16 @@ from privcalc.kernel import (
     System, _block,
 )
 from privcalc.syntax import (
-    _PUNCT1, _PUNCT2, RESERVED, TENSOR, LexError, ParseError, Tok, _count,
-    _Ctx, _node, _parse, _parse_patterns, _parse_pdata, _parse_program,
+    _PUNCT1, _PUNCT2, RESERVED, TENSOR, LexError, ParseError, _count, _Ctx,
+    _ident, _nat, _node, _parse, _parse_patterns, _parse_pdata, _parse_program,
     _parse_subject, _parse_term, _parse_type, _separated, _SortRegistry,
 )
+
+
+class Tok(NamedTuple):
+    kind: str  # IDENT, NAT, PUNCT or EOF
+    text: str
+    span: Span
 
 
 def _lex(text: str) -> list[Tok]:
@@ -97,10 +104,11 @@ def _lex(text: str) -> list[Tok]:
 
 
 class _P(syntax._P):
-    """A cursor that can rewind, over a token list that is already padded."""
+    """A cursor that can rewind, over the tokens of another cursor."""
 
-    def __init__(self, toks: list[Tok]):
-        self.toks = toks
+    def __init__(self, base: syntax._P):
+        self.texts, self.starts = base.texts, base.starts
+        self.source, self.lines = base.source, base.lines
         self.i = 0
         self._closers: Optional[dict[int, int]] = None
         # token index → (the bound variables, the error) of each failed
@@ -113,27 +121,27 @@ class _P(syntax._P):
     def reset(self, m: int):
         self.i = m
 
-    def after_parens(self) -> Optional[Tok]:
+    def after_parens(self) -> Optional[str]:
         """The token after the ')' that closes the '(' at the cursor, or
         None when no ')' closes it. The parentheses are paired in one pass
         over the tokens, on first use."""
         if self._closers is None:
             self._closers, opened = {}, []
-            for j, t in enumerate(self.toks):
-                if t.text == "(":
+            for j, t in enumerate(self.texts):
+                if t == "(":
                     opened.append(j)
-                elif t.text == ")" and opened:
+                elif t == ")" and opened:
                     self._closers[opened.pop()] = j
         j = self._closers.get(self.i)
-        return None if j is None else self.toks[j + 1]
+        return None if j is None else self.texts[j + 1]
 
 
 def parse_system(text: str, gamma=None):
-    return _parse(text, lambda p: _parse_program(_P(p.toks), gamma, _parse_system))
+    return _parse(text, lambda p: _parse_program(_P(p), gamma, _parse_system))
 
 
 def parse_process(text: str, gamma=None):
-    return _parse(text, lambda p: _parse_program(_P(p.toks), gamma, _parse_process))
+    return _parse(text, lambda p: _parse_program(_P(p), gamma, _parse_process))
 
 
 def _parse_process(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
@@ -153,37 +161,38 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         raise failed[1]
     try:
         t = p.peek()
-        if t.kind == "NAT" and t.text == "0":
+        if t == "0":
             p.take()
             return NIL
-        if t.text == "*":
+        if t == "*":
             p.take()
-            return _node(t, PRepl, _parse_seq(p, ctx, registry))
-        if t.kind == "IDENT" and t.text == "new":
+            return _node(p, m, PRepl, _parse_seq(p, ctx, registry))
+        if t == "new":
             return _parse_new(p, ctx, registry, _parse_seq)
-        if t.kind == "IDENT" and t.text == "if":
+        if t == "if":
             p.take()
             lhs = _parse_term(p, ctx, False)
             op = p.peek()
-            if op.text not in ("=", ">"):
-                raise ParseError(op.span, "expected '=' or '>' in condition")
+            if op not in ("=", ">"):
+                raise p.error("expected '=' or '>' in condition")
             p.take()
             rhs = _parse_term(p, ctx, False)
             p.expect_word("then")
             then = _parse_seq(p, ctx, registry)
             p.expect_word("else")
-            return _node(t, PIf, op.text, lhs, rhs, then, _parse_seq(p, ctx, registry))
-        if t.kind == "IDENT" and t.text == "store":
+            return _node(p, m, PIf, op, lhs, rhs, then, _parse_seq(p, ctx, registry))
+        if t == "store":
             p.take()
+            k = p.i
             ref = p.expect_ident("store reference name")
-            if ref.text in ctx.bound_vars:
-                raise ParseError(ref.span, "store references cannot be variables")
-            ctx.subject_evidence.add(ref.text)
-            return _node(t, PStore, ref.text, _parse_pdata(p, ctx))
-        if t.text == "(":
+            if ref in ctx.bound_vars:
+                raise p.error("store references cannot be variables", k)
+            ctx.subject_evidence.add(ref)
+            return _node(p, m, PStore, ref, _parse_pdata(p, ctx))
+        if t == "(":
             # '(new ...)', the input power '(prefix)^n P', or a parenthesized process
             p.take()
-            if p.at_ident("new"):
+            if p.at("new"):
                 return _parse_new(p, ctx, registry, _parse_seq, closing=True)
             power = _try_input_power(p, ctx, registry)
             if power is not None:
@@ -191,10 +200,10 @@ def _parse_seq(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
             inner = _parse_process(p, ctx, registry)
             p.expect(")")
             return inner
-        if t.kind == "IDENT" or t.text == "~":
+        if _ident(t) or t == "~":
             return _parse_prefix(p, ctx, registry)
-        found = repr(t.text) if t.text else "end of input"
-        raise ParseError(t.span, f"expected a process, found {found}")
+        found = repr(t) if t else "end of input"
+        raise p.error(f"expected a process, found {found}")
     except ParseError as e:
         p.failed[m] = (frozenset(ctx.bound_vars), e)
         raise
@@ -205,35 +214,35 @@ def _try_input_power(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Optional[Proc
     already consumed; on failure rewind to just past the paren and return
     None."""
     m = p.mark()
-    start = p.peek()
     try:
         subject = _parse_subject(p, ctx)
         p.expect("?")
         pats, annots, inner = _parse_patterns(p, ctx, registry)
         p.expect(")")
         p.expect("^")
-        count = p.take()
-        if count.kind != "NAT":
-            raise ParseError(count.span, "expected a repetition count after '^'")
+        count = p.i
+        if not _nat(p.take()):
+            raise p.error("expected a repetition count after '^'", count)
     except ParseError:
         p.reset(m)
         return None
-    times = _count(count)
+    times = _count(p, count)
     if times < 1:
         # not an input power, so the caller parses the '(' as a process
         p.reset(m)
         return None
     if times >= sys.getrecursionlimit():
         # no walker could descend through that many nested inputs
-        raise ParseError(count.span, "input nests too deeply")
+        raise p.error("input nests too deeply", count)
     cont = _parse_seq(p, inner, registry)
     for _ in range(times):
-        cont = _node(start, PInp, subject, pats, cont, annots)
+        cont = _node(p, m, PInp, subject, pats, cont, annots)
     return cont
 
 
 def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: bool = False):
-    kw = p.take()  # 'new'
+    kw = p.i
+    p.take()  # 'new'
     name = p.expect_ident("restricted name")
     annot = None
     if p.at(":"):
@@ -244,13 +253,13 @@ def _parse_new(p: _P, ctx: _Ctx, registry: _SortRegistry, body_parser, closing: 
     if p.at("."):
         p.take()
     ctx2 = ctx.child()
-    ctx2.bound_vars.discard(name.text)
-    ctx.subject_evidence.add(name.text)  # restricted tokens are name-sorted
-    return _node(kw, Block, ((name.text, annot),), (body_parser(p, ctx2, registry),))
+    ctx2.bound_vars.discard(name)
+    ctx.subject_evidence.add(name)  # restricted tokens are name-sorted
+    return _node(p, kw, Block, ((name, annot),), (body_parser(p, ctx2, registry),))
 
 
 def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
-    start = p.peek()
+    start = p.i
     subject = _parse_subject(p, ctx)
     if p.at("!"):
         p.take()
@@ -258,13 +267,13 @@ def _parse_prefix(p: _P, ctx: _Ctx, registry: _SortRegistry) -> Process:
         objs = _separated(p, ",", _parse_term, ctx, True)
         p.expect(">")
         p.expect(".")
-        return _node(start, POut, subject, objs, _parse_seq(p, ctx, registry))
+        return _node(p, start, POut, subject, objs, _parse_seq(p, ctx, registry))
     if p.at("?"):
         p.take()
         pats, annots, inner = _parse_patterns(p, ctx, registry)
         p.expect(".")
-        return _node(start, PInp, subject, pats, _parse_seq(p, inner, registry), annots)
-    raise ParseError(p.peek().span, "expected '!' or '?' after prefix subject")
+        return _node(p, start, PInp, subject, pats, _parse_seq(p, inner, registry), annots)
+    raise p.error("expected '!' or '?' after prefix subject")
 
 
 def _lower_system(s: System) -> Optional[Process]:
@@ -284,9 +293,9 @@ def _parse_system(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
 
 
 def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
-    t = p.peek()
-    closing = t.text == "(" and p.peek(1).text == "new"
-    if closing or t.text == "new":
+    t, k = p.peek(), p.i
+    closing = t == "(" and p.peek(1) == "new"
+    if closing or t == "new":
         # `new n. S` and `(new n) S`, unless a process composition follows
         m = p.mark()
         if closing:
@@ -294,19 +303,19 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
         try:
             node = _parse_new(p, ctx, registry, _parse_system, closing)
             if p.at("|"):
-                raise ParseError(p.peek().span, "process composition after restriction")
+                raise p.error("process composition after restriction")
             return node
         except ParseError:
             p.reset(m)
-            return _node(t, SBare, _parse_process(p, ctx, registry))
-    if t.kind == "IDENT" and t.text not in RESERVED and p.peek(1).text == "[":
-        group = p.take()
+            return _node(p, k, SBare, _parse_process(p, ctx, registry))
+    if _ident(t) and t not in RESERVED and p.peek(1) == "[":
+        p.take()
         p.expect("[")
         m = p.mark()
         try:
             inner = _parse_system(p, ctx.child(), registry)
             if p.at("|"):
-                raise ParseError(p.peek().span, "process composition at group top")
+                raise p.error("process composition at group top")
         except ParseError:
             p.reset(m)
             inner = SBare(_parse_process(p, ctx.child(), registry))
@@ -314,13 +323,13 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
         lowered = _lower_system(inner)
         if lowered is not None:
             inner = SBare(lowered)
-        return _node(group, Group, group.text, inner)
-    if t.text == "(":
+        return _node(p, k, Group, t, inner)
+    if t == "(":
         # A parenthesized system, unless its ')' is missing or followed by
         # process syntax: every rule closes the parentheses it opens, so
         # then only the process can parse, and it is parsed only once.
         after = p.after_parens()
-        if after is not None and after.text not in ("^", ".", "|"):
+        if after is not None and after not in ("^", ".", "|"):
             m = p.mark()
             p.take()
             try:
@@ -329,4 +338,4 @@ def _parse_sys_atom(p: _P, ctx: _Ctx, registry: _SortRegistry) -> System:
                 return inner
             except ParseError:
                 p.reset(m)
-    return _node(t, SBare, _parse_process(p, ctx, registry))
+    return _node(p, k, SBare, _parse_process(p, ctx, registry))

@@ -83,6 +83,43 @@ class TestExitCodes:
                 "--policy", "corpus/hospital.ppo", "--env", "corpus/hospital.env")
         assert r.returncode == 1
 
+    # a nurse that reads through a reference received on a channel the
+    # environment does not type: `typecheck` rejects it, and the detector
+    # can read none of its three prefixes
+    UNTYPED_NURSE = "Hospital[ Nurse[ d!<r1>. 0 | d?(x). x?(y). 0 ] ]\n"
+
+    def test_errors_with_unread_prefixes_is_no_clean_verdict(self, tmp_path):
+        src = tmp_path / "nurse.pc"
+        src.write_text(self.UNTYPED_NURSE)
+        files = (str(src), "--policy", "corpus/hospital.ppo", "--env", "corpus/hospital.env")
+        assert run("typecheck", str(src), "--env", "corpus/hospital.env").returncode == 2
+        r = run("errors", *files)
+        assert (r.returncode, r.stdout) == (2, (
+            "no findings; 3 prefixes unchecked\n"
+            "  1:18-1:19: untyped subject at Hospital.Nurse [d!<r1>]\n"
+            "  1:30-1:31: untyped subject at Hospital.Nurse [d?(x)]\n"
+            "  1:37-1:38: untyped subject at Hospital.Nurse [x?(y)]\n"))
+        r = run("errors", *files, "--format", "records")
+        assert (r.returncode, r.stdout) == (2, "".join(
+            f"unchecked kind=subject path=Hospital.Nurse span=1:{col}-1:{col + 1}\n"
+            for col in (18, 30, 37)))
+
+    def test_scan_with_unread_prefixes_is_no_clean_verdict(self, tmp_path):
+        src = tmp_path / "nurse.pc"
+        src.write_text(self.UNTYPED_NURSE)
+        files = (str(src), "--policy", "corpus/hospital.ppo", "--env", "corpus/hospital.env")
+        r = run("scan", *files, "--depth", "0")
+        head, *notes = r.stdout.splitlines()
+        assert r.returncode == 2
+        assert head == "safety scan: no findings; 3 prefixes unchecked (1 states, truncated)"
+        assert [line.split("] ", 1)[1] for line in notes] == [
+            "1:30-1:31: untyped subject at Hospital.Nurse [d?(_x0)]",
+            "1:37-1:38: untyped subject at Hospital.Nurse [_x0?(_x1)]",
+            "1:18-1:19: untyped subject at Hospital.Nurse [d!<r1>]"]
+        # one step on, the reference is read where no read is granted
+        r = run("scan", *files, "--depth", "2")
+        assert r.returncode == 1 and "clause 1: patient_data at Hospital.Nurse: read" in r.stdout
+
     def test_internal_error(self, monkeypatch, capsys):
         def crash(args):
             raise RuntimeError("boom")

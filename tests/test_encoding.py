@@ -100,6 +100,15 @@ class TestEncode:
         assert introduced and not set(introduced) & encoding_oracles.all_atoms(p)
         assert render_core(core) == _BASE_NAMES_CORE
 
+    def test_names_the_lexer_cannot_read_back(self):
+        # a term built in Python may hold a name that no parse gives; the
+        # encoder still encodes it, and a fresh name still avoids the runs
+        # of word characters in it
+        p = POut(TName("a-b"), (TConst("k"),), NIL)
+        assert encode(p) == p
+        store = PStore("r-1", PrivateData(Known("id"), DConst("cell")))
+        assert render_core(encode(store)).startswith("(new cell_0)")
+
 
 # A program whose tokens are the encoder's base names, and its encoding.
 _BASE_NAMES = (
@@ -156,7 +165,7 @@ def _annotation_tokens(p) -> set[str]:
                   else nd.annots or () if isinstance(nd, PInp) else ())
         for a in annots:
             if a is not None:
-                out |= {tok.text for tok in _lex(render_type(a))}
+                out |= set(_lex(render_type(a))[0])
         stack.extend(kernel.children(nd))
     return out
 

@@ -682,7 +682,6 @@ class TestRecords:
         from privcalc.policy import disseminate
         from privcalc.safety import ErrorFinding, ScanReport
         from privcalc.semantics import StateGraph
-        from privcalc.syntax import Tok
         sp = self.SPAN
         assert repr(sp) == "Span(line=1, col=2, end_line=3, end_col=4)"
         out = POut(TName("a"), (priv(Known("id"), "c"),), NIL, span=sp)
@@ -704,9 +703,8 @@ class TestRecords:
         assert repr(ErrorFinding(1, "t", ("G",), "read", "a!<b>", sp)) == (
             "ErrorFinding(clause=1, ptype='t', group_path=('G',), permission='read', "
             "subterm='a!<b>', span=Span(line=1, col=2, end_line=3, end_col=4))")
-        assert repr(Tok("IDENT", "x", sp)) == (
-            "Tok(kind='IDENT', text='x', span=Span(line=1, col=2, end_line=3, end_col=4))")
-        assert repr(ScanReport()) == "ScanReport(states=0, findings=[], truncated=False)"
+        assert repr(ScanReport()) == \
+            "ScanReport(states=0, findings=[], truncated=False, unchecked=[])"
         assert repr(StateGraph("k")) == \
             "StateGraph(root='k', nodes={}, edges=[], truncated=False, depths={})"
 

@@ -20,7 +20,7 @@ from privcalc.safety import count_links, detect_errors, safety_scan
 from privcalc.satisfaction import policy_satisfies, verify
 from privcalc.semantics import explore
 from privcalc.syntax import parse_env, parse_policy, parse_system
-from privcalc.typesys import _bind_block, type_system
+from privcalc.typesys import TypingError, _bind_block, type_system
 
 import gen
 import kernel_oracles
@@ -703,3 +703,58 @@ def test_deep_chain_in_a_group_is_checked_twice(tmp_path):
     assert errors.count("\nclause 2: t at G: update [r!<{_ # d}>. ") == 399
     assert scan.startswith("safety scan: FINDINGS (1 states)\n")
     assert scan.count("] clause 2: t at G: update [r!<{_ # d}>. ") == 400
+
+
+# --- prefixes the detector could not read ---------------------------------------------
+
+@pytest.mark.parametrize("text, kind, subterm", [
+    ("Hospital[ Nurse[ d!<r1>. 0 ] ]", "subject", "d!<r1>"),
+    ("Hospital[ Nurse[ a!<r1>. 0 ] ]", "arity", "a!<r1>"),
+    ("Hospital[ Doctor[ if q = markerD1 then 0 else 0 ] ]", "operand", "if q = markerD1"),
+    ("Hospital[ Nurse[ b?(x # y). 0 ] ]", "pattern", "b?({x # y})"),
+])
+def test_each_unread_prefix_is_noted(text, kind, subterm):
+    """A prefix whose subject has no channel type, or another arity, a
+    condition with an untyped operand and a pattern that does not bind at
+    the payload's type are each noted where they sit, with no finding;
+    `typecheck` rejects each of these systems."""
+    gamma = parse_env((CORPUS / "hospital.env").read_text()).value
+    pol = parse_policy((CORPUS / "hospital.ppo").read_text()).value
+    system = parse_system(text, gamma).value
+    with pytest.raises(TypingError):
+        type_system(gamma, system)
+    findings, unchecked = safety.error_report(pol, gamma, system)
+    assert findings == []
+    (note,) = unchecked
+    assert (note.kind, note.subterm) == (kind, subterm)
+    assert note.span.col == text.index(subterm[:2]) + 1
+
+
+def test_no_corpus_state_has_an_unread_prefix():
+    """The corpus types, so the scan at depth 8 notes no prefix on it."""
+    for name, env in CORPUS_CASES:
+        gamma = parse_env((CORPUS / f"{env}.env").read_text()).value
+        pol = parse_policy((CORPUS / f"{env}.ppo").read_text()).value
+        system = parse_system((CORPUS / f"{name}.pc").read_text(), gamma).value
+        report = safety_scan(pol, gamma, system, 8)
+        assert report.unchecked == [], name
+
+
+def test_a_typed_system_has_no_unread_prefix():
+    """A system that `type_system` accepts leaves the detector no prefix it
+    cannot read, as parsed and in its states at depth 2: 300 seeded
+    `gen.random_system` systems under seeded policies."""
+    gamma = gen.base_gamma()
+    typed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        system = gen.random_system(rng)
+        try:
+            type_system(gamma, system)
+        except TypingError:
+            continue
+        typed += 1
+        pol = _seed_policy(rng)
+        assert safety.error_report(pol, gamma, kernel_oracles.rebuild(system))[1] == [], seed
+        assert safety_scan(pol, gamma, system, 2).unchecked == [], seed
+    assert typed == 300

@@ -2,6 +2,7 @@ import ast
 import functools
 import pathlib
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -11,7 +12,7 @@ from privcalc import syntax
 from privcalc.kernel import (
     Block, DConst, HIDDEN, Known, NIL, PAnon, PIf, PInp, PNil, POut, PPair,
     PRepl, PStore, PVar, PrivateData, Group, SBare, TChan,
-    TConst, TName, TPriv, TPrivate, TPurpose, TVar, children,
+    Span, TConst, TName, TPriv, TPrivate, TPurpose, TVar, children,
 )
 from privcalc.syntax import (
     PERM_WORDS, RESERVED, Gamma, LexError, _lex, parse_env, parse_policy,
@@ -571,16 +572,39 @@ _LINE_TEXTS = [
 ]
 
 
-def _lexed(lex, text: str):
+# ASCII pieces for the split and the loop alike: characters that start no
+# token, a prime after a digit, a vertical tab, a lone '/' and comments in
+# mid-line, and line ends of either kind
+_ASCII_PIECES = (
+    list("!?<>()[]{}#.,:|*=~^;_") + ["||", ">>", "$", "'", "1'", "\x0b", "/", "//",
+                                      "a // b", "0 // ! $\n", " ", "\t", "\r\n", "\n"]
+    + ["0", "42", "x", "ab_1", "_x", "_'", "r'", "a!<k>. 0", "{x # y}"]
+    + sorted(RESERVED))
+
+
+def _kind(t: str) -> str:
+    return ("EOF" if not t else "IDENT" if syntax._ident(t)
+            else "NAT" if syntax._nat(t) else "PUNCT")
+
+
+def _cursor_tokens(text: str) -> list:
+    """The tokens the parser's cursor reads, with the kind their text tells
+    and the span the cursor builds."""
+    p = syntax._P(text)
+    return [(_kind(t), t, p.span(k)) for k, t in enumerate(p.texts[:-1])]
+
+
+def _lexed(tokens, text: str):
     try:
-        return [(t.kind, t.text, t.span) for t in lex(text)]
+        return tokens(text)
     except LexError as e:
         return e.span, e.message
 
 
-def test_lexer_matches_oracle():
-    """Tokens with their spans, or the lexer error with its span, as the
-    character-stepping lexer gives them."""
+def test_lexer_matches_oracle(monkeypatch):
+    """Tokens with their kinds and spans, or the lexer error with its span,
+    as the character-stepping lexer gives them. Both ways of reading a
+    text, the one split and the loop, are taken by many of the inputs."""
     from conftest import CORPUS
     import gen
     from syntax_oracles import _lex as oracle
@@ -590,13 +614,36 @@ def test_lexer_matches_oracle():
     rng = random.Random(41)
     texts += ["".join(rng.choices(_LEX_PIECES, k=rng.randrange(0, 16)))
               for _ in range(20000)]
+    rng = random.Random(42)
+    texts += ["".join(rng.choices(_ASCII_PIECES, k=rng.randrange(0, 24)))
+              for _ in range(20000)]
     texts += _LINE_TEXTS
     # random bytes read as UTF-8, as the `frontend` benchmark's fuzz inputs
     rng = random.Random(43)
     texts += [bytes(rng.randrange(256) for _ in range(rng.randrange(60)))
               .decode("utf-8", errors="replace") for _ in range(2000)]
+    looped = []
+    loop = syntax._lex_loop
+    monkeypatch.setattr(syntax, "_lex_loop", lambda text: looped.append(text) or loop(text))
     for text in texts:
-        assert _lexed(_lex, text) == _lexed(oracle, text), text
+        assert _lexed(_cursor_tokens, text) == _lexed(oracle, text), text
+    assert 10000 < len(looped) < len(texts) - 10000
+
+
+def test_lexer_is_linear_in_a_long_token():
+    """A token that many characters make, before an error or a character the
+    pattern does not read, is read in one pass: no pattern backtracks
+    across tokens or retries a run from each of its characters."""
+    for text, want in [("a" * 10000 + " $", LexError), ("7" * 10000 + "² $", LexError),
+                       ("x" * 10000 + "é" * 10000, None), ("_" + "1" * 10000, None)]:
+        start = time.perf_counter()
+        if want is None:
+            assert len(_lex(text)[0]) == 2
+        else:
+            with pytest.raises(LexError) as e:
+                _lex(text)
+            assert e.value.span == Span(1, len(text), 1, len(text) + 1)
+        assert time.perf_counter() - start < 0.5, text[:3]
 
 
 # --- the process and system parser against its oracle ---------------------------
@@ -634,7 +681,7 @@ def differential_texts(rng: random.Random, mutants: int) -> list[str]:
         lambda n: "(" * n + "G[0] || H[0]" + ")" * n,
         lambda n: "(" * n + "a!<c>. 0" + ") | 0" * n)]
     texts += ["(a?(x)", "G[ (~r?(x # y)"]  # an input's patterns end the text
-    bases = [[t.text for t in _lex(text)[:-1]] for text in texts if "$" not in text]
+    bases = [_lex(text)[0][:-1] for text in texts if "$" not in text]
     for _ in range(mutants):
         toks = rng.choice(bases)[:]
         i = rng.randrange(len(toks) + 1)
