@@ -491,11 +491,12 @@ class ScanReport(Record, frozen=False):
 
     @property
     def ok(self) -> bool:
-        return not self.findings
+        """A clean verdict: no finding, and no prefix left unread."""
+        return not self.findings and not self.unchecked
 
     def render(self) -> str:
-        status = ("FINDINGS" if self.findings
-                  else unchecked_summary(self.unchecked) if self.unchecked else "ok")
+        status = ("ok" if self.ok else "FINDINGS" if self.findings
+                  else unchecked_summary(self.unchecked))
         lines = [f"safety scan: {status} ({self.states} states"
                  f"{', truncated' if self.truncated else ''})"]
         lines += [f"  [{key}] {f.render()}" for key, f in self.findings]

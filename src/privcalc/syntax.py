@@ -304,7 +304,6 @@ class _P:
     def __init__(self, text: str):
         self.texts, self.starts = _lex(text)
         self.texts.append("")  # a second EOF, for `peek(1)` at the end
-        self.starts.append(self.starts[-1])
         self.source = text
         self.lines: Optional[list[int]] = None  # the line starts, on first use
         self.i = 0

@@ -716,8 +716,8 @@ def test_deep_chain_in_a_group_is_checked_twice(tmp_path):
 def test_each_unread_prefix_is_noted(text, kind, subterm):
     """A prefix whose subject has no channel type, or another arity, a
     condition with an untyped operand and a pattern that does not bind at
-    the payload's type are each noted where they sit, with no finding;
-    `typecheck` rejects each of these systems."""
+    the payload's type are each noted where they sit, with no finding, and
+    leave the scan no clean verdict; `typecheck` rejects each system."""
     gamma = parse_env((CORPUS / "hospital.env").read_text()).value
     pol = parse_policy((CORPUS / "hospital.ppo").read_text()).value
     system = parse_system(text, gamma).value
@@ -728,6 +728,9 @@ def test_each_unread_prefix_is_noted(text, kind, subterm):
     (note,) = unchecked
     assert (note.kind, note.subterm) == (kind, subterm)
     assert note.span.col == text.index(subterm[:2]) + 1
+    # nor is the scan's verdict clean
+    report = safety_scan(pol, gamma, system, 0)
+    assert report.findings == [] and len(report.unchecked) == 1 and not report.ok
 
 
 def test_no_corpus_state_has_an_unread_prefix():
